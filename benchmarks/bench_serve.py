@@ -15,7 +15,7 @@ import pytest
 from repro.engine.parallel import SessionSpec, run_sweep
 from repro.engine.service import MapRequest, ServerThread, ServiceClient, SolverService
 from repro.harness.bench import bench_serve
-from repro.harness.runner import ExperimentConfig
+from repro.harness.runner import ExperimentConfig, MappingRecord
 
 
 @pytest.mark.benchmark(group="serve")
@@ -90,14 +90,9 @@ def test_socket_roundtrip_latency_warm(benchmark, tmp_path, intel_benchmarks):
 
     assert all(r["ok"] for r in warmup + responses)
 
-    def comparable(record_dict):
-        data = dict(record_dict)
-        data.pop("time_seconds")
-        data.pop("cache_hit")
-        return data
-
-    serial_side = [comparable(r.to_dict()) for r in serial]
-    served_side = [comparable(r["record"]) for r in responses]
+    serial_side = [r.comparable() for r in serial]
+    served_side = [MappingRecord.from_dict(r["record"]).comparable()
+                   for r in responses]
     assert serial_side == served_side
     print(f"\nwarm socket round-trip: "
           f"{elapsed / len(benchmarks) * 1e3:.2f} ms/request "

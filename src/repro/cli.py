@@ -23,14 +23,16 @@ import json
 import sys
 from pathlib import Path
 
-from repro.arch import available_architectures
+from repro.arch import available_architectures, load_architecture
 from repro.core.templates import available_templates
 from repro.engine.session import MappingSession
+from repro.hdl.behavioral import verilog_to_behavioral
+from repro.hdl.elaborate import ElaborationError
+from repro.hdl.lexer import LexError
+from repro.hdl.parser import ParseError
 
 __all__ = ["main", "build_parser", "build_sweep_parser", "build_bench_parser",
            "build_serve_parser", "build_request_parser"]
-
-_PORTFOLIO_KINDS = ("thread", "process", "sequential")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +41,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lakeroad",
         description="FPGA technology mapping using sketch-guided program synthesis "
                     "(reproduction of the ASPLOS 2024 Lakeroad paper). "
-                    "Run 'lakeroad sweep --help' for the parallel evaluation sweep.")
+                    "Run 'lakeroad sweep --help' for the parallel evaluation sweep. "
+                    "Exit codes: 0 mapped (structural Verilog on stdout), "
+                    "1 input error (unknown --arch-desc, or Verilog the "
+                    "frontend rejects), 2 unsat or a command-line usage "
+                    "error, 3 timeout.")
     parser.add_argument("verilog", help="behavioral Verilog file to map")
     parser.add_argument("--template", default="dsp", choices=available_templates(),
                         help="sketch template to use (default: dsp)")
@@ -59,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the session's synthesis cache")
     parser.add_argument("--cache-dir", default=None,
                         help="persist the synthesis cache here (shared across runs)")
-    parser.add_argument("--portfolio", default="thread", choices=_PORTFOLIO_KINDS,
-                        help="SAT racing style (default: thread)")
     parser.add_argument("--incremental", action="store_true",
                         help="thread one persistent CDCL context through each "
                              "design's CEGIS run (clause reuse across "
@@ -107,8 +111,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None,
                         help="persistent synthesis cache directory shared by "
                              "workers and later runs (default: in-memory only)")
-    parser.add_argument("--portfolio", default="thread", choices=_PORTFOLIO_KINDS,
-                        help="SAT racing style inside each worker (default: thread)")
     parser.add_argument("--incremental", action="store_true",
                         help="incremental CEGIS inside each worker: one "
                              "persistent solver context per design, learned "
@@ -267,8 +269,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "workers and the front door (default: in-memory)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable synthesis caching (dedup still applies)")
-    parser.add_argument("--portfolio", default="thread", choices=_PORTFOLIO_KINDS,
-                        help="SAT racing style inside each worker (default: thread)")
     parser.add_argument("--incremental", action="store_true",
                         help="incremental CEGIS inside each worker session")
     parser.add_argument("--incremental-verify", action="store_true",
@@ -362,6 +362,14 @@ def main(argv=None) -> int:
 # --------------------------------------------------------------------------- #
 # lakeroad map (the historical default)
 # --------------------------------------------------------------------------- #
+def _map_input_error(exc: Exception) -> int:
+    """Report input the loader or the HDL frontend rejected; exit code 1."""
+    # args[0] is the bare message (a KeyError's str() is its quoted repr).
+    message = exc.args[0] if exc.args else exc
+    print(f"lakeroad map: error: {message}", file=sys.stderr)
+    return 1
+
+
 def _main_map(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -375,17 +383,23 @@ def _main_map(argv) -> int:
 
     if args.probes < 0:
         parser.error("--probes must be non-negative")
+    try:
+        design = verilog_to_behavioral(source, args.module)
+    except (LexError, ParseError, ElaborationError) as exc:
+        return _map_input_error(exc)
+    try:
+        architecture = load_architecture(args.arch_desc)
+    except (KeyError, ValueError) as exc:
+        return _map_input_error(exc)
     session = MappingSession(enable_cache=not args.no_cache,
                              cache_dir=args.cache_dir,
-                             portfolio=args.portfolio,
                              incremental=args.incremental,
                              incremental_verify=args.incremental_verify,
                              random_probes=args.probes)
-    result = session.map_verilog(
-        source,
+    result = session.map_design(
+        design,
         template=args.template,
-        arch=args.arch_desc,
-        module_name=args.module,
+        arch=architecture,
         timeout_seconds=args.timeout,
         extra_cycles=args.extra_cycles,
         validate=not args.no_validate,
@@ -517,13 +531,12 @@ def _main_sweep(argv) -> int:
         parser.error("--probes must be non-negative")
     config = ExperimentConfig(validate=args.validate, template=args.template,
                               workers=args.workers, cache_dir=args.cache_dir,
-                              portfolio=args.portfolio,
                               incremental=args.incremental,
                               incremental_verify=args.incremental_verify,
                               random_probes=args.probes)
     if args.timeout is not None:
         config.timeout_seconds = {arch: args.timeout for arch in architectures}
-    spec = SessionSpec(portfolio=args.portfolio, cache_dir=args.cache_dir,
+    spec = SessionSpec(cache_dir=args.cache_dir,
                        enable_cache=not args.no_cache,
                        incremental=args.incremental,
                        incremental_verify=args.incremental_verify,
@@ -874,7 +887,7 @@ def _main_serve(argv) -> int:
     if args.client_queue is not None and args.client_queue < 1:
         parser.error("--client-queue must be at least 1")
 
-    spec = SessionSpec(portfolio=args.portfolio, cache_dir=args.cache_dir,
+    spec = SessionSpec(cache_dir=args.cache_dir,
                        enable_cache=not args.no_cache,
                        incremental=args.incremental,
                        incremental_verify=args.incremental_verify,

@@ -146,17 +146,15 @@ def cdcl_config(**options) -> Callable[..., SatResult]:
 register_backend(SolverBackend(
     "cdcl", _run_cdcl,
     description="two-watched-literal CDCL with VSIDS and Luby restarts"))
-# The fallback members join a *thread* race only once a query looks
-# genuinely stuck (60 s in, or half the remaining budget, whichever is
-# sooner): under the GIL, CPU-bound members time-share a core, so an eager
-# second engine roughly halves the primary's throughput — and a race
-# winner's model steers CEGIS counterexamples, so eager racing also makes
-# synthesis trajectories timing-dependent.  The *process* portfolio
-# ignores the stagger and races every default member immediately (true
-# parallelism), which is where the diversified configurations below earn
-# their keep: restart cadence, phase polarity and branching order are the
-# axes on which CDCL run times diverge by orders of magnitude, so a wide
-# race hedges against any single configuration's pathological case.
+# The fallback members join the race only once a query looks genuinely
+# stuck (60 s in, or half the remaining budget, whichever is sooner):
+# under the GIL, CPU-bound members time-share a core, so an eager second
+# engine roughly halves the primary's throughput — and a race winner's
+# model steers CEGIS counterexamples, so eager racing also makes synthesis
+# trajectories timing-dependent.  The diversified configurations below
+# vary restart cadence, phase polarity and branching order, the axes on
+# which CDCL run times diverge by orders of magnitude, so on a stuck query
+# the race hedges against any single configuration's pathological case.
 register_backend(SolverBackend(
     "dpll", _run_dpll,
     description="iterative DPLL with unit propagation and pure literals",

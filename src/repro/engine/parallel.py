@@ -69,7 +69,6 @@ class SessionSpec:
     identically.
     """
 
-    portfolio: str = "thread"
     cache_dir: Optional[str] = None
     enable_cache: bool = True
     incremental: bool = False
@@ -78,7 +77,7 @@ class SessionSpec:
 
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "SessionSpec":
-        return cls(portfolio=config.portfolio, cache_dir=config.cache_dir,
+        return cls(cache_dir=config.cache_dir,
                    incremental=config.incremental,
                    incremental_verify=config.incremental_verify,
                    random_probes=config.random_probes)
@@ -100,8 +99,7 @@ class SessionSpec:
     def build(self):
         from repro.engine.session import MappingSession
 
-        return MappingSession(portfolio=self.portfolio,
-                              cache_dir=self.cache_dir,
+        return MappingSession(cache_dir=self.cache_dir,
                               enable_cache=self.enable_cache,
                               incremental=self.incremental,
                               incremental_verify=self.incremental_verify,

@@ -45,12 +45,7 @@ over many *small* queries.  This module keeps the expensive state alive:
     spawns extra workers under sustained backlog and retires idle ones
     after a quiet period — resize decisions run *after* assignment in the
     same dispatcher pass, so a worker that just received work is never a
-    retirement victim;
-  - **shared portfolio racing**: :meth:`SolverService.portfolio` returns a
-    :class:`ServicePortfolio` whose concurrent SAT races borrow *idle*
-    pool workers over the existing pipes instead of forking a fresh
-    process per query (falling back to the in-process thread race when
-    every worker is busy).
+    retirement victim.
 
 * **Socket layer** — an asyncio unix-domain-socket server speaking
   newline-delimited JSON (:func:`run_server`, the ``lakeroad serve``
@@ -98,12 +93,10 @@ from repro.harness.runner import (
     MappingRecord,
     record_from_result,
 )
-from repro.sat.portfolio import SatPortfolio
-from repro.sat.solver import SatResult
 
 __all__ = ["MapRequest", "SolverService", "ServiceClient", "ServerThread",
-           "ServiceOverloaded", "ServicePortfolio",
-           "run_server", "DEFAULT_SOCKET", "DEFAULT_STREAM_LIMIT"]
+           "ServiceOverloaded", "run_server", "DEFAULT_SOCKET",
+           "DEFAULT_STREAM_LIMIT"]
 
 #: Default unix-socket path for ``lakeroad serve`` / ``lakeroad request``.
 DEFAULT_SOCKET = "/tmp/lakeroad.sock"
@@ -237,29 +230,6 @@ def _restamp(payload: Dict[str, Any], request: MapRequest,
 # --------------------------------------------------------------------------- #
 # Worker process
 # --------------------------------------------------------------------------- #
-def _race_in_worker(conn, race_id: int, member_name: str, cnf,
-                    deadline: Optional[float],
-                    assumptions: Sequence[int]) -> None:
-    """Run one portfolio race member inside a service worker.
-
-    ``conn.poll`` doubles as the cooperative ``should_stop`` hook: while a
-    worker is racing, the only message the front door will send it is the
-    ``race_cancel`` for this race (or a ``stop`` at shutdown), so *any*
-    readable byte on the pipe means the race is over.
-    """
-    from repro.engine.backends import backend_by_name
-
-    try:
-        backend = backend_by_name(member_name)
-        result = backend.solve(cnf, deadline, list(assumptions),
-                               should_stop=conn.poll)
-        payload = ("race_result", race_id, member_name, result, None)
-    except Exception as exc:  # noqa: BLE001 - crosses the pipe
-        payload = ("race_result", race_id, member_name, None,
-                   f"{type(exc).__name__}: {exc}")
-    conn.send(payload)
-
-
 def _worker_main(spec: SessionSpec, conn) -> None:
     """Worker body: serve requests on one warm session until told to stop.
 
@@ -283,24 +253,10 @@ def _worker_main(spec: SessionSpec, conn) -> None:
                     return  # front door died; exit, closing the session
                 if message[0] == "stop":
                     try:
-                        conn.send(("stats",
-                                   dict(session.cache_stats()),
-                                   dict(session.portfolio_wins())))
+                        conn.send(("stats", dict(session.cache_stats())))
                     except (BrokenPipeError, OSError):
                         pass
                     return
-                if message[0] == "race":
-                    _, race_id, member_name, cnf, deadline, assumptions = message
-                    try:
-                        _race_in_worker(conn, race_id, member_name, cnf,
-                                        deadline, assumptions)
-                    except (BrokenPipeError, OSError):
-                        return
-                    continue
-                if message[0] == "race_cancel":
-                    # A cancel for a race this worker already finished (the
-                    # winner's reply crossed it on the pipe) — ignore.
-                    continue
                 _, request_id, request = message
                 try:
                     record = _serve_request(session, request)
@@ -351,33 +307,11 @@ class _Pending:
         self.admitted_by = admitted_by
 
 
-class _Race:
-    """One portfolio race borrowed onto idle pool workers."""
-
-    __slots__ = ("race_id", "cnf", "deadline", "assumptions", "names",
-                 "future", "members", "last_result")
-
-    def __init__(self, race_id: int, cnf, deadline: Optional[float],
-                 assumptions: Tuple[int, ...],
-                 names: Tuple[str, ...]) -> None:
-        self.race_id = race_id
-        self.cnf = cnf
-        self.deadline = deadline
-        self.assumptions = assumptions
-        self.names = names
-        #: Resolves to ``(SatResult, winner_name)``, or ``None`` when no
-        #: idle worker was available (the caller should race locally).
-        self.future: "Future[Optional[Tuple[SatResult, str]]]" = Future()
-        #: member name -> the worker handle running it (live members only).
-        self.members: Dict[str, "_WorkerHandle"] = {}
-        self.last_result: Optional[SatResult] = None
-
-
 class _WorkerHandle:
     """A worker process, its pipe, and its share of the request queue."""
 
     __slots__ = ("index", "process", "conn", "queue", "sent", "served",
-                 "stopping", "racing", "last_active")
+                 "stopping", "last_active")
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -392,8 +326,6 @@ class _WorkerHandle:
         #: A scale-down ``stop`` has been sent; the handle takes no new
         #: work and is removed from the pool when its pipe reaches EOF.
         self.stopping = False
-        #: The race id this worker is currently solving for, if any.
-        self.racing: Optional[int] = None
         #: Last time this worker was given or finished work (spawn counts),
         #: driving the idle-retirement clock.
         self.last_active = time.monotonic()
@@ -471,15 +403,11 @@ class SolverService:
         self._client_stats: Dict[str, Counter] = {}
         self._affinity: Dict[str, int] = {}
         self._next_request_id = 0
-        self._next_race_id = 0
-        self._race_requests: Deque[_Race] = deque()
-        self._races: Dict[int, _Race] = {}
         self._closed = False
         self._failed: Optional[str] = None
         self._drain_deadline: Optional[float] = None
         self._stats: Counter = Counter()
         self._worker_cache_stats: Counter = Counter()
-        self._worker_portfolio_wins: Counter = Counter()
         self._restarts_left = max(8, self.max_workers * 4)
         #: EMA of observed solve seconds, feeding the retry_after_ms hint.
         self._solve_ema: Optional[float] = None
@@ -701,130 +629,6 @@ class SolverService:
         return None
 
     # ------------------------------------------------------------------ #
-    # Shared portfolio racing
-    # ------------------------------------------------------------------ #
-    def race_cnf(self, cnf, deadline: Optional[float] = None,
-                 assumptions: Sequence[int] = (),
-                 names: Optional[Sequence[str]] = None
-                 ) -> Optional[Tuple[SatResult, str]]:
-        """Race SAT backends on *idle* pool workers (blocking).
-
-        Returns ``(result, winner_name)`` — ``winner_name`` is ``"none"``
-        when every racer came back unknown — or ``None`` when no idle
-        worker could be borrowed (or the service is closing), in which
-        case the caller should run its race locally.
-        """
-        if names is None:
-            from repro.engine.backends import default_backend_names
-
-            names = default_backend_names()
-        with self._lock:
-            if self._closed or self._failed is not None:
-                return None
-            self._next_race_id += 1
-            race = _Race(self._next_race_id, cnf, deadline,
-                         tuple(assumptions), tuple(names))
-            self._race_requests.append(race)
-        self._wake()
-        return race.future.result()
-
-    def portfolio(self, names: Optional[Sequence[str]] = None
-                  ) -> "ServicePortfolio":
-        """A portfolio whose concurrent races borrow idle pool workers."""
-        members = None
-        if names:
-            from repro.engine.backends import backend_by_name
-
-            members = [backend_by_name(name) for name in names]
-        return ServicePortfolio(self, members)
-
-    def _assign_races(self) -> None:
-        """Hand queued races to idle workers (dispatcher thread).
-
-        Runs after map assignment in the same pass, so "idle" really means
-        idle — a worker that was just given map work is never borrowed.
-        Races are never queued: with no idle worker the caller is told to
-        race locally instead (``None`` sentinel), keeping map latency and
-        race latency independent.
-        """
-        with self._lock:
-            if not self._race_requests:
-                return
-            fresh = list(self._race_requests)
-            self._race_requests.clear()
-        for race in fresh:
-            idle = [handle for handle in self._pool
-                    if not handle.stopping and handle.racing is None
-                    and handle.outstanding == 0]
-            expired = race.deadline is not None \
-                and time.monotonic() >= race.deadline
-            started: Dict[str, _WorkerHandle] = {}
-            if idle and not expired:
-                for name, handle in zip(race.names, idle):
-                    try:
-                        handle.conn.send(("race", race.race_id, name,
-                                          race.cnf, race.deadline,
-                                          race.assumptions))
-                    except (BrokenPipeError, OSError):
-                        self._restart(handle)
-                        continue
-                    handle.racing = race.race_id
-                    started[name] = handle
-            if not started:
-                with self._lock:
-                    self._stats["race_fallbacks"] += 1
-                if not race.future.done():
-                    race.future.set_result(None)
-                continue
-            race.members = started
-            self._races[race.race_id] = race
-            with self._lock:
-                self._stats["races"] += 1
-
-    def _finish_race_member(self, race: _Race, name: str,
-                            result: Optional[SatResult],
-                            error: Optional[str]) -> None:
-        """Fold one member's answer into the race (dispatcher thread)."""
-        race.members.pop(name, None)
-        finished = not race.members
-        if race.future.done():
-            if finished:
-                self._races.pop(race.race_id, None)
-            return
-        if error is not None:
-            warnings.warn(f"service race member {name!r} crashed: {error}",
-                          RuntimeWarning, stacklevel=2)
-        elif result is not None and not result.is_unknown:
-            race.future.set_result((result, name))
-            for other in race.members.values():
-                try:
-                    other.conn.send(("race_cancel", race.race_id))
-                except (BrokenPipeError, OSError):
-                    pass
-            if finished:
-                self._races.pop(race.race_id, None)
-            return
-        elif result is not None:
-            race.last_result = result
-        if finished:
-            self._races.pop(race.race_id, None)
-            race.future.set_result(
-                (race.last_result or SatResult(status="unknown"), "none"))
-
-    def _abort_races(self) -> None:
-        """Resolve every unfinished race with the local-fallback sentinel."""
-        with self._lock:
-            queued = list(self._race_requests)
-            self._race_requests.clear()
-            running = list(self._races.values())
-            self._races.clear()
-        for race in itertools.chain(queued, running):
-            if not race.future.done():
-                race.future.set_result(None)
-        for handle in self._pool:
-            handle.racing = None
-
-    # ------------------------------------------------------------------ #
     # Dispatcher thread
     # ------------------------------------------------------------------ #
     def _wake(self) -> None:
@@ -846,7 +650,6 @@ class SolverService:
                     else:
                         self._drain_worker(key.data)
                 self._assign_submissions()
-                self._assign_races()
                 # Resize *after* assignment: a worker that just received
                 # work has outstanding > 0 and cannot be picked as an
                 # idle-retirement victim, closing the route/retire race.
@@ -854,8 +657,7 @@ class SolverService:
                 for handle in list(self._pool):
                     self._flush(handle)
                 with self._lock:
-                    done = self._closed and not self._inflight \
-                        and not self._races and not self._race_requests
+                    done = self._closed and not self._inflight
                     expired = self._drain_deadline is not None \
                         and time.monotonic() > self._drain_deadline
                 if done or expired:
@@ -869,26 +671,18 @@ class SolverService:
         """Choose (and pin) the worker for a pending's design family.
 
         A fingerprint routes to its pinned worker while that worker is
-        alive, not stopping and not busy racing; otherwise it is
-        (re)pinned to the worker with the least outstanding work,
-        preferring workers that are not racing.  A racing pin falls
-        through just like a stopping one — ``_flush`` sends nothing to a
-        racer, so honoring the pin would stall the family behind a
-        borrowed SAT race of unbounded length while other workers idle,
-        breaking the map-latency/race-latency independence contract.
+        alive and not stopping; otherwise it is (re)pinned to the worker
+        with the least outstanding work.
         """
         index = self._affinity.get(pending.affinity)
         if index is not None:
             handle = self._by_index.get(index)
-            if handle is not None and not handle.stopping \
-                    and handle.racing is None:
+            if handle is not None and not handle.stopping:
                 return handle
         candidates = [handle for handle in self._pool if not handle.stopping]
         if not candidates:
             return None
-        handle = min(candidates,
-                     key=lambda h: (h.racing is not None, h.outstanding,
-                                    h.index))
+        handle = min(candidates, key=lambda h: (h.outstanding, h.index))
         self._affinity[pending.affinity] = handle.index
         return handle
 
@@ -928,11 +722,7 @@ class SolverService:
                     if pending is None:
                         break
                     handle = self._worker_for(pending)
-                    # A racing handle can be chosen only when every worker
-                    # is racing; keep the request in the client queue (it
-                    # stays re-routable and counts as resize backlog)
-                    # rather than stranding it behind the race.
-                    if handle is None or handle.racing is not None \
+                    if handle is None \
                             or handle.outstanding >= self.max_pipe_backlog:
                         break
                     with self._lock:
@@ -976,7 +766,7 @@ class SolverService:
             self._backlog_since = None
         if len(active) > self.min_workers:
             for handle in active:
-                if handle.racing is None and handle.outstanding == 0 \
+                if handle.outstanding == 0 \
                         and now - handle.last_active \
                         >= self.idle_retire_seconds:
                     self._begin_scale_down(handle)
@@ -1049,11 +839,10 @@ class SolverService:
     def _flush(self, handle: _WorkerHandle) -> None:
         """Write queued requests to the worker, up to the pipe backlog cap.
 
-        Racing and stopping workers get nothing: a racer's pipe must stay
-        silent so ``conn.poll`` can serve as its cancellation hook, and a
-        stopping worker is already past its last request.
+        A stopping worker gets nothing: it is already past its last
+        request.
         """
-        if handle.stopping or handle.racing is not None:
+        if handle.stopping:
             return
         while handle.queue and len(handle.sent) < self.max_pipe_backlog:
             pending = handle.queue[0]
@@ -1082,17 +871,8 @@ class SolverService:
     def _handle_message(self, handle: _WorkerHandle, message) -> None:
         kind = message[0]
         if kind == "stats":
-            _, cache_stats, wins = message
+            _, cache_stats = message
             self._worker_cache_stats.update(cache_stats)
-            self._worker_portfolio_wins.update(wins)
-            return
-        if kind == "race_result":
-            _, race_id, name, result, error = message
-            handle.racing = None
-            handle.last_active = time.monotonic()
-            race = self._races.get(race_id)
-            if race is not None:
-                self._finish_race_member(race, name, result, error)
             return
         _, request_id, payload = message
         pending = handle.sent.pop(request_id, None)
@@ -1179,16 +959,6 @@ class SolverService:
 
     def _restart(self, handle: _WorkerHandle) -> None:
         """Replace a dead worker; nothing it owed is dropped."""
-        if handle.racing is not None:
-            race = self._races.get(handle.racing)
-            handle.racing = None
-            if race is not None:
-                dropped = [name for name, h in race.members.items()
-                           if h is handle]
-                for name in dropped:
-                    # A crashed racer counts as an unknown answer.
-                    self._finish_race_member(race, name, None,
-                                             "worker died mid-race")
         with self._lock:
             stopping = self._closed and not self._inflight
             exhausted = not stopping and self._restarts_left <= 0
@@ -1228,7 +998,6 @@ class SolverService:
             for future, _, _ in pending.waiters:
                 if not future.done():
                     future.set_exception(error)
-        self._abort_races()
         warnings.warn(f"lakeroad service: {reason}", RuntimeWarning,
                       stacklevel=2)
 
@@ -1250,7 +1019,6 @@ class SolverService:
                 for future, _, _ in pending.waiters:
                     if not future.done():
                         future.set_exception(error)
-        self._abort_races()
         for handle in self._pool:
             try:
                 handle.conn.send(("stop",))
@@ -1285,8 +1053,7 @@ class SolverService:
         for key in ("requests", "coalesced", "front_memory_hits",
                     "front_disk_hits", "dispatched", "completed",
                     "worker_cache_hits", "worker_restarts", "errors",
-                    "rejections", "scale_ups", "scale_downs", "races",
-                    "race_fallbacks"):
+                    "rejections", "scale_ups", "scale_downs"):
             stats.setdefault(key, 0)
         warm = (stats["coalesced"] + stats["front_memory_hits"]
                 + stats["front_disk_hits"] + stats["worker_cache_hits"])
@@ -1307,9 +1074,6 @@ class SolverService:
     def worker_cache_stats(self) -> Dict[str, int]:
         """Summed worker-session cache counters (complete after close)."""
         return dict(self._worker_cache_stats)
-
-    def worker_portfolio_wins(self) -> Dict[str, int]:
-        return dict(self._worker_portfolio_wins)
 
     def close(self, timeout: float = 30.0) -> None:
         """Drain in-flight requests, stop workers cleanly, release pipes.
@@ -1346,34 +1110,6 @@ class SolverService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class ServicePortfolio(SatPortfolio):
-    """A SAT portfolio whose concurrent races run on idle service workers.
-
-    ``portfolio="process"`` used to fork a fresh process per solve call
-    (:class:`~repro.sat.portfolio.ProcessPortfolio`); this variant borrows
-    the already-warm service pool instead — no fork per query, true
-    process parallelism, and the same first-definitive-answer semantics.
-    When no pool worker is idle the race degrades gracefully to the
-    in-process thread race, so callers never block behind map traffic.
-    """
-
-    def __init__(self, service: SolverService,
-                 members: Optional[List] = None) -> None:
-        super().__init__(members=members, concurrent=True)
-        self.service = service
-
-    def _solve_concurrent(self, cnf, deadline: Optional[float],
-                          assumptions: Sequence[int]) -> Tuple[SatResult, str]:
-        outcome = self.service.race_cnf(cnf, deadline, tuple(assumptions),
-                                        self.member_names)
-        if outcome is None:
-            return super()._solve_concurrent(cnf, deadline, assumptions)
-        result, name = outcome
-        if name != "none":
-            self._record_win(name)
-        return result, name
 
 
 # --------------------------------------------------------------------------- #

@@ -31,7 +31,7 @@ from repro.engine.budget import Budget
 from repro.engine.cache import SynthesisCache, program_fingerprint
 from repro.engine.diskcache import DiskSynthesisCache, TieredSynthesisCache
 from repro.hdl.behavioral import BehavioralDesign, verilog_to_behavioral
-from repro.sat.portfolio import SatPortfolio, make_portfolio
+from repro.sat.portfolio import SatPortfolio
 from repro.smt.solver import SmtSolver
 from repro.vendor.library import PrimitiveLibrary
 
@@ -146,12 +146,9 @@ class MappingSession:
     creates its own primitive library, a concurrent SAT portfolio, a word
     level solver wired to that portfolio, and a bounded synthesis cache.
 
-    ``portfolio`` accepts either a ready :class:`SatPortfolio` instance or
-    a racing-style name (``"thread"``, ``"process"``, ``"sequential"`` —
-    see :func:`repro.sat.portfolio.make_portfolio`).  ``cache_dir`` layers
-    a persistent :class:`DiskSynthesisCache` under the in-memory LRU so
-    synthesis results survive the process and are shared with concurrent
-    sweep workers.
+    ``cache_dir`` layers a persistent :class:`DiskSynthesisCache` under
+    the in-memory LRU so synthesis results survive the process and are
+    shared with concurrent sweep workers.
 
     ``incremental`` and ``incremental_verify`` select the persistent-solver
     CEGIS candidate and verification paths respectively (clause reuse
@@ -168,7 +165,7 @@ class MappingSession:
 
     def __init__(self,
                  library: Optional[PrimitiveLibrary] = None,
-                 portfolio: Optional["SatPortfolio | str"] = None,
+                 portfolio: Optional[SatPortfolio] = None,
                  solver: Optional[SmtSolver] = None,
                  cache: Optional[SynthesisCache] = None,
                  enable_cache: bool = True,
@@ -200,8 +197,6 @@ class MappingSession:
         if random_probes < 0:
             raise ValueError("random_probes must be non-negative")
         self.random_probes = random_probes
-        if isinstance(portfolio, str):
-            portfolio = make_portfolio(portfolio)
         if portfolio is None and solver is not None:
             # Adopt the injected solver's portfolio so portfolio_wins()
             # reports the races that actually ran.

@@ -469,23 +469,6 @@ def bench_qos(seed: int = 0, flood_requests: int = 32,
     }
 
 
-def _comparable_records(records) -> List[dict]:
-    """Record dicts with the wall-clock fields dropped.
-
-    ``time_seconds``/``solver_solve_seconds`` vary run to run and
-    ``cache_hit`` depends on which process solved first, so record
-    equality between the serial and distributed sweeps is judged on
-    everything else (outcome, mapping, counters).
-    """
-    comparable = []
-    for record in records:
-        data = dict(record.to_dict())
-        for key in ("time_seconds", "solver_solve_seconds", "cache_hit"):
-            data.pop(key, None)
-        comparable.append(data)
-    return comparable
-
-
 def bench_distributed(architectures: Optional[Sequence[str]] = None,
                       count: int = 4, seed: int = 0, max_width: int = 8,
                       template: str = "dsp", random_probes: int = 32,
@@ -527,8 +510,8 @@ def bench_distributed(architectures: Optional[Sequence[str]] = None,
                                         shard_size=shard_size)
     distributed_seconds = time.perf_counter() - distributed_start
 
-    records_equal = (_comparable_records(serial.records)
-                     == _comparable_records(distributed.records))
+    records_equal = ([r.comparable() for r in serial.records]
+                     == [r.comparable() for r in distributed.records])
     rate = len(distributed.records) / distributed_seconds \
         if distributed_seconds else 0.0
     return {

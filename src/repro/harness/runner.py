@@ -53,9 +53,6 @@ class ExperimentConfig:
     #: Directory for the persistent synthesis cache shared by every worker
     #: (and by later runs); None keeps the cache in-memory and per-process.
     cache_dir: Optional[str] = None
-    #: SAT racing style for the sessions this config builds:
-    #: ``"thread"``, ``"process"`` or ``"sequential"``.
-    portfolio: str = "thread"
     #: Run the CEGIS candidate step on one persistent solver session per
     #: design (learned clauses reused across iterations).  Statuses and
     #: hole values are identical to from-scratch mode.
@@ -162,6 +159,20 @@ class MappingRecord:
     def to_dict(self) -> dict:
         """A plain-dict form (JSON-able; the cross-process wire format)."""
         return asdict(self)
+
+    def comparable(self) -> dict:
+        """:meth:`to_dict` minus the per-request fields.
+
+        ``time_seconds`` and ``solver_solve_seconds`` are wall-clock
+        readings and ``cache_hit`` says whether this request or an earlier
+        one ran the solve (see :func:`record_from_result`), so serial,
+        sharded, served and distributed runs of the same benchmarks must
+        agree on everything else.
+        """
+        data = self.to_dict()
+        for key in ("time_seconds", "solver_solve_seconds", "cache_hit"):
+            del data[key]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "MappingRecord":
@@ -293,9 +304,8 @@ def run_lakeroad(benchmarks: Sequence[Microbenchmark],
 
         return run_lakeroad_parallel(benchmarks, config, workers=workers)
     if session is None:
-        if config.cache_dir is not None or config.portfolio != "thread" \
-                or config.incremental or config.incremental_verify \
-                or config.random_probes != 32:
+        if config.cache_dir is not None or config.incremental \
+                or config.incremental_verify or config.random_probes != 32:
             # The config asks for a non-default session; honour it instead
             # of silently dropping the knobs on the serial path.  The
             # session is ours, so release its disk-cache handle when done.

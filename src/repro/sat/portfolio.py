@@ -1,7 +1,7 @@
 """Racing several SAT strategies under one deadline.
 
 The paper runs Bitwuzla, cvc5, Yices2 and STP in parallel and takes the
-first answer (§4.5).  This portfolio now really races its members: each one
+first answer (§4.5).  This portfolio really races its members: each one
 runs in its own thread on its own copy of the formula, the first definitive
 (non-``unknown``) answer wins, and the losers are cancelled through the
 solvers' cooperative ``should_stop`` hook.  Per-member win counts are kept
@@ -9,16 +9,13 @@ for the portfolio-statistics experiment (§5.1).
 
 Members come from the :mod:`repro.engine.backends` registry, so SAT
 strategies are named, pluggable components rather than a hard-coded list.
-A ``concurrent=False`` portfolio preserves the old sequential semantics
-(first member to answer within the shared budget wins), which is also used
-automatically for single-member portfolios.
+Weaker members join the race only after a staggered head start (see
+``SolverBackend.stagger``): CPU-bound Python threads time-share one core,
+so cheap queries stay on the strongest engine alone.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-import queue as queue_mod
 import threading
 import time
 import warnings
@@ -34,8 +31,7 @@ from repro.engine.backends import (
 from repro.sat.cnf import CNF
 from repro.sat.solver import SatResult
 
-__all__ = ["PortfolioMember", "SatPortfolio", "ProcessPortfolio",
-           "default_portfolio", "make_portfolio"]
+__all__ = ["PortfolioMember", "SatPortfolio", "default_portfolio"]
 
 #: A portfolio member is just a solver backend; the alias keeps the
 #: historical name used throughout the tests and benchmarks.
@@ -50,19 +46,12 @@ def default_portfolio() -> List[PortfolioMember]:
 class SatPortfolio:
     """Race portfolio members, returning the first definitive answer."""
 
-    def __init__(self, members: Optional[List[PortfolioMember]] = None,
-                 concurrent: bool = True) -> None:
+    def __init__(self, members: Optional[List[PortfolioMember]] = None) -> None:
         self.members = members if members is not None else default_portfolio()
-        self.concurrent = concurrent
         self.wins: Counter = Counter()
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_names(cls, names: Sequence[str], concurrent: bool = True) -> "SatPortfolio":
-        """Build a portfolio from registered backend names."""
-        return cls([backend_by_name(name) for name in names], concurrent=concurrent)
-
     @property
     def member_names(self) -> List[str]:
         return [member.name for member in self.members]
@@ -81,59 +70,48 @@ class SatPortfolio:
               assumptions: Sequence[int] = ()) -> Tuple[SatResult, str]:
         """Return ``(result, winning member name)``.
 
-        Concurrent mode races every member and takes the first definitive
-        answer; sequential mode tries members in order with the shared
-        wall-clock budget (the fallback only gets budget the primary engine
-        left unused).
+        Every member races in its own thread and the first definitive
+        answer wins; a single-member portfolio runs its member on the
+        calling thread under the same budget.
         """
         if not self.members:
             return SatResult(status="unknown"), "none"
-        if len(self.members) == 1 or not self.concurrent:
-            return self._solve_sequential(cnf, deadline, assumptions)
-        return self._solve_concurrent(cnf, deadline, assumptions)
+        if len(self.members) == 1:
+            return self._solve_alone(self.members[0], cnf, deadline, assumptions)
+        return self._race(cnf, deadline, assumptions)
 
     # ------------------------------------------------------------------ #
-    def _solve_sequential(self, cnf: CNF, deadline: Optional[float],
-                          assumptions: Sequence[int]) -> Tuple[SatResult, str]:
-        return self._solve_sequential_members(self.members, cnf, deadline, assumptions)
+    def _solve_alone(self, member: PortfolioMember, cnf: CNF,
+                     deadline: Optional[float],
+                     assumptions: Sequence[int]) -> Tuple[SatResult, str]:
+        if deadline is not None and time.monotonic() > deadline:
+            return SatResult(status="unknown"), "none"
+        result = member.solve(cnf, deadline, assumptions)
+        if result.is_unknown:
+            return result, "none"
+        self._record_win(member.name)
+        return result, member.name
 
-    def _solve_sequential_members(self, members: Sequence[PortfolioMember],
-                                  cnf: CNF, deadline: Optional[float],
-                                  assumptions: Sequence[int]) -> Tuple[SatResult, str]:
-        last_result = SatResult(status="unknown")
-        for member in members:
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            result = member.solve(cnf, deadline, assumptions)
-            last_result = result
-            if not result.is_unknown:
-                self._record_win(member.name)
-                return result, member.name
-        return last_result, "none"
-
-    def _solve_concurrent(self, cnf: CNF, deadline: Optional[float],
-                          assumptions: Sequence[int]) -> Tuple[SatResult, str]:
+    def _race(self, cnf: CNF, deadline: Optional[float],
+              assumptions: Sequence[int]) -> Tuple[SatResult, str]:
         # A member's head start is capped at half the remaining budget, so
         # staggered fallbacks still join the race on every budget scale
         # ("half the budget gone without an answer" is the signal that the
         # query is hard).
         staggers = {member.name: member.stagger for member in self.members}
-        racers = self.members
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return SatResult(status="unknown"), "none"
             staggers = {member.name: min(member.stagger, remaining / 2)
                         for member in self.members}
-        if len(racers) == 1:
-            return self._solve_sequential_members(racers, cnf, deadline, assumptions)
 
         stop_event = threading.Event()
-        executor = ThreadPoolExecutor(max_workers=len(racers),
+        executor = ThreadPoolExecutor(max_workers=len(self.members),
                                       thread_name_prefix="sat-portfolio")
         futures = {}
         try:
-            for member in racers:
+            for member in self.members:
                 future = executor.submit(self._run_member, member, cnf,
                                          deadline, assumptions, stop_event,
                                          staggers[member.name])
@@ -194,160 +172,3 @@ class SatPortfolio:
             if deadline is not None and time.monotonic() >= deadline:
                 return SatResult(status="unknown")
         return member.solve(cnf, deadline, assumptions, stop_event.is_set)
-
-
-# --------------------------------------------------------------------------- #
-# Process-based racing
-# --------------------------------------------------------------------------- #
-def _race_in_process(member: PortfolioMember, cnf: CNF,
-                     deadline: Optional[float], assumptions: Sequence[int],
-                     results) -> None:
-    """Child-process body of one :class:`ProcessPortfolio` race member.
-
-    No ``should_stop`` hook is wired: losers are killed by the parent, which
-    is the whole point of racing in processes.  A crash is shipped back as a
-    payload so the parent can distinguish solver bugs from timeouts.
-    """
-    try:
-        result = member.solve(cnf, deadline, assumptions)
-        results.put((member.name, "result", result))
-    except BaseException as error:  # noqa: BLE001 - relayed to the parent
-        # Queue.put serializes in a background feeder thread, so an
-        # unpicklable exception would be dropped *after* put() returned —
-        # check picklability up front and relay a repr instead.
-        try:
-            pickle.dumps(error)
-        except Exception:
-            error = RuntimeError(repr(error))
-        results.put((member.name, "error", error))
-
-
-class ProcessPortfolio(SatPortfolio):
-    """Race portfolio members in separate *processes* (no GIL contention).
-
-    The thread portfolio staggers weaker members because CPU-bound Python
-    threads time-share one core; forked processes really run in parallel,
-    so every member starts immediately (``stagger`` is ignored) and losers
-    are hard-killed the moment a definitive answer arrives, instead of
-    cooperatively polling ``should_stop``.
-
-    ``time.monotonic`` reads ``CLOCK_MONOTONIC``, which is system-wide on
-    Linux, so absolute deadlines transfer to forked children unchanged.
-    Requires the ``fork`` start method (members need not be picklable —
-    children inherit them); platforms without it fall back to the thread
-    race.
-    """
-
-    #: How long the parent waits on the result queue per poll; also bounds
-    #: how late a deadline expiry is noticed.
-    _POLL_SECONDS = 0.05
-
-    def __init__(self, members: Optional[List[PortfolioMember]] = None) -> None:
-        super().__init__(members=members, concurrent=True)
-        try:
-            self._context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            self._context = None
-
-    def _solve_concurrent(self, cnf: CNF, deadline: Optional[float],
-                          assumptions: Sequence[int]) -> Tuple[SatResult, str]:
-        if self._context is None:  # pragma: no cover - non-POSIX platforms
-            return super()._solve_concurrent(cnf, deadline, assumptions)
-        if deadline is not None and time.monotonic() >= deadline:
-            return SatResult(status="unknown"), "none"
-
-        results = self._context.Queue()
-        processes: Dict[str, multiprocessing.Process] = {}
-        try:
-            for member in self.members:
-                process = self._context.Process(
-                    target=_race_in_process,
-                    args=(member, cnf, deadline, assumptions, results),
-                    name=f"sat-portfolio-{member.name}", daemon=True)
-                process.start()
-                processes[member.name] = process
-
-            last_result = SatResult(status="unknown")
-            last_error: Optional[BaseException] = None
-            produced_result = False
-            answered = 0
-            dead_polls = 0
-            while answered < len(processes):
-                expired = deadline is not None and time.monotonic() >= deadline
-                try:
-                    if expired:
-                        # Budget gone: stop waiting, but still take answers
-                        # that already arrived — a member that beat the
-                        # deadline must not be reported as a timeout just
-                        # because the parent was mid-poll when it landed.
-                        name, kind, payload = results.get_nowait()
-                    else:
-                        name, kind, payload = results.get(
-                            timeout=self._POLL_SECONDS)
-                except queue_mod.Empty:
-                    if expired:
-                        break
-                    if any(p.is_alive() for p in processes.values()):
-                        continue
-                    # Every child has exited; give the queue one more full
-                    # poll (a dying child's feeder thread may still be
-                    # flushing its payload through the pipe), then stop.
-                    dead_polls += 1
-                    if dead_polls >= 2:
-                        break
-                answered += 1
-                if kind == "error":
-                    last_error = payload
-                    warnings.warn(
-                        f"portfolio member {name!r} crashed: {payload!r}",
-                        RuntimeWarning, stacklevel=2)
-                    continue
-                produced_result = True
-                last_result = payload
-                if not payload.is_unknown:
-                    self._record_win(name)
-                    return payload, name
-            if not produced_result and last_error is not None:
-                raise last_error
-            if not produced_result and last_error is None and \
-                    (deadline is None or time.monotonic() < deadline):
-                # A hard death (segfault, os._exit) delivers no payload at
-                # all; with budget left that is a solver bug, not a timeout.
-                died = [name for name, process in processes.items()
-                        if process.exitcode not in (0, None)]
-                if died:
-                    raise RuntimeError(
-                        f"portfolio member(s) {', '.join(died)} died without "
-                        "reporting a result")
-            return last_result, "none"
-        finally:
-            for process in processes.values():
-                if process.is_alive():
-                    process.terminate()
-            for process in processes.values():
-                process.join(timeout=1.0)
-                if process.is_alive():  # pragma: no cover - stubborn child
-                    process.kill()
-                    process.join(timeout=1.0)
-            results.close()
-            results.cancel_join_thread()
-
-
-def make_portfolio(kind: str = "thread",
-                   names: Optional[Sequence[str]] = None) -> SatPortfolio:
-    """Build a portfolio by racing style.
-
-    ``kind`` is ``"thread"`` (staggered GIL-sharing race), ``"process"``
-    (true-parallel race with hard kill) or ``"sequential"`` (members tried
-    in order under the shared budget).  ``names`` selects registered
-    backends; the default is every default-registry member.
-    """
-    members = [backend_by_name(name) for name in names] if names else None
-    if kind == "thread":
-        return SatPortfolio(members)
-    if kind == "process":
-        return ProcessPortfolio(members)
-    if kind == "sequential":
-        return SatPortfolio(members, concurrent=False)
-    raise ValueError(f"unknown portfolio kind {kind!r}; "
-                     "expected 'thread', 'process' or 'sequential'")

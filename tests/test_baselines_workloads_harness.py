@@ -245,3 +245,24 @@ class TestCli:
         exit_code = main([str(path), "--arch-desc", "intel-cyclone10lp",
                           "--timeout", "30", "--no-validate"])
         assert exit_code in (2, 3)
+
+    @pytest.mark.parametrize("arch,source,message", [
+        ("no-such-fpga",
+         "module m(input [3:0] a, b, output [3:0] out); assign out = a & b; "
+         "endmodule",
+         "unknown architecture 'no-such-fpga'"),
+        ("intel-cyclone10lp",
+         "module m(input [3:0] a, output reg [3:0] out); always @(*) out = a; "
+         "endmodule",
+         "expected posedge"),
+    ], ids=["unknown-arch", "unsupported-verilog"])
+    def test_input_error_is_one_line_and_exit_1(self, tmp_path, capsys,
+                                                arch, source, message):
+        path = tmp_path / "design.v"
+        path.write_text(source)
+        exit_code = main([str(path), "--arch-desc", arch, "--no-validate"])
+        stderr = capsys.readouterr().err
+        assert exit_code == 1
+        assert "Traceback" not in stderr
+        [line] = stderr.splitlines()
+        assert line.startswith("lakeroad map: error: ") and message in line

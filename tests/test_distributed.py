@@ -24,22 +24,13 @@ from repro.engine.distributed import (
     run_worker,
 )
 from repro.engine.parallel import SessionSpec, run_sweep
-from repro.harness.runner import ExperimentConfig, MappingRecord
+from repro.harness.runner import ExperimentConfig
 from repro.workloads.generator import Microbenchmark, WorkloadSpec
 
 from _fixtures import small_workloads as _fast_benchmarks
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="requires the fork start method")
-
-
-def _comparable(record: MappingRecord) -> dict:
-    """Record content minus the wall-clock-dependent fields."""
-    data = record.to_dict()
-    data.pop("time_seconds")
-    data.pop("solver_solve_seconds")
-    data.pop("cache_hit")
-    return data
 
 
 def _serial_records(benchmarks, config):
@@ -102,11 +93,13 @@ class TestWireForms:
             json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_session_spec_round_trips(self):
-        spec = SessionSpec(portfolio="sequential", enable_cache=False,
-                           incremental=True, incremental_verify=True,
-                           random_probes=7)
+        spec = SessionSpec(enable_cache=False, incremental=True,
+                           incremental_verify=True, random_probes=7)
         rebuilt = SessionSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert rebuilt == spec
+        # Older coordinators still send the retired racing-style field.
+        legacy = dict(spec.to_dict(), portfolio="thread")
+        assert SessionSpec.from_dict(legacy) == spec
 
     def test_experiment_config_round_trips(self):
         config = ExperimentConfig(template="dsp", random_probes=5,
@@ -116,6 +109,9 @@ class TestWireForms:
             json.loads(json.dumps(config.to_dict())))
         assert rebuilt == config
         assert rebuilt.timeout_seconds["intel-cyclone10lp"] == 9.0
+        # Older coordinators still send the retired racing-style field.
+        legacy = dict(config.to_dict(), portfolio="thread")
+        assert ExperimentConfig.from_dict(legacy) == config
 
 
 # --------------------------------------------------------------------------- #
@@ -186,8 +182,8 @@ class TestCoordinatorProtocol:
             assert reply["accepted"] is True
             survivor.close()
             result = coordinator.wait(timeout=10)
-        assert [_comparable(r) for r in result.records] == \
-            [_comparable(r) for r in serial]
+        assert [r.comparable() for r in result.records] == \
+            [r.comparable() for r in serial]
         assert result.telemetry["shards_retried"] >= 1
 
     def test_slow_worker_racing_reassignment_merges_exactly_once(self):
@@ -226,8 +222,8 @@ class TestCoordinatorProtocol:
             slow.close()
             thief.close()
             result = coordinator.wait(timeout=10)
-        assert [_comparable(r) for r in result.records] == \
-            [_comparable(r) for r in serial]
+        assert [r.comparable() for r in result.records] == \
+            [r.comparable() for r in serial]
         assert live["shards_stolen"] >= 1
         assert live["duplicate_results"] == 1
 
@@ -344,8 +340,8 @@ class TestArtifactResume:
             assert reply["accepted"] is True
             client.close()
             result = second.wait(timeout=10)
-        assert [_comparable(r) for r in result.records] == \
-            [_comparable(r) for r in serial]
+        assert [r.comparable() for r in result.records] == \
+            [r.comparable() for r in serial]
 
     def test_partial_shard_artifact_is_recomputed(self, tmp_path):
         benchmarks = _fast_benchmarks(4)
@@ -407,8 +403,8 @@ class TestEndToEnd:
         serial = _serial_records(benchmarks, config)
         result = run_distributed_sweep(benchmarks, config, workers=2,
                                        shard_size=1, timeout=120)
-        assert [_comparable(r) for r in result.records] == \
-            [_comparable(r) for r in serial]
+        assert [r.comparable() for r in result.records] == \
+            [r.comparable() for r in serial]
         assert result.telemetry["shards_completed"] == len(benchmarks)
 
     def test_sigkilled_worker_is_reassigned(self):
@@ -453,8 +449,8 @@ class TestEndToEnd:
                 if survivor.is_alive():
                     survivor.terminate()
             coordinator.close()
-        assert [_comparable(r) for r in result.records] == \
-            [_comparable(r) for r in serial]
+        assert [r.comparable() for r in result.records] == \
+            [r.comparable() for r in serial]
         # The killed worker's shard was requeued (on disconnect) and
         # merged exactly once.
         assert result.telemetry["shards_retried"] >= 1

@@ -2,6 +2,7 @@
 the solver-backend registry, the concurrent portfolio race, the synthesis
 cache and the MappingSession lifecycle."""
 
+import threading
 import time
 
 import pytest
@@ -243,11 +244,18 @@ class TestPortfolioRace:
         assert winner == "fallback"
         assert result.is_sat
 
-    def test_sequential_mode_preserved(self):
-        portfolio = SatPortfolio(concurrent=False)
+    def test_single_member_runs_on_the_calling_thread(self):
+        callers = []
+
+        def observed(cnf, deadline, assumptions, should_stop=None):
+            callers.append(threading.current_thread())
+            return SatResult(status="unsat")
+
+        portfolio = SatPortfolio([SolverBackend("only", observed)])
         result, winner = portfolio.solve(self._satisfiable_cnf())
-        assert result.is_sat
-        assert winner == "cdcl"
+        assert result.is_unsat and winner == "only"
+        assert callers == [threading.current_thread()]
+        assert portfolio.win_counts() == {"only": 1}
 
     def test_stagger_does_not_hold_timeout_hostage(self):
         """A timing-out query returns at its deadline, not after the
@@ -390,6 +398,15 @@ class TestMappingSession:
         solver = SmtSolver()
         session = MappingSession(solver=solver)
         assert session.portfolio is solver.portfolio
+
+    def test_session_maps_with_an_injected_portfolio(self):
+        portfolio = SatPortfolio([backend_by_name("cdcl")])
+        session = MappingSession(portfolio=portfolio)
+        assert session.portfolio is portfolio
+        assert session.solver.portfolio is portfolio
+        result = session.map_verilog(AND4, template="bitwise", arch="sofa",
+                                     timeout_seconds=60)
+        assert result.status == "success"
 
     def test_externally_started_budget_is_never_cached(self):
         """A partially-consumed caller budget must not poison the cache:

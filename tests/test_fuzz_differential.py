@@ -628,13 +628,6 @@ class TestServiceQosChurnDifferential:
         from _fixtures import small_workloads
         from loadgen import design_verilog
 
-        def comparable(record):
-            data = record.to_dict()
-            data.pop("time_seconds")
-            data.pop("solver_solve_seconds")
-            data.pop("cache_hit")
-            return data
-
         for index in range(QOS_CASES):
             case_seed = _case_seed("qos-churn", index)
             rng = random.Random(case_seed)
@@ -706,13 +699,13 @@ class TestServiceQosChurnDifferential:
                 stats = service.stats()
 
             serial_by_name = {record.benchmark: record for record in serial}
-            assert [comparable(r) for r in served] == \
-                [comparable(r) for r in serial], \
+            assert [r.comparable() for r in served] == \
+                [r.comparable() for r in serial], \
                 (f"served sweep diverged from serial under churn {context}")
             for name, record in flood_served:
                 if name is not None:
-                    assert comparable(record) == \
-                        comparable(serial_by_name[name]), \
+                    assert record.comparable() == \
+                        serial_by_name[name].comparable(), \
                         (f"coalesced duplicate of {name!r} diverged from "
                          f"the serial record {context}")
                 else:

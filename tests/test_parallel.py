@@ -1,14 +1,9 @@
-"""Tests for the parallel execution layer: sharded sweeps, the
-process-based portfolio race, record transport, and baseline labeling."""
-
-import multiprocessing
-import time
-import warnings
+"""Tests for the parallel execution layer: sharded sweeps, record
+transport, and baseline labeling."""
 
 import pytest
 
 from repro.baselines import YosysLikeMapper, sota_for
-from repro.engine.backends import SolverBackend
 from repro.engine.parallel import SessionSpec, run_lakeroad_parallel, run_sweep
 from repro.engine.session import MappingSession
 from repro.harness.runner import (
@@ -19,24 +14,9 @@ from repro.harness.runner import (
     run_baselines,
     run_lakeroad,
 )
-from repro.sat.cnf import CNF
-from repro.sat.portfolio import ProcessPortfolio, SatPortfolio, make_portfolio
-from repro.sat.solver import SatResult
 from repro.workloads import sample_workloads
 
-from _fixtures import AND4, small_workloads as _fast_benchmarks
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-needs_fork = pytest.mark.skipif(not HAS_FORK, reason="requires the fork start method")
-
-
-def _comparable(record: MappingRecord) -> dict:
-    """Record content minus the wall-clock-dependent fields."""
-    data = record.to_dict()
-    data.pop("time_seconds")
-    data.pop("solver_solve_seconds")
-    data.pop("cache_hit")
-    return data
+from _fixtures import small_workloads as _fast_benchmarks
 
 
 # --------------------------------------------------------------------------- #
@@ -50,7 +30,7 @@ class TestShardedSweep:
         config = ExperimentConfig(validate=False)
         serial = run_lakeroad_parallel(benchmarks, config, workers=1)
         parallel = run_lakeroad_parallel(benchmarks, config, workers=4)
-        assert [_comparable(r) for r in serial] == [_comparable(r) for r in parallel]
+        assert [r.comparable() for r in serial] == [r.comparable() for r in parallel]
         assert [r.benchmark for r in parallel] == [b.name for b in benchmarks]
 
     def test_run_sweep_aggregates_worker_stats(self):
@@ -75,7 +55,7 @@ class TestShardedSweep:
         config = ExperimentConfig(validate=False)
         serial = run_lakeroad(benchmarks, config)
         sharded = run_lakeroad(benchmarks, config, workers=2)
-        assert [_comparable(r) for r in serial] == [_comparable(r) for r in sharded]
+        assert [r.comparable() for r in serial] == [r.comparable() for r in sharded]
 
     def test_run_lakeroad_workers_from_config(self):
         benchmarks = _fast_benchmarks(2)
@@ -98,7 +78,7 @@ class TestShardedSweep:
 
     def test_serial_run_lakeroad_honours_config_cache_dir(self, tmp_path):
         """Regression: the serial (workers=1) path must build its session
-        from the config's cache_dir/portfolio knobs, not silently fall back
+        from the config's session knobs, not silently fall back
         to the default in-memory session."""
         benchmarks = _fast_benchmarks(2)
         config = ExperimentConfig(validate=False, cache_dir=str(tmp_path))
@@ -116,15 +96,16 @@ class TestShardedSweep:
         warm = run_sweep(benchmarks, config, workers=2)
         assert warm.record_cache_hits == len(benchmarks)
         assert warm.hit_rate == 1.0
-        assert [_comparable(r) for r in cold.records] == \
-            [_comparable(r) for r in warm.records]
+        assert [r.comparable() for r in cold.records] == \
+            [r.comparable() for r in warm.records]
 
     def test_session_spec_builds_configured_sessions(self, tmp_path):
-        spec = SessionSpec(portfolio="sequential", cache_dir=str(tmp_path),
-                           enable_cache=False)
-        session = spec.build()
-        assert not session.portfolio.concurrent
-        assert not session.enable_cache
+        spec = SessionSpec(cache_dir=str(tmp_path), enable_cache=False,
+                           incremental=True, random_probes=7)
+        with spec.build() as session:
+            assert not session.enable_cache
+            assert session.incremental and not session.incremental_verify
+            assert session.random_probes == 7
 
 
 # --------------------------------------------------------------------------- #
@@ -182,110 +163,3 @@ class TestBaselineLabels:
         assert sota_for("intel-cyclone10lp").name == "sota-intel"
         assert YosysLikeMapper().family == "yosys"
         assert YosysLikeMapper().name == "yosys"
-
-
-# --------------------------------------------------------------------------- #
-# Process-based portfolio racing
-# --------------------------------------------------------------------------- #
-def _cnf():
-    return CNF(clauses=[[1, 2], [-1], [-2, 3]])
-
-
-def _fast_unsat(cnf, deadline, assumptions, should_stop=None):
-    return SatResult(status="unsat")
-
-
-def _slow_sat(cnf, deadline, assumptions, should_stop=None):
-    time.sleep(30)
-    return SatResult(status="sat", model={})
-
-
-def _unknown(cnf, deadline, assumptions, should_stop=None):
-    return SatResult(status="unknown")
-
-
-def _crash(cnf, deadline, assumptions, should_stop=None):
-    raise RuntimeError("boom")
-
-
-@needs_fork
-class TestProcessPortfolio:
-    def test_winner_returns_without_waiting_for_hard_killed_loser(self):
-        portfolio = ProcessPortfolio([SolverBackend("slow", _slow_sat),
-                                      SolverBackend("fast", _fast_unsat)])
-        start = time.monotonic()
-        result, winner = portfolio.solve(_cnf())
-        elapsed = time.monotonic() - start
-        assert winner == "fast" and result.is_unsat
-        # The 30 s sleeper is terminated, not joined to completion.
-        assert elapsed < 5.0
-        assert portfolio.win_counts() == {"fast": 1}
-
-    def test_all_unknown_returns_unknown(self):
-        portfolio = ProcessPortfolio([SolverBackend("u1", _unknown),
-                                      SolverBackend("u2", _unknown)])
-        result, winner = portfolio.solve(_cnf(), deadline=time.monotonic() + 10.0)
-        assert result.is_unknown and winner == "none"
-
-    def test_crashing_member_loses_race(self):
-        portfolio = ProcessPortfolio([SolverBackend("crash", _crash),
-                                      SolverBackend("steady", _fast_unsat)])
-        result, winner = portfolio.solve(_cnf())
-        assert winner == "steady" and result.is_unsat
-
-    def test_all_members_crashing_raises(self):
-        portfolio = ProcessPortfolio([SolverBackend("crash-a", _crash),
-                                      SolverBackend("crash-b", _crash)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(RuntimeError, match="boom"):
-                portfolio.solve(_cnf())
-
-    def test_deadline_hard_kills_all_members(self):
-        portfolio = ProcessPortfolio([SolverBackend("s1", _slow_sat),
-                                      SolverBackend("s2", _slow_sat)])
-        start = time.monotonic()
-        result, winner = portfolio.solve(_cnf(), deadline=time.monotonic() + 0.3)
-        assert result.is_unknown and winner == "none"
-        assert time.monotonic() - start < 5.0
-
-    def test_default_members_solve_real_cnf(self):
-        portfolio = ProcessPortfolio()
-        result, winner = portfolio.solve(_cnf(), deadline=time.monotonic() + 30.0)
-        assert result.is_sat
-        assert winner in portfolio.member_names
-
-    def test_single_member_short_circuits_to_sequential(self):
-        calls = []
-
-        def observed(cnf, deadline, assumptions, should_stop=None):
-            calls.append(True)  # runs in-process, so the append is visible
-            return SatResult(status="unsat")
-
-        portfolio = ProcessPortfolio([SolverBackend("only", observed)])
-        result, winner = portfolio.solve(_cnf())
-        assert result.is_unsat and winner == "only" and calls
-
-
-class TestPortfolioFactory:
-    def test_make_portfolio_kinds(self):
-        assert isinstance(make_portfolio("process"), ProcessPortfolio)
-        thread = make_portfolio("thread")
-        assert isinstance(thread, SatPortfolio) and thread.concurrent
-        sequential = make_portfolio("sequential")
-        assert not sequential.concurrent
-        with pytest.raises(ValueError):
-            make_portfolio("quantum")
-
-    def test_make_portfolio_by_names(self):
-        portfolio = make_portfolio("thread", names=["cdcl"])
-        assert portfolio.member_names == ["cdcl"]
-
-    @needs_fork
-    def test_session_portfolio_switch_end_to_end(self):
-        session = MappingSession(portfolio="process")
-        assert isinstance(session.portfolio, ProcessPortfolio)
-        assert session.solver.portfolio is session.portfolio
-        result = session.map_verilog(AND4, template="bitwise", arch="sofa",
-                                     timeout_seconds=60)
-        assert result.status == "success"

@@ -36,15 +36,6 @@ needs_fork = pytest.mark.skipif(not HAS_FORK, reason="requires the fork start me
 pytestmark = needs_fork
 
 
-def _comparable(record: MappingRecord) -> dict:
-    """Record content minus the wall-clock-dependent fields."""
-    data = record.to_dict()
-    data.pop("time_seconds")
-    data.pop("solver_solve_seconds")
-    data.pop("cache_hit")
-    return data
-
-
 def _mul_request(**overrides) -> MapRequest:
     fields = dict(verilog=MUL8, arch="intel-cyclone10lp", benchmark="mul8")
     fields.update(overrides)
@@ -63,7 +54,7 @@ class TestFrontDoor:
         assert stats["dispatched"] == 1
         assert stats["coalesced"] == 7
         # One solve, eight replies, identical content.
-        assert len({json.dumps(_comparable(r), sort_keys=True)
+        assert len({json.dumps(r.comparable(), sort_keys=True)
                     for r in records}) == 1
         assert sum(1 for r in records if not r.cache_hit) == 1
 
@@ -87,7 +78,7 @@ class TestFrontDoor:
         assert not cold.cache_hit and warm.cache_hit
         assert stats["dispatched"] == 1
         assert stats["front_memory_hits"] == 1
-        assert _comparable(cold) == _comparable(warm)
+        assert cold.comparable() == warm.comparable()
 
     def test_front_door_reads_the_disk_tier_across_services(self, tmp_path):
         spec = SessionSpec(cache_dir=str(tmp_path))
@@ -98,7 +89,7 @@ class TestFrontDoor:
             stats = service.stats()
         assert stats["front_disk_hits"] == 1
         assert stats["dispatched"] == 0
-        assert _comparable(cold) == _comparable(warm)
+        assert cold.comparable() == warm.comparable()
 
     def test_use_cache_false_disables_caching_but_not_dedup(self):
         with SolverService(SessionSpec(), workers=1) as service:
@@ -166,8 +157,8 @@ class TestCrashRecovery:
         assert stats["worker_restarts"] >= 1
         assert [r.benchmark for r in records] == [b.name for b in benchmarks]
         serial = run_sweep(benchmarks, config, workers=1).records
-        assert [_comparable(r) for r in serial] == \
-            [_comparable(r) for r in records]
+        assert [r.comparable() for r in serial] == \
+            [r.comparable() for r in records]
 
     def test_restart_budget_caps_a_crash_loop(self):
         with SolverService(SessionSpec(), workers=1) as service:
@@ -198,8 +189,8 @@ class TestServedEqualsSerial:
         spec = SessionSpec.from_config(config)
         with SolverService(spec, workers=2) as service:
             served = service.map_many(benchmarks, config)
-        assert [_comparable(r) for r in serial] == \
-            [_comparable(r) for r in served]
+        assert [r.comparable() for r in serial] == \
+            [r.comparable() for r in served]
         assert [r.benchmark for r in served] == [b.name for b in benchmarks]
 
 
@@ -240,8 +231,8 @@ class TestSocketLayer:
                         signed=b.signed, timeout=120)
                         for b in benchmarks]
         served = [MappingRecord.from_dict(r["record"]) for r in responses]
-        assert [_comparable(r) for r in serial] == \
-            [_comparable(r) for r in served]
+        assert [r.comparable() for r in serial] == \
+            [r.comparable() for r in served]
 
     def test_request_larger_than_64k_default_asyncio_limit(self, tmp_path):
         # Regression: the server used to leave asyncio's default 64 KiB

@@ -1,6 +1,5 @@
 """QoS tests for the service layer: per-client fair scheduling, bounded
-admission with structured backpressure, the elastic worker pool, and
-portfolio races borrowed onto idle pool workers.
+admission with structured backpressure, and the elastic worker pool.
 
 Scheduling-semantics tests swap the worker-side solve for the
 deterministic stand-in from ``tests/loadgen.py`` (monkeypatched before
@@ -28,8 +27,7 @@ from repro.engine.service import (
     ServiceOverloaded,
     SolverService,
 )
-from repro.harness.runner import ExperimentConfig, MappingRecord
-from repro.sat.cnf import CNF
+from repro.harness.runner import ExperimentConfig
 
 from _fixtures import small_workloads as _fast_benchmarks
 from loadgen import (
@@ -48,14 +46,6 @@ pytestmark = pytest.mark.skipif(not HAS_FORK,
                                 reason="requires the fork start method")
 
 ARCH = "intel-cyclone10lp"
-
-
-def _comparable(record: MappingRecord) -> dict:
-    data = record.to_dict()
-    data.pop("time_seconds")
-    data.pop("solver_solve_seconds")
-    data.pop("cache_hit")
-    return data
 
 
 def _req(index: int, flavor: str = "q", delay=None, use_cache=False,
@@ -177,7 +167,7 @@ class TestAdmission:
             with pytest.raises(ServiceOverloaded):
                 service.submit(_req(1))
             gate.set()
-            assert _comparable(head.result(60)) == _comparable(twin.result(60))
+            assert head.result(60).comparable() == twin.result(60).comparable()
             assert service.stats()["coalesced"] == 1
 
     def test_coalesced_completion_releases_exactly_one_slot(
@@ -576,95 +566,9 @@ class TestServedEqualsSerialUnderChurn:
                            idle_retire_seconds=0.05) as service:
             served = service.map_many(benchmarks, config)
             stats = service.stats()
-        assert [_comparable(r) for r in serial] == \
-            [_comparable(r) for r in served]
+        assert [r.comparable() for r in serial] == \
+            [r.comparable() for r in served]
         assert stats["workers"] <= 3 and stats["pool_peak"] <= 3
-
-
-# --------------------------------------------------------------------------- #
-# Portfolio races on idle pool workers
-# --------------------------------------------------------------------------- #
-def _sat_cnf() -> CNF:
-    return CNF(clauses=[[1, 2], [-1], [-2, 3]])
-
-
-class TestServicePortfolio:
-    def test_race_cnf_wins_on_idle_workers(self):
-        with SolverService(SessionSpec(), workers=2) as service:
-            outcome = service.race_cnf(_sat_cnf(),
-                                       deadline=time.monotonic() + 30.0)
-            stats = service.stats()
-        assert outcome is not None, "idle pool refused the race"
-        result, winner = outcome
-        assert result.is_sat and winner != "none"
-        assert stats["races"] == 1
-        assert stats["race_fallbacks"] == 0
-
-    def test_race_falls_back_when_every_worker_is_busy(self, monkeypatch):
-        gate = _gate()
-        with fake_service(monkeypatch, gate=gate, workers=1) as service:
-            blocked = service.submit(_req(0))   # occupies the only worker
-            outcome = service.race_cnf(_sat_cnf(),
-                                       deadline=time.monotonic() + 5.0)
-            assert outcome is None              # caller should race locally
-            assert service.stats()["race_fallbacks"] == 1
-            gate.set()
-            blocked.result(timeout=60)
-
-    def test_service_portfolio_solves_and_records_the_win(self):
-        with SolverService(SessionSpec(), workers=2) as service:
-            portfolio = service.portfolio()
-            result, winner = portfolio.solve(
-                _sat_cnf(), deadline=time.monotonic() + 30.0)
-        assert result.is_sat
-        assert winner in portfolio.member_names
-        assert portfolio.win_counts()[winner] == 1
-
-    def test_pinned_family_reroutes_while_its_worker_races(
-            self, monkeypatch):
-        """Regression: a race borrowing a family's pinned worker must not
-        stall that family's maps — the pin falls through to a non-racing
-        worker, keeping map latency independent of race latency."""
-        race_gate = _gate()
-
-        def fake_race(conn, race_id, member_name, cnf, deadline,
-                      assumptions):
-            race_gate.wait()
-            conn.send(("race_result", race_id, member_name, None, None))
-
-        monkeypatch.setattr(service_mod, "_race_in_worker", fake_race)
-        with fake_service(monkeypatch, workers=2) as service:
-            try:
-                # Occupy worker 0 with a slow family-X solve; family Y
-                # then pins to worker 1, the only idle worker — which the
-                # race borrows next.
-                slow = service.submit(_req(0, delay=2.0))
-                service.submit(_req(1)).result(timeout=60)
-                outcomes = []
-                racer = threading.Thread(target=lambda: outcomes.append(
-                    service.race_cnf(_sat_cnf(), names=("fake",))))
-                racer.start()
-                assert _wait_until(lambda: service.stats()["races"] == 1)
-                # Family Y's next map must complete while its pinned
-                # worker is still racing (re-routed behind the slow map
-                # on worker 0), not stall until the race gate opens.
-                again = service.submit(_req(1))
-                assert again.result(timeout=30).outcome == "success"
-            finally:
-                race_gate.set()
-            racer.join(timeout=30)
-            slow.result(timeout=60)
-            assert outcomes and outcomes[0] is not None
-
-    def test_maps_are_served_after_a_race_on_the_same_pool(self):
-        with SolverService(SessionSpec(), workers=1) as service:
-            outcome = service.race_cnf(_sat_cnf(),
-                                       deadline=time.monotonic() + 30.0)
-            assert outcome is not None
-            record = service.submit(_req(0)).result(timeout=120)
-            stats = service.stats()
-        assert record is not None
-        assert stats["races"] == 1 and stats["completed"] == 1
 
 
 # --------------------------------------------------------------------------- #
