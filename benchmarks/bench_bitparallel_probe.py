@@ -154,7 +154,7 @@ def _map_all(incremental: bool, incremental_verify: bool, random_probes: int):
                 "status": result.status,
                 "hole_values": dict(synthesis.hole_values) if synthesis else {},
                 "iterations": synthesis.cegis_iterations if synthesis else 0,
-                "probe_lanes": synthesis.probe_lanes_evaluated if synthesis else 0,
+                "probe_lanes": result.stats["probe_lanes_evaluated"],
             }
     return outcomes
 

@@ -70,17 +70,17 @@ def test_incremental_candidate_step_speedup(benchmark):
         assert cold.iterations == inc.iterations >= 4, \
             f"{name} must be genuinely multi-iteration"
         assert inc.incremental and not cold.incremental
-        total_scratch += cold.candidate_time_seconds
-        total_warm += inc.candidate_time_seconds
+        total_scratch += cold.stats["candidate_time_seconds"]
+        total_warm += inc.stats["candidate_time_seconds"]
 
     speedup = total_scratch / total_warm if total_warm else float("inf")
     print(f"\ncandidate-step wall time: from-scratch {total_scratch:.3f}s, "
           f"incremental {total_warm:.3f}s ({speedup:.2f}x)")
     for name in scratch:
         print(f"  {name}: {scratch[name].iterations} iterations, "
-              f"{warm[name].clauses_retained} learned clauses retained, "
-              f"{scratch[name].candidate_time_seconds:.3f}s -> "
-              f"{warm[name].candidate_time_seconds:.3f}s")
+              f"{warm[name].stats['clauses_retained']} learned clauses "
+              f"retained, {scratch[name].stats['candidate_time_seconds']:.3f}s"
+              f" -> {warm[name].stats['candidate_time_seconds']:.3f}s")
     assert speedup >= SPEEDUP_FLOOR, (
         f"incremental candidate step only {speedup:.2f}x faster "
         f"(expected >= {SPEEDUP_FLOOR}x)")

@@ -75,20 +75,20 @@ def test_incremental_verify_step_speedup(benchmark):
         assert cold.iterations == inc.iterations >= 4, \
             f"{name} must be genuinely multi-iteration"
         assert inc.incremental_verify and not cold.incremental_verify
-        assert inc.cores_pruned >= 1, \
+        assert inc.stats["cores_pruned"] >= 1, \
             f"{name} produced no pruning cores — the failure-core path is idle"
-        total_fresh += cold.verify_time_seconds
-        total_warm += inc.verify_time_seconds
+        total_fresh += cold.stats["verify_time_seconds"]
+        total_warm += inc.stats["verify_time_seconds"]
 
     speedup = total_fresh / total_warm if total_warm else float("inf")
     print(f"\nverify-step wall time: fresh {total_fresh:.3f}s, "
           f"incremental {total_warm:.3f}s ({speedup:.2f}x)")
     for name in fresh:
         print(f"  {name}: {fresh[name].iterations} iterations, "
-              f"{warm[name].verify_clauses_retained} learned clauses retained, "
-              f"{warm[name].cores_pruned} pruning cores, "
-              f"{fresh[name].verify_time_seconds:.3f}s -> "
-              f"{warm[name].verify_time_seconds:.3f}s")
+              f"{warm[name].stats['verify_clauses_retained']} learned "
+              f"clauses retained, {warm[name].stats['cores_pruned']} pruning "
+              f"cores, {fresh[name].stats['verify_time_seconds']:.3f}s -> "
+              f"{warm[name].stats['verify_time_seconds']:.3f}s")
     assert speedup >= SPEEDUP_FLOOR, (
         f"incremental verify step only {speedup:.2f}x faster "
         f"(expected >= {SPEEDUP_FLOOR}x)")

@@ -26,6 +26,7 @@ from pathlib import Path
 from repro.arch import available_architectures, load_architecture
 from repro.core.templates import available_templates
 from repro.engine.session import MappingSession
+from repro.engine.stats import solved_here, this_run
 from repro.hdl.behavioral import verilog_to_behavioral
 from repro.hdl.elaborate import ElaborationError
 from repro.hdl.lexer import LexError
@@ -43,9 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "(reproduction of the ASPLOS 2024 Lakeroad paper). "
                     "Run 'lakeroad sweep --help' for the parallel evaluation sweep. "
                     "Exit codes: 0 mapped (structural Verilog on stdout), "
-                    "1 input error (unknown --arch-desc, or Verilog the "
-                    "frontend rejects), 2 unsat or a command-line usage "
-                    "error, 3 timeout.")
+                    "1 input error (unknown --arch-desc, a --module the "
+                    "file lacks, or Verilog the frontend rejects), 2 unsat "
+                    "or a command-line usage error, 3 timeout.")
     parser.add_argument("verilog", help="behavioral Verilog file to map")
     parser.add_argument("--template", default="dsp", choices=available_templates(),
                         help="sketch template to use (default: dsp)")
@@ -80,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "layers (64 assignments per packed batch; "
                              "0 disables probing; default: 32)")
     parser.add_argument("--stats", action="store_true",
-                        help="print cache and solver-portfolio statistics")
+                        help="print cache, solver-portfolio and "
+                             "solver-counter statistics")
     return parser
 
 
@@ -370,6 +372,14 @@ def _map_input_error(exc: Exception) -> int:
     return 1
 
 
+def _print_counters(counters) -> None:
+    """Print a solver counters map (:mod:`repro.engine.stats`) to stderr."""
+    print("solver counters:", file=sys.stderr)
+    for key, value in counters.items():
+        shown = f"{value:,.2f}" if isinstance(value, float) else value
+        print(f"  {key}: {shown}", file=sys.stderr)
+
+
 def _main_map(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -409,39 +419,11 @@ def _main_map(argv) -> int:
     if args.stats:
         print(f"cache: {session.cache_stats()}", file=sys.stderr)
         print(f"portfolio wins: {session.portfolio_wins()}", file=sys.stderr)
-        if result.synthesis is not None and result.synthesis.incremental:
-            synthesis = result.synthesis
-            print(f"incremental: {synthesis.clauses_retained} learned clauses "
-                  f"retained, {synthesis.candidate_conflicts} candidate "
-                  f"conflicts, {synthesis.solver_restarts} budget restart(s) "
-                  f"over {synthesis.cegis_iterations} CEGIS iteration(s)",
+        if solved_here(result):
+            _print_counters(this_run([result]))
+        else:
+            print("solver: answered from the cache; no solve ran",
                   file=sys.stderr)
-        if result.synthesis is not None and result.synthesis.incremental_verify:
-            synthesis = result.synthesis
-            print(f"incremental verify: {synthesis.verify_clauses_retained} "
-                  f"learned clauses retained, {synthesis.cores_pruned} "
-                  f"pruning core(s), {synthesis.verify_time_seconds:.2f}s "
-                  "in verification", file=sys.stderr)
-        if result.synthesis is not None and (result.synthesis.incremental
-                                             or result.synthesis.incremental_verify):
-            synthesis = result.synthesis
-            print(f"clause DB: peak {synthesis.db_size_peak} learned "
-                  f"clause(s), {synthesis.clauses_deleted} deleted by "
-                  "reduction", file=sys.stderr)
-        if result.synthesis is not None:
-            synthesis = result.synthesis
-            print(f"probes: {synthesis.probe_lanes_evaluated} packed lane(s) "
-                  f"evaluated, {synthesis.probe_hits} batch hit(s), "
-                  f"{synthesis.prefilter_cex_found} pre-filter "
-                  "counterexample(s)", file=sys.stderr)
-            if synthesis.propagations:
-                pps = synthesis.propagations / synthesis.solver_solve_seconds \
-                    if synthesis.solver_solve_seconds > 0 else 0.0
-                vpp = synthesis.watcher_visits / synthesis.propagations
-                print(f"propagation: {synthesis.propagations} literal(s) in "
-                      f"{synthesis.solver_solve_seconds:.2f}s solver time "
-                      f"({pps:,.0f}/s, {vpp:.2f} watcher visit(s) per "
-                      "propagation)", file=sys.stderr)
     if result.status == "success":
         if result.resources is not None:
             print(f"resources: {result.resources}", file=sys.stderr)
@@ -608,6 +590,7 @@ def _main_sweep(argv) -> int:
             _restore_sigterm(previous_handler)
 
     outcomes = result.outcome_counts()
+    counters = result.stats
     print(f"swept {len(result.records)} benchmarks over "
           f"{', '.join(architectures)} with {result.workers} worker(s)",
           file=sys.stderr)
@@ -616,27 +599,7 @@ def _main_sweep(argv) -> int:
           f"({result.hit_rate:.0%})", file=sys.stderr)
     print(f"cache: {result.cache_stats}", file=sys.stderr)
     print(f"portfolio wins: {result.portfolio_wins}", file=sys.stderr)
-    if args.incremental:
-        print(f"incremental: {result.clauses_retained} learned clauses "
-              f"retained, {result.solver_restarts} budget restart(s)",
-              file=sys.stderr)
-    if args.incremental_verify:
-        print(f"incremental verify: {result.verify_clauses_retained} learned "
-              f"clauses retained, {result.cores_pruned} pruning core(s)",
-              file=sys.stderr)
-    if args.incremental or args.incremental_verify:
-        print(f"clause DB: peak {result.db_size_peak} learned clause(s), "
-              f"{result.clauses_deleted} deleted by reduction",
-              file=sys.stderr)
-    print(f"probes: {result.probe_lanes_evaluated} packed lane(s) evaluated, "
-          f"{result.probe_hits} batch hit(s), {result.prefilter_cex_found} "
-          "pre-filter counterexample(s)", file=sys.stderr)
-    if result.propagations:
-        print(f"propagation: {result.propagations} literal(s) in "
-              f"{result.solver_solve_seconds:.2f}s solver time "
-              f"({result.propagations_per_second:,.0f}/s, "
-              f"{result.watcher_visits_per_propagation:.2f} watcher visit(s) "
-              "per propagation)", file=sys.stderr)
+    _print_counters(counters)
     distributed_telemetry = getattr(result, "telemetry", None)
     if distributed_telemetry:
         print(f"distributed: {distributed_telemetry['shards_completed']}/"
@@ -664,23 +627,9 @@ def _main_sweep(argv) -> int:
             "cache": result.cache_stats,
             "portfolio_wins": result.portfolio_wins,
             "incremental": args.incremental,
-            "clauses_retained": result.clauses_retained,
-            "solver_restarts": result.solver_restarts,
             "incremental_verify": args.incremental_verify,
-            "verify_clauses_retained": result.verify_clauses_retained,
-            "cores_pruned": result.cores_pruned,
-            "clauses_deleted": result.clauses_deleted,
-            "db_size_peak": result.db_size_peak,
-            "propagations": result.propagations,
-            "watcher_visits": result.watcher_visits,
-            "solver_solve_seconds": result.solver_solve_seconds,
-            "propagations_per_second": result.propagations_per_second,
-            "watcher_visits_per_propagation":
-                result.watcher_visits_per_propagation,
             "random_probes": args.probes,
-            "probe_lanes_evaluated": result.probe_lanes_evaluated,
-            "probe_hits": result.probe_hits,
-            "prefilter_cex_found": result.prefilter_cex_found,
+            **counters,
         }
         if distributed_telemetry:
             summary["distributed"] = distributed_telemetry
@@ -817,12 +766,7 @@ def _main_bench(argv) -> int:
           f"({totals['solved_rate']:.0%}) in {totals['cold_seconds']:.2f}s cold, "
           f"{totals['warm_seconds']:.2f}s warm "
           f"({totals['warm_cache_hit_rate']:.0%} cache hits)", file=sys.stderr)
-    print(f"phases: {snapshot['phases']['candidate_seconds']:.2f}s candidate, "
-          f"{snapshot['phases']['verify_seconds']:.2f}s verify", file=sys.stderr)
-    print(f"probes: {snapshot['probes']['probe_lanes_evaluated']} lane(s), "
-          f"{snapshot['probes']['probe_hits']} batch hit(s), "
-          f"{snapshot['probes']['prefilter_cex_found']} pre-filter cex",
-          file=sys.stderr)
+    _print_counters(snapshot["solver"])
     print(f"probe throughput: "
           f"{throughput['packed_assignments_per_second']:,.0f}/s packed vs "
           f"{throughput['scalar_assignments_per_second']:,.0f}/s scalar "

@@ -28,6 +28,7 @@ from repro.core.sublang import is_behavioral, is_structural, is_sketch
 from repro.core.transform import simplify_structural
 from repro.core.wellformed import check_well_formed
 from repro.engine.budget import Budget
+from repro.engine.stats import new as new_stats
 from repro.smt.cegis import CegisResult, Obligation, synthesize
 from repro.smt.solver import SmtSolver
 
@@ -52,31 +53,8 @@ class SynthesisOutcome:
     #: Whether verification ran on one persistent assumption-gated miter
     #: session (core-driven candidate pruning enabled).
     incremental_verify: bool = False
-    #: Incremental-session statistics (all zero in from-scratch mode).
-    solver_restarts: int = 0
-    candidate_conflicts: int = 0
-    candidate_time_seconds: float = 0.0
-    verify_time_seconds: float = 0.0
-    clauses_retained: int = 0
-    verify_clauses_retained: int = 0
-    cores_pruned: int = 0
-    #: Clause-DB reduction telemetry from the persistent sessions: learned
-    #: clauses deleted, and the learned-database high-water mark.
-    clauses_deleted: int = 0
-    db_size_peak: int = 0
-    #: Propagation telemetry from the run's warm solver sessions: trail
-    #: literals propagated, watcher entries examined, and wall seconds
-    #: spent inside ``CDCLSolver.solve``.
-    propagations: int = 0
-    watcher_visits: int = 0
-    solver_solve_seconds: float = 0.0
-    #: Bit-parallel probing telemetry (see :mod:`repro.bv.bitsim`): packed
-    #: random-probe assignments evaluated, probe batches that hit, and
-    #: verification counterexamples the packed pre-filter found without
-    #: blasting.
-    probe_lanes_evaluated: int = 0
-    probe_hits: int = 0
-    prefilter_cex_found: int = 0
+    #: The CEGIS run's counters map (see :mod:`repro.engine.stats`).
+    stats: Dict[str, float] = field(default_factory=new_stats)
 
     @property
     def succeeded(self) -> bool:
@@ -154,21 +132,7 @@ def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
         incremental=cegis.incremental,
         incremental_verify=cegis.incremental_verify,
         diagnostic=cegis.diagnostic,
-        solver_restarts=cegis.solver_restarts,
-        candidate_conflicts=cegis.candidate_conflicts,
-        candidate_time_seconds=cegis.candidate_time_seconds,
-        verify_time_seconds=cegis.verify_time_seconds,
-        clauses_retained=cegis.clauses_retained,
-        verify_clauses_retained=cegis.verify_clauses_retained,
-        cores_pruned=cegis.cores_pruned,
-        clauses_deleted=cegis.clauses_deleted,
-        db_size_peak=cegis.db_size_peak,
-        propagations=cegis.propagations,
-        watcher_visits=cegis.watcher_visits,
-        solver_solve_seconds=cegis.solver_solve_seconds,
-        probe_lanes_evaluated=cegis.probe_lanes_evaluated,
-        probe_hits=cegis.probe_hits,
-        prefilter_cex_found=cegis.prefilter_cex_found,
+        stats=cegis.stats,
     )
     if not cegis.succeeded:
         return outcome

@@ -6,6 +6,8 @@
   per-architecture synthesis timeouts.
 * :mod:`repro.engine.backends` -- the pluggable solver-backend registry the
   SAT portfolio races.
+* :mod:`repro.engine.stats`    -- the solver counters map every mapping
+  result carries, with its merge, cache-hit and wall-clock rules.
 * :mod:`repro.engine.cache`    -- the keyed, memoizing synthesis cache.
 * :mod:`repro.engine.diskcache`-- the persistent (sqlite) cache tier shared
   across processes and runs.

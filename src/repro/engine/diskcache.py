@@ -50,8 +50,10 @@ __all__ = ["SCHEMA_VERSION", "DB_NAME", "DiskSynthesisCache",
 #: way that makes old entries unusable; mismatched databases fall back to
 #: empty instead of deserializing stale results.  v2: SynthesisOutcome grew
 #: the incremental-CEGIS statistics fields and the entries table gained a
-#: ``last_used_at`` column for LRU eviction.
-SCHEMA_VERSION = 2
+#: ``last_used_at`` column for LRU eviction.  v3: SynthesisOutcome carries
+#: its solver counters as one ``stats`` map, and LakeroadResult dropped its
+#: ``cache_hits``/``cache_misses`` fields.
+SCHEMA_VERSION = 3
 
 #: The database filename inside a cache directory (the CLI and the session
 #: must agree on it).

@@ -74,7 +74,9 @@ __all__ = ["PROTOCOL_VERSION", "DEFAULT_SHARD_SIZE", "DEFAULT_LEASE_TIMEOUT",
 
 #: Bumped when the coordinator/worker message shapes change incompatibly;
 #: the handshake carries it so mismatched nodes fail with a clear error.
-PROTOCOL_VERSION = 1
+#: v2: records carry their solver counters as one nested ``stats`` map, and
+#: the pooled warm-cache entries are schema-v3 disk-cache values.
+PROTOCOL_VERSION = 2
 
 DEFAULT_SHARD_SIZE = 4
 DEFAULT_LEASE_TIMEOUT = 30.0

@@ -32,6 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.stats import this_run
 from repro.harness.runner import (
     ExperimentConfig,
     MappingRecord,
@@ -130,109 +131,11 @@ class SweepResult:
         return self.record_cache_hits / len(self.records) if self.records else 0.0
 
     @property
-    def clauses_retained(self) -> int:
-        """Learned clauses the incremental sessions carried across CEGIS
-        iterations, summed over the records that actually ran synthesis
-        (cache hits replay the original outcome's counters and would
-        otherwise claim solver work that never happened this run)."""
-        return sum(record.clauses_retained for record in self.records
-                   if not record.cache_hit)
-
-    @property
-    def solver_restarts(self) -> int:
-        """Budget-aware incremental-session restarts, summed over the
-        records that actually ran synthesis this run."""
-        return sum(record.solver_restarts for record in self.records
-                   if not record.cache_hit)
-
-    @property
-    def verify_clauses_retained(self) -> int:
-        """Learned clauses the incremental verify sessions carried across
-        CEGIS iterations, summed over the records that actually ran
-        synthesis this run."""
-        return sum(record.verify_clauses_retained for record in self.records
-                   if not record.cache_hit)
-
-    @property
-    def cores_pruned(self) -> int:
-        """Verification-failure cores turned into candidate-pruning
-        blocking constraints, summed over the records that actually ran
-        synthesis this run."""
-        return sum(record.cores_pruned for record in self.records
-                   if not record.cache_hit)
-
-    @property
-    def clauses_deleted(self) -> int:
-        """Learned clauses dropped by clause-DB reduction, summed over the
-        records that actually ran synthesis this run."""
-        return sum(record.clauses_deleted for record in self.records
-                   if not record.cache_hit)
-
-    @property
-    def db_size_peak(self) -> int:
-        """Largest learned database any record's persistent sessions
-        carried this run (the sweep's solver-memory high-water mark)."""
-        return max((record.db_size_peak for record in self.records
-                    if not record.cache_hit), default=0)
-
-    @property
-    def propagations(self) -> int:
-        """Trail literals unit-propagated by the warm solver sessions,
-        summed over the records that actually ran synthesis this run."""
-        return sum(record.propagations for record in self.records
-                   if not record.cache_hit)
-
-    @property
-    def watcher_visits(self) -> int:
-        """Watcher entries examined during those propagations, summed over
-        the records that actually ran synthesis this run."""
-        return sum(record.watcher_visits for record in self.records
-                   if not record.cache_hit)
-
-    @property
-    def solver_solve_seconds(self) -> float:
-        """Wall seconds the non-cached records spent inside the SAT
-        solver (the propagation-throughput denominator)."""
-        return sum(record.solver_solve_seconds for record in self.records
-                   if not record.cache_hit)
-
-    @property
-    def propagations_per_second(self) -> float:
-        """Sweep-wide propagation throughput: total propagations over
-        total solver seconds (not a mean of per-record rates, so long
-        solves weigh in proportion to the time they actually took)."""
-        seconds = self.solver_solve_seconds
-        return self.propagations / seconds if seconds > 0 else 0.0
-
-    @property
-    def watcher_visits_per_propagation(self) -> float:
-        """Mean watcher entries examined per propagated literal."""
-        props = self.propagations
-        return self.watcher_visits / props if props else 0.0
-
-    @property
-    def probe_lanes_evaluated(self) -> int:
-        """Packed random-probe assignments evaluated by the bit-parallel
-        fast layers, summed over the records that actually ran synthesis
-        this run."""
-        return sum(record.probe_lanes_evaluated for record in self.records
-                   if not record.cache_hit)
-
-    @property
-    def probe_hits(self) -> int:
-        """Probe batches that found a satisfying lane (candidate or
-        counterexample), summed over the records that actually ran
-        synthesis this run."""
-        return sum(record.probe_hits for record in self.records
-                   if not record.cache_hit)
-
-    @property
-    def prefilter_cex_found(self) -> int:
-        """Verification counterexamples the packed random-simulation
-        pre-filter caught without bit-blasting, summed over the records
-        that actually ran synthesis this run."""
-        return sum(record.prefilter_cex_found for record in self.records
-                   if not record.cache_hit)
+    def stats(self) -> Dict[str, float]:
+        """The solver counters of the records that ran synthesis this run,
+        merged, with the derived rates (:func:`repro.engine.stats.this_run`:
+        cache hits replay archived counters and are skipped)."""
+        return this_run(self.records)
 
     def outcome_counts(self) -> Dict[str, int]:
         counts: Counter = Counter(record.outcome for record in self.records)
@@ -305,15 +208,14 @@ def run_sweep(benchmarks: Sequence[Microbenchmark],
     order, so interleaving balances the shards — and the merged records are
     returned in input order.
 
-    The returned :class:`SweepResult` aggregates per-record solver
-    telemetry over the designs that actually ran synthesis this run
-    (cache hits replay archived counters and are excluded): learned
-    clauses retained/deleted, budget-aware restarts, pruning cores, and
-    ``db_size_peak`` — the learned-database high-water mark that the
-    solver's LBD clause reduction keeps bounded on long sweeps.  On paper
-    scale enumerations this is the number to watch: without reduction the
-    persistent sessions' watch lists grow monotonically with every CEGIS
-    iteration a sweep survives.
+    The returned :class:`SweepResult` merges the per-record solver
+    counters over the designs that actually ran synthesis this run
+    (:attr:`SweepResult.stats`).  Among them, ``db_size_peak`` — the
+    learned-database high-water mark that the solver's LBD clause
+    reduction keeps bounded on long sweeps — is the number to watch on
+    paper-scale enumerations: without reduction the persistent sessions'
+    watch lists grow monotonically with every CEGIS iteration a sweep
+    survives.
     """
     config = config or ExperimentConfig()
     benchmarks = list(benchmarks)

@@ -30,6 +30,7 @@ from repro.engine import budget as budget_mod
 from repro.engine.budget import Budget
 from repro.engine.cache import SynthesisCache, program_fingerprint
 from repro.engine.diskcache import DiskSynthesisCache, TieredSynthesisCache
+from repro.engine.stats import new as new_stats
 from repro.hdl.behavioral import BehavioralDesign, verilog_to_behavioral
 from repro.sat.portfolio import SatPortfolio
 from repro.smt.solver import SmtSolver
@@ -82,13 +83,16 @@ class LakeroadResult:
     validated: Optional[bool] = None
     #: Whether this result was served from the session's synthesis cache.
     cache_hit: bool = False
-    #: Session-level cache counters at the time this result was produced.
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def succeeded(self) -> bool:
         return self.status == budget_mod.SUCCESS
+
+    @property
+    def stats(self) -> Dict[str, float]:
+        """The solve's counters map (zeros when synthesis never ran)."""
+        return self.synthesis.stats if self.synthesis is not None \
+            else new_stats()
 
 
 def _resolve_arch(arch) -> ArchDescription:
@@ -101,17 +105,18 @@ def _isolated_copy(result: LakeroadResult) -> LakeroadResult:
     """A copy of a result whose mutable fields are detached.
 
     The cache and its callers must not alias anything a caller might
-    plausibly mutate: the counters, ``hole_values``, the resource report
-    and the synthesis outcome are copied.  ``program`` graphs are shared —
-    nodes are frozen dataclasses and programs are treated as immutable
-    throughout the codebase.
+    plausibly mutate: ``hole_values``, the resource report and the
+    synthesis outcome with its counters map are copied.  ``program`` graphs
+    are shared — nodes are frozen dataclasses and programs are treated as
+    immutable throughout the codebase.
     """
     return replace(
         result,
         hole_values=dict(result.hole_values),
         resources=replace(result.resources) if result.resources is not None else None,
         synthesis=replace(result.synthesis,
-                          hole_values=dict(result.synthesis.hole_values))
+                          hole_values=dict(result.synthesis.hole_values),
+                          stats=dict(result.synthesis.stats))
         if result.synthesis is not None else None,
     )
 
@@ -158,9 +163,8 @@ class MappingSession:
     :class:`~repro.sat.solver.CDCLSolver` ``reduce_interval`` /
     ``max_lbd_keep`` defaults); each mapping's reduction telemetry —
     ``clauses_deleted`` and the ``db_size_peak`` memory high-water mark —
-    rides on :class:`~repro.core.synthesis.SynthesisOutcome` and
-    :class:`~repro.harness.runner.MappingRecord`, and ``lakeroad map/sweep
-    --stats`` prints it.
+    rides in its counters map (:mod:`repro.engine.stats`), and
+    ``lakeroad map --stats``/``sweep`` print it.
     """
 
     def __init__(self,
@@ -292,19 +296,13 @@ class MappingSession:
                                             validate, self.random_probes)
             cached = self.cache.get(cache_key)
             if cached is not None:
-                stats = self.cache.stats()
                 hit = _isolated_copy(cached)
                 hit.cache_hit = True
-                hit.cache_hits = stats["hits"]
-                hit.cache_misses = stats["misses"]
                 hit.time_seconds = time.monotonic() - start
                 return hit
 
         result = self._map_cold(design, template, architecture, budget,
                                 extra_cycles, validate, start)
-        stats = self.cache.stats()
-        result.cache_hits = stats["hits"]
-        result.cache_misses = stats["misses"]
         # Timeouts are the one wall-clock-dependent status: caching one
         # would make a transient environmental hiccup sticky for the whole
         # session, so only definitive outcomes (success/unsat) are stored.

@@ -10,10 +10,12 @@ short git revision, or ``unknown`` outside a checkout):
   is a pure engine comparison);
 * **end-to-end sweep** — a cold mapping pass over sampled tier-1 workloads
   followed by a warm re-run, reporting wall time, solved rate, cache hit
-  rate, the per-phase candidate/verify breakdown with the bit-parallel
-  probing telemetry, SAT propagation throughput
-  (``totals.propagations_per_second``) and a ``memory`` section with the
-  process peak RSS and the clause-database high-water mark;
+  rate, the cold pass's merged solver counters (``solver``; see
+  :mod:`repro.engine.stats`) and, drawn from them, the per-phase
+  candidate/verify breakdown, the bit-parallel probing telemetry, SAT
+  propagation throughput (``totals.propagations_per_second``) and a
+  ``memory`` section with the process peak RSS and the clause-database
+  high-water mark;
 * **serve throughput** — the warm service (:mod:`repro.engine.service`)
   against per-request cold-start: one ``lakeroad map`` subprocess per query
   versus a pipelined burst through ``lakeroad serve``, in requests/second
@@ -62,10 +64,17 @@ from repro.bv import (
     zero_extend,
 )
 from repro.bv.bitsim import PROBE_LANES, PackedEvaluator
+from repro.engine.stats import this_run
 
 __all__ = ["git_revision", "probe_throughput", "bench_serve",
            "bench_qos", "bench_distributed", "run_bench", "write_snapshot",
            "diff_snapshots", "DEFAULT_DIFF_THRESHOLDS"]
+
+
+#: The bit-parallel probe counters the snapshot's ``probes`` section and
+#: every per-design entry carry.
+_PROBE_COUNTERS = ("probe_lanes_evaluated", "probe_hits",
+                   "prefilter_cex_found")
 
 
 def git_revision(repo_root: Optional[Path] = None) -> str:
@@ -552,14 +561,8 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
                                            max_width=max_width))
 
     config = ExperimentConfig(template=template, random_probes=random_probes)
+    cold_results = []
     designs: List[dict] = []
-    phases = {"candidate_seconds": 0.0, "verify_seconds": 0.0}
-    probes = {"probe_lanes_evaluated": 0, "probe_hits": 0,
-              "prefilter_cex_found": 0}
-    propagations = 0
-    watcher_visits = 0
-    solver_solve_seconds = 0.0
-    clause_db_peak = 0
     with MappingSession(random_probes=random_probes) as session:
         cold_start = time.perf_counter()
         for benchmark in benchmarks:
@@ -567,28 +570,14 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
             result = session.map_design(
                 design, template=template, arch=benchmark.architecture,
                 timeout_seconds=config.timeout_for(benchmark.architecture))
-            synthesis = result.synthesis
+            cold_results.append(result)
             designs.append({
                 "benchmark": benchmark.name,
                 "architecture": benchmark.architecture,
                 "outcome": result.status,
                 "time_seconds": result.time_seconds,
-                "probe_lanes_evaluated":
-                    synthesis.probe_lanes_evaluated if synthesis else 0,
-                "probe_hits": synthesis.probe_hits if synthesis else 0,
-                "prefilter_cex_found":
-                    synthesis.prefilter_cex_found if synthesis else 0,
+                **{key: result.stats[key] for key in _PROBE_COUNTERS},
             })
-            if synthesis is not None:
-                phases["candidate_seconds"] += synthesis.candidate_time_seconds
-                phases["verify_seconds"] += synthesis.verify_time_seconds
-                probes["probe_lanes_evaluated"] += synthesis.probe_lanes_evaluated
-                probes["probe_hits"] += synthesis.probe_hits
-                probes["prefilter_cex_found"] += synthesis.prefilter_cex_found
-                propagations += synthesis.propagations
-                watcher_visits += synthesis.watcher_visits
-                solver_solve_seconds += synthesis.solver_solve_seconds
-                clause_db_peak = max(clause_db_peak, synthesis.db_size_peak)
         cold_seconds = time.perf_counter() - cold_start
 
         warm_start = time.perf_counter()
@@ -603,6 +592,7 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
         cache_stats = session.cache_stats()
 
     solved = sum(1 for design in designs if design["outcome"] == "success")
+    counters = this_run(cold_results)
     throughput = probe_throughput(throughput_assignments)
     serve_section = bench_serve(architectures=architectures, count=count,
                                 seed=seed, max_width=max_width,
@@ -637,19 +627,18 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
             "warm_seconds": warm_seconds,
             "warm_cache_hit_rate": warm_hits / len(designs) if designs else 0.0,
             "cache": cache_stats,
-            "propagations": propagations,
-            "watcher_visits": watcher_visits,
-            "solver_solve_seconds": solver_solve_seconds,
-            "propagations_per_second":
-                propagations / solver_solve_seconds
-                if solver_solve_seconds > 0 else 0.0,
+            **{key: counters[key] for key in
+               ("propagations", "watcher_visits", "solver_solve_seconds",
+                "propagations_per_second")},
         },
         "memory": {
             "peak_rss_kb": _peak_rss_kb(),
-            "clause_db_peak": clause_db_peak,
+            "clause_db_peak": counters["db_size_peak"],
         },
-        "phases": phases,
-        "probes": probes,
+        "phases": {"candidate_seconds": counters["candidate_time_seconds"],
+                   "verify_seconds": counters["verify_time_seconds"]},
+        "probes": {key: counters[key] for key in _PROBE_COUNTERS},
+        "solver": counters,
         "probe_throughput": throughput,
         "serve": serve_section,
         "qos": qos_section,

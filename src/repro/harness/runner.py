@@ -9,6 +9,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.baselines import YosysLikeMapper, sota_for
 from repro.engine import budget as budget_mod
+from repro.engine import stats as stats_mod
 from repro.engine.session import MappingSession, default_session
 from repro.hdl.behavioral import verilog_to_behavioral
 from repro.workloads.generator import Microbenchmark
@@ -110,51 +111,17 @@ class MappingRecord:
     #: when ``tool`` is a family label like ``sota``; empty otherwise.
     tool_variant: str = ""
     #: Whether synthesis ran on a persistent (incremental) solver session,
-    #: and the per-run incremental statistics (zero in from-scratch mode).
+    #: and whether verification ran on a persistent assumption-gated miter
+    #: session.
     incremental: bool = False
-    clauses_retained: int = 0
-    solver_restarts: int = 0
-    #: Whether verification ran on a persistent assumption-gated miter
-    #: session, and its per-run statistics (zero in portfolio mode).
     incremental_verify: bool = False
-    verify_clauses_retained: int = 0
-    cores_pruned: int = 0
-    #: Clause-DB reduction telemetry from the persistent solver sessions
-    #: (zero when neither incremental mode ran).
-    clauses_deleted: int = 0
-    db_size_peak: int = 0
-    #: Propagation telemetry from the run's warm solver sessions: trail
-    #: literals propagated, watcher entries examined, and wall seconds
-    #: spent inside the SAT solver (the propagation-throughput numerators
-    #: and denominator).
-    propagations: int = 0
-    watcher_visits: int = 0
-    solver_solve_seconds: float = 0.0
-    #: Bit-parallel probing telemetry: packed random-probe assignments
-    #: evaluated across the candidate and verification steps, probe batches
-    #: that found a satisfying lane, and verification counterexamples the
-    #: packed pre-filter caught before any bit-blasting.
-    probe_lanes_evaluated: int = 0
-    probe_hits: int = 0
-    prefilter_cex_found: int = 0
+    #: The solve's counters map (see :mod:`repro.engine.stats`).  A cache
+    #: hit replays the counters of the solve that produced it.
+    stats: Dict[str, float] = field(default_factory=stats_mod.new)
 
     @property
     def mapped(self) -> bool:
         return self.outcome == budget_mod.SUCCESS
-
-    @property
-    def propagations_per_second(self) -> float:
-        """Propagation throughput over this run's SAT-solving seconds."""
-        if self.solver_solve_seconds <= 0:
-            return 0.0
-        return self.propagations / self.solver_solve_seconds
-
-    @property
-    def watcher_visits_per_propagation(self) -> float:
-        """Mean watcher entries examined per propagated literal."""
-        if not self.propagations:
-            return 0.0
-        return self.watcher_visits / self.propagations
 
     def to_dict(self) -> dict:
         """A plain-dict form (JSON-able; the cross-process wire format)."""
@@ -163,15 +130,15 @@ class MappingRecord:
     def comparable(self) -> dict:
         """:meth:`to_dict` minus the per-request fields.
 
-        ``time_seconds`` and ``solver_solve_seconds`` are wall-clock
+        ``time_seconds`` and every ``*_seconds`` counter are wall-clock
         readings and ``cache_hit`` says whether this request or an earlier
         one ran the solve (see :func:`record_from_result`), so serial,
         sharded, served and distributed runs of the same benchmarks must
         agree on everything else.
         """
         data = self.to_dict()
-        for key in ("time_seconds", "solver_solve_seconds", "cache_hit"):
-            del data[key]
+        del data["time_seconds"], data["cache_hit"]
+        data["stats"] = stats_mod.comparable(data["stats"])
         return data
 
     @classmethod
@@ -179,10 +146,18 @@ class MappingRecord:
         """Rebuild a record from :meth:`to_dict` output.
 
         Unknown keys are ignored so records written by a newer schema still
-        load (forward compatibility for archived JSONL dumps).
+        load, and the flat top-level counter keys older records carried are
+        lifted into :attr:`stats`, so archived JSONL dumps and distributed
+        shard artifacts still load.
         """
         known = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in known})
+        kwargs = {key: value for key, value in data.items() if key in known}
+        counters = stats_mod.new()
+        counters.update((key, data[key]) for key in stats_mod.COUNTERS
+                        if key in data)
+        counters.update(data.get("stats") or {})
+        kwargs["stats"] = counters
+        return cls(**kwargs)
 
 
 def records_to_jsonl(records: Sequence[MappingRecord], path) -> Path:
@@ -232,19 +207,8 @@ def record_from_result(result, *, architecture: str, benchmark: str,
         registers=resources.registers if resources else 0,
         cache_hit=result.cache_hit,
         incremental=synthesis.incremental if synthesis else False,
-        clauses_retained=synthesis.clauses_retained if synthesis else 0,
-        solver_restarts=synthesis.solver_restarts if synthesis else 0,
         incremental_verify=synthesis.incremental_verify if synthesis else False,
-        verify_clauses_retained=synthesis.verify_clauses_retained if synthesis else 0,
-        cores_pruned=synthesis.cores_pruned if synthesis else 0,
-        clauses_deleted=synthesis.clauses_deleted if synthesis else 0,
-        db_size_peak=synthesis.db_size_peak if synthesis else 0,
-        propagations=synthesis.propagations if synthesis else 0,
-        watcher_visits=synthesis.watcher_visits if synthesis else 0,
-        solver_solve_seconds=synthesis.solver_solve_seconds if synthesis else 0.0,
-        probe_lanes_evaluated=synthesis.probe_lanes_evaluated if synthesis else 0,
-        probe_hits=synthesis.probe_hits if synthesis else 0,
-        prefilter_cex_found=synthesis.prefilter_cex_found if synthesis else 0,
+        stats=dict(result.stats),
     )
 
 
@@ -304,14 +268,14 @@ def run_lakeroad(benchmarks: Sequence[Microbenchmark],
 
         return run_lakeroad_parallel(benchmarks, config, workers=workers)
     if session is None:
-        if config.cache_dir is not None or config.incremental \
-                or config.incremental_verify or config.random_probes != 32:
+        from repro.engine.parallel import SessionSpec
+
+        spec = SessionSpec.from_config(config)
+        if spec != SessionSpec():
             # The config asks for a non-default session; honour it instead
             # of silently dropping the knobs on the serial path.  The
             # session is ours, so release its disk-cache handle when done.
-            from repro.engine.parallel import SessionSpec
-
-            with SessionSpec.from_config(config).build() as session:
+            with spec.build() as session:
                 return [map_benchmark(session, benchmark, config)
                         for benchmark in benchmarks]
         session = default_session()

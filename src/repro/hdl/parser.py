@@ -474,4 +474,7 @@ def parse_module(source: str, name: Optional[str] = None) -> ModuleDecl:
         if len(parsed.modules) > 1:
             raise ParseError("multiple modules found; specify a name")
         return parsed.modules[0]
-    return parsed.module(name)
+    try:
+        return parsed.module(name)
+    except KeyError as exc:
+        raise ParseError(exc.args[0]) from None

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bv import bv, bvand, bveq, bvextract, bvne, bvor, bvvar
@@ -78,6 +78,7 @@ from repro.bv.bitsim import PROBE_LANES, PackedEvaluator, first_sat_lane
 from repro.bv.eval import evaluate, var_widths
 from repro.bv.simplify import substitute
 from repro.engine.budget import Budget
+from repro.engine.stats import merge, new as new_stats
 from repro.smt.equivalence import IncrementalVerifySession, check_equivalence
 from repro.smt.solver import IncrementalSmtSession, SmtSolver
 
@@ -123,71 +124,13 @@ class CegisResult:
     incremental_verify: bool = False
     #: Why a run degraded to ``unknown`` (empty for clean outcomes).
     diagnostic: str = ""
-    #: Budget-aware session restarts performed during the run (candidate
-    #: and verify sessions combined).
-    solver_restarts: int = 0
-    #: SAT conflicts spent in candidate queries (all iterations).
-    candidate_conflicts: int = 0
-    #: Wall time spent in the candidate step (all iterations).
-    candidate_time_seconds: float = 0.0
-    #: Wall time spent in the verification step (all iterations, either
-    #: verifier).
-    verify_time_seconds: float = 0.0
-    #: Learned clauses alive in the persistent candidate session when the
-    #: run ended (always 0 in from-scratch mode — nothing survives an
-    #: iteration).
-    clauses_retained: int = 0
-    #: Learned clauses alive in the persistent verify session at the end
-    #: (always 0 when ``incremental_verify`` is off).
-    verify_clauses_retained: int = 0
-    #: Verification-failure unsat cores turned into candidate-space
-    #: blocking constraints (0 when ``incremental_verify`` is off).
-    cores_pruned: int = 0
-    #: Learned clauses deleted by clause-DB reduction across every solver
-    #: session the run built (persistent candidate/verify sessions and
-    #: from-scratch throwaway candidate sessions alike).
-    clauses_deleted: int = 0
-    #: Largest learned database any of the run's solvers carried (the
-    #: memory high-water mark reduction bounds).
-    db_size_peak: int = 0
-    #: Trail literals unit-propagated across every warm solver session the
-    #: run built (persistent candidate/verify sessions and from-scratch
-    #: throwaway candidate sessions alike) — the numerator of the
-    #: propagation-throughput metric.
-    propagations: int = 0
-    #: Watcher entries examined by those propagations (the denominator of
-    #: the blocker-literal hit-rate metric).
-    watcher_visits: int = 0
-    #: Wall seconds those sessions spent inside ``CDCLSolver.solve``.
-    solver_solve_seconds: float = 0.0
-    #: Packed random-probe assignments evaluated by the bit-parallel
-    #: simulator (candidate-step hole batches and verification miter
-    #: pre-filtering combined).
-    probe_lanes_evaluated: int = 0
-    #: Probe batches that found a satisfying lane — each candidate-step
-    #: hit is a session solve the SAT layer never had to run.
-    probe_hits: int = 0
-    #: Verification counterexamples discovered by the packed
-    #: random-simulation pre-filter, i.e. without blasting the miter.
-    prefilter_cex_found: int = 0
+    #: What the run did, as one counters map (the names are documented at
+    #: :data:`repro.engine.stats.COUNTERS`).
+    stats: Dict[str, float] = field(default_factory=new_stats)
 
     @property
     def succeeded(self) -> bool:
         return self.status == "sat"
-
-    @property
-    def propagations_per_second(self) -> float:
-        """Propagation throughput over the run's SAT-solving seconds."""
-        if self.solver_solve_seconds <= 0:
-            return 0.0
-        return self.propagations / self.solver_solve_seconds
-
-    @property
-    def watcher_visits_per_propagation(self) -> float:
-        """Mean watcher entries examined per propagated literal."""
-        if not self.propagations:
-            return 0.0
-        return self.watcher_visits / self.propagations
 
 
 def _collect_inputs(obligations: Sequence[Obligation],
@@ -276,7 +219,7 @@ def _solve_candidate(candidate_constraints: Sequence[BVExpr],
                      deadline: Optional[float],
                      session: Optional[IncrementalSmtSession],
                      budget: Optional[Budget],
-                     result: "CegisResult",
+                     counters: Dict[str, float],
                      reduce_interval: Optional[int] = None,
                      max_lbd_keep: Optional[int] = None) -> Tuple[Optional[Mapping[str, int]], str, str]:
     """Decide the candidate query; returns ``(model, status, strategy)``.
@@ -332,10 +275,10 @@ def _solve_candidate(candidate_constraints: Sequence[BVExpr],
             batch = [{name: probe_rng.getrandbits(width)
                       for name, width in items} for _ in range(chunk)]
             drawn += chunk
-            result.probe_lanes_evaluated += chunk
+            counters["probe_lanes_evaluated"] += chunk
             hits = evaluator.sat_lanes(batch)
             if hits:
-                result.probe_hits += 1
+                counters["probe_hits"] += 1
                 return batch[first_sat_lane(hits)], "sat", "simulate"
 
     incremental = session is not None
@@ -357,28 +300,41 @@ def _solve_candidate(candidate_constraints: Sequence[BVExpr],
     smt_result = session.check(deadline=check_deadline)
     if (smt_result.is_unknown and incremental and check_deadline != deadline
             and time.monotonic() < deadline):
-        # The session counts its own restarts; synthesize() copies the
-        # total into the result at the end of the run.
+        # The session counts its own restarts; synthesize() folds them
+        # into the run's counters at the end of the run.
         session.restart()
         smt_result = session.check(deadline=deadline)
 
-    result.candidate_conflicts += smt_result.sat_conflicts
+    counters["candidate_conflicts"] += smt_result.sat_conflicts
     if not incremental:
         # The throwaway session dies here; fold its clause-DB and
         # propagation telemetry in now (the persistent sessions are folded
         # once, at the end of the run), so from-scratch candidate work is
         # counted too.
-        result.clauses_deleted += session.clauses_deleted
-        result.db_size_peak = max(result.db_size_peak, session.db_size_peak)
-        result.propagations += session.propagations
-        result.watcher_visits += session.watcher_visits
-        result.solver_solve_seconds += session.solve_seconds
+        _fold_session(counters, session)
     strategy = "sat:incremental" if incremental else "sat:fresh"
     if smt_result.is_unknown:
         return None, "unknown", "timeout"
     if smt_result.is_unsat:
         return None, "unsat", strategy
     return smt_result.model, "sat", strategy
+
+
+def _fold_session(counters: Dict[str, float], session,
+                  retained_as: Optional[str] = None) -> None:
+    """Fold a warm session's lifetime counters into the run's counters.
+
+    Only counters the run carries are taken; the session's own check and
+    CNF-size tallies stay with it.  The learned clauses its live solver
+    still holds are filed under ``retained_as`` — None for a throwaway
+    session, whose learned clauses die with the iteration.
+    """
+    session_counters = session.stats()
+    retained = session_counters.pop("clauses_retained")
+    merge(counters, {key: value for key, value in session_counters.items()
+                     if key in counters})
+    if retained_as is not None:
+        counters[retained_as] = retained
 
 
 def _verify_sat_layer(verify_session: IncrementalVerifySession, index: int,
@@ -471,6 +427,7 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
 
     result = CegisResult(status="unknown", incremental=incremental,
                          incremental_verify=incremental_verify)
+    counters = result.stats
     constraints_base = list(hole_constraints)
 
     session: Optional[IncrementalSmtSession] = None
@@ -564,10 +521,11 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
 
         model, status, strategy = _solve_candidate(
             candidate_constraints, sat_constraints, iteration, seed,
-            random_probes, deadline, session, budget, result,
+            random_probes, deadline, session, budget, counters,
             reduce_interval, max_lbd_keep)
         result.candidate_strategy = strategy
-        result.candidate_time_seconds += time.monotonic() - candidate_start
+        counters["candidate_time_seconds"] += \
+            time.monotonic() - candidate_start
         if status == "unsat":
             # No hole assignment satisfies even the finite example set, so no
             # assignment satisfies the full forall: the sketch cannot
@@ -597,12 +555,12 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
                                             canonical=True,
                                             sat_layer=sat_layer)
             result.verify_strategy = equivalence.strategy
-            result.probe_lanes_evaluated += equivalence.probe_lanes
+            counters["probe_lanes_evaluated"] += equivalence.probe_lanes
             if equivalence.is_different and equivalence.strategy == "simulate":
                 # The packed random-simulation pre-filter found the
                 # counterexample before anything was blasted.
-                result.probe_hits += 1
-                result.prefilter_cex_found += 1
+                counters["probe_hits"] += 1
+                counters["prefilter_cex_found"] += 1
             if equivalence.is_equivalent:
                 continue
             verified = False
@@ -648,9 +606,9 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
                     event_log.append(
                         ("blocking",
                          _blocking_constraint(prefix, hole_widths), None))
-                    result.cores_pruned += 1
+                    counters["cores_pruned"] += 1
             break
-        result.verify_time_seconds += time.monotonic() - verify_start
+        counters["verify_time_seconds"] += time.monotonic() - verify_start
 
         if abort:
             break
@@ -660,21 +618,8 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
             break
 
     if session is not None:
-        result.solver_restarts += session.restarts
-        result.clauses_retained = session.clauses_retained
-        result.clauses_deleted += session.clauses_deleted
-        result.db_size_peak = max(result.db_size_peak, session.db_size_peak)
-        result.propagations += session.propagations
-        result.watcher_visits += session.watcher_visits
-        result.solver_solve_seconds += session.solve_seconds
+        _fold_session(counters, session, "clauses_retained")
     if verify_session is not None:
-        result.solver_restarts += verify_session.restarts
-        result.verify_clauses_retained = verify_session.clauses_retained
-        result.clauses_deleted += verify_session.clauses_deleted
-        result.db_size_peak = max(result.db_size_peak,
-                                  verify_session.db_size_peak)
-        result.propagations += verify_session.propagations
-        result.watcher_visits += verify_session.watcher_visits
-        result.solver_solve_seconds += verify_session.solve_seconds
+        _fold_session(counters, verify_session, "verify_clauses_retained")
     result.time_seconds = time.monotonic() - start
     return result

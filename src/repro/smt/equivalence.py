@@ -156,21 +156,7 @@ class IncrementalVerifySession(WarmSolverHost):
             if f"{name}[{bit}]" in bit_vars]
 
         self._init_solver_state(reduce_interval, max_lbd_keep)
-        #: Session statistics (cumulative over the session's lifetime).
-        self.checks = 0
-        self.cores = 0
-
-    # ------------------------------------------------------------------ #
-    def stats(self) -> Dict[str, int]:
-        return {"checks": self.checks, "restarts": self.restarts,
-                "cores": self.cores,
-                "clauses_retained": self.clauses_retained,
-                "clauses_deleted": self.clauses_deleted,
-                "db_size_peak": self.db_size_peak,
-                "propagations": self.propagations,
-                "watcher_visits": self.watcher_visits,
-                "cnf_clauses": self.context.cnf.num_clauses,
-                "cnf_vars": self.context.cnf.num_vars}
+        self._counters["cores"] = 0
 
     # ------------------------------------------------------------------ #
     def _hole_assumptions(self, hole_values: Mapping[str, int]) -> List[int]:
@@ -186,7 +172,7 @@ class IncrementalVerifySession(WarmSolverHost):
         ``sat`` carries the canonical counterexample.
         """
         start = time.monotonic()
-        self.checks += 1
+        self._counters["checks"] += 1
         if deadline is not None and time.monotonic() > deadline:
             return SmtResult("unknown", None, "timeout",
                              time.monotonic() - start)
@@ -249,7 +235,7 @@ class IncrementalVerifySession(WarmSolverHost):
                 continue
             name, bit = info
             prefix.append((name, bit, 1 if lit > 0 else 0))
-        self.cores += 1
+        self._counters["cores"] += 1
         return sorted(prefix)
 
 

@@ -30,6 +30,7 @@ from repro.bv.bitblast import BitBlaster, IncrementalContext
 from repro.bv.bitsim import PROBE_LANES, PackedEvaluator, first_sat_lane
 from repro.bv.cnf import aig_to_cnf, lit_to_cnf
 from repro.bv.eval import evaluate, var_widths
+from repro.engine.stats import merge
 from repro.sat.portfolio import SatPortfolio
 from repro.sat.solver import CDCLSolver, SatResult
 from repro.smt.model import Model
@@ -255,6 +256,15 @@ class SmtSolver:
                          probe_lanes=lanes_spent)
 
 
+def _solver_counters(solver: CDCLSolver) -> Dict[str, float]:
+    """One solver's hot-loop counters, named as on the stats spine."""
+    return {"clauses_deleted": solver.clauses_deleted,
+            "db_size_peak": solver.db_size_peak,
+            "propagations": solver.propagations_total,
+            "watcher_visits": solver.watcher_visits,
+            "solver_solve_seconds": solver.solve_seconds}
+
+
 class WarmSolverHost:
     """Shared warm-solver plumbing for incremental sessions.
 
@@ -271,7 +281,6 @@ class WarmSolverHost:
                            max_lbd_keep: Optional[int] = None) -> None:
         self._solver: Optional[CDCLSolver] = None
         self._synced_clauses = 0
-        self.restarts = 0
         #: Clause-DB reduction knobs forwarded to every warm solver this
         #: host builds; None defers to the CDCLSolver defaults.
         self._solver_options: Dict[str, int] = {}
@@ -279,14 +288,11 @@ class WarmSolverHost:
             self._solver_options["reduce_interval"] = reduce_interval
         if max_lbd_keep is not None:
             self._solver_options["max_lbd_keep"] = max_lbd_keep
-        # Reduction and propagation telemetry accumulated from solvers
-        # dropped by restart(), so session-lifetime counters survive
-        # budget-aware cold restarts.
-        self._deleted_before_restart = 0
-        self._peak_before_restart = 0
-        self._props_before_restart = 0
-        self._visits_before_restart = 0
-        self._solve_seconds_before_restart = 0.0
+        #: The session's counters map (see :mod:`repro.engine.stats`): its
+        #: own tallies plus the counters of every solver :meth:`restart`
+        #: dropped, so session-lifetime totals survive budget-aware cold
+        #: restarts.  :meth:`stats` adds the live solver's.
+        self._counters: Dict[str, float] = {"checks": 0, "solver_restarts": 0}
 
     def restart(self) -> None:
         """Drop the warm solver; the context (and its literals) survive.
@@ -298,63 +304,25 @@ class WarmSolverHost:
         burns its budget slice without answering.
         """
         if self._solver is not None:
-            self._deleted_before_restart += self._solver.clauses_deleted
-            self._peak_before_restart = max(self._peak_before_restart,
-                                            self._solver.db_size_peak)
-            self._props_before_restart += self._solver.propagations_total
-            self._visits_before_restart += self._solver.watcher_visits
-            self._solve_seconds_before_restart += self._solver.solve_seconds
+            merge(self._counters, _solver_counters(self._solver))
+            self._counters["solver_restarts"] += 1
             self._solver = None
             self._synced_clauses = 0
-            self.restarts += 1
 
-    @property
-    def clauses_retained(self) -> int:
-        """Learned clauses currently carried by the warm solver."""
-        return self._solver.learned_alive if self._solver is not None else 0
+    def stats(self) -> Dict[str, float]:
+        """Session-lifetime counters, the live solver's included.
 
-    @property
-    def clauses_deleted(self) -> int:
-        """Learned clauses dropped by DB reduction over the session's life
-        (including solvers already discarded by :meth:`restart`)."""
-        current = self._solver.clauses_deleted if self._solver is not None else 0
-        return self._deleted_before_restart + current
-
-    @property
-    def db_size_peak(self) -> int:
-        """Largest learned database any of the session's solvers carried."""
-        current = self._solver.db_size_peak if self._solver is not None else 0
-        return max(self._peak_before_restart, current)
-
-    @property
-    def propagations(self) -> int:
-        """Trail literals propagated over the session's life (all solvers)."""
-        current = self._solver.propagations_total if self._solver is not None else 0
-        return self._props_before_restart + current
-
-    @property
-    def watcher_visits(self) -> int:
-        """Watcher entries examined over the session's life (all solvers)."""
-        current = self._solver.watcher_visits if self._solver is not None else 0
-        return self._visits_before_restart + current
-
-    @property
-    def solve_seconds(self) -> float:
-        """Wall seconds spent inside ``CDCLSolver.solve`` this session."""
-        current = self._solver.solve_seconds if self._solver is not None else 0.0
-        return self._solve_seconds_before_restart + current
-
-    @property
-    def propagations_per_second(self) -> float:
-        """Session propagation throughput (0.0 before the first solve)."""
-        seconds = self.solve_seconds
-        return self.propagations / seconds if seconds > 0 else 0.0
-
-    @property
-    def watcher_visits_per_propagation(self) -> float:
-        """Mean watcher entries examined per propagated literal."""
-        props = self.propagations
-        return self.watcher_visits / props if props else 0.0
+        ``clauses_retained`` is the learned clauses the live solver carries
+        now, and ``cnf_clauses``/``cnf_vars`` the context's current size.
+        """
+        counters = dict(self._counters)
+        if self._solver is not None:
+            merge(counters, _solver_counters(self._solver))
+        counters["clauses_retained"] = \
+            self._solver.learned_alive if self._solver is not None else 0
+        counters["cnf_clauses"] = self.context.cnf.num_clauses
+        counters["cnf_vars"] = self.context.cnf.num_vars
+        return counters
 
     def _sync_solver(self) -> CDCLSolver:
         """Feed clauses appended since the last check into the live solver."""
@@ -394,8 +362,8 @@ class IncrementalSmtSession(WarmSolverHost):
     LBD-based clause-database reduction (None defers to the
     :class:`~repro.sat.solver.CDCLSolver` defaults); reduction bounds the
     learned database on long sessions and — like restarts — can only
-    change time-to-answer.  Session-lifetime reduction telemetry is
-    exposed as :attr:`clauses_deleted` / :attr:`db_size_peak`.
+    change time-to-answer.  Session-lifetime reduction telemetry is in
+    :meth:`stats` (``clauses_deleted`` / ``db_size_peak``).
     """
 
     def __init__(self, reduce_interval: Optional[int] = None,
@@ -404,10 +372,7 @@ class IncrementalSmtSession(WarmSolverHost):
         self._init_solver_state(reduce_interval, max_lbd_keep)
         self._widths: Dict[str, int] = {}
         self._root_unsat = False
-        #: Session statistics (cumulative over the session's lifetime).
-        self.checks = 0
-        self.conflicts = 0
-        self.asserted = 0
+        self._counters.update(conflicts=0, asserted=0)
 
     # ------------------------------------------------------------------ #
     def assert_constraints(self, constraints: Sequence[BVExpr]) -> None:
@@ -432,22 +397,11 @@ class IncrementalSmtSession(WarmSolverHost):
                         f"variable {name!r} used at widths {existing} and {width}")
                 self._widths[name] = width
             output_lits.append(self.context.blast(constraint)[0])
-            self.asserted += 1
+            self._counters["asserted"] += 1
         for lit in output_lits:
             self.context.encoder.encode([lit])
         for lit in output_lits:
             self.context.encoder.cnf.add_clause([lit_to_cnf(lit)])
-
-    def stats(self) -> Dict[str, int]:
-        return {"checks": self.checks, "restarts": self.restarts,
-                "conflicts": self.conflicts, "asserted": self.asserted,
-                "clauses_retained": self.clauses_retained,
-                "clauses_deleted": self.clauses_deleted,
-                "db_size_peak": self.db_size_peak,
-                "propagations": self.propagations,
-                "watcher_visits": self.watcher_visits,
-                "cnf_clauses": self.context.cnf.num_clauses,
-                "cnf_vars": self.context.cnf.num_vars}
 
     # ------------------------------------------------------------------ #
     def _lex_minimize(self, solver: CDCLSolver,
@@ -483,7 +437,7 @@ class IncrementalSmtSession(WarmSolverHost):
         """
 
         def note(result: SatResult) -> None:
-            self.conflicts += result.conflicts
+            self._counters["conflicts"] += result.conflicts
 
         return lex_min_model(solver, sorted(self.context.input_vars().values()),
                              model, deadline=solver.deadline, on_solve=note)
@@ -491,28 +445,30 @@ class IncrementalSmtSession(WarmSolverHost):
     def check(self, deadline: Optional[float] = None) -> SmtResult:
         """Decide satisfiability of everything asserted so far."""
         start = time.monotonic()
-        self.checks += 1
+        counters = self._counters
+        counters["checks"] += 1
         if self._root_unsat:
             return SmtResult("unsat", None, "normalise", time.monotonic() - start)
         if deadline is not None and time.monotonic() > deadline:
             return SmtResult("unknown", None, "timeout", time.monotonic() - start)
 
-        conflicts_before = self.conflicts
+        conflicts_before = counters["conflicts"]
         solver = self._sync_solver()
         solver.deadline = deadline
         sat_result = solver.solve()
-        self.conflicts += sat_result.conflicts
+        counters["conflicts"] += sat_result.conflicts
         if sat_result.is_unsat:
             return SmtResult("unsat", None, "sat:incremental",
                              time.monotonic() - start,
-                             self.conflicts - conflicts_before)
+                             counters["conflicts"] - conflicts_before)
         model = None
         if sat_result.is_sat:
-            # _lex_minimize adds its assumption-solve conflicts to
-            # self.conflicts, so the delta below covers the whole check.
+            # _lex_minimize adds its assumption-solve conflicts to the
+            # session's conflict tally, so the delta below covers the
+            # whole check.
             model = self._lex_minimize(solver, sat_result.model)
         elapsed = time.monotonic() - start
-        query_conflicts = self.conflicts - conflicts_before
+        query_conflicts = counters["conflicts"] - conflicts_before
         if model is None:
             return SmtResult("unknown", None, "timeout", elapsed,
                              query_conflicts)

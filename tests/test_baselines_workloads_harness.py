@@ -246,23 +246,45 @@ class TestCli:
                           "--timeout", "30", "--no-validate"])
         assert exit_code in (2, 3)
 
-    @pytest.mark.parametrize("arch,source,message", [
+    @pytest.mark.parametrize("arch,source,extra,message", [
         ("no-such-fpga",
          "module m(input [3:0] a, b, output [3:0] out); assign out = a & b; "
          "endmodule",
-         "unknown architecture 'no-such-fpga'"),
+         [], "unknown architecture 'no-such-fpga'"),
         ("intel-cyclone10lp",
          "module m(input [3:0] a, output reg [3:0] out); always @(*) out = a; "
          "endmodule",
-         "expected posedge"),
-    ], ids=["unknown-arch", "unsupported-verilog"])
+         [], "expected posedge"),
+        ("intel-cyclone10lp",
+         "module m(input [3:0] a, b, output [3:0] out); assign out = a & b; "
+         "endmodule",
+         ["--module", "nope"], "no module named 'nope'"),
+    ], ids=["unknown-arch", "unsupported-verilog", "missing-module"])
     def test_input_error_is_one_line_and_exit_1(self, tmp_path, capsys,
-                                                arch, source, message):
+                                                arch, source, extra, message):
         path = tmp_path / "design.v"
         path.write_text(source)
-        exit_code = main([str(path), "--arch-desc", arch, "--no-validate"])
+        exit_code = main([str(path), "--arch-desc", arch, "--no-validate",
+                          *extra])
         stderr = capsys.readouterr().err
         assert exit_code == 1
         assert "Traceback" not in stderr
         [line] = stderr.splitlines()
         assert line.startswith("lakeroad map: error: ") and message in line
+
+    def test_stats_on_a_cache_hit_reports_no_solve(self, tmp_path, capsys):
+        path = tmp_path / "and4.v"
+        path.write_text("module and4(input [3:0] a, b, output [3:0] out); "
+                        "assign out = a & b; endmodule")
+        argv = [str(path), "--arch-desc", "lattice-ecp5", "--stats",
+                "--no-validate", "--cache-dir", str(tmp_path / "cache")]
+        cold_exit = main(argv)
+        cold = capsys.readouterr().err
+        assert main(argv) == cold_exit
+        warm = capsys.readouterr().err
+        assert "solver counters:" in cold and "propagations: " in cold
+        assert "answered from the cache" not in cold
+        # The hit replays an archived solve: it must not print that solve's
+        # counters as if it had just run.
+        assert "solver: answered from the cache; no solve ran" in warm
+        assert "solver counters:" not in warm and "propagations" not in warm

@@ -366,7 +366,7 @@ class TestProbeTelemetry:
                                          sketch=bvult(x, k))],
                              {"k": 4}, solver=SmtSolver(seed=0))
         assert outcome.status == "sat"
-        assert outcome.probe_lanes_evaluated > 0
+        assert outcome.stats["probe_lanes_evaluated"] > 0
 
     def test_zero_probes_disables_probing_and_telemetry(self):
         from repro.smt.cegis import Obligation, synthesize
@@ -381,10 +381,12 @@ class TestProbeTelemetry:
                               {"k": 4}, random_probes=0,
                               solver=SmtSolver(random_probes=0, seed=0))
         assert unprobed.status == probed.status == "sat"
-        assert unprobed.probe_lanes_evaluated == 0
-        assert unprobed.probe_hits == 0
+        assert unprobed.stats["probe_lanes_evaluated"] == 0
+        assert unprobed.stats["probe_hits"] == 0
 
     def test_record_and_sweep_aggregation(self):
+        from dataclasses import replace
+
         from repro.engine.parallel import SweepResult
         from repro.engine.session import MappingSession
         from repro.harness.runner import ExperimentConfig, map_benchmark
@@ -395,14 +397,28 @@ class TestProbeTelemetry:
         with MappingSession() as session:
             record = map_benchmark(session, benchmark, ExperimentConfig())
             cached = map_benchmark(session, benchmark, ExperimentConfig())
-        assert record.probe_lanes_evaluated > 0
+        assert record.stats["probe_lanes_evaluated"] > 0
         assert cached.cache_hit
-        # Sweep aggregation counts only the records that ran synthesis.
+        # A hit replays the counters of the solve that produced it...
+        assert cached.stats == record.stats
+        # ...but sweep aggregation counts only the records that ran
+        # synthesis.
         sweep = SweepResult(records=[record, cached])
-        assert sweep.probe_lanes_evaluated == record.probe_lanes_evaluated
-        assert sweep.probe_hits == record.probe_hits
-        assert sweep.prefilter_cex_found == record.prefilter_cex_found
-        # And the wire format round-trips the new fields.
+        for key in ("probe_lanes_evaluated", "probe_hits",
+                    "prefilter_cex_found", "propagations"):
+            assert sweep.stats[key] == record.stats[key], key
+        # Counters add, except the db_size_peak high-water mark, which
+        # keeps the maximum; the cache hit's larger numbers never count.
+        small = replace(record, stats=dict(record.stats, db_size_peak=5,
+                                           propagations=7))
+        large = replace(record, stats=dict(record.stats, db_size_peak=9,
+                                           propagations=11))
+        hit = replace(cached, stats=dict(cached.stats, db_size_peak=100,
+                                         propagations=1000))
+        totals = SweepResult(records=[small, hit, large]).stats
+        assert totals["db_size_peak"] == 9
+        assert totals["propagations"] == 18
+        # And the wire format round-trips the counters map.
         assert type(record).from_dict(record.to_dict()) == record
 
     def test_cache_key_separates_probe_budgets(self):

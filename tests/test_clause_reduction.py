@@ -258,13 +258,13 @@ class TestSessionReduction:
         session.assert_constraints([bvult(bv(6, 5), bvvar("h", 5)),
                                     bvult(bvvar("h", 5), bv(30, 5))])
         session.check()
-        deleted_before = session.clauses_deleted
-        peak_before = session.db_size_peak
+        before = session.stats()
         session.restart()
-        assert session.clauses_deleted == deleted_before
-        assert session.db_size_peak == peak_before
+        after = session.stats()
+        assert after["clauses_deleted"] == before["clauses_deleted"]
+        assert after["db_size_peak"] == before["db_size_peak"]
         session.check()
-        assert session.clauses_deleted >= deleted_before
+        assert session.stats()["clauses_deleted"] >= before["clauses_deleted"]
 
 
 class TestCegisModeEqualityUnderReduction:
@@ -301,13 +301,13 @@ class TestCegisModeEqualityUnderReduction:
                             random_probes=0, initial_random_examples=0,
                             reduce_interval=2, max_lbd_keep=0)
         assert result.succeeded
-        assert result.db_size_peak > 0
-        assert result.clauses_deleted >= 0
+        assert result.stats["db_size_peak"] > 0
+        assert result.stats["clauses_deleted"] >= 0
         # At default (patient) knobs these instances never trigger a
         # reduction, so the deletion counter stays zero.
         patient = synthesize(obligations, holes, solver=SmtSolver(seed=0),
                              random_probes=0, initial_random_examples=0)
-        assert patient.clauses_deleted == 0
+        assert patient.stats["clauses_deleted"] == 0
 
     def test_throwaway_session_telemetry_is_counted(self):
         # From-scratch mode builds a throwaway candidate session per
@@ -327,8 +327,8 @@ class TestCegisModeEqualityUnderReduction:
         assert result.succeeded and not result.incremental
         assert result.hole_values in ({"h1": 59, "h2": 61},
                                       {"h1": 61, "h2": 59})
-        assert result.db_size_peak > 0
-        assert result.clauses_deleted > 0
+        assert result.stats["db_size_peak"] > 0
+        assert result.stats["clauses_deleted"] > 0
 
     def test_budget_still_degrades_cleanly_with_reduction(self):
         obligations, holes = self._interval_instance()

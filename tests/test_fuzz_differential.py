@@ -514,7 +514,7 @@ class TestArenaLegacyDifferential:
                     results[(incremental, incremental_verify)] = (
                         outcome.status, outcome.hole_values,
                         outcome.iterations, outcome.examples_used,
-                        outcome.propagations)
+                        outcome.stats["propagations"])
             return results
 
         for index in range(max(1, CEGIS_CASES // 3)):

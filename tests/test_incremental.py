@@ -224,7 +224,7 @@ class TestIncrementalSmtSession:
         before = session.check().model["h"]
         session.restart()
         assert session.check().model["h"] == before
-        assert session.restarts == 1
+        assert session.stats()["solver_restarts"] == 1
 
     def test_constant_false_constraint_is_root_unsat(self):
         session = IncrementalSmtSession()
@@ -368,12 +368,13 @@ class TestIncrementalCegis:
                             incremental=True, random_probes=0,
                             initial_random_examples=0)
         assert result.succeeded and result.iterations >= 4
-        assert result.candidate_time_seconds > 0
+        assert result.stats["candidate_time_seconds"] > 0
         # From-scratch mode never retains anything by definition.
         scratch = synthesize([obligation], {"k": width, "m": width},
                              incremental=False, random_probes=0,
                              initial_random_examples=0)
-        assert scratch.clauses_retained == 0 and scratch.solver_restarts == 0
+        assert scratch.stats["clauses_retained"] == 0
+        assert scratch.stats["solver_restarts"] == 0
 
     def test_budget_flows_into_incremental_mode(self):
         width = 10
@@ -448,7 +449,7 @@ class TestIncrementalVerify:
         # Canonical counterexample: the smallest x with x < 100 but not x < 90.
         assert wrong.model["x"] == 90
         # The context was built once; checking added no clauses.
-        assert session.checks == 2
+        assert session.stats()["checks"] == 2
 
     def test_verify_session_counterexamples_are_canonical(self):
         from repro.smt.equivalence import IncrementalVerifySession
@@ -464,7 +465,7 @@ class TestIncrementalVerify:
             assert result.model["x"] == expected
         session.restart()
         assert session.check_obligation(0, {"k": 120}).model["x"] == 100
-        assert session.restarts == 1
+        assert session.stats()["solver_restarts"] == 1
 
     def test_failure_core_prefix_blocks_the_candidate(self):
         from repro.smt.equivalence import IncrementalVerifySession
@@ -490,14 +491,14 @@ class TestIncrementalVerify:
                           initial_random_examples=0)
         assert warm.succeeded and warm.iterations >= 4
         assert warm.incremental_verify
-        assert warm.verify_time_seconds > 0
-        assert warm.cores_pruned >= 1  # failures produced pruning cores
+        assert warm.stats["verify_time_seconds"] > 0
+        assert warm.stats["cores_pruned"] >= 1  # failures produced pruning cores
         scratch = synthesize(obligations, holes, incremental_verify=False,
                              solver=SmtSolver(seed=0), random_probes=0,
                              initial_random_examples=0)
         assert not scratch.incremental_verify
-        assert scratch.cores_pruned == 0
-        assert scratch.verify_clauses_retained == 0
+        assert scratch.stats["cores_pruned"] == 0
+        assert scratch.stats["verify_clauses_retained"] == 0
 
     def test_mapping_session_incremental_verify_knob(self, mul8_verilog):
         results = {}
@@ -589,7 +590,7 @@ class TestCoreSoundness:
                             random_probes=0, initial_random_examples=0)
         assert result.succeeded
         # Both the final equivalence proof and every failure core audit.
-        assert len(audits) >= result.cores_pruned >= 1
+        assert len(audits) >= result.stats["cores_pruned"] >= 1
         for cnf, core in audits:
             self._assert_core_unsat_from_scratch(cnf, core, "verification core")
 

@@ -1,9 +1,13 @@
 """Tests for the parallel execution layer: sharded sweeps, record
-transport, and baseline labeling."""
+transport, the sweep summary, and baseline labeling."""
+
+import json
 
 import pytest
 
 from repro.baselines import YosysLikeMapper, sota_for
+from repro.cli import main
+from repro.engine import stats
 from repro.engine.parallel import SessionSpec, run_lakeroad_parallel, run_sweep
 from repro.engine.session import MappingSession
 from repro.harness.runner import (
@@ -142,6 +146,71 @@ class TestRecordTransport:
         records_to_jsonl([self._record()], path)
         path.write_text(path.read_text() + "\n\n")
         assert len(records_from_jsonl(path)) == 1
+
+    def test_flat_counter_keys_of_older_records_load(self, tmp_path):
+        # A line as records_to_jsonl wrote it while every counter was its
+        # own top-level key, before they moved into the nested stats map.
+        flat = (
+            '{"tool": "lakeroad", "architecture": "intel-cyclone10lp", '
+            '"benchmark": "mul_w8_p0_u", "form": "mul", "width": 8, '
+            '"stages": 0, "signed": false, "outcome": "success", '
+            '"time_seconds": 0.085, "dsps": 1, "luts": 0, "registers": 0, '
+            '"cache_hit": false, "tool_variant": "", "incremental": true, '
+            '"clauses_retained": 3, "solver_restarts": 1, '
+            '"incremental_verify": true, "verify_clauses_retained": 4, '
+            '"cores_pruned": 2, "clauses_deleted": 5, "db_size_peak": 6, '
+            '"propagations": 201, "watcher_visits": 600, '
+            '"solver_solve_seconds": 0.25, "probe_lanes_evaluated": 32, '
+            '"probe_hits": 1, "prefilter_cex_found": 1}')
+        path = tmp_path / "archived.jsonl"
+        path.write_text(flat + "\n")
+        [record] = records_from_jsonl(path)
+        assert record.stats == dict(
+            stats.new(), clauses_retained=3, solver_restarts=1,
+            verify_clauses_retained=4, cores_pruned=2, clauses_deleted=5,
+            db_size_peak=6, propagations=201, watcher_visits=600,
+            solver_solve_seconds=0.25, probe_lanes_evaluated=32,
+            probe_hits=1, prefilter_cex_found=1)
+        assert record.incremental and record.incremental_verify
+        assert record.outcome == "success" and record.dsps == 1
+        # Written back out, it round-trips in the nested form.
+        rewritten = records_to_jsonl([record], tmp_path / "nested.jsonl")
+        assert records_from_jsonl(rewritten) == [record]
+
+
+# --------------------------------------------------------------------------- #
+# The sweep summary (lakeroad sweep --stats-json)
+# --------------------------------------------------------------------------- #
+class TestSweepSummary:
+    #: Every key a non-distributed sweep summary carries.
+    SUMMARY_KEYS = {
+        "architectures", "cache", "clauses_deleted", "clauses_retained",
+        "cores_pruned", "db_size_peak", "hit_rate", "incremental",
+        "incremental_verify", "interrupted", "outcomes", "portfolio_wins",
+        "prefilter_cex_found", "probe_hits", "probe_lanes_evaluated",
+        "propagations", "propagations_per_second", "random_probes",
+        "record_cache_hits", "solver_restarts", "solver_solve_seconds",
+        "total", "verify_clauses_retained", "watcher_visits",
+        "watcher_visits_per_propagation", "workers",
+    }
+
+    def test_stats_json_keeps_every_summary_key(self, tmp_path, capsys):
+        summary_path = tmp_path / "summary.json"
+        records_path = tmp_path / "records.jsonl"
+        assert main(["sweep", "--arch", "intel-cyclone10lp", "--count", "2",
+                     "--max-width", "8", "--no-cache",
+                     "--jsonl", str(records_path),
+                     "--stats-json", str(summary_path)]) == 0
+        summary = json.loads(summary_path.read_text())
+        assert self.SUMMARY_KEYS <= set(summary)
+        assert summary["total"] == 2 and summary["record_cache_hits"] == 0
+        # The summary's counters are the records' counters, merged.
+        records = records_from_jsonl(records_path)
+        assert summary["probe_lanes_evaluated"] == sum(
+            record.stats["probe_lanes_evaluated"] for record in records) > 0
+        assert summary["db_size_peak"] == max(
+            record.stats["db_size_peak"] for record in records)
+        assert "solver counters:" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------- #
