@@ -61,6 +61,13 @@ class IncrementalCnf:
                 stack.append(left >> 1)
                 stack.append(right >> 1)
 
+        # out <-> left AND right, appended straight to the clause list:
+        # lit_to_cnf never yields the invalid literal 0, and every variable
+        # is an AIG node, so the one num_vars update below covers the batch
+        # (CNF.add_clause keeps checking DIMACS and caller input).  The
+        # clauses are clean too: AIG.and_gate never builds a node with
+        # constant, equal or complementary fan-ins.
+        clauses = self.cnf.clauses
         for index in sorted(needed):
             self._encoded.add(index)
             if self.aig.is_input(index):
@@ -69,10 +76,9 @@ class IncrementalCnf:
             out_var = index + 1
             left_lit = lit_to_cnf(left)
             right_lit = lit_to_cnf(right)
-            # out <-> left AND right
-            self.cnf.add_clause([-out_var, left_lit])
-            self.cnf.add_clause([-out_var, right_lit])
-            self.cnf.add_clause([out_var, -left_lit, -right_lit])
+            clauses.append([-out_var, left_lit])
+            clauses.append([-out_var, right_lit])
+            clauses.append([out_var, -left_lit, -right_lit])
 
         self.cnf.num_vars = max(self.cnf.num_vars, self.aig.num_nodes)
 

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Optional, Sequence
 
 from repro.arch import available_architectures, load_architecture
 from repro.core.templates import available_templates
@@ -45,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "Run 'lakeroad sweep --help' for the parallel evaluation sweep. "
                     "Exit codes: 0 mapped (structural Verilog on stdout), "
                     "1 input error (unknown --arch-desc, a --module the "
-                    "file lacks, or Verilog the frontend rejects), 2 unsat "
+                    "file lacks, Verilog the frontend rejects, or an "
+                    "--output/--cache-dir path it cannot use), 2 unsat "
                     "or a command-line usage error, 3 timeout.")
     parser.add_argument("verilog", help="behavioral Verilog file to map")
     parser.add_argument("--template", default="dsp", choices=available_templates(),
@@ -95,7 +98,14 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         prog="lakeroad sweep",
         description="Run the Lakeroad mapper over sampled microbenchmarks, "
                     "sharded across worker processes with an optional "
-                    "persistent synthesis cache.")
+                    "persistent synthesis cache. "
+                    "Exit codes: 0 swept (unmappable designs are records, "
+                    "not errors), 1 input error (a --jsonl, --stats-json or "
+                    "--cache-dir path it cannot use, checked before any "
+                    "design is mapped) or a failed distributed run, 2 "
+                    "command-line usage error, 130 interrupted and drained; "
+                    "a --worker node exits 4 when the coordinator is "
+                    "unreachable and 5 when it rejects the handshake.")
     parser.add_argument("--arch", action="append", dest="architectures",
                         choices=architectures, default=None,
                         help="architecture to sweep (repeatable; default: all "
@@ -245,7 +255,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
                     "processes with warm sessions behind a deduplicating, "
                     "caching, affinity-routing front door on a unix socket. "
                     "Query it with 'lakeroad request'; stop it with "
-                    "SIGINT/SIGTERM (in-flight requests drain first).")
+                    "SIGINT/SIGTERM (in-flight requests drain first). "
+                    "Exit codes: 0 after a drained shutdown, 1 input error "
+                    "(a --socket or --cache-dir path it cannot use, checked "
+                    "before any worker starts), 2 command-line usage error.")
     parser.add_argument("--socket", default=DEFAULT_SOCKET,
                         help=f"unix socket path (default: {DEFAULT_SOCKET})")
     parser.add_argument("--workers", type=int, default=2,
@@ -364,12 +377,40 @@ def main(argv=None) -> int:
 # --------------------------------------------------------------------------- #
 # lakeroad map (the historical default)
 # --------------------------------------------------------------------------- #
-def _map_input_error(exc: Exception) -> int:
-    """Report input the loader or the HDL frontend rejected; exit code 1."""
+def _input_error(command: str, error) -> int:
+    """Report input ``lakeroad <command>`` rejects in one line; exit code 1."""
     # args[0] is the bare message (a KeyError's str() is its quoted repr).
-    message = exc.args[0] if exc.args else exc
-    print(f"lakeroad map: error: {message}", file=sys.stderr)
+    if isinstance(error, Exception) and error.args:
+        error = error.args[0]
+    print(f"lakeroad {command}: error: {error}", file=sys.stderr)
     return 1
+
+
+def _path_problem(cache_dir: Optional[str] = None,
+                  outputs: Sequence[Optional[str]] = ()) -> Optional[str]:
+    """Why a command could not use its cache directory or an output path.
+
+    Returns None when every path is usable.  Commands call this before any
+    work starts, so a mistyped path fails at once instead of after a whole
+    sweep whose records it would lose.  The cache directory is created here,
+    as the cache itself would create it.
+    """
+    if cache_dir is not None:
+        try:
+            Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return f"cannot create cache directory {cache_dir}: {exc.strerror}"
+    for output in outputs:
+        if output is None:
+            continue
+        target = Path(output)
+        if target.is_dir():
+            return f"cannot create {output}: it is a directory"
+        if not target.parent.is_dir():
+            return f"cannot create {output}: no directory {target.parent}"
+        if not os.access(target.parent, os.W_OK | os.X_OK):
+            return f"cannot create {output}: {target.parent} is not writable"
+    return None
 
 
 def _print_counters(counters) -> None:
@@ -393,14 +434,17 @@ def _main_map(argv) -> int:
 
     if args.probes < 0:
         parser.error("--probes must be non-negative")
+    problem = _path_problem(args.cache_dir, [args.output])
+    if problem:
+        return _input_error("map", problem)
     try:
         design = verilog_to_behavioral(source, args.module)
     except (LexError, ParseError, ElaborationError) as exc:
-        return _map_input_error(exc)
+        return _input_error("map", exc)
     try:
         architecture = load_architecture(args.arch_desc)
     except (KeyError, ValueError) as exc:
-        return _map_input_error(exc)
+        return _input_error("map", exc)
     session = MappingSession(enable_cache=not args.no_cache,
                              cache_dir=args.cache_dir,
                              incremental=args.incremental,
@@ -495,6 +539,9 @@ def _main_sweep(argv) -> int:
     if args.no_cache and args.cache_dir:
         parser.error("--no-cache and --cache-dir are contradictory: a "
                      "disabled cache never persists anything")
+    problem = _path_problem(args.cache_dir, [args.jsonl, args.stats_json])
+    if problem:
+        return _input_error("sweep", problem)
     architectures = args.architectures or sorted(ARCHITECTURE_WORKLOADS)
 
     benchmarks = []
@@ -830,6 +877,9 @@ def _main_serve(argv) -> int:
         parser.error("--max-pending must be at least 1")
     if args.client_queue is not None and args.client_queue < 1:
         parser.error("--client-queue must be at least 1")
+    problem = _path_problem(args.cache_dir, [args.socket])
+    if problem:
+        return _input_error("serve", problem)
 
     spec = SessionSpec(cache_dir=args.cache_dir,
                        enable_cache=not args.no_cache,

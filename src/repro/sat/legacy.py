@@ -13,7 +13,9 @@ bench_propagation.py`` race the arena against.  Select it through the
 
 The only additions over the historical code are the cumulative telemetry
 counters (``propagations_total``, ``watcher_visits``, ``solve_seconds``)
-that the warm solver host reads from whichever engine it drives.
+that the warm solver host reads from whichever engine it drives, and
+``add_clauses``, the batch entry point it loads clauses through (here a
+loop over ``add_clause``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class LegacyCDCLSolver:
     """Conflict-driven clause-learning SAT solver over a :class:`CNF`.
 
     ``cnf`` may be omitted to start from an empty clause database and grow
-    it with :meth:`add_clause` (the incremental usage).  The constructor
+    it with :meth:`add_clauses` (the incremental usage).  The constructor
     copies clauses, so the input CNF is never mutated by the solver's watch
     reordering.
     """
@@ -176,6 +178,16 @@ class LegacyCDCLSolver:
         self.clauses.append(reduced)
         self.watches.setdefault(reduced[0], []).append(index)
         self.watches.setdefault(reduced[1], []).append(index)
+        return self._ok
+
+    def add_clauses(self, clauses: Sequence[Sequence[int]]) -> bool:
+        """Add clauses in order, one :meth:`add_clause` call each.
+
+        The arena solver's batch entry point, here as the per-clause
+        reference: both leave the same database, watches and trail.
+        """
+        for clause in clauses:
+            self.add_clause(clause)
         return self._ok
 
     def _add_clause(self, clause: List[int], learnt: bool = False) -> bool:

@@ -65,8 +65,9 @@ clauses, models, unsat cores — is therefore bit-for-bit identical to
 :class:`~repro.sat.legacy.LegacyCDCLSolver`, which the differential fuzz
 suite asserts directly.
 
-The solver is *incremental*: :meth:`CDCLSolver.add_clause` may be called
-after a :meth:`CDCLSolver.solve`, and repeated ``solve(assumptions=...)``
+The solver is *incremental*: :meth:`CDCLSolver.add_clauses` (and its
+one-clause form :meth:`CDCLSolver.add_clause`) may be called after a
+:meth:`CDCLSolver.solve`, and repeated ``solve(assumptions=...)``
 calls reuse the learned-clause database, variable activities and saved
 phases of earlier calls.  When a query is unsatisfiable under assumptions,
 :attr:`CDCLSolver.last_core` holds the subset of assumption literals
@@ -89,6 +90,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sat.cnf import CNF, complete_model
@@ -308,7 +310,7 @@ class CDCLSolver:
     """Conflict-driven clause-learning SAT solver over a :class:`CNF`.
 
     ``cnf`` may be omitted to start from an empty clause database and grow
-    it with :meth:`add_clause` (the incremental usage).  The constructor
+    it with :meth:`add_clauses` (the incremental usage).  The constructor
     copies clause literals into the arena, so the input CNF is never
     mutated by the solver's watch reordering.
     """
@@ -468,38 +470,59 @@ class CDCLSolver:
         wl.append(first)
 
     def add_clause(self, literals: Sequence[int]) -> bool:
-        """Add a clause to a (possibly already solved-on) solver.
+        """Add one clause: :meth:`add_clauses` with a one-clause batch."""
+        return self.add_clauses((literals,))
 
-        This is the incremental entry point: the solver first backtracks to
-        decision level 0, then attaches the clause with the root-level
-        assignment taken into account — literals already false at level 0
-        are dropped (they are false forever), and a clause already satisfied
-        at level 0 is skipped entirely.  Returns ``False`` once the clause
-        database has become unsatisfiable.
+    def add_clauses(self, clauses: Sequence[Sequence[int]]) -> bool:
+        """Add clauses, in order, to a (possibly already solved-on) solver.
+
+        This is the incremental entry point.  The solver backtracks to
+        decision level 0 and grows the variable universe to cover the
+        batch, once each; then every clause is attached with the root-level
+        assignment taken into account, exactly as if it had been added on
+        its own:
+
+        * duplicate literals are dropped;
+        * a tautology, or a clause already satisfied at level 0, is skipped;
+        * literals already false at level 0 are dropped (false forever);
+        * a clause left with one literal enqueues it as a level-0 unit,
+          which the clauses after it in the batch already see;
+        * a clause left empty makes the database unsatisfiable.
+
+        Units are enqueued, not propagated: the next :meth:`solve`
+        propagates them.  An empty batch changes nothing, not even the
+        decision levels, so the next solve may still reuse its trail.
+        Returns ``False`` once the clause database has become
+        unsatisfiable.
         """
-        self._cancel_until(0)
-        clause = [int(lit) for lit in literals]
-        if clause:
-            self.ensure_vars(max(abs(lit) for lit in clause))
-        clause = list(dict.fromkeys(clause))
-        if any(-lit in clause for lit in clause):
-            return self._ok  # tautology
-        reduced: List[int] = []
-        for lit in clause:
-            value = self._value(lit)
-            if value is True:
-                return self._ok  # satisfied at level 0 forever
-            if value is None:
-                reduced.append(lit)
-        if not reduced:
-            self._ok = False
-            return False
-        if len(reduced) == 1:
-            if not self._enqueue(reduced[0], -1):
-                self._ok = False
+        if not clauses:
             return self._ok
-        off = self._alloc_clause(reduced, 0, False)
-        self._attach(off, reduced[0], reduced[1])
+        self._cancel_until(0)
+        self.ensure_vars(max(map(abs, chain.from_iterable(clauses)), default=0))
+        vals = self._vals
+        for clause in clauses:
+            # Duplicates and complementary pairs only matter among the
+            # unassigned literals: a pair decided at level 0 has a true
+            # member, so the clause is skipped as satisfied either way.
+            reduced: List[int] = []
+            for lit in clause:
+                value = vals[lit]
+                if value == 0:
+                    if lit in reduced:
+                        continue  # duplicate
+                    if -lit in reduced:
+                        break  # tautology
+                    reduced.append(lit)
+                elif value > 0:
+                    break  # satisfied at level 0 forever
+            else:
+                if len(reduced) > 1:
+                    self._attach(self._alloc_clause(reduced, 0, False),
+                                 reduced[0], reduced[1])
+                elif reduced:
+                    self._enqueue(reduced[0], -1)
+                else:
+                    self._ok = False
         return self._ok
 
     def _add_clause(self, clause: List[int]) -> bool:

@@ -330,8 +330,7 @@ class WarmSolverHost:
             self._solver = CDCLSolver(**self._solver_options)
         cnf = self.context.cnf
         self._solver.ensure_vars(cnf.num_vars)
-        for clause in cnf.clauses[self._synced_clauses:]:
-            self._solver.add_clause(clause)
+        self._solver.add_clauses(cnf.clauses[self._synced_clauses:])
         self._synced_clauses = len(cnf.clauses)
         return self._solver
 

@@ -272,6 +272,46 @@ class TestCli:
         [line] = stderr.splitlines()
         assert line.startswith("lakeroad map: error: ") and message in line
 
+    @pytest.mark.parametrize("command,flag,unusable", [
+        ("sweep", "--jsonl", "missing-directory"),
+        ("sweep", "--stats-json", "missing-directory"),
+        ("sweep", "--cache-dir", "under-a-file"),
+        ("serve", "--socket", "missing-directory"),
+        ("map", "--output", "missing-directory"),
+        ("map", "--cache-dir", "under-a-file"),
+    ], ids=["sweep-jsonl", "sweep-stats-json", "sweep-cache-dir",
+            "serve-socket", "map-output", "map-cache-dir"])
+    def test_unusable_path_is_one_line_and_exit_1(self, tmp_path, capsys,
+                                                  monkeypatch, command, flag,
+                                                  unusable):
+        import repro.cli
+        import repro.engine.parallel
+        import repro.engine.service
+
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the path check")
+
+        # The check must come before any design is mapped or worker forked.
+        monkeypatch.setattr(repro.engine.parallel, "run_sweep", work)
+        monkeypatch.setattr(repro.engine.service, "SolverService", work)
+        monkeypatch.setattr(repro.cli, "MappingSession", work)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        path = str(tmp_path / "missing" / "out") \
+            if unusable == "missing-directory" else str(blocker / "cache")
+        design = tmp_path / "and4.v"
+        design.write_text("module and4(input [3:0] a, b, output [3:0] out); "
+                          "assign out = a & b; endmodule")
+        argv = {"sweep": ["sweep", "--arch", "intel-cyclone10lp",
+                          "--count", "1"],
+                "serve": ["serve"],
+                "map": [str(design), "--arch-desc", "intel-cyclone10lp"]}
+        exit_code = main([*argv[command], flag, path])
+        stderr = capsys.readouterr().err
+        assert exit_code == 1
+        [line] = stderr.splitlines()
+        assert line.startswith(f"lakeroad {command}: error: ") and path in line
+
     def test_stats_on_a_cache_hit_reports_no_solve(self, tmp_path, capsys):
         path = tmp_path / "and4.v"
         path.write_text("module and4(input [3:0] a, b, output [3:0] out); "

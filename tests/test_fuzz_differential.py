@@ -59,6 +59,7 @@ from repro.bv import (
 from repro.bv.bitblast import BitBlaster
 from repro.bv.bitsim import PackedEvaluator, pack_assignments, unpack_lane
 from repro.bv.eval import evaluate, var_widths
+from repro.bv.simplify import substitute
 from repro.engine.backends import backend_by_name
 from repro.sat.cnf import CNF
 from repro.smt.cegis import Obligation, synthesize
@@ -171,6 +172,55 @@ def _assignments(variables):
             assignment[name] = shift & ((1 << width) - 1)
             shift >>= width
         yield assignment
+
+
+def _warm_verify_case(rng: random.Random):
+    """A realizable CEGIS case that queries the verify session twice.
+
+    Returns ``(holes, spec, sketch)``.  The spec is the sketch with ``h0``
+    bound to a random nonzero value, written as ``(bound + m) - m`` for a
+    random input expression ``m`` so that it is not the DAG of any filled
+    sketch.  Draws repeat until brute force shows that
+
+    * ``h0 = 0`` matches the spec on the three fixed initial examples
+      (inputs all zeros, all ones, all 1) but not on every input;
+    * no correct ``h0`` value folds the miter to a constant.
+
+    With no random initial examples, CEGIS then tries and refutes the
+    all-zeros candidate first, and can accept a correct candidate only
+    after a SAT query.  In the incremental-verify modes these are two
+    verify-session queries (the refuted candidate's failure core, then
+    the check on the warm solver).  With random probing off, every
+    candidate after the all-zeros one comes from a SAT query as well.
+    """
+    while True:
+        width = rng.randint(1, 3)
+        inputs = {"a": rng.randint(1, 3), "b": rng.randint(1, 2)}
+        holes = {"h0": rng.randint(1, 3)}
+        sketch = _random_expr(rng, {**inputs, **holes}, width,
+                              rng.randint(1, 4))
+        value = rng.randint(1, (1 << holes["h0"]) - 1)
+        mask = _random_expr(rng, inputs, width, rng.randint(1, 2))
+        if "h0" not in var_widths(sketch):
+            continue
+        bound = substitute(sketch, {"h0": bv(value, holes["h0"])})
+        spec = bvsub(bvadd(bound, mask), mask)
+        fixed = ({name: 0 for name in inputs},
+                 {name: (1 << bits) - 1 for name, bits in inputs.items()},
+                 {name: 1 for name in inputs})
+        if any(evaluate(sketch, {**point, "h0": 0}) != evaluate(spec, point)
+               for point in fixed):
+            continue
+        points = list(_assignments(inputs))
+        correct = [candidate for candidate in range(1 << holes["h0"])
+                   if all(evaluate(sketch, {**point, "h0": candidate})
+                          == evaluate(spec, point) for point in points)]
+        if correct[0] == 0:
+            continue
+        if not any(bvne(substitute(sketch, {"h0": bv(candidate,
+                                                     holes["h0"])}),
+                        spec).is_const() for candidate in correct):
+            return holes, spec, sketch
 
 
 _FULL_BINARY_OPS = (bvadd, bvsub, bvmul, bvand, bvor, bvxor, bvxnor,
@@ -501,8 +551,24 @@ class TestArenaLegacyDifferential:
     def test_cegis_modes_on_legacy_solver_match_arena(self, monkeypatch):
         import repro.smt.solver as smt_solver
         from repro.sat.legacy import LegacyCDCLSolver
+        from repro.smt.equivalence import IncrementalVerifySession
 
-        def run_modes(obligation, holes, case_seed):
+        #: Legacy-engine loads by session: the candidate side (warm or
+        #: throwaway), the verify session, and the verify session's later
+        #: loads, which add an empty batch to a solver that may still hold
+        #: the previous query's decision levels.
+        syncs = dict.fromkeys(("candidate", "verify", "verify_warm"), 0)
+        sync_solver = smt_solver.WarmSolverHost._sync_solver
+
+        def counting_sync(host):
+            if isinstance(host, IncrementalVerifySession):
+                syncs["verify"] += 1
+                syncs["verify_warm"] += host._solver is not None
+            else:
+                syncs["candidate"] += 1
+            return sync_solver(host)
+
+        def run_modes(obligation, holes, case_seed, options):
             results = {}
             for incremental in (False, True):
                 for incremental_verify in (False, True):
@@ -510,14 +576,32 @@ class TestArenaLegacyDifferential:
                         [obligation], holes, incremental=incremental,
                         incremental_verify=incremental_verify,
                         solver=SmtSolver(seed=0), seed=case_seed & 0xFFFF,
-                        max_iterations=256)
+                        max_iterations=256, **options)
                     results[(incremental, incremental_verify)] = (
                         outcome.status, outcome.hole_values,
                         outcome.iterations, outcome.examples_used,
-                        outcome.stats["propagations"])
+                        outcome.stats["propagations"],
+                        outcome.stats["watcher_visits"])
             return results
 
-        for index in range(max(1, CEGIS_CASES // 3)):
+        def compare(stream, case_seed, holes, spec, sketch, **options):
+            obligation = Obligation(spec=spec, sketch=sketch)
+            arena_runs = run_modes(obligation, holes, case_seed, options)
+            with monkeypatch.context() as patch:
+                patch.setattr(smt_solver, "CDCLSolver", LegacyCDCLSolver)
+                patch.setattr(smt_solver.WarmSolverHost, "_sync_solver",
+                              counting_sync)
+                legacy_runs = run_modes(obligation, holes, case_seed, options)
+            assert arena_runs == legacy_runs, \
+                (f"CEGIS diverged between engines on spec={spec!r} "
+                 f"sketch={sketch!r}: {arena_runs!r} != {legacy_runs!r} "
+                 f"{_replay(stream, case_seed)}")
+
+        cases = max(1, CEGIS_CASES // 3)
+        # Independent spec/sketch pairs, default options: often
+        # unrealizable (the no-candidate outcome, core pruning), and at
+        # small scale mostly closed by the probe layers.
+        for index in range(cases):
             case_seed = _case_seed("cegis-legacy", index)
             rng = random.Random(case_seed)
             width = rng.randint(1, 3)
@@ -526,15 +610,23 @@ class TestArenaLegacyDifferential:
             spec = _random_expr(rng, inputs, width, rng.randint(1, 3))
             sketch = _random_expr(rng, {**inputs, **holes}, width,
                                   rng.randint(1, 4))
-            obligation = Obligation(spec=spec, sketch=sketch)
-            arena_runs = run_modes(obligation, holes, case_seed)
-            with monkeypatch.context() as patch:
-                patch.setattr(smt_solver, "CDCLSolver", LegacyCDCLSolver)
-                legacy_runs = run_modes(obligation, holes, case_seed)
-            assert arena_runs == legacy_runs, \
-                (f"CEGIS diverged between engines on spec={spec!r} "
-                 f"sketch={sketch!r}: {arena_runs!r} != {legacy_runs!r} "
-                 f"{_replay('cegis-legacy', case_seed)}")
+            compare("cegis-legacy", case_seed, holes, spec, sketch)
+        # Cases that load the warm solvers at any scale (_warm_verify_case).
+        before = dict(syncs)
+        for index in range(cases):
+            case_seed = _case_seed("cegis-legacy-warm", index)
+            holes, spec, sketch = _warm_verify_case(random.Random(case_seed))
+            compare("cegis-legacy-warm", case_seed, holes, spec, sketch,
+                    random_probes=0, initial_random_examples=0)
+        loads = {kind: syncs[kind] - before[kind] for kind in syncs}
+        # Per case: every mode loads a candidate solver for the candidate
+        # after the all-zeros one; each incremental-verify mode loads its
+        # verify session for the all-zeros failure core, then again, warm,
+        # to accept the final candidate.
+        assert loads["candidate"] >= 4 * cases and \
+            loads["verify"] >= 4 * cases and \
+            loads["verify_warm"] >= 2 * cases, \
+            f"legacy-engine loads over {cases} warm-verify cases: {loads}"
 
 
 # --------------------------------------------------------------------------- #

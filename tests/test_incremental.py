@@ -115,6 +115,94 @@ class TestIncrementalCdcl:
         # Root-level unsat is permanent.
         assert solver.solve().is_unsat
 
+    def test_bulk_loading_matches_per_clause_loading(self):
+        """``add_clauses`` must leave exactly the state clause-by-clause
+        loading leaves — arena, watcher lists, trail, verdict — and the
+        retained per-clause ``LegacyCDCLSolver.add_clause`` (the historical
+        code, an independent oracle) must agree on the clause database,
+        the trail and the next assumption solve.  An empty batch must
+        leave the decision levels of the last solve in place."""
+        from repro.sat.legacy import LegacyCDCLSolver
+
+        def random_batch(rng, num_vars):
+            batch = []
+            for _ in range(rng.randint(1, 3 * num_vars)):
+                clause = [rng.choice((-1, 1)) * rng.randint(1, num_vars)
+                          for _ in range(rng.randint(1, 4))]
+                roll = rng.random()
+                if roll < 0.15:
+                    del clause[1:]  # a unit
+                elif roll < 0.25:
+                    clause.insert(rng.randint(0, len(clause)),
+                                  rng.choice(clause))  # a duplicate literal
+                elif roll < 0.35:
+                    clause.insert(rng.randint(0, len(clause)),
+                                  -rng.choice(clause))  # a tautology
+                elif roll < 0.36:
+                    clause = []  # the database turns unsat
+                batch.append(clause)
+            return batch
+
+        def outcome(solver, result):
+            model = None if result.model is None else list(result.model.items())
+            return (result.status, model, result.conflicts, result.decisions,
+                    result.propagations, result.restarts, solver.last_core)
+
+        rng = random.Random(41)
+        seen = dict.fromkeys(("above_root", "root_true", "root_false",
+                              "empty", "empty_batch_above_root"), 0)
+        for case in range(80):
+            num_vars = rng.randint(3, 10)
+            config = {"reduce_interval": 2, "max_lbd_keep": 0} \
+                if case % 2 else {}
+            bulk, single = CDCLSolver(**config), CDCLSolver(**config)
+            reference = LegacyCDCLSolver(**config)
+            assumptions = []
+            for step in range(rng.randint(1, 5)):
+                # Now and then nothing is added, as in a warm session's
+                # later syncs, and the same assumptions are solved again.
+                batch = [] if step and rng.random() < 0.3 else \
+                    random_batch(rng, num_vars)
+                levels = (list(bulk.trail), list(bulk.trail_lim))
+                seen["above_root"] += bool(batch and bulk.trail_lim)
+                seen["empty"] += [] in batch
+                verdicts = [bulk.add_clauses(batch), single._ok, reference._ok]
+                for clause in batch:
+                    verdicts[1] = single.add_clause(clause)
+                    for lit in clause:  # decided at level 0 before this clause
+                        if reference.level.get(abs(lit)) == 0:
+                            seen["root_true" if reference._value(lit)
+                                 else "root_false"] += 1
+                    verdicts[2] = reference.add_clause(clause)
+                context = f"case {case}, batch {batch!r}"
+                assert verdicts[0] == verdicts[1] == verdicts[2], context
+                assert bulk._ok == single._ok == reference._ok, context
+                assert bulk._arena == single._arena, context
+                assert list(bulk.watcher_entries()) == \
+                    list(single.watcher_entries()), context
+                assert bulk.trail == single.trail == reference.trail, context
+                assert bulk.trail_lim == single.trail_lim == \
+                    reference.trail_lim, context
+                database = [bulk.clause_literals(ref)
+                            for ref, *_ in bulk.iter_clause_refs()]
+                assert database == [clause for clause in reference.clauses
+                                    if clause is not None], context
+                if batch:
+                    assumptions = [
+                        rng.choice((-1, 1)) * rng.randint(1, num_vars)
+                        for _ in range(rng.randint(0, 2))]
+                else:
+                    # The decision levels survive, so the solve below can
+                    # reuse the trail they hold.
+                    assert (bulk.trail, bulk.trail_lim) == levels, context
+                    seen["empty_batch_above_root"] += \
+                        bool(levels[1] and assumptions)
+                results = [outcome(solver, solver.solve(assumptions))
+                           for solver in (bulk, single, reference)]
+                assert results[0] == results[1] == results[2], context
+        # The sample must exercise every rule the loader applies.
+        assert all(seen.values()), seen
+
     def test_learned_clauses_retained_across_calls(self):
         rng = random.Random(3)
         # A pigeonhole-flavoured instance that forces real conflicts.
@@ -483,6 +571,40 @@ class TestIncrementalVerify:
         for name, bit, value in prefix:
             assert name == "k"
             assert (90 >> bit) & 1 == value
+
+    def test_warm_verify_queries_match_the_legacy_engine(self, monkeypatch):
+        """Every verify query after the first loads an empty clause batch
+        into the warm solver.  That must keep the last query's decision
+        levels, as the per-clause legacy engine does, so trail reuse and
+        every counter come out the same on both engines."""
+        import repro.smt.solver as smt_solver
+        from repro.sat.legacy import LegacyCDCLSolver
+        from repro.smt.equivalence import IncrementalVerifySession
+
+        obligations, holes = self._interval_instance()
+
+        def run():
+            session = IncrementalVerifySession(obligations, holes)
+            answers = []
+            for candidate in ({"k": 690, "m": 300}, {"k": 700, "m": 310},
+                              {"k": 700, "m": 300}):
+                result = session.check_obligation(0, candidate)
+                answers.append(result.status)
+                if result.is_sat:
+                    counterexample = {"x": result.model["x"]}
+                    answers.append(counterexample)
+                    answers.append(session.failure_core(0, candidate,
+                                                        counterexample))
+            counters = {key: value for key, value in session.stats().items()
+                        if not key.endswith("_seconds")}
+            return answers, counters
+
+        arena = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(smt_solver, "CDCLSolver", LegacyCDCLSolver)
+            legacy = run()
+        assert arena == legacy
+        assert arena[0][-1] == "unsat"  # the last candidate is correct
 
     def test_verify_stats_reported(self):
         obligations, holes = self._interval_instance()
