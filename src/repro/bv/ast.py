@@ -244,5 +244,9 @@ class BVExpr:
 
 
 def reset_intern_table() -> None:
-    """Clear the global intern table (used by tests to bound memory)."""
+    """Clear the global intern table (used by tests to bound memory), and
+    the builder's extract memo, whose entries are keyed on interned nodes."""
+    from repro.bv.builder import _EXTRACT_MEMO
+
     BVExpr._intern.clear()
+    _EXTRACT_MEMO.clear()

@@ -287,8 +287,25 @@ def bvconcat(*args: BVExpr) -> BVExpr:
     return BVExpr("concat", width, tuple(merged))
 
 
+#: ``bvextract`` results keyed on ``(hi, lo, node)``.  Nodes are interned,
+#: so the rewrite is a pure function of its arguments and a hit is the very
+#: node the recursion would build again.  Without the memo an extract walks
+#: every path of a shared DAG instead of every node once.  It lives as long
+#: as the intern table; ``reset_intern_table`` clears both.
+_EXTRACT_MEMO: dict = {}
+
+
 def bvextract(hi: int, lo: int, a: BVExpr) -> BVExpr:
     """Extract bits ``hi`` down to ``lo`` (inclusive, 0-indexed from the LSB)."""
+    key = (hi, lo, a)
+    result = _EXTRACT_MEMO.get(key)
+    if result is None:
+        result = _EXTRACT_MEMO[key] = _extract(hi, lo, a)
+    return result
+
+
+def _extract(hi: int, lo: int, a: BVExpr) -> BVExpr:
+    """The rewrite rules behind :func:`bvextract` (which memoizes them)."""
     if not (0 <= lo <= hi < a.width):
         raise ValueError(f"bad extract [{hi}:{lo}] from width {a.width}")
     width = hi - lo + 1

@@ -386,6 +386,15 @@ def _input_error(command: str, error) -> int:
     return 1
 
 
+def _reject_negative(parser, args, *options: str) -> None:
+    """``parser.error`` (exit 2) on the first of ``options`` given a negative
+    value; an option left unset (``None``) passes."""
+    for option in options:
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value is not None and value < 0:
+            parser.error(f"{option} must be non-negative")
+
+
 def _path_problem(cache_dir: Optional[str] = None,
                   outputs: Sequence[Optional[str]] = ()) -> Optional[str]:
     """Why a command could not use its cache directory or an output path.
@@ -427,13 +436,12 @@ def _main_map(argv) -> int:
     if args.no_cache and args.cache_dir:
         parser.error("--no-cache and --cache-dir are contradictory: a "
                      "disabled cache never persists anything")
+    _reject_negative(parser, args, "--probes", "--timeout", "--extra-cycles")
     source_path = Path(args.verilog)
     if not source_path.exists():
         parser.error(f"no such file: {args.verilog}")
     source = source_path.read_text()
 
-    if args.probes < 0:
-        parser.error("--probes must be non-negative")
     problem = _path_problem(args.cache_dir, [args.output])
     if problem:
         return _input_error("map", problem)
@@ -531,6 +539,7 @@ def _main_sweep(argv) -> int:
 
     parser = build_sweep_parser()
     args = parser.parse_args(argv)
+    _reject_negative(parser, args, "--probes", "--timeout")
     if args.coordinator and args.worker:
         parser.error("--coordinator and --worker are mutually exclusive: a "
                      "node is one or the other")
@@ -556,8 +565,6 @@ def _main_sweep(argv) -> int:
         parser.error("the requested sample is empty (raise --count/--max-width; "
                      "the narrowest enumerated benchmarks are 8 bits wide)")
 
-    if args.probes < 0:
-        parser.error("--probes must be non-negative")
     config = ExperimentConfig(validate=args.validate, template=args.template,
                               workers=args.workers, cache_dir=args.cache_dir,
                               incremental=args.incremental,
@@ -789,8 +796,7 @@ def _main_bench(argv) -> int:
     args = parser.parse_args(argv)
     if args.diff is not None:
         return _main_bench_diff(args, parser)
-    if args.probes < 0:
-        parser.error("--probes must be non-negative")
+    _reject_negative(parser, args, "--probes")
 
     snapshot = run_bench(architectures=args.architectures,
                          count=args.count, seed=args.seed,
@@ -864,8 +870,7 @@ def _main_serve(argv) -> int:
     if args.no_cache and args.cache_dir:
         parser.error("--no-cache and --cache-dir are contradictory: a "
                      "disabled cache never persists anything")
-    if args.probes < 0:
-        parser.error("--probes must be non-negative")
+    _reject_negative(parser, args, "--probes")
     if args.workers < 1:
         parser.error("--workers must be at least 1")
     min_workers = args.workers if args.min_workers is None else args.min_workers
@@ -925,6 +930,7 @@ def _main_request(argv) -> int:
 
     parser = build_request_parser()
     args = parser.parse_args(argv)
+    _reject_negative(parser, args, "--timeout", "--extra-cycles", "--retries")
     source_path = Path(args.verilog)
     if not source_path.exists():
         parser.error(f"no such file: {args.verilog}")
@@ -944,8 +950,6 @@ def _main_request(argv) -> int:
 
     if args.deadline <= 0:
         parser.error("--deadline must be positive")
-    if args.retries < 0:
-        parser.error("--retries must be non-negative")
     try:
         with ServiceClient(args.socket, connect_timeout=5.0) as client:
             response = client.request(payload, timeout=args.deadline,

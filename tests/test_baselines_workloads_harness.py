@@ -216,6 +216,32 @@ class TestHarness:
             "intel-cyclone10lp")
 
 
+@pytest.fixture
+def cli_argv(tmp_path, monkeypatch):
+    """A command line per subcommand that reaches no real work: stubs fail
+    the test if a command maps a design, forks workers or dials a server,
+    so every argument and path check must come first."""
+    import repro.cli
+    import repro.engine.parallel
+    import repro.engine.service
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the argument checks")
+
+    monkeypatch.setattr(repro.engine.parallel, "run_sweep", work)
+    monkeypatch.setattr(repro.engine.service, "SolverService", work)
+    monkeypatch.setattr(repro.engine.service, "ServiceClient", work)
+    monkeypatch.setattr(repro.cli, "MappingSession", work)
+    design = tmp_path / "and4.v"
+    design.write_text("module and4(input [3:0] a, b, output [3:0] out); "
+                      "assign out = a & b; endmodule")
+    return {"map": [str(design), "--arch-desc", "intel-cyclone10lp"],
+            "sweep": ["sweep", "--arch", "intel-cyclone10lp", "--count", "1"],
+            "serve": ["serve"],
+            "request": ["request", str(design), "--socket",
+                        str(tmp_path / "no.sock")]}
+
+
 class TestCli:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["design.v"])
@@ -282,35 +308,35 @@ class TestCli:
     ], ids=["sweep-jsonl", "sweep-stats-json", "sweep-cache-dir",
             "serve-socket", "map-output", "map-cache-dir"])
     def test_unusable_path_is_one_line_and_exit_1(self, tmp_path, capsys,
-                                                  monkeypatch, command, flag,
+                                                  cli_argv, command, flag,
                                                   unusable):
-        import repro.cli
-        import repro.engine.parallel
-        import repro.engine.service
-
-        def work(*args, **kwargs):
-            raise AssertionError("work started before the path check")
-
-        # The check must come before any design is mapped or worker forked.
-        monkeypatch.setattr(repro.engine.parallel, "run_sweep", work)
-        monkeypatch.setattr(repro.engine.service, "SolverService", work)
-        monkeypatch.setattr(repro.cli, "MappingSession", work)
         blocker = tmp_path / "a-file"
         blocker.write_text("")
         path = str(tmp_path / "missing" / "out") \
             if unusable == "missing-directory" else str(blocker / "cache")
-        design = tmp_path / "and4.v"
-        design.write_text("module and4(input [3:0] a, b, output [3:0] out); "
-                          "assign out = a & b; endmodule")
-        argv = {"sweep": ["sweep", "--arch", "intel-cyclone10lp",
-                          "--count", "1"],
-                "serve": ["serve"],
-                "map": [str(design), "--arch-desc", "intel-cyclone10lp"]}
-        exit_code = main([*argv[command], flag, path])
+        exit_code = main([*cli_argv[command], flag, path])
         stderr = capsys.readouterr().err
         assert exit_code == 1
         [line] = stderr.splitlines()
         assert line.startswith(f"lakeroad {command}: error: ") and path in line
+
+    @pytest.mark.parametrize("command,flag", [
+        ("map", "--extra-cycles"),
+        ("map", "--timeout"),
+        ("sweep", "--timeout"),
+        ("request", "--extra-cycles"),
+        ("request", "--timeout"),
+        ("sweep", "--probes"),
+        ("request", "--retries"),
+    ], ids=["map-extra-cycles", "map-timeout", "sweep-timeout",
+            "request-extra-cycles", "request-timeout", "sweep-probes",
+            "request-retries"])
+    def test_negative_option_is_a_usage_error(self, capsys, cli_argv,
+                                              command, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*cli_argv[command], flag, "-1"])
+        assert exit_info.value.code == 2
+        assert f"{flag} must be non-negative" in capsys.readouterr().err
 
     def test_stats_on_a_cache_hit_reports_no_solve(self, tmp_path, capsys):
         path = tmp_path / "and4.v"

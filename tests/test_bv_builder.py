@@ -1,8 +1,11 @@
 """Unit and property-based tests for the bitvector expression substrate."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.bv.builder as builder
 from repro.bv import (
     bv, bvvar, bvadd, bvsub, bvmul, bvneg, bvnot, bvand, bvor, bvxor, bvxnor,
     bvshl, bvlshr, bvashr, bvconcat, bvextract, bvite, bveq, bvne, bvult,
@@ -153,6 +156,37 @@ class TestStructureOps:
         a, b = bvvar("a", 8), bvvar("b", 8)
         wide = bvadd(zero_extend(a, 8), zero_extend(b, 8))
         assert bvextract(7, 0, wide) is bvadd(a, b)
+
+    def test_extract_is_linear_on_shared_dags(self, monkeypatch):
+        # A ladder of muxes whose branches share the previous rung: 66
+        # nodes, but 2**16 paths from the top to ``x``.
+        levels = 16
+        x, m = bvvar("ladder_x", 16), bvvar("ladder_m", 16)
+        top = x
+        for level in range(levels):
+            top = bvite(bvvar(f"ladder_c{level}", 1), bvand(top, m),
+                        bvxor(top, m))
+        assert top.size() == 66
+        calls = 0
+        extract = builder.bvextract
+
+        def counting(hi, lo, a):
+            nonlocal calls
+            calls += 1
+            return extract(hi, lo, a)
+
+        # The rewrite recurses through the module global, so every nested
+        # extract is counted.
+        monkeypatch.setattr(builder, "bvextract", counting)
+        low = builder.bvextract(7, 0, top)
+        assert calls <= 8 * levels
+        rng = random.Random(0)
+        for _ in range(20):
+            env = {"ladder_x": rng.getrandbits(16),
+                   "ladder_m": rng.getrandbits(16)}
+            env.update((f"ladder_c{level}", rng.getrandbits(1))
+                       for level in range(levels))
+            assert evaluate(low, env) == evaluate(top, env) & 0xFF
 
 
 class TestMuxDistribution:
