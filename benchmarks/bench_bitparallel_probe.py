@@ -1,4 +1,4 @@
-"""Bit-parallel probing: packed vs scalar throughput, and cross-mode identity.
+"""Bit-parallel probing: packed vs scalar throughput, and run-to-run identity.
 
 The packed evaluator (``repro.bv.bitsim``) answers "does any of these 64
 random assignments satisfy the formula?" with word-parallel kernels over
@@ -11,14 +11,14 @@ must hold for it to be shippable:
   really probes;
 * it must be invisible — probing draws from the same seeded RNG stream as
   the historical scalar loop and rewinds it on a hit, so every CEGIS
-  trajectory (statuses, hole values, iteration counts) is identical in all
-  four ``incremental`` x ``incremental_verify`` modes, with probing on or
-  off.
+  trajectory (statuses, hole values, iteration counts) repeats exactly
+  from one fresh session to the next, and turning probing off changes no
+  verdict.
 
 This benchmark asserts both: a >= ``SPEEDUP_FLOOR`` packed-over-scalar
 throughput ratio on real tier-1 equivalence miters (identity of every lane
-checked first), and byte-identical end-to-end mapping outcomes across all
-four modes at the default probe budget.
+checked first), and byte-identical end-to-end mapping outcomes across two
+fresh sessions at the default probe budget.
 """
 
 import random
@@ -139,10 +139,9 @@ def test_packed_probe_throughput_on_tier1_miters(benchmark):
         f"(expected >= {SPEEDUP_FLOOR}x)")
 
 
-def _map_all(incremental: bool, incremental_verify: bool, random_probes: int):
+def _map_all(random_probes: int):
     outcomes = {}
-    with MappingSession(enable_cache=False, incremental=incremental,
-                        incremental_verify=incremental_verify,
+    with MappingSession(enable_cache=False,
                         random_probes=random_probes) as session:
         for benchmark in sample_workloads(ARCH, DESIGN_COUNT, seed=0,
                                           max_width=8):
@@ -160,40 +159,29 @@ def _map_all(incremental: bool, incremental_verify: bool, random_probes: int):
 
 
 @pytest.mark.benchmark(group="bitparallel-probe")
-def test_cegis_outcomes_identical_across_modes(benchmark):
-    """End-to-end mapping with packed probing enabled must be trajectory-
-    identical in all four incremental x incremental_verify modes, and
-    probing must not change which designs solve."""
-    baseline = _map_all(False, False, random_probes=32)
+def test_cegis_outcomes_identical_across_runs(benchmark):
+    """End-to-end mapping with packed probing enabled must repeat its
+    trajectory exactly on a fresh session, and probing must not change
+    which designs solve."""
+    baseline = _map_all(random_probes=32)
     assert any(o["status"] == "success" for o in baseline.values()), (
-        "mode-identity check is vacuous: no tier-1 design solved")
+        "run-identity check is vacuous: no tier-1 design solved")
     assert any(o["probe_lanes"] > 0 for o in baseline.values()), (
-        "mode-identity check is vacuous: packed probing never ran")
+        "run-identity check is vacuous: packed probing never ran")
 
-    modes = [(False, True), (True, False), (True, True)]
-    results = [
-        benchmark.pedantic(_map_all, args=(inc, inc_verify, 32),
-                           iterations=1, rounds=1)
-        if (inc, inc_verify) == modes[-1]
-        else _map_all(inc, inc_verify, 32)
-        for inc, inc_verify in modes
-    ]
-    for (inc, inc_verify), outcomes in zip(modes, results):
-        for name, expected in baseline.items():
-            got = outcomes[name]
-            assert got["status"] == expected["status"], (
-                f"{name}: status diverged in incremental={inc} "
-                f"incremental_verify={inc_verify}")
-            assert got["hole_values"] == expected["hole_values"], (
-                f"{name}: hole values diverged in incremental={inc} "
-                f"incremental_verify={inc_verify}")
-            assert got["iterations"] == expected["iterations"], (
-                f"{name}: iteration count diverged in incremental={inc} "
-                f"incremental_verify={inc_verify}")
+    rerun = benchmark.pedantic(_map_all, args=(32,), iterations=1, rounds=1)
+    for name, expected in baseline.items():
+        got = rerun[name]
+        assert got["status"] == expected["status"], (
+            f"{name}: status diverged between runs")
+        assert got["hole_values"] == expected["hole_values"], (
+            f"{name}: hole values diverged between runs")
+        assert got["iterations"] == expected["iterations"], (
+            f"{name}: iteration count diverged between runs")
 
     # Probing is an accelerator, not an oracle: disabling it may change the
     # CEGIS trajectory (different counterexample order) but never the verdict.
-    unprobed = _map_all(False, False, random_probes=0)
+    unprobed = _map_all(random_probes=0)
     for name, expected in baseline.items():
         assert unprobed[name]["status"] == expected["status"], (
             f"{name}: outcome changed when probing was disabled")
@@ -201,5 +189,5 @@ def test_cegis_outcomes_identical_across_modes(benchmark):
             f"{name}: probes ran despite random_probes=0")
 
     statuses = sorted(o["status"] for o in baseline.values())
-    print(f"\noutcomes identical across all four modes "
+    print(f"\noutcomes identical across runs "
           f"(probes on and off): {statuses}")

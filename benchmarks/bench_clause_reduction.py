@@ -1,10 +1,9 @@
 """Clause-database reduction on a long multi-design warm-solver sweep.
 
-The persistent candidate/verify sessions carry one CDCL solver across a
-whole CEGIS run, and a sweep session lives through many designs — without
-learned-clause management the watch lists grow monotonically with every
-design the solver survives, propagation slows, and memory is unbounded.
-This benchmark replays that lifecycle directly on one incremental
+A CDCL solver kept warm across many queries — without learned-clause
+management — grows its watch lists monotonically with every design it
+survives, so propagation slows and memory is unbounded.  This benchmark
+replays that lifecycle directly on one incremental
 :class:`~repro.sat.solver.CDCLSolver`: a sequence of planted (satisfiable
 by construction) phase-transition 3-SAT "designs" over disjoint variable
 ranges is appended with ``add_clause`` and interrogated with warm

@@ -251,9 +251,8 @@ class IncrementalContext:
     mirroring it.  Because the blaster's cache and the AIG's structural
     hashing are deterministic, a word-level variable bit-blasts to the same
     AIG input — and therefore the same CNF literal — no matter how many
-    expressions have been asserted in between.  CEGIS leans on exactly
-    that: hole variables keep *stable literals* across iterations, and each
-    new counterexample only appends the clauses of its own obligations.
+    expressions have been asserted in between, and each new assertion only
+    appends the clauses of its own cone.
     """
 
     def __init__(self) -> None:
@@ -275,19 +274,6 @@ class IncrementalContext:
         if expr.width != 1:
             raise ValueError("only 1-bit expressions can be asserted")
         self.encoder.assert_lit(self.blaster.blast(expr)[0])
-
-    def gate(self, expr: BVExpr) -> int:
-        """Blast and clause-encode a 1-bit expression *without* asserting it.
-
-        Returns the signed DIMACS literal for the expression's output, to
-        be activated per query as a solver assumption.  The incremental
-        verifier uses this to keep every obligation's miter in one CNF and
-        gate the one under test on with an assumption instead of a unit
-        clause (which would poison every later query).
-        """
-        if expr.width != 1:
-            raise ValueError("only 1-bit expressions can be gated")
-        return self.encoder.gate_literal(self.blaster.blast(expr)[0])
 
     def input_vars(self) -> Dict[str, int]:
         """Stable map from input bit names to CNF variable numbers."""

@@ -33,8 +33,8 @@ Determinism contract: lanes are numbered by *batch position*, callers scan
 hits in lane order (:func:`first_sat_lane` returns the lowest set lane),
 and the probing consumers draw batches from the same seeded RNG streams as
 the historical scalar loops — so the first satisfying lane is exactly the
-first satisfying scalar probe, and packed probing is behavior-identical
-across all four ``incremental`` × ``incremental_verify`` modes.
+first satisfying scalar probe, and packed probing walks the same CEGIS
+trajectories the scalar loops did.
 """
 
 from __future__ import annotations

@@ -7,11 +7,9 @@ so that the constant node 0 gets a dedicated variable forced to FALSE.
 :class:`IncrementalCnf` keeps the encoding alive across queries: the AIG
 may keep growing (structural hashing gives every node a stable index, hence
 a stable CNF variable), and each ``encode``/``assert_lit`` call appends
-clauses only for the cone nodes that have not been clause-ified yet.  This
-is the namespace-stability half of incremental CEGIS: a hole variable's
-bits keep the same CNF literals in every iteration, so learned clauses
-about them remain meaningful.  :func:`aig_to_cnf` is the historical
-one-shot form, now a thin wrapper over a throwaway incremental encoder.
+clauses only for the cone nodes that have not been clause-ified yet.
+:func:`aig_to_cnf` is the historical one-shot form, now a thin wrapper over
+a throwaway incremental encoder.
 """
 
 from __future__ import annotations
@@ -86,19 +84,6 @@ class IncrementalCnf:
         """Constrain an AIG literal to be true (a permanent obligation)."""
         self.encode([lit])
         self.cnf.add_clause([lit_to_cnf(lit)])
-
-    def gate_literal(self, lit: int) -> int:
-        """Encode the cone of an AIG literal and return its DIMACS literal.
-
-        Unlike :meth:`assert_lit` the literal is *not* constrained: the
-        clauses only define the cone, and callers activate (or negate) the
-        output per query by passing the returned literal as a solver
-        assumption.  This is the miter-output idiom of incremental
-        verification — one CNF holds every obligation's miter, and each
-        check gates exactly one of them on.
-        """
-        self.encode([lit])
-        return lit_to_cnf(lit)
 
     def input_vars(self) -> Dict[str, int]:
         """Map from input bit names to their (stable) CNF variable numbers."""

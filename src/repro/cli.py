@@ -69,16 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the session's synthesis cache")
     parser.add_argument("--cache-dir", default=None,
                         help="persist the synthesis cache here (shared across runs)")
-    parser.add_argument("--incremental", action="store_true",
-                        help="thread one persistent CDCL context through each "
-                             "design's CEGIS run (clause reuse across "
-                             "iterations; identical results, less re-solving)")
-    parser.add_argument("--incremental-verify", action="store_true",
-                        help="verify candidates on one persistent "
-                             "assumption-gated miter session (sketch blasted "
-                             "once, hole values bound as assumptions, failure "
-                             "cores pruning the candidate space; identical "
-                             "results to the portfolio verifier)")
     parser.add_argument("--probes", type=int, default=32, dest="probes",
                         help="random-probe budget for the bit-parallel fast "
                              "layers (64 assignments per packed batch; "
@@ -123,15 +113,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None,
                         help="persistent synthesis cache directory shared by "
                              "workers and later runs (default: in-memory only)")
-    parser.add_argument("--incremental", action="store_true",
-                        help="incremental CEGIS inside each worker: one "
-                             "persistent solver context per design, learned "
-                             "clauses reused across iterations")
-    parser.add_argument("--incremental-verify", action="store_true",
-                        help="incremental verification inside each worker: "
-                             "one persistent assumption-gated miter session "
-                             "per design, verification-failure cores pruning "
-                             "the candidate space")
     parser.add_argument("--probes", type=int, default=32, dest="probes",
                         help="random-probe budget for the bit-parallel fast "
                              "layers inside each worker (default: 32)")
@@ -284,10 +265,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "workers and the front door (default: in-memory)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable synthesis caching (dedup still applies)")
-    parser.add_argument("--incremental", action="store_true",
-                        help="incremental CEGIS inside each worker session")
-    parser.add_argument("--incremental-verify", action="store_true",
-                        help="incremental verification inside each worker session")
     parser.add_argument("--probes", type=int, default=32, dest="probes",
                         help="random-probe budget inside each worker (default: 32)")
     return parser
@@ -301,8 +278,13 @@ def build_request_parser() -> argparse.ArgumentParser:
         prog="lakeroad request",
         description="Send one map request to a running 'lakeroad serve' "
                     "and print the MappingRecord as JSON. Exit codes mirror "
-                    "'lakeroad map': 0 success, 2 unsat, 3 timeout; 6 means "
-                    "the client-side --deadline expired first.")
+                    "'lakeroad map': 0 success, 1 the server could not map "
+                    "the request (e.g. Verilog the frontend rejects; one "
+                    "'request failed: ...' line) or stayed overloaded "
+                    "after --retries, 2 unsat or a command-line usage "
+                    "error, 3 timeout; 4 means no server answers on "
+                    "--socket, 6 that the client-side --deadline expired "
+                    "first.")
     parser.add_argument("verilog", help="behavioral Verilog file to map")
     parser.add_argument("--socket", default=DEFAULT_SOCKET,
                         help=f"unix socket path (default: {DEFAULT_SOCKET})")
@@ -455,8 +437,6 @@ def _main_map(argv) -> int:
         return _input_error("map", exc)
     session = MappingSession(enable_cache=not args.no_cache,
                              cache_dir=args.cache_dir,
-                             incremental=args.incremental,
-                             incremental_verify=args.incremental_verify,
                              random_probes=args.probes)
     result = session.map_design(
         design,
@@ -540,6 +520,8 @@ def _main_sweep(argv) -> int:
     parser = build_sweep_parser()
     args = parser.parse_args(argv)
     _reject_negative(parser, args, "--probes", "--timeout")
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
     if args.coordinator and args.worker:
         parser.error("--coordinator and --worker are mutually exclusive: a "
                      "node is one or the other")
@@ -567,15 +549,11 @@ def _main_sweep(argv) -> int:
 
     config = ExperimentConfig(validate=args.validate, template=args.template,
                               workers=args.workers, cache_dir=args.cache_dir,
-                              incremental=args.incremental,
-                              incremental_verify=args.incremental_verify,
                               random_probes=args.probes)
     if args.timeout is not None:
         config.timeout_seconds = {arch: args.timeout for arch in architectures}
     spec = SessionSpec(cache_dir=args.cache_dir,
                        enable_cache=not args.no_cache,
-                       incremental=args.incremental,
-                       incremental_verify=args.incremental_verify,
                        random_probes=args.probes)
 
     interrupted = False
@@ -680,8 +658,6 @@ def _main_sweep(argv) -> int:
             "hit_rate": result.hit_rate,
             "cache": result.cache_stats,
             "portfolio_wins": result.portfolio_wins,
-            "incremental": args.incremental,
-            "incremental_verify": args.incremental_verify,
             "random_probes": args.probes,
             **counters,
         }
@@ -888,8 +864,6 @@ def _main_serve(argv) -> int:
 
     spec = SessionSpec(cache_dir=args.cache_dir,
                        enable_cache=not args.no_cache,
-                       incremental=args.incremental,
-                       incremental_verify=args.incremental_verify,
                        random_probes=args.probes)
     qos = {}
     if args.max_pending is not None:

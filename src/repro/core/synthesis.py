@@ -46,13 +46,8 @@ class SynthesisOutcome:
     time_seconds: float = 0.0
     candidate_strategy: str = "none"
     verify_strategy: str = "none"
-    #: Whether the candidate step ran on one persistent solver session.
-    incremental: bool = False
     #: Why a run degraded to ``unknown`` (empty for clean outcomes).
     diagnostic: str = ""
-    #: Whether verification ran on one persistent assumption-gated miter
-    #: session (core-driven candidate pruning enabled).
-    incremental_verify: bool = False
     #: The CEGIS run's counters map (see :mod:`repro.engine.stats`).
     stats: Dict[str, float] = field(default_factory=new_stats)
 
@@ -77,21 +72,13 @@ def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
               solver: Optional[SmtSolver] = None,
               check_inputs: bool = True,
               budget: Optional[Budget] = None,
-              incremental: bool = False,
-              incremental_verify: bool = False,
               random_probes: int = 32) -> SynthesisOutcome:
     """Synthesize a ``t``-cycle implementation of ``design`` guided by ``sketch``,
     equivalent over the window ``at_time .. at_time + cycles``.
 
     The time budget can be given either as a started :class:`Budget` (the
     mapping session's, so sketch-generation time already counts against it)
-    or as a plain ``timeout_seconds`` convenience.  ``incremental`` selects
-    the persistent-solver CEGIS candidate mode (clause reuse across
-    iterations); ``incremental_verify`` selects the persistent
-    assumption-gated miter session for the verification step (the sketch
-    cone is blasted once and verification-failure cores prune the
-    candidate space).  The outcome's statuses and hole values are the same
-    under every mode combination.
+    or as a plain ``timeout_seconds`` convenience.
     """
     start = time.monotonic()
     if budget is None:
@@ -118,8 +105,6 @@ def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
         hole_constraints=list(sketch.hole_constraints),
         budget=budget,
         solver=solver,
-        incremental=incremental,
-        incremental_verify=incremental_verify,
         random_probes=random_probes,
     )
 
@@ -129,8 +114,6 @@ def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
         time_seconds=time.monotonic() - start,
         candidate_strategy=cegis.candidate_strategy,
         verify_strategy=cegis.verify_strategy,
-        incremental=cegis.incremental,
-        incremental_verify=cegis.incremental_verify,
         diagnostic=cegis.diagnostic,
         stats=cegis.stats,
     )

@@ -72,15 +72,11 @@ class SessionSpec:
 
     cache_dir: Optional[str] = None
     enable_cache: bool = True
-    incremental: bool = False
-    incremental_verify: bool = False
     random_probes: int = 32
 
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "SessionSpec":
         return cls(cache_dir=config.cache_dir,
-                   incremental=config.incremental,
-                   incremental_verify=config.incremental_verify,
                    random_probes=config.random_probes)
 
     def to_dict(self) -> Dict[str, object]:
@@ -102,8 +98,6 @@ class SessionSpec:
 
         return MappingSession(cache_dir=self.cache_dir,
                               enable_cache=self.enable_cache,
-                              incremental=self.incremental,
-                              incremental_verify=self.incremental_verify,
                               random_probes=self.random_probes)
 
 

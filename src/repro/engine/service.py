@@ -9,9 +9,8 @@ over many *small* queries.  This module keeps the expensive state alive:
   one warm :class:`~repro.engine.session.MappingSession` built from
   a pickled :class:`~repro.engine.parallel.SessionSpec` (the same recipe
   sharded sweeps use).  The session — its in-memory LRU, primitive
-  library, solver portfolio and the persistent-solver machinery behind the
-  ``incremental``/``incremental_verify`` modes — survives across requests,
-  so repeat queries for a design family skip the cold start entirely.
+  library and solver portfolio — survives across requests, so repeat
+  queries for a design family skip the cold start entirely.
 * **Front door** — :class:`SolverService`, a single dispatcher thread
   multiplexing worker pipes through a ``selectors`` loop (no threads per
   request, no new dependencies).  Before anything reaches a worker it is
@@ -60,8 +59,7 @@ body), the front door derives byte-identical cache keys via
 :func:`synthesis_cache_key`, and shared results are re-stamped with each
 requester's benchmark metadata exactly as the session cache does — so
 served records equal serial ``run_sweep`` records (modulo wall-clock
-fields) in all four ``incremental`` × ``incremental_verify`` modes,
-regardless of scheduling order or pool resizes.
+fields), regardless of scheduling order or pool resizes.
 """
 
 from __future__ import annotations

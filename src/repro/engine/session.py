@@ -155,16 +155,13 @@ class MappingSession:
     the in-memory LRU so synthesis results survive the process and are
     shared with concurrent sweep workers.
 
-    ``incremental`` and ``incremental_verify`` select the persistent-solver
-    CEGIS candidate and verification paths respectively (clause reuse
-    across iterations; identical results either way — see
-    :func:`repro.smt.cegis.synthesize`).  The persistent sessions keep
-    their learned databases bounded with LBD-based clause reduction (the
-    :class:`~repro.sat.solver.CDCLSolver` ``reduce_interval`` /
-    ``max_lbd_keep`` defaults); each mapping's reduction telemetry —
-    ``clauses_deleted`` and the ``db_size_peak`` memory high-water mark —
-    rides in its counters map (:mod:`repro.engine.stats`), and
-    ``lakeroad map --stats``/``sweep`` print it.
+    The CEGIS candidate solvers keep their learned databases bounded with
+    LBD-based clause reduction (the :class:`~repro.sat.solver.CDCLSolver`
+    ``reduce_interval`` / ``max_lbd_keep`` defaults); each mapping's
+    reduction telemetry — ``clauses_deleted`` and the ``db_size_peak``
+    memory high-water mark — rides in its counters map
+    (:mod:`repro.engine.stats`), and ``lakeroad map --stats``/``sweep``
+    print it.
     """
 
     def __init__(self,
@@ -174,25 +171,9 @@ class MappingSession:
                  cache: Optional[SynthesisCache] = None,
                  enable_cache: bool = True,
                  cache_dir=None,
-                 incremental: bool = False,
-                 incremental_verify: bool = False,
                  cache_max_entries: Optional[int] = None,
                  random_probes: int = 32) -> None:
         self.library = library if library is not None else PrimitiveLibrary()
-        #: Run the CEGIS candidate step on one persistent solver session per
-        #: design (clause reuse across iterations).  Results are identical
-        #: to from-scratch mode; only synthesis time changes, so cached
-        #: results are shared between the two modes.
-        self.incremental = incremental
-        #: Run the CEGIS verification step on one persistent
-        #: assumption-gated miter session per design: the sketch cone and
-        #: spec miters are blasted once, each candidate's hole values bind
-        #: as solver assumptions, and verification-failure unsat cores
-        #: become candidate-pruning blocking constraints.  Statuses, hole
-        #: values and iteration counts are identical to the portfolio
-        #: verifier by construction, so cached results are shared between
-        #: the modes too.
-        self.incremental_verify = incremental_verify
         #: Random-probe budget for the packed fast layers (the CEGIS
         #: candidate step and the solver's layer 2 — see
         #: :mod:`repro.bv.bitsim`).  Probes are evaluated 64 lanes per
@@ -330,8 +311,6 @@ class MappingSession:
         outcome = f_lr_star(sketch, design.program, at_time=at_time,
                             cycles=extra_cycles, budget=budget,
                             solver=self.solver,
-                            incremental=self.incremental,
-                            incremental_verify=self.incremental_verify,
                             random_probes=self.random_probes)
 
         result = LakeroadResult(

@@ -31,18 +31,12 @@ __all__ = ["COUNTERS", "new", "merge", "rates", "solved_here", "this_run",
 
 #: The counters every map starts with, in reporting order:
 #:
-#: * ``solver_restarts`` — budget-aware warm-session restarts;
 #: * ``candidate_conflicts`` — SAT conflicts spent in candidate queries;
 #: * ``candidate_time_seconds`` / ``verify_time_seconds`` — wall time in
 #:   the CEGIS candidate and verification steps;
-#: * ``clauses_retained`` / ``verify_clauses_retained`` — learned clauses
-#:   the persistent candidate / verify session still carries when the run
-#:   ends (0 without one: a throwaway session's die with its iteration);
-#: * ``cores_pruned`` — verification-failure cores turned into candidate
-#:   blocking constraints;
 #: * ``clauses_deleted`` / ``db_size_peak`` — learned clauses dropped by
 #:   clause-DB reduction, and the largest learned database, over every
-#:   solver the run built;
+#:   candidate solver the run built;
 #: * ``propagations`` / ``watcher_visits`` / ``solver_solve_seconds`` —
 #:   trail literals propagated, watcher entries examined and wall seconds
 #:   inside ``CDCLSolver.solve``, over the same solvers;
@@ -52,11 +46,10 @@ __all__ = ["COUNTERS", "new", "merge", "rates", "solved_here", "this_run",
 #: * ``prefilter_cex_found`` — verification counterexamples the packed
 #:   pre-filter found without bit-blasting.
 COUNTERS = (
-    "solver_restarts", "candidate_conflicts", "candidate_time_seconds",
-    "verify_time_seconds", "clauses_retained", "verify_clauses_retained",
-    "cores_pruned", "clauses_deleted", "db_size_peak", "propagations",
-    "watcher_visits", "solver_solve_seconds", "probe_lanes_evaluated",
-    "probe_hits", "prefilter_cex_found",
+    "candidate_conflicts", "candidate_time_seconds", "verify_time_seconds",
+    "clauses_deleted", "db_size_peak", "propagations", "watcher_visits",
+    "solver_solve_seconds", "probe_lanes_evaluated", "probe_hits",
+    "prefilter_cex_found",
 )
 
 

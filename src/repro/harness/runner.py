@@ -54,16 +54,6 @@ class ExperimentConfig:
     #: Directory for the persistent synthesis cache shared by every worker
     #: (and by later runs); None keeps the cache in-memory and per-process.
     cache_dir: Optional[str] = None
-    #: Run the CEGIS candidate step on one persistent solver session per
-    #: design (learned clauses reused across iterations).  Statuses and
-    #: hole values are identical to from-scratch mode.
-    incremental: bool = False
-    #: Run the CEGIS verification step on one persistent assumption-gated
-    #: miter session per design (sketch blasted once, hole values bound as
-    #: assumptions, failure cores pruning the candidate space).  Statuses,
-    #: hole values and iteration counts are identical to the portfolio
-    #: verifier.
-    incremental_verify: bool = False
     #: Random-probe budget for the packed (64-lane word-parallel) fast
     #: layers in the solver and the CEGIS candidate step; see
     #: :mod:`repro.bv.bitsim`.  0 disables random probing entirely.
@@ -110,11 +100,6 @@ class MappingRecord:
     #: The concrete mapper that produced the record (e.g. ``sota-lattice``)
     #: when ``tool`` is a family label like ``sota``; empty otherwise.
     tool_variant: str = ""
-    #: Whether synthesis ran on a persistent (incremental) solver session,
-    #: and whether verification ran on a persistent assumption-gated miter
-    #: session.
-    incremental: bool = False
-    incremental_verify: bool = False
     #: The solve's counters map (see :mod:`repro.engine.stats`).  A cache
     #: hit replays the counters of the solve that produced it.
     stats: Dict[str, float] = field(default_factory=stats_mod.new)
@@ -148,14 +133,20 @@ class MappingRecord:
         Unknown keys are ignored so records written by a newer schema still
         load, and the flat top-level counter keys older records carried are
         lifted into :attr:`stats`, so archived JSONL dumps and distributed
-        shard artifacts still load.
+        shard artifacts still load.  Only the counters of
+        :data:`~repro.engine.stats.COUNTERS` are taken, flat or nested, so
+        an archived record's retired counters do not reappear in sweep
+        totals.
         """
         known = {f.name for f in fields(cls)}
         kwargs = {key: value for key, value in data.items() if key in known}
+        nested = data.get("stats") or {}
         counters = stats_mod.new()
-        counters.update((key, data[key]) for key in stats_mod.COUNTERS
-                        if key in data)
-        counters.update(data.get("stats") or {})
+        for key in stats_mod.COUNTERS:
+            if key in nested:
+                counters[key] = nested[key]
+            elif key in data:
+                counters[key] = data[key]
         kwargs["stats"] = counters
         return cls(**kwargs)
 
@@ -191,7 +182,6 @@ def record_from_result(result, *, architecture: str, benchmark: str,
     (benchmark, signed) labels.
     """
     resources = result.resources
-    synthesis = result.synthesis
     return MappingRecord(
         tool="lakeroad",
         architecture=architecture,
@@ -206,8 +196,6 @@ def record_from_result(result, *, architecture: str, benchmark: str,
         luts=resources.luts if resources else 0,
         registers=resources.registers if resources else 0,
         cache_hit=result.cache_hit,
-        incremental=synthesis.incremental if synthesis else False,
-        incremental_verify=synthesis.incremental_verify if synthesis else False,
         stats=dict(result.stats),
     )
 

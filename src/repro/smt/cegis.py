@@ -14,52 +14,18 @@ ever issues quantifier-free queries to the underlying solver:
   all inputs (an equivalence query over input variables only) and, on
   failure, adds the counterexample to the example set.
 
-The candidate step runs on an :class:`~repro.smt.solver.IncrementalSmtSession`
-in one of two modes:
-
-* ``incremental=True`` threads **one persistent session** through the whole
-  run: the AIG/CNF namespace stays alive (hole variables keep stable
-  literals), each new counterexample appends only its own obligations'
-  clauses, and the CDCL solver carries its learned clauses and level-0
-  facts from iteration to iteration.  When a warm solve burns a slice of
-  the remaining :class:`~repro.engine.budget.Budget` without answering, the
-  session is restarted (cold solver, same context) — a budget-aware restart
-  that can only change time-to-answer, never the answer.
-* ``incremental=False`` (the default) rebuilds a fresh session every
-  iteration — re-substituting, re-blasting and cold-starting, exactly the
-  historical from-scratch behavior.
-
-The verification step likewise runs in one of two modes:
-
-* ``incremental_verify=True`` builds one
-  :class:`~repro.smt.equivalence.IncrementalVerifySession` per run: the
-  sketch cone and spec miters are blasted **once** (holes left free), and
-  each candidate is checked by binding its hole values as assumptions over
-  the stable hole literals, so iteration N's verify query reuses iteration
-  1's CNF, learned clauses and branching activity.  On an equivalence-check
-  *failure* the session's ``last_core`` names the subset of hole bits
-  actually responsible, and a *blocking constraint* over that prefix is
-  added to the candidate side — pruning every candidate sharing the prefix
-  rather than only the one just refuted.  The blocking constraints are
-  logically entailed by the counterexample's own example constraints, so
-  they never change which candidates are reachable — only how fast the
-  solver discards dead ones.
-* ``incremental_verify=False`` (the default) keeps each query on the
-  racing solver portfolio — the fallback and cross-check path.
-
-Both candidate modes assert the same constraints in the same order, and the
-session *canonicalizes* every satisfying model after the (heuristic, VSIDS)
-search finds one: a greedy assumption-solve pass refines it to the
-lexicographically smallest input assignment, which is a property of the
-constraint set rather than of the search.  Verification counterexamples are
-canonical too (``canonical=True`` on
-:func:`~repro.smt.equivalence.check_equivalence`): the portfolio and the
-incremental verifier share the structural/normalise/probing fast layers —
-including the probing RNG stream — and both canonicalize SAT-layer models,
-so the four mode combinations walk identical candidate/counterexample
-trajectories and return identical ``CegisResult`` statuses, hole values and
-iteration counts by construction.  (Skipping either canonicalization pass
-would silently break this equality.)
+Each candidate step builds a fresh
+:class:`~repro.smt.solver.IncrementalSmtSession`: it re-substitutes the
+sketch for every accumulated example, blasts the whole conjunction in one
+batch and cold-starts one CDCL solver.  The session *canonicalizes* every
+satisfying model after the (heuristic, VSIDS) search finds one: a greedy
+assumption-solve pass refines it to the lexicographically smallest input
+assignment, which is a property of the constraint set rather than of the
+search.  Verification counterexamples are canonical too (``canonical=True``
+on :func:`~repro.smt.equivalence.check_equivalence`), so whichever
+portfolio member wins a verification race, the counterexample — and with
+it the whole candidate/counterexample trajectory, the hole values and the
+iteration count — is the same, and a cached answer matches a fresh one.
 
 Both steps honour a deadline so the caller can reproduce the paper's
 per-query synthesis timeouts.
@@ -72,25 +38,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.bv import bv, bvand, bveq, bvextract, bvne, bvor, bvvar
+from repro.bv import bv, bvand, bveq
 from repro.bv.ast import BVExpr
 from repro.bv.bitsim import PROBE_LANES, PackedEvaluator, first_sat_lane
 from repro.bv.eval import evaluate, var_widths
 from repro.bv.simplify import substitute
 from repro.engine.budget import Budget
 from repro.engine.stats import merge, new as new_stats
-from repro.smt.equivalence import IncrementalVerifySession, check_equivalence
+from repro.smt.equivalence import check_equivalence
 from repro.smt.solver import IncrementalSmtSession, SmtSolver
 
 __all__ = ["CegisResult", "Obligation", "synthesize"]
-
-#: Minimum budget slice (seconds) a warm incremental solve gets before a
-#: budget-aware restart is considered.
-_MIN_RESTART_SLICE = 0.25
-
-#: Fraction of the remaining budget a warm solve may burn before the
-#: session is restarted and the query retried on a cold solver.
-_RESTART_FRACTION = 0.5
 
 
 @dataclass
@@ -118,10 +76,6 @@ class CegisResult:
     time_seconds: float = 0.0
     candidate_strategy: str = "none"
     verify_strategy: str = "none"
-    #: Whether the candidate step ran on one persistent solver session.
-    incremental: bool = False
-    #: Whether the verification step ran on one persistent miter session.
-    incremental_verify: bool = False
     #: Why a run degraded to ``unknown`` (empty for clean outcomes).
     diagnostic: str = ""
     #: What the run did, as one counters map (the names are documented at
@@ -179,69 +133,21 @@ def _example_constraints(obligations: Sequence[Obligation],
     return constraints
 
 
-def _blocking_constraint(prefix: Sequence[Tuple[str, int, int]],
-                         hole_widths: Mapping[str, int]) -> BVExpr:
-    """A 1-bit constraint excluding every hole assignment extending ``prefix``.
-
-    ``prefix`` is the ``(hole, bit, value)`` core of a verification
-    failure; the constraint demands at least one of those bits differ.  An
-    empty prefix means *every* candidate fails on the counterexample, so
-    the constraint is constant false (the candidate space is empty) —
-    which the example constraint entailing it would also have proven.
-    """
-    disequalities = [
-        bvne(bvextract(bit, bit, bvvar(name, hole_widths[name])), bv(value, 1))
-        for name, bit, value in prefix
-    ]
-    if not disequalities:
-        return bv(0, 1)
-    if len(disequalities) == 1:
-        return disequalities[0]
-    return bvor(*disequalities)
-
-
-def _budget_slice_deadline(budget: Optional[Budget],
-                           deadline: Optional[float]) -> Optional[float]:
-    """The warm solver's slice of the remaining budget (restart scheduling)."""
-    if budget is None or deadline is None:
-        return deadline
-    remaining = budget.remaining()
-    if remaining is None or remaining <= 0:
-        return deadline
-    return min(deadline,
-               time.monotonic() + max(_MIN_RESTART_SLICE,
-                                      _RESTART_FRACTION * remaining))
-
-
-def _solve_candidate(candidate_constraints: Sequence[BVExpr],
-                     sat_constraints: Optional[List[BVExpr]],
-                     iteration: int, seed: int, random_probes: int,
+def _solve_candidate(constraints: Sequence[BVExpr], iteration: int,
+                     seed: int, random_probes: int,
                      deadline: Optional[float],
-                     session: Optional[IncrementalSmtSession],
-                     budget: Optional[Budget],
                      counters: Dict[str, float],
                      reduce_interval: Optional[int] = None,
                      max_lbd_keep: Optional[int] = None) -> Tuple[Optional[Mapping[str, int]], str, str]:
     """Decide the candidate query; returns ``(model, status, strategy)``.
 
     The layering mirrors :class:`~repro.smt.solver.SmtSolver` — normalise,
-    random probing, then SAT — but the SAT layer runs on an incremental
-    session instead of a portfolio race, and the probing RNG is re-seeded
-    per iteration so incremental and from-scratch runs draw identical
-    probes.  ``session=None`` is from-scratch mode: a throwaway session is
-    built (re-blasting everything, asserting ``sat_constraints`` — the
-    shared temporal order including blocking constraints) only if probing
-    fails.
-
-    Blocking constraints (core-driven pruning) join only the SAT layer:
-    they are entailed by the example constraints already in
-    ``candidate_constraints``, so evaluating probes without them gives the
-    same verdicts while keeping the probe RNG stream — which draws one
-    value per *formula variable* — independent of which hole bits the
-    verification cores happened to mention.
+    random probing, then SAT — but the SAT layer runs on a fresh
+    :class:`~repro.smt.solver.IncrementalSmtSession` instead of a
+    portfolio race (its lex-min model is the canonical candidate), and the
+    probing RNG is re-seeded per iteration.
     """
-    formula = bvand(*candidate_constraints) \
-        if len(candidate_constraints) > 1 else candidate_constraints[0]
+    formula = bvand(*constraints) if len(constraints) > 1 else constraints[0]
 
     if formula.is_const():
         if formula.value:
@@ -251,7 +157,7 @@ def _solve_candidate(candidate_constraints: Sequence[BVExpr],
     widths = var_widths(formula)
     # All-zeros first: it is both the cheapest probe and, when it
     # satisfies, exactly the lex-smallest model the SAT layer would have
-    # canonicalized to — so taking it keeps the two modes aligned for free.
+    # canonicalized to.
     zeros = {name: 0 for name in widths}
     if evaluate(formula, zeros):
         return zeros, "sat", "simulate"
@@ -281,84 +187,21 @@ def _solve_candidate(candidate_constraints: Sequence[BVExpr],
                 counters["probe_hits"] += 1
                 return batch[first_sat_lane(hits)], "sat", "simulate"
 
-    incremental = session is not None
-    if not incremental:
-        # Throwaway sessions honour the same reduction knobs as persistent
-        # ones, so aggressive settings exercise every mode combination.
-        session = IncrementalSmtSession(reduce_interval=reduce_interval,
-                                        max_lbd_keep=max_lbd_keep)
-        session.assert_constraints(sat_constraints)
-
-    check_deadline = deadline
-    if incremental:
-        # Budget-aware restart scheduling: give the warm solver a slice of
-        # the remaining budget; if it burns the slice without answering,
-        # fall back to a cold solver (same context, same canonical answer)
-        # with whatever budget is left.
-        check_deadline = _budget_slice_deadline(budget, deadline)
-
-    smt_result = session.check(deadline=check_deadline)
-    if (smt_result.is_unknown and incremental and check_deadline != deadline
-            and time.monotonic() < deadline):
-        # The session counts its own restarts; synthesize() folds them
-        # into the run's counters at the end of the run.
-        session.restart()
-        smt_result = session.check(deadline=deadline)
-
+    session = IncrementalSmtSession(reduce_interval=reduce_interval,
+                                    max_lbd_keep=max_lbd_keep)
+    session.assert_constraints(constraints)
+    smt_result = session.check(deadline=deadline)
     counters["candidate_conflicts"] += smt_result.sat_conflicts
-    if not incremental:
-        # The throwaway session dies here; fold its clause-DB and
-        # propagation telemetry in now (the persistent sessions are folded
-        # once, at the end of the run), so from-scratch candidate work is
-        # counted too.
-        _fold_session(counters, session)
-    strategy = "sat:incremental" if incremental else "sat:fresh"
+    # The session dies here; fold its clause-DB and propagation telemetry
+    # into the run's counters (its own check and CNF-size tallies stay
+    # with it).
+    merge(counters, {key: value for key, value in session.stats().items()
+                     if key in counters})
     if smt_result.is_unknown:
         return None, "unknown", "timeout"
     if smt_result.is_unsat:
-        return None, "unsat", strategy
-    return smt_result.model, "sat", strategy
-
-
-def _fold_session(counters: Dict[str, float], session,
-                  retained_as: Optional[str] = None) -> None:
-    """Fold a warm session's lifetime counters into the run's counters.
-
-    Only counters the run carries are taken; the session's own check and
-    CNF-size tallies stay with it.  The learned clauses its live solver
-    still holds are filed under ``retained_as`` — None for a throwaway
-    session, whose learned clauses die with the iteration.
-    """
-    session_counters = session.stats()
-    retained = session_counters.pop("clauses_retained")
-    merge(counters, {key: value for key, value in session_counters.items()
-                     if key in counters})
-    if retained_as is not None:
-        counters[retained_as] = retained
-
-
-def _verify_sat_layer(verify_session: IncrementalVerifySession, index: int,
-                      hole_values: Mapping[str, int],
-                      budget: Optional[Budget]):
-    """The incremental verifier as a pluggable SAT layer for one obligation.
-
-    Wraps the assumption-gated session query in the same budget-slice
-    restart policy as the candidate step: the warm solver gets a slice of
-    the remaining budget; burning it without an answer triggers a cold
-    restart (answer-preserving — counterexamples are canonical) with the
-    full deadline.
-    """
-    def layer(formula, widths, deadline):
-        check_deadline = _budget_slice_deadline(budget, deadline)
-        smt_result = verify_session.check_obligation(index, hole_values,
-                                                     deadline=check_deadline)
-        if (smt_result.is_unknown and check_deadline != deadline
-                and deadline is not None and time.monotonic() < deadline):
-            verify_session.restart()
-            smt_result = verify_session.check_obligation(index, hole_values,
-                                                         deadline=deadline)
-        return smt_result
-    return layer
+        return None, "unsat", "sat:fresh"
+    return smt_result.model, "sat", "sat:fresh"
 
 
 def synthesize(obligations: Sequence[Obligation] | Obligation,
@@ -370,8 +213,6 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
                solver: Optional[SmtSolver] = None,
                initial_random_examples: int = 2,
                budget: Optional[Budget] = None,
-               incremental: bool = False,
-               incremental_verify: bool = False,
                random_probes: int = 32,
                reduce_interval: Optional[int] = None,
                max_lbd_keep: Optional[int] = None) -> CegisResult:
@@ -389,25 +230,14 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
         seed: RNG seed for the initial examples and candidate probing.
         solver: optional shared :class:`SmtSolver` (the verification side).
         budget: the engine-level :class:`Budget`; wins over ``deadline``.
-        incremental: thread one persistent solver session through the
-            candidate step (clause reuse across iterations) instead of
-            rebuilding per iteration.  Statuses and hole values are
-            identical either way; only the time-to-answer changes.
-        incremental_verify: check candidates on one persistent
-            assumption-gated miter session (sketch/spec blasted once, hole
-            values bound as assumptions, verification-failure cores turned
-            into candidate-pruning blocking constraints) instead of
-            re-blasting and racing the portfolio per query.  Statuses,
-            hole values, counterexample sequences and iteration counts are
-            identical either way by construction.
         random_probes: candidate-step random probe attempts per iteration.
         reduce_interval: learned clauses between clause-DB reductions in
-            the CEGIS solver sessions (None defers to the
+            the candidate solver sessions (None defers to the
             :class:`~repro.sat.solver.CDCLSolver` default; 0 disables
-            reduction).  Reduction bounds solver memory on long runs and
-            never changes statuses, hole values or iteration counts — the
-            differential-fuzz suite runs aggressive settings across all
-            four mode combinations to hold it to that.
+            reduction).  Reduction bounds solver memory and never changes
+            statuses, hole values or iteration counts — the
+            differential-fuzz suite runs aggressive settings to hold it to
+            that.
         max_lbd_keep: glue threshold — learned clauses with LBD at or
             below this survive every reduction (None defers to the solver
             default).
@@ -425,59 +255,8 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
     input_widths = _collect_inputs(obligations, hole_widths)
     examples = _initial_examples(input_widths, rng, initial_random_examples)
 
-    result = CegisResult(status="unknown", incremental=incremental,
-                         incremental_verify=incremental_verify)
+    result = CegisResult(status="unknown")
     counters = result.stats
-    constraints_base = list(hole_constraints)
-
-    session: Optional[IncrementalSmtSession] = None
-    asserted: List[BVExpr] = []
-    if incremental:
-        session = IncrementalSmtSession(reduce_interval=reduce_interval,
-                                        max_lbd_keep=max_lbd_keep)
-        session.assert_constraints(constraints_base)
-        asserted.extend(constraints_base)
-
-    verify_session: Optional[IncrementalVerifySession] = None
-    #: Which holes the candidate constraints mention so far.  Blocking
-    #: constraints are only emitted over holes in this set: a core can
-    #: name a hole bit that substitution folded out of every example so
-    #: far, and blasting it early (something the portfolio-verified run
-    #: never does) would skew the candidate AIG's input order — and with
-    #: it the canonical model — between the two verifier modes.
-    seen_holes: set = set()
-
-    def _note_holes(constraints: Sequence[BVExpr]) -> None:
-        for constraint in constraints:
-            seen_holes.update(name for name in var_widths(constraint)
-                              if name in hole_widths)
-
-    #: The shared temporal order of candidate constraints: ``("example",
-    #: input_assignment, prebuilt_constraints_or_None)`` and ``("blocking",
-    #: expr, None)`` events as they were discovered.  Both candidate modes
-    #: assert constraints in exactly this sequence (a blocking constraint
-    #: right after the counterexample that produced it), so they build
-    #: identical AIG namespaces and therefore identical canonical models.
-    #: In incremental-verify mode each example's constraints are built once
-    #: at discovery (``seen_holes`` needs them) and carried here so the
-    #: incremental candidate step does not substitute them a second time.
-    event_log: List[Tuple[str, object, Optional[List[BVExpr]]]] = []
-    if incremental_verify:
-        # Blast the sketch cone and spec miters exactly once per run; every
-        # iteration's verify query is an assumption solve against this.
-        verify_session = IncrementalVerifySession(obligations, hole_widths,
-                                                  input_widths,
-                                                  reduce_interval=reduce_interval,
-                                                  max_lbd_keep=max_lbd_keep)
-        _note_holes(constraints_base)
-        for example in examples:
-            constraints = _example_constraints(obligations, input_widths,
-                                               example)
-            _note_holes(constraints)
-            event_log.append(("example", example, constraints))
-    else:
-        event_log.extend(("example", example, None) for example in examples)
-    asserted_events = 0
 
     for iteration in range(1, max_iterations + 1):
         result.iterations = iteration
@@ -487,41 +266,14 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
             break
 
         # ---------------- candidate step ---------------- #
+        # Re-substitute the sketch for *all* accumulated examples.
         candidate_start = time.monotonic()
-        if incremental:
-            # Only the events gained since the last round are substituted
-            # and asserted; everything older is already in the context.
-            for kind, payload, prebuilt in event_log[asserted_events:]:
-                if kind == "example":
-                    constraints = prebuilt if prebuilt is not None else \
-                        _example_constraints(obligations, input_widths, payload)
-                    session.assert_constraints(constraints)
-                    asserted.extend(constraints)
-                else:
-                    session.assert_constraints([payload])
-            asserted_events = len(event_log)
-            candidate_constraints: Sequence[BVExpr] = asserted
-            sat_constraints: Optional[List[BVExpr]] = None
-        else:
-            # From-scratch: re-substitute the sketch for *all* accumulated
-            # examples, as the historical implementation did.  The probing
-            # layers see only the example constraints; the throwaway SAT
-            # session additionally gets the blocking constraints, replayed
-            # in the shared temporal order.
-            candidate_constraints = list(constraints_base)
-            sat_constraints = list(constraints_base)
-            for kind, payload, _prebuilt in event_log:
-                if kind == "example":
-                    constraints = _example_constraints(obligations,
-                                                       input_widths, payload)
-                    candidate_constraints.extend(constraints)
-                    sat_constraints.extend(constraints)
-                else:
-                    sat_constraints.append(payload)
-
+        constraints = list(hole_constraints)
+        for example in examples:
+            constraints.extend(_example_constraints(obligations, input_widths,
+                                                    example))
         model, status, strategy = _solve_candidate(
-            candidate_constraints, sat_constraints, iteration, seed,
-            random_probes, deadline, session, budget, counters,
+            constraints, iteration, seed, random_probes, deadline, counters,
             reduce_interval, max_lbd_keep)
         result.candidate_strategy = strategy
         counters["candidate_time_seconds"] += \
@@ -544,16 +296,11 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
         verified = True
         abort = False
         verify_start = time.monotonic()
-        for index, obligation in enumerate(obligations):
+        for obligation in obligations:
             concrete_sketch = substitute(obligation.sketch, hole_bindings)
-            sat_layer = None
-            if verify_session is not None:
-                sat_layer = _verify_sat_layer(verify_session, index,
-                                              hole_values, budget)
             equivalence = check_equivalence(concrete_sketch, obligation.spec,
                                             deadline=deadline, solver=solver,
-                                            canonical=True,
-                                            sat_layer=sat_layer)
+                                            canonical=True)
             result.verify_strategy = equivalence.strategy
             counters["probe_lanes_evaluated"] += equivalence.probe_lanes
             if equivalence.is_different and equivalence.strategy == "simulate":
@@ -583,30 +330,6 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
                 abort = True
                 break
             examples.append(counterexample)
-            if verify_session is None:
-                event_log.append(("example", counterexample, None))
-            else:
-                # Core-driven pruning: ask the warm session *which* hole
-                # bits doomed this candidate on the counterexample, and
-                # block the whole prefix — entailed by the example
-                # constraint just queued, so the trajectory is unchanged.
-                # Emit only over holes the candidate constraints (now
-                # including the new counterexample's) already introduce:
-                # see the ``seen_holes`` comment above.
-                new_constraints = _example_constraints(obligations,
-                                                       input_widths,
-                                                       counterexample)
-                _note_holes(new_constraints)
-                event_log.append(("example", counterexample, new_constraints))
-                prefix = verify_session.failure_core(index, hole_values,
-                                                     counterexample,
-                                                     deadline=deadline)
-                if prefix is not None and \
-                        all(name in seen_holes for name, _, _ in prefix):
-                    event_log.append(
-                        ("blocking",
-                         _blocking_constraint(prefix, hole_widths), None))
-                    counters["cores_pruned"] += 1
             break
         counters["verify_time_seconds"] += time.monotonic() - verify_start
 
@@ -617,9 +340,5 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
             result.hole_values = hole_values
             break
 
-    if session is not None:
-        _fold_session(counters, session, "clauses_retained")
-    if verify_session is not None:
-        _fold_session(counters, verify_session, "verify_clauses_retained")
     result.time_seconds = time.monotonic() - start
     return result

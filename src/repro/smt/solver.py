@@ -30,7 +30,6 @@ from repro.bv.bitblast import BitBlaster, IncrementalContext
 from repro.bv.bitsim import PROBE_LANES, PackedEvaluator, first_sat_lane
 from repro.bv.cnf import aig_to_cnf, lit_to_cnf
 from repro.bv.eval import evaluate, var_widths
-from repro.engine.stats import merge
 from repro.sat.portfolio import SatPortfolio
 from repro.sat.solver import CDCLSolver, SatResult
 from repro.smt.model import Model
@@ -58,28 +57,25 @@ def _canonical_bit_order(bit_vars: Dict[str, int]) -> List[int]:
 
 
 def lex_min_model(solver: CDCLSolver, bits, model: Dict[int, bool],
-                  base: Sequence[int] = (),
                   deadline: Optional[float] = None,
                   on_solve=None) -> Optional[Dict[int, bool]]:
     """Refine ``model`` to the unique greedy-minimal input-bit assignment.
 
     ``bits`` is either a bit-name → CNF-variable mapping — minimized in
     the canonical order of :func:`_canonical_bit_order` — or an explicit
-    variable sequence, minimized in the given order.  ``base`` is a fixed
-    assumption prefix held throughout (the incremental verifier passes the
-    candidate's hole bindings and the gated miter output); the greedy pass
-    then walks the bits in order, keeping each bit it can prove zeroable
-    under the already-fixed prefix.  The result is the unique satisfying
+    variable sequence, minimized in the given order.  The greedy pass
+    walks the bits in order, keeping each bit it can prove zeroable under
+    the already-fixed prefix.  The result is the unique satisfying
     assignment minimizing the ordered bit tuple — a property of the
-    constraint set and the order, not of the search — so a warm
-    incremental solver and a cold portfolio member canonicalize to the
-    very same model.  ``on_solve`` observes every trial result (the
-    candidate session uses it for conflict accounting).  Returns ``None``
-    if the deadline expires mid-refinement.
+    constraint set and the order, not of the search — so whichever
+    portfolio member wins a race, the refined model is the same.
+    ``on_solve`` observes every trial result (the candidate session uses
+    it for conflict accounting).  Returns ``None`` if the deadline expires
+    mid-refinement.
     """
     solver.deadline = deadline
     ordered = _canonical_bit_order(bits) if isinstance(bits, dict) else list(bits)
-    prefix: List[int] = list(base)
+    prefix: List[int] = []
     for var in ordered:
         if not model.get(var, False):
             # Already 0: the current model witnesses this prefix.
@@ -136,19 +132,12 @@ class SmtSolver:
     # ------------------------------------------------------------------ #
     def check(self, constraints: Sequence[BVExpr],
               deadline: Optional[float] = None,
-              canonical: bool = False,
-              sat_layer=None) -> SmtResult:
+              canonical: bool = False) -> SmtResult:
         """Decide satisfiability with the layered strategy.
 
         ``canonical=True`` refines any SAT model found by the portfolio to
         the canonical (name-ordered lexicographically smallest) input
         assignment, making layer-3 models search-independent.
-        ``sat_layer`` replaces the blast-and-race layer with a caller
-        supplied ``(formula, widths, deadline) -> SmtResult`` — the seam
-        the incremental verifier plugs its persistent session into, while
-        layers 1–2 (normalisation, random probing) stay byte-for-byte
-        shared between the portfolio and incremental paths (including the
-        probing RNG stream, which both modes must consume identically).
         """
         start = time.monotonic()
         for constraint in constraints:
@@ -174,8 +163,7 @@ class SmtSolver:
         # re-advanced to just past the winning probe — the position the
         # scalar loop (which stopped there) would have left it at — so
         # every downstream draw, and with it every CEGIS trajectory, stays
-        # byte-for-byte identical across solver configurations and both
-        # verifier modes.
+        # byte-for-byte identical across solver configurations.
         lanes_spent = 0
         if self.random_probes and widths:
             items = list(widths.items())
@@ -207,12 +195,7 @@ class SmtSolver:
             return SmtResult("sat", Model({}, widths), "simulate",
                              time.monotonic() - start)
 
-        # Layer 3: hand to the pluggable SAT layer (an incremental session)
-        # or bit-blast and race the portfolio.
-        if sat_layer is not None:
-            layered = sat_layer(formula, widths, deadline)
-            layered.probe_lanes += lanes_spent
-            return layered
+        # Layer 3: bit-blast and race the portfolio.
         blaster = BitBlaster()
         bits = blaster.blast(formula)
         cnf, input_vars = aig_to_cnf(blaster.aig, bits)
@@ -235,10 +218,10 @@ class SmtSolver:
                 # than the unrefined (search-dependent) model — the same
                 # conservative choice IncrementalSmtSession.check makes.
                 # Returning the raw model here would make near-deadline
-                # counterexamples diverge between solver backends and
-                # verifier modes, silently breaking the canonical-model
-                # equality everything downstream relies on; a run this
-                # close to its budget ends in "timeout" either way.
+                # counterexamples depend on which portfolio member won,
+                # silently breaking the canonical-model equality everything
+                # downstream relies on; a run this close to its budget
+                # ends in "timeout" either way.
                 return SmtResult("unknown", None, "timeout",
                                  time.monotonic() - start, sat_result.conflicts,
                                  probe_lanes=lanes_spent)
@@ -265,67 +248,63 @@ def _solver_counters(solver: CDCLSolver) -> Dict[str, float]:
             "solver_solve_seconds": solver.solve_seconds}
 
 
-class WarmSolverHost:
-    """Shared warm-solver plumbing for incremental sessions.
+class IncrementalSmtSession:
+    """A word-level solving session: assert constraints, then check them.
 
-    Owns one lazily-built :class:`CDCLSolver` kept in sync with a growing
-    :class:`~repro.bv.bitblast.IncrementalContext` CNF (``self.context``),
-    plus the restart bookkeeping.  Both the candidate session
-    (:class:`IncrementalSmtSession`) and the verifier
-    (:class:`~repro.smt.equivalence.IncrementalVerifySession`) host their
-    solver through this class, so the sync-cursor/restart semantics cannot
-    drift between them.
+    Unlike :func:`check_sat`, constraints asserted here are *cumulative*:
+    every :meth:`assert_constraints` call appends obligations to one
+    :class:`~repro.bv.bitblast.IncrementalContext` (stable AIG / CNF
+    literals), and :meth:`check` feeds the clauses appended since the last
+    check into one lazily built :class:`CDCLSolver`.  The CEGIS candidate
+    step builds one session per iteration, asserts every constraint in one
+    batch and checks once: an empty solver, one ``ensure_vars``, one
+    ``add_clauses``.
+
+    Satisfying models are *canonical*: after the heuristic search finds
+    any model, the session refines it to the lexicographically smallest
+    assignment of the input variables with a sequence of assumption
+    solves.  The lex-min assignment is unique — a property of the formula,
+    not of the search — so two sessions over the same asserted constraints
+    return identical models, and cached answers keep matching fresh ones.
+
+    ``reduce_interval`` / ``max_lbd_keep`` configure the solver's
+    LBD-based clause-database reduction (None defers to the
+    :class:`~repro.sat.solver.CDCLSolver` defaults); reduction bounds the
+    learned database and can only change time-to-answer.  The reduction
+    telemetry is in :meth:`stats` (``clauses_deleted`` / ``db_size_peak``).
     """
 
-    def _init_solver_state(self, reduce_interval: Optional[int] = None,
-                           max_lbd_keep: Optional[int] = None) -> None:
+    def __init__(self, reduce_interval: Optional[int] = None,
+                 max_lbd_keep: Optional[int] = None) -> None:
+        self.context = IncrementalContext()
         self._solver: Optional[CDCLSolver] = None
         self._synced_clauses = 0
-        #: Clause-DB reduction knobs forwarded to every warm solver this
-        #: host builds; None defers to the CDCLSolver defaults.
+        #: Clause-DB reduction knobs for the solver; None defers to the
+        #: CDCLSolver defaults.
         self._solver_options: Dict[str, int] = {}
         if reduce_interval is not None:
             self._solver_options["reduce_interval"] = reduce_interval
         if max_lbd_keep is not None:
             self._solver_options["max_lbd_keep"] = max_lbd_keep
-        #: The session's counters map (see :mod:`repro.engine.stats`): its
-        #: own tallies plus the counters of every solver :meth:`restart`
-        #: dropped, so session-lifetime totals survive budget-aware cold
-        #: restarts.  :meth:`stats` adds the live solver's.
-        self._counters: Dict[str, float] = {"checks": 0, "solver_restarts": 0}
-
-    def restart(self) -> None:
-        """Drop the warm solver; the context (and its literals) survive.
-
-        The next query rebuilds a cold solver from the full accumulated
-        CNF.  Because every model the sessions return is canonical (a
-        property of the constraint set, not of the search), restarting is
-        purely a scheduling decision — CEGIS uses it when a warm solve
-        burns its budget slice without answering.
-        """
-        if self._solver is not None:
-            merge(self._counters, _solver_counters(self._solver))
-            self._counters["solver_restarts"] += 1
-            self._solver = None
-            self._synced_clauses = 0
+        self._widths: Dict[str, int] = {}
+        self._root_unsat = False
+        #: The session's own tallies; :meth:`stats` adds the solver's.
+        self._counters: Dict[str, float] = {"checks": 0, "conflicts": 0,
+                                            "asserted": 0}
 
     def stats(self) -> Dict[str, float]:
-        """Session-lifetime counters, the live solver's included.
-
-        ``clauses_retained`` is the learned clauses the live solver carries
-        now, and ``cnf_clauses``/``cnf_vars`` the context's current size.
-        """
+        """Session counters, the solver's included (names as on the stats
+        spine, :mod:`repro.engine.stats`), plus the context's current CNF
+        size as ``cnf_clauses``/``cnf_vars``."""
         counters = dict(self._counters)
         if self._solver is not None:
-            merge(counters, _solver_counters(self._solver))
-        counters["clauses_retained"] = \
-            self._solver.learned_alive if self._solver is not None else 0
+            counters.update(_solver_counters(self._solver))
         counters["cnf_clauses"] = self.context.cnf.num_clauses
         counters["cnf_vars"] = self.context.cnf.num_vars
         return counters
 
     def _sync_solver(self) -> CDCLSolver:
-        """Feed clauses appended since the last check into the live solver."""
+        """Feed clauses appended since the last check into the solver."""
         if self._solver is None:
             self._solver = CDCLSolver(**self._solver_options)
         cnf = self.context.cnf
@@ -333,45 +312,6 @@ class WarmSolverHost:
         self._solver.add_clauses(cnf.clauses[self._synced_clauses:])
         self._synced_clauses = len(cnf.clauses)
         return self._solver
-
-
-class IncrementalSmtSession(WarmSolverHost):
-    """An incremental word-level solving session: assert once, check often.
-
-    Unlike :func:`check_sat`, constraints asserted here are *cumulative*:
-    every :meth:`assert_constraints` call appends obligations to one
-    persistent :class:`~repro.bv.bitblast.IncrementalContext` (stable AIG /
-    CNF literals), and :meth:`check` reuses one :class:`CDCLSolver` whose
-    learned clauses, activities and level-0 facts survive across calls.
-    Because constraints only ever accumulate, everything the solver learned
-    for an earlier query is still entailed by the current one.
-
-    Satisfying models are *canonical*: after the (heuristic, warm) search
-    finds any model, the session refines it to the lexicographically
-    smallest assignment of the input variables with a sequence of
-    assumption solves.  The lex-min assignment is unique — a property of
-    the formula, not of the search — so a warm incremental session and a
-    cold from-scratch one return identical models over the same asserted
-    constraints.  That canonicity is what lets incremental and from-scratch
-    CEGIS return the same hole values, and it makes :meth:`restart` (drop
-    the warm solver, keep the context) behavior-preserving: only the
-    time-to-answer changes, never the answer.
-
-    ``reduce_interval`` / ``max_lbd_keep`` configure the warm solver's
-    LBD-based clause-database reduction (None defers to the
-    :class:`~repro.sat.solver.CDCLSolver` defaults); reduction bounds the
-    learned database on long sessions and — like restarts — can only
-    change time-to-answer.  Session-lifetime reduction telemetry is in
-    :meth:`stats` (``clauses_deleted`` / ``db_size_peak``).
-    """
-
-    def __init__(self, reduce_interval: Optional[int] = None,
-                 max_lbd_keep: Optional[int] = None) -> None:
-        self.context = IncrementalContext()
-        self._init_solver_state(reduce_interval, max_lbd_keep)
-        self._widths: Dict[str, int] = {}
-        self._root_unsat = False
-        self._counters.update(conflicts=0, asserted=0)
 
     # ------------------------------------------------------------------ #
     def assert_constraints(self, constraints: Sequence[BVExpr]) -> None:
@@ -407,8 +347,8 @@ class IncrementalSmtSession(WarmSolverHost):
                       model: Dict[int, bool]) -> Optional[Dict[int, bool]]:
         """Refine a model to the lex-smallest input-variable assignment.
 
-        The search heuristics (and any warm solver state) determine only
-        which model is found *first*; this greedy pass — walk the input
+        The search heuristics determine only which model is found
+        *first*; this greedy pass — walk the input
         bits in CNF-variable (assertion) order, try to flip each 1 to 0
         under the already fixed prefix — converges to the unique
         lexicographically smallest satisfying input assignment in that
@@ -423,13 +363,8 @@ class IncrementalSmtSession(WarmSolverHost):
         orders would change every candidate canonical model — silently
         invalidating cross-version result equality for persistent caches.
         The bit order is the AIG input order, which is determined by the
-        order constraints were asserted — identical for an incremental
-        session and a from-scratch one replaying the same assertion
-        sequence (CEGIS replays examples and blocking constraints in one
-        shared temporal order for exactly this reason, and only emits
-        blocking constraints over hole bits some example has already
-        introduced, so the input order never depends on the verifier
-        mode).  Zero bits are free (the current model witnesses them);
+        order constraints were asserted.  Zero bits are free (the current
+        model witnesses them);
         only bits currently 1 need a solver call, and the solver's
         assumption-prefix trail reuse makes consecutive calls re-propagate
         almost nothing.
@@ -490,11 +425,10 @@ _DEFAULT_SOLVER = SmtSolver()
 def check_sat(constraints: Sequence[BVExpr] | BVExpr,
               deadline: Optional[float] = None,
               solver: Optional[SmtSolver] = None,
-              canonical: bool = False,
-              sat_layer=None) -> SmtResult:
+              canonical: bool = False) -> SmtResult:
     """Decide satisfiability of a constraint (or conjunction of constraints)."""
     if isinstance(constraints, BVExpr):
         constraints = [constraints]
     active = solver if solver is not None else _DEFAULT_SOLVER
     return active.check(list(constraints), deadline=deadline,
-                        canonical=canonical, sat_layer=sat_layer)
+                        canonical=canonical)

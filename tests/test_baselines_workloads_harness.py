@@ -338,6 +338,25 @@ class TestCli:
         assert exit_info.value.code == 2
         assert f"{flag} must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,workers", [
+        ("sweep", "0"), ("sweep", "-2"), ("serve", "0"),
+    ], ids=["sweep-zero", "sweep-negative", "serve-zero"])
+    def test_workers_below_one_is_a_usage_error(self, capsys, cli_argv,
+                                                command, workers):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*cli_argv[command], "--workers", workers])
+        assert exit_info.value.code == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["map", "sweep", "serve"])
+    @pytest.mark.parametrize("flag", ["--incremental", "--incremental-verify"])
+    def test_retired_cegis_mode_flags_are_unknown(self, capsys, cli_argv,
+                                                  command, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*cli_argv[command], flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_stats_on_a_cache_hit_reports_no_solve(self, tmp_path, capsys):
         path = tmp_path / "and4.v"
         path.write_text("module and4(input [3:0] a, b, output [3:0] out); "

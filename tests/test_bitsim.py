@@ -9,8 +9,8 @@ The packed evaluator's contract has two halves, and both are load-bearing:
   streams, in the same per-variable order, as the historical scalar
   loops, and leave the stream in the same position.  That equivalence is
   what keeps statuses, hole values and counterexample sequences
-  byte-identical across all four ``incremental`` × ``incremental_verify``
-  modes, so it gets its own reference-implementation tests.
+  byte-identical to the scalar loops' trajectories, so it gets its own
+  reference-implementation tests.
 """
 
 import random

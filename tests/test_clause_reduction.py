@@ -1,9 +1,9 @@
-"""Tests for LBD-based clause-database reduction in the persistent solvers.
+"""Tests for LBD-based clause-database reduction in the CDCL solver.
 
 Learned clauses are entailed by the problem clauses, so deleting them can
 change only the search trajectory — never a status, a canonical model, an
-unsat core's validity, or the four-way CEGIS mode equality.  These tests
-force reductions with aggressive knobs and hold the solver to that.
+unsat core's validity, or a CEGIS outcome.  These tests force reductions
+with aggressive knobs and hold the solver to that.
 """
 
 import random
@@ -16,7 +16,6 @@ from repro.sat.cnf import CNF
 from repro.sat.dpll import DPLLSolver
 from repro.sat.solver import CDCLSolver
 from repro.smt.cegis import Obligation, synthesize
-from repro.smt.equivalence import IncrementalVerifySession
 from repro.smt.solver import IncrementalSmtSession, SmtSolver
 
 
@@ -232,40 +231,6 @@ class TestSessionReduction:
         stats = aggressive.stats()
         assert "clauses_deleted" in stats and "db_size_peak" in stats
 
-    def test_verify_session_reduction_keeps_counterexamples_canonical(self):
-        width = 8
-        x, k = bvvar("x", width), bvvar("k", width)
-        obligations = [Obligation(bvult(x, bv(100, width)), bvult(x, k))]
-        aggressive = IncrementalVerifySession(obligations, {"k": width},
-                                              {"x": width},
-                                              reduce_interval=1, max_lbd_keep=0)
-        plain = IncrementalVerifySession(obligations, {"k": width},
-                                         {"x": width})
-        for candidate in (120, 90, 0, 100):
-            lhs = aggressive.check_obligation(0, {"k": candidate})
-            rhs = plain.check_obligation(0, {"k": candidate})
-            assert lhs.status == rhs.status
-            if lhs.is_sat:
-                assert lhs.model["x"] == rhs.model["x"]
-        wrong = aggressive.check_obligation(0, {"k": 90})
-        prefix = aggressive.failure_core(0, {"k": 90}, {"x": wrong.model["x"]})
-        assert prefix
-        for name, bit, value in prefix:
-            assert name == "k" and (90 >> bit) & 1 == value
-
-    def test_telemetry_survives_budget_restarts(self):
-        session = IncrementalSmtSession(reduce_interval=1, max_lbd_keep=0)
-        session.assert_constraints([bvult(bv(6, 5), bvvar("h", 5)),
-                                    bvult(bvvar("h", 5), bv(30, 5))])
-        session.check()
-        before = session.stats()
-        session.restart()
-        after = session.stats()
-        assert after["clauses_deleted"] == before["clauses_deleted"]
-        assert after["db_size_peak"] == before["db_size_peak"]
-        session.check()
-        assert session.stats()["clauses_deleted"] >= before["clauses_deleted"]
-
 
 class TestCegisModeEqualityUnderReduction:
     def _interval_instance(self, width=10):
@@ -275,56 +240,54 @@ class TestCegisModeEqualityUnderReduction:
             bvand(bvult(x, k), bvult(m, x)))
         return [obligation], {"k": width, "m": width}
 
-    def test_mid_run_reduction_leaves_all_four_modes_identical(self):
+    def test_mid_run_reduction_leaves_the_run_identical(self):
         obligations, holes = self._interval_instance()
         baseline = synthesize(obligations, holes, solver=SmtSolver(seed=0),
                               random_probes=0, initial_random_examples=0)
         assert baseline.succeeded and baseline.iterations >= 4
-        for incremental in (False, True):
-            for incremental_verify in (False, True):
-                result = synthesize(
-                    obligations, holes, incremental=incremental,
-                    incremental_verify=incremental_verify,
-                    solver=SmtSolver(seed=0), random_probes=0,
-                    initial_random_examples=0,
-                    reduce_interval=2, max_lbd_keep=0)
-                key = (incremental, incremental_verify)
-                assert result.status == baseline.status, key
-                assert result.hole_values == baseline.hole_values, key
-                assert result.iterations == baseline.iterations, key
-                assert result.examples_used == baseline.examples_used, key
+        result = synthesize(obligations, holes, solver=SmtSolver(seed=0),
+                            random_probes=0, initial_random_examples=0,
+                            reduce_interval=2, max_lbd_keep=0)
+        assert result.status == baseline.status
+        assert result.hole_values == baseline.hole_values
+        assert result.iterations == baseline.iterations
+        assert result.examples_used == baseline.examples_used
+
+    def _semiprime_instance(self, width=12):
+        """Factoring a semiprime forces real conflicts, and so learned
+        clauses, in the candidate solver."""
+        h1, h2 = bvvar("h1", width), bvvar("h2", width)
+        return ([Obligation(bv(3599, width), bvmul(h1, h2))],
+                {"h1": width, "h2": width},
+                [bvult(h1, bv(64, width)), bvult(h2, bv(64, width)),
+                 bvult(bv(1, width), h1), bvult(bv(1, width), h2)])
 
     def test_reduction_telemetry_flows_into_the_result(self):
-        obligations, holes = self._interval_instance()
-        result = synthesize(obligations, holes, incremental=True,
-                            incremental_verify=True, solver=SmtSolver(seed=0),
-                            random_probes=0, initial_random_examples=0,
+        obligations, holes, constraints = self._semiprime_instance()
+        result = synthesize(obligations, holes, hole_constraints=constraints,
+                            solver=SmtSolver(seed=0), random_probes=0,
+                            initial_random_examples=0,
                             reduce_interval=2, max_lbd_keep=0)
         assert result.succeeded
         assert result.stats["db_size_peak"] > 0
-        assert result.stats["clauses_deleted"] >= 0
-        # At default (patient) knobs these instances never trigger a
+        assert result.stats["clauses_deleted"] > 0
+        # At default (patient) knobs this instance never triggers a
         # reduction, so the deletion counter stays zero.
-        patient = synthesize(obligations, holes, solver=SmtSolver(seed=0),
-                             random_probes=0, initial_random_examples=0)
+        patient = synthesize(obligations, holes, hole_constraints=constraints,
+                             solver=SmtSolver(seed=0), random_probes=0,
+                             initial_random_examples=0)
+        assert patient.stats["db_size_peak"] > 0
         assert patient.stats["clauses_deleted"] == 0
 
     def test_throwaway_session_telemetry_is_counted(self):
-        # From-scratch mode builds a throwaway candidate session per
-        # iteration; its reduction work must be folded into the result.
-        # Factoring a semiprime forces real conflicts in that session.
-        width = 12
-        h1, h2 = bvvar("h1", width), bvvar("h2", width)
+        # CEGIS builds a throwaway candidate session per iteration; its
+        # reduction work must be folded into the result.
+        obligations, holes, constraints = self._semiprime_instance()
         result = synthesize(
-            [Obligation(bv(3599, width), bvmul(h1, h2))],
-            {"h1": width, "h2": width},
-            hole_constraints=[bvult(h1, bv(64, width)),
-                              bvult(h2, bv(64, width)),
-                              bvult(bv(1, width), h1),
-                              bvult(bv(1, width), h2)],
+            obligations, holes, hole_constraints=constraints,
             solver=SmtSolver(seed=0), random_probes=0,
             initial_random_examples=0, reduce_interval=2, max_lbd_keep=0)
-        assert result.succeeded and not result.incremental
+        assert result.succeeded
         assert result.hole_values in ({"h1": 59, "h2": 61},
                                       {"h1": 61, "h2": 59})
         assert result.stats["db_size_peak"] > 0
@@ -334,7 +297,6 @@ class TestCegisModeEqualityUnderReduction:
         obligations, holes = self._interval_instance()
         budget = Budget(timeout_seconds=0.0).start()
         result = synthesize(obligations, holes, budget=budget,
-                            incremental=True, incremental_verify=True,
                             reduce_interval=2, max_lbd_keep=0,
                             random_probes=0, initial_random_examples=0)
         assert result.status == "unknown"

@@ -93,24 +93,26 @@ class TestWireForms:
             json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_session_spec_round_trips(self):
-        spec = SessionSpec(enable_cache=False, incremental=True,
-                           incremental_verify=True, random_probes=7)
+        spec = SessionSpec(enable_cache=False, random_probes=7)
         rebuilt = SessionSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert rebuilt == spec
-        # Older coordinators still send the retired racing-style field.
-        legacy = dict(spec.to_dict(), portfolio="thread")
+        # Older coordinators still send the retired racing-style and
+        # CEGIS-mode fields.
+        legacy = dict(spec.to_dict(), portfolio="thread", incremental=True,
+                      incremental_verify=True)
         assert SessionSpec.from_dict(legacy) == spec
 
     def test_experiment_config_round_trips(self):
         config = ExperimentConfig(template="dsp", random_probes=5,
-                                  incremental=True,
                                   timeout_seconds={"intel-cyclone10lp": 9.0})
         rebuilt = ExperimentConfig.from_dict(
             json.loads(json.dumps(config.to_dict())))
         assert rebuilt == config
         assert rebuilt.timeout_seconds["intel-cyclone10lp"] == 9.0
-        # Older coordinators still send the retired racing-style field.
-        legacy = dict(config.to_dict(), portfolio="thread")
+        # Older coordinators still send the retired racing-style and
+        # CEGIS-mode fields.
+        legacy = dict(config.to_dict(), portfolio="thread", incremental=True,
+                      incremental_verify=True)
         assert ExperimentConfig.from_dict(legacy) == config
 
 
@@ -393,13 +395,9 @@ class TestArtifactResume:
 # --------------------------------------------------------------------------- #
 @needs_fork
 class TestEndToEnd:
-    @pytest.mark.parametrize("incremental,incremental_verify",
-                             [(False, False), (True, False),
-                              (False, True), (True, True)])
-    def test_distributed_equals_serial(self, incremental, incremental_verify):
+    def test_distributed_equals_serial(self):
         benchmarks = _fast_benchmarks(4)
-        config = ExperimentConfig(incremental=incremental,
-                                  incremental_verify=incremental_verify)
+        config = ExperimentConfig()
         serial = _serial_records(benchmarks, config)
         result = run_distributed_sweep(benchmarks, config, workers=2,
                                        shard_size=1, timeout=120)

@@ -9,15 +9,14 @@ random instances from a seed and cross-checks:
   enumeration on random CNFs — sat/unsat status and model validity;
 * the word-level ``check_sat`` stack (simplify → blast → CNF → solver)
   against brute-force evaluation on random bitvector constraints;
-* all four CEGIS mode combinations (``incremental`` ×
-  ``incremental_verify``) against each other — statuses, hole values,
-  iteration and example counts — and the winning hole assignments against
-  brute-force enumeration of the full hole space;
+* CEGIS with and without the most aggressive clause-database reduction
+  against each other — statuses, hole values, iteration and example
+  counts — and the winning hole assignments against brute-force
+  enumeration of the full hole space;
 * clause-database reduction at its most aggressive settings
   (``reduce_interval=2, max_lbd_keep=0`` — reduce after every other
   learned clause, protect nothing but locked clauses) against brute force
-  and against the unreduced baseline, over warm incremental solver use and
-  all four CEGIS modes;
+  and against the unreduced baseline, over warm incremental solver use;
 * the bit-parallel :class:`~repro.bv.bitsim.PackedEvaluator` against the
   scalar evaluator, lane by lane, on random expressions covering **every**
   operator at random widths and batch sizes — and ``AIG.simulate_packed``
@@ -26,9 +25,9 @@ random instances from a seed and cross-checks:
   :class:`~repro.sat.legacy.LegacyCDCLSolver` — not just statuses but the
   **entire observable trajectory** (models in emission order, trail,
   conflict/decision/propagation/restart counters, cores, reduction
-  telemetry) over incremental add-clause/assumption workloads, plus the
-  four CEGIS modes re-run on the legacy engine via monkeypatching and
-  unsat-core strengthening re-solves across three independent engines;
+  telemetry) over incremental add-clause/assumption workloads, plus CEGIS
+  re-run on the legacy engine via monkeypatching and unsat-core
+  strengthening re-solves across three independent engines;
 * the warm solver service under randomized QoS churn — flood submissions,
   admission-cap rejections, and elastic pool resizes interleaved with a
   benchmark sweep — against the same sweep run serially: the served
@@ -174,8 +173,8 @@ def _assignments(variables):
         yield assignment
 
 
-def _warm_verify_case(rng: random.Random):
-    """A realizable CEGIS case that queries the verify session twice.
+def _two_candidate_case(rng: random.Random):
+    """A realizable CEGIS case whose second candidate needs a SAT query.
 
     Returns ``(holes, spec, sketch)``.  The spec is the sketch with ``h0``
     bound to a random nonzero value, written as ``(bound + m) - m`` for a
@@ -188,10 +187,8 @@ def _warm_verify_case(rng: random.Random):
 
     With no random initial examples, CEGIS then tries and refutes the
     all-zeros candidate first, and can accept a correct candidate only
-    after a SAT query.  In the incremental-verify modes these are two
-    verify-session queries (the refuted candidate's failure core, then
-    the check on the warm solver).  With random probing off, every
-    candidate after the all-zeros one comes from a SAT query as well.
+    after a SAT query.  With random probing off, every candidate after the
+    all-zeros one comes from a candidate-session SAT query as well.
     """
     while True:
         width = rng.randint(1, 3)
@@ -551,37 +548,29 @@ class TestArenaLegacyDifferential:
     def test_cegis_modes_on_legacy_solver_match_arena(self, monkeypatch):
         import repro.smt.solver as smt_solver
         from repro.sat.legacy import LegacyCDCLSolver
-        from repro.smt.equivalence import IncrementalVerifySession
 
-        #: Legacy-engine loads by session: the candidate side (warm or
-        #: throwaway), the verify session, and the verify session's later
-        #: loads, which add an empty batch to a solver that may still hold
-        #: the previous query's decision levels.
-        syncs = dict.fromkeys(("candidate", "verify", "verify_warm"), 0)
-        sync_solver = smt_solver.WarmSolverHost._sync_solver
+        #: Candidate-session loads into the legacy engine.
+        loads = [0]
+        sync_solver = smt_solver.IncrementalSmtSession._sync_solver
 
-        def counting_sync(host):
-            if isinstance(host, IncrementalVerifySession):
-                syncs["verify"] += 1
-                syncs["verify_warm"] += host._solver is not None
-            else:
-                syncs["candidate"] += 1
-            return sync_solver(host)
+        def counting_sync(session):
+            loads[0] += 1
+            return sync_solver(session)
 
         def run_modes(obligation, holes, case_seed, options):
             results = {}
-            for incremental in (False, True):
-                for incremental_verify in (False, True):
-                    outcome = synthesize(
-                        [obligation], holes, incremental=incremental,
-                        incremental_verify=incremental_verify,
-                        solver=SmtSolver(seed=0), seed=case_seed & 0xFFFF,
-                        max_iterations=256, **options)
-                    results[(incremental, incremental_verify)] = (
-                        outcome.status, outcome.hole_values,
-                        outcome.iterations, outcome.examples_used,
-                        outcome.stats["propagations"],
-                        outcome.stats["watcher_visits"])
+            for reduced in (False, True):
+                knobs = {"reduce_interval": 2, "max_lbd_keep": 0} \
+                    if reduced else {}
+                outcome = synthesize(
+                    [obligation], holes, solver=SmtSolver(seed=0),
+                    seed=case_seed & 0xFFFF, max_iterations=256,
+                    **options, **knobs)
+                results[reduced] = (
+                    outcome.status, outcome.hole_values,
+                    outcome.iterations, outcome.examples_used,
+                    outcome.stats["propagations"],
+                    outcome.stats["watcher_visits"])
             return results
 
         def compare(stream, case_seed, holes, spec, sketch, **options):
@@ -589,7 +578,7 @@ class TestArenaLegacyDifferential:
             arena_runs = run_modes(obligation, holes, case_seed, options)
             with monkeypatch.context() as patch:
                 patch.setattr(smt_solver, "CDCLSolver", LegacyCDCLSolver)
-                patch.setattr(smt_solver.WarmSolverHost, "_sync_solver",
+                patch.setattr(smt_solver.IncrementalSmtSession, "_sync_solver",
                               counting_sync)
                 legacy_runs = run_modes(obligation, holes, case_seed, options)
             assert arena_runs == legacy_runs, \
@@ -599,8 +588,8 @@ class TestArenaLegacyDifferential:
 
         cases = max(1, CEGIS_CASES // 3)
         # Independent spec/sketch pairs, default options: often
-        # unrealizable (the no-candidate outcome, core pruning), and at
-        # small scale mostly closed by the probe layers.
+        # unrealizable (the no-candidate outcome), and at small scale
+        # mostly closed by the probe layers.
         for index in range(cases):
             case_seed = _case_seed("cegis-legacy", index)
             rng = random.Random(case_seed)
@@ -611,26 +600,23 @@ class TestArenaLegacyDifferential:
             sketch = _random_expr(rng, {**inputs, **holes}, width,
                                   rng.randint(1, 4))
             compare("cegis-legacy", case_seed, holes, spec, sketch)
-        # Cases that load the warm solvers at any scale (_warm_verify_case).
-        before = dict(syncs)
+        # Cases that load the candidate solver at any scale
+        # (_two_candidate_case).
+        before = loads[0]
         for index in range(cases):
             case_seed = _case_seed("cegis-legacy-warm", index)
-            holes, spec, sketch = _warm_verify_case(random.Random(case_seed))
+            holes, spec, sketch = _two_candidate_case(random.Random(case_seed))
             compare("cegis-legacy-warm", case_seed, holes, spec, sketch,
                     random_probes=0, initial_random_examples=0)
-        loads = {kind: syncs[kind] - before[kind] for kind in syncs}
-        # Per case: every mode loads a candidate solver for the candidate
-        # after the all-zeros one; each incremental-verify mode loads its
-        # verify session for the all-zeros failure core, then again, warm,
-        # to accept the final candidate.
-        assert loads["candidate"] >= 4 * cases and \
-            loads["verify"] >= 4 * cases and \
-            loads["verify_warm"] >= 2 * cases, \
-            f"legacy-engine loads over {cases} warm-verify cases: {loads}"
+        # Per case: both reduction settings load a candidate solver for
+        # the candidate after the all-zeros one.
+        assert loads[0] - before >= 2 * cases, \
+            (f"legacy-engine loads over {cases} two-candidate cases: "
+             f"{loads[0] - before}")
 
 
 # --------------------------------------------------------------------------- #
-# (f) CEGIS differential: four mode combinations vs brute force
+# (f) CEGIS differential: with and without reduction vs brute force
 # --------------------------------------------------------------------------- #
 class TestCegisDifferential:
     def test_mode_combinations_agree_and_match_brute_force(self):
@@ -650,25 +636,17 @@ class TestCegisDifferential:
             obligation = Obligation(spec=spec, sketch=sketch)
 
             outcomes = {}
-            for incremental in (False, True):
-                for incremental_verify in (False, True):
-                    for reduced in (False, True):
-                        # reduced=True re-runs the mode with the most
-                        # aggressive clause-DB reduction settings; every
-                        # combination must stay outcome-identical.
-                        knobs = {"reduce_interval": 2, "max_lbd_keep": 0} \
-                            if reduced else {}
-                        outcomes[(incremental, incremental_verify, reduced)] = \
-                            synthesize(
-                                [obligation], holes,
-                                incremental=incremental,
-                                incremental_verify=incremental_verify,
-                                solver=SmtSolver(seed=0),
-                                seed=case_seed & 0xFFFF,
-                                max_iterations=256, **knobs)
-            base = outcomes[(False, False, False)]
+            for reduced in (False, True):
+                # reduced=True re-runs with the most aggressive clause-DB
+                # reduction settings; the outcome must stay identical.
+                knobs = {"reduce_interval": 2, "max_lbd_keep": 0} \
+                    if reduced else {}
+                outcomes[reduced] = synthesize(
+                    [obligation], holes, solver=SmtSolver(seed=0),
+                    seed=case_seed & 0xFFFF, max_iterations=256, **knobs)
+            base = outcomes[False]
             for key, outcome in outcomes.items():
-                context = (f"mode {key} vs (False, False, False) on "
+                context = (f"reduced={key} vs unreduced on "
                            f"spec={spec!r} sketch={sketch!r} "
                            f"{_replay('cegis', case_seed)}")
                 assert outcome.status == base.status, context
@@ -725,9 +703,7 @@ class TestServiceQosChurnDifferential:
             rng = random.Random(case_seed)
             benchmarks = small_workloads(4, seed=case_seed & 0xFFFF,
                                          max_width=6)
-            config = ExperimentConfig(
-                incremental=rng.random() < 0.5,
-                incremental_verify=rng.random() < 0.5)
+            config = ExperimentConfig()
             serial = run_sweep(benchmarks, config, workers=1).records
             context = _replay("qos-churn", case_seed)
 

@@ -105,10 +105,9 @@ class TestShardedSweep:
 
     def test_session_spec_builds_configured_sessions(self, tmp_path):
         spec = SessionSpec(cache_dir=str(tmp_path), enable_cache=False,
-                           incremental=True, random_probes=7)
+                           random_probes=7)
         with spec.build() as session:
             assert not session.enable_cache
-            assert session.incremental and not session.incremental_verify
             assert session.random_probes == 7
 
 
@@ -165,17 +164,23 @@ class TestRecordTransport:
         path = tmp_path / "archived.jsonl"
         path.write_text(flat + "\n")
         [record] = records_from_jsonl(path)
+        # The retired keys (the incremental flags and the counters of the
+        # persistent sessions) are dropped, not lifted into the stats.
         assert record.stats == dict(
-            stats.new(), clauses_retained=3, solver_restarts=1,
-            verify_clauses_retained=4, cores_pruned=2, clauses_deleted=5,
-            db_size_peak=6, propagations=201, watcher_visits=600,
+            stats.new(), clauses_deleted=5, db_size_peak=6,
+            propagations=201, watcher_visits=600,
             solver_solve_seconds=0.25, probe_lanes_evaluated=32,
             probe_hits=1, prefilter_cex_found=1)
-        assert record.incremental and record.incremental_verify
         assert record.outcome == "success" and record.dsps == 1
         # Written back out, it round-trips in the nested form.
         rewritten = records_to_jsonl([record], tmp_path / "nested.jsonl")
         assert records_from_jsonl(rewritten) == [record]
+        # A nested record of the same era drops its retired counters too,
+        # so they cannot reappear in merged sweep totals.
+        nested = record.to_dict()
+        nested["stats"].update(solver_restarts=1, clauses_retained=3,
+                               verify_clauses_retained=4, cores_pruned=2)
+        assert MappingRecord.from_dict(nested) == record
 
 
 # --------------------------------------------------------------------------- #
@@ -184,14 +189,12 @@ class TestRecordTransport:
 class TestSweepSummary:
     #: Every key a non-distributed sweep summary carries.
     SUMMARY_KEYS = {
-        "architectures", "cache", "clauses_deleted", "clauses_retained",
-        "cores_pruned", "db_size_peak", "hit_rate", "incremental",
-        "incremental_verify", "interrupted", "outcomes", "portfolio_wins",
+        "architectures", "cache", "clauses_deleted", "db_size_peak",
+        "hit_rate", "interrupted", "outcomes", "portfolio_wins",
         "prefilter_cex_found", "probe_hits", "probe_lanes_evaluated",
         "propagations", "propagations_per_second", "random_probes",
-        "record_cache_hits", "solver_restarts", "solver_solve_seconds",
-        "total", "verify_clauses_retained", "watcher_visits",
-        "watcher_visits_per_propagation", "workers",
+        "record_cache_hits", "solver_solve_seconds", "total",
+        "watcher_visits", "watcher_visits_per_propagation", "workers",
     }
 
     def test_stats_json_keeps_every_summary_key(self, tmp_path, capsys):

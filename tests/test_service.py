@@ -174,17 +174,12 @@ class TestCrashRecovery:
 
 
 # --------------------------------------------------------------------------- #
-# Determinism: served ≡ serial in all four incremental modes
+# Determinism: served ≡ serial
 # --------------------------------------------------------------------------- #
 class TestServedEqualsSerial:
-    @pytest.mark.parametrize("incremental,incremental_verify",
-                             [(False, False), (True, False),
-                              (False, True), (True, True)])
-    def test_served_records_equal_serial_sweep(self, incremental,
-                                               incremental_verify):
+    def test_served_records_equal_serial_sweep(self):
         benchmarks = _fast_benchmarks(4)
-        config = ExperimentConfig(incremental=incremental,
-                                  incremental_verify=incremental_verify)
+        config = ExperimentConfig()
         serial = run_sweep(benchmarks, config, workers=1).records
         spec = SessionSpec.from_config(config)
         with SolverService(spec, workers=2) as service:
@@ -284,6 +279,28 @@ class TestSocketLayer:
                     assert missing["ok"] is False
                     # The connection is still serviceable afterwards.
                     assert client.request({"op": "ping"})["ok"] is True
+
+    def test_request_cli_reports_a_rejected_design_in_one_line(
+            self, tmp_path, capsys):
+        from repro.cli import main
+
+        socket_path = tmp_path / "serve.sock"
+        rejected = tmp_path / "comb.v"
+        rejected.write_text("module m(input [3:0] a, output reg [3:0] out); "
+                            "always @(*) out = a; endmodule")
+        design = tmp_path / "mul8.v"
+        design.write_text(MUL8)
+        argv = ["request", "--socket", str(socket_path),
+                "--arch-desc", "intel-cyclone10lp"]
+        with SolverService(SessionSpec(), workers=1) as service:
+            with ServerThread(service, socket_path):
+                assert main([*argv, str(rejected)]) == 1
+                [line] = capsys.readouterr().err.splitlines()
+                assert line.startswith("request failed: ParseError: ")
+                # The server stays up and serves the next request.
+                assert main([*argv, str(design)]) == 0
+                assert json.loads(capsys.readouterr().out)["outcome"] == \
+                    "success"
 
 
 # --------------------------------------------------------------------------- #

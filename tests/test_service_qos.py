@@ -545,17 +545,12 @@ class TestSocketBackpressure:
 
 
 # --------------------------------------------------------------------------- #
-# Determinism: served == serial through resize churn, all four modes
+# Determinism: served == serial through resize churn
 # --------------------------------------------------------------------------- #
 class TestServedEqualsSerialUnderChurn:
-    @pytest.mark.parametrize("incremental,incremental_verify",
-                             [(False, False), (True, False),
-                              (False, True), (True, True)])
-    def test_served_records_equal_serial_sweep(self, incremental,
-                                               incremental_verify):
+    def test_served_records_equal_serial_sweep(self):
         benchmarks = _fast_benchmarks(4)
-        config = ExperimentConfig(incremental=incremental,
-                                  incremental_verify=incremental_verify)
+        config = ExperimentConfig()
         serial = run_sweep(benchmarks, config, workers=1).records
         spec = SessionSpec.from_config(config)
         # A deliberately twitchy pool: tiny hysteresis on both edges and a

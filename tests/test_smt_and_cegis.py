@@ -88,6 +88,34 @@ class TestEquivalence:
         assert result.is_equivalent
         assert result.strategy in ("structural", "normalise")
 
+    def test_sat_layer_counterexamples_are_canonical(self):
+        # Without probes every counterexample comes from the portfolio race;
+        # canonical=True makes it the smallest x with x < 100 != x < k,
+        # whichever member won.
+        width = 8
+        x = bvvar("x", width)
+        solver = SmtSolver(random_probes=0)
+        for candidate, expected in ((120, 100), (90, 90), (0, 0)):
+            result = check_equivalence(bvult(x, bv(candidate, width)),
+                                       bvult(x, bv(100, width)),
+                                       solver=solver, canonical=True)
+            assert result.is_different
+            assert result.strategy.startswith("sat:")
+            assert result.counterexample["x"] == expected
+
+    def test_const_true_miter_reports_zero_counterexample(self):
+        # bveq(a, a) folds to constant 1, so the miter against constant 0
+        # normalises to constant true: different on *every* assignment.
+        # The result must still carry a usable (all-zeros) counterexample —
+        # a None here used to crash the CEGIS loop's counterexample
+        # extraction.
+        a = bvvar("a", 4)
+        result = check_equivalence(bveq(a, a), bv(0, 1))
+        assert result.is_different
+        assert result.strategy == "normalise"
+        assert result.counterexample is not None
+        assert result.counterexample.get("a", 0) == 0
+
 
 class TestCegis:
     def test_lut2_and_function(self):
