@@ -44,13 +44,6 @@ class InterfaceImplementation:
     output_port: str
     clock: str = ""
 
-    def data_port_for(self, interface_input: str) -> Optional[PortBinding]:
-        """The vendor port directly driven by the given interface input."""
-        for binding in self.ports:
-            if binding.value == interface_input:
-                return binding
-        return None
-
     def interface_inputs_used(self) -> List[str]:
         names: List[str] = []
         for binding in self.ports:

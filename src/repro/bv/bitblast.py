@@ -12,9 +12,8 @@ from typing import Dict, List
 
 from repro.bv.aig import AIG, FALSE_LIT, TRUE_LIT
 from repro.bv.ast import BVExpr
-from repro.bv.cnf import IncrementalCnf
 
-__all__ = ["BitBlaster", "IncrementalContext", "bitblast"]
+__all__ = ["BitBlaster", "bitblast"]
 
 Bits = List[int]
 
@@ -241,43 +240,6 @@ class BitBlaster:
 
     def _op_redor(self, node, args, widths) -> Bits:
         return [self.aig.or_many(args[0])]
-
-
-class IncrementalContext:
-    """One persistent AIG + CNF namespace shared across solver queries.
-
-    The context owns a single :class:`AIG`, the :class:`BitBlaster` whose
-    node cache fills it, and an :class:`~repro.bv.cnf.IncrementalCnf`
-    mirroring it.  Because the blaster's cache and the AIG's structural
-    hashing are deterministic, a word-level variable bit-blasts to the same
-    AIG input — and therefore the same CNF literal — no matter how many
-    expressions have been asserted in between, and each new assertion only
-    appends the clauses of its own cone.
-    """
-
-    def __init__(self) -> None:
-        self.aig = AIG()
-        self.blaster = BitBlaster(self.aig)
-        self.encoder = IncrementalCnf(self.aig)
-
-    @property
-    def cnf(self):
-        """The shared CNF (grows monotonically; never rebuilt)."""
-        return self.encoder.cnf
-
-    def blast(self, expr: BVExpr) -> Bits:
-        """Blast an expression into the shared namespace (no clauses yet)."""
-        return self.blaster.blast(expr)
-
-    def assert_true(self, expr: BVExpr) -> None:
-        """Permanently constrain a 1-bit expression to hold."""
-        if expr.width != 1:
-            raise ValueError("only 1-bit expressions can be asserted")
-        self.encoder.assert_lit(self.blaster.blast(expr)[0])
-
-    def input_vars(self) -> Dict[str, int]:
-        """Stable map from input bit names to CNF variable numbers."""
-        return self.encoder.input_vars()
 
 
 def bitblast(expr: BVExpr, aig: AIG | None = None) -> tuple[AIG, Bits]:

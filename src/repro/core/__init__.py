@@ -7,8 +7,8 @@ Layout (mirroring Sections 3 and 4 of the paper):
 * :mod:`repro.core.interp`      -- the stream interpreter (Figure 4) plus a
   symbolic variant that produces solver bitvector expressions.
 * :mod:`repro.core.sublang`     -- ℒbeh / ℒstruct / ℒsketch membership.
-* :mod:`repro.core.equivalence` -- program equivalence ≡_t and its bounded
-  multi-cycle extension.
+* :mod:`repro.core.equivalence` -- the output pairs behind ≡_t and its
+  bounded multi-cycle extension.
 * :mod:`repro.core.interfaces`  -- primitive interfaces (LUT, carry, mux, DSP).
 * :mod:`repro.core.templates`   -- the architecture-independent sketch
   templates (dsp, bitwise, bitwise-with-carry, comparison, multiplication).

@@ -5,39 +5,21 @@ produce the same root value at time ``t`` under every environment.  The
 bounded-model-checking extension of §3.5 conjoins the equality over the
 window ``t .. t + c``.
 
-Equivalence is decided by symbolically interpreting both programs over the
-*same* per-timestep input variables and handing the miter to
-:mod:`repro.smt.equivalence`.
+:func:`output_pairs` interprets both programs symbolically over the
+*same* per-timestep input variables; ``f*_lr`` (:mod:`repro.core.synthesis`)
+turns each pair into a CEGIS obligation, whose verification step decides
+it with :mod:`repro.smt.equivalence`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.bv import bvvar
 from repro.bv.ast import BVExpr
-from repro.core.interp import SymbolicInterpreter, input_variable_name
+from repro.core.interp import SymbolicInterpreter
 from repro.core.lang import Program
-from repro.smt.equivalence import EquivalenceResult, check_equivalence
-from repro.smt.solver import SmtSolver
 
-__all__ = ["ProgramEquivalenceResult", "program_equivalent", "output_pairs"]
-
-
-@dataclass
-class ProgramEquivalenceResult:
-    """Result of a program equivalence query over one or more timesteps."""
-
-    status: str  # "equivalent", "different", "unknown"
-    failing_time: Optional[int] = None
-    counterexample: Optional[Dict[str, int]] = None
-    time_seconds: float = 0.0
-
-    @property
-    def is_equivalent(self) -> bool:
-        return self.status == "equivalent"
+__all__ = ["output_pairs"]
 
 
 def output_pairs(candidate: Program, design: Program, start_time: int,
@@ -58,23 +40,3 @@ def output_pairs(candidate: Program, design: Program, start_time: int,
     for t in range(start_time, start_time + cycles + 1):
         pairs.append((t, candidate_interp.run(t), design_interp.run(t)))
     return pairs
-
-
-def program_equivalent(candidate: Program, design: Program, at_time: int,
-                       cycles: int = 0, deadline: Optional[float] = None,
-                       solver: Optional[SmtSolver] = None) -> ProgramEquivalenceResult:
-    """Decide ``candidate ≡_t design`` (and, with ``cycles`` > 0, ``f*_lr``'s
-    window ``t .. t + cycles``)."""
-    start = time.monotonic()
-    for t, candidate_out, design_out in output_pairs(candidate, design, at_time, cycles):
-        result: EquivalenceResult = check_equivalence(candidate_out, design_out,
-                                                      deadline=deadline, solver=solver)
-        if result.is_equivalent:
-            continue
-        elapsed = time.monotonic() - start
-        if result.is_unknown:
-            return ProgramEquivalenceResult("unknown", failing_time=t, time_seconds=elapsed)
-        counterexample = result.counterexample.as_dict() if result.counterexample else {}
-        return ProgramEquivalenceResult("different", failing_time=t,
-                                        counterexample=counterexample, time_seconds=elapsed)
-    return ProgramEquivalenceResult("equivalent", time_seconds=time.monotonic() - start)

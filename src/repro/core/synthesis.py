@@ -16,7 +16,6 @@ Both are partial functions: the result distinguishes
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -43,7 +42,6 @@ class SynthesisOutcome:
     program: Optional[Program] = None
     hole_values: Dict[str, int] = field(default_factory=dict)
     cegis_iterations: int = 0
-    time_seconds: float = 0.0
     candidate_strategy: str = "none"
     verify_strategy: str = "none"
     #: Why a run degraded to ``unknown`` (empty for clean outcomes).
@@ -80,7 +78,6 @@ def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
     mapping session's, so sketch-generation time already counts against it)
     or as a plain ``timeout_seconds`` convenience.
     """
-    start = time.monotonic()
     if budget is None:
         budget = Budget(timeout_seconds=timeout_seconds)
     budget.start()
@@ -111,7 +108,6 @@ def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
     outcome = SynthesisOutcome(
         status=cegis.status,
         cegis_iterations=cegis.iterations,
-        time_seconds=time.monotonic() - start,
         candidate_strategy=cegis.candidate_strategy,
         verify_strategy=cegis.verify_strategy,
         diagnostic=cegis.diagnostic,

@@ -18,7 +18,9 @@ full synthesis cost for workloads every other process has already solved.
   ``*.corrupt``) and replaced with a fresh one — a damaged cache must never
   take the tool down;
 * **concurrency**: WAL journaling plus a busy timeout make concurrent
-  readers/writers from sharded sweep workers safe;
+  readers/writers from sharded sweep workers safe; processes opening one
+  database together wait out each other's locks (contention is never
+  taken for corruption) and check its schema in one write transaction;
 * **lifetime statistics**: per-run hit/miss counts are folded into the meta
   table on write/close, so ``lakeroad cache stats`` reports hit rates over
   the database's whole life, not just one process.
@@ -66,46 +68,37 @@ def canonical_key(key: Hashable) -> str:
     return json.dumps(key, sort_keys=True, default=repr)
 
 
-#: Memoized read-only peek connections, keyed by database path.  The peek
-#: helpers run on hot inspection paths (``lakeroad cache stats``, the
-#: service front door's health checks) and used to open a fresh sqlite
-#: connection per call; one per process is enough.  Entries carry the
-#: opening pid and the file identity so a fork or a replaced database
-#: (quarantine, ``clear``) invalidates the handle instead of serving a
-#: stale snapshot.
-_PEEK_LOCK = threading.Lock()
-_PEEK_CONNECTIONS: Dict[str, tuple] = {}
+#: The connections' busy timeout, which is also how long opening a
+#: database keeps retrying while other processes hold its locks.
+_BUSY_SECONDS = 30.0
 
 
-def _peek_connection(path: Path) -> Optional[sqlite3.Connection]:
+def _is_contention(error: sqlite3.Error) -> bool:
+    """Whether ``error`` is lock contention (SQLITE_BUSY / SQLITE_LOCKED:
+    another connection holds the database), as opposed to damage."""
+    code = getattr(error, "sqlite_errorcode", None)  # Python 3.11+
+    if code is None:
+        return "locked" in str(error)
+    return code & 0xFF in (5, 6)  # SQLITE_BUSY, SQLITE_LOCKED
+
+
+def _peek_row(directory, db_name: str, query: str) -> Optional[tuple]:
+    """The first row of ``query`` on a read-only connection, or None if
+    the database is missing or unreadable.  The connection is opened for
+    this one query and closed after it, so a replaced database
+    (quarantine, ``clear``) is never read through a stale handle."""
+    path = Path(directory) / db_name
     try:
-        stat = path.stat()
-    except OSError:
+        connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True,
+                                     timeout=5.0)
+    except sqlite3.Error:
         return None
-    identity = (stat.st_dev, stat.st_ino)
-    key = str(path)
-    with _PEEK_LOCK:
-        entry = _PEEK_CONNECTIONS.get(key)
-        if entry is not None:
-            pid, cached_identity, connection = entry
-            if pid == os.getpid() and cached_identity == identity:
-                return connection
-            # Stale: forked child (never close the parent's handle) or the
-            # file was replaced underneath us.
-            if pid == os.getpid():
-                try:
-                    connection.close()
-                except sqlite3.Error:
-                    pass
-            del _PEEK_CONNECTIONS[key]
-        try:
-            connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True,
-                                         timeout=5.0,
-                                         check_same_thread=False)
-        except sqlite3.Error:
-            return None
-        _PEEK_CONNECTIONS[key] = (os.getpid(), identity, connection)
-        return connection
+    try:
+        return connection.execute(query).fetchone()
+    except sqlite3.Error:
+        return None
+    finally:
+        connection.close()
 
 
 def peek_schema_version(directory, db_name: str = DB_NAME) -> Optional[int]:
@@ -113,14 +106,11 @@ def peek_schema_version(directory, db_name: str = DB_NAME) -> Optional[int]:
     writing (and therefore without triggering the schema migration, which
     drops unreadable entries).  Returns None if the database is missing,
     unreadable, or carries no version stamp."""
-    connection = _peek_connection(Path(directory) / db_name)
-    if connection is None:
-        return None
+    row = _peek_row(directory, db_name,
+                    "SELECT value FROM meta WHERE key = 'schema_version'")
     try:
-        row = connection.execute(
-            "SELECT value FROM meta WHERE key = 'schema_version'").fetchone()
         return int(row[0]) if row is not None else None
-    except (sqlite3.Error, ValueError):
+    except ValueError:
         return None
 
 
@@ -128,14 +118,8 @@ def peek_entry_count(directory, db_name: str = DB_NAME) -> Optional[int]:
     """Count a cache database's entries without opening it for writing
     (works on any schema version that has an ``entries`` table).  Returns
     None if the database is missing or unreadable."""
-    connection = _peek_connection(Path(directory) / db_name)
-    if connection is None:
-        return None
-    try:
-        row = connection.execute("SELECT COUNT(*) FROM entries").fetchone()
-        return int(row[0])
-    except sqlite3.Error:
-        return None
+    row = _peek_row(directory, db_name, "SELECT COUNT(*) FROM entries")
+    return int(row[0]) if row is not None else None
 
 
 class DiskSynthesisCache:
@@ -197,18 +181,49 @@ class DiskSynthesisCache:
     # ------------------------------------------------------------------ #
     def _open(self) -> None:
         try:
-            self._connection = self._initialise()
+            self._connection = self._connect()
         except sqlite3.DatabaseError:
             self._quarantine()
-            self._connection = self._initialise()
+            self._connection = self._connect()
+
+    def _connect(self) -> Optional[sqlite3.Connection]:
+        """:meth:`_initialise`, waiting out other processes' locks.
+
+        Lock contention is not damage: processes opening one fresh
+        directory together contend while they initialise it, and some
+        lock waits fail at once instead of using the busy timeout.  Those
+        are retried for the busy budget; a database still locked after it
+        is skipped with a warning (None: the cache runs without its disk
+        tier).  Any other error propagates, for :meth:`_open` to
+        quarantine.
+        """
+        deadline = time.monotonic() + _BUSY_SECONDS
+        while True:
+            try:
+                return self._initialise()
+            except sqlite3.DatabaseError as error:
+                if not _is_contention(error):
+                    raise
+                if time.monotonic() > deadline:
+                    warnings.warn(
+                        f"synthesis cache database {self.path} stayed locked "
+                        f"for {_BUSY_SECONDS:.0f}s; running without the disk "
+                        "cache", RuntimeWarning, stacklevel=3)
+                    return None
+                time.sleep(0.01)
 
     def _initialise(self) -> sqlite3.Connection:
-        connection = sqlite3.connect(str(self.path), timeout=30.0,
+        connection = sqlite3.connect(str(self.path), timeout=_BUSY_SECONDS,
                                      check_same_thread=False)
         try:
             connection.execute("PRAGMA journal_mode=WAL")
             connection.execute("PRAGMA synchronous=NORMAL")
-            connection.execute("PRAGMA busy_timeout=30000")
+            connection.execute(
+                f"PRAGMA busy_timeout={int(_BUSY_SECONDS * 1000)}")
+            # Check and migrate the schema in one write transaction: an
+            # opener that finds no version stamp must not drop the entries
+            # another opener wrote after stamping it.
+            connection.execute("BEGIN IMMEDIATE")
             connection.execute(
                 "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)")
             row = connection.execute(

@@ -205,11 +205,9 @@ def run_sweep(benchmarks: Sequence[Microbenchmark],
     The returned :class:`SweepResult` merges the per-record solver
     counters over the designs that actually ran synthesis this run
     (:attr:`SweepResult.stats`).  Among them, ``db_size_peak`` — the
-    learned-database high-water mark that the solver's LBD clause
-    reduction keeps bounded on long sweeps — is the number to watch on
-    paper-scale enumerations: without reduction the persistent sessions'
-    watch lists grow monotonically with every CEGIS iteration a sweep
-    survives.
+    largest learned-clause database any candidate solver reached, which
+    the solver's LBD clause reduction keeps bounded — is the number to
+    watch on paper-scale enumerations with hard candidate queries.
     """
     config = config or ExperimentConfig()
     benchmarks = list(benchmarks)

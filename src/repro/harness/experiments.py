@@ -31,8 +31,6 @@ __all__ = [
     "table1_primitives",
     "resource_reduction",
     "extensibility",
-    "portfolio_stats",
-    "portfolio_win_counts",
     "render_completeness_table",
     "render_timing_table",
     "render_table1",
@@ -231,33 +229,6 @@ def extensibility() -> List[dict]:
             "interfaces_implemented": [impl.interface for impl in description.implementations],
         })
     return rows
-
-
-# --------------------------------------------------------------------------- #
-# §5.1 solver-portfolio statistics
-# --------------------------------------------------------------------------- #
-def portfolio_stats(records_with_strategies: Sequence[dict]) -> Dict[str, int]:
-    """Which decision strategy answered first, across synthesis queries.
-
-    The paper reports Bitwuzla 671 / STP 519 / Yices2 464 / cvc5 64; our
-    portfolio members are ``normalise`` (word-level rewriting), ``simulate``
-    (random probing), ``sat:cdcl`` and ``sat:dpll``.
-    """
-    counter: Counter = Counter()
-    for entry in records_with_strategies:
-        counter[entry.get("candidate_strategy", "unknown")] += 1
-        counter[entry.get("verify_strategy", "unknown")] += 0  # tracked separately
-    return dict(counter)
-
-
-def portfolio_win_counts(session) -> Dict[str, int]:
-    """Per-member first-answer win counts from a session's SAT portfolio.
-
-    This is the direct analogue of the paper's Bitwuzla/STP/Yices2/cvc5
-    table: the concurrent race records which registered backend answered
-    first for every query that reached the bit-blasting layer.
-    """
-    return session.portfolio_wins()
 
 
 # --------------------------------------------------------------------------- #

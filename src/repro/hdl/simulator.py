@@ -17,7 +17,7 @@ from repro.hdl.btor import TransitionSystem
 from repro.hdl.elaborate import elaborate
 from repro.hdl.parser import parse_module
 
-__all__ = ["Simulator", "simulate_verilog"]
+__all__ = ["Simulator"]
 
 
 class Simulator:
@@ -84,11 +84,3 @@ class Simulator:
             sampled = self.step(inputs)
             trace.append(sampled[output_name])
         return trace
-
-
-def simulate_verilog(source: str, input_streams: Mapping[str, Sequence[int]],
-                     cycles: int, module_name: Optional[str] = None,
-                     output: Optional[str] = None) -> List[int]:
-    """One-shot helper: parse, elaborate and simulate a module."""
-    simulator = Simulator.from_verilog(source, module_name)
-    return simulator.run(input_streams, cycles, output)

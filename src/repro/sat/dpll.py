@@ -28,7 +28,6 @@ class DPLLSolver:
         self.should_stop = should_stop
 
     def solve(self, assumptions: Sequence[int] = ()) -> SatResult:
-        start = time.monotonic()
         result = SatResult(status="unknown")
         clauses = [list(c) for c in self.cnf.clauses]
         assignment: Dict[int, bool] = {}
@@ -36,15 +35,13 @@ class DPLLSolver:
             var, value = abs(lit), lit > 0
             if assignment.get(var, value) != value:
                 result.status = "unsat"
-                result.time_seconds = time.monotonic() - start
                 return result
             assignment[var] = value
 
-        status, model = self._search(clauses, assignment, result, start)
+        status, model = self._search(clauses, assignment, result)
         result.status = status
         if status == "sat":
             result.model = complete_model(self.cnf.num_vars, model)
-        result.time_seconds = time.monotonic() - start
         return result
 
     # ------------------------------------------------------------------ #
@@ -69,7 +66,7 @@ class DPLLSolver:
             simplified.append(new_clause)
         return simplified, False
 
-    def _search(self, clauses, assignment, result: SatResult, start: float):
+    def _search(self, clauses, assignment, result: SatResult):
         stack = [(clauses, dict(assignment), None)]
         while stack:
             if self.deadline is not None and time.monotonic() > self.deadline:

@@ -515,11 +515,11 @@ class LegacyCDCLSolver:
         """
         start = time.monotonic()
         try:
-            return self._solve(assumptions, start)
+            return self._solve(assumptions)
         finally:
             self.solve_seconds += time.monotonic() - start
 
-    def _solve(self, assumptions: Sequence[int], start: float) -> SatResult:
+    def _solve(self, assumptions: Sequence[int]) -> SatResult:
         self.solve_calls += 1
         self.last_core = None
         self.stats = SatResult(status="unknown")
@@ -569,7 +569,6 @@ class LegacyCDCLSolver:
                 self._ok = False
                 self.stats.status = "unsat"
                 self.last_core = []
-                self.stats.time_seconds = time.monotonic() - start
                 return self.stats
 
         for lit in assumptions:
@@ -579,7 +578,6 @@ class LegacyCDCLSolver:
             if value is False:
                 self.stats.status = "unsat"
                 self.last_core = self._analyze_final([-lit], extra=lit)
-                self.stats.time_seconds = time.monotonic() - start
                 return self.stats
             if value is None:
                 self.trail_lim.append(len(self.trail))
@@ -588,7 +586,6 @@ class LegacyCDCLSolver:
                 if conflict is not None:
                     self.stats.status = "unsat"
                     self.last_core = self._analyze_final(self.clauses[conflict])
-                    self.stats.time_seconds = time.monotonic() - start
                     return self.stats
         assumption_level = self._decision_level()
 
@@ -604,7 +601,6 @@ class LegacyCDCLSolver:
                            and time.monotonic() > self.deadline)
                 if expired or (self.should_stop is not None and self.should_stop()):
                     self.stats.status = "unknown"
-                    self.stats.time_seconds = time.monotonic() - start
                     self.total_conflicts += self.stats.conflicts
                     return self.stats
 
@@ -619,7 +615,6 @@ class LegacyCDCLSolver:
                         self.last_core = []
                     else:
                         self.last_core = self._analyze_final(self.clauses[conflict])
-                    self.stats.time_seconds = time.monotonic() - start
                     self.total_conflicts += self.stats.conflicts
                     return self.stats
                 learnt, backjump_level = self._analyze(conflict)
@@ -662,7 +657,6 @@ class LegacyCDCLSolver:
                     model.setdefault(var, False)
                 self.stats.status = "sat"
                 self.stats.model = model
-                self.stats.time_seconds = time.monotonic() - start
                 self.total_conflicts += self.stats.conflicts
                 return self.stats
 

@@ -72,8 +72,9 @@ calls reuse the learned-clause database, variable activities and saved
 phases of earlier calls.  When a query is unsatisfiable under assumptions,
 :attr:`CDCLSolver.last_core` holds the subset of assumption literals
 responsible (the final-conflict analysis of MiniSat's ``analyzeFinal``).
-This is what lets one solver context survive a whole CEGIS run instead of
-being cold-started every iteration.
+Lex-min refinement (:func:`repro.smt.solver.lex_min_model`) runs on this:
+its assumption solves share one solver, and each trial reuses the decision
+levels of the previous one that match its assumption prefix.
 
 The branching/restart/phase behavior is configurable so the backend
 registry can race genuinely diversified members.  The ``branching="static"``
@@ -81,9 +82,9 @@ registry can race genuinely diversified members.  The ``branching="static"``
 the smallest unassigned variable and assign the fixed ``default_phase``, so
 the first model found is the lexicographically smallest satisfying
 assignment.  That model is *canonical* — independent of which entailed
-learned clauses happen to be in the database — which is what makes a warm
-incremental solver and a cold from-scratch solver return identical models
-on identical formulas (the equality guarantee incremental CEGIS relies on).
+learned clauses happen to be in the database — so a solver warmed by
+earlier queries and a cold one return identical models on identical
+formulas.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ class SatResult:
     decisions: int = 0
     propagations: int = 0
     restarts: int = 0
-    time_seconds: float = 0.0
 
     @property
     def is_sat(self) -> bool:
@@ -1063,11 +1063,11 @@ class CDCLSolver:
         """
         start = time.monotonic()
         try:
-            return self._solve(assumptions, start)
+            return self._solve(assumptions)
         finally:
             self.solve_seconds += time.monotonic() - start
 
-    def _solve(self, assumptions: Sequence[int], start: float) -> SatResult:
+    def _solve(self, assumptions: Sequence[int]) -> SatResult:
         self.solve_calls += 1
         self.last_core = None
         self.stats = SatResult(status="unknown")
@@ -1119,7 +1119,6 @@ class CDCLSolver:
                 self._ok = False
                 self.stats.status = "unsat"
                 self.last_core = []
-                self.stats.time_seconds = time.monotonic() - start
                 return self.stats
 
         for lit in assumptions:
@@ -1129,7 +1128,6 @@ class CDCLSolver:
             if value is False:
                 self.stats.status = "unsat"
                 self.last_core = self._analyze_final([-lit], extra=lit)
-                self.stats.time_seconds = time.monotonic() - start
                 return self.stats
             if value is None:
                 self.trail_lim.append(len(self.trail))
@@ -1139,7 +1137,6 @@ class CDCLSolver:
                     self.stats.status = "unsat"
                     self.last_core = self._analyze_final(
                         self.clause_literals(conflict))
-                    self.stats.time_seconds = time.monotonic() - start
                     return self.stats
         assumption_level = len(self.trail_lim)
 
@@ -1155,7 +1152,6 @@ class CDCLSolver:
                            and time.monotonic() > self.deadline)
                 if expired or (self.should_stop is not None and self.should_stop()):
                     self.stats.status = "unknown"
-                    self.stats.time_seconds = time.monotonic() - start
                     self.total_conflicts += self.stats.conflicts
                     return self.stats
 
@@ -1171,7 +1167,6 @@ class CDCLSolver:
                     else:
                         self.last_core = self._analyze_final(
                             self.clause_literals(conflict))
-                    self.stats.time_seconds = time.monotonic() - start
                     self.total_conflicts += self.stats.conflicts
                     return self.stats
                 learnt, backjump_level = self._analyze(conflict)
@@ -1205,7 +1200,6 @@ class CDCLSolver:
                             for var in range(1, self.num_vars + 1) if vals[var]}
                 self.stats.status = "sat"
                 self.stats.model = complete_model(self.num_vars, assigned)
-                self.stats.time_seconds = time.monotonic() - start
                 self.total_conflicts += self.stats.conflicts
                 return self.stats
 

@@ -73,7 +73,6 @@ class CegisResult:
     hole_values: Optional[Dict[str, int]] = None
     iterations: int = 0
     examples_used: int = 0
-    time_seconds: float = 0.0
     candidate_strategy: str = "none"
     verify_strategy: str = "none"
     #: Why a run degraded to ``unknown`` (empty for clean outcomes).
@@ -192,9 +191,9 @@ def _solve_candidate(constraints: Sequence[BVExpr], iteration: int,
     session.assert_constraints(constraints)
     smt_result = session.check(deadline=deadline)
     counters["candidate_conflicts"] += smt_result.sat_conflicts
-    # The session dies here; fold its clause-DB and propagation telemetry
-    # into the run's counters (its own check and CNF-size tallies stay
-    # with it).
+    # The session dies here; fold its solver's clause-DB and propagation
+    # telemetry into the run's counters (its conflicts are already in
+    # candidate_conflicts).
     merge(counters, {key: value for key, value in session.stats().items()
                      if key in counters})
     if smt_result.is_unknown:
@@ -242,7 +241,6 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
             below this survive every reduction (None defers to the solver
             default).
     """
-    start = time.monotonic()
     if budget is not None:
         deadline = budget.start().deadline
     if isinstance(obligations, Obligation):
@@ -340,5 +338,4 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
             result.hole_values = hole_values
             break
 
-    result.time_seconds = time.monotonic() - start
     return result

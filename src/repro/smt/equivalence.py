@@ -17,7 +17,6 @@ the same counterexample and walks the same trajectory.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -40,7 +39,6 @@ class EquivalenceResult:
     status: str  # "equivalent", "different", "unknown"
     counterexample: Optional[Model] = None
     strategy: str = "none"
-    time_seconds: float = 0.0
     #: Packed random-simulation lanes the pre-filter evaluated before (or
     #: instead of) blasting; a ``different`` verdict with strategy
     #: ``"simulate"`` is a counterexample the pre-filter found for free.
@@ -72,39 +70,32 @@ def check_equivalence(lhs: BVExpr, rhs: BVExpr,
     a shallow counterexample found there (strategy ``"simulate"``) skips
     the SAT layer entirely.
     """
-    start = time.monotonic()
     if lhs.width != rhs.width:
         raise ValueError(f"cannot compare widths {lhs.width} and {rhs.width}")
 
     # Structural fast path: interning makes identical DAGs the same object.
     if lhs is rhs:
-        return EquivalenceResult("equivalent", strategy="structural",
-                                 time_seconds=time.monotonic() - start)
+        return EquivalenceResult("equivalent", strategy="structural")
 
     miter = bvne(lhs, rhs)
     if miter.is_const():
         if not miter.value:
-            return EquivalenceResult("equivalent", strategy="normalise",
-                                     time_seconds=time.monotonic() - start)
+            return EquivalenceResult("equivalent", strategy="normalise")
         # A constant-true miter differs on *every* assignment; report the
         # all-zeros witness so callers always get a usable counterexample.
         widths: Dict[str, int] = {}
         widths.update(var_widths(lhs))
         widths.update(var_widths(rhs))
         witness = Model({name: 0 for name in widths}, widths)
-        return EquivalenceResult("different", witness, "normalise",
-                                 time_seconds=time.monotonic() - start)
+        return EquivalenceResult("different", witness, "normalise")
 
     result = check_sat(miter, deadline=deadline, solver=solver,
                        canonical=canonical)
-    elapsed = time.monotonic() - start
     if result.is_unknown:
         return EquivalenceResult("unknown", strategy=result.strategy,
-                                 time_seconds=elapsed,
                                  probe_lanes=result.probe_lanes)
     if result.is_unsat:
         return EquivalenceResult("equivalent", strategy=result.strategy,
-                                 time_seconds=elapsed,
                                  probe_lanes=result.probe_lanes)
 
     # SAT: the model only covers variables in the miter's support; fill the
@@ -114,5 +105,4 @@ def check_equivalence(lhs: BVExpr, rhs: BVExpr,
     widths.update(var_widths(rhs))
     values = {name: result.model.get(name, 0) for name in widths}
     return EquivalenceResult("different", Model(values, widths),
-                             result.strategy, elapsed,
-                             probe_lanes=result.probe_lanes)
+                             result.strategy, probe_lanes=result.probe_lanes)

@@ -21,17 +21,17 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.bv import bvand, bvvar
+from repro.bv import bvand
 from repro.bv.ast import BVExpr
-from repro.bv.bitblast import BitBlaster, IncrementalContext
+from repro.bv.bitblast import BitBlaster
 from repro.bv.bitsim import PROBE_LANES, PackedEvaluator, first_sat_lane
-from repro.bv.cnf import aig_to_cnf, lit_to_cnf
+from repro.bv.cnf import aig_to_cnf
 from repro.bv.eval import evaluate, var_widths
 from repro.sat.portfolio import SatPortfolio
-from repro.sat.solver import CDCLSolver, SatResult
+from repro.sat.solver import CDCLSolver
 from repro.smt.model import Model
 
 __all__ = ["SmtResult", "check_sat", "SmtSolver", "IncrementalSmtSession",
@@ -57,8 +57,7 @@ def _canonical_bit_order(bit_vars: Dict[str, int]) -> List[int]:
 
 
 def lex_min_model(solver: CDCLSolver, bits, model: Dict[int, bool],
-                  deadline: Optional[float] = None,
-                  on_solve=None) -> Optional[Dict[int, bool]]:
+                  deadline: Optional[float] = None) -> Optional[Dict[int, bool]]:
     """Refine ``model`` to the unique greedy-minimal input-bit assignment.
 
     ``bits`` is either a bit-name → CNF-variable mapping — minimized in
@@ -69,9 +68,7 @@ def lex_min_model(solver: CDCLSolver, bits, model: Dict[int, bool],
     assignment minimizing the ordered bit tuple — a property of the
     constraint set and the order, not of the search — so whichever
     portfolio member wins a race, the refined model is the same.
-    ``on_solve`` observes every trial result (the candidate session uses
-    it for conflict accounting).  Returns ``None`` if the deadline expires
-    mid-refinement.
+    Returns ``None`` if the deadline expires mid-refinement.
     """
     solver.deadline = deadline
     ordered = _canonical_bit_order(bits) if isinstance(bits, dict) else list(bits)
@@ -82,8 +79,6 @@ def lex_min_model(solver: CDCLSolver, bits, model: Dict[int, bool],
             prefix.append(-var)
             continue
         trial = solver.solve(prefix + [-var])
-        if on_solve is not None:
-            on_solve(trial)
         if trial.is_sat:
             model = trial.model
             prefix.append(-var)
@@ -101,7 +96,6 @@ class SmtResult:
     status: str  # "sat", "unsat", "unknown"
     model: Optional[Model] = None
     strategy: str = "none"  # which layer decided the query
-    time_seconds: float = 0.0
     sat_conflicts: int = 0
     #: Packed random-probe assignments evaluated while deciding this query
     #: (layer 2's throughput telemetry; 0 when probing was skipped).
@@ -118,6 +112,20 @@ class SmtResult:
     @property
     def is_unknown(self) -> bool:
         return self.status == "unknown"
+
+
+def _decode(input_vars: Dict[str, int], model: Dict[int, bool],
+            widths: Dict[str, int]) -> Model:
+    """The word-level model of the variables in ``widths`` that a CNF
+    ``model`` assigns through the named input bits in ``input_vars``."""
+    values: Dict[str, int] = {name: 0 for name in widths}
+    for bit_name, cnf_var in input_vars.items():
+        if not model.get(cnf_var, False):
+            continue
+        var_name, _, index_part = bit_name.rpartition("[")
+        if var_name in values:
+            values[var_name] |= 1 << int(index_part[:-1])
+    return Model(values, widths)
 
 
 class SmtSolver:
@@ -139,7 +147,6 @@ class SmtSolver:
         the canonical (name-ordered lexicographically smallest) input
         assignment, making layer-3 models search-independent.
         """
-        start = time.monotonic()
         for constraint in constraints:
             if constraint.width != 1:
                 raise ValueError("constraints must be 1-bit expressions")
@@ -150,7 +157,7 @@ class SmtSolver:
         if formula.is_const():
             status = "sat" if formula.value else "unsat"
             model = Model({}, {}) if status == "sat" else None
-            return SmtResult(status, model, "normalise", time.monotonic() - start)
+            return SmtResult(status, model, "normalise")
 
         widths = var_widths(formula)
 
@@ -172,7 +179,6 @@ class SmtSolver:
             while lanes_spent < self.random_probes:
                 if deadline is not None and time.monotonic() > deadline:
                     return SmtResult("unknown", None, "timeout",
-                                     time.monotonic() - start,
                                      probe_lanes=lanes_spent)
                 chunk = min(PROBE_LANES, self.random_probes - lanes_spent)
                 batch = [{name: self.rng.getrandbits(width)
@@ -186,14 +192,12 @@ class SmtSolver:
                         for _name, width in items:
                             self.rng.getrandbits(width)
                     return SmtResult("sat", Model(batch[lane], widths),
-                                     "simulate", time.monotonic() - start,
-                                     probe_lanes=lanes_spent)
+                                     "simulate", probe_lanes=lanes_spent)
         elif self.random_probes and evaluate(formula, {}):
             # No free variables: every scalar probe evaluated the same
             # closed formula (consuming no randomness); one evaluation
             # decides them all.
-            return SmtResult("sat", Model({}, widths), "simulate",
-                             time.monotonic() - start)
+            return SmtResult("sat", Model({}, widths), "simulate")
 
         # Layer 3: bit-blast and race the portfolio.
         blaster = BitBlaster()
@@ -201,13 +205,11 @@ class SmtSolver:
         cnf, input_vars = aig_to_cnf(blaster.aig, bits)
         sat_result, winner = self.portfolio.solve(cnf, deadline=deadline)
         if sat_result.is_unknown:
-            return SmtResult("unknown", None, "timeout",
-                             time.monotonic() - start, sat_result.conflicts,
+            return SmtResult("unknown", None, "timeout", sat_result.conflicts,
                              probe_lanes=lanes_spent)
         if sat_result.is_unsat:
             return SmtResult("unsat", None, f"sat:{winner}",
-                             time.monotonic() - start, sat_result.conflicts,
-                             probe_lanes=lanes_spent)
+                             sat_result.conflicts, probe_lanes=lanes_spent)
 
         model = sat_result.model
         if canonical:
@@ -223,42 +225,23 @@ class SmtSolver:
                 # downstream relies on; a run this close to its budget
                 # ends in "timeout" either way.
                 return SmtResult("unknown", None, "timeout",
-                                 time.monotonic() - start, sat_result.conflicts,
-                                 probe_lanes=lanes_spent)
+                                 sat_result.conflicts, probe_lanes=lanes_spent)
 
-        values: Dict[str, int] = {name: 0 for name in widths}
-        for bit_name, cnf_var in input_vars.items():
-            if not model.get(cnf_var, False):
-                continue
-            var_name, _, index_part = bit_name.rpartition("[")
-            bit_index = int(index_part[:-1])
-            if var_name in values:
-                values[var_name] |= 1 << bit_index
-        return SmtResult("sat", Model(values, widths), f"sat:{winner}",
-                         time.monotonic() - start, sat_result.conflicts,
+        return SmtResult("sat", _decode(input_vars, model, widths),
+                         f"sat:{winner}", sat_result.conflicts,
                          probe_lanes=lanes_spent)
 
 
-def _solver_counters(solver: CDCLSolver) -> Dict[str, float]:
-    """One solver's hot-loop counters, named as on the stats spine."""
-    return {"clauses_deleted": solver.clauses_deleted,
-            "db_size_peak": solver.db_size_peak,
-            "propagations": solver.propagations_total,
-            "watcher_visits": solver.watcher_visits,
-            "solver_solve_seconds": solver.solve_seconds}
-
-
 class IncrementalSmtSession:
-    """A word-level solving session: assert constraints, then check them.
+    """One candidate query: assert constraints, then check them.
 
-    Unlike :func:`check_sat`, constraints asserted here are *cumulative*:
-    every :meth:`assert_constraints` call appends obligations to one
-    :class:`~repro.bv.bitblast.IncrementalContext` (stable AIG / CNF
-    literals), and :meth:`check` feeds the clauses appended since the last
-    check into one lazily built :class:`CDCLSolver`.  The CEGIS candidate
-    step builds one session per iteration, asserts every constraint in one
-    batch and checks once: an empty solver, one ``ensure_vars``, one
-    ``add_clauses``.
+    :meth:`assert_constraints` blasts the constraints into the session's
+    AIG and encodes every output asserted so far with
+    :func:`~repro.bv.cnf.aig_to_cnf` into :attr:`cnf` and
+    :attr:`input_vars`.  :meth:`check` loads that CNF into a fresh
+    :class:`CDCLSolver` — one ``ensure_vars``, one ``add_clauses`` — and
+    solves it.  The CEGIS candidate step builds one session per
+    iteration, asserts every constraint in one batch and checks once.
 
     Satisfying models are *canonical*: after the heuristic search finds
     any model, the session refines it to the lexicographically smallest
@@ -276,9 +259,12 @@ class IncrementalSmtSession:
 
     def __init__(self, reduce_interval: Optional[int] = None,
                  max_lbd_keep: Optional[int] = None) -> None:
-        self.context = IncrementalContext()
-        self._solver: Optional[CDCLSolver] = None
-        self._synced_clauses = 0
+        self._blaster = BitBlaster()
+        #: AIG literals of the asserted non-constant constraints, in order.
+        self._outputs: List[int] = []
+        #: The CNF of everything asserted so far, and the CNF variable of
+        #: every input bit (rebuilt by :meth:`assert_constraints`).
+        self.cnf, self.input_vars = aig_to_cnf(self._blaster.aig, [])
         #: Clause-DB reduction knobs for the solver; None defers to the
         #: CDCLSolver defaults.
         self._solver_options: Dict[str, int] = {}
@@ -288,40 +274,31 @@ class IncrementalSmtSession:
             self._solver_options["max_lbd_keep"] = max_lbd_keep
         self._widths: Dict[str, int] = {}
         self._root_unsat = False
-        #: The session's own tallies; :meth:`stats` adds the solver's.
-        self._counters: Dict[str, float] = {"checks": 0, "conflicts": 0,
-                                            "asserted": 0}
+        #: The solver the last :meth:`check` built.
+        self._solver: Optional[CDCLSolver] = None
 
     def stats(self) -> Dict[str, float]:
-        """Session counters, the solver's included (names as on the stats
-        spine, :mod:`repro.engine.stats`), plus the context's current CNF
-        size as ``cnf_clauses``/``cnf_vars``."""
-        counters = dict(self._counters)
-        if self._solver is not None:
-            counters.update(_solver_counters(self._solver))
-        counters["cnf_clauses"] = self.context.cnf.num_clauses
-        counters["cnf_vars"] = self.context.cnf.num_vars
-        return counters
-
-    def _sync_solver(self) -> CDCLSolver:
-        """Feed clauses appended since the last check into the solver."""
-        if self._solver is None:
-            self._solver = CDCLSolver(**self._solver_options)
-        cnf = self.context.cnf
-        self._solver.ensure_vars(cnf.num_vars)
-        self._solver.add_clauses(cnf.clauses[self._synced_clauses:])
-        self._synced_clauses = len(cnf.clauses)
-        return self._solver
+        """The last check's solver counters, named as on the stats spine
+        (:mod:`repro.engine.stats`), plus its SAT ``conflicts``; empty
+        until a check reaches the solver."""
+        solver = self._solver
+        if solver is None:
+            return {}
+        return {"conflicts": solver.total_conflicts,
+                "clauses_deleted": solver.clauses_deleted,
+                "db_size_peak": solver.db_size_peak,
+                "propagations": solver.propagations_total,
+                "watcher_visits": solver.watcher_visits,
+                "solver_solve_seconds": solver.solve_seconds}
 
     # ------------------------------------------------------------------ #
     def assert_constraints(self, constraints: Sequence[BVExpr]) -> None:
-        """Permanently add 1-bit constraints (a conjunction) to the session.
+        """Add 1-bit constraints (a conjunction) to the session.
 
-        The batch is blasted and cone-encoded first, then the output units
-        are asserted together — the clause layout a one-shot
-        :func:`~repro.bv.cnf.aig_to_cnf` would produce for the batch.
+        The batch is blasted first; then :attr:`cnf` and
+        :attr:`input_vars` are re-encoded over every output asserted so
+        far, in assertion order.
         """
-        output_lits = []
         for constraint in constraints:
             if constraint.width != 1:
                 raise ValueError("constraints must be 1-bit expressions")
@@ -335,88 +312,44 @@ class IncrementalSmtSession:
                     raise ValueError(
                         f"variable {name!r} used at widths {existing} and {width}")
                 self._widths[name] = width
-            output_lits.append(self.context.blast(constraint)[0])
-            self._counters["asserted"] += 1
-        for lit in output_lits:
-            self.context.encoder.encode([lit])
-        for lit in output_lits:
-            self.context.encoder.cnf.add_clause([lit_to_cnf(lit)])
-
-    # ------------------------------------------------------------------ #
-    def _lex_minimize(self, solver: CDCLSolver,
-                      model: Dict[int, bool]) -> Optional[Dict[int, bool]]:
-        """Refine a model to the lex-smallest input-variable assignment.
-
-        The search heuristics determine only which model is found
-        *first*; this greedy pass — walk the input
-        bits in CNF-variable (assertion) order, try to flip each 1 to 0
-        under the already fixed prefix — converges to the unique
-        lexicographically smallest satisfying input assignment in that
-        order.  Tseitin variables are functionally forced by the inputs,
-        so the whole model is canonical.  Returns None on a deadline
-        expiry mid-refinement.
-
-        Deliberately NOT the name-based order of
-        :func:`_canonical_bit_order` that the verify side uses: candidate
-        formulas are much cheaper to minimize in assertion order (the
-        greedy prefix then follows constraint structure), and switching
-        orders would change every candidate canonical model — silently
-        invalidating cross-version result equality for persistent caches.
-        The bit order is the AIG input order, which is determined by the
-        order constraints were asserted.  Zero bits are free (the current
-        model witnesses them);
-        only bits currently 1 need a solver call, and the solver's
-        assumption-prefix trail reuse makes consecutive calls re-propagate
-        almost nothing.
-        """
-
-        def note(result: SatResult) -> None:
-            self._counters["conflicts"] += result.conflicts
-
-        return lex_min_model(solver, sorted(self.context.input_vars().values()),
-                             model, deadline=solver.deadline, on_solve=note)
+            self._outputs.append(self._blaster.blast(constraint)[0])
+        self.cnf, self.input_vars = aig_to_cnf(self._blaster.aig,
+                                               self._outputs)
 
     def check(self, deadline: Optional[float] = None) -> SmtResult:
         """Decide satisfiability of everything asserted so far."""
-        start = time.monotonic()
-        counters = self._counters
-        counters["checks"] += 1
         if self._root_unsat:
-            return SmtResult("unsat", None, "normalise", time.monotonic() - start)
+            return SmtResult("unsat", None, "normalise")
         if deadline is not None and time.monotonic() > deadline:
-            return SmtResult("unknown", None, "timeout", time.monotonic() - start)
+            return SmtResult("unknown", None, "timeout")
 
-        conflicts_before = counters["conflicts"]
-        solver = self._sync_solver()
-        solver.deadline = deadline
+        self._solver = solver = CDCLSolver(deadline=deadline,
+                                           **self._solver_options)
+        solver.ensure_vars(self.cnf.num_vars)
+        solver.add_clauses(self.cnf.clauses)
         sat_result = solver.solve()
-        counters["conflicts"] += sat_result.conflicts
-        if sat_result.is_unsat:
-            return SmtResult("unsat", None, "sat:incremental",
-                             time.monotonic() - start,
-                             counters["conflicts"] - conflicts_before)
         model = None
         if sat_result.is_sat:
-            # _lex_minimize adds its assumption-solve conflicts to the
-            # session's conflict tally, so the delta below covers the
-            # whole check.
-            model = self._lex_minimize(solver, sat_result.model)
-        elapsed = time.monotonic() - start
-        query_conflicts = counters["conflicts"] - conflicts_before
+            # Refined in CNF-variable order — the AIG input order, set by
+            # the order constraints were asserted — and deliberately NOT
+            # in the name order of _canonical_bit_order that verification
+            # uses: candidate formulas are much cheaper to minimize with
+            # the greedy prefix following constraint structure, and
+            # switching orders would change every candidate canonical
+            # model, invalidating cross-version equality for persistent
+            # caches.  Tseitin variables are functionally forced by the
+            # inputs, so the whole model is canonical.
+            model = lex_min_model(solver, sorted(self.input_vars.values()),
+                                  sat_result.model, deadline=deadline)
+        # Every solve on this fresh solver — the search and each lex-min
+        # trial — is this query's.
+        conflicts = solver.total_conflicts
+        if sat_result.is_unsat:
+            return SmtResult("unsat", None, "sat:incremental", conflicts)
         if model is None:
-            return SmtResult("unknown", None, "timeout", elapsed,
-                             query_conflicts)
-
-        values: Dict[str, int] = {name: 0 for name in self._widths}
-        for bit_name, cnf_var in self.context.input_vars().items():
-            if not model.get(cnf_var, False):
-                continue
-            var_name, _, index_part = bit_name.rpartition("[")
-            bit_index = int(index_part[:-1])
-            if var_name in values:
-                values[var_name] |= 1 << bit_index
-        return SmtResult("sat", Model(values, dict(self._widths)), "sat:incremental",
-                         elapsed, query_conflicts)
+            return SmtResult("unknown", None, "timeout", conflicts)
+        return SmtResult("sat", _decode(self.input_vars, model, self._widths),
+                         "sat:incremental", conflicts)
 
 
 _DEFAULT_SOLVER = SmtSolver()

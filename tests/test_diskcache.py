@@ -1,7 +1,10 @@
 """Tests for the persistent synthesis cache: cross-process round trips,
 schema-version fallback, corruption quarantine, and the tiered layering."""
 
+import multiprocessing
 import os
+import pickle
+import sqlite3
 import subprocess
 import sys
 import time
@@ -10,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine import diskcache
 from repro.engine.cache import SynthesisCache
 from repro.engine.diskcache import (
+    DB_NAME,
     SCHEMA_VERSION,
     DiskSynthesisCache,
     TieredSynthesisCache,
@@ -111,6 +116,56 @@ class TestSchemaAndCorruption:
         assert path.with_name(path.name + ".corrupt").exists()
         cache.put(KEY, "recovered")
         assert cache.get(KEY) == "recovered"
+        cache.close()
+
+    def test_concurrent_first_opens_never_quarantine(self, tmp_path):
+        """Two processes opening one fresh cache directory at once contend
+        for sqlite's locks while they initialise it; the contention must
+        be waited out, never taken for corruption (which would move the
+        other process's live database aside)."""
+        context = multiprocessing.get_context("fork")
+
+        def opener(directory, barrier, index):
+            barrier.wait(30)
+            cache = DiskSynthesisCache(directory)
+            cache.put(("opener", index), index)
+            cache.close()
+
+        for trial in range(60):
+            directory = tmp_path / str(trial)
+            barrier = context.Barrier(2)
+            openers = [context.Process(target=opener,
+                                       args=(directory, barrier, index))
+                       for index in range(2)]
+            for process in openers:
+                process.start()
+            for process in openers:
+                process.join(60)
+                assert process.exitcode == 0, f"trial {trial}"
+            assert not list(directory.glob("*.corrupt")), f"trial {trial}"
+            cache = DiskSynthesisCache(directory)
+            assert [cache.get(("opener", index)) for index in range(2)] \
+                == [0, 1], f"trial {trial}"
+            cache.close()
+
+    def test_lock_held_past_the_busy_budget_skips_the_disk_tier(
+            self, tmp_path, monkeypatch):
+        """Contention that outlasts the busy budget degrades like any
+        other cache failure: a warning and no disk tier, never a
+        quarantine."""
+        DiskSynthesisCache(tmp_path).close()
+        holder = sqlite3.connect(str(tmp_path / DB_NAME))
+        holder.execute("BEGIN EXCLUSIVE")
+        monkeypatch.setattr(diskcache, "_BUSY_SECONDS", 0.2)
+        try:
+            with pytest.warns(RuntimeWarning, match="stayed locked"):
+                cache = DiskSynthesisCache(tmp_path)
+        finally:
+            holder.rollback()
+            holder.close()
+        assert not list(tmp_path.glob("*.corrupt"))
+        cache.put(KEY, "value")
+        assert cache.get(KEY) is None
         cache.close()
 
     def test_undeserializable_entry_is_dropped_as_miss(self, tmp_path):
@@ -219,6 +274,29 @@ class TestSessionIntegration:
                                    timeout_seconds=0.0, validate=False)
         assert second.status == "timeout"
         assert not second.cache_hit
+
+    def test_entries_with_retired_fields_still_load(self, tmp_path):
+        """An entry pickled when SynthesisOutcome still had its
+        ``time_seconds`` field is served as a hit without it."""
+        session = MappingSession(cache_dir=tmp_path)
+        cold = session.map_verilog(AND4, template="bitwise", arch="sofa",
+                                   timeout_seconds=60)
+        disk = session.cache.disk
+        (text_key, blob, _), = disk.export_entries()
+        archived = pickle.loads(blob)
+        archived.synthesis.__dict__["time_seconds"] = 0.25
+        disk._connection.execute(
+            "UPDATE entries SET value = ? WHERE key = ?",
+            (pickle.dumps(archived), text_key))
+        disk._connection.commit()
+        disk.close()
+
+        warm = MappingSession(cache_dir=tmp_path).map_verilog(
+            AND4, template="bitwise", arch="sofa", timeout_seconds=60)
+        assert warm.cache_hit
+        assert (warm.status, warm.verilog, warm.hole_values) == \
+            (cold.status, cold.verilog, cold.hole_values)
+        assert not hasattr(warm.synthesis, "time_seconds")
 
     def test_disk_hits_are_isolated_from_caller_mutation(self, tmp_path):
         session = MappingSession(cache_dir=tmp_path)

@@ -549,13 +549,15 @@ class TestArenaLegacyDifferential:
         import repro.smt.solver as smt_solver
         from repro.sat.legacy import LegacyCDCLSolver
 
-        #: Candidate-session loads into the legacy engine.
+        #: Candidate-session loads into the legacy engine: every session
+        #: check past the root-level shortcuts builds and loads one.
         loads = [0]
-        sync_solver = smt_solver.IncrementalSmtSession._sync_solver
+        session_check = smt_solver.IncrementalSmtSession.check
 
-        def counting_sync(session):
-            loads[0] += 1
-            return sync_solver(session)
+        def counting_check(session, *args, **kwargs):
+            result = session_check(session, *args, **kwargs)
+            loads[0] += isinstance(session._solver, LegacyCDCLSolver)
+            return result
 
         def run_modes(obligation, holes, case_seed, options):
             results = {}
@@ -578,8 +580,8 @@ class TestArenaLegacyDifferential:
             arena_runs = run_modes(obligation, holes, case_seed, options)
             with monkeypatch.context() as patch:
                 patch.setattr(smt_solver, "CDCLSolver", LegacyCDCLSolver)
-                patch.setattr(smt_solver.IncrementalSmtSession, "_sync_solver",
-                              counting_sync)
+                patch.setattr(smt_solver.IncrementalSmtSession, "check",
+                              counting_check)
                 legacy_runs = run_modes(obligation, holes, case_seed, options)
             assert arena_runs == legacy_runs, \
                 (f"CEGIS diverged between engines on spec={spec!r} "

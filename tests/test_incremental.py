@@ -1,5 +1,5 @@
-"""Tests for the incremental solving layer: incremental CDCL, the shared
-AIG/CNF context, the candidate SMT session, and CEGIS on top of them.
+"""Tests for the incremental solving layer: incremental CDCL, the candidate
+SMT session and its CNF layout, and CEGIS on top of them.
 
 The load-bearing property throughout is *canonicity*: a warm solver and a
 fresh one must produce exactly the same answers — statuses always, and
@@ -7,16 +7,19 @@ models canonically (the session refines every model to the
 lexicographically smallest input assignment, which is a property of the
 formula rather than of the search)."""
 
+import hashlib
+import json
 import random
 import time
 
 import pytest
 
 from repro.bv import (
-    bv, bvvar, bvmul, bvand, bvor, bvxor, bvite, bveq, bvne, bvult,
+    bv, bvvar, bvadd, bvmul, bvand, bvor, bvxor, bvite, bveq, bvne, bvult,
     bvconcat, bvextract, bvlshr, zero_extend,
 )
-from repro.bv.bitblast import IncrementalContext
+from repro.bv.bitblast import BitBlaster
+from repro.bv.cnf import aig_to_cnf
 from repro.engine.budget import Budget
 from repro.hdl.behavioral import verilog_to_behavioral
 from repro.sat.cnf import CNF
@@ -158,8 +161,8 @@ class TestIncrementalCdcl:
             reference = LegacyCDCLSolver(**config)
             assumptions = []
             for step in range(rng.randint(1, 5)):
-                # Now and then nothing is added, as in a warm session's
-                # later syncs, and the same assumptions are solved again.
+                # Now and then nothing is added and the same assumptions
+                # are solved again.
                 batch = [] if step and rng.random() < 0.3 else \
                     random_batch(rng, num_vars)
                 levels = (list(bulk.trail), list(bulk.trail_lim))
@@ -236,36 +239,6 @@ class TestIncrementalCdcl:
             assert len(statuses) == 1
 
 
-class TestIncrementalContext:
-    def test_literals_are_stable_across_assertions(self):
-        context = IncrementalContext()
-        hole = bvvar("h", 4)
-        context.assert_true(bveq(bvand(hole, bv(3, 4)), bv(1, 4)))
-        first = dict(context.input_vars())
-        clauses_before = context.cnf.num_clauses
-        context.assert_true(bvult(hole, bv(9, 4)))
-        second = context.input_vars()
-        for name, var in first.items():
-            assert second[name] == var  # same bit -> same CNF literal
-        # The second obligation only appended clauses; nothing was rebuilt.
-        assert context.cnf.num_clauses > clauses_before
-
-    def test_replaying_assertions_reproduces_the_namespace(self):
-        constraints = [
-            bveq(bvand(bvvar("h", 4), bv(3, 4)), bv(1, 4)),
-            bvult(bvvar("h", 4), bv(9, 4)),
-            bvne(bvvar("g", 3), bv(0, 3)),
-        ]
-        incremental = IncrementalContext()
-        for constraint in constraints:
-            incremental.assert_true(constraint)
-        replayed = IncrementalContext()
-        for constraint in constraints:
-            replayed.assert_true(constraint)
-        assert incremental.input_vars() == replayed.input_vars()
-        assert incremental.cnf.clauses == replayed.cnf.clauses
-
-
 class TestIncrementalSmtSession:
     def test_constraints_accumulate(self):
         session = IncrementalSmtSession()
@@ -315,6 +288,42 @@ class TestIncrementalSmtSession:
         session = IncrementalSmtSession()
         session.assert_constraints([bvne(bvvar("h", 4), bv(0, 4))])
         assert session.check(deadline=time.monotonic() - 1.0).is_unknown
+
+
+def _cnf_digest(cnf, input_vars):
+    payload = json.dumps([cnf.num_vars, cnf.clauses,
+                          sorted(input_vars.items())])
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+class TestCnfLayout:
+    """The exact CNF fixes every solver's search trajectory, and with it
+    the counters CI pins; these digests hold it clause for clause."""
+
+    def test_candidate_session_cnf_is_pinned(self):
+        h, g = bvvar("h", 4), bvvar("g", 4)
+        session = IncrementalSmtSession()
+        session.assert_constraints([
+            bveq(bvand(bvadd(h, g), bv(5, 4)), bv(1, 4)),
+            bvult(bvmul(h, bv(3, 4)), bvadd(g, bv(9, 4))),
+            bveq(bvxor(bvadd(h, g), g), bv(6, 4)),
+        ])
+        assert (session.cnf.num_vars, session.cnf.num_clauses) == (108, 274)
+        # Per-output cones, output by output; encoding the union of the
+        # three cones in one sorted pass would give c871c2a04fe3d3da.
+        assert _cnf_digest(session.cnf, session.input_vars) \
+            == "d9bb575d01cad919"
+        assert session.check().model.as_dict() == {"g": 5, "h": 14}
+        stats = session.stats()
+        assert (stats["propagations"], stats["watcher_visits"]) == (170, 425)
+
+    def test_verify_miter_cnf_is_pinned(self):
+        h, g = bvvar("h", 4), bvvar("g", 4)
+        blaster = BitBlaster()
+        bits = blaster.blast(bvne(bvadd(h, g), bvmul(g, h)))
+        cnf, input_vars = aig_to_cnf(blaster.aig, bits)
+        assert (cnf.num_vars, cnf.num_clauses) == (102, 251)
+        assert _cnf_digest(cnf, input_vars) == "22ed9484b6391aa6"
 
 
 def _assert_modes_equal(obligations, hole_widths, **kwargs):
@@ -473,10 +482,10 @@ class TestCoreSoundness:
                 bvult(hole, bv(rng.randint(2, (1 << width) - 1), width)),
                 bvne(hole, bv(rng.randrange(1 << width), width)),
             ])
-            check = session.check()
+            session.check()
             solver = session._solver
             assert solver is not None
-            bit_vars = list(session.context.input_vars().values())
+            bit_vars = list(session.input_vars.values())
             for _ in range(8):
                 assumptions = [var if rng.random() < 0.5 else -var
                                for var in rng.sample(bit_vars,
@@ -488,6 +497,6 @@ class TestCoreSoundness:
                 assert core is not None
                 assert set(core) <= set(assumptions)
                 self._assert_core_unsat_from_scratch(
-                    session.context.cnf, core, "candidate-session core")
+                    session.cnf, core, "candidate-session core")
                 audited += 1
         assert audited > 0  # the sample must actually exercise the path

@@ -400,7 +400,7 @@ class TestMapRequest:
 
 
 # --------------------------------------------------------------------------- #
-# Disk cache: fork guard and peek memoization
+# Disk cache: fork guard and peek helpers
 # --------------------------------------------------------------------------- #
 class TestDiskCacheForkSafety:
     def test_forked_child_reopens_and_parent_survives(self, tmp_path):
@@ -428,13 +428,12 @@ class TestDiskCacheForkSafety:
         assert not list(tmp_path.glob("*.corrupt"))
         cache.close()
 
-    def test_peek_helpers_reuse_a_connection_and_see_fresh_writes(
-            self, tmp_path):
+    def test_peek_helpers_see_fresh_writes(self, tmp_path):
         cache = DiskSynthesisCache(tmp_path)
         cache.put(("a",), 1)
         assert peek_entry_count(tmp_path) == 1
         cache.put(("b",), 2)
-        # The memoized read-only connection must see the new entry.
+        # A peek after a write must see the new entry.
         assert peek_entry_count(tmp_path) == 2
         assert peek_schema_version(tmp_path) is not None
         cache.close()
