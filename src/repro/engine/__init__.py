@@ -13,8 +13,8 @@
   across processes and runs.
 * :mod:`repro.engine.session`  -- :class:`MappingSession`, which owns the
   whole map-one-design lifecycle (§2.2) and the shared state above.
-* :mod:`repro.engine.parallel` -- sharded sweeps over worker processes,
-  each owning its own session.
+* :mod:`repro.engine.parallel` -- the local worker body and sharded
+  sweeps over worker processes, each owning its own session.
 * :mod:`repro.engine.service`  -- the long-lived warm worker pool behind
   ``lakeroad serve``: request dedup, front-door caching, affinity routing
   and crash recovery over persistent sessions.
@@ -68,7 +68,6 @@ __all__ = [
     "SessionSpec",
     "SweepResult",
     "run_sweep",
-    "run_lakeroad_parallel",
     "MapRequest",
     "SolverService",
     "ServiceClient",
@@ -84,8 +83,7 @@ _CACHE_EXPORTS = ("SynthesisCache", "program_fingerprint")
 _DISKCACHE_EXPORTS = ("DiskSynthesisCache", "TieredSynthesisCache")
 _SESSION_EXPORTS = ("LakeroadResult", "MappingSession", "default_session",
                     "reset_default_session")
-_PARALLEL_EXPORTS = ("SessionSpec", "SweepResult", "run_sweep",
-                     "run_lakeroad_parallel")
+_PARALLEL_EXPORTS = ("SessionSpec", "SweepResult", "run_sweep")
 _SERVICE_EXPORTS = ("MapRequest", "SolverService", "ServiceClient",
                     "ServerThread", "run_server")
 _DISTRIBUTED_EXPORTS = ("SweepCoordinator", "DistributedSweepResult",

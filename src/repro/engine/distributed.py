@@ -43,7 +43,6 @@ import base64
 import hashlib
 import hmac
 import json
-import multiprocessing
 import os
 import secrets
 import signal
@@ -57,7 +56,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.parallel import SessionSpec, SweepResult
+from repro.engine.parallel import SessionSpec, SweepResult, _fork_context
 from repro.engine.service import (
     DEFAULT_STREAM_LIMIT,
     ServiceClient,
@@ -144,7 +143,7 @@ class SweepCoordinator:
                  shard_size: int = DEFAULT_SHARD_SIZE,
                  lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
                  retry_budget: int = DEFAULT_RETRY_BUDGET,
-                 artifact_dir=None, cache_sync: bool = True,
+                 artifact_dir=None,
                  stream_limit: int = DEFAULT_STREAM_LIMIT) -> None:
         self.benchmarks = list(benchmarks)
         if not self.benchmarks:
@@ -159,7 +158,6 @@ class SweepCoordinator:
         self.lease_timeout = float(lease_timeout)
         self.retry_budget = max(0, int(retry_budget))
         self.artifact_dir = Path(artifact_dir) if artifact_dir else None
-        self.cache_sync = bool(cache_sync)
         self.stream_limit = int(stream_limit)
 
         self._shards: List[List[Tuple[int, Microbenchmark]]] = [
@@ -354,9 +352,7 @@ class SweepCoordinator:
         if worker:
             state["name"] = str(worker)
         self._conns.add(conn_id)
-        entries = []
-        if self.cache_sync and self._cache_pool:
-            entries = [[key, blob] for key, blob in self._cache_pool.items()]
+        entries = [[key, blob] for key, blob in self._cache_pool.items()]
         return ({"id": request_id, "ok": True,
                  "protocol": PROTOCOL_VERSION,
                  "spec": self.spec.to_dict(),
@@ -456,13 +452,12 @@ class SweepCoordinator:
         stats["seconds"] += duration
         self._worker_cache[worker] = dict(message.get("cache") or {})
         self._worker_wins[worker] = dict(message.get("wins") or {})
-        if self.cache_sync:
-            for entry in message.get("cache_entries") or []:
-                try:
-                    key, blob = entry
-                except (TypeError, ValueError):
-                    continue
-                self._cache_pool[str(key)] = str(blob)
+        for entry in message.get("cache_entries") or []:
+            try:
+                key, blob = entry
+            except (TypeError, ValueError):
+                continue
+            self._cache_pool[str(key)] = str(blob)
         if self.artifact_dir is not None:
             self._write_shard_artifact(shard_id, received)
         self._maybe_finish()
@@ -532,7 +527,7 @@ class SweepCoordinator:
         """Fold the pooled warm-cache entries into the coordinator's own
         disk cache, so a follow-up local run starts as warm as the fleet
         finished.  Best-effort: cache trouble never fails the sweep."""
-        if not (self.cache_sync and self.spec.cache_dir and self._cache_pool):
+        if not (self.spec.cache_dir and self._cache_pool):
             return
         try:
             from repro.engine.diskcache import DiskSynthesisCache
@@ -885,10 +880,7 @@ def run_distributed_sweep(benchmarks: Sequence[Microbenchmark],
         lease_timeout=lease_timeout, retry_budget=retry_budget,
         artifact_dir=artifact_dir)
     coordinator.start()
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        context = multiprocessing.get_context()
+    context = _fork_context()
     processes = [
         context.Process(target=_local_worker_main,
                         args=((coordinator.host, coordinator.port),

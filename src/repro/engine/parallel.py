@@ -1,23 +1,27 @@
-"""Process-level parallel execution: sharded sweeps over worker sessions.
+"""Local worker processes: sharded sweeps and the worker body they share
+with the service.
 
 The paper's evaluation is embarrassingly parallel — thousands of
-independent (workload × architecture) synthesis queries — but the harness
-was single-process.  This module shards a benchmark list across a
-:class:`~concurrent.futures.ProcessPoolExecutor`:
+independent (workload × architecture) synthesis queries.  This module
+runs them on forked local workers that all speak one pipe protocol:
 
-* each worker owns its own :class:`repro.engine.session.MappingSession`,
-  built from a picklable :class:`SessionSpec` (sessions themselves hold
-  sqlite handles, thread locks and solver state and never cross a process
-  boundary);
-* results travel back as :meth:`MappingRecord.to_dict` payloads tagged
-  with their input index, and are merged **deterministically**: the merged
-  list preserves the input benchmark order exactly, regardless of which
-  worker finished first;
-* per-worker cache and portfolio statistics are summed into one aggregate.
+* :func:`_worker_main` is the only local worker body.  Each worker owns
+  its own :class:`repro.engine.session.MappingSession`, built from a
+  picklable :class:`SessionSpec` (sessions hold sqlite handles, thread
+  locks and solver state and never cross a process boundary).  It answers
+  ``("request", id, MapRequest)`` with the unit of work every plane runs,
+  :func:`repro.harness.runner.map_request`, until ``("stop",)``, which it
+  answers with its session's cache counters and portfolio wins.
+  :class:`repro.engine.service.SolverService` spawns the same body.
+* :func:`run_sweep` deals a benchmark list round-robin over such workers,
+  one request in flight per worker, and merges the records
+  **deterministically**: the merged list preserves the input benchmark
+  order exactly, regardless of which worker finished first; per-worker
+  cache and portfolio statistics are summed into one aggregate.
 
-``workers=1`` runs the very same per-benchmark code path
-(:func:`repro.harness.runner.map_benchmark`) in-process, so the serial
-sweep is the degenerate case of the sharded one rather than a separate
+``workers=1`` runs the very same unit of work in-process
+(:func:`repro.harness.runner.map_benchmark`), so the serial sweep is the
+degenerate case of the sharded one rather than a separate
 implementation.  A shared ``cache_dir`` (see
 :mod:`repro.engine.diskcache`) lets workers — and later runs — reuse each
 other's synthesis results.
@@ -27,21 +31,24 @@ from __future__ import annotations
 
 import multiprocessing
 import signal
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+import threading
+import time
+from collections import Counter, deque
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from multiprocessing.connection import wait
+from typing import Dict, List, Optional, Sequence
 
 from repro.engine.stats import this_run
 from repro.harness.runner import (
     ExperimentConfig,
     MappingRecord,
+    MapRequest,
     map_benchmark,
+    map_request,
 )
 from repro.workloads.generator import Microbenchmark
 
-__all__ = ["SessionSpec", "SweepResult", "SweepInterrupted", "run_sweep",
-           "run_lakeroad_parallel"]
+__all__ = ["SessionSpec", "SweepResult", "SweepInterrupted", "run_sweep"]
 
 
 class SweepInterrupted(RuntimeError):
@@ -136,56 +143,103 @@ class SweepResult:
         return dict(counts)
 
 
-#: Cooperative stop flag for graceful sweep shutdown.  Created in the
-#: parent before the pool forks and inherited by the workers (it never
-#: crosses a pickle boundary, so it stays compatible with executor-task
-#: pickling); ``None`` on platforms without fork, where interrupts fall
-#: back to the executor's own teardown.
-_STOP_EVENT = None
+def _worker_main(spec: SessionSpec, conn) -> None:
+    """Worker body: serve requests on one warm session until told to stop.
 
-
-def _worker_initializer() -> None:
-    """Pool workers ignore SIGINT/SIGTERM: the parent coordinates shutdown
-    via :data:`_STOP_EVENT`, and a signal delivered mid-sqlite-write would
-    quarantine the shared synthesis cache (``*.corrupt``)."""
+    The parent coordinates shutdown (and handles the terminal's signals),
+    so workers ignore SIGINT/SIGTERM — a Ctrl-C must never kill a worker
+    mid-sqlite-write and quarantine the shared cache.  The ``with`` block
+    guarantees the session closes on every exit path, flushing the disk
+    cache's lifetime counters.
+    """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
     except (OSError, ValueError):  # pragma: no cover - exotic platforms
         pass
+    try:
+        with spec.build() as session:
+            while True:
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    return  # the parent died; exit, closing the session
+                if message[0] == "stop":
+                    try:
+                        conn.send(("stats", dict(session.cache_stats()),
+                                   dict(session.portfolio_wins())))
+                    except (BrokenPipeError, OSError):
+                        pass
+                    return
+                _, request_id, request = message
+                try:
+                    record = map_request(session, request)
+                    payload = ("result", request_id, record.to_dict())
+                except Exception as exc:  # noqa: BLE001 - crosses the pipe
+                    payload = ("error", request_id,
+                               f"{type(exc).__name__}: {exc}")
+                try:
+                    conn.send(payload)
+                except (BrokenPipeError, OSError):
+                    return
+    finally:
+        try:
+            conn.close()
+        except OSError:  # pragma: no cover
+            pass
 
 
-def _run_shard(spec: SessionSpec, config: ExperimentConfig,
-               items: Sequence[Tuple[int, Microbenchmark]]) -> dict:
-    """Worker body: map one shard on a private session.
-
-    Returns plain dicts only — the payload crosses the process boundary, so
-    records ship in their :meth:`MappingRecord.to_dict` wire format keyed
-    by original input index.  If the parent requests a stop the shard
-    drains: the in-flight benchmark finishes, the rest are skipped, and the
-    ``with`` exit closes the session (flushing cache counters) as usual.
-    """
-    with spec.build() as session:
-        records = []
-        for index, benchmark in items:
-            if _STOP_EVENT is not None and _STOP_EVENT.is_set():
-                break
-            records.append((index,
-                            map_benchmark(session, benchmark, config).to_dict()))
-        return {
-            "records": records,
-            "cache": dict(session.cache_stats()),
-            "wins": dict(session.portfolio_wins()),
-        }
-
-
-def _pool_context():
-    """Prefer ``fork`` (cheap, inherits the warm interpreter); fall back to
-    the platform default where it does not exist."""
+def _fork_context():
+    """Prefer ``fork``: cheap, it inherits the warm interpreter, and with it
+    any patch of :func:`map_request` made before the worker starts.  Falls
+    back to the platform default where ``fork`` does not exist."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
-        return None
+        return multiprocessing.get_context()
+
+
+def _start_worker(spec: SessionSpec, name: str):
+    """Start one :func:`_worker_main` process; returns the process and the
+    parent's end of its pipe."""
+    context = _fork_context()
+    parent_conn, child_conn = context.Pipe(duplex=True)
+    process = context.Process(target=_worker_main, args=(spec, child_conn),
+                              name=name, daemon=True)
+    process.start()
+    child_conn.close()
+    return process, parent_conn
+
+
+def _stop_workers(workers, cache_totals: Counter, win_totals: Counter) -> None:
+    """Stop and join every ``(process, conn)`` worker, summing the session
+    statistics each sends as its reply to ``stop``.
+
+    A worker still mapping answers once its request is done (its result is
+    dropped); one that has not exited within 10 s is killed — workers
+    ignore SIGTERM — so none outlives its caller.
+    """
+    for _, conn in workers:
+        try:
+            conn.send(("stop",))
+        except OSError:
+            pass
+    deadline = time.monotonic() + 10.0
+    for process, conn in workers:
+        try:
+            while conn.poll(max(0.0, deadline - time.monotonic())):
+                message = conn.recv()
+                if message[0] == "stats":
+                    cache_totals.update(message[1])
+                    win_totals.update(message[2])
+                    break
+        except (EOFError, OSError):
+            pass
+        conn.close()
+        process.join(max(0.0, deadline - time.monotonic()))
+        if process.is_alive():
+            process.kill()
+            process.join()
 
 
 def run_sweep(benchmarks: Sequence[Microbenchmark],
@@ -197,10 +251,16 @@ def run_sweep(benchmarks: Sequence[Microbenchmark],
 
     ``workers`` defaults to ``config.workers``; 1 runs in-process on
     ``session`` (built from ``session_spec``/``config`` when omitted).
-    With more workers the benchmarks are dealt round-robin across shards —
-    widths (and therefore synthesis costs) trend upward through enumeration
-    order, so interleaving balances the shards — and the merged records are
-    returned in input order.
+    With more workers the benchmarks are dealt round-robin — worker ``k``
+    maps ``k``, ``k + workers``, … in that order, one request in flight at
+    a time; widths (and therefore synthesis costs) trend upward through
+    enumeration order, so interleaving balances the workers — and the
+    merged records are returned in input order.
+
+    SIGINT or SIGTERM drains a sharded sweep: no new request is sent,
+    every worker finishes its in-flight one, and :class:`SweepInterrupted`
+    carries the completed records.  A worker that fails or dies stops the
+    sweep with a ``RuntimeError`` naming its benchmark.
 
     The returned :class:`SweepResult` merges the per-record solver
     counters over the designs that actually ran synthesis this run
@@ -248,74 +308,64 @@ def run_sweep(benchmarks: Sequence[Microbenchmark],
                          "processes; pass a SessionSpec (or config.cache_dir) "
                          "instead")
 
-    shards: List[List[Tuple[int, Microbenchmark]]] = [[] for _ in range(workers)]
-    for index, benchmark in enumerate(benchmarks):
-        shards[index % workers].append((index, benchmark))
-
+    interrupted: List[int] = []
+    previous = {}
     merged: List[Optional[MappingRecord]] = [None] * len(benchmarks)
     cache_totals: Counter = Counter()
     win_totals: Counter = Counter()
-
-    def _merge(payload: dict) -> None:
-        for index, data in payload["records"]:
-            merged[index] = MappingRecord.from_dict(data)
-        cache_totals.update(payload["cache"])
-        win_totals.update(payload["wins"])
-
-    global _STOP_EVENT
-    context = _pool_context()
-    stop_event = context.Event() if context is not None else None
-    _STOP_EVENT = stop_event
-    interrupted = False
+    started = []
     try:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                                 initializer=_worker_initializer) as pool:
-            futures = [pool.submit(_run_shard, spec, config, shard)
-                       for shard in shards]
-            try:
-                for future in futures:
-                    _merge(future.result())
-            except KeyboardInterrupt:
-                # Graceful drain: tell workers to stop after their current
-                # item, then collect every shard's partial payload.  The
-                # workers ignore the terminal's SIGINT, so they are still
-                # alive to finish and flush their sessions.
-                interrupted = True
-                if stop_event is not None:
-                    stop_event.set()
-                for future in futures:
-                    try:
-                        _merge(future.result(timeout=600))
-                    except Exception:  # noqa: BLE001 - partial drain
-                        pass
+        # While the workers run, SIGINT/SIGTERM only set a flag: raised as
+        # KeyboardInterrupt they could land inside a pipe read, a pipe
+        # write or a fork and leave a worker (or a half-read message)
+        # behind.  Only the main thread can install handlers, and only it
+        # receives signals.
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                previous[signum] = signal.signal(
+                    signum, lambda number, frame: interrupted.append(number))
+        for rank in range(workers):
+            started.append(_start_worker(spec, f"lakeroad-sweep-{rank}"))
+        # A busy worker's pipe → its in-flight index and its indices to go.
+        busy: Dict[object, tuple] = {}
+
+        def feed(conn, shard: deque) -> None:
+            if shard and not interrupted:
+                index = shard.popleft()
+                busy[conn] = (index, shard)
+                try:
+                    conn.send(("request", index, MapRequest.from_benchmark(
+                        benchmarks[index], config)))
+                except OSError:
+                    pass  # the worker is gone; wait() reports its EOF
+
+        for rank, (_, conn) in enumerate(started):
+            feed(conn, deque(range(rank, len(benchmarks), workers)))
+        while busy:
+            for conn in wait(list(busy)):
+                index, shard = busy.pop(conn)
+                name = benchmarks[index].name
+                try:
+                    kind, _, payload = conn.recv()
+                except (EOFError, OSError):
+                    raise RuntimeError(f"sweep worker exited while mapping "
+                                       f"{name}") from None
+                if kind == "error":
+                    raise RuntimeError(f"sweep worker failed on {name}: "
+                                       f"{payload}")
+                merged[index] = MappingRecord.from_dict(payload)
+                feed(conn, shard)
+    except KeyboardInterrupt:
+        interrupted.append(signal.SIGINT)  # landed before the handlers did
     finally:
-        _STOP_EVENT = None
+        _stop_workers(started, cache_totals, win_totals)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
+    result = SweepResult(records=[r for r in merged if r is not None],
+                         cache_stats=dict(cache_totals),
+                         portfolio_wins=dict(win_totals),
+                         workers=workers)
     if interrupted:
-        raise SweepInterrupted(SweepResult(
-            records=[record for record in merged if record is not None],
-            cache_stats=dict(cache_totals),
-            portfolio_wins=dict(win_totals),
-            workers=workers))
-
-    assert all(record is not None for record in merged), \
-        "sharding lost records (worker returned a partial shard)"
-    return SweepResult(records=merged,  # type: ignore[arg-type]
-                       cache_stats=dict(cache_totals),
-                       portfolio_wins=dict(win_totals),
-                       workers=workers)
-
-
-def run_lakeroad_parallel(benchmarks: Sequence[Microbenchmark],
-                          config: Optional[ExperimentConfig] = None,
-                          workers: Optional[int] = None,
-                          session_spec: Optional[SessionSpec] = None
-                          ) -> List[MappingRecord]:
-    """The sharded sweep as a drop-in for :func:`run_lakeroad`.
-
-    Returns the merged records in input order; ``workers=1`` is the serial
-    run on one in-process session.  Use :func:`run_sweep` when the
-    aggregated cache/portfolio statistics are needed too.
-    """
-    return run_sweep(benchmarks, config, workers=workers,
-                     session_spec=session_spec).records
+        raise SweepInterrupted(result)
+    return result

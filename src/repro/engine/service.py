@@ -5,12 +5,14 @@ Every ``lakeroad map`` invocation pays import + vendor-library load +
 solver cold-start — fine for one hard instance, fatal for heavy traffic
 over many *small* queries.  This module keeps the expensive state alive:
 
-* **Worker pool** — a set of long-lived worker processes, each holding
-  one warm :class:`~repro.engine.session.MappingSession` built from
-  a pickled :class:`~repro.engine.parallel.SessionSpec` (the same recipe
-  sharded sweeps use).  The session — its in-memory LRU, primitive
-  library and solver portfolio — survives across requests, so repeat
-  queries for a design family skip the cold start entirely.
+* **Worker pool** — a set of long-lived worker processes running the
+  local worker body sharded sweeps use
+  (:func:`repro.engine.parallel._worker_main`), each holding one warm
+  :class:`~repro.engine.session.MappingSession` built from a
+  :class:`~repro.engine.parallel.SessionSpec`.  The session — its
+  in-memory LRU, primitive library and solver portfolio — survives
+  across requests, so repeat queries for a design family skip the cold
+  start entirely.
 * **Front door** — :class:`SolverService`, a single dispatcher thread
   multiplexing worker pipes through a ``selectors`` loop (no threads per
   request, no new dependencies).  Before anything reaches a worker it is
@@ -31,8 +33,8 @@ over many *small* queries.  This module keeps the expensive state alive:
 * **QoS layer** — the front door is also a fair, bounded, elastic queue:
 
   - **per-client fairness**: submissions are tagged with a client id and
-    held in per-client FIFO queues; a deficit-round-robin scheduler hands
-    work to the pool one quantum per client per rotation, so a flooding
+    held in per-client FIFO queues; a round-robin scheduler hands work
+    to the pool one request per client per rotation, so a flooding
     client cannot starve the others (order within a client is preserved);
   - **bounded admission**: a global ``max_pending`` cap and a per-client
     ``client_queue`` cap; a submission over either raises
@@ -54,8 +56,8 @@ over many *small* queries.  This module keeps the expensive state alive:
   when the map queue is saturated.
 
 **Determinism contract.**  Workers execute the same per-request unit of
-work as the serial sweep (:func:`repro.harness.runner.map_benchmark`'s
-body), the front door derives byte-identical cache keys via
+work as the serial sweep (:func:`repro.harness.runner.map_request`), the
+front door derives byte-identical cache keys via
 :func:`synthesis_cache_key`, and shared results are re-stamped with each
 requester's benchmark metadata exactly as the session cache does — so
 served records equal serial ``run_sweep`` records (modulo wall-clock
@@ -67,7 +69,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-import multiprocessing
 import os
 import selectors
 import signal
@@ -77,18 +78,19 @@ import time
 import warnings
 from collections import Counter, OrderedDict, deque
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.engine.budget import TIMEOUT as TIMEOUT_STATUS
 from repro.engine.budget import Budget
 from repro.engine.cache import SynthesisCache
-from repro.engine.parallel import SessionSpec
+from repro.engine.parallel import SessionSpec, _start_worker, _stop_workers
 from repro.harness.runner import (
     ExperimentConfig,
     MappingRecord,
+    MapRequest,
     record_from_result,
 )
 
@@ -136,75 +138,6 @@ class ServiceOverloaded(RuntimeError):
 # --------------------------------------------------------------------------- #
 # Requests
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class MapRequest:
-    """One picklable map request plus the metadata its record should carry.
-
-    The solving fields (``verilog`` … ``use_cache``) determine the result;
-    the metadata fields (``benchmark`` … ``signed``) only label the
-    returned :class:`~repro.harness.runner.MappingRecord`, so two requests
-    that differ only in metadata legitimately share one solve.
-    """
-
-    verilog: str
-    template: str = "dsp"
-    arch: str = "xilinx-ultrascale-plus"
-    module_name: Optional[str] = None
-    timeout_seconds: Optional[float] = None
-    extra_cycles: int = 1
-    validate: bool = False
-    use_cache: Optional[bool] = None
-    #: Record metadata (benchmark-sourced requests carry the sweep labels;
-    #: raw verilog requests leave them defaulted and get the module name).
-    benchmark: str = ""
-    form: str = ""
-    width: int = 0
-    stages: int = 0
-    signed: bool = False
-
-    @classmethod
-    def from_benchmark(cls, benchmark,
-                       config: Optional[ExperimentConfig] = None
-                       ) -> "MapRequest":
-        """The request :func:`repro.harness.runner.map_benchmark` would run."""
-        config = config or ExperimentConfig()
-        return cls(verilog=benchmark.verilog,
-                   template=config.template,
-                   arch=benchmark.architecture,
-                   timeout_seconds=config.timeout_for(benchmark.architecture),
-                   extra_cycles=config.extra_cycles,
-                   validate=config.validate,
-                   use_cache=config.use_cache,
-                   benchmark=benchmark.name,
-                   form=benchmark.form.name,
-                   width=benchmark.width,
-                   stages=benchmark.stages,
-                   signed=benchmark.signed)
-
-
-def _serve_request(session, request: MapRequest) -> MappingRecord:
-    """The worker-side unit of work (the body of ``map_benchmark``)."""
-    from repro.hdl.behavioral import verilog_to_behavioral
-
-    design = verilog_to_behavioral(request.verilog, request.module_name)
-    result = session.map_design(
-        design,
-        template=request.template,
-        arch=request.arch,
-        timeout_seconds=request.timeout_seconds,
-        extra_cycles=request.extra_cycles,
-        validate=request.validate,
-        use_cache=request.use_cache,
-    )
-    return record_from_result(result,
-                              architecture=request.arch,
-                              benchmark=request.benchmark or design.name,
-                              form=request.form,
-                              width=request.width or design.output_width,
-                              stages=request.stages,
-                              signed=request.signed)
-
-
 def _restamp(payload: Dict[str, Any], request: MapRequest,
              cache_hit: bool, time_seconds: float) -> MappingRecord:
     """A shared result payload re-labelled for one requester.
@@ -223,62 +156,6 @@ def _restamp(payload: Dict[str, Any], request: MapRequest,
                    signed=request.signed if request.benchmark else record.signed,
                    cache_hit=cache_hit,
                    time_seconds=time_seconds)
-
-
-# --------------------------------------------------------------------------- #
-# Worker process
-# --------------------------------------------------------------------------- #
-def _worker_main(spec: SessionSpec, conn) -> None:
-    """Worker body: serve requests on one warm session until told to stop.
-
-    The parent coordinates shutdown (and handles the terminal's signals),
-    so workers ignore SIGINT/SIGTERM — a Ctrl-C must never kill a worker
-    mid-sqlite-write and quarantine the shared cache.  The ``with`` block
-    guarantees the session closes on every exit path, flushing the disk
-    cache's lifetime counters.
-    """
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    except (OSError, ValueError):  # pragma: no cover - exotic platforms
-        pass
-    try:
-        with spec.build() as session:
-            while True:
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    return  # front door died; exit, closing the session
-                if message[0] == "stop":
-                    try:
-                        conn.send(("stats", dict(session.cache_stats())))
-                    except (BrokenPipeError, OSError):
-                        pass
-                    return
-                _, request_id, request = message
-                try:
-                    record = _serve_request(session, request)
-                    payload = ("result", request_id, record.to_dict())
-                except Exception as exc:  # noqa: BLE001 - crosses the pipe
-                    payload = ("error", request_id,
-                               f"{type(exc).__name__}: {exc}")
-                try:
-                    conn.send(payload)
-                except (BrokenPipeError, OSError):
-                    return
-    finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-def _service_context():
-    """Prefer ``fork`` (cheap, inherits the warm interpreter)."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
 
 
 class _Pending:
@@ -355,8 +232,6 @@ class SolverService:
     * ``max_pending`` / ``client_queue`` — global and per-client caps on
       admitted-but-unfinished submissions; over either, ``submit`` raises
       :class:`ServiceOverloaded` with a ``retry_after_ms`` hint.
-    * ``fair_quantum`` — submissions each client may dispatch per
-      round-robin rotation (deficit round robin with unit-cost requests).
     """
 
     def __init__(self, spec: Optional[SessionSpec] = None, workers: int = 2,
@@ -365,7 +240,6 @@ class SolverService:
                  max_workers: Optional[int] = None,
                  max_pending: int = DEFAULT_MAX_PENDING,
                  client_queue: int = DEFAULT_CLIENT_QUEUE,
-                 fair_quantum: int = 1,
                  scale_up_after: float = 0.5,
                  idle_retire_seconds: float = 30.0) -> None:
         if workers < 1:
@@ -382,11 +256,8 @@ class SolverService:
                 f"workers={workers} max={self.max_workers}")
         if max_pending < 1 or client_queue < 1:
             raise ValueError("pending caps must be at least 1")
-        if fair_quantum < 1:
-            raise ValueError("fair_quantum must be at least 1")
         self.max_pending = max_pending
         self.client_queue = client_queue
-        self.fair_quantum = fair_quantum
         self.scale_up_after = scale_up_after
         self.idle_retire_seconds = idle_retire_seconds
 
@@ -435,11 +306,10 @@ class SolverService:
         self._pool: List[_WorkerHandle] = []
         self._by_index: Dict[int, _WorkerHandle] = {}
         self._next_worker_index = 0
-        context = _service_context()
         for _ in range(workers):
             handle = _WorkerHandle(self._next_worker_index)
             self._next_worker_index += 1
-            self._spawn(handle, context)
+            self._spawn(handle)
             self._pool.append(handle)
             self._by_index[handle.index] = handle
         self._stats["pool_peak"] = workers
@@ -520,16 +390,6 @@ class SolverService:
                       client: str = "") -> "Future[MappingRecord]":
         return self.submit(MapRequest.from_benchmark(benchmark, config),
                            client=client)
-
-    def map_many(self, benchmarks: Sequence,
-                 config: Optional[ExperimentConfig] = None
-                 ) -> List[MappingRecord]:
-        """Submit a batch concurrently; records come back in input order
-        (the served analogue of ``run_sweep``'s deterministic merge)."""
-        config = config or ExperimentConfig()
-        futures = [self.map_benchmark(benchmark, config)
-                   for benchmark in benchmarks]
-        return [future.result() for future in futures]
 
     def _client_counter(self, client: str) -> Counter:
         """The per-client QoS counters (lock held)."""
@@ -685,11 +545,11 @@ class SolverService:
         return handle
 
     def _assign_submissions(self) -> None:
-        """Deficit-round-robin assignment from client queues to workers.
+        """Round-robin assignment from client queues to workers.
 
-        Each rotation hands every waiting client up to ``fair_quantum``
-        submissions (requests are unit-cost), so a flooder's queue depth
-        cannot delay another client by more than one quantum per rotation.
+        Each rotation hands every waiting client one submission, so a
+        flooder's queue depth cannot delay another client by more than one
+        request per rotation.
         A client that received work moves to the *back* of the rotation —
         when capacity admits only one assignment per pass (a one-deep
         pipe), the next free slot still goes to whoever waited longest
@@ -712,31 +572,26 @@ class SolverService:
                 return
             progress = False
             for client in rotation:
-                served = 0
-                for _ in range(self.fair_quantum):
-                    with self._lock:
-                        queue = self._client_queues.get(client)
-                        pending = queue[0] if queue else None
-                    if pending is None:
-                        break
-                    handle = self._worker_for(pending)
-                    if handle is None \
-                            or handle.outstanding >= self.max_pipe_backlog:
-                        break
-                    with self._lock:
-                        queue.popleft()
-                        self._stats["dispatched"] += 1
-                    handle.queue.append(pending)
-                    handle.last_active = time.monotonic()
-                    served += 1
-                    progress = True
-                if served:
-                    with self._lock:
-                        try:
-                            self._rr_order.remove(client)
-                            self._rr_order.append(client)
-                        except ValueError:  # pragma: no cover - defensive
-                            pass
+                with self._lock:
+                    queue = self._client_queues.get(client)
+                    pending = queue[0] if queue else None
+                if pending is None:
+                    continue
+                handle = self._worker_for(pending)
+                if handle is None \
+                        or handle.outstanding >= self.max_pipe_backlog:
+                    continue
+                with self._lock:
+                    queue.popleft()
+                    self._stats["dispatched"] += 1
+                    try:
+                        self._rr_order.remove(client)
+                        self._rr_order.append(client)
+                    except ValueError:  # pragma: no cover - defensive
+                        pass
+                handle.queue.append(pending)
+                handle.last_active = time.monotonic()
+                progress = True
             if not progress:
                 return
 
@@ -869,8 +724,9 @@ class SolverService:
     def _handle_message(self, handle: _WorkerHandle, message) -> None:
         kind = message[0]
         if kind == "stats":
-            _, cache_stats = message
-            self._worker_cache_stats.update(cache_stats)
+            # The worker's reply to "stop": its session's cache counters
+            # (and portfolio wins, which the service does not report).
+            self._worker_cache_stats.update(message[1])
             return
         _, request_id, payload = message
         pending = handle.sent.pop(request_id, None)
@@ -921,19 +777,11 @@ class SolverService:
     # ------------------------------------------------------------------ #
     # Worker lifecycle
     # ------------------------------------------------------------------ #
-    def _spawn(self, handle: _WorkerHandle, context=None) -> None:
-        context = context or _service_context()
-        parent_conn, child_conn = context.Pipe(duplex=True)
-        process = context.Process(target=_worker_main,
-                                  args=(self.spec, child_conn),
-                                  name=f"lakeroad-worker-{handle.index}",
-                                  daemon=True)
-        process.start()
-        child_conn.close()
-        handle.process = process
-        handle.conn = parent_conn
+    def _spawn(self, handle: _WorkerHandle) -> None:
+        handle.process, handle.conn = _start_worker(
+            self.spec, f"lakeroad-worker-{handle.index}")
         handle.last_active = time.monotonic()
-        self._selector.register(parent_conn, selectors.EVENT_READ,
+        self._selector.register(handle.conn, selectors.EVENT_READ,
                                 data=handle)
 
     def _retire(self, handle: _WorkerHandle, kill_timeout: float = 5.0) -> None:
@@ -999,8 +847,7 @@ class SolverService:
         warnings.warn(f"lakeroad service: {reason}", RuntimeWarning,
                       stacklevel=2)
 
-    def _shutdown_workers(self, timeout: float = 10.0) -> None:
-        deadline = time.monotonic() + timeout
+    def _shutdown_workers(self) -> None:
         # Anything still pending past the drain deadline fails loudly
         # rather than hanging its callers forever.
         with self._lock:
@@ -1017,19 +864,8 @@ class SolverService:
                 for future, _, _ in pending.waiters:
                     if not future.done():
                         future.set_exception(error)
-        for handle in self._pool:
-            try:
-                handle.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                continue
-        for handle in self._pool:
-            # Collect the worker's final session statistics (sent as its
-            # reply to "stop"), then let it exit.
-            try:
-                while handle.conn.poll(max(0.0, deadline - time.monotonic())):
-                    self._handle_message(handle, handle.conn.recv())
-            except (EOFError, OSError):
-                pass
+        _stop_workers([(handle.process, handle.conn) for handle in self._pool],
+                      self._worker_cache_stats, Counter())
         for handle in self._pool:
             self._retire(handle)
 

@@ -18,6 +18,8 @@ __all__ = [
     "ExperimentConfig",
     "MappingRecord",
     "record_from_result",
+    "MapRequest",
+    "map_request",
     "map_benchmark",
     "run_lakeroad",
     "run_baselines",
@@ -48,8 +50,8 @@ class ExperimentConfig:
     #: defers to the session's own ``enable_cache`` setting.
     use_cache: Optional[bool] = None
     #: Worker processes for the sweep.  1 runs in-process (the historical
-    #: serial behavior); >1 shards the benchmark list across a process pool
-    #: (see :mod:`repro.engine.parallel`).
+    #: serial behavior); >1 shards the benchmark list across worker
+    #: processes (see :mod:`repro.engine.parallel`).
     workers: int = 1
     #: Directory for the persistent synthesis cache shared by every worker
     #: (and by later runs); None keeps the cache in-memory and per-process.
@@ -200,32 +202,82 @@ def record_from_result(result, *, architecture: str, benchmark: str,
     )
 
 
-def map_benchmark(session: MappingSession, benchmark: Microbenchmark,
-                  config: Optional[ExperimentConfig] = None) -> MappingRecord:
-    """Map one microbenchmark on a session and record the data point.
+@dataclass(frozen=True)
+class MapRequest:
+    """One picklable map request plus the metadata its record should carry.
 
-    This is the per-item unit of work the serial sweep, the sharded worker
-    processes and the service workers all run, so parallel and served
-    results are serial results by construction.
+    The solving fields (``verilog`` … ``use_cache``) determine the result;
+    the metadata fields (``benchmark`` … ``signed``) only label the
+    returned :class:`MappingRecord`, so two requests that differ only in
+    metadata legitimately share one solve.
     """
-    config = config or ExperimentConfig()
-    design = verilog_to_behavioral(benchmark.verilog)
+
+    verilog: str
+    template: str = "dsp"
+    arch: str = "xilinx-ultrascale-plus"
+    module_name: Optional[str] = None
+    timeout_seconds: Optional[float] = None
+    extra_cycles: int = 1
+    validate: bool = False
+    use_cache: Optional[bool] = None
+    #: Record metadata (benchmark-sourced requests carry the sweep labels;
+    #: raw verilog requests leave them defaulted and get the module name).
+    benchmark: str = ""
+    form: str = ""
+    width: int = 0
+    stages: int = 0
+    signed: bool = False
+
+    @classmethod
+    def from_benchmark(cls, benchmark: Microbenchmark,
+                       config: Optional[ExperimentConfig] = None
+                       ) -> "MapRequest":
+        """The request :func:`map_benchmark` runs for one microbenchmark."""
+        config = config or ExperimentConfig()
+        return cls(verilog=benchmark.verilog,
+                   template=config.template,
+                   arch=benchmark.architecture,
+                   timeout_seconds=config.timeout_for(benchmark.architecture),
+                   extra_cycles=config.extra_cycles,
+                   validate=config.validate,
+                   use_cache=config.use_cache,
+                   benchmark=benchmark.name,
+                   form=benchmark.form.name,
+                   width=benchmark.width,
+                   stages=benchmark.stages,
+                   signed=benchmark.signed)
+
+
+def map_request(session: MappingSession, request: MapRequest) -> MappingRecord:
+    """Map one request on a session and record the data point.
+
+    This is the per-item unit of work the serial sweep, the sweep workers
+    and the service workers all run, so sharded and served results are
+    serial results by construction.
+    """
+    design = verilog_to_behavioral(request.verilog, request.module_name)
     result = session.map_design(
         design,
-        template=config.template,
-        arch=benchmark.architecture,
-        timeout_seconds=config.timeout_for(benchmark.architecture),
-        extra_cycles=config.extra_cycles,
-        validate=config.validate,
-        use_cache=config.use_cache,
+        template=request.template,
+        arch=request.arch,
+        timeout_seconds=request.timeout_seconds,
+        extra_cycles=request.extra_cycles,
+        validate=request.validate,
+        use_cache=request.use_cache,
     )
     return record_from_result(result,
-                              architecture=benchmark.architecture,
-                              benchmark=benchmark.name,
-                              form=benchmark.form.name,
-                              width=benchmark.width,
-                              stages=benchmark.stages,
-                              signed=benchmark.signed)
+                              architecture=request.arch,
+                              benchmark=request.benchmark or design.name,
+                              form=request.form,
+                              width=request.width or design.output_width,
+                              stages=request.stages,
+                              signed=request.signed)
+
+
+def map_benchmark(session: MappingSession, benchmark: Microbenchmark,
+                  config: Optional[ExperimentConfig] = None) -> MappingRecord:
+    """Map one microbenchmark on a session and record the data point."""
+    return map_request(session, MapRequest.from_benchmark(benchmark, config))
 
 
 def run_lakeroad(benchmarks: Sequence[Microbenchmark],
@@ -247,14 +299,10 @@ def run_lakeroad(benchmarks: Sequence[Microbenchmark],
     if workers is None:
         workers = config.workers
     if workers is not None and workers > 1:
-        if session is not None:
-            raise ValueError(
-                "an in-memory session cannot be shared across worker "
-                "processes; pass config.cache_dir to share the synthesis "
-                "cache instead")
-        from repro.engine.parallel import run_lakeroad_parallel
+        from repro.engine.parallel import run_sweep
 
-        return run_lakeroad_parallel(benchmarks, config, workers=workers)
+        return run_sweep(benchmarks, config, workers=workers,
+                         session=session).records
     if session is None:
         from repro.engine.parallel import SessionSpec
 

@@ -46,7 +46,7 @@ from repro.bv.simplify import substitute
 from repro.engine.budget import Budget
 from repro.engine.stats import merge, new as new_stats
 from repro.smt.equivalence import check_equivalence
-from repro.smt.solver import IncrementalSmtSession, SmtSolver
+from repro.smt.solver import _DEFAULT_SOLVER, IncrementalSmtSession, SmtSolver
 
 __all__ = ["CegisResult", "Obligation", "synthesize"]
 
@@ -226,8 +226,11 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
             convenience form of ``budget``).
         max_iterations: CEGIS round limit (a safety net; the hole space is
             finite so the loop terminates regardless).
-        seed: RNG seed for the initial examples and candidate probing.
-        solver: optional shared :class:`SmtSolver` (the verification side).
+        seed: RNG seed for the initial examples, candidate probing and
+            verification's random pre-filter.
+        solver: optional shared :class:`SmtSolver` (the verification side);
+            the run uses its portfolio and probe count, not its probe
+            stream.
         budget: the engine-level :class:`Budget`; wins over ``deadline``.
         random_probes: candidate-step random probe attempts per iteration.
         reduce_interval: learned clauses between clause-DB reductions in
@@ -249,6 +252,11 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
     if not obligations:
         raise ValueError("at least one obligation is required")
 
+    # One probe stream per run: drawn from the shared solver's stream, the
+    # verification probes (and with them the counterexamples, iterations
+    # and counters) would depend on every query it answered before.
+    shared = solver if solver is not None else _DEFAULT_SOLVER
+    solver = SmtSolver(shared.random_probes, seed, shared.portfolio)
     rng = random.Random(seed)
     input_widths = _collect_inputs(obligations, hole_widths)
     examples = _initial_examples(input_widths, rng, initial_random_examples)

@@ -168,9 +168,9 @@ def encode_delay(delay: Optional[float]) -> str:
 
 def make_fake_serve(default_delay: float = 0.0, gate=None
                     ) -> Callable:
-    """A deterministic replacement for ``repro.engine.service._serve_request``.
+    """A deterministic replacement for ``repro.engine.parallel.map_request``.
 
-    Monkeypatch it onto the module **before** constructing the
+    Monkeypatch it onto that module **before** constructing the
     ``SolverService`` — the fork start method snapshots the patched module
     into every worker.  The stand-in honours a per-request delay from
     :func:`encode_delay` metadata (falling back to ``default_delay``) and,

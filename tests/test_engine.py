@@ -22,6 +22,7 @@ from repro.engine import (
     timeout_for,
     unregister_backend,
 )
+from repro.engine import stats
 from repro.engine.session import MappingSession
 from repro.harness.runner import ExperimentConfig, run_lakeroad
 from repro.hdl.behavioral import verilog_to_behavioral
@@ -456,3 +457,25 @@ class TestMappingSession:
         session.map_verilog(ADD4, template="bitwise", arch="sofa", timeout_seconds=60)
         wins = session.portfolio_wins()
         assert all(isinstance(count, int) for count in wins.values())
+
+    def test_trajectory_does_not_depend_on_earlier_maps(self):
+        """A multi-iteration map follows the same CEGIS trajectory whatever
+        its session verified before it (the determinism invariant that
+        lets sweep workers and served requests equal the serial sweep)."""
+        mix = ("module mix(input [7:0] a, b, c, d, output [7:0] out);"
+               " assign out = (a & b) ^ (c | d); endmodule")
+        maj = ("module maj(input [7:0] a, b, c, output [7:0] out);"
+               " assign out = (a & b) | (a & c) | (b & c); endmodule")
+
+        def mix_after(*earlier):
+            with MappingSession(enable_cache=False) as session:
+                for source in (*earlier, mix):
+                    result = session.map_verilog(source, template="bitwise",
+                                                 arch="sofa", validate=False)
+            return (result.synthesis.cegis_iterations, result.hole_values,
+                    stats.comparable(result.stats))
+
+        alone = mix_after()
+        assert alone[0] == 30
+        assert mix_after(maj) == alone
+        assert mix_after(mix) == alone

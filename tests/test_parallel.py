@@ -2,13 +2,19 @@
 transport, the sweep summary, and baseline labeling."""
 
 import json
+import multiprocessing
+import os
+import re
+import signal
+import time
 
 import pytest
 
+import repro.engine.parallel as parallel_mod
 from repro.baselines import YosysLikeMapper, sota_for
 from repro.cli import main
 from repro.engine import stats
-from repro.engine.parallel import SessionSpec, run_lakeroad_parallel, run_sweep
+from repro.engine.parallel import SessionSpec, SweepInterrupted, run_sweep
 from repro.engine.session import MappingSession
 from repro.harness.runner import (
     ExperimentConfig,
@@ -21,6 +27,7 @@ from repro.harness.runner import (
 from repro.workloads import sample_workloads
 
 from _fixtures import small_workloads as _fast_benchmarks
+from loadgen import make_fake_serve
 
 
 # --------------------------------------------------------------------------- #
@@ -32,8 +39,8 @@ class TestShardedSweep:
         records exactly (modulo timing fields), identically ordered."""
         benchmarks = _fast_benchmarks(4)
         config = ExperimentConfig(validate=False)
-        serial = run_lakeroad_parallel(benchmarks, config, workers=1)
-        parallel = run_lakeroad_parallel(benchmarks, config, workers=4)
+        serial = run_sweep(benchmarks, config, workers=1).records
+        parallel = run_sweep(benchmarks, config, workers=4).records
         assert [r.comparable() for r in serial] == [r.comparable() for r in parallel]
         assert [r.benchmark for r in parallel] == [b.name for b in benchmarks]
 
@@ -109,6 +116,55 @@ class TestShardedSweep:
         with spec.build() as session:
             assert not session.enable_cache
             assert session.random_probes == 7
+
+
+# --------------------------------------------------------------------------- #
+# Interrupts and worker failures (on the fake solve)
+# --------------------------------------------------------------------------- #
+def _fake_solve(monkeypatch, benchmark: str, action) -> None:
+    """Swap the workers' unit of work for the deterministic fake solve,
+    running ``action`` when it reaches ``benchmark``.  The patch lands
+    before ``run_sweep`` forks, so every worker inherits it."""
+    serve = make_fake_serve(0.05)
+
+    def fake(session, request):
+        if request.benchmark == benchmark:
+            action()
+        return serve(session, request)
+
+    monkeypatch.setattr(parallel_mod, "map_request", fake)
+
+
+def _raise():
+    raise ValueError("boom")
+
+
+class TestShardedInterrupts:
+    def test_sigint_drains_the_completed_records(self, monkeypatch):
+        benchmarks = _fast_benchmarks(6)
+        names = [b.name for b in benchmarks]
+        _fake_solve(monkeypatch, names[1],
+                    lambda: os.kill(os.getppid(), signal.SIGINT))
+        before = set(multiprocessing.active_children())
+        with pytest.raises(SweepInterrupted) as info:
+            run_sweep(benchmarks, ExperimentConfig(), workers=2)
+        drained = [r.benchmark for r in info.value.result.records]
+        assert names[1] in drained and len(drained) < len(names)
+        assert drained == sorted(drained, key=names.index)
+        assert set(multiprocessing.active_children()) <= before
+
+    @pytest.mark.parametrize("action", [lambda: os._exit(1), _raise],
+                             ids=["worker-exits", "worker-raises"])
+    def test_a_failing_worker_stops_the_sweep(self, monkeypatch, action):
+        benchmarks = _fast_benchmarks(6)
+        victim = benchmarks[3].name
+        _fake_solve(monkeypatch, victim, action)
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match=re.escape(victim)):
+            run_sweep(benchmarks, ExperimentConfig(), workers=2)
+        assert time.monotonic() - started < 10
+        assert set(multiprocessing.active_children()) <= before
 
 
 # --------------------------------------------------------------------------- #

@@ -183,7 +183,8 @@ class TestServedEqualsSerial:
         serial = run_sweep(benchmarks, config, workers=1).records
         spec = SessionSpec.from_config(config)
         with SolverService(spec, workers=2) as service:
-            served = service.map_many(benchmarks, config)
+            futures = [service.map_benchmark(b, config) for b in benchmarks]
+            served = [future.result() for future in futures]
         assert [r.comparable() for r in serial] == \
             [r.comparable() for r in served]
         assert [r.benchmark for r in served] == [b.name for b in benchmarks]

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+import repro.engine.parallel as parallel_mod
 import repro.engine.service as service_mod
 from repro.engine.parallel import SessionSpec, run_sweep
 from repro.engine.service import (
@@ -80,7 +81,7 @@ def fake_service(monkeypatch, delay: float = 0.0, gate=None, spec=None,
     the gate (if any) is released first so ``close()`` drains instead of
     timing out on a permanently blocked worker.
     """
-    monkeypatch.setattr(service_mod, "_serve_request",
+    monkeypatch.setattr(parallel_mod, "map_request",
                         make_fake_serve(delay, gate))
     service = SolverService(spec or SessionSpec(enable_cache=False), **kwargs)
     try:
@@ -272,7 +273,7 @@ class TestFairScheduling:
         flood = Profile(name="flood", kind="flooder", requests=40,
                         base=0, flavor="f", delay=0.02)
         with fake_service(monkeypatch, workers=1, max_pipe_backlog=1,
-                          max_pending=256, fair_quantum=1) as service:
+                          max_pending=256) as service:
             uncontended = summarize(drive_service(service, [steady], seed=7))
             contended = summarize(
                 drive_service(service, [flood, steady], seed=7))
@@ -395,7 +396,6 @@ class TestElasticPool:
         {"workers": 2, "max_workers": 1},            # max below workers
         {"workers": 1, "min_workers": 0},            # min below 1
         {"workers": 1, "max_pending": 0},            # unusable cap
-        {"workers": 1, "fair_quantum": 0},           # unusable quantum
     ])
     def test_invalid_bounds_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -559,7 +559,8 @@ class TestServedEqualsSerialUnderChurn:
                            min_workers=1, max_workers=3,
                            scale_up_after=0.02,
                            idle_retire_seconds=0.05) as service:
-            served = service.map_many(benchmarks, config)
+            futures = [service.map_benchmark(b, config) for b in benchmarks]
+            served = [future.result() for future in futures]
             stats = service.stats()
         assert [r.comparable() for r in serial] == \
             [r.comparable() for r in served]
