@@ -153,15 +153,20 @@ class AIG:
         64-pattern gate-level sweep costs the same node walk as one
         :meth:`simulate` call.
         """
-        mask = (1 << lanes) - 1
-        values: List[int] = [0] * len(self._nodes)
+        flip = (0, (1 << lanes) - 1)
+        words = self.simulate_packed_nodes(input_words, lanes)
+        return [words[lit >> 1] ^ flip[lit & 1] for lit in outputs]
+
+    def simulate_packed_nodes(self, input_words: Dict[str, int],
+                              lanes: int = 64) -> List[int]:
+        """The pass behind :meth:`simulate_packed`: every node's lane word,
+        indexed by node."""
+        flip = (0, (1 << lanes) - 1)  # XOR masks of a literal's polarity
+        words = [0] * len(self._nodes)
         for name, lit in self._input_lits.items():
-            values[lit >> 1] = input_words[name] & mask
-        for index in range(1, len(self._nodes)):
-            left, right = self._nodes[index]
-            if (left, right) == (-1, -1):
-                continue  # primary input, already set
-            lv = values[left >> 1] ^ (mask if left & 1 else 0)
-            rv = values[right >> 1] ^ (mask if right & 1 else 0)
-            values[index] = lv & rv
-        return [values[lit >> 1] ^ (mask if lit & 1 else 0) for lit in outputs]
+            words[lit >> 1] = input_words[name] & flip[1]
+        for index, (left, right) in enumerate(self._nodes):
+            if left > 0:  # an AND node; inputs are (-1, -1), node 0 (0, 0)
+                words[index] = ((words[left >> 1] ^ flip[left & 1])
+                                & (words[right >> 1] ^ flip[right & 1]))
+        return words

@@ -48,8 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "Exit codes: 0 mapped (structural Verilog on stdout), "
                     "1 input error (unknown --arch-desc, a --module the "
                     "file lacks, Verilog the frontend rejects, or an "
-                    "--output/--cache-dir path it cannot use), 2 unsat "
-                    "or a command-line usage error, 3 timeout.")
+                    "--output/--cache-dir path it cannot use), 2 unsat, "
+                    "a command-line usage error or a Verilog file that is "
+                    "missing or cannot be read, 3 timeout.")
     parser.add_argument("verilog", help="behavioral Verilog file to map")
     parser.add_argument("--template", default="dsp", choices=available_templates(),
                         help="sketch template to use (default: dsp)")
@@ -281,8 +282,11 @@ def build_request_parser() -> argparse.ArgumentParser:
                     "'lakeroad map': 0 success, 1 the server could not map "
                     "the request (e.g. Verilog the frontend rejects; one "
                     "'request failed: ...' line) or stayed overloaded "
-                    "after --retries, 2 unsat or a command-line usage "
-                    "error, 3 timeout; 4 means no server answers on "
+                    "after --retries, 2 unsat, a command-line usage "
+                    "error or a Verilog file that is missing or cannot "
+                    "be read (a directory, unreadable, not UTF-8; one "
+                    "'cannot read ...' line), 3 timeout; 4 means no "
+                    "server answers on "
                     "--socket, 6 that the client-side --deadline expired "
                     "first.")
     parser.add_argument("verilog", help="behavioral Verilog file to map")
@@ -368,6 +372,26 @@ def _input_error(command: str, error) -> int:
     return 1
 
 
+def _read_verilog(parser, command: str, path: str) -> str:
+    """The text of the Verilog file ``lakeroad <command>`` was given.
+
+    A missing file is a usage error (``parser.error``); one that exists but
+    cannot be read as UTF-8 text (a directory, an unreadable file, other
+    bytes) is reported in one ``lakeroad <command>: error: cannot read ...``
+    line.  Both exit with code 2.
+    """
+    source_path = Path(path)
+    if not source_path.exists():
+        parser.error(f"no such file: {path}")
+    try:
+        return source_path.read_text(encoding="utf-8")
+    except OSError as exc:
+        reason = exc.strerror or exc
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text (byte {exc.start})"
+    parser.exit(2, f"lakeroad {command}: error: cannot read {path}: {reason}\n")
+
+
 def _reject_negative(parser, args, *options: str) -> None:
     """``parser.error`` (exit 2) on the first of ``options`` given a negative
     value; an option left unset (``None``) passes."""
@@ -419,10 +443,7 @@ def _main_map(argv) -> int:
         parser.error("--no-cache and --cache-dir are contradictory: a "
                      "disabled cache never persists anything")
     _reject_negative(parser, args, "--probes", "--timeout", "--extra-cycles")
-    source_path = Path(args.verilog)
-    if not source_path.exists():
-        parser.error(f"no such file: {args.verilog}")
-    source = source_path.read_text()
+    source = _read_verilog(parser, "map", args.verilog)
 
     problem = _path_problem(args.cache_dir, [args.output])
     if problem:
@@ -905,13 +926,11 @@ def _main_request(argv) -> int:
     parser = build_request_parser()
     args = parser.parse_args(argv)
     _reject_negative(parser, args, "--timeout", "--extra-cycles", "--retries")
-    source_path = Path(args.verilog)
-    if not source_path.exists():
-        parser.error(f"no such file: {args.verilog}")
+    source = _read_verilog(parser, "request", args.verilog)
 
     payload = {
         "op": "map",
-        "verilog": source_path.read_text(),
+        "verilog": source,
         "template": args.template,
         "arch": args.arch_desc,
         "extra_cycles": args.extra_cycles,

@@ -529,8 +529,10 @@ class LegacyCDCLSolver:
             self.last_core = []
             return self.stats
         if self.propagation_head < len(self.trail):
-            # Clauses were added since the last call; restart cleanly from
-            # the root so the pending units propagate at level 0.
+            # The trail is partly propagated: clauses were added since the
+            # last call, or the last call returned unsat at a conflict
+            # under assumptions without backtracking.  Restart cleanly from
+            # the root so the pending literals propagate from level 0.
             self._cancel_until(0)
         else:
             # Trail reuse: keep the longest prefix of existing decision
@@ -538,7 +540,8 @@ class LegacyCDCLSolver:
             # literals already implied by a kept level are skipped).  A
             # sequence of related assumption queries — e.g. the
             # lex-minimization pass growing its prefix one literal at a
-            # time — then re-propagates almost nothing.
+            # time — then re-propagates almost nothing, as long as the
+            # calls before it did not stop at such a conflict.
             keep_level = 0
             index = 0
             while index < len(assumptions):

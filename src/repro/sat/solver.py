@@ -73,8 +73,10 @@ phases of earlier calls.  When a query is unsatisfiable under assumptions,
 :attr:`CDCLSolver.last_core` holds the subset of assumption literals
 responsible (the final-conflict analysis of MiniSat's ``analyzeFinal``).
 Lex-min refinement (:func:`repro.smt.solver.lex_min_model`) runs on this:
-its assumption solves share one solver, and each trial reuses the decision
-levels of the previous one that match its assumption prefix.
+its assumption solves share one solver.  A trial reuses the decision levels
+of the previous one that match its assumption prefix, unless the previous
+one stopped at a conflict that left the trail partly propagated — as an
+unsatisfiable trial often does — in which case it restarts from the root.
 
 The branching/restart/phase behavior is configurable so the backend
 registry can race genuinely diversified members.  The ``branching="static"``
@@ -227,6 +229,10 @@ class _ArenaVarOrder:
     single largest cost outside propagation.  Two distinct variables are
     never equal, so "``b`` does not precede ``a``" is exactly
     ``ab < aa or (ab == aa and b > a)``.
+
+    ``pos`` is variable-indexed like ``activity``: a variable's heap index,
+    or ``-1`` while it is not in the heap.  The solver grows both together
+    (:meth:`CDCLSolver._grow_to`).
     """
 
     __slots__ = ("activity", "heap", "pos")
@@ -234,7 +240,7 @@ class _ArenaVarOrder:
     def __init__(self, activity: List[float]) -> None:
         self.activity = activity
         self.heap: List[int] = []
-        self.pos: Dict[int, int] = {}
+        self.pos: List[int] = [-1] * len(activity)
 
     def _sift_up(self, i: int) -> None:
         heap, pos, activity = self.heap, self.pos, self.activity
@@ -281,15 +287,15 @@ class _ArenaVarOrder:
         pos[var] = i
 
     def insert(self, var: int) -> None:
-        if var in self.pos:
+        if self.pos[var] >= 0:
             return
         self.heap.append(var)
         self._sift_up(len(self.heap) - 1)
 
     def bumped(self, var: int) -> None:
         """Re-establish the heap order after ``var``'s activity increased."""
-        i = self.pos.get(var)
-        if i is not None:
+        i = self.pos[var]
+        if i >= 0:
             self._sift_up(i)
 
     def pop(self) -> Optional[int]:
@@ -297,7 +303,7 @@ class _ArenaVarOrder:
         if not heap:
             return None
         top = heap[0]
-        del pos[top]
+        pos[top] = -1
         last = heap.pop()
         if heap:
             heap[0] = last
@@ -435,6 +441,7 @@ class CDCLSolver:
         self._reasons.extend([-1] * delta)
         self._phase.extend(bytes(delta))
         self.activity.extend([0.0] * delta)
+        self._order.pos.extend([-1] * delta)
         self._cap = new_cap
 
     def ensure_vars(self, num_vars: int) -> None:
@@ -868,8 +875,8 @@ class CDCLSolver:
                         var_inc *= 1e-100
                         self.var_inc = var_inc
                     if vsids:
-                        heap_index = order_pos.get(var)
-                        if heap_index is not None:
+                        heap_index = order_pos[var]
+                        if heap_index >= 0:
                             order_sift_up(heap_index)
                     if levels[var] >= current_level:
                         counter += 1
@@ -980,7 +987,7 @@ class CDCLSolver:
             reasons[var] = -1
             if var < lowest:
                 lowest = var
-            if vsids and var not in order_pos:
+            if vsids and order_pos[var] < 0:
                 # Inlined _ArenaVarOrder.insert: every unassigned variable
                 # re-enters the heap here, on every backtrack.
                 i = len(order_heap)
@@ -1044,7 +1051,8 @@ class CDCLSolver:
         Repeated calls are incremental: learned clauses, variable
         activities and saved phases survive from call to call, and a
         matching assumption prefix reuses the existing trail instead of
-        re-propagating it.  ``unsat`` under assumptions leaves the guilty
+        re-propagating it — unless that trail is only partly propagated
+        (see :meth:`_solve`).  ``unsat`` under assumptions leaves the guilty
         assumption subset in :attr:`last_core`; ``unknown`` means the
         ``deadline`` expired or ``should_stop`` fired.
 
@@ -1077,8 +1085,10 @@ class CDCLSolver:
             self.last_core = []
             return self.stats
         if self.propagation_head < len(self.trail):
-            # Clauses were added since the last call; restart cleanly from
-            # the root so the pending units propagate at level 0.
+            # The trail is partly propagated: clauses were added since the
+            # last call, or the last call returned unsat at a conflict
+            # under assumptions without backtracking.  Restart cleanly from
+            # the root so the pending literals propagate from level 0.
             self._cancel_until(0)
         else:
             # Trail reuse: keep the longest prefix of existing decision
@@ -1086,7 +1096,8 @@ class CDCLSolver:
             # literals already implied by a kept level are skipped).  A
             # sequence of related assumption queries — e.g. the
             # lex-minimization pass growing its prefix one literal at a
-            # time — then re-propagates almost nothing.
+            # time — then re-propagates almost nothing, as long as the
+            # calls before it did not stop at such a conflict.
             vals = self._vals
             levels = self._levels
             keep_level = 0

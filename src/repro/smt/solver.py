@@ -22,9 +22,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bv import bvand
+from repro.bv.aig import AIG
 from repro.bv.ast import BVExpr
 from repro.bv.bitblast import BitBlaster
 from repro.bv.bitsim import PROBE_LANES, PackedEvaluator, first_sat_lane
@@ -57,6 +58,7 @@ def _canonical_bit_order(bit_vars: Dict[str, int]) -> List[int]:
 
 
 def lex_min_model(solver: CDCLSolver, bits, model: Dict[int, bool],
+                  aig: AIG, outputs: Sequence[int],
                   deadline: Optional[float] = None) -> Optional[Dict[int, bool]]:
     """Refine ``model`` to the unique greedy-minimal input-bit assignment.
 
@@ -69,24 +71,90 @@ def lex_min_model(solver: CDCLSolver, bits, model: Dict[int, bool],
     constraint set and the order, not of the search — so whichever
     portfolio member wins a race, the refined model is the same.
     Returns ``None`` if the deadline expires mid-refinement.
+
+    ``aig`` and ``outputs`` are the circuit the solver's CNF encodes: the
+    asserted output literals, with CNF variable = AIG node + 1 (the
+    contract of :func:`~repro.bv.cnf.aig_to_cnf`); every bit must be an
+    input of ``aig``.  The inputs are the CNF's only free variables, so a
+    lane of packed simulation that drives every output to 1 is a model
+    of the CNF, and it witnesses exactly what a satisfiable trial would.
+    Whenever the model changes, one pass evaluates up to 64 neighbours of
+    it (:func:`_witness_lanes`); a bit that some satisfying lane zeroes
+    is decided 0 without a solve, and that lane's node assignment becomes
+    the model.  Only the trials no lane settles reach the solver, and
+    since which witness decides a bit never changes which bits can be
+    zeroed, the result is the same.
     """
     solver.deadline = deadline
     ordered = _canonical_bit_order(bits) if isinstance(bits, dict) else list(bits)
+    names = {(aig.input_literal(name) >> 1) + 1: name for name in aig.inputs}
     prefix: List[int] = []
-    for var in ordered:
+    # The pass over the current model: its satisfying lanes per bit they
+    # zero, and every node's lane word.  Both are None from a model change
+    # to the next 1-bit, so one pass at a time is held in memory.
+    witnesses: Optional[Dict[int, int]] = None
+    words: Optional[List[int]] = None
+    for position, var in enumerate(ordered):
         if not model.get(var, False):
             # Already 0: the current model witnesses this prefix.
             prefix.append(-var)
             continue
+        if witnesses is None:
+            witnesses, words = _witness_lanes(aig, outputs, names,
+                                              ordered[position:], model)
+        lanes = witnesses.get(var, 0)
+        if lanes:
+            lane = first_sat_lane(lanes)
+            model = {index + 1: bool(word >> lane & 1)
+                     for index, word in enumerate(words)}
+            prefix.append(-var)
+            witnesses = words = None
+            continue
+        # No lane settles the trial; an UNSAT answer leaves the model, and
+        # with it the lanes of later bits, as they are.
         trial = solver.solve(prefix + [-var])
         if trial.is_sat:
             model = trial.model
             prefix.append(-var)
+            witnesses = words = None
         elif trial.is_unsat:
             prefix.append(var)
         else:
             return None
     return model
+
+
+def _witness_lanes(aig: AIG, outputs: Sequence[int], names: Dict[int, str],
+                   remaining: List[int], model: Dict[int, bool]
+                   ) -> Tuple[Dict[int, int], List[int]]:
+    """One packed pass over up to 64 neighbours of ``model``.
+
+    ``remaining`` are the bits still to decide, the first of which is 1 in
+    ``model``.  Lane ``t`` is the model with the ``t``-th remaining 1-bit
+    zeroed; each leftover lane zeroes the first one and flips one later
+    bit, in order.  Returns the satisfying lanes as a bit → lane-mask map
+    (each lane credited to the bit it zeroes first) and every node's lane
+    word (:meth:`~repro.bv.aig.AIG.simulate_packed_nodes`).
+    """
+    ones = [var for var in remaining if model.get(var, False)][:PROBE_LANES]
+    lanes = [(var,) for var in ones]
+    lanes.extend((ones[0], var)
+                 for var in remaining[1:1 + PROBE_LANES - len(ones)])
+    mask = (1 << len(lanes)) - 1
+    input_words = {name: mask if model.get(var, False) else 0
+                   for var, name in names.items()}
+    for lane, flips in enumerate(lanes):
+        for var in flips:
+            input_words[names[var]] ^= 1 << lane
+    words = aig.simulate_packed_nodes(input_words, len(lanes))
+    satisfied = mask
+    for lit in outputs:
+        satisfied &= words[lit >> 1] ^ (mask if lit & 1 else 0)
+    witnesses: Dict[int, int] = {}
+    for lane, flips in enumerate(lanes):
+        if satisfied >> lane & 1:
+            witnesses[flips[0]] = witnesses.get(flips[0], 0) | 1 << lane
+    return witnesses, words
 
 
 @dataclass
@@ -214,7 +282,8 @@ class SmtSolver:
         model = sat_result.model
         if canonical:
             refiner = CDCLSolver(cnf, deadline=deadline)
-            model = lex_min_model(refiner, input_vars, model, deadline=deadline)
+            model = lex_min_model(refiner, input_vars, model, blaster.aig,
+                                  bits, deadline=deadline)
             if model is None:
                 # Deadline expired mid-refinement: report unknown rather
                 # than the unrefined (search-dependent) model — the same
@@ -340,7 +409,8 @@ class IncrementalSmtSession:
             # caches.  Tseitin variables are functionally forced by the
             # inputs, so the whole model is canonical.
             model = lex_min_model(solver, sorted(self.input_vars.values()),
-                                  sat_result.model, deadline=deadline)
+                                  sat_result.model, self._blaster.aig,
+                                  self._outputs, deadline=deadline)
         # Every solve on this fresh solver — the search and each lex-min
         # trial — is this query's.
         conflicts = solver.total_conflicts

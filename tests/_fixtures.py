@@ -1,10 +1,27 @@
-"""Shared test constants and helpers (imported by conftest fixtures).
+"""Shared test constants and helpers (imported by conftest fixtures and
+by the tests): workload samples, a random-expression generator, and the
+brute-force oracle for canonical lex-min models.
 
 Lives in its own module (not ``conftest.py``) so test files can import the
 constants directly — ``import conftest`` is ambiguous from the repo root,
 where ``benchmarks/conftest.py`` shadows this directory's.
 """
 
+import random
+
+from repro.bv import (
+    bv, bvvar, bvadd, bvsub, bvmul, bvand, bvor, bvxor, bvxnor, bvnot,
+    bvneg, bveq, bvne, bvult, bvule, bvugt, bvuge, bvslt, bvsle, bvsgt,
+    bvsge, bvite, bvshl, bvlshr, bvashr, bvconcat, bvextract, bvredand,
+    bvredor, zero_extend,
+)
+from repro.bv.bitblast import BitBlaster
+from repro.bv.cnf import aig_to_cnf
+from repro.bv.eval import evaluate, var_widths
+from repro.sat.solver import CDCLSolver
+from repro.smt.solver import (
+    IncrementalSmtSession, SmtSolver, check_sat, lex_min_model,
+)
 from repro.workloads import sample_workloads
 
 #: 4-bit bitwise AND — the cheapest mappable design (LUT templates).
@@ -23,3 +40,130 @@ def small_workloads(count: int = 4, architecture: str = "intel-cyclone10lp",
     """A small stratified workload sample (quick to synthesize)."""
     return sample_workloads(architecture, count, seed=seed,
                             max_width=max_width)
+
+
+_FULL_BINARY_OPS = (bvadd, bvsub, bvmul, bvand, bvor, bvxor, bvxnor,
+                    bvshl, bvlshr, bvashr)
+_FULL_PREDICATES = (bveq, bvne, bvult, bvule, bvugt, bvuge,
+                    bvslt, bvsle, bvsgt, bvsge)
+
+
+def random_full_expr(rng: random.Random, variables, width: int, depth: int):
+    """A random ``width``-bit expression over ``variables`` (name → width)
+    drawn from the *complete* operator set — shifts, signed compares,
+    concat/extract, reductions — so the packed evaluator's every kernel
+    gets fuzzed, not just the CEGIS-friendly subset of the fuzz suite's
+    ``_random_expr``.  Leaves prefer variables (adapting widths by extract
+    / zero-extension) so expressions rarely constant-fold away."""
+    if depth <= 0 or rng.random() < 0.2:
+        named = [name for name, w in variables.items() if w == width]
+        if named and rng.random() < 0.85:
+            return bvvar(rng.choice(named), width)
+        if variables and rng.random() < 0.8:
+            name = rng.choice(sorted(variables))
+            leaf = bvvar(name, variables[name])
+            if leaf.width > width:
+                return bvextract(width - 1, 0, leaf)
+            if leaf.width < width:
+                return zero_extend(leaf, width - leaf.width)
+            return leaf
+        return bv(rng.getrandbits(width), width)
+    roll = rng.random()
+    if width == 1 and roll < 0.3:
+        operand_width = rng.randint(1, 6)
+        if rng.random() < 0.4:
+            source = random_full_expr(rng, variables, operand_width, depth - 1)
+            return rng.choice((bvredand, bvredor))(source)
+        return rng.choice(_FULL_PREDICATES)(
+            random_full_expr(rng, variables, operand_width, depth - 1),
+            random_full_expr(rng, variables, operand_width, depth - 1))
+    if roll < 0.12:
+        return rng.choice((bvnot, bvneg))(
+            random_full_expr(rng, variables, width, depth - 1))
+    if roll < 0.24:
+        condition = random_full_expr(rng, variables, 1, depth - 1)
+        return bvite(condition,
+                     random_full_expr(rng, variables, width, depth - 1),
+                     random_full_expr(rng, variables, width, depth - 1))
+    if roll < 0.34 and width >= 2:
+        low_width = rng.randint(1, width - 1)
+        return bvconcat(
+            random_full_expr(rng, variables, width - low_width, depth - 1),
+            random_full_expr(rng, variables, low_width, depth - 1))
+    if roll < 0.44:
+        source_width = width + rng.randint(0, 4)
+        lo = rng.randint(0, source_width - width)
+        return bvextract(lo + width - 1, lo,
+                         random_full_expr(rng, variables, source_width,
+                                           depth - 1))
+    return rng.choice(_FULL_BINARY_OPS)(
+        random_full_expr(rng, variables, width, depth - 1),
+        random_full_expr(rng, variables, width, depth - 1))
+
+
+def random_small_formula(rng: random.Random):
+    """A random predicate over at most 10 input bits, small enough to
+    enumerate: two :func:`random_full_expr` operands compared."""
+    variables = {"a": rng.randint(2, 4), "b": rng.randint(1, 3),
+                 "c": rng.randint(1, 3)}
+    width = rng.randint(2, 4)
+    return rng.choice(_FULL_PREDICATES)(
+        random_full_expr(rng, variables, width, rng.randint(1, 3)),
+        random_full_expr(rng, variables, width, rng.randint(1, 3)))
+
+
+def _bit_value(assignment, bit_name: str) -> int:
+    name, _, index = bit_name.rpartition("[")
+    return (assignment[name] >> int(index[:-1])) & 1
+
+
+def assert_canonical_lex_min(constraint, note: str = "") -> None:
+    """Hold the canonical models of ``constraint`` to a brute-force oracle.
+
+    ``constraint`` is a 1-bit formula over a few input bits; every
+    assignment is enumerated.  ``check_sat(canonical=True)`` must return
+    the minimum of the variables' values in name order, and the candidate
+    session the minimum of the input bits in CNF-variable order.  The
+    full CNF model :func:`lex_min_model` returns must satisfy every clause
+    and agree with the session on the input bits.
+    """
+    widths = var_widths(constraint)
+    names = sorted(widths)
+    models = []
+    for encoded in range(1 << sum(widths.values())):
+        assignment = {}
+        for name in names:
+            assignment[name] = encoded & ((1 << widths[name]) - 1)
+            encoded >>= widths[name]
+        if evaluate(constraint, assignment):
+            models.append(assignment)
+
+    session = IncrementalSmtSession()
+    session.assert_constraints([constraint])
+    candidate = session.check()
+    result = check_sat(constraint, solver=SmtSolver(random_probes=0),
+                       canonical=True)
+    assert candidate.is_sat == result.is_sat == bool(models), note
+    if not models:
+        return
+    got = {name: result.model.get(name, 0) for name in names}
+    want = min(models, key=lambda a: [a[name] for name in names])
+    assert got == want, f"check_sat: {got} != lex-min {want} {note}"
+
+    order = sorted(session.input_vars, key=session.input_vars.get)
+    want = min(models, key=lambda a: ([_bit_value(a, bit) for bit in order],
+                                      [a[name] for name in names]))
+    got = {name: candidate.model.get(name, 0) for name in names}
+    assert got == want, f"session: {got} != lex-min {want} {note}"
+
+    blaster = BitBlaster()
+    outputs = blaster.blast(constraint)
+    cnf, input_vars = aig_to_cnf(blaster.aig, outputs)
+    solver = CDCLSolver(cnf)
+    model = lex_min_model(solver, sorted(input_vars.values()),
+                          solver.solve().model, blaster.aig, outputs)
+    assert cnf.evaluate([None] + [model[var]
+                                  for var in range(1, cnf.num_vars + 1)]), \
+        f"the lex-min model violates the CNF {note}"
+    assert {bit: int(model[var]) for bit, var in input_vars.items()} == \
+        {bit: _bit_value(want, bit) for bit in input_vars}, note

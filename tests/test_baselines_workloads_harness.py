@@ -320,6 +320,25 @@ class TestCli:
         [line] = stderr.splitlines()
         assert line.startswith(f"lakeroad {command}: error: ") and path in line
 
+    @pytest.mark.parametrize("command", ["map", "request"])
+    @pytest.mark.parametrize("unreadable", ["directory", "non-utf8"])
+    def test_unreadable_verilog_is_one_line_and_exit_2(self, tmp_path, capsys,
+                                                       cli_argv, command,
+                                                       unreadable):
+        path = tmp_path / "design.v"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"module m(input a, output b); \xff\xfe endmodule")
+        argv = [str(path) if arg.endswith("and4.v") else arg
+                for arg in cli_argv[command]]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(
+            f"lakeroad {command}: error: cannot read {path}: ")
+
     @pytest.mark.parametrize("command,flag", [
         ("map", "--extra-cycles"),
         ("map", "--timeout"),

@@ -8,7 +8,9 @@ random instances from a seed and cross-checks:
   ``cdcl-stable``, ``cdcl-static``) and DPLL against brute-force
   enumeration on random CNFs — sat/unsat status and model validity;
 * the word-level ``check_sat`` stack (simplify → blast → CNF → solver)
-  against brute-force evaluation on random bitvector constraints;
+  against brute-force evaluation on random bitvector constraints, and
+  both canonical-model paths (candidate session, ``canonical=True``)
+  against the brute-force lex-min model;
 * CEGIS with and without the most aggressive clause-database reduction
   against each other — statuses, hole values, iteration and example
   counts — and the winning hole assignments against brute-force
@@ -50,10 +52,8 @@ import zlib
 import pytest
 
 from repro.bv import (
-    bv, bvvar, bvadd, bvsub, bvmul, bvand, bvor, bvxor, bvxnor, bvnot,
-    bvneg, bveq, bvne, bvult, bvule, bvugt, bvuge, bvslt, bvsle, bvsgt,
-    bvsge, bvite, bvshl, bvlshr, bvashr, bvconcat, bvextract, bvredand,
-    bvredor, zero_extend,
+    bv, bvvar, bvadd, bvsub, bvmul, bvand, bvor, bvxor, bvnot, bvneg, bveq,
+    bvne, bvult, bvite,
 )
 from repro.bv.bitblast import BitBlaster
 from repro.bv.bitsim import PackedEvaluator, pack_assignments, unpack_lane
@@ -63,6 +63,10 @@ from repro.engine.backends import backend_by_name
 from repro.sat.cnf import CNF
 from repro.smt.cegis import Obligation, synthesize
 from repro.smt.solver import SmtSolver, check_sat
+
+from _fixtures import (
+    assert_canonical_lex_min, random_full_expr, random_small_formula,
+)
 
 pytestmark = pytest.mark.fuzz
 
@@ -220,64 +224,6 @@ def _two_candidate_case(rng: random.Random):
             return holes, spec, sketch
 
 
-_FULL_BINARY_OPS = (bvadd, bvsub, bvmul, bvand, bvor, bvxor, bvxnor,
-                    bvshl, bvlshr, bvashr)
-_FULL_PREDICATES = (bveq, bvne, bvult, bvule, bvugt, bvuge,
-                    bvslt, bvsle, bvsgt, bvsge)
-
-
-def _random_full_expr(rng: random.Random, variables, width: int, depth: int):
-    """Like :func:`_random_expr` but over the *complete* operator set —
-    shifts, signed compares, concat/extract, reductions — so the packed
-    evaluator's every kernel gets fuzzed, not just the CEGIS-friendly
-    subset.  Leaves prefer variables (adapting widths by extract /
-    zero-extension) so expressions rarely constant-fold away."""
-    if depth <= 0 or rng.random() < 0.2:
-        named = [name for name, w in variables.items() if w == width]
-        if named and rng.random() < 0.85:
-            return bvvar(rng.choice(named), width)
-        if variables and rng.random() < 0.8:
-            name = rng.choice(sorted(variables))
-            leaf = bvvar(name, variables[name])
-            if leaf.width > width:
-                return bvextract(width - 1, 0, leaf)
-            if leaf.width < width:
-                return zero_extend(leaf, width - leaf.width)
-            return leaf
-        return bv(rng.getrandbits(width), width)
-    roll = rng.random()
-    if width == 1 and roll < 0.3:
-        operand_width = rng.randint(1, 6)
-        if rng.random() < 0.4:
-            source = _random_full_expr(rng, variables, operand_width, depth - 1)
-            return rng.choice((bvredand, bvredor))(source)
-        return rng.choice(_FULL_PREDICATES)(
-            _random_full_expr(rng, variables, operand_width, depth - 1),
-            _random_full_expr(rng, variables, operand_width, depth - 1))
-    if roll < 0.12:
-        return rng.choice((bvnot, bvneg))(
-            _random_full_expr(rng, variables, width, depth - 1))
-    if roll < 0.24:
-        condition = _random_full_expr(rng, variables, 1, depth - 1)
-        return bvite(condition,
-                     _random_full_expr(rng, variables, width, depth - 1),
-                     _random_full_expr(rng, variables, width, depth - 1))
-    if roll < 0.34 and width >= 2:
-        low_width = rng.randint(1, width - 1)
-        return bvconcat(
-            _random_full_expr(rng, variables, width - low_width, depth - 1),
-            _random_full_expr(rng, variables, low_width, depth - 1))
-    if roll < 0.44:
-        source_width = width + rng.randint(0, 4)
-        lo = rng.randint(0, source_width - width)
-        return bvextract(lo + width - 1, lo,
-                         _random_full_expr(rng, variables, source_width,
-                                           depth - 1))
-    return rng.choice(_FULL_BINARY_OPS)(
-        _random_full_expr(rng, variables, width, depth - 1),
-        _random_full_expr(rng, variables, width, depth - 1))
-
-
 # --------------------------------------------------------------------------- #
 # (a) SAT-solver differential: backends vs DPLL vs brute force
 # --------------------------------------------------------------------------- #
@@ -346,6 +292,13 @@ class TestWordLevelDifferential:
                      f"{constraint!r} {_replay('bv', case_seed)}")
 
 
+    def test_canonical_models_are_brute_force_lex_min(self):
+        for index in range(BV_CASES):
+            case_seed = _case_seed("lexmin", index)
+            constraint = random_small_formula(random.Random(case_seed))
+            assert_canonical_lex_min(constraint, _replay("lexmin", case_seed))
+
+
 # --------------------------------------------------------------------------- #
 # (c) Clause-DB reduction differential: aggressive reduce vs brute force
 # --------------------------------------------------------------------------- #
@@ -405,7 +358,7 @@ class TestPackedDifferential:
             variables = {f"v{i}": rng.randint(1, 9)
                          for i in range(rng.randint(1, 4))}
             width = rng.randint(1, 9)
-            expr = _random_full_expr(rng, variables, width,
+            expr = random_full_expr(rng, variables, width,
                                      rng.randint(2, 5))
             widths = var_widths(expr)
             if not widths:
@@ -434,7 +387,7 @@ class TestPackedDifferential:
             rng = random.Random(case_seed)
             variables = {f"v{i}": rng.randint(1, 5)
                          for i in range(rng.randint(1, 3))}
-            expr = _random_full_expr(rng, variables, rng.randint(1, 5),
+            expr = random_full_expr(rng, variables, rng.randint(1, 5),
                                      rng.randint(2, 4))
             blaster = BitBlaster()
             bits = blaster.blast(expr)

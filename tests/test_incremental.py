@@ -25,7 +25,9 @@ from repro.hdl.behavioral import verilog_to_behavioral
 from repro.sat.cnf import CNF
 from repro.sat.solver import CDCLSolver
 from repro.smt.cegis import Obligation, synthesize
-from repro.smt.solver import IncrementalSmtSession, SmtSolver
+from repro.smt.solver import IncrementalSmtSession, SmtSolver, lex_min_model
+
+from _fixtures import assert_canonical_lex_min, random_small_formula
 
 
 def _random_clauses(rng, num_vars, num_clauses):
@@ -288,6 +290,34 @@ class TestIncrementalSmtSession:
         session = IncrementalSmtSession()
         session.assert_constraints([bvne(bvvar("h", 4), bv(0, 4))])
         assert session.check(deadline=time.monotonic() - 1.0).is_unknown
+
+
+class TestLexMinModel:
+    def test_canonical_models_equal_brute_force_lex_min(self):
+        rng = random.Random(20)
+        for case in range(40):
+            constraint = random_small_formula(rng)
+            assert_canonical_lex_min(constraint, f"case {case}: {constraint!r}")
+
+    @pytest.mark.parametrize("start", [0b1111, 0b0001])
+    def test_simulation_witnesses_settle_trials_without_a_solve(self, start):
+        # h != 0, minimized from h[0] up.  Simulation zeroes h[0..2] (from
+        # 1111 by zeroing each in turn, from 0001 by moving the 1 up a
+        # bit), so only h[3], which cannot be zeroed, reaches the solver.
+        # Without witnesses, h[0] and h[3] both take a solve.
+        blaster = BitBlaster()
+        outputs = blaster.blast(bvne(bvvar("h", 4), bv(0, 4)))
+        cnf, input_vars = aig_to_cnf(blaster.aig, outputs)
+        order = [input_vars[f"h[{i}]"] for i in range(4)]
+        solver = CDCLSolver(cnf)
+        first = solver.solve([var if start >> i & 1 else -var
+                              for i, var in enumerate(order)])
+        calls = solver.solve_calls
+        model = lex_min_model(solver, order, first.model, blaster.aig, outputs)
+        assert solver.solve_calls - calls == 1
+        assert [model[var] for var in order] == [False, False, False, True]
+        assert cnf.evaluate([None] + [model[var]
+                                      for var in range(1, cnf.num_vars + 1)])
 
 
 def _cnf_digest(cnf, input_vars):
