@@ -235,7 +235,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         prog="lakeroad serve",
         description="Run the long-lived mapping service: a pool of worker "
                     "processes with warm sessions behind a deduplicating, "
-                    "caching, affinity-routing front door on a unix socket. "
+                    "caching front door on a unix socket; a request that "
+                    "still needs a solve goes to the least-loaded worker. "
                     "Query it with 'lakeroad request'; stop it with "
                     "SIGINT/SIGTERM (in-flight requests drain first). "
                     "Exit codes: 0 after a drained shutdown, 1 input error "

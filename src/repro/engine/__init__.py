@@ -16,8 +16,8 @@
 * :mod:`repro.engine.parallel` -- the local worker body and sharded
   sweeps over worker processes, each owning its own session.
 * :mod:`repro.engine.service`  -- the long-lived warm worker pool behind
-  ``lakeroad serve``: request dedup, front-door caching, affinity routing
-  and crash recovery over persistent sessions.
+  ``lakeroad serve``: request dedup, front-door caching, least-loaded
+  routing and crash recovery over persistent sessions.
 * :mod:`repro.engine.distributed` -- cross-machine sweeps: a TCP
   coordinator serving shards under work-stealing leases, workers built
   from the wire-form session spec, exactly-once deterministic merge.

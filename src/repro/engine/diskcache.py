@@ -41,7 +41,7 @@ import threading
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional
 
 from repro.engine.cache import SynthesisCache
 
@@ -528,68 +528,6 @@ class DiskSynthesisCache:
             except sqlite3.Error:
                 self.errors += 1
         return removed
-
-    def export_entries(self, since: float = 0.0,
-                       limit: Optional[int] = None
-                       ) -> List[Tuple[str, bytes, float]]:
-        """Snapshot entries created after ``since`` as
-        ``(text_key, pickled_blob, created_at)`` rows, oldest first.
-
-        The distributed sweep uses this for warm-cache sync: workers
-        export the entries their completed shards produced and the
-        coordinator ships them to late joiners.  Blobs stay opaque —
-        they are inserted verbatim on the other side.
-        """
-        with self._lock:
-            self._guard_fork()
-            if self._connection is None:
-                return []
-            query = ("SELECT key, value, created_at FROM entries "
-                     "WHERE created_at > ? ORDER BY created_at ASC, key ASC")
-            try:
-                if limit is not None:
-                    rows = self._connection.execute(
-                        query + " LIMIT ?", (since, limit)).fetchall()
-                else:
-                    rows = self._connection.execute(
-                        query, (since,)).fetchall()
-            except sqlite3.Error:
-                self.errors += 1
-                return []
-        return [(key, bytes(blob), float(created))
-                for key, blob, created in rows]
-
-    def import_entries(self,
-                       entries: Iterable[Tuple[str, bytes]]) -> int:
-        """Insert pre-pickled ``(text_key, blob)`` rows from another node.
-
-        Local entries win on key collisions (INSERT OR IGNORE): the local
-        copy is at least as fresh and may already be promoted into the
-        memory tier.  Returns the number of rows actually inserted.
-        """
-        inserted = 0
-        with self._lock:
-            self._guard_fork()
-            if self._connection is None:
-                return 0
-            self._flush_recency()
-            now = self._stamp()
-            try:
-                for key, blob in entries:
-                    cursor = self._connection.execute(
-                        "INSERT OR IGNORE INTO entries "
-                        "(key, value, created_at, last_used_at) "
-                        "VALUES (?, ?, ?, ?)", (key, blob, now, now))
-                    if cursor.rowcount > 0:
-                        inserted += cursor.rowcount
-                self._connection.commit()
-                self._entry_estimate += inserted
-            except sqlite3.Error:
-                self.errors += 1
-            if self.max_entries is not None and \
-                    self._entry_estimate > self.max_entries:
-                self._evict_over_cap()
-        return inserted
 
     def size_bytes(self) -> int:
         """On-disk footprint of the database (plus WAL sidecar)."""

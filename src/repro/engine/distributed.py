@@ -15,8 +15,8 @@ a coordinator owning the work queue, workers pulling shards when idle:
 * **Handshake** — workers open with ``hello`` carrying a shared token
   (compared via :func:`hmac.compare_digest`); the reply carries the
   :class:`SessionSpec`/:class:`ExperimentConfig` JSON the worker builds
-  its :class:`MappingSession` from, plus warm-cache entries already
-  produced by completed shards (late joiners start warm).
+  its :class:`MappingSession` from.  Workers sharing a ``cache_dir``
+  share its disk cache; no cache entry crosses the wire.
 * **Work stealing** — workers pull the next shard when idle (``next``),
   renew a per-shard lease while solving (``heartbeat``), and stream the
   shard's records back (``result``).  The coordinator reaps expired
@@ -39,7 +39,6 @@ a coordinator owning the work queue, workers pulling shards when idle:
 from __future__ import annotations
 
 import asyncio
-import base64
 import hashlib
 import hmac
 import json
@@ -54,7 +53,7 @@ from collections import Counter, deque
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.parallel import SessionSpec, SweepResult, _fork_context
 from repro.engine.service import (
@@ -73,8 +72,10 @@ __all__ = ["PROTOCOL_VERSION", "DEFAULT_SHARD_SIZE", "DEFAULT_LEASE_TIMEOUT",
 
 #: Bumped when the coordinator/worker message shapes change incompatibly;
 #: the handshake carries it so mismatched nodes fail with a clear error.
-#: v2: records carry their solver counters as one nested ``stats`` map, and
-#: the pooled warm-cache entries are schema-v3 disk-cache values.
+#: v2: records carry their solver counters as one nested ``stats`` map.
+#: Both sides ignore message keys they do not know, so a v2 peer that still
+#: ships disk-cache entries in ``hello``/``result`` works with one that
+#: neither sends nor reads them.
 PROTOCOL_VERSION = 2
 
 DEFAULT_SHARD_SIZE = 4
@@ -173,7 +174,6 @@ class SweepCoordinator:
         self._worker_stats: Dict[str, Dict[str, float]] = {}
         self._shard_seconds: List[float] = []
         self._counters: Counter = Counter()
-        self._cache_pool: Dict[str, str] = {}
         self._conns: set = set()
         self._next_conn = 0
         self._failure: Optional[str] = None
@@ -352,7 +352,6 @@ class SweepCoordinator:
         if worker:
             state["name"] = str(worker)
         self._conns.add(conn_id)
-        entries = [[key, blob] for key, blob in self._cache_pool.items()]
         return ({"id": request_id, "ok": True,
                  "protocol": PROTOCOL_VERSION,
                  "spec": self.spec.to_dict(),
@@ -361,8 +360,7 @@ class SweepCoordinator:
                  "total": len(self.benchmarks),
                  "shard_size": self.shard_size,
                  "lease_timeout": self.lease_timeout,
-                 "resumed": int(self._counters["shards_resumed"]),
-                 "cache_entries": entries}, False)
+                 "resumed": int(self._counters["shards_resumed"])}, False)
 
     def _op_next(self, conn_id: int, state: dict, request_id) -> dict:
         self._expire_leases()
@@ -452,14 +450,9 @@ class SweepCoordinator:
         stats["seconds"] += duration
         self._worker_cache[worker] = dict(message.get("cache") or {})
         self._worker_wins[worker] = dict(message.get("wins") or {})
-        for entry in message.get("cache_entries") or []:
-            try:
-                key, blob = entry
-            except (TypeError, ValueError):
-                continue
-            self._cache_pool[str(key)] = str(blob)
         if self.artifact_dir is not None:
-            self._write_shard_artifact(shard_id, received)
+            _write_shard_artifact(self.artifact_dir, shard_id,
+                                  received.items())
         self._maybe_finish()
         return {"id": request_id, "ok": True, "accepted": True}
 
@@ -514,7 +507,6 @@ class SweepCoordinator:
         win_totals: Counter = Counter()
         for wins in self._worker_wins.values():
             win_totals.update(wins)
-        self._seed_local_cache()
         self._result = DistributedSweepResult(
             records=records,
             cache_stats=dict(cache_totals),
@@ -522,25 +514,6 @@ class SweepCoordinator:
             workers=max(1, len(self._worker_stats)),
             telemetry=self.telemetry())
         self._done.set()
-
-    def _seed_local_cache(self) -> None:
-        """Fold the pooled warm-cache entries into the coordinator's own
-        disk cache, so a follow-up local run starts as warm as the fleet
-        finished.  Best-effort: cache trouble never fails the sweep."""
-        if not (self.spec.cache_dir and self._cache_pool):
-            return
-        try:
-            from repro.engine.diskcache import DiskSynthesisCache
-
-            cache = DiskSynthesisCache(self.spec.cache_dir)
-            try:
-                cache.import_entries(
-                    (key, base64.b64decode(blob))
-                    for key, blob in self._cache_pool.items())
-            finally:
-                cache.close()
-        except Exception:  # noqa: BLE001 - cache is an accelerator only
-            pass
 
     def telemetry(self) -> Dict[str, Any]:
         """A snapshot of the scheduling counters (thread-safe to read)."""
@@ -566,7 +539,6 @@ class SweepCoordinator:
             "duplicate_results": int(self._counters["duplicate_results"]),
             "active_leases": len(self._leases),
             "straggler_p95_seconds": p95,
-            "cache_entries_synced": len(self._cache_pool),
             "workers": workers,
         }
 
@@ -583,25 +555,6 @@ class SweepCoordinator:
         }
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-    def _shard_path(self, shard_id: int) -> Path:
-        return self.artifact_dir / f"shard-{shard_id:05d}.jsonl"
-
-    def _write_shard_artifact(self, shard_id: int,
-                              received: Dict[int, dict]) -> None:
-        path = self._shard_path(shard_id)
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with tmp.open("w") as handle:
-                for index in sorted(received):
-                    handle.write(json.dumps(
-                        {"index": index, "record": received[index]}) + "\n")
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
 
     def _load_artifacts(self) -> None:
         """Resume completed shards from a previous coordinator's artifact
@@ -635,7 +588,8 @@ class SweepCoordinator:
             expected = {index for index, _ in self._shards[shard_id]}
             received: Dict[int, dict] = {}
             try:
-                with self._shard_path(shard_id).open() as handle:
+                with _shard_path(self.artifact_dir,
+                                 shard_id).open() as handle:
                     for line in handle:
                         if not line.strip():
                             continue
@@ -685,8 +639,6 @@ def run_worker(address, token: str, *, worker_name: Optional[str] = None,
                              "duplicates": 0, "reconnects": 0}
     session = None
     config: Optional[ExperimentConfig] = None
-    disk = None
-    watermark = 0.0
     attempts = 0
 
     def _sleep_backoff() -> None:
@@ -695,7 +647,6 @@ def run_worker(address, token: str, *, worker_name: Optional[str] = None,
     def _work_loop(client: ServiceClient, beat_every: float) -> bool:
         """Pull/solve/report until the coordinator says done (True) or the
         connection dies (an exception the outer loop turns into a retry)."""
-        nonlocal watermark
         while True:
             response = client.request({"op": "next"}, timeout=30.0)
             if not response.get("ok"):
@@ -743,20 +694,12 @@ def run_worker(address, token: str, *, worker_name: Optional[str] = None,
                 stats["abandoned"] += 1
                 continue
             if artifact_dir is not None:
-                _write_worker_artifact(artifact_dir, shard_id, records)
-            cache_entries: List[List[str]] = []
-            if disk is not None:
-                rows = disk.export_entries(since=watermark)
-                if rows:
-                    watermark = max(created for _, _, created in rows)
-                    cache_entries = [
-                        [key, base64.b64encode(blob).decode("ascii")]
-                        for key, blob, _ in rows]
+                # A worker-local copy, for post-mortems on the worker side.
+                _write_shard_artifact(artifact_dir, shard_id, records)
             reply = client.request(
                 {"op": "result", "shard": shard_id, "records": records,
                  "cache": dict(session.cache_stats()),
-                 "wins": dict(session.portfolio_wins()),
-                 "cache_entries": cache_entries}, timeout=120.0)
+                 "wins": dict(session.portfolio_wins())}, timeout=120.0)
             if not reply.get("ok"):
                 raise RuntimeError(f"coordinator rejected shard {shard_id}: "
                                    f"{reply.get('error', 'unknown error')}")
@@ -792,13 +735,6 @@ def run_worker(address, token: str, *, worker_name: Optional[str] = None,
                         spec = replace(spec, cache_dir=cache_dir)
                     config = ExperimentConfig.from_dict(hello["config"])
                     session = spec.build()
-                    disk = getattr(session.cache, "disk", None)
-                entries = hello.get("cache_entries") or []
-                if disk is not None and entries:
-                    disk.import_entries(
-                        (str(key), base64.b64decode(blob))
-                        for key, blob in entries)
-                    watermark = max(watermark, time.time())
                 beat_every = heartbeat_interval if heartbeat_interval \
                     else max(0.05, min(10.0,
                                        float(hello.get("lease_timeout",
@@ -824,11 +760,16 @@ def run_worker(address, token: str, *, worker_name: Optional[str] = None,
             session.close()
 
 
-def _write_worker_artifact(artifact_dir: Path, shard_id: int,
-                           records: Sequence[Tuple[int, dict]]) -> None:
-    """A worker-local copy of the shard's records (same format as the
-    coordinator's merge artifacts), for post-mortems on the worker side."""
-    path = artifact_dir / f"shard-{shard_id:05d}.jsonl"
+def _shard_path(artifact_dir: Path, shard_id: int) -> Path:
+    return artifact_dir / f"shard-{shard_id:05d}.jsonl"
+
+
+def _write_shard_artifact(artifact_dir: Path, shard_id: int,
+                          records: Iterable[Tuple[int, dict]]) -> None:
+    """Write a shard's ``(index, record dict)`` pairs as index-ordered
+    ``{"index", "record"}`` JSON lines, atomically (tmp file + replace);
+    a write that fails leaves no partial file behind."""
+    path = _shard_path(artifact_dir, shard_id)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("w") as handle:

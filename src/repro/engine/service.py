@@ -10,9 +10,8 @@ over many *small* queries.  This module keeps the expensive state alive:
   (:func:`repro.engine.parallel._worker_main`), each holding one warm
   :class:`~repro.engine.session.MappingSession` built from a
   :class:`~repro.engine.parallel.SessionSpec`.  The session — its
-  in-memory LRU, primitive library and solver portfolio — survives
-  across requests, so repeat queries for a design family skip the cold
-  start entirely.
+  primitive library and solver portfolio — survives across requests, so
+  no request pays the process cold start.
 * **Front door** — :class:`SolverService`, a single dispatcher thread
   multiplexing worker pipes through a ``selectors`` loop (no threads per
   request, no new dependencies).  Before anything reaches a worker it is
@@ -24,9 +23,8 @@ over many *small* queries.  This module keeps the expensive state alive:
   - **cache-checked**: an in-memory result cache, tiered over the
     persistent :class:`~repro.engine.diskcache.DiskSynthesisCache` when the
     spec has a ``cache_dir``, answers repeats without any IPC;
-  - **affinity-routed**: requests route by design fingerprint, so a design
-    family keeps hitting the worker whose warm session already holds its
-    results (new fingerprints go to the least-loaded worker);
+  - **least-loaded**: a request that still needs a solve goes to the
+    worker with the least outstanding work;
   - **crash-isolated**: a dead worker is restarted and its queued and
     in-flight requests are re-dispatched — callers never see the crash.
 
@@ -161,11 +159,11 @@ def _restamp(payload: Dict[str, Any], request: MapRequest,
 class _Pending:
     """One in-flight solve and every requester waiting on it."""
 
-    __slots__ = ("key", "request", "waiters", "affinity", "request_id",
-                 "submitted_at", "admitted_by")
+    __slots__ = ("key", "request", "waiters", "request_id", "submitted_at",
+                 "admitted_by")
 
-    def __init__(self, key, request: MapRequest, affinity: str,
-                 request_id: int, admitted_by: str) -> None:
+    def __init__(self, key, request: MapRequest, request_id: int,
+                 admitted_by: str) -> None:
         self.key = key
         self.request = request
         #: ``(future, request, client)`` triples: coalesced duplicates may
@@ -173,7 +171,6 @@ class _Pending:
         #: fingerprint), so each waiter's record is stamped from its own
         #: request.
         self.waiters: List[Tuple[Future, MapRequest, str]] = []
-        self.affinity = affinity
         self.request_id = request_id
         self.submitted_at = time.monotonic()
         #: The one client that passed ``_admit`` for this solve; coalesced
@@ -211,8 +208,9 @@ class _WorkerHandle:
 
 
 class SolverService:
-    """The warm-pool front door: dedup, cache check, affinity, crash restart,
-    per-client fair scheduling, bounded admission and an elastic pool.
+    """The warm-pool front door: dedup, cache check, least-loaded routing,
+    crash restart, per-client fair scheduling, bounded admission and an
+    elastic pool.
 
     Thread-safe: ``submit`` may be called from any thread (the asyncio
     socket layer calls it from executor threads); a single dispatcher
@@ -270,7 +268,6 @@ class SolverService:
         self._pending_total = 0
         self._client_pending: Counter = Counter()
         self._client_stats: Dict[str, Counter] = {}
-        self._affinity: Dict[str, int] = {}
         self._next_request_id = 0
         self._closed = False
         self._failed: Optional[str] = None
@@ -304,14 +301,12 @@ class SolverService:
         self._selector.register(self._waker_r, selectors.EVENT_READ,
                                 data=None)
         self._pool: List[_WorkerHandle] = []
-        self._by_index: Dict[int, _WorkerHandle] = {}
         self._next_worker_index = 0
         for _ in range(workers):
             handle = _WorkerHandle(self._next_worker_index)
             self._next_worker_index += 1
             self._spawn(handle)
             self._pool.append(handle)
-            self._by_index[handle.index] = handle
         self._stats["pool_peak"] = workers
         # An elastic pool needs a fast hysteresis clock; a fixed pool can
         # keep the relaxed quarter-second tick.
@@ -345,7 +340,7 @@ class SolverService:
             if self._failed is not None:
                 raise RuntimeError(f"service failed: {self._failed}")
         try:
-            key, affinity = self._request_keys(request)
+            key = self._request_key(request)
         except Exception as exc:  # unparseable verilog, unknown arch, ...
             future.set_exception(exc)
             with self._lock:
@@ -372,8 +367,7 @@ class SolverService:
                     return future
             self._admit(client)
             self._next_request_id += 1
-            pending = _Pending(key, request, affinity, self._next_request_id,
-                               client)
+            pending = _Pending(key, request, self._next_request_id, client)
             pending.waiters.append((future, request, client))
             self._inflight[key] = pending
             queue = self._client_queues.get(client)
@@ -440,14 +434,12 @@ class SolverService:
         for _, _, client in pending.waiters:
             self._client_counter(client)["served"] += 1
 
-    def _request_keys(self, request: MapRequest) -> Tuple[Any, str]:
-        """The dedup/cache key and the affinity key for one request.
+    def _request_key(self, request: MapRequest) -> Any:
+        """The dedup/cache key for one request.
 
         Must match :meth:`MappingSession.map_design`'s derivation exactly
-        (both go through :func:`synthesis_cache_key`); the affinity key is
-        the design fingerprint, so a design family sticks to one worker.
+        (both go through :func:`synthesis_cache_key`).
         """
-        from repro.engine.cache import program_fingerprint
         from repro.engine.session import synthesis_cache_key
         from repro.hdl.behavioral import verilog_to_behavioral
 
@@ -455,10 +447,9 @@ class SolverService:
         arch_name = self._arch_name(request.arch)
         budget = Budget.for_architecture(arch_name,
                                          override=request.timeout_seconds)
-        key = synthesis_cache_key(design, arch_name, request.template, budget,
-                                  request.extra_cycles, request.validate,
-                                  self.spec.random_probes)
-        return key, program_fingerprint(design.program)
+        return synthesis_cache_key(design, arch_name, request.template,
+                                   budget, request.extra_cycles,
+                                   request.validate, self.spec.random_probes)
 
     def _arch_name(self, arch: str) -> str:
         name = self._arch_names.get(arch)
@@ -525,24 +516,13 @@ class SolverService:
         finally:
             self._shutdown_workers()
 
-    def _worker_for(self, pending: _Pending) -> Optional[_WorkerHandle]:
-        """Choose (and pin) the worker for a pending's design family.
-
-        A fingerprint routes to its pinned worker while that worker is
-        alive and not stopping; otherwise it is (re)pinned to the worker
-        with the least outstanding work.
-        """
-        index = self._affinity.get(pending.affinity)
-        if index is not None:
-            handle = self._by_index.get(index)
-            if handle is not None and not handle.stopping:
-                return handle
+    def _worker_for(self) -> Optional[_WorkerHandle]:
+        """The live worker with the least outstanding work (lowest index
+        on ties), or None while every worker is stopping."""
         candidates = [handle for handle in self._pool if not handle.stopping]
         if not candidates:
             return None
-        handle = min(candidates, key=lambda h: (h.outstanding, h.index))
-        self._affinity[pending.affinity] = handle.index
-        return handle
+        return min(candidates, key=lambda h: (h.outstanding, h.index))
 
     def _assign_submissions(self) -> None:
         """Round-robin assignment from client queues to workers.
@@ -554,9 +534,8 @@ class SolverService:
         when capacity admits only one assignment per pass (a one-deep
         pipe), the next free slot still goes to whoever waited longest
         instead of the same front client every time.  FIFO within a
-        client is absolute: a head blocked on a full affinity worker
-        stalls only its own client (it keeps its rotation slot and the
-        pass moves on).
+        client is absolute: only a client's head is ever assigned, and a
+        head that finds every worker's pipe full stays where it is.
         """
         while True:
             with self._lock:
@@ -577,7 +556,7 @@ class SolverService:
                     pending = queue[0] if queue else None
                 if pending is None:
                     continue
-                handle = self._worker_for(pending)
+                handle = self._worker_for()
                 if handle is None \
                         or handle.outstanding >= self.max_pipe_backlog:
                     continue
@@ -631,7 +610,6 @@ class SolverService:
         self._spawn(handle)
         with self._lock:
             self._pool.append(handle)
-            self._by_index[handle.index] = handle
             self._stats["scale_ups"] += 1
             active = sum(1 for h in self._pool if not h.stopping)
             self._stats["pool_peak"] = max(self._stats["pool_peak"], active)
@@ -641,8 +619,7 @@ class SolverService:
 
         The worker answers ``stop`` with its final session statistics
         (aggregated by the normal message path) and exits; a stopping
-        handle accepts no new assignments, and affinity lookups fall
-        through to live workers immediately.
+        handle accepts no new assignments.
         """
         try:
             handle.conn.send(("stop",))
@@ -654,17 +631,13 @@ class SolverService:
             self._stats["scale_downs"] += 1
 
     def _remove_worker(self, handle: _WorkerHandle) -> None:
-        """Finish a scale-down: drop the handle and its affinity pins."""
+        """Finish a scale-down: drop the handle from the pool."""
         self._retire(handle)
         with self._lock:
             try:
                 self._pool.remove(handle)
             except ValueError:  # pragma: no cover - already removed
                 pass
-            self._by_index.pop(handle.index, None)
-        for fingerprint in [fp for fp, idx in self._affinity.items()
-                            if idx == handle.index]:
-            del self._affinity[fingerprint]
         # A stopping worker had outstanding == 0 by construction, but a
         # crash racing the stop could leave owed work — never drop it.
         if handle.sent or handle.queue:  # pragma: no cover - defensive
@@ -900,10 +873,6 @@ class SolverService:
         stats["in_flight"] = len(self._inflight)
         stats["worker_requests"] = [handle.served for handle in pool]
         return stats
-
-    def affinity_snapshot(self) -> Dict[str, int]:
-        """Design-fingerprint → worker-index routing table (a copy)."""
-        return dict(self._affinity)
 
     def worker_cache_stats(self) -> Dict[str, int]:
         """Summed worker-session cache counters (complete after close)."""

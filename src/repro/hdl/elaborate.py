@@ -265,6 +265,10 @@ class _Elaborator:
         if isinstance(expr, Select):
             high, low = self._const(expr.high), self._const(expr.low)
             operand = self.build(expr.operand, self.self_width(expr.operand), env)
+            if not 0 <= low <= high < operand.width:
+                raise ElaborationError(
+                    f"select [{high}:{low}] is out of range: the operand "
+                    f"has bits [{operand.width - 1}:0]")
             return self._resize(bvextract(high, low, operand), width, signed=False)
         raise ElaborationError(f"unsupported expression {expr!r}")
 

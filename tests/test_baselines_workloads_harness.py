@@ -285,7 +285,16 @@ class TestCli:
          "module m(input [3:0] a, b, output [3:0] out); assign out = a & b; "
          "endmodule",
          ["--module", "nope"], "no module named 'nope'"),
-    ], ids=["unknown-arch", "unsupported-verilog", "missing-module"])
+        ("intel-cyclone10lp",
+         "module m(input clk, input [15:0] d, output [16:0] out); "
+         "reg [15:0] r; always @(posedge clk) r <= d; "
+         "assign out = r[20:4]; endmodule",
+         [], "select [20:4] is out of range"),
+        ("intel-cyclone10lp",
+         "module m(input [7:0] a, output out); assign out = a[8]; endmodule",
+         [], "select [8:8] is out of range"),
+    ], ids=["unknown-arch", "unsupported-verilog", "missing-module",
+            "part-select-past-msb", "bit-select-past-msb"])
     def test_input_error_is_one_line_and_exit_1(self, tmp_path, capsys,
                                                 arch, source, extra, message):
         path = tmp_path / "design.v"

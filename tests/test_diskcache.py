@@ -282,7 +282,8 @@ class TestSessionIntegration:
         cold = session.map_verilog(AND4, template="bitwise", arch="sofa",
                                    timeout_seconds=60)
         disk = session.cache.disk
-        (text_key, blob, _), = disk.export_entries()
+        (text_key, blob), = disk._connection.execute(
+            "SELECT key, value FROM entries").fetchall()
         archived = pickle.loads(blob)
         archived.synthesis.__dict__["time_seconds"] = 0.25
         disk._connection.execute(
@@ -414,47 +415,6 @@ class TestMonotonicRecency:
         assert cache.get(("new",)) == "new"
         assert cache.get(("old",)) is None
         cache.close()
-
-
-class TestExportImport:
-    def test_export_import_round_trip_local_wins(self, tmp_path):
-        source = DiskSynthesisCache(tmp_path / "src")
-        for index in range(3):
-            source.put(("key", index), f"value-{index}")
-        rows = source.export_entries()
-        assert len(rows) == 3
-        assert [row[2] for row in rows] == sorted(row[2] for row in rows)
-
-        target = DiskSynthesisCache(tmp_path / "dst")
-        target.put(("key", 0), "local-wins")
-        inserted = target.import_entries(
-            [(key, blob) for key, blob, _ in rows])
-        assert inserted == 2  # ("key", 0) collided: the local copy stays
-        assert target.get(("key", 0)) == "local-wins"
-        assert target.get(("key", 1)) == "value-1"
-        assert target.get(("key", 2)) == "value-2"
-        source.close()
-        target.close()
-
-    def test_export_since_watermark_is_incremental(self, tmp_path):
-        cache = DiskSynthesisCache(tmp_path)
-        cache.put(("early",), 1)
-        watermark = cache.export_entries()[-1][2]
-        cache.put(("late",), 2)
-        rows = cache.export_entries(since=watermark)
-        assert [row[0] for row in rows] == [canonical_key(("late",))]
-        cache.close()
-
-    def test_import_respects_max_entries(self, tmp_path):
-        source = DiskSynthesisCache(tmp_path / "src")
-        for index in range(5):
-            source.put(("key", index), index)
-        rows = source.export_entries()
-        target = DiskSynthesisCache(tmp_path / "dst", max_entries=3)
-        target.import_entries([(key, blob) for key, blob, _ in rows])
-        assert len(target) == 3
-        source.close()
-        target.close()
 
 
 class TestCacheCli:

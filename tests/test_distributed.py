@@ -270,16 +270,18 @@ class TestCoordinatorProtocol:
             assert "retry budget" in refused["error"]
             other.close()
 
-    def test_cache_entries_are_pooled_for_late_joiners(self):
+    def test_old_worker_cache_entries_are_merged_but_not_shipped(self):
+        """No cache entry crosses the wire: a ``result`` that still carries
+        an old worker's ``cache_entries`` merges like any other, and no
+        later ``hello`` reply or telemetry key carries entries."""
         benchmarks = _fast_benchmarks(2)
         config = ExperimentConfig()
         serial = _serial_records(benchmarks, config)
         with self._coordinator(benchmarks, config) as coordinator:
-            early = _WireClient(coordinator.host, coordinator.port)
-            hello = early.hello(coordinator.token, "early")
-            assert hello["cache_entries"] == []
-            assert early.request({"op": "next"})["shard"]["id"] == 0
-            reply = early.request({
+            old = _WireClient(coordinator.host, coordinator.port)
+            assert "cache_entries" not in old.hello(coordinator.token, "old")
+            assert old.request({"op": "next"})["shard"]["id"] == 0
+            reply = old.request({
                 "op": "result", "shard": 0,
                 "records": [[index, serial[index].to_dict()]
                             for index, _ in enumerate(benchmarks)],
@@ -288,11 +290,14 @@ class TestCoordinatorProtocol:
 
             late = _WireClient(coordinator.host, coordinator.port)
             joined = late.hello(coordinator.token, "late")
-            assert ["cache-key-1", "YmxvYg=="] in joined["cache_entries"]
-            early.close()
+            assert joined["ok"] is True
+            assert "cache_entries" not in joined
+            old.close()
             late.close()
             result = coordinator.wait(timeout=10)
-        assert result.telemetry["cache_entries_synced"] == 1
+        assert [r.comparable() for r in result.records] == \
+            [r.comparable() for r in serial]
+        assert not [key for key in result.telemetry if "cache_entries" in key]
 
 
 # --------------------------------------------------------------------------- #

@@ -103,16 +103,6 @@ class TestFrontDoor:
         assert stats["dispatched"] == 2         # the third solved again
         assert not third.cache_hit
 
-    def test_affinity_routes_a_design_family_to_one_worker(self):
-        spec = SessionSpec(enable_cache=False)  # force repeat dispatches
-        with SolverService(spec, workers=2) as service:
-            for _ in range(3):
-                service.submit(_mul_request()).result(timeout=120)
-            stats = service.stats()
-            affinity = service.affinity_snapshot()
-        assert len(affinity) == 1
-        assert sorted(stats["worker_requests"]) == [0, 3]
-
     def test_distinct_designs_spread_over_least_loaded_workers(self):
         with SolverService(SessionSpec(), workers=2) as service:
             a = service.submit(MapRequest(verilog=AND4, arch="sofa",
@@ -120,8 +110,8 @@ class TestFrontDoor:
             b = service.submit(MapRequest(verilog=ADD4, arch="sofa",
                                           template="bitwise", benchmark="b"))
             a.result(120), b.result(120)
-            affinity = service.affinity_snapshot()
-        assert sorted(affinity.values()) == [0, 1]
+            stats = service.stats()
+        assert sorted(stats["worker_requests"]) == [1, 1]
 
     def test_unparseable_verilog_fails_the_future_only(self):
         with SolverService(SessionSpec(), workers=1) as service:

@@ -322,21 +322,6 @@ class TestElasticPool:
         assert stats["scale_downs"] >= 1
         assert stats["min_workers"] == 1
 
-    def test_affinity_is_purged_and_rerouted_after_scale_down(
-            self, monkeypatch):
-        with fake_service(monkeypatch, workers=2, min_workers=1,
-                          max_workers=2,
-                          idle_retire_seconds=0.1) as service:
-            # Pin two design families across both workers.
-            service.submit(_req(0)).result(timeout=60)
-            service.submit(_req(1)).result(timeout=60)
-            assert _wait_until(lambda: service.stats()["workers"] == 1)
-            live = set(service._by_index.keys())
-            assert set(service.affinity_snapshot().values()) <= live
-            # Both families still served after one pin was orphaned.
-            assert service.submit(_req(0)).result(timeout=60) is not None
-            assert service.submit(_req(1)).result(timeout=60) is not None
-
     def test_seeded_churn_never_drops_or_leaks_requests(self, monkeypatch):
         """Satellite: retiring an idle worker never drops a just-routed
         request.  Seeded random bursts with deliberate quiet gaps force
@@ -379,8 +364,8 @@ class TestElasticPool:
         handle = service_mod._WorkerHandle(7)
         pendings = []
         for i in range(3):
-            pending = service_mod._Pending(("key", i), _req(40 + i),
-                                           f"fp{i}", i + 1, "c")
+            pending = service_mod._Pending(("key", i), _req(40 + i), i + 1,
+                                           "c")
             pending.waiters.append((None, pending.request, "c"))
             pendings.append(pending)
         handle.sent[1] = pendings[0]     # oldest: written to the pipe
