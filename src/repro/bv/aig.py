@@ -113,6 +113,12 @@ class AIG:
         return len(self._nodes)
 
     @property
+    def nodes(self) -> List[Tuple[int, int]]:
+        """The node table itself (read it, do not change it): node index →
+        ``(left, right)`` fan-in literals; inputs are ``(-1, -1)``."""
+        return self._nodes
+
+    @property
     def inputs(self) -> List[str]:
         return list(self._inputs)
 

@@ -3,16 +3,22 @@
 The CNF produced here is consumed by :mod:`repro.sat`.  CNF variables are
 1-based (DIMACS convention); AIG node ``n`` maps to CNF variable ``n + 1``
 so that the constant node 0 gets a dedicated variable forced to FALSE.
+
+:func:`tseitin_gates` is the one cone walk: it lists the AND gates to
+encode, in the contract order.  :func:`aig_to_cnf` expands them into clause
+lists (the portfolio's CNF members take those), and
+:meth:`~repro.sat.solver.CDCLSolver.load_gates` writes the same clauses
+straight into a solver's arena.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Sequence, Tuple
 
 from repro.bv.aig import AIG
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, tseitin_clauses
 
-__all__ = ["aig_to_cnf", "lit_to_cnf"]
+__all__ = ["aig_input_vars", "aig_to_cnf", "lit_to_cnf", "tseitin_gates"]
 
 
 def lit_to_cnf(lit: int) -> int:
@@ -21,52 +27,67 @@ def lit_to_cnf(lit: int) -> int:
     return -var if lit & 1 else var
 
 
+def aig_input_vars(aig: AIG) -> Dict[str, int]:
+    """The CNF variable of every input bit of ``aig``, by name."""
+    return {name: (aig.input_literal(name) >> 1) + 1 for name in aig.inputs}
+
+
+def tseitin_gates(aig: AIG, output_lits: Sequence[int]
+                  ) -> List[Tuple[int, int, int]]:
+    """The AND gates the cones of influence of ``output_lits`` need.
+
+    Each gate is a triple ``(out, left, right)``: its CNF variable and the
+    CNF literals of its two fan-ins.  They come in one fixed order: output
+    by output, the gates that output's cone adds to the cones before it,
+    in ascending node index.  The order is part of the contract: it fixes
+    the clause order, and with it the search trajectory of every solver
+    the encoding is loaded into.  The triples are clean, because
+    :meth:`AIG.and_gate` never builds a node with constant, equal or
+    complementary fan-ins: no fan-in is the constant node, and the output
+    and the two fan-ins are three distinct variables.
+    """
+    nodes = aig.nodes
+    done = bytearray(len(nodes))
+    done[0] = 1  # the constant node: its unit comes first, not a gate
+    gates: List[Tuple[int, int, int]] = []
+    for output in output_lits:
+        cone: List[int] = []
+        stack = [output >> 1]
+        while stack:
+            index = stack.pop()
+            if done[index]:
+                continue
+            done[index] = 1
+            left, right = nodes[index]
+            if left >= 0:  # an AND node; inputs are (-1, -1)
+                cone.append(index)
+                stack.append(left >> 1)
+                stack.append(right >> 1)
+        cone.sort()
+        for index in cone:
+            left, right = nodes[index]
+            left_var = (left >> 1) + 1
+            right_var = (right >> 1) + 1
+            gates.append((index + 1,
+                          -left_var if left & 1 else left_var,
+                          -right_var if right & 1 else right_var))
+    return gates
+
+
 def aig_to_cnf(aig: AIG, output_lits: List[int]) -> tuple[CNF, Dict[str, int]]:
     """Encode the cones of influence of ``output_lits``, asserted true.
 
-    The clauses come in one fixed order: the constant-false unit; then,
-    output by output, the gate clauses of the nodes that output's cone
-    adds to the cones before it, in ascending node index; then one unit
-    per output, in output order.  The order is part of the contract: it
-    fixes the search trajectory of every solver the CNF is loaded into.
+    The clauses come in one fixed order: the constant-false unit; then the
+    three clauses of each gate of :func:`tseitin_gates`, in its order;
+    then one unit per output, in output order
+    (:func:`~repro.sat.cnf.tseitin_clauses`).
 
     Returns the CNF and a map from input bit names to their CNF variable
     numbers.
     """
     cnf = CNF(num_vars=aig.num_nodes)
-    # Appended straight to the clause list: lit_to_cnf never yields the
-    # invalid literal 0 and every variable is an AIG node, so num_vars
-    # above covers them all (CNF.add_clause keeps checking DIMACS and
-    # caller input).  The clauses are clean too: AIG.and_gate never builds
-    # a node with constant, equal or complementary fan-ins.
-    clauses = cnf.clauses
-    clauses.append([-1])
-    encoded: Set[int] = {0}
-    for output in output_lits:
-        cone: Set[int] = set()
-        stack = [output >> 1]
-        while stack:
-            index = stack.pop()
-            if index in cone or index in encoded:
-                continue
-            cone.add(index)
-            left, right = aig.node(index)
-            if (left, right) != (-1, -1):  # not a primary input
-                stack.append(left >> 1)
-                stack.append(right >> 1)
-        encoded |= cone
-        # out <-> left AND right
-        for index in sorted(cone):
-            if aig.is_input(index):
-                continue
-            left, right = aig.node(index)
-            out_var = index + 1
-            left_lit = lit_to_cnf(left)
-            right_lit = lit_to_cnf(right)
-            clauses.append([-out_var, left_lit])
-            clauses.append([-out_var, right_lit])
-            clauses.append([out_var, -left_lit, -right_lit])
-    clauses.extend([lit_to_cnf(lit)] for lit in output_lits)
-    input_vars = {name: (aig.input_literal(name) >> 1) + 1
-                  for name in aig.inputs}
-    return cnf, input_vars
+    # Set directly rather than through CNF.add_clause: every literal is a
+    # nonzero literal of an AIG node, so num_vars above covers them all.
+    cnf.clauses = tseitin_clauses(tseitin_gates(aig, output_lits),
+                                  [lit_to_cnf(lit) for lit in output_lits])
+    return cnf, aig_input_vars(aig)

@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "Run 'lakeroad sweep --help' for the parallel evaluation sweep. "
                     "Exit codes: 0 mapped (structural Verilog on stdout), "
                     "1 input error (unknown --arch-desc, a --module the "
-                    "file lacks, Verilog the frontend rejects, or an "
+                    "file lacks, Verilog the frontend rejects -- such as a "
+                    "declared range other than [N-1:0] -- or an "
                     "--output/--cache-dir path it cannot use), 2 unsat, "
                     "a command-line usage error or a Verilog file that is "
                     "missing or cannot be read, 3 timeout.")

@@ -22,7 +22,9 @@ a coordinator owning the work queue, workers pulling shards when idle:
   shard's records back (``result``).  The coordinator reaps expired
   leases and requeues their shards, so a dead or wedged worker's work is
   reassigned; a per-shard retry budget fails the sweep loudly instead of
-  spinning forever.
+  spinning forever.  A ``next`` with nothing to lease is held until a
+  shard is requeued or the sweep ends, for at most one poll interval, so
+  an idle worker hears ``done`` as soon as the last shard merges.
 * **Exactly-once merge** — shards are merged by shard id: the first
   complete result for a shard wins, later duplicates (a slow-but-alive
   worker racing its own reassignment) are acknowledged with
@@ -158,6 +160,9 @@ class SweepCoordinator:
         self.shard_size = max(1, int(shard_size))
         self.lease_timeout = float(lease_timeout)
         self.retry_budget = max(0, int(retry_budget))
+        #: How often the reaper runs, and how long a ``next`` with nothing
+        #: to lease is held.
+        self._poll_interval = max(0.05, min(1.0, self.lease_timeout / 4.0))
         self.artifact_dir = Path(artifact_dir) if artifact_dir else None
         self.stream_limit = int(stream_limit)
 
@@ -183,6 +188,9 @@ class SweepCoordinator:
         self._startup_error: Optional[BaseException] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_async: Optional[asyncio.Event] = None
+        #: Set (on the loop thread) when a shard is requeued or the sweep
+        #: ends: the news a held ``next`` waits for.
+        self._news: Optional[asyncio.Event] = None
         self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------ #
@@ -248,6 +256,7 @@ class SweepCoordinator:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_async = asyncio.Event()
+        self._news = asyncio.Event()
         try:
             server = await asyncio.start_server(
                 self._handler, self.host, self.port, limit=self.stream_limit)
@@ -268,9 +277,8 @@ class SweepCoordinator:
             await server.wait_closed()
 
     async def _reaper(self) -> None:
-        interval = max(0.05, min(1.0, self.lease_timeout / 4.0))
         while True:
-            await asyncio.sleep(interval)
+            await asyncio.sleep(self._poll_interval)
             self._expire_leases()
 
     async def _handler(self, reader, writer) -> None:
@@ -299,6 +307,9 @@ class SweepCoordinator:
                     await writer.drain()
                     continue
                 response, close_after = self._dispatch(conn_id, state, message)
+                if "wait" in response:
+                    response = await self._held_next(conn_id, state,
+                                                     message.get("id"))
                 writer.write((json.dumps(response) + "\n").encode())
                 await writer.drain()
                 if close_after:
@@ -312,6 +323,18 @@ class SweepCoordinator:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+    async def _held_next(self, conn_id: int, state: dict, request_id) -> dict:
+        """Answer a ``next`` that found nothing to lease once there is
+        news (a requeued shard, the end of the sweep) or a poll interval
+        has passed."""
+        # No await since _op_next found nothing, so no news is lost here.
+        self._news.clear()
+        try:
+            await asyncio.wait_for(self._news.wait(), self._poll_interval)
+        except asyncio.TimeoutError:
+            pass
+        return self._op_next(conn_id, state, request_id)
 
     # ------------------------------------------------------------------ #
     # Protocol (loop thread only)
@@ -375,8 +398,9 @@ class SweepCoordinator:
                 shard_id = candidate
                 break
         if shard_id is None:
-            return {"id": request_id, "ok": True, "shard": None,
-                    "wait": max(0.05, min(1.0, self.lease_timeout / 4.0))}
+            # _handler holds this reply (_held_next), so the worker has
+            # waited already when it gets it: ``wait: 0``, ask again.
+            return {"id": request_id, "ok": True, "shard": None, "wait": 0}
         now = time.monotonic()
         self._leases[shard_id] = _Lease(shard_id, conn_id, state["name"],
                                         now + self.lease_timeout, now)
@@ -488,11 +512,13 @@ class SweepCoordinator:
             return
         # Front of the queue: a reassigned shard is the oldest work.
         self._queue.appendleft(shard_id)
+        self._news.set()
 
     def _fail(self, message: str) -> None:
         if self._failure is None:
             self._failure = message
         self._done.set()
+        self._news.set()
 
     def _maybe_finish(self) -> None:
         if self._failure is not None \
@@ -514,6 +540,7 @@ class SweepCoordinator:
             workers=max(1, len(self._worker_stats)),
             telemetry=self.telemetry())
         self._done.set()
+        self._news.set()
 
     def telemetry(self) -> Dict[str, Any]:
         """A snapshot of the scheduling counters (thread-safe to read)."""

@@ -132,14 +132,25 @@ class _Parser:
                     break
 
     def _parse_range_opt(self) -> int:
-        """Parse an optional ``[hi:lo]`` range, returning the width (default 1)."""
-        if not self.accept("symbol", "["):
+        """Parse an optional ``[N-1:0]`` range, returning the width N
+        (default 1).
+
+        Selects count from 0 at the LSB, so only the descending range based
+        at 0 means what it says; any other range (``[0:7]``, ``[8:1]``) is
+        rejected rather than silently read as ``[N-1:0]``.
+        """
+        bracket = self.accept("symbol", "[")
+        if not bracket:
             return 1
         high = self._const_expr()
         self.expect("symbol", ":")
         low = self._const_expr()
         self.expect("symbol", "]")
-        return abs(high - low) + 1
+        width = abs(high - low) + 1
+        if (high, low) != (width - 1, 0):
+            raise ParseError(f"line {bracket.line}: range [{high}:{low}] is "
+                             f"not supported; declare [{width - 1}:0]")
+        return width
 
     def _parse_port_list(self, module: ModuleDecl) -> None:
         direction = None

@@ -2,9 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-__all__ = ["CNF", "complete_model"]
+__all__ = ["CNF", "complete_model", "tseitin_clauses"]
+
+
+def tseitin_clauses(gates: Iterable[Tuple[int, int, int]],
+                    units: Iterable[int]) -> List[List[int]]:
+    """The clause list of a Tseitin-encoded AND-gate circuit.
+
+    Variable 1 is the constant FALSE: its unit ``[-1]`` comes first.  Each
+    gate ``(out, left, right)`` then gives ``[-out, left]``,
+    ``[-out, right]`` and ``[out, -left, -right]`` (``out`` ↔ ``left``
+    AND ``right``), and each literal of ``units`` a unit clause, last.
+    """
+    clauses = [[-1]]
+    for out, left, right in gates:
+        clauses.append([-out, left])
+        clauses.append([-out, right])
+        clauses.append([out, -left, -right])
+    clauses.extend([unit] for unit in units)
+    return clauses
 
 
 def complete_model(num_vars: int, assigned: Mapping[int, bool]) -> Dict[int, bool]:

@@ -13,17 +13,18 @@ bench_propagation.py`` race the arena against.  Select it through the
 
 The only additions over the historical code are the cumulative telemetry
 counters (``propagations_total``, ``watcher_visits``, ``solve_seconds``)
-that the warm solver host reads from whichever engine it drives, and
-``add_clauses``, the batch entry point it loads clauses through (here a
-loop over ``add_clause``).
+that the warm solver host reads from whichever engine it drives, and two
+loading entries: ``add_clauses``, the batch entry point (here a loop over
+``add_clause``), and ``load_gates``, the candidate session's (here its
+clause list through ``add_clauses``).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, tseitin_clauses
 from repro.sat.solver import SatResult, _luby, _VarOrder
 
 __all__ = ["LegacyCDCLSolver"]
@@ -189,6 +190,15 @@ class LegacyCDCLSolver:
         for clause in clauses:
             self.add_clause(clause)
         return self._ok
+
+    def load_gates(self, num_vars: int, gates: Iterable[Tuple[int, int, int]],
+                   units: Sequence[int]) -> bool:
+        """Load a Tseitin-encoded AND-gate circuit: the arena solver's
+        entry, here by the plain route it must match, one
+        :meth:`ensure_vars` and :meth:`add_clauses` over
+        :func:`~repro.sat.cnf.tseitin_clauses`."""
+        self.ensure_vars(num_vars)
+        return self.add_clauses(tseitin_clauses(gates, units))
 
     def _add_clause(self, clause: List[int], learnt: bool = False) -> bool:
         """Construction-time clause attachment (level 0, trail unpropagated)."""

@@ -65,6 +65,14 @@ clauses, models, unsat cores — is therefore bit-for-bit identical to
 :class:`~repro.sat.legacy.LegacyCDCLSolver`, which the differential fuzz
 suite asserts directly.
 
+Clauses arrive by one of two routes.  :meth:`CDCLSolver.add_clauses`
+takes clause lists under the level-0 rules.  :meth:`CDCLSolver.load_gates`
+takes a Tseitin-encoded AIG as gate triples
+(:func:`repro.bv.cnf.tseitin_gates`) and writes them straight into an
+empty solver's arena and watcher lists, leaving exactly the state the
+clause route leaves for the same encoding; the CEGIS candidate session
+loads its solver this way, without building a clause list.
+
 The solver is *incremental*: :meth:`CDCLSolver.add_clauses` (and its
 one-clause form :meth:`CDCLSolver.add_clause`) may be called after a
 :meth:`CDCLSolver.solve`, and repeated ``solve(assumptions=...)``
@@ -94,7 +102,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.sat.cnf import CNF, complete_model
 
@@ -286,12 +295,6 @@ class _ArenaVarOrder:
         heap[i] = var
         pos[var] = i
 
-    def insert(self, var: int) -> None:
-        if self.pos[var] >= 0:
-            return
-        self.heap.append(var)
-        self._sift_up(len(self.heap) - 1)
-
     def bumped(self, var: int) -> None:
         """Re-establish the heap order after ``var``'s activity increased."""
         i = self.pos[var]
@@ -445,13 +448,23 @@ class CDCLSolver:
         self._cap = new_cap
 
     def ensure_vars(self, num_vars: int) -> None:
-        """Grow the variable universe (new AIG nodes in a shared namespace)."""
+        """Grow the variable universe (new AIG nodes in a shared namespace).
+
+        New variables join the end of the VSIDS heap in index order, which
+        is exactly where inserting them one by one would leave them: each
+        has activity 0 and a larger index than every heap member, so its
+        sift-up would stop at once.
+        """
+        old = self.num_vars
+        if num_vars <= old:
+            return
         if num_vars > self._cap:
             self._grow_to(max(num_vars, 2 * self._cap, 16))
-        for var in range(self.num_vars + 1, num_vars + 1):
-            self._order.insert(var)
-        if num_vars > self.num_vars:
-            self.num_vars = num_vars
+        heap = self._order.heap
+        self._order.pos[old + 1:num_vars + 1] = range(
+            len(heap), len(heap) + num_vars - old)
+        heap.extend(range(old + 1, num_vars + 1))
+        self.num_vars = num_vars
 
     # ------------------------------------------------------------------ #
     # Clause database
@@ -530,6 +543,54 @@ class CDCLSolver:
                     self._enqueue(reduced[0], -1)
                 else:
                     self._ok = False
+        return self._ok
+
+    def load_gates(self, num_vars: int, gates: Iterable[Tuple[int, int, int]],
+                   units: Sequence[int]) -> bool:
+        """Load a Tseitin-encoded AND-gate circuit into this empty solver.
+
+        ``gates`` are ``(out, left, right)`` triples and ``units`` the
+        literals asserted true, as :func:`~repro.bv.cnf.tseitin_gates`
+        gives them; variable 1 is the constant FALSE.  The solver ends in
+        exactly the state ``ensure_vars(num_vars)`` and then
+        ``add_clauses(tseitin_clauses(gates, units))``
+        (:func:`~repro.sat.cnf.tseitin_clauses`) leave it in: arena,
+        watcher lists, trail, heap and verdict; but no clause list is
+        built.  Before the units, only variable 1 is assigned, and no gate
+        mentions it, so every gate clause is attached as it is: a gate's
+        three variables are distinct (:meth:`~repro.bv.aig.AIG.and_gate`
+        never builds a node with constant, equal or complementary fan-ins).
+        The units then follow :meth:`add_clauses`' level-0 rules: one
+        already true is skipped, one already false makes the database
+        unsatisfiable.  Returns ``False`` once it is unsatisfiable.
+        """
+        if self.num_vars:
+            raise ValueError("load_gates needs an empty solver")
+        self.ensure_vars(num_vars)
+        self._enqueue(-1, -1)
+        arena = self._arena
+        watches = self._watches
+        off = 3  # the first gate clause's literals follow its header
+        for out, left, right in gates:
+            # [-out, left], [-out, right], [out, -left, -right]; each
+            # clause watches its first two literals.
+            not_out = -out
+            not_left = -left
+            arena += (2, 0, 0, not_out, left, 2, 0, 0, not_out, right,
+                      3, 0, 0, out, not_left, -right)
+            watches[not_out] += (off, left, off + 5, right)
+            watches[left] += (off, not_out)
+            watches[right] += (off + 5, not_out)
+            watches[out] += (off + 10, not_left)
+            watches[not_left] += (off + 10, out)
+            off += 16
+        vals = self._vals
+        for lit in units:
+            value = vals[lit]
+            if value == 0:
+                self._enqueue(lit, -1)
+            elif value < 0:
+                self._ok = False
         return self._ok
 
     def _add_clause(self, clause: List[int]) -> bool:
@@ -988,8 +1049,8 @@ class CDCLSolver:
             if var < lowest:
                 lowest = var
             if vsids and order_pos[var] < 0:
-                # Inlined _ArenaVarOrder.insert: every unassigned variable
-                # re-enters the heap here, on every backtrack.
+                # Heap insertion with an inlined sift-up: every unassigned
+                # variable re-enters the heap here, on every backtrack.
                 i = len(order_heap)
                 order_heap.append(var)
                 av = activity[var]

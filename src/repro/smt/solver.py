@@ -29,8 +29,9 @@ from repro.bv.aig import AIG
 from repro.bv.ast import BVExpr
 from repro.bv.bitblast import BitBlaster
 from repro.bv.bitsim import PROBE_LANES, PackedEvaluator, first_sat_lane
-from repro.bv.cnf import aig_to_cnf
+from repro.bv.cnf import aig_input_vars, aig_to_cnf, lit_to_cnf, tseitin_gates
 from repro.bv.eval import evaluate, var_widths
+from repro.sat.cnf import CNF
 from repro.sat.portfolio import SatPortfolio
 from repro.sat.solver import CDCLSolver
 from repro.smt.model import Model
@@ -305,11 +306,13 @@ class IncrementalSmtSession:
     """One candidate query: assert constraints, then check them.
 
     :meth:`assert_constraints` blasts the constraints into the session's
-    AIG and encodes every output asserted so far with
-    :func:`~repro.bv.cnf.aig_to_cnf` into :attr:`cnf` and
-    :attr:`input_vars`.  :meth:`check` loads that CNF into a fresh
-    :class:`CDCLSolver` — one ``ensure_vars``, one ``add_clauses`` — and
-    solves it.  The CEGIS candidate step builds one session per
+    AIG.  :meth:`check` loads the cones of every output asserted so far
+    straight from that AIG into a fresh :class:`CDCLSolver` — one
+    :func:`~repro.bv.cnf.tseitin_gates` walk, one
+    :meth:`~repro.sat.solver.CDCLSolver.load_gates` — and solves it; no
+    clause list is built.  :attr:`cnf` is the same encoding as clause
+    lists (:func:`~repro.bv.cnf.aig_to_cnf`), built on demand for tests
+    and tools.  The CEGIS candidate step builds one session per
     iteration, asserts every constraint in one batch and checks once.
 
     Satisfying models are *canonical*: after the heuristic search finds
@@ -331,9 +334,6 @@ class IncrementalSmtSession:
         self._blaster = BitBlaster()
         #: AIG literals of the asserted non-constant constraints, in order.
         self._outputs: List[int] = []
-        #: The CNF of everything asserted so far, and the CNF variable of
-        #: every input bit (rebuilt by :meth:`assert_constraints`).
-        self.cnf, self.input_vars = aig_to_cnf(self._blaster.aig, [])
         #: Clause-DB reduction knobs for the solver; None defers to the
         #: CDCLSolver defaults.
         self._solver_options: Dict[str, int] = {}
@@ -360,14 +360,21 @@ class IncrementalSmtSession:
                 "watcher_visits": solver.watcher_visits,
                 "solver_solve_seconds": solver.solve_seconds}
 
+    @property
+    def cnf(self) -> CNF:
+        """The encoding :meth:`check` loads, as clause lists, built anew on
+        each access: every output asserted so far, in assertion order."""
+        return aig_to_cnf(self._blaster.aig, self._outputs)[0]
+
+    @property
+    def input_vars(self) -> Dict[str, int]:
+        """The CNF variable of every input bit blasted so far."""
+        return aig_input_vars(self._blaster.aig)
+
     # ------------------------------------------------------------------ #
     def assert_constraints(self, constraints: Sequence[BVExpr]) -> None:
-        """Add 1-bit constraints (a conjunction) to the session.
-
-        The batch is blasted first; then :attr:`cnf` and
-        :attr:`input_vars` are re-encoded over every output asserted so
-        far, in assertion order.
-        """
+        """Add 1-bit constraints (a conjunction) to the session: blast
+        each one into the session's AIG."""
         for constraint in constraints:
             if constraint.width != 1:
                 raise ValueError("constraints must be 1-bit expressions")
@@ -382,8 +389,6 @@ class IncrementalSmtSession:
                         f"variable {name!r} used at widths {existing} and {width}")
                 self._widths[name] = width
             self._outputs.append(self._blaster.blast(constraint)[0])
-        self.cnf, self.input_vars = aig_to_cnf(self._blaster.aig,
-                                               self._outputs)
 
     def check(self, deadline: Optional[float] = None) -> SmtResult:
         """Decide satisfiability of everything asserted so far."""
@@ -392,10 +397,12 @@ class IncrementalSmtSession:
         if deadline is not None and time.monotonic() > deadline:
             return SmtResult("unknown", None, "timeout")
 
+        aig, outputs = self._blaster.aig, self._outputs
+        input_vars = self.input_vars
         self._solver = solver = CDCLSolver(deadline=deadline,
                                            **self._solver_options)
-        solver.ensure_vars(self.cnf.num_vars)
-        solver.add_clauses(self.cnf.clauses)
+        solver.load_gates(aig.num_nodes, tseitin_gates(aig, outputs),
+                          [lit_to_cnf(lit) for lit in outputs])
         sat_result = solver.solve()
         model = None
         if sat_result.is_sat:
@@ -408,9 +415,9 @@ class IncrementalSmtSession:
             # model, invalidating cross-version equality for persistent
             # caches.  Tseitin variables are functionally forced by the
             # inputs, so the whole model is canonical.
-            model = lex_min_model(solver, sorted(self.input_vars.values()),
-                                  sat_result.model, self._blaster.aig,
-                                  self._outputs, deadline=deadline)
+            model = lex_min_model(solver, sorted(input_vars.values()),
+                                  sat_result.model, aig, outputs,
+                                  deadline=deadline)
         # Every solve on this fresh solver — the search and each lex-min
         # trial — is this query's.
         conflicts = solver.total_conflicts
@@ -418,7 +425,7 @@ class IncrementalSmtSession:
             return SmtResult("unsat", None, "sat:incremental", conflicts)
         if model is None:
             return SmtResult("unknown", None, "timeout", conflicts)
-        return SmtResult("sat", _decode(self.input_vars, model, self._widths),
+        return SmtResult("sat", _decode(input_vars, model, self._widths),
                          "sat:incremental", conflicts)
 
 

@@ -1,6 +1,7 @@
 """Shared test constants and helpers (imported by conftest fixtures and
-by the tests): workload samples, a random-expression generator, and the
-brute-force oracle for canonical lex-min models.
+by the tests): workload samples, a random-expression generator, the
+brute-force oracle for canonical lex-min models, and the clause-route
+oracle for loading a solver straight from an AIG.
 
 Lives in its own module (not ``conftest.py``) so test files can import the
 constants directly — ``import conftest`` is ambiguous from the repo root,
@@ -16,7 +17,7 @@ from repro.bv import (
     bvredor, zero_extend,
 )
 from repro.bv.bitblast import BitBlaster
-from repro.bv.cnf import aig_to_cnf
+from repro.bv.cnf import aig_to_cnf, lit_to_cnf, tseitin_gates
 from repro.bv.eval import evaluate, var_widths
 from repro.sat.solver import CDCLSolver
 from repro.smt.solver import (
@@ -167,3 +168,72 @@ def assert_canonical_lex_min(constraint, note: str = "") -> None:
         f"the lex-min model violates the CNF {note}"
     assert {bit: int(model[var]) for bit, var in input_vars.items()} == \
         {bit: _bit_value(want, bit) for bit in input_vars}, note
+
+
+def plain_tseitin_clauses(aig, outputs):
+    """The Tseitin clauses of the cones of ``outputs``, built the plain way:
+    the constant-false unit, then output by output the gate clauses of the
+    nodes that output's cone adds, in ascending node index, then one unit
+    per output.  An oracle for the order :func:`repro.bv.cnf.tseitin_gates`
+    gives, which the arena loader and :func:`aig_to_cnf` share."""
+    clauses = [[-1]]
+    encoded = {0}
+    for output in outputs:
+        cone = set()
+        stack = [output >> 1]
+        while stack:
+            index = stack.pop()
+            if index in cone or index in encoded:
+                continue
+            cone.add(index)
+            if not aig.is_input(index):
+                stack.extend(lit >> 1 for lit in aig.node(index))
+        encoded |= cone
+        for index in sorted(cone):
+            if aig.is_input(index):
+                continue
+            left, right = map(lit_to_cnf, aig.node(index))
+            clauses += [[-(index + 1), left], [-(index + 1), right],
+                        [index + 1, -left, -right]]
+    return clauses + [[lit_to_cnf(lit)] for lit in outputs]
+
+
+def loaded_state(solver):
+    """Every field of a ``CDCLSolver`` that loading writes, by name."""
+    return {"num_vars": solver.num_vars, "arena": solver._arena,
+            "watches": solver._watches, "trail": solver.trail,
+            "trail_lim": solver.trail_lim,
+            "propagation_head": solver.propagation_head,
+            "vals": solver._vals, "levels": solver._levels,
+            "reasons": solver._reasons, "heap": solver._order.heap,
+            "pos": solver._order.pos, "ok": solver._ok}
+
+
+def next_solve(solver):
+    """Status, model (in emission order) and search counters of the next
+    ``solve()``."""
+    result = solver.solve()
+    model = None if result.model is None else list(result.model.items())
+    return (result.status, model, result.conflicts, result.decisions,
+            result.propagations)
+
+
+def assert_aig_loading_matches(aig, outputs, note="", **options):
+    """``CDCLSolver.load_gates`` over :func:`tseitin_gates` must leave the
+    state ``ensure_vars`` plus ``add_clauses`` leave over the plain clause
+    list, field for field, and the next solve must walk the same search.
+    :func:`aig_to_cnf` must give that clause list too.  Returns the load
+    verdict and the solve's :func:`next_solve` outcome."""
+    clauses = plain_tseitin_clauses(aig, outputs)
+    assert aig_to_cnf(aig, outputs)[0].clauses == clauses, note
+    loaded, reference = CDCLSolver(**options), CDCLSolver(**options)
+    verdict = loaded.load_gates(aig.num_nodes, tseitin_gates(aig, outputs),
+                                [lit_to_cnf(lit) for lit in outputs])
+    reference.ensure_vars(aig.num_nodes)
+    assert verdict == reference.add_clauses(clauses), note
+    want = loaded_state(reference)
+    for name, got in loaded_state(loaded).items():
+        assert got == want[name], f"{name} differs {note}"
+    outcome = next_solve(loaded)
+    assert outcome == next_solve(reference), note
+    return verdict, outcome

@@ -293,8 +293,17 @@ class TestCli:
         ("intel-cyclone10lp",
          "module m(input [7:0] a, output out); assign out = a[8]; endmodule",
          [], "select [8:8] is out of range"),
+        # Verilog reads the MSB here; the frontend would read the LSB.
+        ("sofa",
+         "module m(input [0:7] a, output out); assign out = a[0]; endmodule",
+         ["--template", "bitwise"], "range [0:7] is not supported"),
+        # The LSB, which the frontend would take for bit 1.
+        ("sofa",
+         "module m(input [8:1] a, output out); assign out = a[1]; endmodule",
+         ["--template", "bitwise"], "range [8:1] is not supported"),
     ], ids=["unknown-arch", "unsupported-verilog", "missing-module",
-            "part-select-past-msb", "bit-select-past-msb"])
+            "part-select-past-msb", "bit-select-past-msb", "ascending-range",
+            "offset-range"])
     def test_input_error_is_one_line_and_exit_1(self, tmp_path, capsys,
                                                 arch, source, extra, message):
         path = tmp_path / "design.v"

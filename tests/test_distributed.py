@@ -45,13 +45,19 @@ class _WireClient:
         self.reader = self.sock.makefile("rb")
         self._id = 0
 
-    def request(self, message: dict) -> dict:
+    def send(self, message: dict) -> None:
         self._id += 1
         payload = dict(message, id=self._id)
         self.sock.sendall((json.dumps(payload) + "\n").encode())
+
+    def receive(self) -> dict:
         line = self.reader.readline()
         assert line, "coordinator closed the connection"
         return json.loads(line)
+
+    def request(self, message: dict) -> dict:
+        self.send(message)
+        return self.receive()
 
     def hello(self, token: str, worker: str = "wire") -> dict:
         return self.request({"op": "hello", "token": token, "worker": worker,
@@ -269,6 +275,36 @@ class TestCoordinatorProtocol:
             assert refused["ok"] is False
             assert "retry budget" in refused["error"]
             other.close()
+
+    def test_idle_worker_hears_done_when_the_last_shard_merges(self):
+        """A ``next`` with nothing to lease is held, not answered with a
+        ``wait`` for the worker to sleep out: the idle worker's reply is
+        ``done`` as soon as the only lease's result merges."""
+        benchmarks = _fast_benchmarks(2)
+        config = ExperimentConfig()
+        serial = _serial_records(benchmarks, config)
+        with self._coordinator(benchmarks, config,
+                               lease_timeout=8.0) as coordinator:
+            busy = _WireClient(coordinator.host, coordinator.port)
+            assert busy.hello(coordinator.token, "busy")["ok"]
+            assert busy.request({"op": "next"})["shard"]["id"] == 0
+            idle = _WireClient(coordinator.host, coordinator.port)
+            assert idle.hello(coordinator.token, "idle")["ok"]
+            idle.send({"op": "next"})  # nothing to lease: held
+            time.sleep(0.1)
+            reply = busy.request({
+                "op": "result", "shard": 0,
+                "records": [[index, serial[index].to_dict()]
+                            for index, _ in enumerate(benchmarks)]})
+            merged = time.monotonic()
+            assert reply["accepted"] is True
+            held = idle.receive()
+            waited = time.monotonic() - merged
+            busy.close()
+            idle.close()
+            coordinator.wait(timeout=10)
+        assert held.get("done") is True, held
+        assert waited < 0.5
 
     def test_old_worker_cache_entries_are_merged_but_not_shipped(self):
         """No cache entry crosses the wire: a ``result`` that still carries

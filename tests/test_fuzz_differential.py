@@ -28,8 +28,10 @@ random instances from a seed and cross-checks:
   **entire observable trajectory** (models in emission order, trail,
   conflict/decision/propagation/restart counters, cores, reduction
   telemetry) over incremental add-clause/assumption workloads, plus CEGIS
-  re-run on the legacy engine via monkeypatching and unsat-core
-  strengthening re-solves across three independent engines;
+  re-run on the legacy engine via monkeypatching, unsat-core
+  strengthening re-solves across three independent engines, and solvers
+  loaded straight from random AIGs (``load_gates``) against the clause
+  route and the legacy engine;
 * the warm solver service under randomized QoS churn — flood submissions,
   admission-cap rejections, and elastic pool resizes interleaved with a
   benchmark sweep — against the same sweep run serially: the served
@@ -57,6 +59,7 @@ from repro.bv import (
 )
 from repro.bv.bitblast import BitBlaster
 from repro.bv.bitsim import PackedEvaluator, pack_assignments, unpack_lane
+from repro.bv.cnf import lit_to_cnf, tseitin_gates
 from repro.bv.eval import evaluate, var_widths
 from repro.bv.simplify import substitute
 from repro.engine.backends import backend_by_name
@@ -65,7 +68,8 @@ from repro.smt.cegis import Obligation, synthesize
 from repro.smt.solver import SmtSolver, check_sat
 
 from _fixtures import (
-    assert_canonical_lex_min, random_full_expr, random_small_formula,
+    assert_aig_loading_matches, assert_canonical_lex_min, next_solve,
+    random_full_expr, random_small_formula,
 )
 
 pytestmark = pytest.mark.fuzz
@@ -497,6 +501,33 @@ class TestArenaLegacyDifferential:
             cores_seen += 1
         if CNF_CASES >= 20:
             assert cores_seen > 0, "no case ever produced an unsat core"
+
+    def test_aig_loading_matches_clause_loading_and_legacy(self):
+        """``load_gates`` on the arena engine against the clause route and
+        against the legacy engine's ``load_gates`` (which takes the clause
+        route itself): state, trail, verdict and the next solve, over
+        random multi-output circuits with overlapping cones."""
+        from repro.sat.legacy import LegacyCDCLSolver
+
+        for index in range(BV_CASES):
+            case_seed = _case_seed("aig-load", index)
+            rng = random.Random(case_seed)
+            variables = {"a": rng.randint(1, 5), "b": rng.randint(1, 4),
+                         "c": rng.randint(1, 3)}
+            blaster = BitBlaster()
+            outputs = [blaster.blast(
+                random_full_expr(rng, variables, 1, rng.randint(1, 5))
+                if rng.random() < 0.7 else random_small_formula(rng))[0]
+                for _ in range(rng.randint(1, 4))]
+            config = self.CONFIGS[index % len(self.CONFIGS)]
+            note = f"outputs {outputs!r} {_replay('aig-load', case_seed)}"
+            verdict, outcome = assert_aig_loading_matches(
+                blaster.aig, outputs, note, **config)
+            legacy = LegacyCDCLSolver(**config)
+            assert legacy.load_gates(
+                blaster.aig.num_nodes, tseitin_gates(blaster.aig, outputs),
+                [lit_to_cnf(lit) for lit in outputs]) == verdict, note
+            assert next_solve(legacy) == outcome, note
 
     def test_cegis_modes_on_legacy_solver_match_arena(self, monkeypatch):
         import repro.smt.solver as smt_solver

@@ -27,7 +27,10 @@ from repro.sat.solver import CDCLSolver
 from repro.smt.cegis import Obligation, synthesize
 from repro.smt.solver import IncrementalSmtSession, SmtSolver, lex_min_model
 
-from _fixtures import assert_canonical_lex_min, random_small_formula
+from _fixtures import (
+    assert_aig_loading_matches, assert_canonical_lex_min, random_full_expr,
+    random_small_formula,
+)
 
 
 def _random_clauses(rng, num_vars, num_clauses):
@@ -207,6 +210,40 @@ class TestIncrementalCdcl:
         # The sample must exercise every rule the loader applies.
         assert all(seen.values()), seen
 
+    def test_ensure_vars_leaves_the_heap_sift_insertion_leaves(self):
+        """New variables are appended to the VSIDS heap without a sift;
+        after solves have bumped activities (and assigned, popped and
+        re-inserted variables), the heap and positions must still be
+        exactly those the legacy heap's sift-up insertion leaves."""
+        from repro.sat.solver import _VarOrder
+
+        rng = random.Random(43)
+        bumped = 0
+        for case in range(40):
+            num_vars = rng.randint(4, 12)
+            solver = CDCLSolver(CNF(num_vars=num_vars, clauses=[
+                [rng.choice((-1, 1)) * v
+                 for v in rng.sample(range(1, num_vars + 1), 3)]
+                for _ in range(int(4.3 * num_vars))]))
+            for _ in range(rng.randint(1, 3)):
+                solver.solve([rng.choice((-1, 1)) * rng.randint(1, num_vars)
+                              for _ in range(rng.randint(0, 2))])
+            bumped += any(solver.activity)
+            grown = num_vars + rng.randint(1, 40)
+            reference = _VarOrder({var: solver.activity[var]
+                                   for var in range(1, num_vars + 1)})
+            reference.heap = list(solver._order.heap)
+            reference.pos = {var: index
+                             for index, var in enumerate(reference.heap)}
+            for var in range(num_vars + 1, grown + 1):
+                reference.insert(var)
+            solver.ensure_vars(grown)
+            assert solver._order.heap == reference.heap, f"case {case}"
+            assert [solver._order.pos[var] for var in range(grown + 1)] == \
+                [reference.pos.get(var, -1) for var in range(grown + 1)], \
+                f"case {case}"
+        assert bumped > 20  # most cases search before they grow
+
     def test_learned_clauses_retained_across_calls(self):
         rng = random.Random(3)
         # A pigeonhole-flavoured instance that forces real conflicts.
@@ -354,6 +391,48 @@ class TestCnfLayout:
         cnf, input_vars = aig_to_cnf(blaster.aig, bits)
         assert (cnf.num_vars, cnf.num_clauses) == (102, 251)
         assert _cnf_digest(cnf, input_vars) == "22ed9484b6391aa6"
+
+    def test_aig_loading_matches_clause_loading(self):
+        """The candidate session loads its solver straight from the AIG
+        (``load_gates``); that must leave the state the clause route
+        (``ensure_vars`` + ``add_clauses``) leaves, under every option set,
+        for overlapping cones, constant outputs, bare inputs, duplicate
+        and complementary outputs."""
+        from repro.bv.aig import AIG, FALSE_LIT, TRUE_LIT
+
+        h, g = bvvar("h", 4), bvvar("g", 4)
+        batches = [[
+            bveq(bvand(bvadd(h, g), bv(5, 4)), bv(1, 4)),
+            bvult(bvmul(h, bv(3, 4)), bvadd(g, bv(9, 4))),
+            bveq(bvxor(bvadd(h, g), g), bv(6, 4)),
+        ]]
+        rng = random.Random(44)
+        shared = {"a": 4, "b": 3, "c": 2}
+        for case in range(48):
+            # 1-4 formulas over shared inputs, so the cones overlap.
+            batches.append([
+                random_small_formula(rng) if case % 2 else
+                random_full_expr(rng, shared, 1, rng.randint(2, 4))
+                for _ in range(rng.randint(1, 4))])
+        circuits = []
+        for batch in batches:
+            blaster = BitBlaster()
+            circuits.append((blaster.aig, [blaster.blast(constraint)[0]
+                                           for constraint in batch]))
+        aig = AIG()
+        a, b = aig.add_input("a"), aig.add_input("b")
+        gate = aig.and_gate(a, b ^ 1)
+        for outputs in ([FALSE_LIT], [TRUE_LIT], [a], [gate, gate],
+                        [gate, gate ^ 1], [TRUE_LIT, b, FALSE_LIT, gate]):
+            circuits.append((aig, outputs))
+        seen = set()
+        for options in ({}, {"reduce_interval": 2, "max_lbd_keep": 0}):
+            for index, (aig, outputs) in enumerate(circuits):
+                verdict, outcome = assert_aig_loading_matches(
+                    aig, outputs, f"circuit {index}, {options}", **options)
+                seen.add((verdict, outcome[0]))
+        # Satisfiable, refuted by search, and unsat at load time.
+        assert seen == {(True, "sat"), (True, "unsat"), (False, "unsat")}
 
 
 def _assert_modes_equal(obligations, hole_widths, **kwargs):
