@@ -246,15 +246,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--socket", default=DEFAULT_SOCKET,
                         help=f"unix socket path (default: {DEFAULT_SOCKET})")
     parser.add_argument("--workers", type=int, default=2,
-                        help="solver worker processes at startup (default: 2)")
-    parser.add_argument("--min-workers", type=int, default=None,
-                        help="elastic pool floor: idle workers above this "
-                             "are retired after a quiet period (default: "
-                             "--workers, i.e. no resizing)")
-    parser.add_argument("--max-workers", type=int, default=None,
-                        help="elastic pool ceiling: sustained backlog grows "
-                             "the pool up to this (default: --workers, i.e. "
-                             "no resizing)")
+                        help="solver worker processes (default: 2)")
     parser.add_argument("--max-pending", type=int, default=None,
                         help="global cap on admitted-but-unfinished map "
                              "requests; beyond it clients get a structured "
@@ -839,10 +831,7 @@ def _main_bench(argv) -> int:
         print(f"qos: steady p50 {steady['p50_latency_seconds'] * 1e3:.1f}ms / "
               f"p95 {steady['p95_latency_seconds'] * 1e3:.1f}ms under flood "
               f"({qos['fairness_ratio']:.1f}x uncontended), flooder "
-              f"{flooder['rejection_rate']:.0%} rejected, "
-              f"pool peak {qos['pool_peak']:.0f} "
-              f"({qos['scale_ups']:.0f} up / {qos['scale_downs']:.0f} down)",
-              file=sys.stderr)
+              f"{flooder['rejection_rate']:.0%} rejected", file=sys.stderr)
     distributed = snapshot.get("distributed")
     if distributed is not None:
         equal = "records equal" if distributed["records_equal"] >= 1.0 \
@@ -872,11 +861,6 @@ def _main_serve(argv) -> int:
     _reject_negative(parser, args, "--probes")
     if args.workers < 1:
         parser.error("--workers must be at least 1")
-    min_workers = args.workers if args.min_workers is None else args.min_workers
-    max_workers = args.workers if args.max_workers is None else args.max_workers
-    if not (1 <= min_workers <= args.workers <= max_workers):
-        parser.error("worker bounds must satisfy 1 <= --min-workers <= "
-                     "--workers <= --max-workers")
     if args.max_pending is not None and args.max_pending < 1:
         parser.error("--max-pending must be at least 1")
     if args.client_queue is not None and args.client_queue < 1:
@@ -893,14 +877,8 @@ def _main_serve(argv) -> int:
         qos["max_pending"] = args.max_pending
     if args.client_queue is not None:
         qos["client_queue"] = args.client_queue
-    service = SolverService(spec, workers=args.workers,
-                            min_workers=min_workers,
-                            max_workers=max_workers, **qos)
-    pool_note = f"{args.workers} warm worker(s)" \
-        if min_workers == max_workers \
-        else (f"{args.workers} warm worker(s), elastic "
-              f"[{min_workers}, {max_workers}]")
-    print(f"lakeroad serve: {pool_note} on {args.socket} "
+    service = SolverService(spec, workers=args.workers, **qos)
+    print(f"lakeroad serve: {args.workers} warm worker(s) on {args.socket} "
           "(SIGINT/SIGTERM drains and exits)", file=sys.stderr)
     try:
         run_server(service, args.socket)
@@ -913,10 +891,7 @@ def _main_serve(argv) -> int:
               f"front-door hit(s), {stats['worker_cache_hits']} worker "
               f"cache hit(s), {stats['worker_restarts']} worker restart(s) "
               f"({stats['warm_hit_rate']:.0%} warm); "
-              f"{stats['rejections']} rejection(s), "
-              f"{stats['scale_ups']} scale-up(s), "
-              f"{stats['scale_downs']} scale-down(s), "
-              f"peak pool {stats['pool_peak']}", file=sys.stderr)
+              f"{stats['rejections']} rejection(s)", file=sys.stderr)
     return 0
 
 

@@ -181,6 +181,9 @@ class SweepCoordinator:
         self._counters: Counter = Counter()
         self._conns: set = set()
         self._next_conn = 0
+        #: Each open connection's handler task -> its writer, so stopping
+        #: can close the connection and await the handler.
+        self._handlers: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._failure: Optional[str] = None
         self._result: Optional[DistributedSweepResult] = None
         self._done = threading.Event()
@@ -274,6 +277,14 @@ class SweepCoordinator:
         finally:
             reaper.cancel()
             server.close()
+            # Close the open connections and let each handler finish its
+            # own teardown: one the loop shutdown cancels inside
+            # ``wait_closed`` makes asyncio log the CancelledError.
+            for writer in self._handlers.values():
+                writer.close()
+            self._news.set()
+            if self._handlers:
+                await asyncio.gather(*self._handlers, return_exceptions=True)
             await server.wait_closed()
 
     async def _reaper(self) -> None:
@@ -282,6 +293,8 @@ class SweepCoordinator:
             self._expire_leases()
 
     async def _handler(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._handlers[task] = writer
         self._next_conn += 1
         conn_id = self._next_conn
         state = {"auth": False, "name": f"worker-{conn_id}"}
@@ -323,6 +336,7 @@ class SweepCoordinator:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            self._handlers.pop(task, None)
 
     async def _held_next(self, conn_id: int, state: dict, request_id) -> dict:
         """Answer a ``next`` that found nothing to lease once there is

@@ -28,7 +28,8 @@ over many *small* queries.  This module keeps the expensive state alive:
   - **crash-isolated**: a dead worker is restarted and its queued and
     in-flight requests are re-dispatched — callers never see the crash.
 
-* **QoS layer** — the front door is also a fair, bounded, elastic queue:
+* **QoS layer** — the front door is also a fair, bounded queue in front
+  of a fixed pool of ``workers`` processes:
 
   - **per-client fairness**: submissions are tagged with a client id and
     held in per-client FIFO queues; a round-robin scheduler hands work
@@ -39,12 +40,7 @@ over many *small* queries.  This module keeps the expensive state alive:
     :class:`ServiceOverloaded` carrying a backlog-derived
     ``retry_after_ms`` hint, which the socket layer turns into a
     structured ``{"error": "overloaded", "retry_after_ms": ...}`` reply
-    on a still-live connection;
-  - **elastic pool**: with ``max_workers > min_workers`` the dispatcher
-    spawns extra workers under sustained backlog and retires idle ones
-    after a quiet period — resize decisions run *after* assignment in the
-    same dispatcher pass, so a worker that just received work is never a
-    retirement victim.
+    on a still-live connection.
 
 * **Socket layer** — an asyncio unix-domain-socket server speaking
   newline-delimited JSON (:func:`run_server`, the ``lakeroad serve``
@@ -59,7 +55,7 @@ front door derives byte-identical cache keys via
 :func:`synthesis_cache_key`, and shared results are re-stamped with each
 requester's benchmark metadata exactly as the session cache does — so
 served records equal serial ``run_sweep`` records (modulo wall-clock
-fields), regardless of scheduling order or pool resizes.
+fields), regardless of scheduling order.
 """
 
 from __future__ import annotations
@@ -182,8 +178,7 @@ class _Pending:
 class _WorkerHandle:
     """A worker process, its pipe, and its share of the request queue."""
 
-    __slots__ = ("index", "process", "conn", "queue", "sent", "served",
-                 "stopping", "last_active")
+    __slots__ = ("index", "process", "conn", "queue", "sent", "served")
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -195,12 +190,6 @@ class _WorkerHandle:
         #: a crash re-dispatches in the original order).
         self.sent: "OrderedDict[int, _Pending]" = OrderedDict()
         self.served = 0
-        #: A scale-down ``stop`` has been sent; the handle takes no new
-        #: work and is removed from the pool when its pipe reaches EOF.
-        self.stopping = False
-        #: Last time this worker was given or finished work (spawn counts),
-        #: driving the idle-retirement clock.
-        self.last_active = time.monotonic()
 
     @property
     def outstanding(self) -> int:
@@ -209,8 +198,8 @@ class _WorkerHandle:
 
 class SolverService:
     """The warm-pool front door: dedup, cache check, least-loaded routing,
-    crash restart, per-client fair scheduling, bounded admission and an
-    elastic pool.
+    crash restart, per-client fair scheduling and bounded admission in
+    front of a fixed pool of ``workers`` processes.
 
     Thread-safe: ``submit`` may be called from any thread (the asyncio
     socket layer calls it from executor threads); a single dispatcher
@@ -218,46 +207,25 @@ class SolverService:
     context manager) to drain in-flight work, stop the workers cleanly and
     collect their session statistics.
 
-    QoS knobs (all optional; the defaults reproduce the fixed-pool,
-    effectively-unbounded behaviour of earlier revisions):
-
-    * ``min_workers`` / ``max_workers`` — the elastic pool range; both
-      default to ``workers`` (no resizing).  Under sustained backlog
-      (unassigned work for ``scale_up_after`` seconds) the pool grows one
-      worker at a time; a worker idle for ``idle_retire_seconds`` with the
-      pool above ``min_workers`` is retired after its session statistics
-      are collected.
-    * ``max_pending`` / ``client_queue`` — global and per-client caps on
-      admitted-but-unfinished submissions; over either, ``submit`` raises
-      :class:`ServiceOverloaded` with a ``retry_after_ms`` hint.
+    ``max_pending`` / ``client_queue`` are global and per-client caps on
+    admitted-but-unfinished submissions (the defaults are effectively
+    unbounded); over either, ``submit`` raises :class:`ServiceOverloaded`
+    with a ``retry_after_ms`` hint.
     """
 
     def __init__(self, spec: Optional[SessionSpec] = None, workers: int = 2,
                  max_pipe_backlog: int = MAX_PIPE_BACKLOG, *,
-                 min_workers: Optional[int] = None,
-                 max_workers: Optional[int] = None,
                  max_pending: int = DEFAULT_MAX_PENDING,
-                 client_queue: int = DEFAULT_CLIENT_QUEUE,
-                 scale_up_after: float = 0.5,
-                 idle_retire_seconds: float = 30.0) -> None:
+                 client_queue: int = DEFAULT_CLIENT_QUEUE) -> None:
         if workers < 1:
             raise ValueError("a service needs at least one worker")
+        if max_pending < 1 or client_queue < 1:
+            raise ValueError("pending caps must be at least 1")
         self.spec = spec if spec is not None else SessionSpec()
         self.workers = workers
         self.max_pipe_backlog = max_pipe_backlog
-        self.min_workers = workers if min_workers is None else int(min_workers)
-        self.max_workers = workers if max_workers is None else int(max_workers)
-        if not (1 <= self.min_workers <= workers <= self.max_workers):
-            raise ValueError(
-                f"worker bounds must satisfy 1 <= min_workers <= workers "
-                f"<= max_workers, got min={self.min_workers} "
-                f"workers={workers} max={self.max_workers}")
-        if max_pending < 1 or client_queue < 1:
-            raise ValueError("pending caps must be at least 1")
         self.max_pending = max_pending
         self.client_queue = client_queue
-        self.scale_up_after = scale_up_after
-        self.idle_retire_seconds = idle_retire_seconds
 
         self._lock = threading.Lock()
         self._inflight: Dict[Any, _Pending] = {}
@@ -274,12 +242,9 @@ class SolverService:
         self._drain_deadline: Optional[float] = None
         self._stats: Counter = Counter()
         self._worker_cache_stats: Counter = Counter()
-        self._restarts_left = max(8, self.max_workers * 4)
+        self._restarts_left = max(8, workers * 4)
         #: EMA of observed solve seconds, feeding the retry_after_ms hint.
         self._solve_ema: Optional[float] = None
-        #: When the scheduler first saw unassignable backlog (scale-up
-        #: hysteresis); None while the backlog is empty.
-        self._backlog_since: Optional[float] = None
 
         # Front-door result cache: an in-memory payload LRU, falling
         # through to the spec's persistent disk cache when one exists.  The
@@ -300,21 +265,9 @@ class SolverService:
         os.set_blocking(self._waker_r, False)
         self._selector.register(self._waker_r, selectors.EVENT_READ,
                                 data=None)
-        self._pool: List[_WorkerHandle] = []
-        self._next_worker_index = 0
-        for _ in range(workers):
-            handle = _WorkerHandle(self._next_worker_index)
-            self._next_worker_index += 1
+        self._pool = [_WorkerHandle(index) for index in range(workers)]
+        for handle in self._pool:
             self._spawn(handle)
-            self._pool.append(handle)
-        self._stats["pool_peak"] = workers
-        # An elastic pool needs a fast hysteresis clock; a fixed pool can
-        # keep the relaxed quarter-second tick.
-        if self.max_workers > self.min_workers:
-            self._tick = min(0.25, max(0.005, min(scale_up_after,
-                                                  idle_retire_seconds) / 4.0))
-        else:
-            self._tick = 0.25
         self._thread = threading.Thread(target=self._dispatch_loop,
                                         name="lakeroad-service-dispatcher",
                                         daemon=True)
@@ -412,8 +365,7 @@ class SolverService:
         """Backlog-derived retry hint (lock held): roughly one average
         solve per backlog slot per worker, clamped to [50 ms, 10 s]."""
         ema = self._solve_ema if self._solve_ema is not None else 0.25
-        pool = max(1, len(self._pool))
-        estimate = ema * (1.0 + self._pending_total / pool)
+        estimate = ema * (1.0 + self._pending_total / self.workers)
         return int(min(10_000.0, max(50.0, estimate * 1000.0)))
 
     def _release_slots(self, pending: _Pending) -> None:
@@ -489,7 +441,7 @@ class SolverService:
     def _dispatch_loop(self) -> None:
         try:
             while True:
-                events = self._selector.select(timeout=self._tick)
+                events = self._selector.select(timeout=0.25)
                 for key, _ in events:
                     if key.data is None:
                         try:
@@ -499,11 +451,7 @@ class SolverService:
                     else:
                         self._drain_worker(key.data)
                 self._assign_submissions()
-                # Resize *after* assignment: a worker that just received
-                # work has outstanding > 0 and cannot be picked as an
-                # idle-retirement victim, closing the route/retire race.
-                self._resize_pool()
-                for handle in list(self._pool):
+                for handle in self._pool:
                     self._flush(handle)
                 with self._lock:
                     done = self._closed and not self._inflight
@@ -515,14 +463,6 @@ class SolverService:
             self._fail(f"dispatcher crashed: {type(exc).__name__}: {exc}")
         finally:
             self._shutdown_workers()
-
-    def _worker_for(self) -> Optional[_WorkerHandle]:
-        """The live worker with the least outstanding work (lowest index
-        on ties), or None while every worker is stopping."""
-        candidates = [handle for handle in self._pool if not handle.stopping]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda h: (h.outstanding, h.index))
 
     def _assign_submissions(self) -> None:
         """Round-robin assignment from client queues to workers.
@@ -556,10 +496,10 @@ class SolverService:
                     pending = queue[0] if queue else None
                 if pending is None:
                     continue
-                handle = self._worker_for()
-                if handle is None \
-                        or handle.outstanding >= self.max_pipe_backlog:
-                    continue
+                # Least-loaded worker; min() keeps the lowest index on ties.
+                handle = min(self._pool, key=lambda h: h.outstanding)
+                if handle.outstanding >= self.max_pipe_backlog:
+                    return  # every pipe is full: no head can move
                 with self._lock:
                     queue.popleft()
                     self._stats["dispatched"] += 1
@@ -569,107 +509,12 @@ class SolverService:
                     except ValueError:  # pragma: no cover - defensive
                         pass
                 handle.queue.append(pending)
-                handle.last_active = time.monotonic()
                 progress = True
             if not progress:
                 return
 
-    def _resize_pool(self) -> None:
-        """Grow under sustained backlog, retire the long-idle (dispatcher).
-
-        Hysteresis on both edges: unassignable backlog must persist for
-        ``scale_up_after`` seconds before a spawn (and the clock re-arms
-        after each one), and a worker must sit idle for
-        ``idle_retire_seconds`` before retirement.  One resize step per
-        pass keeps the pool trajectory smooth and observable.
-        """
-        active = [handle for handle in self._pool if not handle.stopping]
-        now = time.monotonic()
-        with self._lock:
-            backlog = sum(len(queue)
-                          for queue in self._client_queues.values())
-        if backlog > 0 and len(active) < self.max_workers:
-            if self._backlog_since is None:
-                self._backlog_since = now
-            elif now - self._backlog_since >= self.scale_up_after:
-                self._add_worker()
-                self._backlog_since = now
-        else:
-            self._backlog_since = None
-        if len(active) > self.min_workers:
-            for handle in active:
-                if handle.outstanding == 0 \
-                        and now - handle.last_active \
-                        >= self.idle_retire_seconds:
-                    self._begin_scale_down(handle)
-                    break
-
-    def _add_worker(self) -> None:
-        handle = _WorkerHandle(self._next_worker_index)
-        self._next_worker_index += 1
-        self._spawn(handle)
-        with self._lock:
-            self._pool.append(handle)
-            self._stats["scale_ups"] += 1
-            active = sum(1 for h in self._pool if not h.stopping)
-            self._stats["pool_peak"] = max(self._stats["pool_peak"], active)
-
-    def _begin_scale_down(self, handle: _WorkerHandle) -> None:
-        """Ask an idle worker to stop; removal happens at its pipe's EOF.
-
-        The worker answers ``stop`` with its final session statistics
-        (aggregated by the normal message path) and exits; a stopping
-        handle accepts no new assignments.
-        """
-        try:
-            handle.conn.send(("stop",))
-        except (BrokenPipeError, OSError):
-            self._restart(handle)
-            return
-        handle.stopping = True
-        with self._lock:
-            self._stats["scale_downs"] += 1
-
-    def _remove_worker(self, handle: _WorkerHandle) -> None:
-        """Finish a scale-down: drop the handle from the pool."""
-        self._retire(handle)
-        with self._lock:
-            try:
-                self._pool.remove(handle)
-            except ValueError:  # pragma: no cover - already removed
-                pass
-        # A stopping worker had outstanding == 0 by construction, but a
-        # crash racing the stop could leave owed work — never drop it.
-        if handle.sent or handle.queue:  # pragma: no cover - defensive
-            self._requeue_orphans(handle)
-
-    def _requeue_orphans(self, handle: _WorkerHandle) -> None:
-        """Push a dead handle's owed work back through the fair scheduler."""
-        orphans = list(handle.sent.values())
-        orphans.extend(handle.queue)
-        handle.sent.clear()
-        handle.queue.clear()
-        with self._lock:
-            # appendleft reverses, so walk newest-first to land the oldest
-            # orphan at the head of its client queue (FIFO within client).
-            for pending in reversed(orphans):
-                client = pending.waiters[0][2] if pending.waiters else ""
-                queue = self._client_queues.get(client)
-                if queue is None:
-                    queue = deque()
-                    self._client_queues[client] = queue
-                    self._rr_order.append(client)
-                queue.appendleft(pending)
-                self._stats["dispatched"] -= 1
-
     def _flush(self, handle: _WorkerHandle) -> None:
-        """Write queued requests to the worker, up to the pipe backlog cap.
-
-        A stopping worker gets nothing: it is already past its last
-        request.
-        """
-        if handle.stopping:
-            return
+        """Write queued requests to the worker, up to the pipe backlog cap."""
         while handle.queue and len(handle.sent) < self.max_pipe_backlog:
             pending = handle.queue[0]
             try:
@@ -687,26 +532,14 @@ class SolverService:
                 message = handle.conn.recv()
                 self._handle_message(handle, message)
         except (EOFError, OSError):
-            if handle.stopping:
-                # The scale-down handshake's clean ending: stats were
-                # collected above, the worker exited, the pipe hit EOF.
-                self._remove_worker(handle)
-            else:
-                self._restart(handle)
+            self._restart(handle)
 
     def _handle_message(self, handle: _WorkerHandle, message) -> None:
-        kind = message[0]
-        if kind == "stats":
-            # The worker's reply to "stop": its session's cache counters
-            # (and portfolio wins, which the service does not report).
-            self._worker_cache_stats.update(message[1])
-            return
-        _, request_id, payload = message
+        kind, request_id, payload = message
         pending = handle.sent.pop(request_id, None)
         if pending is None:  # a restarted worker's stale reply
             return
         handle.served += 1
-        handle.last_active = time.monotonic()
         if kind == "error":
             with self._lock:
                 self._inflight.pop(pending.key, None)
@@ -753,7 +586,6 @@ class SolverService:
     def _spawn(self, handle: _WorkerHandle) -> None:
         handle.process, handle.conn = _start_worker(
             self.spec, f"lakeroad-worker-{handle.index}")
-        handle.last_active = time.monotonic()
         self._selector.register(handle.conn, selectors.EVENT_READ,
                                 data=handle)
 
@@ -798,7 +630,6 @@ class SolverService:
         requeued.extend(handle.queue)
         handle.sent.clear()
         handle.queue = requeued
-        handle.stopping = False
         self._spawn(handle)
         self._flush(handle)
 
@@ -849,29 +680,26 @@ class SolverService:
         """Front-door counters; ``warm_hit_rate`` is the share of requests
         served without a fresh solve (front-door hits, coalesced
         duplicates, and worker-session cache hits).  The QoS block adds
-        pool-size, rejection, resize and per-client counters."""
+        pool-size, rejection and per-client counters."""
         with self._lock:
             stats = dict(self._stats)
             stats["pending"] = self._pending_total
             stats["clients"] = {client: dict(counter)
                                 for client, counter in
                                 self._client_stats.items()}
-            pool = list(self._pool)
         for key in ("requests", "coalesced", "front_memory_hits",
                     "front_disk_hits", "dispatched", "completed",
                     "worker_cache_hits", "worker_restarts", "errors",
-                    "rejections", "scale_ups", "scale_downs"):
+                    "rejections"):
             stats.setdefault(key, 0)
         warm = (stats["coalesced"] + stats["front_memory_hits"]
                 + stats["front_disk_hits"] + stats["worker_cache_hits"])
         stats["warm_served"] = warm
         stats["warm_hit_rate"] = warm / stats["requests"] \
             if stats["requests"] else 0.0
-        stats["workers"] = sum(1 for handle in pool if not handle.stopping)
-        stats["min_workers"] = self.min_workers
-        stats["max_workers"] = self.max_workers
+        stats["workers"] = self.workers
         stats["in_flight"] = len(self._inflight)
-        stats["worker_requests"] = [handle.served for handle in pool]
+        stats["worker_requests"] = [handle.served for handle in self._pool]
         return stats
 
     def worker_cache_stats(self) -> Dict[str, int]:

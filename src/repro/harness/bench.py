@@ -326,20 +326,18 @@ def _qos_design(index: int, flavor: str = "a") -> str:
 
 def bench_qos(seed: int = 0, flood_requests: int = 32,
               steady_requests: int = 8, steady_clients: int = 2,
-              workers: int = 1, max_workers: int = 3,
-              max_pending: int = 8, client_queue: int = 6,
-              arch: str = "intel-cyclone10lp",
+              workers: int = 1, max_pending: int = 8,
+              client_queue: int = 6, arch: str = "intel-cyclone10lp",
               template: str = "dsp") -> dict:
     """Measure the service QoS layer under a mixed flooder/steady load.
 
     One flooding client pipelines ``flood_requests`` distinct queries
-    while ``steady_clients`` polite clients send theirs one at a time;
-    the pool is elastic (``workers`` … ``max_workers``) with tight
-    admission caps, so the run exercises fair scheduling, structured
-    ``overloaded`` rejections and both resize directions.  Reported:
-    per-class p50/p95 latency (plus an uncontended steady baseline and
-    the contended/uncontended ``fairness_ratio``), the flooder's
-    rejection rate, and the resize counters.
+    while ``steady_clients`` polite clients send theirs one at a time to
+    a pool of ``workers`` processes with tight admission caps, so the run
+    exercises fair scheduling and structured ``overloaded`` rejections.
+    Reported: per-class p50/p95 latency (plus an uncontended steady
+    baseline and the contended/uncontended ``fairness_ratio``) and the
+    flooder's rejection rate.
     """
     import tempfile
     import threading
@@ -349,12 +347,8 @@ def bench_qos(seed: int = 0, flood_requests: int = 32,
 
     rng = random.Random(seed)
     spec = SessionSpec(enable_cache=False, random_probes=8)
-    service = SolverService(spec, workers=workers,
-                            min_workers=workers, max_workers=max_workers,
-                            max_pending=max_pending,
-                            client_queue=client_queue,
-                            scale_up_after=0.05,
-                            idle_retire_seconds=0.25)
+    service = SolverService(spec, workers=workers, max_pending=max_pending,
+                            client_queue=client_queue)
     steady_latencies: List[float] = []
     baseline_latencies: List[float] = []
     flood_latencies: List[float] = []
@@ -432,13 +426,6 @@ def bench_qos(seed: int = 0, flood_requests: int = 32,
                 client.close()
             if thread_errors:
                 raise thread_errors[0]
-
-            # Let the idle-retirement clock run the pool back down.
-            shrink_deadline = time.monotonic() + 5.0
-            while time.monotonic() < shrink_deadline:
-                if service.stats()["workers"] <= workers:
-                    break
-                time.sleep(0.05)
             stats = service.stats()
 
     steady_latencies.sort()
@@ -448,7 +435,6 @@ def bench_qos(seed: int = 0, flood_requests: int = 32,
     contended_p95 = _percentile(steady_latencies, 0.95)
     return {
         "workers": workers,
-        "max_workers": max_workers,
         "max_pending": max_pending,
         "client_queue": client_queue,
         "steady_uncontended": {
@@ -471,9 +457,6 @@ def bench_qos(seed: int = 0, flood_requests: int = 32,
             "errors": float(flood_errors),
             "p95_latency_seconds": _percentile(flood_latencies, 0.95),
         },
-        "scale_ups": float(stats["scale_ups"]),
-        "scale_downs": float(stats["scale_downs"]),
-        "pool_peak": float(stats["pool_peak"]),
         "service_stats": stats,
     }
 

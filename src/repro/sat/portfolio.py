@@ -52,10 +52,6 @@ class SatPortfolio:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    @property
-    def member_names(self) -> List[str]:
-        return [member.name for member in self.members]
-
     def win_counts(self) -> Dict[str, int]:
         """How often each member answered first (since construction)."""
         with self._lock:

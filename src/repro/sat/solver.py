@@ -295,12 +295,6 @@ class _ArenaVarOrder:
         heap[i] = var
         pos[var] = i
 
-    def bumped(self, var: int) -> None:
-        """Re-establish the heap order after ``var``'s activity increased."""
-        i = self.pos[var]
-        if i >= 0:
-            self._sift_up(i)
-
     def pop(self) -> Optional[int]:
         heap, pos = self.heap, self.pos
         if not heap:
@@ -646,11 +640,6 @@ class CDCLSolver:
                 for i in range(0, len(wl), 2):
                     yield lit, wl[i], wl[i + 1]
 
-    @property
-    def arena_words(self) -> int:
-        """Current arena footprint in 32-bit words (headers + literals)."""
-        return len(self._arena)
-
     def _clause_lbd(self, clause: Sequence[int]) -> int:
         levels = self._levels
         return len({levels[lit if lit > 0 else -lit] for lit in clause})
@@ -909,9 +898,10 @@ class CDCLSolver:
         clause = arena[conflict_off:conflict_off + arena[conflict_off - 3]]
         trail_index = len(trail) - 1
         current_level = len(self.trail_lim)
-        # The bump loop is hot (every distinct variable in the implication
-        # cone, every conflict) — inline _bump_activity with a local
-        # var_inc, re-synced on the (rare) rescale.
+        # The VSIDS bump is inlined: the loop is hot (every distinct
+        # variable in the implication cone, every conflict), so var_inc is
+        # a local, re-synced on the (rare) rescale, and the heap sift-up is
+        # called directly.
         activity = self.activity
         var_inc = self.var_inc
         vsids = self.branching == "vsids"
@@ -1005,19 +995,6 @@ class CDCLSolver:
                                       + arena[reason_off - 3]]
                              if abs(lit) != var)
         return core
-
-    def _bump_activity(self, var: int) -> None:
-        activity = self.activity
-        bumped = activity[var] + self.var_inc
-        activity[var] = bumped
-        if bumped > 1e100:
-            # Uniform rescaling preserves the relative order of every
-            # *other* pair; the variable just bumped still needs its sift.
-            for v in range(1, len(activity)):
-                activity[v] *= 1e-100
-            self.var_inc *= 1e-100
-        if self.branching == "vsids":
-            self._order.bumped(var)
 
     def _decay_activity(self) -> None:
         self.var_inc /= self.var_decay
@@ -1283,9 +1260,3 @@ class CDCLSolver:
             else:
                 preferred_phase = self.default_phase
             self._enqueue(branch_var if preferred_phase else -branch_var, -1)
-
-
-def solve_cnf(cnf: CNF, deadline: Optional[float] = None,
-              assumptions: Sequence[int] = ()) -> SatResult:
-    """One-shot convenience wrapper around :class:`CDCLSolver`."""
-    return CDCLSolver(cnf, deadline=deadline).solve(assumptions)

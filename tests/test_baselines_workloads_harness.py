@@ -394,6 +394,17 @@ class TestCli:
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--min-workers", "1"), ("--max-workers", "3"),
+    ], ids=["min-workers", "max-workers"])
+    def test_retired_pool_bounds_are_unknown(self, capsys, cli_argv, flag,
+                                             value):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*cli_argv["serve"], flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" \
+            in capsys.readouterr().err
+
     def test_stats_on_a_cache_hit_reports_no_solve(self, tmp_path, capsys):
         path = tmp_path / "and4.v"
         path.write_text("module and4(input [3:0] a, b, output [3:0] out); "

@@ -3,6 +3,7 @@ work-stealing leases, exactly-once merge, artifact resume, and the
 failure matrix (worker death, slow-worker races, bad tokens)."""
 
 import json
+import logging
 import multiprocessing
 import os
 import signal
@@ -429,6 +430,37 @@ class TestArtifactResume:
             assert not list(tmp_path.glob("shard-*.jsonl"))
         finally:
             other.close(linger=0.0)
+
+    def test_stopping_with_a_worker_connected_logs_no_asyncio_error(
+            self, tmp_path, caplog):
+        """Stopping closes every open connection and awaits its handler;
+        a handler left for the loop shutdown to cancel made asyncio log a
+        CancelledError traceback."""
+        benchmarks = _fast_benchmarks(4)
+        config = ExperimentConfig()
+        serial = _serial_records(benchmarks, config)
+        spec = SessionSpec.from_config(config)
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            first = SweepCoordinator(benchmarks, config, spec, shard_size=2,
+                                     artifact_dir=tmp_path)
+            first.start()
+            self._complete_first_shard(first, serial)
+            idle = _WireClient(first.host, first.port)
+            assert idle.hello(first.token)["ok"]
+            first.close(linger=0.0)   # with ``idle`` still connected
+
+            second = SweepCoordinator(benchmarks, config, spec, shard_size=2,
+                                      artifact_dir=tmp_path)
+            with second:
+                assert second.telemetry()["shards_resumed"] == 1
+        errors = [record.getMessage() for record in caplog.records
+                  if record.name == "asyncio"
+                  and record.levelno >= logging.ERROR]
+        assert not errors
+        # The coordinator closed the idle connection itself.
+        assert idle.reader.readline() == b""
+        idle.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -1,25 +1,22 @@
-"""QoS tests for the service layer: per-client fair scheduling, bounded
-admission with structured backpressure, and the elastic worker pool.
+"""QoS tests for the service layer: per-client fair scheduling and
+bounded admission with structured backpressure in front of a fixed
+worker pool.
 
 Scheduling-semantics tests swap the worker-side solve for the
 deterministic stand-in from ``tests/loadgen.py`` (monkeypatched before
 service construction; the fork start method snapshots it into every
 worker), so they assert on *ordering and admission*, not solver
 wall-clock.  The served-equals-serial suite at the bottom runs real
-solves under deliberate pool churn.
+solves through a one-deep pipe on a two-worker pool.
 """
 
-import collections
 import contextlib
 import multiprocessing
-import random
-import threading
 import time
 
 import pytest
 
 import repro.engine.parallel as parallel_mod
-import repro.engine.service as service_mod
 from repro.engine.parallel import SessionSpec, run_sweep
 from repro.engine.service import (
     MapRequest,
@@ -291,96 +288,12 @@ class TestFairScheduling:
 
 
 # --------------------------------------------------------------------------- #
-# The elastic pool
+# Constructor bounds and the QoS counters
 # --------------------------------------------------------------------------- #
 class TestElasticPool:
-    def test_scales_up_under_sustained_backlog(self, monkeypatch):
-        with fake_service(monkeypatch, delay=0.03, workers=1, min_workers=1,
-                          max_workers=3, max_pipe_backlog=2,
-                          scale_up_after=0.05,
-                          idle_retire_seconds=30.0) as service:
-            futures = [service.submit(_req(i)) for i in range(24)]
-            grew = _wait_until(lambda: service.stats()["workers"] >= 2)
-            for future in futures:
-                future.result(timeout=60)
-            stats = service.stats()
-        assert grew, "pool never grew despite sustained backlog"
-        assert stats["scale_ups"] >= 1
-        assert stats["pool_peak"] >= 2
-        assert stats["pool_peak"] <= 3
-
-    def test_retires_idle_workers_down_to_min(self, monkeypatch):
-        with fake_service(monkeypatch, workers=2, min_workers=1,
-                          max_workers=2,
-                          idle_retire_seconds=0.1) as service:
-            service.submit(_req(0)).result(timeout=60)
-            shrank = _wait_until(lambda: service.stats()["workers"] == 1)
-            stats = service.stats()
-            # The survivor still serves traffic after its peer retired.
-            assert service.submit(_req(1)).result(timeout=60) is not None
-        assert shrank, "idle worker was never retired"
-        assert stats["scale_downs"] >= 1
-        assert stats["min_workers"] == 1
-
-    def test_seeded_churn_never_drops_or_leaks_requests(self, monkeypatch):
-        """Satellite: retiring an idle worker never drops a just-routed
-        request.  Seeded random bursts with deliberate quiet gaps force
-        scale-downs to race fresh submissions; every future must resolve
-        and the pool must stay within its bounds throughout."""
-        rng = random.Random(11)
-        with fake_service(monkeypatch, delay=0.004, workers=2, min_workers=1,
-                          max_workers=3, max_pipe_backlog=2,
-                          scale_up_after=0.03,
-                          idle_retire_seconds=0.05) as service:
-            futures = []
-            # 60 distinct designs: the generator cycles at 64 per flavor,
-            # and a wrapped twin could coalesce instead of dispatching.
-            for i in range(60):
-                delay = rng.choice([0.0, 0.004, 0.01])
-                futures.append(service.submit(_req(i, flavor="r",
-                                                   delay=delay)))
-                if i % 16 == 15:
-                    time.sleep(0.15)   # quiet period: invite a retirement
-                elif rng.random() < 0.4:
-                    time.sleep(rng.uniform(0.0, 0.008))
-                stats = service.stats()
-                assert 1 <= stats["workers"] <= 3
-            for future in futures:
-                assert future.result(timeout=60).outcome == "success"
-            stats = service.stats()
-        assert stats["completed"] == 60
-        assert stats["scale_downs"] >= 1, "churn never exercised a retire"
-        assert stats["errors"] == 0
-
-    def test_requeue_orphans_preserves_fifo_within_client(self):
-        """Regression: multiple orphans from one client, requeued with
-        ``appendleft``, must land oldest-first at the head of the client
-        queue — walking them oldest-first reversed their order."""
-        service = SolverService.__new__(SolverService)
-        service._lock = threading.Lock()
-        service._client_queues = {}
-        service._rr_order = collections.deque()
-        service._stats = collections.Counter()
-        handle = service_mod._WorkerHandle(7)
-        pendings = []
-        for i in range(3):
-            pending = service_mod._Pending(("key", i), _req(40 + i), i + 1,
-                                           "c")
-            pending.waiters.append((None, pending.request, "c"))
-            pendings.append(pending)
-        handle.sent[1] = pendings[0]     # oldest: written to the pipe
-        handle.sent[2] = pendings[1]
-        handle.queue.append(pendings[2])  # newest: assigned, not sent
-        service._requeue_orphans(handle)
-        assert list(service._client_queues["c"]) == pendings
-        assert not handle.sent and not handle.queue
-        assert list(service._rr_order) == ["c"]
-
     @pytest.mark.parametrize("kwargs", [
-        {"workers": 2, "min_workers": 3},            # min above workers
-        {"workers": 2, "max_workers": 1},            # max below workers
-        {"workers": 1, "min_workers": 0},            # min below 1
         {"workers": 1, "max_pending": 0},            # unusable cap
+        {"workers": 0},                              # no worker
     ])
     def test_invalid_bounds_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -390,9 +303,7 @@ class TestElasticPool:
         with fake_service(monkeypatch, workers=1) as service:
             service.submit(_req(0), client="c").result(timeout=60)
             stats = service.stats()
-        for key in ("pending", "clients", "rejections", "scale_ups",
-                    "scale_downs", "workers", "min_workers", "max_workers",
-                    "pool_peak"):
+        for key in ("pending", "clients", "rejections", "workers"):
             assert key in stats, key
         assert stats["clients"]["c"]["submitted"] == 1
         assert stats["clients"]["c"]["served"] == 1
@@ -530,7 +441,7 @@ class TestSocketBackpressure:
 
 
 # --------------------------------------------------------------------------- #
-# Determinism: served == serial through resize churn
+# Determinism: served == serial through a one-deep pipe
 # --------------------------------------------------------------------------- #
 class TestServedEqualsSerialUnderChurn:
     def test_served_records_equal_serial_sweep(self):
@@ -538,18 +449,15 @@ class TestServedEqualsSerialUnderChurn:
         config = ExperimentConfig()
         serial = run_sweep(benchmarks, config, workers=1).records
         spec = SessionSpec.from_config(config)
-        # A deliberately twitchy pool: tiny hysteresis on both edges and a
-        # one-deep pipe so assignment pressure forces resizes mid-run.
-        with SolverService(spec, workers=1, max_pipe_backlog=1,
-                           min_workers=1, max_workers=3,
-                           scale_up_after=0.02,
-                           idle_retire_seconds=0.05) as service:
+        # A one-deep pipe keeps most of the sweep in the client queue, so
+        # every completion re-runs assignment across both workers.
+        with SolverService(spec, workers=2, max_pipe_backlog=1) as service:
             futures = [service.map_benchmark(b, config) for b in benchmarks]
             served = [future.result() for future in futures]
             stats = service.stats()
         assert [r.comparable() for r in serial] == \
             [r.comparable() for r in served]
-        assert stats["workers"] <= 3 and stats["pool_peak"] <= 3
+        assert stats["workers"] == 2
 
 
 # --------------------------------------------------------------------------- #
@@ -590,19 +498,9 @@ class TestLoadgen:
 
 
 # --------------------------------------------------------------------------- #
-# CLI: serve bounds and the request deadline (exit code 6)
+# CLI: the request deadline (exit code 6) and bounded retries
 # --------------------------------------------------------------------------- #
 class TestCli:
-    def test_serve_rejects_inconsistent_worker_bounds(self):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as info:
-            main(["serve", "--workers", "2", "--min-workers", "3"])
-        assert info.value.code == 2
-        with pytest.raises(SystemExit) as info:
-            main(["serve", "--workers", "2", "--max-workers", "1"])
-        assert info.value.code == 2
-
     def test_request_deadline_exits_6_when_server_is_saturated(
             self, monkeypatch, tmp_path, capsys):
         """Satellite: a reachable-but-wedged server must surface as the
