@@ -37,8 +37,7 @@ def test_cold_sweep_scaling(benchmark, experiment_config, sweep_benchmarks, work
     result = benchmark.pedantic(run, iterations=1, rounds=1)
     assert len(result.records) == len(benchmarks)
     assert result.workers == min(workers, len(benchmarks))
-    print(f"\nworkers={workers}: outcomes {result.outcome_counts()}, "
-          f"portfolio wins {result.portfolio_wins}")
+    print(f"\nworkers={workers}: outcomes {result.outcome_counts()}")
 
 
 @pytest.mark.benchmark(group="parallel-sweep")

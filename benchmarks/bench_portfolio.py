@@ -1,10 +1,12 @@
-"""§5.1 solver-portfolio statistics: which decision strategy answers first.
+"""§5.1 solver-portfolio statistics: which layer decides each query.
 
 The paper reports how often each SMT solver in the portfolio finished first
-(Bitwuzla 671, STP 519, Yices2 464, cvc5 64).  Our portfolio members are the
-word-level normaliser, random simulation, and the CDCL/DPLL SAT engines;
-this benchmark runs the sampled workloads and reports the win counts per
-strategy for both CEGIS phases.
+(Bitwuzla 671, STP 519, Yices2 464, cvc5 64).  This reproduction races no
+solvers: a query is decided by the first of its layers that can — the
+word-level normaliser and structural check, random simulation, or one CDCL
+solve (``sat:cdcl`` when verifying, ``sat:fresh`` for a candidate).  This
+benchmark runs the sampled workloads and tallies the deciding layer per
+CEGIS phase.
 """
 
 from collections import Counter

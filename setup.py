@@ -27,7 +27,7 @@ setup(
         ],
     },
     extras_require={
-        "test": ["pytest", "pytest-benchmark"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     classifiers=[
         "Programming Language :: Python :: 3",

@@ -10,8 +10,8 @@ and every substrate it depends on, in pure Python:
 * :mod:`repro.vendor` -- vendor-style primitive simulation models.
 * :mod:`repro.arch` -- architecture descriptions and their loader.
 * :mod:`repro.core` -- the Lakeroad IR, sketch templates and synthesis engine.
-* :mod:`repro.engine` -- the mapping-engine layer: budgets, solver-backend
-  registry, synthesis cache and the :class:`~repro.engine.MappingSession`
+* :mod:`repro.engine` -- the mapping-engine layer: budgets, solver
+  counters, synthesis cache and the :class:`~repro.engine.MappingSession`
   that owns the map-one-design lifecycle.
 * :mod:`repro.baselines` -- yosys-like and simulated proprietary mappers.
 * :mod:`repro.workloads` -- the paper's microbenchmark enumeration.

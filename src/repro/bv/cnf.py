@@ -6,7 +6,7 @@ so that the constant node 0 gets a dedicated variable forced to FALSE.
 
 :func:`tseitin_gates` is the one cone walk: it lists the AND gates to
 encode, in the contract order.  :func:`aig_to_cnf` expands them into clause
-lists (the portfolio's CNF members take those), and
+lists (the verification miter's solver loads those), and
 :meth:`~repro.sat.solver.CDCLSolver.load_gates` writes the same clauses
 straight into a solver's arena.
 """

@@ -5,8 +5,8 @@ Usage mirrors the paper::
     lakeroad --template dsp --arch-desc xilinx-ultrascale-plus add_mul_and.v
 
 The CLI is a thin shell over :class:`repro.engine.MappingSession`, which
-owns the budget policy, the racing solver portfolio and the synthesis
-cache.  A second subcommand drives the evaluation harness::
+owns the budget policy, the word-level solver and the synthesis cache.  A
+second subcommand drives the evaluation harness::
 
     lakeroad sweep --arch intel-cyclone10lp --workers 4 --cache-dir .lr-cache
 
@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "Exit codes: 0 mapped (structural Verilog on stdout), "
                     "1 input error (unknown --arch-desc, a --module the "
                     "file lacks, Verilog the frontend rejects -- such as a "
-                    "declared range other than [N-1:0] -- or an "
+                    "declared range other than [N-1:0], or an input the "
+                    "output never reads that is not a clock -- or an "
                     "--output/--cache-dir path it cannot use), 2 unsat, "
                     "a command-line usage error or a Verilog file that is "
                     "missing or cannot be read, 3 timeout.")
@@ -76,8 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "layers (64 assignments per packed batch; "
                              "0 disables probing; default: 32)")
     parser.add_argument("--stats", action="store_true",
-                        help="print cache, solver-portfolio and "
-                             "solver-counter statistics")
+                        help="print cache statistics, the layers that "
+                             "decided the candidate and verification "
+                             "queries, and the solver counters")
     return parser
 
 
@@ -465,8 +467,12 @@ def _main_map(argv) -> int:
     print(f"status: {result.status} ({result.time_seconds:.2f}s)", file=sys.stderr)
     if args.stats:
         print(f"cache: {session.cache_stats()}", file=sys.stderr)
-        print(f"portfolio wins: {session.portfolio_wins()}", file=sys.stderr)
         if solved_here(result):
+            if result.synthesis is not None:
+                print(f"candidate strategy: "
+                      f"{result.synthesis.candidate_strategy}", file=sys.stderr)
+                print(f"verify strategy: {result.synthesis.verify_strategy}",
+                      file=sys.stderr)
             _print_counters(this_run([result]))
         else:
             print("solver: answered from the cache; no solve ran",
@@ -645,7 +651,6 @@ def _main_sweep(argv) -> int:
     print(f"record cache hits: {result.record_cache_hits}/{len(result.records)} "
           f"({result.hit_rate:.0%})", file=sys.stderr)
     print(f"cache: {result.cache_stats}", file=sys.stderr)
-    print(f"portfolio wins: {result.portfolio_wins}", file=sys.stderr)
     _print_counters(counters)
     distributed_telemetry = getattr(result, "telemetry", None)
     if distributed_telemetry:
@@ -672,7 +677,6 @@ def _main_sweep(argv) -> int:
             "record_cache_hits": result.record_cache_hits,
             "hit_rate": result.hit_rate,
             "cache": result.cache_stats,
-            "portfolio_wins": result.portfolio_wins,
             "random_probes": args.probes,
             **counters,
         }

@@ -4,8 +4,6 @@
   definition of the ``sat``/``unsat``/``unknown`` and
   ``success``/``unsat``/``timeout`` vocabularies and of the
   per-architecture synthesis timeouts.
-* :mod:`repro.engine.backends` -- the pluggable solver-backend registry the
-  SAT portfolio races.
 * :mod:`repro.engine.stats`    -- the solver counters map every mapping
   result carries, with its merge, cache-hit and wall-clock rules.
 * :mod:`repro.engine.cache`    -- the keyed, memoizing synthesis cache.
@@ -22,21 +20,13 @@
   coordinator serving shards under work-stealing leases, workers built
   from the wire-form session spec, exactly-once deterministic merge.
 
-Everything except ``budget`` and ``backends`` is imported lazily: the
-cache, session and parallel layers depend on the core/synthesis/harness
-stack, which in turn imports :mod:`repro.engine.budget`, and eager
-re-export would create an import cycle (e.g. ``import repro.smt`` used to
+Everything except ``budget`` is imported lazily: the cache, session and
+parallel layers depend on the core/synthesis/harness stack, which in turn
+imports :mod:`repro.engine.budget`, and eager re-export would create an
+import cycle (e.g. ``import repro.smt`` used to
 fail when it was the very first ``repro`` import).
 """
 
-from repro.engine.backends import (
-    SolverBackend,
-    available_backends,
-    backend_by_name,
-    default_backend_names,
-    register_backend,
-    unregister_backend,
-)
 from repro.engine.budget import (
     DEFAULT_TIMEOUTS,
     Budget,
@@ -44,18 +34,13 @@ from repro.engine.budget import (
     mapping_status,
     timeout_for,
 )
+
 __all__ = [
     "Budget",
     "DEFAULT_TIMEOUTS",
     "laptop_timeouts",
     "mapping_status",
     "timeout_for",
-    "SolverBackend",
-    "register_backend",
-    "unregister_backend",
-    "backend_by_name",
-    "available_backends",
-    "default_backend_names",
     # Lazily resolved (see __getattr__):
     "SynthesisCache",
     "program_fingerprint",

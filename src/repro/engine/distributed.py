@@ -175,7 +175,6 @@ class SweepCoordinator:
         self._retries: Dict[int, int] = {}
         self._merged: List[Optional[dict]] = [None] * len(self.benchmarks)
         self._worker_cache: Dict[str, Dict[str, int]] = {}
-        self._worker_wins: Dict[str, Dict[str, int]] = {}
         self._worker_stats: Dict[str, Dict[str, float]] = {}
         self._shard_seconds: List[float] = []
         self._counters: Counter = Counter()
@@ -487,7 +486,6 @@ class SweepCoordinator:
         stats["records"] += len(received)
         stats["seconds"] += duration
         self._worker_cache[worker] = dict(message.get("cache") or {})
-        self._worker_wins[worker] = dict(message.get("wins") or {})
         if self.artifact_dir is not None:
             _write_shard_artifact(self.artifact_dir, shard_id,
                                   received.items())
@@ -544,13 +542,9 @@ class SweepCoordinator:
         cache_totals: Counter = Counter()
         for stats in self._worker_cache.values():
             cache_totals.update(stats)
-        win_totals: Counter = Counter()
-        for wins in self._worker_wins.values():
-            win_totals.update(wins)
         self._result = DistributedSweepResult(
             records=records,
             cache_stats=dict(cache_totals),
-            portfolio_wins=dict(win_totals),
             workers=max(1, len(self._worker_stats)),
             telemetry=self.telemetry())
         self._done.set()
@@ -739,8 +733,7 @@ def run_worker(address, token: str, *, worker_name: Optional[str] = None,
                 _write_shard_artifact(artifact_dir, shard_id, records)
             reply = client.request(
                 {"op": "result", "shard": shard_id, "records": records,
-                 "cache": dict(session.cache_stats()),
-                 "wins": dict(session.portfolio_wins())}, timeout=120.0)
+                 "cache": dict(session.cache_stats())}, timeout=120.0)
             if not reply.get("ok"):
                 raise RuntimeError(f"coordinator rejected shard {shard_id}: "
                                    f"{reply.get('error', 'unknown error')}")

@@ -11,13 +11,13 @@ runs them on forked local workers that all speak one pipe protocol:
   locks and solver state and never cross a process boundary).  It answers
   ``("request", id, MapRequest)`` with the unit of work every plane runs,
   :func:`repro.harness.runner.map_request`, until ``("stop",)``, which it
-  answers with its session's cache counters and portfolio wins.
+  answers with its session's cache counters.
   :class:`repro.engine.service.SolverService` spawns the same body.
 * :func:`run_sweep` deals a benchmark list round-robin over such workers,
   one request in flight per worker, and merges the records
   **deterministically**: the merged list preserves the input benchmark
   order exactly, regardless of which worker finished first; per-worker
-  cache and portfolio statistics are summed into one aggregate.
+  cache statistics are summed into one aggregate.
 
 ``workers=1`` runs the very same unit of work in-process
 (:func:`repro.harness.runner.map_benchmark`), so the serial sweep is the
@@ -118,8 +118,6 @@ class SweepResult:
     #: shared disk cache the same persistent entry can be counted by every
     #: worker that sees it.
     cache_stats: Dict[str, int] = field(default_factory=dict)
-    #: Summed per-worker portfolio first-answer win counts.
-    portfolio_wins: Dict[str, int] = field(default_factory=dict)
     workers: int = 1
 
     @property
@@ -166,8 +164,7 @@ def _worker_main(spec: SessionSpec, conn) -> None:
                     return  # the parent died; exit, closing the session
                 if message[0] == "stop":
                     try:
-                        conn.send(("stats", dict(session.cache_stats()),
-                                   dict(session.portfolio_wins())))
+                        conn.send(("stats", dict(session.cache_stats())))
                     except (BrokenPipeError, OSError):
                         pass
                     return
@@ -211,7 +208,7 @@ def _start_worker(spec: SessionSpec, name: str):
     return process, parent_conn
 
 
-def _stop_workers(workers, cache_totals: Counter, win_totals: Counter) -> None:
+def _stop_workers(workers, cache_totals: Counter) -> None:
     """Stop and join every ``(process, conn)`` worker, summing the session
     statistics each sends as its reply to ``stop``.
 
@@ -231,7 +228,6 @@ def _stop_workers(workers, cache_totals: Counter, win_totals: Counter) -> None:
                 message = conn.recv()
                 if message[0] == "stats":
                     cache_totals.update(message[1])
-                    win_totals.update(message[2])
                     break
         except (EOFError, OSError):
             pass
@@ -293,11 +289,9 @@ def run_sweep(benchmarks: Sequence[Microbenchmark],
                 raise SweepInterrupted(SweepResult(
                     records=records,
                     cache_stats=dict(session.cache_stats()),
-                    portfolio_wins=dict(session.portfolio_wins()),
                     workers=1)) from None
             return SweepResult(records=records,
                                cache_stats=dict(session.cache_stats()),
-                               portfolio_wins=dict(session.portfolio_wins()),
                                workers=1)
         finally:
             if own_session:
@@ -312,7 +306,6 @@ def run_sweep(benchmarks: Sequence[Microbenchmark],
     previous = {}
     merged: List[Optional[MappingRecord]] = [None] * len(benchmarks)
     cache_totals: Counter = Counter()
-    win_totals: Counter = Counter()
     started = []
     try:
         # While the workers run, SIGINT/SIGTERM only set a flag: raised as
@@ -358,13 +351,12 @@ def run_sweep(benchmarks: Sequence[Microbenchmark],
     except KeyboardInterrupt:
         interrupted.append(signal.SIGINT)  # landed before the handlers did
     finally:
-        _stop_workers(started, cache_totals, win_totals)
+        _stop_workers(started, cache_totals)
         for signum, handler in previous.items():
             signal.signal(signum, handler)
 
     result = SweepResult(records=[r for r in merged if r is not None],
                          cache_stats=dict(cache_totals),
-                         portfolio_wins=dict(win_totals),
                          workers=workers)
     if interrupted:
         raise SweepInterrupted(result)

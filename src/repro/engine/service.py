@@ -10,8 +10,8 @@ over many *small* queries.  This module keeps the expensive state alive:
   (:func:`repro.engine.parallel._worker_main`), each holding one warm
   :class:`~repro.engine.session.MappingSession` built from a
   :class:`~repro.engine.parallel.SessionSpec`.  The session — its
-  primitive library and solver portfolio — survives across requests, so
-  no request pays the process cold start.
+  primitive library and solver — survives across requests, so no request
+  pays the process cold start.
 * **Front door** — :class:`SolverService`, a single dispatcher thread
   multiplexing worker pipes through a ``selectors`` loop (no threads per
   request, no new dependencies).  Before anything reaches a worker it is
@@ -669,7 +669,7 @@ class SolverService:
                     if not future.done():
                         future.set_exception(error)
         _stop_workers([(handle.process, handle.conn) for handle in self._pool],
-                      self._worker_cache_stats, Counter())
+                      self._worker_cache_stats)
         for handle in self._pool:
             self._retire(handle)
 

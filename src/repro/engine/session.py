@@ -1,8 +1,8 @@
 """The mapping engine: one session object owns the map-one-design lifecycle.
 
 A :class:`MappingSession` ties together everything a ``lakeroad``
-invocation needs — the vendor primitive library, the solver portfolio, the
-synthesis cache and the budget policy — and exposes ``map_design`` /
+invocation needs — the vendor primitive library, the word-level solver,
+the synthesis cache and the budget policy — and exposes ``map_design`` /
 ``map_verilog``.  The three-step flow of §2.2 (sketch generation → program
 synthesis → compilation) lives in :meth:`MappingSession.map_design`;
 ``repro.lakeroad`` keeps the historical functional API as thin wrappers
@@ -32,7 +32,6 @@ from repro.engine.cache import SynthesisCache, program_fingerprint
 from repro.engine.diskcache import DiskSynthesisCache, TieredSynthesisCache
 from repro.engine.stats import new as new_stats
 from repro.hdl.behavioral import BehavioralDesign, verilog_to_behavioral
-from repro.sat.portfolio import SatPortfolio
 from repro.smt.solver import SmtSolver
 from repro.vendor.library import PrimitiveLibrary
 
@@ -148,8 +147,8 @@ class MappingSession:
 
     Components are injectable for testing and for alternative deployments
     (e.g. a shared cache across harness shards); by default a session
-    creates its own primitive library, a concurrent SAT portfolio, a word
-    level solver wired to that portfolio, and a bounded synthesis cache.
+    creates its own primitive library, a word-level solver and a bounded
+    synthesis cache.
 
     ``cache_dir`` layers a persistent :class:`DiskSynthesisCache` under
     the in-memory LRU so synthesis results survive the process and are
@@ -166,7 +165,6 @@ class MappingSession:
 
     def __init__(self,
                  library: Optional[PrimitiveLibrary] = None,
-                 portfolio: Optional[SatPortfolio] = None,
                  solver: Optional[SmtSolver] = None,
                  cache: Optional[SynthesisCache] = None,
                  enable_cache: bool = True,
@@ -182,13 +180,8 @@ class MappingSession:
         if random_probes < 0:
             raise ValueError("random_probes must be non-negative")
         self.random_probes = random_probes
-        if portfolio is None and solver is not None:
-            # Adopt the injected solver's portfolio so portfolio_wins()
-            # reports the races that actually ran.
-            portfolio = solver.portfolio
-        self.portfolio = portfolio if portfolio is not None else SatPortfolio()
         self.solver = solver if solver is not None else SmtSolver(
-            portfolio=self.portfolio, random_probes=random_probes)
+            random_probes=random_probes)
         if cache is not None and cache_dir is not None:
             raise ValueError("pass either an explicit cache or a cache_dir, "
                              "not both (a silently dropped cache_dir would "
@@ -207,9 +200,6 @@ class MappingSession:
     # ------------------------------------------------------------------ #
     def cache_stats(self) -> Dict[str, int]:
         return self.cache.stats()
-
-    def portfolio_wins(self) -> Dict[str, int]:
-        return self.portfolio.win_counts()
 
     def close(self) -> None:
         """Release held resources (the disk cache's sqlite connection).

@@ -2,10 +2,12 @@
 
 The behavioral import path is the same extraction pipeline used for vendor
 models — parse, elaborate, convert — because a behavioral design is just a
-Verilog module without primitive instantiations.  The only extra work here
-is picking the output port and reporting the design's pipeline depth (the
-number of register stages between inputs and the output), which the
-Lakeroad driver uses as the default synthesis timestep ``t``.
+Verilog module without primitive instantiations.  The extra work here is
+picking the output port, settling the design's interface (the inputs the
+output reads; see :func:`verilog_to_behavioral`) and reporting the
+design's pipeline depth (the number of register stages between inputs and
+the output), which the mapper uses as the default synthesis timestep
+``t``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from typing import Dict, Optional
 from repro.core.lang import Program, RegNode
 from repro.core.sublang import is_behavioral
 from repro.core.wellformed import check_well_formed
-from repro.hdl.extract import extract_semantics
+from repro.hdl.elaborate import ElaborationError, elaborate
+from repro.hdl.extract import transition_system_to_program
+from repro.hdl.parser import parse_module
 
 __all__ = ["BehavioralDesign", "verilog_to_behavioral", "pipeline_depth"]
 
@@ -62,18 +66,37 @@ def pipeline_depth(program: Program) -> int:
 
 def verilog_to_behavioral(source: str, module_name: Optional[str] = None,
                           output: Optional[str] = None) -> BehavioralDesign:
-    """Parse and import a behavioral Verilog module into ℒbeh."""
-    program, system = extract_semantics(source, module_name, output)
+    """Parse and import a behavioral Verilog module into ℒbeh.
+
+    The design's interface is the declared inputs the output reads, in
+    declaration order: the synthesized program must read the same free
+    variables (§3.3), and the mapped module keeps the design's ports.
+    Every other declared input must be a clock — a signal named in
+    ``always @(posedge ...)``, or an input named ``clk``/``clock`` —
+    since registers model clocking; any other unread input is an
+    :class:`~repro.hdl.elaborate.ElaborationError`.
+    """
+    module = parse_module(source, module_name)
+    system = elaborate(module)
+    if not system.outputs:
+        raise ElaborationError(f"module {system.name!r} has no output")
+    program = transition_system_to_program(system, output)
     if not is_behavioral(program):
         raise ValueError("the imported design is not in the behavioral fragment ℒbeh")
     check_well_formed(program)
 
-    output_names = list(system.outputs)
-    chosen_output = output if output is not None else output_names[0]
+    chosen_output = output if output is not None else next(iter(system.outputs))
     output_width = program[program.root].width
-    # The design's inputs exclude the clock (registers model clocking).
+    read = program.free_vars()
+    clocks = {block.clock for block in module.always_blocks}
+    for name in system.inputs:
+        if name not in read and name not in clocks \
+                and name.lower() not in ("clk", "clock"):
+            raise ElaborationError(
+                f"input {name!r} is never read by output {chosen_output!r} "
+                f"and is not a clock")
     input_widths = {name: width for name, width in system.inputs.items()
-                    if name.lower() not in ("clk", "clock")}
+                    if name in read}
     return BehavioralDesign(
         name=system.name,
         program=program,

@@ -181,6 +181,9 @@ class _Elaborator:
         if isinstance(expr, Concat):
             return sum(self.self_width(part) for part in expr.parts)
         if isinstance(expr, Replicate):
+            if expr.count < 1:
+                raise ElaborationError(
+                    f"replication count {expr.count} is not positive")
             return expr.count * self.self_width(expr.operand)
         if isinstance(expr, Select):
             high = self._const(expr.high)

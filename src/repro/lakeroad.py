@@ -11,10 +11,10 @@ which here is::
 
 Since the engine refactor the whole map-one-design lifecycle lives in
 :class:`repro.engine.MappingSession` (sketch generation → CEGIS-backed
-synthesis → compilation, with one budget model, a racing solver portfolio
-and a memoizing synthesis cache).  This module keeps the historical
-functional API as thin wrappers over the process-wide default session; for
-explicit control over the library, portfolio or cache, construct a
+synthesis → compilation, with one budget model, one word-level solver and
+a memoizing synthesis cache).  This module keeps the historical functional
+API as thin wrappers over the process-wide default session; for explicit
+control over the library, solver or cache, construct a
 :class:`~repro.engine.session.MappingSession` directly.
 """
 

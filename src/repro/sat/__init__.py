@@ -1,19 +1,19 @@
 """SAT solving substrate.
 
 The original Lakeroad races four industrial SMT/SAT solvers (Bitwuzla, cvc5,
-Yices2 and STP).  This reproduction ships its own engines:
+Yices2 and STP).  This reproduction decides every query with one engine and
+keeps two references for the tests:
 
 * :class:`repro.sat.solver.CDCLSolver` -- conflict-driven clause learning
   over a flat clause arena with blocker-literal watchers, VSIDS branching,
   first-UIP clause learning, Luby restarts and phase saving.
 * :class:`repro.sat.legacy.LegacyCDCLSolver` -- the list-based CDCL the
   arena solver replaced, kept for one release as the bit-for-bit reference
-  the differential suite races the arena against (``cdcl-legacy``).
+  the differential suite compares the arena against.
 * :class:`repro.sat.dpll.DPLLSolver`   -- a simple DPLL with unit
-  propagation, used as a portfolio member and as a cross-check oracle in the
-  test suite.
-* :mod:`repro.sat.portfolio`           -- utilities for racing strategies
-  under a shared deadline.
+  propagation, a cross-check oracle in the test suite.
+* :mod:`repro.sat.portfolio`           -- the verification step's SAT call:
+  one default ``CDCLSolver`` solve under a deadline.
 """
 
 from repro.sat.cnf import CNF, complete_model

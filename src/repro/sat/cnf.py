@@ -29,12 +29,10 @@ def complete_model(num_vars: int, assigned: Mapping[int, bool]) -> Dict[int, boo
     """Extend a partial assignment to a total model over ``1..num_vars``.
 
     Unconstrained variables default to ``False`` — the convention every
-    solver in :mod:`repro.sat` shares, and part of the canonical-model
-    contract: with static branching and a fixed negative default phase the
-    first model found is the lexicographically smallest one, and the
-    ``False`` completion keeps that property for variables the search never
-    had to touch.  The assigned entries keep their insertion order so the
-    returned dict is reproducible across solver engines.
+    solver in :mod:`repro.sat` shares, and the value lex-min refinement
+    (:func:`repro.smt.solver.lex_min_model`) would give a variable the
+    search never had to touch.  The assigned entries keep their insertion
+    order so the returned dict is reproducible across solver engines.
     """
     model = dict(assigned)
     for var in range(1, num_vars + 1):

@@ -1,15 +1,13 @@
 """A simple DPLL SAT solver.
 
-Used as a portfolio member (it sometimes beats CDCL on tiny, highly
-structured queries because it has no bookkeeping overhead) and, more
-importantly, as an independent oracle in the test suite: the property-based
-tests cross-check CDCL against DPLL on random formulas.
+An independent oracle for the test suite: the property-based tests
+cross-check CDCL against DPLL on random formulas.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.sat.cnf import CNF, complete_model
 from repro.sat.solver import SatResult
@@ -20,12 +18,9 @@ __all__ = ["DPLLSolver"]
 class DPLLSolver:
     """Iterative DPLL with unit propagation and pure-literal elimination."""
 
-    def __init__(self, cnf: CNF, deadline: Optional[float] = None,
-                 should_stop: Optional[Callable[[], bool]] = None) -> None:
+    def __init__(self, cnf: CNF, deadline: Optional[float] = None) -> None:
         self.cnf = cnf
         self.deadline = deadline
-        #: Optional cancellation hook set by the portfolio race.
-        self.should_stop = should_stop
 
     def solve(self, assumptions: Sequence[int] = ()) -> SatResult:
         result = SatResult(status="unknown")
@@ -70,8 +65,6 @@ class DPLLSolver:
         stack = [(clauses, dict(assignment), None)]
         while stack:
             if self.deadline is not None and time.monotonic() > self.deadline:
-                return "unknown", {}
-            if self.should_stop is not None and self.should_stop():
                 return "unknown", {}
             clauses, assignment, decision = stack.pop()
             if decision is not None:

@@ -1,4 +1,4 @@
-"""The list-based CDCL solver, kept for one release as ``cdcl-legacy``.
+"""The list-based CDCL solver, kept for one release as a reference.
 
 This is the pre-arena implementation of :class:`repro.sat.solver.CDCLSolver`
 verbatim: clauses as python lists indexed by position in a growing
@@ -8,8 +8,7 @@ flat-arena solver that replaced it is required to be bit-for-bit
 trajectory-identical — same conflicts, same decisions, same propagation
 counts, same models, same unsat cores — so this module is the reference
 implementation the differential fuzz suite and ``benchmarks/
-bench_propagation.py`` race the arena against.  Select it through the
-``cdcl-legacy`` backend in :mod:`repro.engine.backends`.
+bench_propagation.py`` compare the arena against.
 
 The only additions over the historical code are the cumulative telemetry
 counters (``propagations_total``, ``watcher_visits``, ``solve_seconds``)
@@ -22,10 +21,11 @@ clause list through ``add_clauses``).
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sat.cnf import CNF, tseitin_clauses
-from repro.sat.solver import SatResult, _luby, _VarOrder
+from repro.sat.solver import (RESTART_BASE, VAR_DECAY, SatResult, _luby,
+                              _VarOrder)
 
 __all__ = ["LegacyCDCLSolver"]
 
@@ -40,36 +40,15 @@ class LegacyCDCLSolver:
     """
 
     def __init__(self, cnf: Optional[CNF] = None, deadline: Optional[float] = None,
-                 should_stop: Optional[Callable[[], bool]] = None, *,
-                 var_decay: float = 0.95,
-                 default_phase: bool = False,
-                 phase_saving: bool = True,
-                 branching: str = "vsids",
-                 restart_policy: str = "luby",
-                 restart_base: int = 32,
-                 reduce_interval: int = 2000,
-                 max_lbd_keep: int = 3) -> None:
-        if branching not in ("vsids", "static"):
-            raise ValueError(f"unknown branching heuristic {branching!r}")
-        if restart_policy not in ("luby", "geometric"):
-            raise ValueError(f"unknown restart policy {restart_policy!r}")
+                 *, reduce_interval: int = 2000, max_lbd_keep: int = 3) -> None:
         if reduce_interval < 0:
             raise ValueError("reduce_interval must be >= 0 (0 disables reduction)")
         if max_lbd_keep < 0:
             raise ValueError("max_lbd_keep must be >= 0")
         self.cnf = cnf
         self.deadline = deadline
-        #: Optional cancellation hook: the portfolio race sets this so losing
-        #: members stop burning CPU once a winner has answered.
-        self.should_stop = should_stop
         self.num_vars = cnf.num_vars if cnf is not None else 0
 
-        self.var_decay = var_decay
-        self.default_phase = default_phase
-        self.phase_saving = phase_saving
-        self.branching = branching
-        self.restart_policy = restart_policy
-        self.restart_base = restart_base
         #: Learned clauses between database reductions; 0 disables reduction.
         self.reduce_interval = reduce_interval
         #: Glue threshold: learned clauses with LBD <= this are never deleted.
@@ -95,9 +74,6 @@ class LegacyCDCLSolver:
         self._order = _VarOrder(self.activity)
         for v in range(1, self.num_vars + 1):
             self._order.insert(v)
-        # Static branching walks variables in index order; the cursor only
-        # ever needs to move back when backtracking unassigns a smaller var.
-        self._static_cursor = 1
 
         self.stats = SatResult(status="unknown")
         #: Cumulative counters surviving across ``solve`` calls (the
@@ -456,11 +432,10 @@ class LegacyCDCLSolver:
             for v in self.activity:
                 self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
-        if self.branching == "vsids":
-            self._order.bumped(var)
+        self._order.bumped(var)
 
     def _decay_activity(self) -> None:
-        self.var_inc /= self.var_decay
+        self.var_inc /= VAR_DECAY
 
     # ------------------------------------------------------------------ #
     # Backtracking
@@ -469,18 +444,13 @@ class LegacyCDCLSolver:
         if self._decision_level() <= target_level:
             return
         boundary = self.trail_lim[target_level]
-        lowest = self._static_cursor
         for lit in reversed(self.trail[boundary:]):
             var = abs(lit)
             self.phase[var] = self.assignment[var]
             del self.assignment[var]
             del self.level[var]
             self.reason.pop(var, None)
-            if var < lowest:
-                lowest = var
-            if self.branching == "vsids":
-                self._order.insert(var)
-        self._static_cursor = lowest
+            self._order.insert(var)
         del self.trail[boundary:]
         del self.trail_lim[target_level:]
         self.propagation_head = min(self.propagation_head, len(self.trail))
@@ -489,12 +459,6 @@ class LegacyCDCLSolver:
     # Branching
     # ------------------------------------------------------------------ #
     def _pick_branch_variable(self) -> Optional[int]:
-        if self.branching == "static":
-            var = self._static_cursor
-            while var <= self.num_vars and var in self.assignment:
-                var += 1
-            self._static_cursor = var
-            return var if var <= self.num_vars else None
         # Indexed heap: pop until an unassigned variable appears (assigned
         # ones are re-inserted when the trail unwinds past them).
         while True:
@@ -508,11 +472,6 @@ class LegacyCDCLSolver:
             if var not in self.assignment:
                 return var
         return None
-
-    def _restart_interval(self, restart_count: int) -> int:
-        if self.restart_policy == "geometric":
-            return int(self.restart_base * (1.5 ** min(restart_count - 1, 48)))
-        return self.restart_base * _luby(restart_count)
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -603,16 +562,14 @@ class LegacyCDCLSolver:
         assumption_level = self._decision_level()
 
         restart_count = 1
-        conflicts_until_restart = self._restart_interval(restart_count)
+        conflicts_until_restart = RESTART_BASE * _luby(restart_count)
         conflicts_since_restart = 0
         check_counter = 0
 
         while True:
             check_counter += 1
             if check_counter % 64 == 0:
-                expired = (self.deadline is not None
-                           and time.monotonic() > self.deadline)
-                if expired or (self.should_stop is not None and self.should_stop()):
+                if self.deadline is not None and time.monotonic() > self.deadline:
                     self.stats.status = "unknown"
                     self.total_conflicts += self.stats.conflicts
                     return self.stats
@@ -657,7 +614,7 @@ class LegacyCDCLSolver:
             if conflicts_since_restart >= conflicts_until_restart:
                 self.stats.restarts += 1
                 restart_count += 1
-                conflicts_until_restart = self._restart_interval(restart_count)
+                conflicts_until_restart = RESTART_BASE * _luby(restart_count)
                 conflicts_since_restart = 0
                 self._cancel_until(assumption_level)
                 continue
@@ -675,8 +632,5 @@ class LegacyCDCLSolver:
 
             self.stats.decisions += 1
             self.trail_lim.append(len(self.trail))
-            if self.phase_saving:
-                preferred_phase = self.phase.get(branch_var, self.default_phase)
-            else:
-                preferred_phase = self.default_phase
+            preferred_phase = self.phase.get(branch_var, False)
             self._enqueue(branch_var if preferred_phase else -branch_var, None)

@@ -1,6 +1,6 @@
 """An incremental CDCL SAT solver on a flat clause arena.
 
-This is the main engine behind the reproduction's QF_BV solving (the role
+This is the engine behind the reproduction's QF_BV solving (the role
 Bitwuzla/STP/Yices2 play in the paper's portfolio).  It implements the
 standard modern architecture:
 
@@ -8,7 +8,7 @@ standard modern architecture:
 * first-UIP conflict analysis with clause learning and non-chronological
   backjumping,
 * exponential VSIDS activity-based branching with phase saving,
-* Luby-sequence (or geometric) restarts,
+* Luby-sequence restarts,
 * glucose-style learned-clause database reduction: every learned clause is
   stamped with its literal-block distance (LBD — the number of distinct
   decision levels among its literals) at learning time, and once
@@ -86,15 +86,11 @@ of the previous one that match its assumption prefix, unless the previous
 one stopped at a conflict that left the trail partly propagated — as an
 unsatisfiable trial often does — in which case it restarts from the root.
 
-The branching/restart/phase behavior is configurable so the backend
-registry can race genuinely diversified members.  The ``branching="static"``
-+ ``phase_saving=False`` configuration is special: decisions always pick
-the smallest unassigned variable and assign the fixed ``default_phase``, so
-the first model found is the lexicographically smallest satisfying
-assignment.  That model is *canonical* — independent of which entailed
-learned clauses happen to be in the database — so a solver warmed by
-earlier queries and a cold one return identical models on identical
-formulas.
+Branching, phase and restart behavior is fixed: activities decay by
+:data:`VAR_DECAY`, an unsaved phase is negative, and the restart intervals
+are :data:`RESTART_BASE` times the Luby sequence.  Models are therefore
+search-dependent; callers that need a canonical model refine it with
+:func:`repro.smt.solver.lex_min_model`.
 """
 
 from __future__ import annotations
@@ -102,12 +98,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sat.cnf import CNF, complete_model
 
 __all__ = ["CDCLSolver", "SatResult"]
+
+#: VSIDS decay: every conflict divides the activity increment by this.
+VAR_DECAY = 0.95
+#: Conflicts before the first restart; later intervals follow Luby.
+RESTART_BASE = 32
 
 
 @dataclass
@@ -319,36 +319,15 @@ class CDCLSolver:
     """
 
     def __init__(self, cnf: Optional[CNF] = None, deadline: Optional[float] = None,
-                 should_stop: Optional[Callable[[], bool]] = None, *,
-                 var_decay: float = 0.95,
-                 default_phase: bool = False,
-                 phase_saving: bool = True,
-                 branching: str = "vsids",
-                 restart_policy: str = "luby",
-                 restart_base: int = 32,
-                 reduce_interval: int = 2000,
-                 max_lbd_keep: int = 3) -> None:
-        if branching not in ("vsids", "static"):
-            raise ValueError(f"unknown branching heuristic {branching!r}")
-        if restart_policy not in ("luby", "geometric"):
-            raise ValueError(f"unknown restart policy {restart_policy!r}")
+                 *, reduce_interval: int = 2000, max_lbd_keep: int = 3) -> None:
         if reduce_interval < 0:
             raise ValueError("reduce_interval must be >= 0 (0 disables reduction)")
         if max_lbd_keep < 0:
             raise ValueError("max_lbd_keep must be >= 0")
         self.cnf = cnf
         self.deadline = deadline
-        #: Optional cancellation hook: the portfolio race sets this so losing
-        #: members stop burning CPU once a winner has answered.
-        self.should_stop = should_stop
         self.num_vars = 0
 
-        self.var_decay = var_decay
-        self.default_phase = default_phase
-        self.phase_saving = phase_saving
-        self.branching = branching
-        self.restart_policy = restart_policy
-        self.restart_base = restart_base
         #: Learned clauses between database reductions; 0 disables reduction.
         self.reduce_interval = reduce_interval
         #: Glue threshold: learned clauses with LBD <= this are never deleted.
@@ -375,9 +354,6 @@ class CDCLSolver:
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.propagation_head = 0
-        # Static branching walks variables in index order; the cursor only
-        # ever needs to move back when backtracking unassigns a smaller var.
-        self._static_cursor = 1
 
         self.stats = SatResult(status="unknown")
         #: Cumulative counters surviving across ``solve`` calls (the
@@ -904,7 +880,6 @@ class CDCLSolver:
         # called directly.
         activity = self.activity
         var_inc = self.var_inc
-        vsids = self.branching == "vsids"
         order_pos = self._order.pos
         order_sift_up = self._order._sift_up
 
@@ -925,10 +900,9 @@ class CDCLSolver:
                             activity[v] *= 1e-100
                         var_inc *= 1e-100
                         self.var_inc = var_inc
-                    if vsids:
-                        heap_index = order_pos[var]
-                        if heap_index >= 0:
-                            order_sift_up(heap_index)
+                    heap_index = order_pos[var]
+                    if heap_index >= 0:
+                        order_sift_up(heap_index)
                     if levels[var] >= current_level:
                         counter += 1
                     else:
@@ -997,7 +971,7 @@ class CDCLSolver:
         return core
 
     def _decay_activity(self) -> None:
-        self.var_inc /= self.var_decay
+        self.var_inc /= VAR_DECAY
 
     # ------------------------------------------------------------------ #
     # Backtracking
@@ -1014,8 +988,6 @@ class CDCLSolver:
         order_heap = order.heap
         order_pos = order.pos
         activity = self.activity
-        vsids = self.branching == "vsids"
-        lowest = self._static_cursor
         for index in range(len(trail) - 1, boundary - 1, -1):
             lit = trail[index]
             var = lit if lit > 0 else -lit
@@ -1023,9 +995,7 @@ class CDCLSolver:
             vals[var] = 0
             vals[-var] = 0
             reasons[var] = -1
-            if var < lowest:
-                lowest = var
-            if vsids and order_pos[var] < 0:
+            if order_pos[var] < 0:
                 # Heap insertion with an inlined sift-up: every unassigned
                 # variable re-enters the heap here, on every backtrack.
                 i = len(order_heap)
@@ -1042,7 +1012,6 @@ class CDCLSolver:
                     i = parent
                 order_heap[i] = var
                 order_pos[var] = i
-        self._static_cursor = lowest
         del trail[boundary:]
         del self.trail_lim[target_level:]
         if self.propagation_head > len(trail):
@@ -1053,13 +1022,6 @@ class CDCLSolver:
     # ------------------------------------------------------------------ #
     def _pick_branch_variable(self) -> Optional[int]:
         vals = self._vals
-        if self.branching == "static":
-            var = self._static_cursor
-            num_vars = self.num_vars
-            while var <= num_vars and vals[var] != 0:
-                var += 1
-            self._static_cursor = var
-            return var if var <= num_vars else None
         # Indexed heap: pop until an unassigned variable appears (assigned
         # ones are re-inserted when the trail unwinds past them).
         order = self._order
@@ -1075,11 +1037,6 @@ class CDCLSolver:
                 return var
         return None
 
-    def _restart_interval(self, restart_count: int) -> int:
-        if self.restart_policy == "geometric":
-            return int(self.restart_base * (1.5 ** min(restart_count - 1, 48)))
-        return self.restart_base * _luby(restart_count)
-
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
@@ -1092,7 +1049,7 @@ class CDCLSolver:
         re-propagating it — unless that trail is only partly propagated
         (see :meth:`_solve`).  ``unsat`` under assumptions leaves the guilty
         assumption subset in :attr:`last_core`; ``unknown`` means the
-        ``deadline`` expired or ``should_stop`` fired.
+        ``deadline`` expired.
 
         The learned database is kept bounded by LBD-based reduction: every
         ``reduce_interval`` learned clauses, the worst half of the
@@ -1190,16 +1147,14 @@ class CDCLSolver:
         assumption_level = len(self.trail_lim)
 
         restart_count = 1
-        conflicts_until_restart = self._restart_interval(restart_count)
+        conflicts_until_restart = RESTART_BASE * _luby(restart_count)
         conflicts_since_restart = 0
         check_counter = 0
 
         while True:
             check_counter += 1
             if check_counter % 64 == 0:
-                expired = (self.deadline is not None
-                           and time.monotonic() > self.deadline)
-                if expired or (self.should_stop is not None and self.should_stop()):
+                if self.deadline is not None and time.monotonic() > self.deadline:
                     self.stats.status = "unknown"
                     self.total_conflicts += self.stats.conflicts
                     return self.stats
@@ -1237,7 +1192,7 @@ class CDCLSolver:
             if conflicts_since_restart >= conflicts_until_restart:
                 self.stats.restarts += 1
                 restart_count += 1
-                conflicts_until_restart = self._restart_interval(restart_count)
+                conflicts_until_restart = RESTART_BASE * _luby(restart_count)
                 conflicts_since_restart = 0
                 self._cancel_until(assumption_level)
                 continue
@@ -1254,9 +1209,6 @@ class CDCLSolver:
 
             self.stats.decisions += 1
             self.trail_lim.append(len(self.trail))
-            if self.phase_saving:
-                saved = self._phase[branch_var]
-                preferred_phase = saved == 2 if saved else self.default_phase
-            else:
-                preferred_phase = self.default_phase
-            self._enqueue(branch_var if preferred_phase else -branch_var, -1)
+            # A saved phase of 2 is True; 0 (unset) and 1 are False.
+            self._enqueue(branch_var if self._phase[branch_var] == 2
+                          else -branch_var, -1)

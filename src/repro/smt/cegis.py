@@ -22,10 +22,10 @@ satisfying model after the (heuristic, VSIDS) search finds one: a greedy
 assumption-solve pass refines it to the lexicographically smallest input
 assignment, which is a property of the constraint set rather than of the
 search.  Verification counterexamples are canonical too (``canonical=True``
-on :func:`~repro.smt.equivalence.check_equivalence`), so whichever
-portfolio member wins a verification race, the counterexample — and with
-it the whole candidate/counterexample trajectory, the hole values and the
-iteration count — is the same, and a cached answer matches a fresh one.
+on :func:`~repro.smt.equivalence.check_equivalence`), so however the
+verification solver searched, the counterexample — and with it the whole
+candidate/counterexample trajectory, the hole values and the iteration
+count — is the same, and a cached answer matches a fresh one.
 
 Both steps honour a deadline so the caller can reproduce the paper's
 per-query synthesis timeouts.
@@ -142,9 +142,9 @@ def _solve_candidate(constraints: Sequence[BVExpr], iteration: int,
 
     The layering mirrors :class:`~repro.smt.solver.SmtSolver` — normalise,
     random probing, then SAT — but the SAT layer runs on a fresh
-    :class:`~repro.smt.solver.IncrementalSmtSession` instead of a
-    portfolio race (its lex-min model is the canonical candidate), and the
-    probing RNG is re-seeded per iteration.
+    :class:`~repro.smt.solver.IncrementalSmtSession` (its lex-min model is
+    the canonical candidate), and the probing RNG is re-seeded per
+    iteration.
     """
     formula = bvand(*constraints) if len(constraints) > 1 else constraints[0]
 
@@ -229,8 +229,7 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
         seed: RNG seed for the initial examples, candidate probing and
             verification's random pre-filter.
         solver: optional shared :class:`SmtSolver` (the verification side);
-            the run uses its portfolio and probe count, not its probe
-            stream.
+            the run uses its probe count, not its probe stream.
         budget: the engine-level :class:`Budget`; wins over ``deadline``.
         random_probes: candidate-step random probe attempts per iteration.
         reduce_interval: learned clauses between clause-DB reductions in
@@ -256,7 +255,7 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
     # verification probes (and with them the counterexamples, iterations
     # and counters) would depend on every query it answered before.
     shared = solver if solver is not None else _DEFAULT_SOLVER
-    solver = SmtSolver(shared.random_probes, seed, shared.portfolio)
+    solver = SmtSolver(shared.random_probes, seed)
     rng = random.Random(seed)
     input_widths = _collect_inputs(obligations, hole_widths)
     examples = _initial_examples(input_widths, rng, initial_random_examples)

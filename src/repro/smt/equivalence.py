@@ -8,11 +8,11 @@ very same DAG as the specification, so most verification calls never reach
 the SAT solver.
 
 When the fast layers cannot decide, the (hole-substituted) miter is
-bit-blasted and the solver portfolio races it.  Counterexamples from that
-SAT layer are *canonicalized* (the name-ordered lexicographically smallest
+bit-blasted and one CDCL solve decides it.  Counterexamples from that SAT
+layer are *canonicalized* (the name-ordered lexicographically smallest
 input assignment, see :func:`repro.smt.solver.lex_min_model`) when
-``canonical=True``, so whichever portfolio member wins the race, CEGIS gets
-the same counterexample and walks the same trajectory.
+``canonical=True``, so however the solver searched, CEGIS gets the same
+counterexample and walks the same trajectory.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 ``check_sat`` takes one or more 1-bit expressions (treated as a
 conjunction), simplifies them, and decides satisfiability with a layered
-strategy that mirrors the paper's solver portfolio:
+strategy that stands in for the paper's solver portfolio:
 
 1. *normalise* -- the smart-constructor rewriting may already reduce the
    conjunction to a constant;
@@ -10,7 +10,9 @@ strategy that mirrors the paper's solver portfolio:
    64 at a time by the bit-parallel packed simulator
    (:mod:`repro.bv.bitsim`), looks for an easy satisfying assignment (the
    cheap way to answer SAT queries);
-3. *bit-blast + SAT portfolio* -- the complete decision procedure.
+3. *bit-blast + SAT* -- the complete decision procedure: one
+   :class:`~repro.sat.solver.CDCLSolver` solve on the calling thread
+   (:class:`~repro.sat.portfolio.SatPortfolio`).
 
 Every entry point accepts a ``deadline`` (an absolute ``time.monotonic``
 value); queries that exceed it report ``unknown``, which the synthesis
@@ -69,8 +71,8 @@ def lex_min_model(solver: CDCLSolver, bits, model: Dict[int, bool],
     walks the bits in order, keeping each bit it can prove zeroable under
     the already-fixed prefix.  The result is the unique satisfying
     assignment minimizing the ordered bit tuple — a property of the
-    constraint set and the order, not of the search — so whichever
-    portfolio member wins a race, the refined model is the same.
+    constraint set and the order, not of the search — so the refined model
+    never depends on how the solver searched.
     Returns ``None`` if the deadline expires mid-refinement.
 
     ``aig`` and ``outputs`` are the circuit the solver's CNF encodes: the
@@ -200,11 +202,9 @@ def _decode(input_vars: Dict[str, int], model: Dict[int, bool],
 class SmtSolver:
     """A configurable word-level solver instance."""
 
-    def __init__(self, random_probes: int = 32, seed: int = 0,
-                 portfolio: Optional[SatPortfolio] = None) -> None:
+    def __init__(self, random_probes: int = 32, seed: int = 0) -> None:
         self.random_probes = random_probes
         self.rng = random.Random(seed)
-        self.portfolio = portfolio if portfolio is not None else SatPortfolio()
 
     # ------------------------------------------------------------------ #
     def check(self, constraints: Sequence[BVExpr],
@@ -212,7 +212,7 @@ class SmtSolver:
               canonical: bool = False) -> SmtResult:
         """Decide satisfiability with the layered strategy.
 
-        ``canonical=True`` refines any SAT model found by the portfolio to
+        ``canonical=True`` refines any SAT model found by layer 3 to
         the canonical (name-ordered lexicographically smallest) input
         assignment, making layer-3 models search-independent.
         """
@@ -268,16 +268,17 @@ class SmtSolver:
             # decides them all.
             return SmtResult("sat", Model({}, widths), "simulate")
 
-        # Layer 3: bit-blast and race the portfolio.
+        # Layer 3: bit-blast and solve.  Looked up on the class at call
+        # time, so a wrapper installed on SatPortfolio.solve sees the call.
         blaster = BitBlaster()
         bits = blaster.blast(formula)
         cnf, input_vars = aig_to_cnf(blaster.aig, bits)
-        sat_result, winner = self.portfolio.solve(cnf, deadline=deadline)
+        sat_result = SatPortfolio().solve(cnf, deadline=deadline)
         if sat_result.is_unknown:
             return SmtResult("unknown", None, "timeout", sat_result.conflicts,
                              probe_lanes=lanes_spent)
         if sat_result.is_unsat:
-            return SmtResult("unsat", None, f"sat:{winner}",
+            return SmtResult("unsat", None, "sat:cdcl",
                              sat_result.conflicts, probe_lanes=lanes_spent)
 
         model = sat_result.model
@@ -290,15 +291,15 @@ class SmtSolver:
                 # than the unrefined (search-dependent) model — the same
                 # conservative choice IncrementalSmtSession.check makes.
                 # Returning the raw model here would make near-deadline
-                # counterexamples depend on which portfolio member won,
-                # silently breaking the canonical-model equality everything
-                # downstream relies on; a run this close to its budget
-                # ends in "timeout" either way.
+                # counterexamples depend on the search, silently breaking
+                # the canonical-model equality everything downstream
+                # relies on; a run this close to its budget ends in
+                # "timeout" either way.
                 return SmtResult("unknown", None, "timeout",
                                  sat_result.conflicts, probe_lanes=lanes_spent)
 
         return SmtResult("sat", _decode(input_vars, model, widths),
-                         f"sat:{winner}", sat_result.conflicts,
+                         "sat:cdcl", sat_result.conflicts,
                          probe_lanes=lanes_spent)
 
 

@@ -301,9 +301,31 @@ class TestCli:
         ("sofa",
          "module m(input [8:1] a, output out); assign out = a[1]; endmodule",
          ["--template", "bitwise"], "range [8:1] is not supported"),
+        ("sofa",
+         "module m(input [3:0] a, output [7:0] o); assign o = {0{a}}; "
+         "endmodule",
+         ["--template", "bitwise"], "replication count 0 is not positive"),
+        ("sofa",
+         "module m(input [3:0] a, output [7:0] o); assign o = {-1{a}}; "
+         "endmodule",
+         ["--template", "bitwise"], "replication count -1 is not positive"),
+        ("sofa",
+         "module m(input [3:0] a); wire [3:0] w; assign w = a; endmodule",
+         ["--template", "bitwise"], "module 'm' has no output"),
+        # The mapped module could not keep the port: its program has no
+        # free variable for it.
+        ("sofa",
+         "module m(input [3:0] a, output [3:0] o); assign o = 4'd3; "
+         "endmodule",
+         ["--template", "bitwise"], "input 'a' is never read by output 'o'"),
+        ("sofa",
+         "module m(input [3:0] a, output [3:0] o); assign o = a ~^ a; "
+         "endmodule",
+         ["--template", "bitwise"], "input 'a' is never read by output 'o'"),
     ], ids=["unknown-arch", "unsupported-verilog", "missing-module",
             "part-select-past-msb", "bit-select-past-msb", "ascending-range",
-            "offset-range"])
+            "offset-range", "zero-replication", "negative-replication",
+            "no-output", "constant-output", "input-folds-away"])
     def test_input_error_is_one_line_and_exit_1(self, tmp_path, capsys,
                                                 arch, source, extra, message):
         path = tmp_path / "design.v"
@@ -315,6 +337,29 @@ class TestCli:
         assert "Traceback" not in stderr
         [line] = stderr.splitlines()
         assert line.startswith("lakeroad map: error: ") and message in line
+
+    @pytest.mark.parametrize("arch,source,extra", [
+        ("xilinx-ultrascale-plus",
+         "module m(input i_clk, input [7:0] a, b, output reg [15:0] o); "
+         "always @(posedge i_clk) o <= a * b; endmodule", []),
+        ("xilinx-ultrascale-plus",
+         "module m(input ck, input [7:0] a, b, output reg [15:0] o); "
+         "always @(posedge ck) o <= a * b; endmodule", []),
+        ("sofa",
+         "module m(input [3:0] clk, output [3:0] o); assign o = ~clk; "
+         "endmodule", ["--template", "bitwise"]),
+    ], ids=["clock-i_clk", "clock-ck", "data-input-named-clk"])
+    def test_clock_is_the_always_block_clock_not_a_name(self, tmp_path,
+                                                         capsys, arch,
+                                                         source, extra):
+        """The interface is the inputs the output reads; a clock is what
+        ``always @(posedge ...)`` names, whatever it is called."""
+        path = tmp_path / "design.v"
+        path.write_text(source)
+        exit_code = main([str(path), "--arch-desc", arch, *extra])
+        stderr = capsys.readouterr().err
+        assert exit_code == 0, stderr
+        assert "simulation validation: passed" in stderr
 
     @pytest.mark.parametrize("command,flag,unusable", [
         ("sweep", "--jsonl", "missing-directory"),

@@ -1,34 +1,21 @@
 """Tests for the unified mapping-engine layer: the Budget/Outcome model,
-the solver-backend registry, the concurrent portfolio race, the synthesis
-cache and the MappingSession lifecycle."""
-
-import threading
-import time
+the synthesis cache and the MappingSession lifecycle."""
 
 import pytest
 
 from repro.engine import (
     DEFAULT_TIMEOUTS,
     Budget,
-    SolverBackend,
     SynthesisCache,
-    available_backends,
-    backend_by_name,
-    default_backend_names,
     laptop_timeouts,
     mapping_status,
     program_fingerprint,
-    register_backend,
     timeout_for,
-    unregister_backend,
 )
 from repro.engine import stats
 from repro.engine.session import MappingSession
 from repro.harness.runner import ExperimentConfig, run_lakeroad
 from repro.hdl.behavioral import verilog_to_behavioral
-from repro.sat.cnf import CNF
-from repro.sat.portfolio import SatPortfolio, default_portfolio
-from repro.sat.solver import SatResult
 from repro.workloads import sample_workloads
 
 from _fixtures import ADD4, AND4, MUL8
@@ -86,194 +73,6 @@ class TestBudget:
         assert mapping_status("unknown") == "timeout"
         with pytest.raises(ValueError):
             mapping_status("maybe")
-
-
-class TestBackendRegistry:
-    def test_builtin_backends_registered(self):
-        assert {"cdcl", "dpll"} <= set(available_backends())
-        assert default_backend_names()[0] == "cdcl"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KeyError):
-            backend_by_name("bitwuzla")
-
-    def test_registered_backend_joins_default_portfolio(self):
-        def run(cnf, deadline, assumptions, should_stop=None):
-            return SatResult(status="unknown")
-
-        backend = SolverBackend("test-noop", run, default=True)
-        register_backend(backend)
-        try:
-            assert "test-noop" in [m.name for m in default_portfolio()]
-            with pytest.raises(ValueError):
-                register_backend(SolverBackend("test-noop", run))
-        finally:
-            unregister_backend("test-noop")
-        assert "test-noop" not in available_backends()
-
-    def test_cancellation_detection(self):
-        named = SolverBackend(
-            "test-named",
-            lambda c, d, a, should_stop=None: SatResult(status="unknown"),
-            default=False)
-        keyword_only = SolverBackend(
-            "test-kwonly",
-            lambda c, d, a, *, should_stop=None: SatResult(status="unknown"),
-            default=False)
-        legacy = SolverBackend("test-legacy", lambda c, d, a: SatResult(status="unknown"),
-                               default=False)
-        other_fourth = SolverBackend(
-            "test-other", lambda c, d, a, verbose=False: SatResult(status="unknown"),
-            default=False)
-        assert named.supports_cancellation
-        assert keyword_only.supports_cancellation
-        assert not legacy.supports_cancellation
-        assert not other_fourth.supports_cancellation
-        # The hook is passed by keyword, so even keyword-only signatures work.
-        assert keyword_only.solve(CNF(clauses=[[1]]), None, (), lambda: False).is_unknown
-
-
-class TestPortfolioRace:
-    def _satisfiable_cnf(self):
-        return CNF(clauses=[[1, 2], [-1], [-2, 3]])
-
-    def test_fast_member_beats_slow_member(self):
-        """The race returns the first definitive answer without waiting for
-        (or being confused by) a slower member."""
-        slow_calls = []
-
-        def fast(cnf, deadline, assumptions, should_stop=None):
-            return SatResult(status="unsat")
-
-        def slow(cnf, deadline, assumptions, should_stop=None):
-            slow_calls.append(time.monotonic())
-            for _ in range(200):
-                if should_stop is not None and should_stop():
-                    return SatResult(status="unknown")
-                time.sleep(0.01)
-            return SatResult(status="sat", model={})
-
-        portfolio = SatPortfolio([
-            SolverBackend("slow", slow),
-            SolverBackend("fast", fast),
-        ])
-        start = time.monotonic()
-        result, winner = portfolio.solve(self._satisfiable_cnf())
-        elapsed = time.monotonic() - start
-        assert winner == "fast"
-        assert result.is_unsat
-        # The slow member (2 s of sleeping) must not gate the return.
-        assert elapsed < 1.0
-        assert portfolio.win_counts() == {"fast": 1}
-
-    def test_staggered_member_never_starts_when_race_is_decided(self):
-        started = []
-
-        def fast(cnf, deadline, assumptions, should_stop=None):
-            return SatResult(status="sat", model={})
-
-        def lazy(cnf, deadline, assumptions, should_stop=None):
-            started.append(True)
-            return SatResult(status="sat", model={})
-
-        portfolio = SatPortfolio([
-            SolverBackend("fast", fast),
-            SolverBackend("lazy", lazy, stagger=30.0),
-        ])
-        result, winner = portfolio.solve(self._satisfiable_cnf())
-        assert winner == "fast" and result.is_sat
-        assert not started
-
-    def test_unknown_members_do_not_win(self):
-        def unknown(cnf, deadline, assumptions, should_stop=None):
-            return SatResult(status="unknown")
-
-        def eventually(cnf, deadline, assumptions, should_stop=None):
-            time.sleep(0.05)
-            return SatResult(status="sat", model={})
-
-        portfolio = SatPortfolio([
-            SolverBackend("unknown", unknown),
-            SolverBackend("eventually", eventually),
-        ])
-        result, winner = portfolio.solve(self._satisfiable_cnf())
-        assert winner == "eventually"
-        assert result.is_sat
-
-    def test_crashing_member_loses_race(self):
-        def crash(cnf, deadline, assumptions, should_stop=None):
-            raise RuntimeError("boom")
-
-        def steady(cnf, deadline, assumptions, should_stop=None):
-            return SatResult(status="unsat")
-
-        portfolio = SatPortfolio([
-            SolverBackend("crash", crash),
-            SolverBackend("steady", steady),
-        ])
-        result, winner = portfolio.solve(self._satisfiable_cnf())
-        assert winner == "steady"
-        assert result.is_unsat
-
-    def test_all_members_crashing_raises(self):
-        """A systematic bug must surface, not masquerade as a timeout."""
-        def crash(cnf, deadline, assumptions, should_stop=None):
-            raise RuntimeError("boom")
-
-        portfolio = SatPortfolio([
-            SolverBackend("crash-a", crash),
-            SolverBackend("crash-b", crash),
-        ])
-        with pytest.raises(RuntimeError, match="boom"):
-            portfolio.solve(self._satisfiable_cnf())
-
-    def test_stagger_capped_at_half_remaining_budget(self):
-        """A staggered fallback still joins the race when the budget is
-        smaller than its configured head start."""
-        def unknown(cnf, deadline, assumptions, should_stop=None):
-            return SatResult(status="unknown")
-
-        def fallback(cnf, deadline, assumptions, should_stop=None):
-            return SatResult(status="sat", model={})
-
-        portfolio = SatPortfolio([
-            SolverBackend("primary", unknown),
-            SolverBackend("fallback", fallback, stagger=60.0),
-        ])
-        result, winner = portfolio.solve(self._satisfiable_cnf(),
-                                         deadline=time.monotonic() + 1.0)
-        assert winner == "fallback"
-        assert result.is_sat
-
-    def test_single_member_runs_on_the_calling_thread(self):
-        callers = []
-
-        def observed(cnf, deadline, assumptions, should_stop=None):
-            callers.append(threading.current_thread())
-            return SatResult(status="unsat")
-
-        portfolio = SatPortfolio([SolverBackend("only", observed)])
-        result, winner = portfolio.solve(self._satisfiable_cnf())
-        assert result.is_unsat and winner == "only"
-        assert callers == [threading.current_thread()]
-        assert portfolio.win_counts() == {"only": 1}
-
-    def test_stagger_does_not_hold_timeout_hostage(self):
-        """A timing-out query returns at its deadline, not after the
-        staggered fallback member's full head start."""
-        def unknown(cnf, deadline, assumptions, should_stop=None):
-            return SatResult(status="unknown")
-
-        portfolio = SatPortfolio([
-            SolverBackend("primary", unknown),
-            SolverBackend("fallback", unknown, stagger=30.0),
-        ])
-        start = time.monotonic()
-        result, winner = portfolio.solve(self._satisfiable_cnf(),
-                                         deadline=time.monotonic() + 0.2)
-        elapsed = time.monotonic() - start
-        assert result.is_unknown and winner == "none"
-        assert elapsed < 5.0  # far below the 30 s stagger
 
 
 class TestSynthesisCacheUnit:
@@ -393,22 +192,6 @@ class TestMappingSession:
         assert "tampered" not in warm.synthesis.hole_values
         assert warm.resources.luts == cold.resources.luts - 99
 
-    def test_session_adopts_injected_solvers_portfolio(self):
-        from repro.smt.solver import SmtSolver
-
-        solver = SmtSolver()
-        session = MappingSession(solver=solver)
-        assert session.portfolio is solver.portfolio
-
-    def test_session_maps_with_an_injected_portfolio(self):
-        portfolio = SatPortfolio([backend_by_name("cdcl")])
-        session = MappingSession(portfolio=portfolio)
-        assert session.portfolio is portfolio
-        assert session.solver.portfolio is portfolio
-        result = session.map_verilog(AND4, template="bitwise", arch="sofa",
-                                     timeout_seconds=60)
-        assert result.status == "success"
-
     def test_externally_started_budget_is_never_cached(self):
         """A partially-consumed caller budget must not poison the cache:
         its results are not comparable to a fresh full-window run."""
@@ -451,12 +234,6 @@ class TestMappingSession:
         assert not any(r.cache_hit for r in first)
         assert all(r.cache_hit for r in second)
         assert session.cache_stats()["hits"] == len(benchmarks)
-
-    def test_portfolio_wins_tracked_per_session(self):
-        session = MappingSession()
-        session.map_verilog(ADD4, template="bitwise", arch="sofa", timeout_seconds=60)
-        wins = session.portfolio_wins()
-        assert all(isinstance(count, int) for count in wins.values())
 
     def test_trajectory_does_not_depend_on_earlier_maps(self):
         """A multi-iteration map follows the same CEGIS trajectory whatever

@@ -4,9 +4,9 @@ Two independent implementations that must agree exactly are only as
 trustworthy as the inputs they have been compared on.  This suite generates
 random instances from a seed and cross-checks:
 
-* every registered CDCL configuration (``cdcl``, ``cdcl-agile``,
-  ``cdcl-stable``, ``cdcl-static``) and DPLL against brute-force
-  enumeration on random CNFs — sat/unsat status and model validity;
+* the CDCL engine, the legacy CDCL reference and DPLL against
+  brute-force enumeration on random CNFs — sat/unsat status and model
+  validity;
 * the word-level ``check_sat`` stack (simplify → blast → CNF → solver)
   against brute-force evaluation on random bitvector constraints, and
   both canonical-model paths (candidate session, ``canonical=True``)
@@ -36,7 +36,11 @@ random instances from a seed and cross-checks:
   and admission-cap rejections interleaved with a benchmark sweep on a
   fixed pool with a shallow pipe — against the same sweep run serially:
   the served records must be field-identical (minus wall-clock and cache
-  provenance) no matter how the scheduler interleaved or coalesced.
+  provenance) no matter how the scheduler interleaved or coalesced;
+* the Verilog frontend against its contract: modules drawn from a
+  Hypothesis grammar over the accepted subset, mapped through
+  ``lakeroad map`` in-process, must end in success, unsat, timeout or one
+  diagnostic line — never in a traceback.
 
 Every case derives its RNG from ``LAKEROAD_FUZZ_SEED`` (default 0) and its
 case index; failing assertions embed the case seed so a failure replays
@@ -45,13 +49,18 @@ CI runs a fixed seed matrix with larger case counts
 (``LAKEROAD_FUZZ_*_CASES``); the defaults keep the tier-1 run fast.
 """
 
+import contextlib
+import io
 import multiprocessing
 import os
 import random
+import re
+import tempfile
 import time
 import zlib
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from repro.bv import (
     bv, bvvar, bvadd, bvsub, bvmul, bvand, bvor, bvxor, bvnot, bvneg, bveq,
@@ -62,8 +71,11 @@ from repro.bv.bitsim import PackedEvaluator, pack_assignments, unpack_lane
 from repro.bv.cnf import lit_to_cnf, tseitin_gates
 from repro.bv.eval import evaluate, var_widths
 from repro.bv.simplify import substitute
-from repro.engine.backends import backend_by_name
+from repro.cli import main
 from repro.sat.cnf import CNF
+from repro.sat.dpll import DPLLSolver
+from repro.sat.legacy import LegacyCDCLSolver
+from repro.sat.solver import CDCLSolver
 from repro.smt.cegis import Obligation, synthesize
 from repro.smt.solver import SmtSolver, check_sat
 
@@ -80,12 +92,11 @@ BV_CASES = int(os.environ.get("LAKEROAD_FUZZ_BV_CASES", "40"))
 CEGIS_CASES = int(os.environ.get("LAKEROAD_FUZZ_CEGIS_CASES", "18"))
 PACKED_CASES = int(os.environ.get("LAKEROAD_FUZZ_PACKED_CASES", "60"))
 QOS_CASES = int(os.environ.get("LAKEROAD_FUZZ_QOS_CASES", "2"))
+FRONTEND_CASES = int(os.environ.get("LAKEROAD_FUZZ_FRONTEND_CASES", "100"))
 
-#: Every default portfolio member plus the diversified CDCL configs and the
-#: two explicit engine selections (the flat-arena core and the retained
-#: dict-based baseline it must replay exactly).
-SOLVER_BACKENDS = ("cdcl", "cdcl-agile", "cdcl-stable", "cdcl-static",
-                   "cdcl-arena", "cdcl-legacy", "dpll")
+#: The engine, the retained dict-based baseline it must replay exactly, and
+#: an independent DPLL.
+SOLVERS = (CDCLSolver, LegacyCDCLSolver, DPLLSolver)
 
 
 def _case_seed(stream: str, index: int) -> int:
@@ -229,7 +240,7 @@ def _two_candidate_case(rng: random.Random):
 
 
 # --------------------------------------------------------------------------- #
-# (a) SAT-solver differential: backends vs DPLL vs brute force
+# (a) SAT-solver differential: CDCL vs legacy CDCL vs DPLL vs brute force
 # --------------------------------------------------------------------------- #
 class TestSolverDifferential:
     def test_backends_agree_with_brute_force_on_random_cnfs(self):
@@ -238,8 +249,9 @@ class TestSolverDifferential:
             rng = random.Random(case_seed)
             cnf = _random_cnf(rng)
             expected = _brute_force_cnf(cnf)
-            for name in SOLVER_BACKENDS:
-                result = backend_by_name(name).solve(cnf, None, ())
+            for solver in SOLVERS:
+                name = solver.__name__
+                result = solver(cnf).solve()
                 assert result.status == expected, \
                     (f"{name} answered {result.status}, brute force says "
                      f"{expected} on {cnf.clauses!r} {_replay('cnf', case_seed)}")
@@ -261,8 +273,9 @@ class TestSolverDifferential:
             with_units = CNF(num_vars=cnf.num_vars,
                              clauses=cnf.clauses + [[lit] for lit in assumptions])
             expected = _brute_force_cnf(with_units)
-            for name in SOLVER_BACKENDS:
-                result = backend_by_name(name).solve(cnf, None, assumptions)
+            for solver in SOLVERS:
+                name = solver.__name__
+                result = solver(cnf).solve(assumptions)
                 assert result.status == expected, \
                     (f"{name} under assumptions {assumptions!r} answered "
                      f"{result.status}, brute force says {expected} "
@@ -308,8 +321,6 @@ class TestWordLevelDifferential:
 # --------------------------------------------------------------------------- #
 class TestReductionDifferential:
     def test_aggressive_reduction_agrees_with_brute_force(self):
-        from repro.sat.solver import CDCLSolver
-
         reduced_cases = 0
         for index in range(max(1, CNF_CASES // 2)):
             case_seed = _case_seed("reduce", index)
@@ -416,16 +427,12 @@ class TestPackedDifferential:
 #     retired dict-based solver literal for literal
 # --------------------------------------------------------------------------- #
 class TestArenaLegacyDifferential:
-    #: Knob sets spanning both branching orders, both restart policies,
-    #: phase-saving on/off and three reduction aggressiveness levels.
+    #: The defaults and three reduction aggressiveness levels.
     CONFIGS = (
         {},
-        {"restart_policy": "geometric", "restart_base": 8, "var_decay": 0.85,
-         "reduce_interval": 30, "max_lbd_keep": 2},
-        {"branching": "static", "phase_saving": False, "default_phase": True,
-         "reduce_interval": 20},
-        {"default_phase": True, "restart_base": 4, "reduce_interval": 10,
-         "max_lbd_keep": 0},
+        {"reduce_interval": 30, "max_lbd_keep": 2},
+        {"reduce_interval": 20},
+        {"reduce_interval": 10, "max_lbd_keep": 0},
     )
 
     @staticmethod
@@ -441,9 +448,6 @@ class TestArenaLegacyDifferential:
                 solver.total_conflicts)
 
     def test_incremental_trajectories_are_bit_identical(self):
-        from repro.sat.legacy import LegacyCDCLSolver
-        from repro.sat.solver import CDCLSolver
-
         for index in range(max(1, CNF_CASES // 2)):
             case_seed = _case_seed("arena", index)
             rng = random.Random(case_seed)
@@ -470,10 +474,6 @@ class TestArenaLegacyDifferential:
                          f"{_replay('arena', case_seed)}")
 
     def test_unsat_cores_strengthen_to_unsat_in_every_engine(self):
-        from repro.sat.dpll import DPLLSolver
-        from repro.sat.legacy import LegacyCDCLSolver
-        from repro.sat.solver import CDCLSolver
-
         cores_seen = 0
         for index in range(max(1, CNF_CASES // 2)):
             case_seed = _case_seed("arena-core", index)
@@ -507,8 +507,6 @@ class TestArenaLegacyDifferential:
         against the legacy engine's ``load_gates`` (which takes the clause
         route itself): state, trail, verdict and the next solve, over
         random multi-output circuits with overlapping cones."""
-        from repro.sat.legacy import LegacyCDCLSolver
-
         for index in range(BV_CASES):
             case_seed = _case_seed("aig-load", index)
             rng = random.Random(case_seed)
@@ -531,7 +529,6 @@ class TestArenaLegacyDifferential:
 
     def test_cegis_modes_on_legacy_solver_match_arena(self, monkeypatch):
         import repro.smt.solver as smt_solver
-        from repro.sat.legacy import LegacyCDCLSolver
 
         #: Candidate-session loads into the legacy engine: every session
         #: check past the root-level shortcuts builds and loads one.
@@ -764,3 +761,132 @@ class TestServiceQosChurnDifferential:
                          f"{record.outcome!r} {context}")
             assert stats["workers"] == workers, context
             assert stats["rejections"] == rejections, context
+
+
+# --------------------------------------------------------------------------- #
+# (h) Frontend grammar fuzz: every accepted-subset module ends in an answer
+#     or one diagnostic line
+# --------------------------------------------------------------------------- #
+_FRONTEND_BINARY = ("&", "|", "^", "~^", "+", "-", "*", "<<", ">>", ">>>",
+                    "==", "<")
+
+
+def _frontend_constant(draw) -> str:
+    """A sized constant; binary and hex digits may be ``x``/``z``, and a
+    hex digit may not fit the declared width."""
+    width = draw(st.integers(1, 4))
+    base = draw(st.sampled_from("bhd"))
+    if base == "d":
+        return f"{width}'d{draw(st.integers(0, (1 << width) - 1))}"
+    if base == "b":
+        digits = [draw(st.sampled_from("01xz")) for _ in range(width)]
+    else:
+        digits = [draw(st.sampled_from("0123456789abcdefxz"))]
+    return f"{width}'{base}{''.join(digits)}"
+
+
+def _frontend_expr(draw, names, depth: int) -> str:
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        leaf = draw(st.sampled_from(("input", "input", "parameter",
+                                     "constant", "select")))
+        if leaf == "input":
+            return draw(st.sampled_from(names))
+        if leaf == "parameter":
+            return "P"
+        if leaf == "constant":
+            return _frontend_constant(draw)
+        # Inputs are 1-4 bits wide, so bit 4 is always out of range.
+        name = draw(st.sampled_from(names))
+        high = draw(st.integers(0, 4))
+        low = draw(st.integers(0, high))
+        if high == low and draw(st.booleans()):
+            return f"{name}[{high}]"
+        return f"{name}[{high}:{low}]"
+
+    def operand() -> str:
+        return _frontend_expr(draw, names, depth - 1)
+
+    form = draw(st.sampled_from(("unary", "binary", "binary", "ternary",
+                                 "concat", "replicate")))
+    if form == "unary":
+        return f"(~{operand()})"
+    if form == "binary":
+        op = draw(st.sampled_from(_FRONTEND_BINARY))
+        return f"({operand()} {op} {operand()})"
+    if form == "ternary":
+        return f"({operand()} ? {operand()} : {operand()})"
+    if form == "concat":
+        return f"{{{operand()}, {operand()}}}"
+    return f"{{{draw(st.integers(-1, 2))}{{{operand()}}}}}"
+
+
+@st.composite
+def _frontend_modules(draw) -> str:
+    """One module of the accepted subset: 1-3 inputs of 1-4 bits (some
+    ``signed``), a parameter ``P``, and 0-2 register stages clocked by an
+    input under a drawn name."""
+    names = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    ports = []
+    for name in names:
+        width = draw(st.integers(1, 4))
+        signed = "signed " if draw(st.booleans()) else ""
+        declared = f"[{width - 1}:0] " if width > 1 or draw(st.booleans()) \
+            else ""
+        ports.append(f"input {signed}{declared}{name}")
+    stages = draw(st.integers(0, 2))
+    clock = draw(st.sampled_from(("clk", "clock", "ck", "i_clk")))
+    if stages or draw(st.booleans()):
+        ports.insert(draw(st.integers(0, len(ports))), f"input {clock}")
+    out_width = draw(st.integers(1, 6))
+    ports.append(f"output [{out_width - 1}:0] out")
+    parameter = f"parameter P = {draw(st.integers(0, 7))}"
+    in_header = draw(st.booleans())
+    header = f"module fuzz #({parameter}) (" if in_header else "module fuzz("
+    body = [] if in_header else [f"  {parameter};"]
+    value = _frontend_expr(draw, names, draw(st.integers(0, 3)))
+    # Most draws should read every input; an unread one (which only a
+    # folding operator such as ``a ^ a`` still produces) ends in one line.
+    for name in names:
+        if not re.search(rf"(?<![\w']){name}(?!\w)", value):
+            value = f"({value} {draw(st.sampled_from(_FRONTEND_BINARY))} " \
+                    f"{name})"
+    for stage in range(stages):
+        body.append(f"  reg [{out_width - 1}:0] r{stage};")
+        body.append(f"  always @(posedge {clock}) r{stage} <= {value};")
+        value = f"r{stage}"
+    body.append(f"  assign out = {value};")
+    return header + ", ".join(ports) + ");\n" + "\n".join(body) + \
+        "\nendmodule\n"
+
+
+def _map_in_process(source: str):
+    """``lakeroad map`` on ``source``: its exit code and stderr."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "fuzz.v")
+        with open(path, "w") as handle:
+            handle.write(source)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            try:
+                code = main([path, "--template", "bitwise", "--arch-desc",
+                             "sofa", "--no-validate", "--timeout", "2"])
+            except SystemExit as exit_info:
+                code = exit_info.code
+    return code, stderr.getvalue()
+
+
+class TestFrontendGrammarFuzz:
+    @seed(FUZZ_SEED)
+    @settings(max_examples=FRONTEND_CASES, deadline=None, database=None,
+              suppress_health_check=list(HealthCheck))
+    @given(_frontend_modules())
+    def test_every_module_maps_or_fails_in_one_line(self, source):
+        code, stderr = _map_in_process(source)
+        assert "Traceback" not in stderr, stderr
+        if code == 1:
+            lines = stderr.splitlines()
+            assert len(lines) == 1 and \
+                lines[0].startswith("lakeroad map: error: "), stderr
+        else:
+            assert code in (0, 2, 3), (code, stderr)

@@ -254,29 +254,6 @@ class TestIncrementalCdcl:
         solver.solve(assumptions=[1, 2])
         assert solver.learned_count >= first  # never reset between calls
 
-    def test_configuration_knobs_are_validated(self):
-        with pytest.raises(ValueError):
-            CDCLSolver(branching="magic")
-        with pytest.raises(ValueError):
-            CDCLSolver(restart_policy="never")
-
-    def test_diversified_configs_agree_on_status(self):
-        rng = random.Random(17)
-        configs = [
-            {},
-            {"restart_base": 8, "var_decay": 0.85},
-            {"restart_policy": "geometric", "restart_base": 128,
-             "default_phase": True},
-            {"branching": "static", "phase_saving": False},
-        ]
-        for _ in range(25):
-            num_vars = rng.randint(3, 9)
-            clauses = _random_clauses(rng, num_vars, rng.randint(3, 24))
-            statuses = {CDCLSolver(CNF(num_vars=num_vars, clauses=clauses),
-                                   **config).solve().status
-                        for config in configs}
-            assert len(statuses) == 1
-
 
 class TestIncrementalSmtSession:
     def test_constraints_accumulate(self):

@@ -279,6 +279,9 @@ class TestSocketLayer:
         rejected = tmp_path / "comb.v"
         rejected.write_text("module m(input [3:0] a, output reg [3:0] out); "
                             "always @(*) out = a; endmodule")
+        unread = tmp_path / "unread.v"
+        unread.write_text("module m(input [3:0] a, output [3:0] out); "
+                          "assign out = 4'd3; endmodule")
         design = tmp_path / "mul8.v"
         design.write_text(MUL8)
         argv = ["request", "--socket", str(socket_path),
@@ -288,6 +291,9 @@ class TestSocketLayer:
                 assert main([*argv, str(rejected)]) == 1
                 [line] = capsys.readouterr().err.splitlines()
                 assert line.startswith("request failed: ParseError: ")
+                assert main([*argv, str(unread)]) == 1
+                [line] = capsys.readouterr().err.splitlines()
+                assert line.startswith("request failed: ElaborationError: ")
                 # The server stays up and serves the next request.
                 assert main([*argv, str(design)]) == 0
                 assert json.loads(capsys.readouterr().out)["outcome"] == \

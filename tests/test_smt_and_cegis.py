@@ -1,5 +1,6 @@
 """Tests for the word-level solver, equivalence checking and CEGIS."""
 
+import threading
 import time
 
 import pytest
@@ -64,6 +65,27 @@ class TestEquivalence:
         result = check_equivalence(lhs, rhs)
         assert result.is_equivalent
 
+    def test_sat_layer_decides_on_the_calling_thread(self, monkeypatch):
+        """Verification's SAT step is one CDCL solve: it starts no thread."""
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        # The distributive law: equal, but no rewrite makes the DAGs meet,
+        # and with probes off only the SAT layer can decide.
+        a, b, c = (bvvar(name, 6) for name in "abc")
+        result = check_equivalence(bvand(a, bvor(b, c)),
+                                   bvor(bvand(a, b), bvand(a, c)),
+                                   solver=SmtSolver(random_probes=0),
+                                   canonical=True)
+        assert result.is_equivalent
+        assert result.strategy == "sat:cdcl"
+        assert started == []
+
     def test_different_circuits_give_counterexample(self):
         a, b = bvvar("a", 8), bvvar("b", 8)
         result = check_equivalence(bvadd(a, b), bvor(a, b))
@@ -89,9 +111,9 @@ class TestEquivalence:
         assert result.strategy in ("structural", "normalise")
 
     def test_sat_layer_counterexamples_are_canonical(self):
-        # Without probes every counterexample comes from the portfolio race;
+        # Without probes every counterexample comes from the SAT layer;
         # canonical=True makes it the smallest x with x < 100 != x < k,
-        # whichever member won.
+        # however the solver searched.
         width = 8
         x = bvvar("x", width)
         solver = SmtSolver(random_probes=0)
