@@ -258,8 +258,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="per-client cap on admitted-but-unfinished map "
                              "requests (default: 64)")
     parser.add_argument("--cache-dir", default=None,
-                        help="persistent synthesis cache shared by the "
-                             "workers and the front door (default: in-memory)")
+                        help="persistent synthesis cache: the workers write "
+                             "each solve to it and the front door reads it "
+                             "(default: only the front door's in-memory "
+                             "cache)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable synthesis caching (dedup still applies)")
     parser.add_argument("--probes", type=int, default=32, dest="probes",

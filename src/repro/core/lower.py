@@ -11,7 +11,7 @@ the paper specifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.lang import (
     BVNode,
@@ -88,8 +88,17 @@ def _verilog_const(value: int, width: int) -> str:
 
 
 def lower_to_verilog(program: Program, module_name: str = "lakeroad_impl",
-                     output_name: str = "out") -> LoweredDesign:
-    """Lower a hole-free ℒstruct program to a structural Verilog module."""
+                     output_name: str = "out", clock_name: str = "clk",
+                     inputs: Optional[Iterable[Tuple[str, int]]] = None
+                     ) -> LoweredDesign:
+    """Lower a hole-free ℒstruct program to a structural Verilog module.
+
+    ``inputs`` lists the module's ``(name, width)`` input ports in order
+    (the design's declared interface); by default they are the program's
+    variables sorted by name.  ``clock_name`` names the clock port that
+    clocked primitives are wired to (a fresh name if a data port already
+    has it).  Internal wire and instance names never reuse a port name.
+    """
     if not is_structural(program):
         raise ValueError("only ℒstruct programs can be lowered to structural Verilog")
 
@@ -100,10 +109,12 @@ def lower_to_verilog(program: Program, module_name: str = "lakeroad_impl",
     instance_names: List[str] = []
     needs_clock = False
 
-    inputs: List[Tuple[str, int]] = sorted(
-        (node.name, node.width)
-        for node in program.nodes.values() if isinstance(node, VarNode)
-    )
+    if inputs is None:
+        inputs = sorted((node.name, node.width)
+                        for node in program.nodes.values()
+                        if isinstance(node, VarNode))
+    inputs = list(inputs)
+    ports = {name for name, _ in inputs} | {output_name}
 
     def wire_name(node_id: int) -> str:
         return wires[node_id]
@@ -112,8 +123,15 @@ def lower_to_verilog(program: Program, module_name: str = "lakeroad_impl",
 
     def fresh(prefix: str) -> str:
         nonlocal counter
-        counter += 1
-        return f"{prefix}_{counter}"
+        while True:
+            counter += 1
+            name = f"{prefix}_{counter}"
+            if name not in ports:
+                return name
+
+    if clock_name in ports:
+        clock_name = fresh("clk")
+    ports.add(clock_name)
 
     # Emit every node in dependency order (Kahn-style, combinational only:
     # ℒstruct has no registers so the node graph restricted to inputs() is a
@@ -146,7 +164,8 @@ def lower_to_verilog(program: Program, module_name: str = "lakeroad_impl",
             elif isinstance(node, OpNode):
                 assigns.append(_emit_wire_op(node, name, wires))
             elif isinstance(node, PrimNode):
-                text, kind, has_clock, instance_name = _emit_prim(node, name, wires, fresh, program)
+                text, kind, has_clock, instance_name = _emit_prim(
+                    node, name, wires, fresh, program, clock_name)
                 instances.append(text)
                 instance_names.append(instance_name)
                 needs_clock = needs_clock or has_clock
@@ -169,7 +188,7 @@ def lower_to_verilog(program: Program, module_name: str = "lakeroad_impl",
     root_width = program[program.root].width
     port_decls = []
     if needs_clock:
-        port_decls.append("  input clk")
+        port_decls.append(f"  input {clock_name}")
     port_decls += [f"  input [{width - 1}:0] {name}" for name, width in inputs]
     port_decls.append(f"  output [{root_width - 1}:0] {output_name}")
 
@@ -203,7 +222,7 @@ def _emit_wire_op(node: OpNode, name: str, wires: Dict[int, str]) -> str:
 
 
 def _emit_prim(node: PrimNode, out_wire: str, wires: Dict[int, str], fresh,
-               program: Program) -> Tuple[str, str, bool, str]:
+               program: Program, clock_name: str) -> Tuple[str, str, bool, str]:
     metadata = node.metadata
     if metadata is None:
         raise ValueError("Prim node has no compilation metadata")
@@ -223,7 +242,7 @@ def _emit_prim(node: PrimNode, out_wire: str, wires: Dict[int, str], fresh,
         else:
             ports.append(f"    .{port}({wire})")
     if metadata.clock_port:
-        ports.insert(0, f"    .{metadata.clock_port}(clk)")
+        ports.insert(0, f"    .{metadata.clock_port}({clock_name})")
 
     output_width = metadata.output_width or node.width
     if output_width > node.width:

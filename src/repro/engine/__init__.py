@@ -6,9 +6,10 @@
   per-architecture synthesis timeouts.
 * :mod:`repro.engine.stats`    -- the solver counters map every mapping
   result carries, with its merge, cache-hit and wall-clock rules.
-* :mod:`repro.engine.cache`    -- the keyed, memoizing synthesis cache.
-* :mod:`repro.engine.diskcache`-- the persistent (sqlite) cache tier shared
-  across processes and runs.
+* :mod:`repro.engine.cache`    -- the keyed, memoizing in-memory synthesis
+  cache.
+* :mod:`repro.engine.diskcache`-- the persistent (sqlite) synthesis cache
+  shared across processes and runs; a session uses one of the two.
 * :mod:`repro.engine.session`  -- :class:`MappingSession`, which owns the
   whole map-one-design lifecycle (§2.2) and the shared state above.
 * :mod:`repro.engine.parallel` -- the local worker body and sharded
@@ -45,7 +46,6 @@ __all__ = [
     "SynthesisCache",
     "program_fingerprint",
     "DiskSynthesisCache",
-    "TieredSynthesisCache",
     "LakeroadResult",
     "MappingSession",
     "default_session",
@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 _CACHE_EXPORTS = ("SynthesisCache", "program_fingerprint")
-_DISKCACHE_EXPORTS = ("DiskSynthesisCache", "TieredSynthesisCache")
+_DISKCACHE_EXPORTS = ("DiskSynthesisCache",)
 _SESSION_EXPORTS = ("LakeroadResult", "MappingSession", "default_session",
                     "reset_default_session")
 _PARALLEL_EXPORTS = ("SessionSpec", "SweepResult", "run_sweep")

@@ -7,8 +7,9 @@ keys on a *canonical fingerprint* of the design program (node ids are
 globally unique per process, so the raw graph cannot be hashed directly),
 plus the architecture, template, bounded-model-checking window and budget.
 
-The cache is in-memory and bounded (LRU eviction); an on-disk variant is a
-ROADMAP follow-on.
+The cache is in-memory and bounded (LRU eviction).  A session given a
+``cache_dir`` uses :class:`repro.engine.diskcache.DiskSynthesisCache`
+instead, which persists the same entries across processes and runs.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""A persistent, process-shared synthesis cache (sqlite) and its tiering.
+"""A persistent, process-shared synthesis cache (sqlite).
 
 The in-memory :class:`repro.engine.cache.SynthesisCache` dies with the
 process, so harness runs, sharded sweep workers and CI jobs each pay the
@@ -25,10 +25,8 @@ full synthesis cost for workloads every other process has already solved.
   table on write/close, so ``lakeroad cache stats`` reports hit rates over
   the database's whole life, not just one process.
 
-:class:`TieredSynthesisCache` layers the disk cache *under* the in-memory
-LRU as a read-through/write-through tier: gets fall through memory to disk
-(promoting hits back into memory), puts write both.  Sessions build the
-tier automatically when given a ``cache_dir``.
+A session given a ``cache_dir`` uses this cache as its one store, in
+place of the in-memory LRU: every hit is a disk hit.
 """
 
 from __future__ import annotations
@@ -43,10 +41,8 @@ import warnings
 from pathlib import Path
 from typing import Any, Dict, Hashable, Optional
 
-from repro.engine.cache import SynthesisCache
-
 __all__ = ["SCHEMA_VERSION", "DB_NAME", "DiskSynthesisCache",
-           "TieredSynthesisCache", "peek_schema_version", "peek_entry_count"]
+           "peek_schema_version", "peek_entry_count"]
 
 #: Bump whenever the stored value shape (or the key derivation) changes in a
 #: way that makes old entries unusable; mismatched databases fall back to
@@ -60,7 +56,6 @@ SCHEMA_VERSION = 3
 #: The database filename inside a cache directory (the CLI and the session
 #: must agree on it).
 DB_NAME = "synthesis-cache.sqlite"
-_DB_NAME = DB_NAME  # historical alias
 
 
 def canonical_key(key: Hashable) -> str:
@@ -130,16 +125,10 @@ class DiskSynthesisCache:
     must accelerate runs, never abort them.
     """
 
-    def __init__(self, directory, db_name: str = _DB_NAME,
-                 max_entries: Optional[int] = None) -> None:
+    def __init__(self, directory, db_name: str = DB_NAME) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / db_name
-        #: Size cap: a put that grows the table past this evicts the
-        #: least-recently-used entries back down to the cap.  None means
-        #: unbounded (the historical behavior); ``lakeroad cache prune``
-        #: offers one-shot trimming for unbounded caches.
-        self.max_entries = max_entries
         self._lock = threading.Lock()
         self._connection: Optional[sqlite3.Connection] = None
         #: The process that owns ``_connection``.  sqlite handles must not
@@ -150,7 +139,6 @@ class DiskSynthesisCache:
         self.hits = 0
         self.misses = 0
         self.errors = 0
-        self.evictions = 0
         #: Hit/miss counts not yet folded into the database's lifetime
         #: counters (meta keys ``lifetime_hits``/``lifetime_misses``);
         #: flushed on the next write operation or on close, so
@@ -165,16 +153,11 @@ class DiskSynthesisCache:
         #: High-water mark for recency/creation stamps.  Wall clocks step
         #: backwards (NTP corrections, VM migrations); an entry stamped
         #: after such a step would look *older* than everything before it
-        #: and the LRU evictor would drop the hottest entries first.
-        #: ``_stamp`` clamps against this mark so stamps are strictly
-        #: increasing within a process regardless of what the clock does.
+        #: and ``prune`` would drop the hottest entries first.  ``_stamp``
+        #: clamps against this mark so stamps are strictly increasing
+        #: within a process regardless of what the clock does.
         self._last_stamp = 0.0
-        #: Local estimate of the entry count, so the per-query stats path
-        #: never runs COUNT(*); exact at open and after len(), drifts only
-        #: on key overwrites and on other processes' concurrent writes.
-        self._entry_estimate = 0
         self._open()
-        self._entry_estimate = self._count_entries()
 
     # ------------------------------------------------------------------ #
     # Connection lifecycle
@@ -193,8 +176,8 @@ class DiskSynthesisCache:
         directory together contend while they initialise it, and some
         lock waits fail at once instead of using the busy timeout.  Those
         are retried for the busy budget; a database still locked after it
-        is skipped with a warning (None: the cache runs without its disk
-        tier).  Any other error propagates, for :meth:`_open` to
+        is skipped with a warning (None: every get misses and every put
+        is dropped).  Any other error propagates, for :meth:`_open` to
         quarantine.
         """
         deadline = time.monotonic() + _BUSY_SECONDS
@@ -271,18 +254,12 @@ class DiskSynthesisCache:
         self._unflushed_misses = 0
         self._pid = os.getpid()
         self._open()
-        try:
-            row = self._connection.execute(
-                "SELECT COUNT(*) FROM entries").fetchone()
-            self._entry_estimate = int(row[0])
-        except (sqlite3.Error, AttributeError):
-            self._entry_estimate = 0
 
     def _stamp(self) -> float:
         """A wall-clock timestamp clamped to be strictly increasing within
         this process (called with the lock held).  The epsilon keeps
         ordering information across a backwards clock step — ties would
-        otherwise fall back to key order in the LRU eviction query."""
+        otherwise fall back to key order in ``prune``'s LRU query."""
         now = time.time()
         if now <= self._last_stamp:
             now = self._last_stamp + 1e-6
@@ -369,7 +346,6 @@ class DiskSynthesisCache:
                     self._connection.execute(
                         "DELETE FROM entries WHERE key = ?", (text_key,))
                     self._connection.commit()
-                    self._entry_estimate = max(0, self._entry_estimate - 1)
                 except sqlite3.Error:
                     pass
                 return None
@@ -461,38 +437,8 @@ class DiskSynthesisCache:
                     "(key, value, created_at, last_used_at) "
                     "VALUES (?, ?, ?, ?)", (text_key, blob, now, now))
                 self._connection.commit()
-                self._entry_estimate += 1
             except sqlite3.Error:
                 self.errors += 1
-                return
-            if self.max_entries is not None and \
-                    self._entry_estimate > self.max_entries:
-                self._evict_over_cap()
-
-    def _evict_over_cap(self) -> None:
-        """Delete least-recently-used entries beyond ``max_entries``.
-
-        Called with the lock held.  Uses the exact count (the estimate may
-        drift under overwrites and concurrent writers) and is best-effort:
-        an eviction failure degrades to an oversized cache, never an error.
-        """
-        try:
-            row = self._connection.execute(
-                "SELECT COUNT(*) FROM entries").fetchone()
-            count = int(row[0])
-            excess = count - self.max_entries
-            if excess > 0:
-                self._connection.execute(
-                    "DELETE FROM entries WHERE key IN ("
-                    " SELECT key FROM entries"
-                    " ORDER BY last_used_at ASC, created_at ASC, key ASC"
-                    " LIMIT ?)", (excess,))
-                self._connection.commit()
-                self.evictions += excess
-                count -= excess
-            self._entry_estimate = count
-        except sqlite3.Error:
-            self.errors += 1
 
     def prune(self, max_entries: Optional[int] = None,
               max_age_seconds: Optional[float] = None) -> int:
@@ -522,9 +468,6 @@ class DiskSynthesisCache:
                             " LIMIT ?)", (excess,))
                         removed += excess
                 self._connection.commit()
-                row = self._connection.execute(
-                    "SELECT COUNT(*) FROM entries").fetchone()
-                self._entry_estimate = int(row[0])
             except sqlite3.Error:
                 self.errors += 1
         return removed
@@ -545,7 +488,6 @@ class DiskSynthesisCache:
             self.hits = 0
             self.misses = 0
             self.errors = 0
-            self._entry_estimate = 0
             self._dirty_recency.clear()
             self._unflushed_hits = 0
             self._unflushed_misses = 0
@@ -560,7 +502,8 @@ class DiskSynthesisCache:
             except sqlite3.Error:
                 self.errors += 1
 
-    def _count_entries(self) -> int:
+    def __len__(self) -> int:
+        """Exact entry count of the shared database (COUNT(*))."""
         with self._lock:
             self._guard_fork()
             if self._connection is None:
@@ -572,87 +515,8 @@ class DiskSynthesisCache:
                 return 0
             return int(row[0])
 
-    def __len__(self) -> int:
-        """Exact entry count (COUNT(*)); also refreshes the estimate."""
-        count = self._count_entries()
-        self._entry_estimate = count
-        return count
-
     def stats(self) -> Dict[str, int]:
-        """Counters for the per-query hot path.
-
-        ``entries`` is the local estimate (no COUNT(*) table scan — sessions
-        read stats on every mapping); call ``len(cache)`` for the exact
-        shared count.
-        """
+        """This instance's hit/miss/error counters and the shared entry
+        count (exact: sessions read stats once per sweep, not per map)."""
         return {"hits": self.hits, "misses": self.misses,
-                "entries": self._entry_estimate, "errors": self.errors,
-                "evictions": self.evictions}
-
-
-class TieredSynthesisCache:
-    """An in-memory LRU over a persistent disk tier.
-
-    Reads fall through memory to disk and promote hits back into memory;
-    writes go to both tiers.  ``stats()`` reports the combined view the
-    session's counters expect (``hits``/``misses``/``entries``) plus the
-    per-tier breakdown.
-    """
-
-    def __init__(self, memory: Optional[SynthesisCache] = None,
-                 disk: Optional[DiskSynthesisCache] = None) -> None:
-        if disk is None:
-            raise ValueError("TieredSynthesisCache requires a disk tier; "
-                             "use SynthesisCache alone for memory-only caching")
-        self.memory = memory if memory is not None else SynthesisCache()
-        self.disk = disk
-
-    def get(self, key: Hashable) -> Optional[Any]:
-        value = self.memory.get(key)
-        if value is not None:
-            return value
-        value = self.disk.get(key)
-        if value is not None:
-            self.memory.put(key, value)
-        return value
-
-    def put(self, key: Hashable, value: Any) -> None:
-        self.memory.put(key, value)
-        self.disk.put(key, value)
-
-    def clear(self) -> None:
-        self.memory.clear()
-        self.disk.clear()
-
-    def prune(self, max_entries: Optional[int] = None,
-              max_age_seconds: Optional[float] = None) -> int:
-        """Trim the disk tier; the in-memory LRU is already size-capped."""
-        return self.disk.prune(max_entries=max_entries,
-                               max_age_seconds=max_age_seconds)
-
-    def lifetime_stats(self) -> Dict[str, int]:
-        """The disk tier's cross-run hit/miss counters (memory-tier hits
-        are per-process by nature and not persisted)."""
-        return self.disk.lifetime_stats()
-
-    def close(self) -> None:
-        self.disk.close()
-
-    def __len__(self) -> int:
-        return len(self.disk)
-
-    def stats(self) -> Dict[str, int]:
-        memory = self.memory.stats()
-        disk = self.disk.stats()
-        return {
-            # Combined counters: a disk hit is still a cache hit, and only a
-            # miss in *both* tiers is a true miss (every memory miss falls
-            # through to the disk tier, where it is counted exactly once).
-            "hits": memory["hits"] + disk["hits"],
-            "misses": disk["misses"],
-            "entries": disk["entries"],
-            "memory_hits": memory["hits"],
-            "memory_entries": memory["entries"],
-            "disk_hits": disk["hits"],
-            "disk_errors": disk["errors"],
-        }
+                "entries": len(self), "errors": self.errors}

@@ -11,7 +11,9 @@ over many *small* queries.  This module keeps the expensive state alive:
   :class:`~repro.engine.session.MappingSession` built from a
   :class:`~repro.engine.parallel.SessionSpec`.  The session — its
   primitive library and solver — survives across requests, so no request
-  pays the process cold start.
+  pays the process cold start.  The front door answers every repeat, so
+  a worker session caches nothing unless the spec's ``cache_dir`` gives
+  it a disk to write through to.
 * **Front door** — :class:`SolverService`, a single dispatcher thread
   multiplexing worker pipes through a ``selectors`` loop (no threads per
   request, no new dependencies).  Before anything reaches a worker it is
@@ -20,9 +22,10 @@ over many *small* queries.  This module keeps the expensive state alive:
     synthesis-cache key (see
     :func:`repro.engine.session.synthesis_cache_key`) share one solve and
     each get their own reply;
-  - **cache-checked**: an in-memory result cache, tiered over the
-    persistent :class:`~repro.engine.diskcache.DiskSynthesisCache` when the
-    spec has a ``cache_dir``, answers repeats without any IPC;
+  - **cache-checked**: an in-memory result cache, falling through to a
+    read-only view of the persistent
+    :class:`~repro.engine.diskcache.DiskSynthesisCache` when the spec has
+    a ``cache_dir``, answers repeats without any IPC;
   - **least-loaded**: a request that still needs a solve goes to the
     worker with the least outstanding work;
   - **crash-isolated**: a dead worker is restarted and its queued and
@@ -222,6 +225,13 @@ class SolverService:
         if max_pending < 1 or client_queue < 1:
             raise ValueError("pending caps must be at least 1")
         self.spec = spec if spec is not None else SessionSpec()
+        #: What the workers build: the front door answers and coalesces
+        #: every repeat before dispatch, so a worker's own store is only
+        #: worth keeping as the writer of a shared disk cache.
+        self._worker_spec = replace(
+            self.spec,
+            enable_cache=self.spec.enable_cache
+            and self.spec.cache_dir is not None)
         self.workers = workers
         self.max_pipe_backlog = max_pipe_backlog
         self.max_pending = max_pending
@@ -585,7 +595,7 @@ class SolverService:
     # ------------------------------------------------------------------ #
     def _spawn(self, handle: _WorkerHandle) -> None:
         handle.process, handle.conn = _start_worker(
-            self.spec, f"lakeroad-worker-{handle.index}")
+            self._worker_spec, f"lakeroad-worker-{handle.index}")
         self._selector.register(handle.conn, selectors.EVENT_READ,
                                 data=handle)
 

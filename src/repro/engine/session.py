@@ -23,13 +23,13 @@ from typing import Dict, Optional
 from repro.arch import ArchDescription, load_architecture
 from repro.core.interp import interpret
 from repro.core.lang import Program
-from repro.core.lower import LoweredDesign, ResourceCount, lower_to_verilog
+from repro.core.lower import ResourceCount, lower_to_verilog
 from repro.core.sketch_gen import DesignInterface, SketchGenerationError, generate_sketch
 from repro.core.synthesis import SynthesisOutcome, f_lr_star
 from repro.engine import budget as budget_mod
 from repro.engine.budget import Budget
 from repro.engine.cache import SynthesisCache, program_fingerprint
-from repro.engine.diskcache import DiskSynthesisCache, TieredSynthesisCache
+from repro.engine.diskcache import DiskSynthesisCache
 from repro.engine.stats import new as new_stats
 from repro.hdl.behavioral import BehavioralDesign, verilog_to_behavioral
 from repro.smt.solver import SmtSolver
@@ -145,14 +145,12 @@ def _validate_by_simulation(candidate: Program, design: BehavioralDesign,
 class MappingSession:
     """Owns the full map-one-design lifecycle and its shared state.
 
-    Components are injectable for testing and for alternative deployments
-    (e.g. a shared cache across harness shards); by default a session
-    creates its own primitive library, a word-level solver and a bounded
-    synthesis cache.
-
-    ``cache_dir`` layers a persistent :class:`DiskSynthesisCache` under
-    the in-memory LRU so synthesis results survive the process and are
-    shared with concurrent sweep workers.
+    A session owns its primitive library (injectable, so tests can share
+    one), a word-level solver and exactly one result store: a bounded
+    in-memory :class:`SynthesisCache`, or, given a ``cache_dir``, a
+    persistent :class:`DiskSynthesisCache` on its own, so synthesis
+    results survive the process and are shared with concurrent sweep
+    workers.  ``enable_cache=False`` leaves the store unused.
 
     The CEGIS candidate solvers keep their learned databases bounded with
     LBD-based clause reduction (the :class:`~repro.sat.solver.CDCLSolver`
@@ -165,11 +163,8 @@ class MappingSession:
 
     def __init__(self,
                  library: Optional[PrimitiveLibrary] = None,
-                 solver: Optional[SmtSolver] = None,
-                 cache: Optional[SynthesisCache] = None,
                  enable_cache: bool = True,
                  cache_dir=None,
-                 cache_max_entries: Optional[int] = None,
                  random_probes: int = 32) -> None:
         self.library = library if library is not None else PrimitiveLibrary()
         #: Random-probe budget for the packed fast layers (the CEGIS
@@ -180,19 +175,9 @@ class MappingSession:
         if random_probes < 0:
             raise ValueError("random_probes must be non-negative")
         self.random_probes = random_probes
-        self.solver = solver if solver is not None else SmtSolver(
-            random_probes=random_probes)
-        if cache is not None and cache_dir is not None:
-            raise ValueError("pass either an explicit cache or a cache_dir, "
-                             "not both (a silently dropped cache_dir would "
-                             "mean nothing ever persists)")
-        if cache is None:
-            memory = SynthesisCache()
-            cache = TieredSynthesisCache(
-                memory, DiskSynthesisCache(cache_dir,
-                                           max_entries=cache_max_entries)) \
-                if cache_dir is not None else memory
-        self.cache = cache
+        self.solver = SmtSolver(random_probes=random_probes)
+        self.cache = DiskSynthesisCache(cache_dir) if cache_dir is not None \
+            else SynthesisCache()
         self.enable_cache = enable_cache
 
     # ------------------------------------------------------------------ #
@@ -247,7 +232,11 @@ class MappingSession:
                    extra_cycles: int = 1,
                    validate: bool = True,
                    use_cache: Optional[bool] = None) -> LakeroadResult:
-        """Map an imported behavioral design onto the target architecture."""
+        """Map an imported behavioral design onto the target architecture.
+
+        ``use_cache=False`` skips the session's cache for this one request;
+        ``None`` and ``True`` both use it when the session enables caching.
+        """
         start = time.monotonic()
         architecture = _resolve_arch(arch)
         # A caller-supplied budget that is already running has an unknown
@@ -258,35 +247,45 @@ class MappingSession:
             budget = self.budget_for(architecture.name, timeout_seconds)
         budget.start()
 
-        caching = (self.enable_cache if use_cache is None else use_cache) \
+        caching = self.enable_cache and use_cache is not False \
             and not externally_started
-        cache_key = None
+        cached = None
         if caching:
             cache_key = synthesis_cache_key(design, architecture.name,
                                             template, budget, extra_cycles,
                                             validate, self.random_probes)
             cached = self.cache.get(cache_key)
-            if cached is not None:
-                hit = _isolated_copy(cached)
-                hit.cache_hit = True
-                hit.time_seconds = time.monotonic() - start
-                return hit
-
-        result = self._map_cold(design, template, architecture, budget,
-                                extra_cycles, validate, start)
+        if cached is not None:
+            # Sign twins share one cache entry: the hit is renamed, and
+            # its module lowered below, after the design that asked.
+            result = _isolated_copy(cached)
+            result.cache_hit = True
+            result.design_name = design.name
+        else:
+            result = self._map_cold(design, template, architecture, budget,
+                                    extra_cycles, validate)
+        if result.program is not None:
+            lowered = lower_to_verilog(
+                result.program, f"{design.name}_impl",
+                output_name=design.output_name,
+                clock_name=design.clock or "clk",
+                inputs=design.input_widths.items())
+            result.verilog = lowered.verilog
+            result.resources = lowered.resources
+        result.time_seconds = time.monotonic() - start
         # Timeouts are the one wall-clock-dependent status: caching one
         # would make a transient environmental hiccup sticky for the whole
         # session, so only definitive outcomes (success/unsat) are stored.
-        if caching and cache_key is not None and result.status != budget_mod.TIMEOUT:
+        if caching and cached is None and result.status != budget_mod.TIMEOUT:
             self.cache.put(cache_key, _isolated_copy(result))
         return result
 
     # ------------------------------------------------------------------ #
     def _map_cold(self, design: BehavioralDesign, template: str,
                   architecture: ArchDescription, budget: Budget,
-                  extra_cycles: int, validate: bool,
-                  start: float) -> LakeroadResult:
-        """The §2.2 three-step flow: sketch → synthesis → compilation."""
+                  extra_cycles: int, validate: bool) -> LakeroadResult:
+        """Sketch generation and program synthesis, the first two steps of
+        §2.2; :meth:`map_design` compiles the program to Verilog."""
         interface = DesignInterface(input_widths=dict(design.input_widths),
                                    output_width=design.output_width)
         try:
@@ -295,7 +294,7 @@ class MappingSession:
             return LakeroadResult(
                 status=budget_mod.UNSAT, design_name=design.name,
                 architecture=architecture.name, template=template,
-                time_seconds=time.monotonic() - start)
+                time_seconds=0.0)
 
         at_time = design.pipeline_depth
         outcome = f_lr_star(sketch, design.program, at_time=at_time,
@@ -308,20 +307,14 @@ class MappingSession:
             design_name=design.name,
             architecture=architecture.name,
             template=template,
-            time_seconds=time.monotonic() - start,
+            time_seconds=0.0,
+            program=outcome.program,
             hole_values=outcome.hole_values,
             synthesis=outcome,
         )
-        if outcome.program is not None:
-            result.program = outcome.program
-            lowered: LoweredDesign = lower_to_verilog(outcome.program,
-                                                      f"{design.name}_impl")
-            result.verilog = lowered.verilog
-            result.resources = lowered.resources
-            if validate:
-                result.validated = _validate_by_simulation(outcome.program, design,
-                                                           at_time, extra_cycles)
-        result.time_seconds = time.monotonic() - start
+        if outcome.program is not None and validate:
+            result.validated = _validate_by_simulation(outcome.program, design,
+                                                       at_time, extra_cycles)
         return result
 
 

@@ -46,8 +46,9 @@ class ExperimentConfig:
     validate: bool = False
     template: str = "dsp"
     #: Timing experiments set this to False: a cached result reports the
-    #: cache-lookup time, not the synthesis time being measured.  None
-    #: defers to the session's own ``enable_cache`` setting.
+    #: cache-lookup time, not the synthesis time being measured.  Only
+    #: False changes anything: None and True both cache when the session
+    #: enables caching (so JSON ``null`` and archived configs still cache).
     use_cache: Optional[bool] = None
     #: Worker processes for the sweep.  1 runs in-process (the historical
     #: serial behavior); >1 shards the benchmark list across worker

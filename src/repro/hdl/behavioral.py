@@ -36,6 +36,9 @@ class BehavioralDesign:
     output_width: int
     pipeline_depth: int
     verilog: str
+    #: The clock input: the first ``always @(posedge ...)`` clock, else an
+    #: unread input named ``clk``/``clock``; None for a design with neither.
+    clock: Optional[str] = None
 
 
 def pipeline_depth(program: Program) -> int:
@@ -88,13 +91,15 @@ def verilog_to_behavioral(source: str, module_name: Optional[str] = None,
     chosen_output = output if output is not None else next(iter(system.outputs))
     output_width = program[program.root].width
     read = program.free_vars()
-    clocks = {block.clock for block in module.always_blocks}
+    clocks = [block.clock for block in module.always_blocks]
     for name in system.inputs:
-        if name not in read and name not in clocks \
-                and name.lower() not in ("clk", "clock"):
+        if name in read or name in clocks:
+            continue
+        if name.lower() not in ("clk", "clock"):
             raise ElaborationError(
                 f"input {name!r} is never read by output {chosen_output!r} "
                 f"and is not a clock")
+        clocks.append(name)
     input_widths = {name: width for name, width in system.inputs.items()
                     if name in read}
     return BehavioralDesign(
@@ -105,4 +110,5 @@ def verilog_to_behavioral(source: str, module_name: Optional[str] = None,
         output_width=output_width,
         pipeline_depth=pipeline_depth(program),
         verilog=source,
+        clock=clocks[0] if clocks else None,
     )

@@ -1,5 +1,5 @@
 """Tests for the persistent synthesis cache: cross-process round trips,
-schema-version fallback, corruption quarantine, and the tiered layering."""
+schema-version fallback, corruption quarantine, and disk-backed sessions."""
 
 import multiprocessing
 import os
@@ -19,7 +19,6 @@ from repro.engine.diskcache import (
     DB_NAME,
     SCHEMA_VERSION,
     DiskSynthesisCache,
-    TieredSynthesisCache,
     canonical_key,
 )
 from repro.engine.session import MappingSession
@@ -54,7 +53,7 @@ class TestDiskCacheUnit:
         cache.put(KEY, {"answer": 42})
         assert cache.get(KEY) == {"answer": 42}
         assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1,
-                                 "errors": 0, "evictions": 0}
+                                 "errors": 0}
         cache.close()
 
     def test_entries_survive_reopening(self, tmp_path):
@@ -181,32 +180,6 @@ class TestSchemaAndCorruption:
         cache.close()
 
 
-class TestTieredCache:
-    def test_write_through_and_promotion(self, tmp_path):
-        disk = DiskSynthesisCache(tmp_path)
-        tier = TieredSynthesisCache(SynthesisCache(), disk)
-        tier.put(KEY, "value")
-        assert tier.memory.get(KEY) == "value"
-        assert disk.get(KEY) == "value"
-
-        # A cold memory tier (a fresh process) falls through to disk and
-        # promotes the hit.
-        cold = TieredSynthesisCache(SynthesisCache(), DiskSynthesisCache(tmp_path))
-        assert cold.get(KEY) == "value"
-        assert cold.memory.get(KEY) == "value"
-        stats = cold.stats()
-        assert stats["disk_hits"] == 1 and stats["hits"] >= 1
-
-    def test_combined_miss_counts_once(self, tmp_path):
-        tier = TieredSynthesisCache(SynthesisCache(), DiskSynthesisCache(tmp_path))
-        assert tier.get(KEY) is None
-        assert tier.stats()["misses"] == 1
-
-    def test_requires_a_disk_tier(self):
-        with pytest.raises(ValueError):
-            TieredSynthesisCache(SynthesisCache(), None)
-
-
 class TestSessionIntegration:
     def test_fingerprint_is_process_independent(self):
         """Regression: commutative-operand canonicalization used to sort by
@@ -240,19 +213,23 @@ class TestSessionIntegration:
             "result.status, result.cache_hit, result.verilog is not None")
         assert warm == "('success', True, True)"
 
-    def test_explicit_cache_plus_cache_dir_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            MappingSession(cache=SynthesisCache(), cache_dir=tmp_path)
-
-    def test_session_cache_dir_builds_tiered_cache(self, tmp_path):
+    def test_session_cache_dir_is_the_sessions_one_store(self, tmp_path):
         session = MappingSession(cache_dir=tmp_path)
-        assert isinstance(session.cache, TieredSynthesisCache)
+        assert isinstance(session.cache, DiskSynthesisCache)
         cold = session.map_verilog(AND4, template="bitwise", arch="sofa",
                                    timeout_seconds=60)
         assert not cold.cache_hit
+        # A repeat on the same session is a disk hit: there is no memory
+        # store in front of the disk.
+        again = session.map_verilog(AND4, template="bitwise", arch="sofa",
+                                    timeout_seconds=60)
+        assert again.cache_hit
+        assert session.cache_stats() == {"hits": 1, "misses": 1,
+                                         "entries": 1, "errors": 0}
+        assert session.cache.lifetime_stats() == {"lifetime_hits": 1,
+                                                  "lifetime_misses": 1}
 
-        # A second session over the same directory (same process, fresh
-        # memory tier) hits the disk tier.
+        # A second session over the same directory hits it too.
         other = MappingSession(cache_dir=tmp_path)
         warm = other.map_verilog(AND4, template="bitwise", arch="sofa",
                                  timeout_seconds=60)
@@ -260,7 +237,7 @@ class TestSessionIntegration:
         assert warm.status == cold.status
         assert warm.verilog == cold.verilog
         assert warm.hole_values == cold.hole_values
-        assert other.cache_stats()["disk_hits"] == 1
+        assert other.cache_stats()["hits"] == 1
 
     def test_timeouts_are_never_persisted(self, tmp_path):
         session = MappingSession(cache_dir=tmp_path)
@@ -281,7 +258,7 @@ class TestSessionIntegration:
         session = MappingSession(cache_dir=tmp_path)
         cold = session.map_verilog(AND4, template="bitwise", arch="sofa",
                                    timeout_seconds=60)
-        disk = session.cache.disk
+        disk = session.cache
         (text_key, blob), = disk._connection.execute(
             "SELECT key, value FROM entries").fetchall()
         archived = pickle.loads(blob)
@@ -311,20 +288,6 @@ class TestSessionIntegration:
 
 
 class TestLruEviction:
-    def test_put_evicts_least_recently_used_beyond_cap(self, tmp_path):
-        cache = DiskSynthesisCache(tmp_path, max_entries=3)
-        for index in range(3):
-            cache.put(("key", index), f"value-{index}")
-        # Touch key 0 so key 1 becomes the least recently used.
-        assert cache.get(("key", 0)) == "value-0"
-        cache.put(("key", 3), "value-3")
-        assert len(cache) == 3
-        assert cache.get(("key", 1)) is None  # evicted
-        assert cache.get(("key", 0)) == "value-0"
-        assert cache.get(("key", 3)) == "value-3"
-        assert cache.stats()["evictions"] == 1
-        cache.close()
-
     def test_prune_by_entry_count(self, tmp_path):
         cache = DiskSynthesisCache(tmp_path)
         for index in range(6):
@@ -349,19 +312,6 @@ class TestLruEviction:
         assert cache.get(("old",)) is None
         cache.close()
 
-    def test_session_cache_max_entries_plumbs_through(self, tmp_path):
-        session = MappingSession(cache_dir=tmp_path, cache_max_entries=5)
-        assert session.cache.disk.max_entries == 5
-        session.close()
-
-    def test_tiered_prune_forwards_to_disk(self, tmp_path):
-        disk = DiskSynthesisCache(tmp_path)
-        tiered = TieredSynthesisCache(disk=disk)
-        for index in range(4):
-            tiered.put(("key", index), index)
-        assert tiered.prune(max_entries=1) == 3
-        assert len(disk) == 1
-        tiered.close()
 
 
 class _FakeClock:
@@ -383,13 +333,14 @@ class TestMonotonicRecency:
             self, tmp_path, monkeypatch):
         clock = _FakeClock(900.0)
         monkeypatch.setattr(time, "time", clock)
-        cache = DiskSynthesisCache(tmp_path, max_entries=2)
+        cache = DiskSynthesisCache(tmp_path)
         cache.put(("a",), "a")
         clock.now = 1000.0
         cache.put(("b",), "b")
         clock.now = 100.0  # the clock steps backwards
         assert cache.get(("a",)) == "a"  # touched after the step: hottest
-        cache.put(("c",), "c")  # over the cap: one entry must go
+        cache.put(("c",), "c")
+        assert cache.prune(max_entries=2) == 1  # one entry must go
         # The clamp keeps A's recency above B's pre-step stamp, so the
         # stale B is evicted — an unclamped time.time() would stamp the
         # just-touched A at 100 and evict it first.
@@ -510,17 +461,6 @@ class TestLifetimeCounters:
         assert reopened.lifetime_stats() == {"lifetime_hits": 0,
                                              "lifetime_misses": 0}
         reopened.close()
-
-    def test_tiered_cache_exposes_disk_lifetime(self, tmp_path):
-        tiered = TieredSynthesisCache(SynthesisCache(),
-                                      DiskSynthesisCache(tmp_path))
-        tiered.get(KEY)                 # miss in both tiers
-        tiered.put(KEY, "payload")
-        tiered.get(KEY)                 # memory hit: not a disk statistic
-        lifetime = tiered.lifetime_stats()
-        assert lifetime["lifetime_misses"] == 1
-        assert lifetime["lifetime_hits"] == 0
-        tiered.close()
 
     def test_cli_stats_reports_lifetime_hit_rate(self, tmp_path, capsys):
         from repro.cli import main

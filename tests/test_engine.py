@@ -17,8 +17,16 @@ from repro.engine.session import MappingSession
 from repro.harness.runner import ExperimentConfig, run_lakeroad
 from repro.hdl.behavioral import verilog_to_behavioral
 from repro.workloads import sample_workloads
+from repro.workloads.generator import INTEL_FORMS, Microbenchmark
 
 from _fixtures import ADD4, AND4, MUL8
+
+
+def _module_header(verilog: str):
+    """The module name and port names of a mapped module's header."""
+    head, _, _ = verilog.partition(");")
+    first, *ports = head.splitlines()
+    return first.split()[1], [port.split()[-1].rstrip(",") for port in ports]
 
 
 class TestBudget:
@@ -219,6 +227,32 @@ class TestMappingSession:
         assert not again.cache_hit
         assert session.cache_stats() == {"hits": 0, "misses": 0, "entries": 0}
 
+    @pytest.mark.parametrize("use_cache", [None, True, False])
+    def test_disabled_session_caches_nothing_whatever_the_request_says(
+            self, use_cache):
+        session = MappingSession(enable_cache=False)
+        design = verilog_to_behavioral(AND4)
+        for _ in range(2):
+            result = session.map_design(design, template="bitwise",
+                                        arch="sofa", timeout_seconds=60,
+                                        use_cache=use_cache)
+        assert not result.cache_hit
+        assert session.cache_stats() == {"hits": 0, "misses": 0, "entries": 0}
+
+    def test_use_cache_false_skips_the_cache_for_one_request(self):
+        session = MappingSession()
+        design = verilog_to_behavioral(AND4)
+
+        def run(use_cache):
+            return session.map_design(design, template="bitwise", arch="sofa",
+                                      timeout_seconds=60, use_cache=use_cache)
+
+        assert not run(False).cache_hit
+        assert session.cache_stats()["entries"] == 0
+        assert not run(None).cache_hit
+        assert not run(False).cache_hit
+        assert run(True).cache_hit
+
     def test_default_budget_comes_from_engine_table(self):
         session = MappingSession()
         budget = session.budget_for("lattice-ecp5")
@@ -234,6 +268,58 @@ class TestMappingSession:
         assert not any(r.cache_hit for r in first)
         assert all(r.cache_hit for r in second)
         assert session.cache_stats()["hits"] == len(benchmarks)
+
+    @pytest.mark.parametrize("inputs", ["a, b", "b, a"])
+    def test_mapped_module_keeps_the_designs_ports(self, inputs):
+        """The mapped module can replace the design port for port: its
+        clock, inputs (in declared order) and output keep their names."""
+        source = (f"module m(input i_clk, input [7:0] {inputs}, "
+                  "output reg [15:0] o); "
+                  "always @(posedge i_clk) o <= a * b; endmodule")
+        result = MappingSession().map_verilog(source, template="dsp",
+                                              arch="intel-cyclone10lp",
+                                              validate=False)
+        assert result.status == "success"
+        name, ports = _module_header(result.verilog)
+        assert (name, ports) == ("m_impl", ["i_clk", *inputs.split(", "),
+                                            "o"])
+        assert "(i_clk)" in result.verilog and "(clk)" not in result.verilog
+        assert "  assign o = " in result.verilog
+
+    @pytest.mark.parametrize("source", [
+        # A data input named clk: the DSP's clock needs another port.
+        "module m(input [7:0] clk, b, output [7:0] out);"
+        " assign out = clk * b; endmodule",
+        # Ports named like the lowering's internal wires.
+        "module m(input [7:0] w_1, b, output [7:0] w_3);"
+        " assign w_3 = w_1 * b; endmodule",
+    ], ids=["data-input-named-clk", "ports-named-like-wires"])
+    def test_mapped_module_never_reuses_a_port_name(self, source):
+        result = MappingSession().map_verilog(source, template="dsp",
+                                              arch="intel-cyclone10lp",
+                                              validate=False)
+        assert result.status == "success"
+        _, ports = _module_header(result.verilog)
+        wires = [line.split()[-1].rstrip(";")
+                 for line in result.verilog.splitlines()
+                 if line.startswith("  wire ")]
+        assert len(set(ports)) == len(ports)
+        assert not set(ports) & set(wires), (ports, wires)
+
+    def test_cache_hit_is_named_after_the_design_that_asked(self):
+        """Sign twins share one cache entry; each gets its own module."""
+        session = MappingSession()
+        form = next(form for form in INTEL_FORMS if form.name == "mul")
+        mapped = []
+        for signed in (True, False):
+            twin = Microbenchmark("intel-cyclone10lp", form, 8, 0, signed)
+            result = session.map_verilog(twin.verilog, template="dsp",
+                                         arch="intel-cyclone10lp",
+                                         validate=False)
+            mapped.append((result.cache_hit, result.design_name,
+                           _module_header(result.verilog)[0]))
+        assert mapped == [(False, "mul_w8_p0_s", "mul_w8_p0_s_impl"),
+                          (True, "mul_w8_p0_u", "mul_w8_p0_u_impl")]
 
     def test_trajectory_does_not_depend_on_earlier_maps(self):
         """A multi-iteration map follows the same CEGIS trajectory whatever

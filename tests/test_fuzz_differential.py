@@ -40,7 +40,9 @@ random instances from a seed and cross-checks:
 * the Verilog frontend against its contract: modules drawn from a
   Hypothesis grammar over the accepted subset, mapped through
   ``lakeroad map`` in-process, must end in success, unsat, timeout or one
-  diagnostic line — never in a traceback.
+  diagnostic line — never in a traceback; a declared range other than
+  ``[N-1:0]`` must end in the one-line range rejection, and a mapped
+  module must keep the design's inputs (in declared order) and output.
 
 Every case derives its RNG from ``LAKEROAD_FUZZ_SEED`` (default 0) and its
 case index; failing assertions embed the case seed so a failure replays
@@ -820,25 +822,50 @@ def _frontend_expr(draw, names, depth: int) -> str:
     return f"{{{draw(st.integers(-1, 2))}{{{operand()}}}}}"
 
 
+def _frontend_range(draw, width: int, style: str):
+    """A declared range for a ``width``-bit port and whether the frontend
+    must reject it: only ``[N-1:0]`` (or no range, for one bit) is
+    accepted; ``[0:N-1]`` and offset ranges such as ``[N:1]`` are not."""
+    if style == "ascending":
+        return f"[0:{width - 1}] ", width > 1
+    if style == "offset":
+        return f"[{width}:1] ", True
+    if width > 1 or draw(st.booleans()):
+        return f"[{width - 1}:0] ", False
+    return "", False
+
+
 @st.composite
-def _frontend_modules(draw) -> str:
+def _frontend_modules(draw):
     """One module of the accepted subset: 1-3 inputs of 1-4 bits (some
-    ``signed``), a parameter ``P``, and 0-2 register stages clocked by an
-    input under a drawn name."""
+    ``signed``), a parameter ``P``, 0-2 register stages clocked by an input
+    under a drawn name, and an output under a drawn name.  In about one
+    module in five, one port declares a range the frontend rejects.
+
+    Returns the source, its data inputs in declared order, its output
+    name and whether a declared range must be rejected."""
     names = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    odd_style = draw(st.sampled_from(("",) * 8 + ("ascending", "offset")))
+    odd_port = draw(st.integers(0, len(names)))  # len(names): the output
+    rejected = False
     ports = []
-    for name in names:
+    for index, name in enumerate(names):
         width = draw(st.integers(1, 4))
         signed = "signed " if draw(st.booleans()) else ""
-        declared = f"[{width - 1}:0] " if width > 1 or draw(st.booleans()) \
-            else ""
+        declared, odd = _frontend_range(
+            draw, width, odd_style if index == odd_port else "")
+        rejected = rejected or odd
         ports.append(f"input {signed}{declared}{name}")
     stages = draw(st.integers(0, 2))
     clock = draw(st.sampled_from(("clk", "clock", "ck", "i_clk")))
     if stages or draw(st.booleans()):
         ports.insert(draw(st.integers(0, len(ports))), f"input {clock}")
     out_width = draw(st.integers(1, 6))
-    ports.append(f"output [{out_width - 1}:0] out")
+    output = draw(st.sampled_from(("out", "o", "y", "result")))
+    declared, odd = _frontend_range(
+        draw, out_width, odd_style if odd_port == len(names) else "")
+    rejected = rejected or odd
+    ports.append(f"output {declared}{output}")
     parameter = f"parameter P = {draw(st.integers(0, 7))}"
     in_header = draw(st.booleans())
     header = f"module fuzz #({parameter}) (" if in_header else "module fuzz("
@@ -854,13 +881,14 @@ def _frontend_modules(draw) -> str:
         body.append(f"  reg [{out_width - 1}:0] r{stage};")
         body.append(f"  always @(posedge {clock}) r{stage} <= {value};")
         value = f"r{stage}"
-    body.append(f"  assign out = {value};")
-    return header + ", ".join(ports) + ");\n" + "\n".join(body) + \
+    body.append(f"  assign {output} = {value};")
+    source = header + ", ".join(ports) + ");\n" + "\n".join(body) + \
         "\nendmodule\n"
+    return source, names, output, rejected
 
 
 def _map_in_process(source: str):
-    """``lakeroad map`` on ``source``: its exit code and stderr."""
+    """``lakeroad map`` on ``source``: its exit code, stdout and stderr."""
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "fuzz.v")
         with open(path, "w") as handle:
@@ -873,7 +901,7 @@ def _map_in_process(source: str):
                              "sofa", "--no-validate", "--timeout", "2"])
             except SystemExit as exit_info:
                 code = exit_info.code
-    return code, stderr.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 class TestFrontendGrammarFuzz:
@@ -881,12 +909,30 @@ class TestFrontendGrammarFuzz:
     @settings(max_examples=FRONTEND_CASES, deadline=None, database=None,
               suppress_health_check=list(HealthCheck))
     @given(_frontend_modules())
-    def test_every_module_maps_or_fails_in_one_line(self, source):
-        code, stderr = _map_in_process(source)
+    def test_every_module_maps_or_fails_in_one_line(self, drawn):
+        source, inputs, output, rejected = drawn
+        code, stdout, stderr = _map_in_process(source)
         assert "Traceback" not in stderr, stderr
-        if code == 1:
+        if rejected:
+            assert code == 1, (code, stderr)
+            assert re.fullmatch(r"lakeroad map: error: line \d+: range "
+                                r"\[\d+:\d+\] is not supported; declare "
+                                r"\[\d+:0\]\n", stderr), stderr
+        elif code == 1:
             lines = stderr.splitlines()
             assert len(lines) == 1 and \
                 lines[0].startswith("lakeroad map: error: "), stderr
         else:
             assert code in (0, 2, 3), (code, stderr)
+        if code == 0:
+            # The mapped module replaces the design port for port: an
+            # optional clock, then the read inputs in declared order
+            # (every data input is read, or the map fails), then the
+            # output.
+            head, _, _ = stdout.partition(");")
+            first, *ports = head.splitlines()
+            assert first == "module fuzz_impl (", stdout
+            names = [port.split()[-1].rstrip(",") for port in ports]
+            assert names[len(names) - len(inputs) - 1:] == [*inputs, output], \
+                (names, source)
+            assert len(names) - len(inputs) - 1 in (0, 1), (names, source)

@@ -91,6 +91,32 @@ class TestFrontDoor:
         assert stats["dispatched"] == 0
         assert cold.comparable() == warm.comparable()
 
+    def test_workers_cache_nothing_without_a_cache_dir(self):
+        """The front door answers and coalesces every repeat, so workers
+        without a disk to write through to keep no store of their own."""
+        benchmarks = _fast_benchmarks(4)
+        config = ExperimentConfig()
+        with SolverService(SessionSpec(), workers=2) as service:
+            futures = [service.map_benchmark(b, config)
+                       for b in benchmarks * 3]
+            [future.result(timeout=120) for future in futures]
+            stats = service.stats()
+        assert stats["dispatched"] >= 1
+        assert service.worker_cache_stats()["entries"] == 0
+
+    def test_workers_write_every_solve_to_the_cache_dir(self, tmp_path):
+        benchmarks = _fast_benchmarks(4)
+        config = ExperimentConfig()
+        spec = SessionSpec(cache_dir=str(tmp_path))
+        with SolverService(spec, workers=2) as service:
+            futures = [service.map_benchmark(b, config)
+                       for b in benchmarks * 3]
+            records = [future.result(timeout=120) for future in futures]
+            stats = service.stats()
+        assert all(record.outcome != "timeout" for record in records)
+        assert stats["dispatched"] >= 1
+        assert peek_entry_count(tmp_path) == stats["dispatched"]
+
     def test_use_cache_false_disables_caching_but_not_dedup(self):
         with SolverService(SessionSpec(), workers=1) as service:
             first = service.submit(_mul_request(use_cache=False))
@@ -202,6 +228,26 @@ class TestSocketLayer:
         assert stats["requests"] == len(benchmarks) * 4
         # 4 unique designs, 16 requests: at least 12 served warm.
         assert stats["warm_served"] >= 12
+
+    def test_use_cache_on_the_wire_is_an_opt_out(self, tmp_path):
+        """JSON ``null`` caches like ``true``; only ``false`` opts out."""
+        socket_path = tmp_path / "serve.sock"
+
+        def payload(use_cache):
+            return {"op": "map", "verilog": MUL8, "arch": "intel-cyclone10lp",
+                    "benchmark": "mul8", "use_cache": use_cache}
+
+        with SolverService(SessionSpec(), workers=1) as service:
+            with ServerThread(service, socket_path):
+                with ServiceClient(socket_path) as client:
+                    opted_out = [client.request(payload(False), timeout=120)
+                                 for _ in range(2)]
+                    cached = [client.request(payload(None), timeout=120)
+                              for _ in range(2)]
+                    stats = client.stats()
+        assert [r["record"]["cache_hit"] for r in opted_out] == [False, False]
+        assert [r["record"]["cache_hit"] for r in cached] == [False, True]
+        assert stats["dispatched"] == 3
 
     def test_socket_records_equal_direct_submission(self, tmp_path):
         benchmarks = _fast_benchmarks(3)
@@ -316,8 +362,10 @@ class TestGracefulShutdown:
         # The worker's cold solve was a disk-tier miss, flushed on close.
         assert lifetime["lifetime_misses"] >= 1
 
-    def test_close_collects_worker_session_stats(self):
-        with SolverService(SessionSpec(), workers=2) as service:
+    def test_close_collects_worker_session_stats(self, tmp_path):
+        # Workers keep a store (and count its misses) only over a cache dir.
+        spec = SessionSpec(cache_dir=str(tmp_path))
+        with SolverService(spec, workers=2) as service:
             service.submit(_mul_request()).result(timeout=120)
             service.submit(_mul_request(use_cache=None)).result(timeout=120)
         worker_stats = service.worker_cache_stats()
