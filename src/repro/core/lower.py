@@ -11,7 +11,7 @@ the paper specifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.lang import (
     BVNode,
@@ -87,17 +87,16 @@ def _verilog_const(value: int, width: int) -> str:
     return f"{width}'h{value:x}"
 
 
-def lower_to_verilog(program: Program, module_name: str = "lakeroad_impl",
-                     output_name: str = "out", clock_name: str = "clk",
-                     inputs: Optional[Iterable[Tuple[str, int]]] = None
-                     ) -> LoweredDesign:
+def lower_to_verilog(program: Program, module_name: str, *,
+                     inputs: Iterable[Tuple[str, int]], output_name: str,
+                     clock_name: str) -> LoweredDesign:
     """Lower a hole-free ℒstruct program to a structural Verilog module.
 
     ``inputs`` lists the module's ``(name, width)`` input ports in order
-    (the design's declared interface); by default they are the program's
-    variables sorted by name.  ``clock_name`` names the clock port that
-    clocked primitives are wired to (a fresh name if a data port already
-    has it).  Internal wire and instance names never reuse a port name.
+    (the design's declared interface).  ``clock_name`` names the clock
+    port that clocked primitives are wired to (a fresh name if a data port
+    already has it).  Internal wire and instance names never reuse a port
+    name.
     """
     if not is_structural(program):
         raise ValueError("only ℒstruct programs can be lowered to structural Verilog")
@@ -109,10 +108,6 @@ def lower_to_verilog(program: Program, module_name: str = "lakeroad_impl",
     instance_names: List[str] = []
     needs_clock = False
 
-    if inputs is None:
-        inputs = sorted((node.name, node.width)
-                        for node in program.nodes.values()
-                        if isinstance(node, VarNode))
     inputs = list(inputs)
     ports = {name for name, _ in inputs} | {output_name}
 

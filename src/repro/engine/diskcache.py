@@ -177,8 +177,8 @@ class DiskSynthesisCache:
         lock waits fail at once instead of using the busy timeout.  Those
         are retried for the busy budget; a database still locked after it
         is skipped with a warning (None: every get misses and every put
-        is dropped).  Any other error propagates, for :meth:`_open` to
-        quarantine.
+        is dropped, each counted in ``errors``).  Any other error
+        propagates, for :meth:`_open` to quarantine.
         """
         deadline = time.monotonic() + _BUSY_SECONDS
         while True:
@@ -319,6 +319,7 @@ class DiskSynthesisCache:
         with self._lock:
             self._guard_fork()
             if self._connection is None:
+                self.errors += 1
                 self.misses += 1
                 self._unflushed_misses += 1
                 return None
@@ -428,6 +429,7 @@ class DiskSynthesisCache:
         with self._lock:
             self._guard_fork()
             if self._connection is None:
+                self.errors += 1
                 return
             self._flush_recency()
             try:

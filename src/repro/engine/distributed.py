@@ -57,7 +57,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.engine.parallel import SessionSpec, SweepResult, _fork_context
+from repro.engine.parallel import (SessionSpec, SweepResult, _fork_context,
+                                   merge_cache_stats)
 from repro.engine.service import (
     DEFAULT_STREAM_LIMIT,
     ServiceClient,
@@ -539,9 +540,13 @@ class SweepCoordinator:
         assert all(entry is not None for entry in self._merged), \
             "merge lost records despite all shards reporting complete"
         records = [MappingRecord.from_dict(entry) for entry in self._merged]
+        # Workers build their sessions from this spec, so they are taken
+        # to share its cache dir (one that run_worker pointed at another
+        # disk is counted as if it did).
         cache_totals: Counter = Counter()
         for stats in self._worker_cache.values():
-            cache_totals.update(stats)
+            merge_cache_stats(cache_totals, stats,
+                              self.spec.cache_dir is not None)
         self._result = DistributedSweepResult(
             records=records,
             cache_stats=dict(cache_totals),

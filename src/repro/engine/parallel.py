@@ -113,10 +113,10 @@ class SweepResult:
     """A merged sharded sweep: ordered records plus aggregated statistics."""
 
     records: List[MappingRecord]
-    #: Summed per-worker session cache counters.  Hit/miss counters add up
-    #: exactly; ``entries`` sums each worker's end-of-shard view, so with a
-    #: shared disk cache the same persistent entry can be counted by every
-    #: worker that sees it.
+    #: The workers' session cache counters, merged by
+    #: :func:`merge_cache_stats`: hits, misses and errors add up, and
+    #: ``entries`` is the shared database's row count when the workers
+    #: share a cache dir.
     cache_stats: Dict[str, int] = field(default_factory=dict)
     workers: int = 1
 
@@ -208,9 +208,26 @@ def _start_worker(spec: SessionSpec, name: str):
     return process, parent_conn
 
 
-def _stop_workers(workers, cache_totals: Counter) -> None:
-    """Stop and join every ``(process, conn)`` worker, summing the session
-    statistics each sends as its reply to ``stop``.
+def merge_cache_stats(totals: Counter, stats: Dict[str, int],
+                      shared_store: bool) -> None:
+    """Fold one worker session's cache counters into ``totals``.
+
+    Hits, misses and errors add up, and so do the entries of per-worker
+    in-memory stores.  Workers sharing one disk cache (``shared_store``)
+    each report its exact row count, so there ``entries`` is the largest
+    report, not the sum.
+    """
+    stats = dict(stats)
+    if shared_store:
+        totals["entries"] = max(totals["entries"], stats.pop("entries", 0))
+    totals.update(stats)
+
+
+def _stop_workers(workers, cache_totals: Counter,
+                  shared_store: bool) -> None:
+    """Stop and join every ``(process, conn)`` worker, merging into
+    ``cache_totals`` the session statistics each sends as its reply to
+    ``stop`` (:func:`merge_cache_stats`).
 
     A worker still mapping answers once its request is done (its result is
     dropped); one that has not exited within 10 s is killed — workers
@@ -227,7 +244,7 @@ def _stop_workers(workers, cache_totals: Counter) -> None:
             while conn.poll(max(0.0, deadline - time.monotonic())):
                 message = conn.recv()
                 if message[0] == "stats":
-                    cache_totals.update(message[1])
+                    merge_cache_stats(cache_totals, message[1], shared_store)
                     break
         except (EOFError, OSError):
             pass
@@ -351,7 +368,7 @@ def run_sweep(benchmarks: Sequence[Microbenchmark],
     except KeyboardInterrupt:
         interrupted.append(signal.SIGINT)  # landed before the handlers did
     finally:
-        _stop_workers(started, cache_totals)
+        _stop_workers(started, cache_totals, spec.cache_dir is not None)
         for signum, handler in previous.items():
             signal.signal(signum, handler)
 

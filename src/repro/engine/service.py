@@ -679,7 +679,7 @@ class SolverService:
                     if not future.done():
                         future.set_exception(error)
         _stop_workers([(handle.process, handle.conn) for handle in self._pool],
-                      self._worker_cache_stats)
+                      self._worker_cache_stats, self.spec.cache_dir is not None)
         for handle in self._pool:
             self._retire(handle)
 
@@ -713,7 +713,8 @@ class SolverService:
         return stats
 
     def worker_cache_stats(self) -> Dict[str, int]:
-        """Summed worker-session cache counters (complete after close)."""
+        """The worker sessions' cache counters, merged like a sharded
+        sweep's (complete after close)."""
         return dict(self._worker_cache_stats)
 
     def close(self, timeout: float = 30.0) -> None:

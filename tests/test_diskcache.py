@@ -165,6 +165,10 @@ class TestSchemaAndCorruption:
         assert not list(tmp_path.glob("*.corrupt"))
         cache.put(KEY, "value")
         assert cache.get(KEY) is None
+        # The dropped put and the unanswerable get are errors, so a run
+        # that never reached its database cannot pass for a clean one.
+        assert cache.stats() == {"hits": 0, "misses": 1, "entries": 0,
+                                 "errors": 2}
         cache.close()
 
     def test_undeserializable_entry_is_dropped_as_miss(self, tmp_path):

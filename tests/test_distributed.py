@@ -24,6 +24,7 @@ from repro.engine.distributed import (
     run_distributed_sweep,
     run_worker,
 )
+from repro.engine.diskcache import peek_entry_count
 from repro.engine.parallel import SessionSpec, run_sweep
 from repro.harness.runner import ExperimentConfig
 from repro.workloads.generator import Microbenchmark, WorkloadSpec
@@ -477,6 +478,13 @@ class TestEndToEnd:
         assert [r.comparable() for r in result.records] == \
             [r.comparable() for r in serial]
         assert result.telemetry["shards_completed"] == len(benchmarks)
+
+    def test_shared_cache_dir_rows_are_counted_once(self, tmp_path):
+        benchmarks = _fast_benchmarks(4)
+        config = ExperimentConfig(cache_dir=str(tmp_path))
+        result = run_distributed_sweep(benchmarks, config, workers=2,
+                                       shard_size=1, timeout=120)
+        assert result.cache_stats["entries"] == peek_entry_count(tmp_path) > 0
 
     def test_sigkilled_worker_is_reassigned(self):
         from repro.engine.distributed import _local_worker_main

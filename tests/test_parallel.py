@@ -7,6 +7,7 @@ import os
 import re
 import signal
 import time
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,13 @@ import repro.engine.parallel as parallel_mod
 from repro.baselines import YosysLikeMapper, sota_for
 from repro.cli import main
 from repro.engine import stats
-from repro.engine.parallel import SessionSpec, SweepInterrupted, run_sweep
+from repro.engine.diskcache import peek_entry_count
+from repro.engine.parallel import (
+    SessionSpec,
+    SweepInterrupted,
+    merge_cache_stats,
+    run_sweep,
+)
 from repro.engine.session import MappingSession
 from repro.harness.runner import (
     ExperimentConfig,
@@ -108,6 +115,21 @@ class TestShardedSweep:
         assert warm.hit_rate == 1.0
         assert [r.comparable() for r in cold.records] == \
             [r.comparable() for r in warm.records]
+        # Both workers report the shared database's row count; the merge
+        # counts it once.
+        stored = peek_entry_count(tmp_path)
+        assert cold.cache_stats["entries"] == warm.cache_stats["entries"] \
+            == stored > 0
+
+    def test_merge_counts_a_shared_store_once(self):
+        reports = [{"hits": 1, "misses": 2, "entries": 3, "errors": 0},
+                   {"hits": 4, "misses": 1, "entries": 5, "errors": 1}]
+        shared, separate = Counter(), Counter()
+        for report in reports:
+            merge_cache_stats(shared, report, shared_store=True)
+            merge_cache_stats(separate, report, shared_store=False)
+        assert shared == {"hits": 5, "misses": 3, "entries": 5, "errors": 1}
+        assert separate == {"hits": 5, "misses": 3, "entries": 8, "errors": 1}
 
     def test_session_spec_builds_configured_sessions(self, tmp_path):
         spec = SessionSpec(cache_dir=str(tmp_path), enable_cache=False,

@@ -115,7 +115,8 @@ class TestFrontDoor:
             stats = service.stats()
         assert all(record.outcome != "timeout" for record in records)
         assert stats["dispatched"] >= 1
-        assert peek_entry_count(tmp_path) == stats["dispatched"]
+        assert peek_entry_count(tmp_path) == stats["dispatched"] \
+            == service.worker_cache_stats()["entries"]
 
     def test_use_cache_false_disables_caching_but_not_dedup(self):
         with SolverService(SessionSpec(), workers=1) as service:

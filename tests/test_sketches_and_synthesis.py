@@ -5,7 +5,7 @@ import pytest
 
 from repro.arch import load_architecture
 from repro.core.interp import interpret
-from repro.core.lower import ResourceCount, lower_to_verilog
+from repro.core.lower import ResourceCount
 from repro.core.sketch_gen import DesignInterface, SketchGenerationError, generate_sketch
 from repro.core.sublang import is_sketch
 from repro.core.synthesis import f_lr, f_lr_star
