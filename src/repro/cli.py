@@ -106,12 +106,14 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                              f"of {', '.join(architectures)})")
     parser.add_argument("--count", type=int, default=8,
                         help="stratified sample size per architecture (default: 8)")
-    parser.add_argument("--max-width", type=int, default=8,
-                        help="cap benchmark bitwidths (default: 8)")
+    parser.add_argument("--max-width", type=int, default=None,
+                        help="cap benchmark bitwidths (default: 8; with "
+                             "--full, no cap unless given)")
     parser.add_argument("--seed", type=int, default=0,
                         help="sampling seed (default: 0)")
     parser.add_argument("--full", action="store_true",
-                        help="run the complete enumeration instead of a sample")
+                        help="run the complete enumeration instead of a "
+                             "sample (capped by an explicit --max-width)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes to shard across (default: 1)")
     parser.add_argument("--cache-dir", default=None,
@@ -239,7 +241,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         description="Run the long-lived mapping service: a pool of worker "
                     "processes with warm sessions behind a deduplicating, "
                     "caching front door on a unix socket; a request that "
-                    "still needs a solve goes to the least-loaded worker. "
+                    "still needs a solve goes to an idle worker, each "
+                    "worker solving one request at a time. "
                     "Query it with 'lakeroad request'; stop it with "
                     "SIGINT/SIGTERM (in-flight requests drain first). "
                     "Exit codes: 0 after a drained shutdown, 1 input error "
@@ -561,11 +564,12 @@ def _main_sweep(argv) -> int:
     benchmarks = []
     for architecture in architectures:
         if args.full:
-            benchmarks.extend(enumerate_workloads(architecture))
+            benchmarks.extend(enumerate_workloads(architecture,
+                                                  args.max_width))
         else:
-            benchmarks.extend(sample_workloads(architecture, args.count,
-                                               seed=args.seed,
-                                               max_width=args.max_width))
+            benchmarks.extend(sample_workloads(
+                architecture, args.count, seed=args.seed,
+                max_width=8 if args.max_width is None else args.max_width))
     if not benchmarks:
         parser.error("the requested sample is empty (raise --count/--max-width; "
                      "the narrowest enumerated benchmarks are 8 bits wide)")

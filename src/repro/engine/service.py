@@ -26,18 +26,20 @@ over many *small* queries.  This module keeps the expensive state alive:
     read-only view of the persistent
     :class:`~repro.engine.diskcache.DiskSynthesisCache` when the spec has
     a ``cache_dir``, answers repeats without any IPC;
-  - **least-loaded**: a request that still needs a solve goes to the
-    worker with the least outstanding work;
-  - **crash-isolated**: a dead worker is restarted and its queued and
-    in-flight requests are re-dispatched — callers never see the crash.
+  - **sent to an idle worker**: a worker holds at most one request, so
+    a request that still needs a solve waits in the front door until a
+    worker is idle;
+  - **crash-isolated**: a dead worker is restarted and its one in-flight
+    request is re-sent — callers never see the crash.
 
 * **QoS layer** — the front door is also a fair, bounded queue in front
   of a fixed pool of ``workers`` processes:
 
   - **per-client fairness**: submissions are tagged with a client id and
-    held in per-client FIFO queues; a round-robin scheduler hands work
-    to the pool one request per client per rotation, so a flooding
-    client cannot starve the others (order within a client is preserved);
+    held in per-client FIFO queues; a round-robin scheduler hands each
+    idle worker the head of the client that has waited longest, so a
+    flooding client cannot starve the others (order within a client is
+    preserved);
   - **bounded admission**: a global ``max_pending`` cap and a per-client
     ``client_queue`` cap; a submission over either raises
     :class:`ServiceOverloaded` carrying a backlog-derived
@@ -56,9 +58,10 @@ over many *small* queries.  This module keeps the expensive state alive:
 work as the serial sweep (:func:`repro.harness.runner.map_request`), the
 front door derives byte-identical cache keys via
 :func:`synthesis_cache_key`, and shared results are re-stamped with each
-requester's benchmark metadata exactly as the session cache does — so
-served records equal serial ``run_sweep`` records (modulo wall-clock
-fields), regardless of scheduling order.
+requester's own labels through :func:`repro.harness.runner.record_labels`,
+the helper ``map_request`` stamps with — so served records equal serial
+``run_sweep`` records (modulo wall-clock fields), regardless of
+scheduling order.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ import socket
 import threading
 import time
 import warnings
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 from concurrent.futures import Future
 from dataclasses import replace
 from functools import partial
@@ -89,6 +92,7 @@ from repro.harness.runner import (
     MappingRecord,
     MapRequest,
     record_from_result,
+    record_labels,
 )
 
 __all__ = ["MapRequest", "SolverService", "ServiceClient", "ServerThread",
@@ -105,10 +109,6 @@ DEFAULT_SOCKET = "/tmp/lakeroad.sock"
 #: 16 MiB comfortably covers any design the engine can actually solve
 #: while still bounding what one connection can buffer.
 DEFAULT_STREAM_LIMIT = 16 * 1024 * 1024
-
-#: Per-worker cap on requests written to the pipe but not yet answered;
-#: bounds pipe-buffer usage so the dispatcher's sends never block.
-MAX_PIPE_BACKLOG = 16
 
 #: Default global cap on admitted-but-unfinished map submissions.
 DEFAULT_MAX_PENDING = 256
@@ -135,24 +135,17 @@ class ServiceOverloaded(RuntimeError):
 # --------------------------------------------------------------------------- #
 # Requests
 # --------------------------------------------------------------------------- #
-def _restamp(payload: Dict[str, Any], request: MapRequest,
+def _restamp(payload: Dict[str, Any], labels: Dict[str, Any],
              cache_hit: bool, time_seconds: float) -> MappingRecord:
     """A shared result payload re-labelled for one requester.
 
-    Mirrors what the session cache does on a hit: the outcome-derived
-    fields (status, resources, solver telemetry) are replayed verbatim;
-    the benchmark metadata and the wall-clock fields belong to the
+    The outcome-derived fields (status, resources, solver telemetry) are
+    replayed verbatim; ``labels`` (:func:`record_labels` of the
+    requester's request) and the wall-clock fields belong to the
     requester.
     """
-    record = MappingRecord.from_dict(payload)
-    return replace(record,
-                   benchmark=request.benchmark or record.benchmark,
-                   form=request.form if request.benchmark else record.form,
-                   width=request.width if request.benchmark else record.width,
-                   stages=request.stages if request.benchmark else record.stages,
-                   signed=request.signed if request.benchmark else record.signed,
-                   cache_hit=cache_hit,
-                   time_seconds=time_seconds)
+    return replace(MappingRecord.from_dict(payload), **labels,
+                   cache_hit=cache_hit, time_seconds=time_seconds)
 
 
 class _Pending:
@@ -165,11 +158,10 @@ class _Pending:
                  admitted_by: str) -> None:
         self.key = key
         self.request = request
-        #: ``(future, request, client)`` triples: coalesced duplicates may
-        #: carry different benchmark metadata (sign twins share a
-        #: fingerprint), so each waiter's record is stamped from its own
-        #: request.
-        self.waiters: List[Tuple[Future, MapRequest, str]] = []
+        #: ``(future, labels, client)`` triples: coalesced duplicates may
+        #: carry different labels (sign twins share a fingerprint), so each
+        #: waiter's record is stamped from its own request.
+        self.waiters: List[Tuple[Future, Dict[str, Any], str]] = []
         self.request_id = request_id
         self.submitted_at = time.monotonic()
         #: The one client that passed ``_admit`` for this solve; coalesced
@@ -179,30 +171,23 @@ class _Pending:
 
 
 class _WorkerHandle:
-    """A worker process, its pipe, and its share of the request queue."""
+    """A worker process, its pipe, and the one request it is solving."""
 
-    __slots__ = ("index", "process", "conn", "queue", "sent", "served")
+    __slots__ = ("index", "process", "conn", "current", "served")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.process = None
         self.conn = None
-        #: Assigned but not yet written to the pipe.
-        self.queue: Deque[_Pending] = deque()
-        #: Written to the pipe, awaiting a result (send order preserved so
-        #: a crash re-dispatches in the original order).
-        self.sent: "OrderedDict[int, _Pending]" = OrderedDict()
+        #: Written to the pipe and not yet answered; ``None`` when idle.
+        self.current: Optional[_Pending] = None
         self.served = 0
-
-    @property
-    def outstanding(self) -> int:
-        return len(self.queue) + len(self.sent)
 
 
 class SolverService:
-    """The warm-pool front door: dedup, cache check, least-loaded routing,
-    crash restart, per-client fair scheduling and bounded admission in
-    front of a fixed pool of ``workers`` processes.
+    """The warm-pool front door: dedup, cache check, dispatch to idle
+    workers, crash restart, per-client fair scheduling and bounded
+    admission in front of a fixed pool of ``workers`` processes.
 
     Thread-safe: ``submit`` may be called from any thread (the asyncio
     socket layer calls it from executor threads); a single dispatcher
@@ -217,8 +202,7 @@ class SolverService:
     """
 
     def __init__(self, spec: Optional[SessionSpec] = None, workers: int = 2,
-                 max_pipe_backlog: int = MAX_PIPE_BACKLOG, *,
-                 max_pending: int = DEFAULT_MAX_PENDING,
+                 *, max_pending: int = DEFAULT_MAX_PENDING,
                  client_queue: int = DEFAULT_CLIENT_QUEUE) -> None:
         if workers < 1:
             raise ValueError("a service needs at least one worker")
@@ -233,14 +217,14 @@ class SolverService:
             enable_cache=self.spec.enable_cache
             and self.spec.cache_dir is not None)
         self.workers = workers
-        self.max_pipe_backlog = max_pipe_backlog
         self.max_pending = max_pending
         self.client_queue = client_queue
 
         self._lock = threading.Lock()
         self._inflight: Dict[Any, _Pending] = {}
-        #: Per-client FIFO queues of not-yet-assigned submissions plus the
-        #: round-robin rotation the fair scheduler walks.
+        #: Per-client FIFO queues of not-yet-sent submissions plus the
+        #: round-robin rotation the fair scheduler walks: a client is in
+        #: the rotation exactly while its queue is non-empty.
         self._client_queues: Dict[str, Deque[_Pending]] = {}
         self._rr_order: Deque[str] = deque()
         self._pending_total = 0
@@ -303,7 +287,7 @@ class SolverService:
             if self._failed is not None:
                 raise RuntimeError(f"service failed: {self._failed}")
         try:
-            key = self._request_key(request)
+            key, labels = self._key_and_labels(request)
         except Exception as exc:  # unparseable verilog, unknown arch, ...
             future.set_exception(exc)
             with self._lock:
@@ -317,7 +301,7 @@ class SolverService:
             self._client_counter(client)["submitted"] += 1
             pending = self._inflight.get(key)
             if pending is not None:
-                pending.waiters.append((future, request, client))
+                pending.waiters.append((future, labels, client))
                 self._stats["coalesced"] += 1
                 return future
             if caching:
@@ -325,13 +309,13 @@ class SolverService:
                 if payload is not None:
                     self._client_counter(client)["served"] += 1
                     future.set_result(_restamp(
-                        payload, request, cache_hit=True,
+                        payload, labels, cache_hit=True,
                         time_seconds=time.monotonic() - started))
                     return future
             self._admit(client)
             self._next_request_id += 1
             pending = _Pending(key, request, self._next_request_id, client)
-            pending.waiters.append((future, request, client))
+            pending.waiters.append((future, labels, client))
             self._inflight[key] = pending
             queue = self._client_queues.get(client)
             if queue is None:
@@ -396,11 +380,14 @@ class SolverService:
         for _, _, client in pending.waiters:
             self._client_counter(client)["served"] += 1
 
-    def _request_key(self, request: MapRequest) -> Any:
-        """The dedup/cache key for one request.
+    def _key_and_labels(self, request: MapRequest
+                        ) -> Tuple[Any, Dict[str, Any]]:
+        """The dedup/cache key for one request and the labels its record
+        carries.
 
-        Must match :meth:`MappingSession.map_design`'s derivation exactly
-        (both go through :func:`synthesis_cache_key`).
+        The key must match :meth:`MappingSession.map_design`'s derivation
+        exactly (both go through :func:`synthesis_cache_key`), and the
+        labels ``map_request``'s (both go through :func:`record_labels`).
         """
         from repro.engine.session import synthesis_cache_key
         from repro.hdl.behavioral import verilog_to_behavioral
@@ -409,9 +396,10 @@ class SolverService:
         arch_name = self._arch_name(request.arch)
         budget = Budget.for_architecture(arch_name,
                                          override=request.timeout_seconds)
-        return synthesis_cache_key(design, arch_name, request.template,
-                                   budget, request.extra_cycles,
-                                   request.validate, self.spec.random_probes)
+        key = synthesis_cache_key(design, arch_name, request.template,
+                                  budget, request.extra_cycles,
+                                  request.validate, self.spec.random_probes)
+        return key, record_labels(request, design)
 
     def _arch_name(self, arch: str) -> str:
         name = self._arch_names.get(arch)
@@ -461,8 +449,6 @@ class SolverService:
                     else:
                         self._drain_worker(key.data)
                 self._assign_submissions()
-                for handle in self._pool:
-                    self._flush(handle)
                 with self._lock:
                     done = self._closed and not self._inflight
                     expired = self._drain_deadline is not None \
@@ -475,66 +461,38 @@ class SolverService:
             self._shutdown_workers()
 
     def _assign_submissions(self) -> None:
-        """Round-robin assignment from client queues to workers.
+        """Round-robin dispatch from client queues to idle workers.
 
-        Each rotation hands every waiting client one submission, so a
-        flooder's queue depth cannot delay another client by more than one
-        request per rotation.
-        A client that received work moves to the *back* of the rotation —
-        when capacity admits only one assignment per pass (a one-deep
-        pipe), the next free slot still goes to whoever waited longest
-        instead of the same front client every time.  FIFO within a
-        client is absolute: only a client's head is ever assigned, and a
-        head that finds every worker's pipe full stays where it is.
+        Each idle worker, lowest index first, takes the head of the client
+        at the front of the rotation, and that client moves to the back —
+        so the next idle worker goes to whoever waited longest, and a
+        flooder's queue depth cannot delay another client by more than
+        one request per rotation.  FIFO within a client is absolute: only
+        a client's head is ever sent.
         """
-        while True:
+        for handle in self._pool:
+            if handle.current is not None:
+                continue
             with self._lock:
-                for client in [c for c, q in self._client_queues.items()
-                               if not q]:
+                if not self._rr_order:
+                    return
+                client = self._rr_order.popleft()
+                queue = self._client_queues[client]
+                pending = queue.popleft()
+                if queue:
+                    self._rr_order.append(client)
+                else:
                     del self._client_queues[client]
-                    try:
-                        self._rr_order.remove(client)
-                    except ValueError:  # pragma: no cover - defensive
-                        pass
-                rotation = list(self._rr_order)
-            if not rotation:
-                return
-            progress = False
-            for client in rotation:
-                with self._lock:
-                    queue = self._client_queues.get(client)
-                    pending = queue[0] if queue else None
-                if pending is None:
-                    continue
-                # Least-loaded worker; min() keeps the lowest index on ties.
-                handle = min(self._pool, key=lambda h: h.outstanding)
-                if handle.outstanding >= self.max_pipe_backlog:
-                    return  # every pipe is full: no head can move
-                with self._lock:
-                    queue.popleft()
-                    self._stats["dispatched"] += 1
-                    try:
-                        self._rr_order.remove(client)
-                        self._rr_order.append(client)
-                    except ValueError:  # pragma: no cover - defensive
-                        pass
-                handle.queue.append(pending)
-                progress = True
-            if not progress:
-                return
+                self._stats["dispatched"] += 1
+            self._send(handle, pending)
 
-    def _flush(self, handle: _WorkerHandle) -> None:
-        """Write queued requests to the worker, up to the pipe backlog cap."""
-        while handle.queue and len(handle.sent) < self.max_pipe_backlog:
-            pending = handle.queue[0]
-            try:
-                handle.conn.send(("request", pending.request_id,
-                                  pending.request))
-            except (BrokenPipeError, OSError):
-                self._restart(handle)
-                return
-            handle.queue.popleft()
-            handle.sent[pending.request_id] = pending
+    def _send(self, handle: _WorkerHandle, pending: _Pending) -> None:
+        """Make ``pending`` the worker's one request and write it."""
+        handle.current = pending
+        try:
+            handle.conn.send(("request", pending.request_id, pending.request))
+        except (BrokenPipeError, OSError):
+            self._restart(handle)
 
     def _drain_worker(self, handle: _WorkerHandle) -> None:
         try:
@@ -545,9 +503,9 @@ class SolverService:
             self._restart(handle)
 
     def _handle_message(self, handle: _WorkerHandle, message) -> None:
-        kind, request_id, payload = message
-        pending = handle.sent.pop(request_id, None)
-        if pending is None:  # a restarted worker's stale reply
+        kind, _, payload = message
+        pending, handle.current = handle.current, None
+        if pending is None:  # _fail already failed this request
             return
         handle.served += 1
         if kind == "error":
@@ -586,8 +544,8 @@ class SolverService:
         first[0].set_result(_restamp(payload, first[1],
                                      cache_hit=bool(payload.get("cache_hit")),
                                      time_seconds=payload["time_seconds"]))
-        for future, request, _ in rest:
-            future.set_result(_restamp(payload, request, cache_hit=True,
+        for future, labels, _ in rest:
+            future.set_result(_restamp(payload, labels, cache_hit=True,
                                        time_seconds=now - pending.submitted_at))
 
     # ------------------------------------------------------------------ #
@@ -619,7 +577,7 @@ class SolverService:
                 process.join(kill_timeout)
 
     def _restart(self, handle: _WorkerHandle) -> None:
-        """Replace a dead worker; nothing it owed is dropped."""
+        """Replace a dead worker and re-send the request it was solving."""
         with self._lock:
             stopping = self._closed and not self._inflight
             exhausted = not stopping and self._restarts_left <= 0
@@ -630,21 +588,19 @@ class SolverService:
             # Retire the dead pipe first or its EOF-ready fd would spin the
             # selector loop forever.
             self._retire(handle)
-            handle.sent.clear()
-            handle.queue.clear()
             self._fail("worker crashed more times than the restart budget "
                        "allows (is the SessionSpec buildable?)")
             return
         self._retire(handle)
-        requeued = deque(handle.sent.values())
-        requeued.extend(handle.queue)
-        handle.sent.clear()
-        handle.queue = requeued
         self._spawn(handle)
-        self._flush(handle)
+        if handle.current is not None:
+            self._send(handle, handle.current)
 
     def _fail(self, reason: str) -> None:
-        """Terminal failure: refuse new work, fail everything queued."""
+        """Terminal failure: refuse new work, fail everything queued and in
+        flight (a busy worker's late reply is then dropped)."""
+        for handle in self._pool:
+            handle.current = None
         with self._lock:
             self._failed = reason
             pendings = list(self._inflight.values())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.baselines import YosysLikeMapper, sota_for
 from repro.engine import budget as budget_mod
@@ -19,6 +19,7 @@ __all__ = [
     "MappingRecord",
     "record_from_result",
     "MapRequest",
+    "record_labels",
     "map_request",
     "map_benchmark",
     "run_lakeroad",
@@ -249,6 +250,22 @@ class MapRequest:
                    signed=benchmark.signed)
 
 
+def record_labels(request: MapRequest, design) -> Dict[str, Any]:
+    """The requester-owned fields of ``request``'s record.
+
+    ``design`` is the request's parsed Verilog: a request without a
+    ``benchmark`` label is labelled with its module's name and, without a
+    ``width``, its output width.  Every record of a request carries these
+    fields, whichever request's solve it shares.
+    """
+    return dict(architecture=request.arch,
+                benchmark=request.benchmark or design.name,
+                form=request.form,
+                width=request.width or design.output_width,
+                stages=request.stages,
+                signed=request.signed)
+
+
 def map_request(session: MappingSession, request: MapRequest) -> MappingRecord:
     """Map one request on a session and record the data point.
 
@@ -266,13 +283,7 @@ def map_request(session: MappingSession, request: MapRequest) -> MappingRecord:
         validate=request.validate,
         use_cache=request.use_cache,
     )
-    return record_from_result(result,
-                              architecture=request.arch,
-                              benchmark=request.benchmark or design.name,
-                              form=request.form,
-                              width=request.width or design.output_width,
-                              stages=request.stages,
-                              signed=request.signed)
+    return record_from_result(result, **record_labels(request, design))
 
 
 def map_benchmark(session: MappingSession, benchmark: Microbenchmark,

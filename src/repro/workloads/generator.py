@@ -166,11 +166,15 @@ class Microbenchmark:
         return "\n".join(lines) + "\n"
 
 
-def enumerate_workloads(architecture: str) -> List[Microbenchmark]:
-    """The full microbenchmark enumeration for one architecture."""
+def enumerate_workloads(architecture: str,
+                        max_width: Optional[int] = None) -> List[Microbenchmark]:
+    """The full microbenchmark enumeration for one architecture, or its
+    designs at most ``max_width`` bits wide."""
     if architecture not in ARCHITECTURE_WORKLOADS:
         raise KeyError(f"no workload enumeration for architecture {architecture!r}")
     forms, stage_range, width_range = ARCHITECTURE_WORKLOADS[architecture]
+    if max_width is not None:
+        width_range = [width for width in width_range if width <= max_width]
     benchmarks: List[Microbenchmark] = []
     for form in forms:
         for stages in stage_range:
@@ -194,9 +198,7 @@ def sample_workloads(architecture: str, count: int, seed: int = 0,
     small widths (synthesis cost grows with width) while still spanning the
     pipeline depths — this is what the default benchmark configuration runs.
     """
-    full = enumerate_workloads(architecture)
-    if max_width is not None:
-        full = [b for b in full if b.width <= max_width]
+    full = enumerate_workloads(architecture, max_width)
     rng = random.Random(seed)
     by_form: Dict[str, List[Microbenchmark]] = {}
     for benchmark in full:

@@ -686,21 +686,23 @@ class TestServiceQosChurnDifferential:
         for index in range(QOS_CASES):
             case_seed = _case_seed("qos-churn", index)
             rng = random.Random(case_seed)
+            context = _replay("qos-churn", case_seed)
+            # Width 8 is the narrowest the enumeration has; a smaller cap
+            # draws no benchmark, and then nothing is ever submitted.
             benchmarks = small_workloads(4, seed=case_seed & 0xFFFF,
-                                         max_width=6)
+                                         max_width=8)
+            assert len(benchmarks) == 4, context
             config = ExperimentConfig()
             serial = run_sweep(benchmarks, config, workers=1).records
-            context = _replay("qos-churn", case_seed)
 
             # A deliberately tight service: random caps small enough that
-            # the flood can draw rejections, and a one- or two-deep pipe so
-            # most of the load waits in the fair scheduler's queues.
+            # the flood can draw rejections.  A worker holds one request,
+            # so most of the load waits in the fair scheduler's queues.
             spec = SessionSpec.from_config(config)
             flood_indices = iter(rng.sample(range(64), 48))
             primary, flood, rejections = [], [], 0
             workers = rng.randint(1, 2)
             with SolverService(spec, workers=workers,
-                               max_pipe_backlog=rng.choice((1, 2)),
                                max_pending=rng.randint(8, 14),
                                client_queue=rng.randint(4, 8)) as service:
                 for benchmark in benchmarks:

@@ -292,6 +292,16 @@ class TestSweepSummary:
             record.stats["db_size_peak"] for record in records)
         assert "solver counters:" in capsys.readouterr().err
 
+    def test_full_enumeration_is_capped_by_an_explicit_max_width(
+            self, tmp_path):
+        records_path = tmp_path / "records.jsonl"
+        assert main(["sweep", "--full", "--max-width", "8",
+                     "--arch", "intel-cyclone10lp", "--no-cache",
+                     "--jsonl", str(records_path)]) == 0
+        names = sorted(r.benchmark for r in records_from_jsonl(records_path))
+        assert names == sorted(f"mul_w8_p{stages}_{sign}"
+                               for stages in range(3) for sign in "us")
+
 
 # --------------------------------------------------------------------------- #
 # Baseline tool labeling

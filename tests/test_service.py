@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,8 @@ from repro.engine.service import (
     SolverService,
 )
 from repro.harness.bench import DEFAULT_DIFF_THRESHOLDS, diff_snapshots
-from repro.harness.runner import ExperimentConfig, MappingRecord
+from repro.harness.runner import ExperimentConfig, MappingRecord, map_request
+from repro.workloads import enumerate_workloads
 
 from _fixtures import ADD4, AND4, MUL8, small_workloads as _fast_benchmarks
 
@@ -130,7 +132,7 @@ class TestFrontDoor:
         assert stats["dispatched"] == 2         # the third solved again
         assert not third.cache_hit
 
-    def test_distinct_designs_spread_over_least_loaded_workers(self):
+    def test_distinct_designs_spread_over_idle_workers(self):
         with SolverService(SessionSpec(), workers=2) as service:
             a = service.submit(MapRequest(verilog=AND4, arch="sofa",
                                           template="bitwise", benchmark="a"))
@@ -166,7 +168,7 @@ class TestCrashRecovery:
         with SolverService(SessionSpec(), workers=2) as service:
             futures = [service.map_benchmark(b, config) for b in benchmarks]
             # SIGKILL both workers mid-burst (they ignore SIGTERM by
-            # design); sent and queued requests must be re-dispatched.
+            # design); each one's in-flight request must be re-sent.
             for handle in service._pool:
                 handle.process.kill()
             records = [future.result(timeout=120) for future in futures]
@@ -189,6 +191,33 @@ class TestCrashRecovery:
             with pytest.raises(RuntimeError, match="service failed"):
                 service.submit(_mul_request())
 
+    def test_a_busy_workers_late_reply_after_the_budget_ran_out_is_dropped(
+            self, monkeypatch):
+        """The failure fails the busy worker's request at once; its reply,
+        arriving later, must not crash the dispatcher or replace the
+        failure's reason."""
+        import repro.engine.parallel as parallel_mod
+        from loadgen import design_verilog, encode_delay, make_fake_serve
+
+        monkeypatch.setattr(parallel_mod, "map_request", make_fake_serve())
+        with SolverService(SessionSpec(enable_cache=False),
+                           workers=2) as service:
+            slow = service.submit(MapRequest(
+                verilog=design_verilog(0, "x"), arch="intel-cyclone10lp",
+                use_cache=False, form=encode_delay(0.5)))
+            deadline = time.monotonic() + 30
+            while service.stats()["dispatched"] == 0 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            service._restarts_left = 0
+            with pytest.warns(RuntimeWarning, match="restart budget"):
+                service._pool[1].process.kill()  # worker 0 holds the solve
+                with pytest.raises(RuntimeError, match="restart budget"):
+                    slow.result(timeout=30)
+            time.sleep(1.0)  # the busy worker answers meanwhile
+            assert "restart budget" in service._failed
+            assert service._thread.is_alive()
+
 
 # --------------------------------------------------------------------------- #
 # Determinism: served ≡ serial
@@ -205,6 +234,36 @@ class TestServedEqualsSerial:
         assert [r.comparable() for r in serial] == \
             [r.comparable() for r in served]
         assert [r.benchmark for r in served] == [b.name for b in benchmarks]
+
+    @pytest.mark.parametrize("label_first", [False, True],
+                             ids=["unlabelled", "labelled_then_unlabelled"])
+    def test_sign_twins_sharing_a_solve_keep_their_own_labels(
+            self, label_first):
+        """Sign twins share one solve, and each record carries its own
+        request's labels, as ``map_request`` on one session stamps them:
+        a request without a ``benchmark`` label gets its module's name and
+        output width, never the labels of the request that solved."""
+        config = ExperimentConfig()
+        by_name = {b.name: b for b in enumerate_workloads("lattice-ecp5", 8)}
+        requests = [MapRequest.from_benchmark(by_name[name], config)
+                    for name in ("mul_and_w8_p1_s", "mul_and_w8_p1_u")]
+        unlabelled = dict(benchmark="", form="", width=0, stages=0,
+                          signed=False)
+        requests = [request if label_first and index == 0
+                    else replace(request, **unlabelled)
+                    for index, request in enumerate(requests)]
+        spec = SessionSpec.from_config(config)
+        with spec.build() as session:
+            serial = [map_request(session, request) for request in requests]
+        with SolverService(spec, workers=1) as service:
+            futures = [service.submit(request) for request in requests]
+            served = [future.result(timeout=120) for future in futures]
+            stats = service.stats()
+        assert stats["dispatched"] == 1
+        assert [r.benchmark for r in served] == \
+            ["mul_and_w8_p1_s", "mul_and_w8_p1_u"]
+        assert [r.comparable() for r in served] == \
+            [r.comparable() for r in serial]
 
 
 # --------------------------------------------------------------------------- #

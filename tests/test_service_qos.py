@@ -7,7 +7,7 @@ deterministic stand-in from ``tests/loadgen.py`` (monkeypatched before
 service construction; the fork start method snapshots it into every
 worker), so they assert on *ordering and admission*, not solver
 wall-clock.  The served-equals-serial suite at the bottom runs real
-solves through a one-deep pipe on a two-worker pool.
+solves on a two-worker pool.
 """
 
 import contextlib
@@ -174,8 +174,7 @@ class TestAdmission:
         admission slot, not one per waiter — per-waiter release credited
         the caps for slots never taken, so backpressure quietly stopped
         triggering under dedup-heavy traffic."""
-        with fake_service(monkeypatch, workers=1, max_pending=2,
-                          max_pipe_backlog=4) as service:
+        with fake_service(monkeypatch, workers=1, max_pending=2) as service:
             # The head solve needs a real delay: an instant fake solve can
             # finish before the twins below are even submitted, and then
             # nothing coalesces.
@@ -235,8 +234,8 @@ class TestFairScheduling:
             self, monkeypatch):
         gate = _gate()
         completed = []
-        with fake_service(monkeypatch, delay=0.004, gate=gate, workers=1,
-                          max_pipe_backlog=1) as service:
+        with fake_service(monkeypatch, delay=0.004, gate=gate,
+                          workers=1) as service:
             futures = []
             for i in range(8):
                 future = service.submit(_req(i, flavor="f"), client="flood")
@@ -269,8 +268,7 @@ class TestFairScheduling:
                          delay=0.05)
         flood = Profile(name="flood", kind="flooder", requests=40,
                         base=0, flavor="f", delay=0.02)
-        with fake_service(monkeypatch, workers=1, max_pipe_backlog=1,
-                          max_pending=256) as service:
+        with fake_service(monkeypatch, workers=1) as service:
             uncontended = summarize(drive_service(service, [steady], seed=7))
             contended = summarize(
                 drive_service(service, [flood, steady], seed=7))
@@ -441,7 +439,7 @@ class TestSocketBackpressure:
 
 
 # --------------------------------------------------------------------------- #
-# Determinism: served == serial through a one-deep pipe
+# Determinism: served == serial while most of the sweep waits to be sent
 # --------------------------------------------------------------------------- #
 class TestServedEqualsSerialUnderChurn:
     def test_served_records_equal_serial_sweep(self):
@@ -449,9 +447,10 @@ class TestServedEqualsSerialUnderChurn:
         config = ExperimentConfig()
         serial = run_sweep(benchmarks, config, workers=1).records
         spec = SessionSpec.from_config(config)
-        # A one-deep pipe keeps most of the sweep in the client queue, so
-        # every completion re-runs assignment across both workers.
-        with SolverService(spec, workers=2, max_pipe_backlog=1) as service:
+        # A worker holds one request, so most of the sweep waits in the
+        # client queue and every completion re-runs dispatch across both
+        # workers.
+        with SolverService(spec, workers=2) as service:
             futures = [service.map_benchmark(b, config) for b in benchmarks]
             served = [future.result() for future in futures]
             stats = service.stats()
