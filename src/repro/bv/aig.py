@@ -50,17 +50,17 @@ class AIG:
         return lit ^ 1
 
     def and_gate(self, a: int, b: int) -> int:
-        """Return a literal for ``a AND b`` (with local simplification)."""
+        """Return a literal for ``a AND b`` (with local simplification).
+
+        Every gate below is built here, with its inversions spelled ``^ 1``,
+        so one strash path serves them all.
+        """
         if a > b:
             a, b = b, a
-        if a == FALSE_LIT or b == FALSE_LIT or a == self.negate(b):
+        if a == FALSE_LIT or a == b ^ 1:
             return FALSE_LIT
-        if a == TRUE_LIT:
+        if a == TRUE_LIT or a == b:
             return b
-        if b == TRUE_LIT:
-            return a
-        if a == b:
-            return a
         key = (a, b)
         cached = self._strash.get(key)
         if cached is not None:
@@ -72,15 +72,15 @@ class AIG:
         return lit
 
     def or_gate(self, a: int, b: int) -> int:
-        return self.negate(self.and_gate(self.negate(a), self.negate(b)))
+        return self.and_gate(a ^ 1, b ^ 1) ^ 1
 
     def xor_gate(self, a: int, b: int) -> int:
         # a XOR b = (a AND !b) OR (!a AND b)
-        return self.or_gate(self.and_gate(a, self.negate(b)),
-                            self.and_gate(self.negate(a), b))
+        and_gate = self.and_gate
+        return and_gate(and_gate(a, b ^ 1) ^ 1, and_gate(a ^ 1, b) ^ 1) ^ 1
 
     def xnor_gate(self, a: int, b: int) -> int:
-        return self.negate(self.xor_gate(a, b))
+        return self.xor_gate(a, b) ^ 1
 
     def mux(self, sel: int, on_true: int, on_false: int) -> int:
         """``sel ? on_true : on_false``."""
@@ -90,8 +90,9 @@ class AIG:
             return on_true
         if sel == FALSE_LIT:
             return on_false
-        return self.or_gate(self.and_gate(sel, on_true),
-                            self.and_gate(self.negate(sel), on_false))
+        and_gate = self.and_gate
+        return and_gate(and_gate(sel, on_true) ^ 1,
+                        and_gate(sel ^ 1, on_false) ^ 1) ^ 1
 
     def and_many(self, lits: List[int]) -> int:
         result = TRUE_LIT

@@ -17,9 +17,41 @@ from repro.bv.ast import BVExpr
 __all__ = ["substitute", "simplify", "rebuild"]
 
 
+#: Operators whose smart constructor takes the rebuilt arguments alone.
+_SIMPLE = {
+    "add": builder.bvadd,
+    "sub": builder.bvsub,
+    "mul": builder.bvmul,
+    "neg": builder.bvneg,
+    "not": builder.bvnot,
+    "and": builder.bvand,
+    "or": builder.bvor,
+    "xor": builder.bvxor,
+    "xnor": builder.bvxnor,
+    "shl": builder.bvshl,
+    "lshr": builder.bvlshr,
+    "ashr": builder.bvashr,
+    "eq": builder.bveq,
+    "ne": builder.bvne,
+    "ult": builder.bvult,
+    "ule": builder.bvule,
+    "ugt": builder.bvugt,
+    "uge": builder.bvuge,
+    "slt": builder.bvslt,
+    "sle": builder.bvsle,
+    "sgt": builder.bvsgt,
+    "sge": builder.bvsge,
+    "redand": builder.bvredand,
+    "redor": builder.bvredor,
+}
+
+
 def _rebuild_node(node: BVExpr, new_args: list) -> BVExpr:
     """Rebuild a single non-leaf node through the smart constructors."""
     op = node.op
+    simple = _SIMPLE.get(op)
+    if simple is not None:
+        return simple(*new_args)
     if op == "extract":
         hi, lo = node.params
         return builder.bvextract(hi, lo, new_args[0])
@@ -27,34 +59,6 @@ def _rebuild_node(node: BVExpr, new_args: list) -> BVExpr:
         return builder.bvconcat(*new_args)
     if op == "ite":
         return builder.bvite(*new_args)
-    simple = {
-        "add": builder.bvadd,
-        "sub": builder.bvsub,
-        "mul": builder.bvmul,
-        "neg": builder.bvneg,
-        "not": builder.bvnot,
-        "and": builder.bvand,
-        "or": builder.bvor,
-        "xor": builder.bvxor,
-        "xnor": builder.bvxnor,
-        "shl": builder.bvshl,
-        "lshr": builder.bvlshr,
-        "ashr": builder.bvashr,
-        "eq": builder.bveq,
-        "ne": builder.bvne,
-        "ult": builder.bvult,
-        "ule": builder.bvule,
-        "ugt": builder.bvugt,
-        "uge": builder.bvuge,
-        "slt": builder.bvslt,
-        "sle": builder.bvsle,
-        "sgt": builder.bvsgt,
-        "sge": builder.bvsge,
-        "redand": builder.bvredand,
-        "redor": builder.bvredor,
-    }
-    if op in simple:
-        return simple[op](*new_args)
     raise ValueError(f"cannot rebuild node with operator {op!r}")
 
 

@@ -29,7 +29,6 @@ from repro.core.synthesis import SynthesisOutcome, f_lr_star
 from repro.engine import budget as budget_mod
 from repro.engine.budget import Budget
 from repro.engine.cache import SynthesisCache, program_fingerprint
-from repro.engine.diskcache import DiskSynthesisCache
 from repro.engine.stats import new as new_stats
 from repro.hdl.behavioral import BehavioralDesign, verilog_to_behavioral
 from repro.smt.solver import SmtSolver
@@ -148,7 +147,8 @@ class MappingSession:
     A session owns its primitive library (injectable, so tests can share
     one), a word-level solver and exactly one result store: a bounded
     in-memory :class:`SynthesisCache`, or, given a ``cache_dir``, a
-    persistent :class:`DiskSynthesisCache` on its own, so synthesis
+    persistent :class:`~repro.engine.diskcache.DiskSynthesisCache` on its
+    own (imported only then, with its ``sqlite3``), so synthesis
     results survive the process and are shared with concurrent sweep
     workers.  ``enable_cache=False`` leaves the store unused.
 
@@ -176,8 +176,12 @@ class MappingSession:
             raise ValueError("random_probes must be non-negative")
         self.random_probes = random_probes
         self.solver = SmtSolver(random_probes=random_probes)
-        self.cache = DiskSynthesisCache(cache_dir) if cache_dir is not None \
-            else SynthesisCache()
+        if cache_dir is not None:
+            from repro.engine.diskcache import DiskSynthesisCache
+
+            self.cache = DiskSynthesisCache(cache_dir)
+        else:
+            self.cache = SynthesisCache()
         self.enable_cache = enable_cache
 
     # ------------------------------------------------------------------ #

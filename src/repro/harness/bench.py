@@ -2,7 +2,8 @@
 
 The bench harness measures the numbers ROADMAP experiments and CI trend
 lines care about and writes them to ``BENCH_<rev>.json`` (``<rev>`` is the
-short git revision, or ``unknown`` outside a checkout):
+short git revision, ``<rev>-dirty`` when tracked files differ from it, or
+``unknown`` outside a checkout):
 
 * **probe throughput** — scalar ``evaluate`` versus the packed 64-lane
   :class:`~repro.bv.bitsim.PackedEvaluator` on a representative synthesis
@@ -78,15 +79,27 @@ _PROBE_COUNTERS = ("probe_lanes_evaluated", "probe_hits",
 
 
 def git_revision(repo_root: Optional[Path] = None) -> str:
-    """The short git revision of the checkout (``unknown`` when not a repo)."""
+    """The short git revision of the checkout (``unknown`` when not a repo).
+
+    A checkout whose tracked files differ from that revision is named
+    ``<rev>-dirty``, so a snapshot of uncommitted code never carries its
+    parent's name.  Untracked files do not count.
+    """
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *args], cwd=repo_root,
+                              capture_output=True, text=True, timeout=10)
+
     try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=repo_root, capture_output=True, text=True, timeout=10)
+        head = git("rev-parse", "--short", "HEAD")
+        revision = head.stdout.strip()
+        if head.returncode != 0 or not revision:
+            return "unknown"
+        status = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
-    revision = completed.stdout.strip()
-    return revision if completed.returncode == 0 and revision else "unknown"
+    if status.returncode != 0 or status.stdout.strip():
+        revision += "-dirty"
+    return revision
 
 
 def _peak_rss_kb() -> float:

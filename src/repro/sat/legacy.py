@@ -1,4 +1,4 @@
-"""The list-based CDCL solver, kept for one release as a reference.
+"""The list-based CDCL solver, kept as the arena solver's reference.
 
 This is the pre-arena implementation of :class:`repro.sat.solver.CDCLSolver`
 verbatim: clauses as python lists indexed by position in a growing
@@ -24,10 +24,89 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sat.cnf import CNF, tseitin_clauses
-from repro.sat.solver import (RESTART_BASE, VAR_DECAY, SatResult, _luby,
-                              _VarOrder)
+from repro.sat.solver import RESTART_BASE, VAR_DECAY, SatResult, _luby
 
 __all__ = ["LegacyCDCLSolver"]
+
+
+class _VarOrder:
+    """Indexed binary max-heap over a dict of variable activities.
+
+    Priority is highest activity first, ties broken toward the smallest
+    variable index: the pick :class:`repro.sat.solver.CDCLSolver`'s order
+    is held to.
+    """
+
+    __slots__ = ("activity", "heap", "pos")
+
+    def __init__(self, activity: Dict[int, float]) -> None:
+        self.activity = activity
+        self.heap: List[int] = []
+        self.pos: Dict[int, int] = {}
+
+    def _precedes(self, a: int, b: int) -> bool:
+        activity = self.activity
+        aa = activity.get(a, 0.0)
+        ab = activity.get(b, 0.0)
+        return aa > ab or (aa == ab and a < b)
+
+    def _sift_up(self, i: int) -> None:
+        heap, pos = self.heap, self.pos
+        var = heap[i]
+        while i > 0:
+            parent = (i - 1) >> 1
+            if not self._precedes(var, heap[parent]):
+                break
+            heap[i] = heap[parent]
+            pos[heap[i]] = i
+            i = parent
+        heap[i] = var
+        pos[var] = i
+
+    def _sift_down(self, i: int) -> None:
+        heap, pos = self.heap, self.pos
+        size = len(heap)
+        var = heap[i]
+        while True:
+            left = 2 * i + 1
+            if left >= size:
+                break
+            best = left
+            right = left + 1
+            if right < size and self._precedes(heap[right], heap[left]):
+                best = right
+            if not self._precedes(heap[best], var):
+                break
+            heap[i] = heap[best]
+            pos[heap[i]] = i
+            i = best
+        heap[i] = var
+        pos[var] = i
+
+    def insert(self, var: int) -> None:
+        if var in self.pos:
+            return
+        self.heap.append(var)
+        self._sift_up(len(self.heap) - 1)
+
+    def bumped(self, var: int) -> None:
+        """Re-establish the heap order after ``var``'s activity increased."""
+        i = self.pos.get(var)
+        if i is not None:
+            self._sift_up(i)
+
+    def pop(self) -> Optional[int]:
+        heap, pos = self.heap, self.pos
+        if not heap:
+            return None
+        top = heap[0]
+        del pos[top]
+        last = heap.pop()
+        if heap:
+            heap[0] = last
+            pos[last] = 0
+            self._sift_down(0)
+        return top
 
 
 class LegacyCDCLSolver:

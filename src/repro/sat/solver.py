@@ -26,8 +26,9 @@ Memory layout (the flat arena)
 ------------------------------
 
 All hot state lives in contiguous, integer-indexed stores instead of the
-dict-of-lists layout the solver started with (kept verbatim as
-:class:`repro.sat.legacy.LegacyCDCLSolver` for one release):
+dict-of-lists layout the solver started with (kept as
+:class:`repro.sat.legacy.LegacyCDCLSolver`, the reference the
+differential suite holds this engine to):
 
 * **clause arena** — one flat int sequence holding every clause as a
   ``[size, lbd, flags]`` header followed by its literal run.  A clause is
@@ -52,8 +53,14 @@ dict-of-lists layout the solver started with (kept verbatim as
   int list (``1`` true, ``-1`` false, ``0`` unassigned; ``vals[lit]`` and
   ``vals[-lit]`` are kept in lockstep, so sign tests disappear from the
   hot loop), ``levels``/``reasons`` are variable-indexed int lists
-  (``reasons[var]`` holds an arena offset or ``-1``), phases live in a
-  ``bytearray`` and the trail is a plain int list.
+  (``reasons[var]`` holds an arena offset or ``-1``; both are read only
+  while ``var`` is assigned, so backtracking leaves them), phases live in
+  a ``bytearray`` and the trail is a plain int list.
+* **VSIDS order** — lazy ``heapq`` heaps, of ``(-activity, var)`` tuples
+  for bumped variables and of plain indices for activity-0 ones, plus a
+  ``bytearray`` of live flags (:class:`_ArenaVarOrder`); its contract is
+  the pick (highest activity, ties to the smallest index), not a heap
+  layout.
 
 The propagation loop replays the legacy algorithm *visit for visit*: the
 blocker fast path only fires when it is provably equivalent to the legacy
@@ -97,7 +104,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
+from heapq import heapify, heappop, heappush
+from itertools import chain, compress
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sat.cnf import CNF, complete_model
@@ -145,168 +153,45 @@ def _luby(i: int) -> int:
         i = i - (1 << (k - 1)) + 1
 
 
-class _VarOrder:
-    """Indexed binary max-heap over a dict of variable activities.
-
-    The dict-backed variant survives for :class:`repro.sat.legacy.
-    LegacyCDCLSolver`; the arena solver uses the list-backed
-    :class:`_ArenaVarOrder` below with identical selection semantics.
-    Priority is highest activity first, ties broken toward the smallest
-    variable index.
-    """
-
-    __slots__ = ("activity", "heap", "pos")
-
-    def __init__(self, activity: Dict[int, float]) -> None:
-        self.activity = activity
-        self.heap: List[int] = []
-        self.pos: Dict[int, int] = {}
-
-    def _precedes(self, a: int, b: int) -> bool:
-        activity = self.activity
-        aa = activity.get(a, 0.0)
-        ab = activity.get(b, 0.0)
-        return aa > ab or (aa == ab and a < b)
-
-    def _sift_up(self, i: int) -> None:
-        heap, pos = self.heap, self.pos
-        var = heap[i]
-        while i > 0:
-            parent = (i - 1) >> 1
-            if not self._precedes(var, heap[parent]):
-                break
-            heap[i] = heap[parent]
-            pos[heap[i]] = i
-            i = parent
-        heap[i] = var
-        pos[var] = i
-
-    def _sift_down(self, i: int) -> None:
-        heap, pos = self.heap, self.pos
-        size = len(heap)
-        var = heap[i]
-        while True:
-            left = 2 * i + 1
-            if left >= size:
-                break
-            best = left
-            right = left + 1
-            if right < size and self._precedes(heap[right], heap[left]):
-                best = right
-            if not self._precedes(heap[best], var):
-                break
-            heap[i] = heap[best]
-            pos[heap[i]] = i
-            i = best
-        heap[i] = var
-        pos[var] = i
-
-    def insert(self, var: int) -> None:
-        if var in self.pos:
-            return
-        self.heap.append(var)
-        self._sift_up(len(self.heap) - 1)
-
-    def bumped(self, var: int) -> None:
-        """Re-establish the heap order after ``var``'s activity increased."""
-        i = self.pos.get(var)
-        if i is not None:
-            self._sift_up(i)
-
-    def pop(self) -> Optional[int]:
-        heap, pos = self.heap, self.pos
-        if not heap:
-            return None
-        top = heap[0]
-        del pos[top]
-        last = heap.pop()
-        if heap:
-            heap[0] = last
-            pos[last] = 0
-            self._sift_down(0)
-        return top
-
-
 class _ArenaVarOrder:
-    """The same indexed max-heap over a variable-indexed activity *list*.
+    """The VSIDS branching order: two lazy ``heapq`` heaps and live flags.
 
-    Selection semantics are identical to :class:`_VarOrder` (highest
-    activity first, ties toward the smallest variable index), but the
-    comparison is inlined into the sift loops: the heap churns on every
-    backtrack (each unassigned variable is re-inserted) and every branch
-    decision, and a ``_precedes`` method call per heap level is the
-    single largest cost outside propagation.  Two distinct variables are
-    never equal, so "``b`` does not precede ``a``" is exactly
-    ``ab < aa or (ab == aa and b > a)``.
+    The contract is the pick, not a layout: :meth:`CDCLSolver.
+    _pick_branch_variable` returns the unassigned variable of highest
+    activity, ties to the smallest index.  ``heap`` holds ``(-activity,
+    var)`` tuples of variables with a positive activity, so tuple order is
+    that priority; ``zeros`` holds plain indices of variables whose
+    activity is 0, ordered by index alone.  Every positive activity
+    precedes 0, so the pick drains ``heap`` before it reads ``zeros``.  Most
+    variables are never bumped, so most entries stay small ints.
 
-    ``pos`` is variable-indexed like ``activity``: a variable's heap index,
-    or ``-1`` while it is not in the heap.  The solver grows both together
-    (:meth:`CDCLSolver._grow_to`).
+    ``live[var]`` is 1 while one of the heaps holds an entry for ``var``
+    keyed by its current activity, and every unassigned variable has one.
+    An entry goes stale when its variable is bumped (the solver only bumps
+    assigned variables and pushes them again when it unassigns them) or
+    popped; stale entries are skipped when popped.  Between rescales an
+    activity only grows, so a stale entry never sorts before its
+    variable's live one.  The rescale changes every key, and
+    :meth:`rebuild` re-keys the live entries; it also drops the stale ones
+    once they outnumber the variables.  Every push and pop runs in C.
     """
 
-    __slots__ = ("activity", "heap", "pos")
+    __slots__ = ("activity", "heap", "zeros", "live")
 
     def __init__(self, activity: List[float]) -> None:
         self.activity = activity
-        self.heap: List[int] = []
-        self.pos: List[int] = [-1] * len(activity)
+        self.heap: List[Tuple[float, int]] = []
+        self.zeros: List[int] = []
+        self.live = bytearray(len(activity))
 
-    def _sift_up(self, i: int) -> None:
-        heap, pos, activity = self.heap, self.pos, self.activity
-        var = heap[i]
-        av = activity[var]
-        while i > 0:
-            parent = (i - 1) >> 1
-            pv = heap[parent]
-            pa = activity[pv]
-            if av < pa or (av == pa and var > pv):
-                break
-            heap[i] = pv
-            pos[pv] = i
-            i = parent
-        heap[i] = var
-        pos[var] = i
-
-    def _sift_down(self, i: int) -> None:
-        heap, pos, activity = self.heap, self.pos, self.activity
-        size = len(heap)
-        var = heap[i]
-        av = activity[var]
-        while True:
-            left = 2 * i + 1
-            if left >= size:
-                break
-            best = left
-            bv = heap[left]
-            ba = activity[bv]
-            right = left + 1
-            if right < size:
-                rv = heap[right]
-                ra = activity[rv]
-                if ra > ba or (ra == ba and rv < bv):
-                    best = right
-                    bv = rv
-                    ba = ra
-            if ba < av or (ba == av and bv > var):
-                break
-            heap[i] = bv
-            pos[bv] = i
-            i = best
-        heap[i] = var
-        pos[var] = i
-
-    def pop(self) -> Optional[int]:
-        heap, pos = self.heap, self.pos
-        if not heap:
-            return None
-        top = heap[0]
-        pos[top] = -1
-        last = heap.pop()
-        if heap:
-            heap[0] = last
-            pos[last] = 0
-            self._sift_down(0)
-        return top
+    def rebuild(self) -> None:
+        """Re-key one entry per live variable from the current activities."""
+        activity = self.activity
+        live = list(compress(range(len(self.live)), self.live))
+        self.heap[:] = [(-activity[var], var) for var in live if activity[var]]
+        heapify(self.heap)
+        # Ascending indices already form a heap.
+        self.zeros[:] = [var for var in live if not activity[var]]
 
 
 class CDCLSolver:
@@ -346,7 +231,7 @@ class CDCLSolver:
         self._levels: List[int] = [0]
         self._reasons: List[int] = [-1]
         self._phase = bytearray(1)  # 0 unset, 1 saved-False, 2 saved-True
-        #: VSIDS activities, variable-indexed (list-backed max-heap order).
+        #: VSIDS activities, variable-indexed (the order's keys).
         self.activity: List[float] = [0.0]
         self.var_inc = 1.0
         self._order = _ArenaVarOrder(self.activity)
@@ -414,26 +299,24 @@ class CDCLSolver:
         self._reasons.extend([-1] * delta)
         self._phase.extend(bytes(delta))
         self.activity.extend([0.0] * delta)
-        self._order.pos.extend([-1] * delta)
+        self._order.live.extend(bytes(delta))
         self._cap = new_cap
 
     def ensure_vars(self, num_vars: int) -> None:
         """Grow the variable universe (new AIG nodes in a shared namespace).
 
-        New variables join the end of the VSIDS heap in index order, which
-        is exactly where inserting them one by one would leave them: each
-        has activity 0 and a larger index than every heap member, so its
-        sift-up would stop at once.
+        Each new variable has activity 0, so its live order entry is its
+        index, appended to ``zeros`` in index order; no entry there is
+        larger, so the heap stays valid.
         """
         old = self.num_vars
         if num_vars <= old:
             return
         if num_vars > self._cap:
             self._grow_to(max(num_vars, 2 * self._cap, 16))
-        heap = self._order.heap
-        self._order.pos[old + 1:num_vars + 1] = range(
-            len(heap), len(heap) + num_vars - old)
-        heap.extend(range(old + 1, num_vars + 1))
+        order = self._order
+        order.live[old + 1:num_vars + 1] = b"\x01" * (num_vars - old)
+        order.zeros.extend(range(old + 1, num_vars + 1))
         self.num_vars = num_vars
 
     # ------------------------------------------------------------------ #
@@ -865,58 +748,63 @@ class CDCLSolver:
     def _analyze(self, conflict_off: int) -> Tuple[List[int], int]:
         arena = self._arena
         levels = self._levels
+        reasons = self._reasons
         trail = self.trail
         learned = self._learned
-        learnt: List[int] = []
-        seen: Dict[int, bool] = {}
+        learnt: List[int] = [0]  # slot 0 becomes the asserting literal
+        backjump_level = 0
+        seen = bytearray(len(levels))
         counter = 0
-        lit: Optional[int] = None
+        lit = 0  # no literal is 0, so the conflict clause skips nothing
         clause = arena[conflict_off:conflict_off + arena[conflict_off - 3]]
         trail_index = len(trail) - 1
         current_level = len(self.trail_lim)
         # The VSIDS bump is inlined: the loop is hot (every distinct
         # variable in the implication cone, every conflict), so var_inc is
-        # a local, re-synced on the (rare) rescale, and the heap sift-up is
-        # called directly.
+        # a local, re-synced on the (rare) rescale.  Every variable here is
+        # assigned, so the bump only marks its order entry stale:
+        # _cancel_until pushes it again, with its new key, on unassign.
         activity = self.activity
         var_inc = self.var_inc
-        order_pos = self._order.pos
-        order_sift_up = self._order._sift_up
+        order_live = self._order.live
 
         while True:
             for q in clause:
-                if lit is not None and q == lit:
+                if q == lit:
                     continue
                 var = q if q > 0 else -q
-                if not seen.get(var) and levels[var] > 0:
-                    seen[var] = True
+                if seen[var]:
+                    continue
+                level = levels[var]
+                if level > 0:
+                    seen[var] = 1
                     bumped = activity[var] + var_inc
                     activity[var] = bumped
+                    order_live[var] = 0
                     if bumped > 1e100:
-                        # Uniform rescaling preserves the relative order of
-                        # every *other* pair; the variable just bumped
-                        # still needs its sift.
+                        # Every key changes, and rounding may tie two
+                        # activities, so the order is re-keyed.
                         for v in range(1, len(activity)):
                             activity[v] *= 1e-100
                         var_inc *= 1e-100
                         self.var_inc = var_inc
-                    heap_index = order_pos[var]
-                    if heap_index >= 0:
-                        order_sift_up(heap_index)
-                    if levels[var] >= current_level:
+                        self._order.rebuild()
+                    if level >= current_level:
                         counter += 1
                     else:
                         learnt.append(q)
+                        if level > backjump_level:
+                            backjump_level = level
             # Find the next literal on the trail to resolve on.
             while True:
                 lit = trail[trail_index]
                 trail_index -= 1
-                if seen.get(abs(lit)):
+                if seen[lit if lit > 0 else -lit]:
                     break
             counter -= 1
             if counter == 0:
                 break
-            reason_off = self._reasons[abs(lit)]
+            reason_off = reasons[lit if lit > 0 else -lit]
             if reason_off >= 0:
                 clause = arena[reason_off:reason_off + arena[reason_off - 3]]
                 old_lbd = learned.get(reason_off)
@@ -931,14 +819,7 @@ class CDCLSolver:
                         arena[reason_off - 2] = lbd
             else:
                 clause = []
-        learnt.insert(0, -lit)
-
-        if len(learnt) == 1:
-            backjump_level = 0
-        else:
-            sorted_levels = sorted((levels[abs(q)] for q in learnt[1:]),
-                                   reverse=True)
-            backjump_level = sorted_levels[0]
+        learnt[0] = -lit
         return learnt, backjump_level
 
     def _analyze_final(self, seed_lits: Sequence[int],
@@ -977,64 +858,66 @@ class CDCLSolver:
     # Backtracking
     # ------------------------------------------------------------------ #
     def _cancel_until(self, target_level: int) -> None:
+        """Unassign every level above ``target_level``, saving phases.
+
+        ``levels`` and ``reasons`` are read only for assigned variables,
+        so they are left as they are.
+        """
         if len(self.trail_lim) <= target_level:
             return
         boundary = self.trail_lim[target_level]
         vals = self._vals
         phase = self._phase
-        reasons = self._reasons
         trail = self.trail
         order = self._order
-        order_heap = order.heap
-        order_pos = order.pos
+        heap = order.heap
+        zeros = order.zeros
+        live = order.live
         activity = self.activity
-        for index in range(len(trail) - 1, boundary - 1, -1):
-            lit = trail[index]
+        for lit in trail[boundary:]:
             var = lit if lit > 0 else -lit
-            phase[var] = 2 if vals[var] > 0 else 1
+            phase[var] = 2 if lit > 0 else 1
             vals[var] = 0
             vals[-var] = 0
-            reasons[var] = -1
-            if order_pos[var] < 0:
-                # Heap insertion with an inlined sift-up: every unassigned
-                # variable re-enters the heap here, on every backtrack.
-                i = len(order_heap)
-                order_heap.append(var)
-                av = activity[var]
-                while i > 0:
-                    parent = (i - 1) >> 1
-                    pv = order_heap[parent]
-                    pa = activity[pv]
-                    if av < pa or (av == pa and var > pv):
-                        break
-                    order_heap[i] = pv
-                    order_pos[pv] = i
-                    i = parent
-                order_heap[i] = var
-                order_pos[var] = i
+            if not live[var]:
+                live[var] = 1
+                key = activity[var]
+                if key:
+                    heappush(heap, (-key, var))
+                else:
+                    heappush(zeros, var)
         del trail[boundary:]
         del self.trail_lim[target_level:]
         if self.propagation_head > len(trail):
             self.propagation_head = len(trail)
+        if len(heap) + len(zeros) > 2 * self.num_vars:
+            order.rebuild()
 
     # ------------------------------------------------------------------ #
     # Branching
     # ------------------------------------------------------------------ #
     def _pick_branch_variable(self) -> Optional[int]:
+        """The unassigned variable of highest activity, ties to the
+        smallest index; ``None`` once every variable is assigned."""
         vals = self._vals
-        # Indexed heap: pop until an unassigned variable appears (assigned
-        # ones are re-inserted when the trail unwinds past them).
         order = self._order
-        while True:
-            var = order.pop()
-            if var is None:
-                break
-            if vals[var] == 0:
-                return var
-        # Heap exhausted: fall back to a linear scan (rare).
-        for var in range(1, self.num_vars + 1):
-            if vals[var] == 0:
-                return var
+        heap = order.heap
+        live = order.live
+        while heap:
+            var = heappop(heap)[1]
+            if live[var]:
+                live[var] = 0
+                if vals[var] == 0:
+                    return var
+        # No variable with a positive activity is live now, so a live
+        # index in zeros is an activity-0 variable's own entry.
+        zeros = order.zeros
+        while zeros:
+            var = heappop(zeros)
+            if live[var]:
+                live[var] = 0
+                if vals[var] == 0:
+                    return var
         return None
 
     # ------------------------------------------------------------------ #

@@ -206,7 +206,20 @@ def loaded_state(solver):
             "propagation_head": solver.propagation_head,
             "vals": solver._vals, "levels": solver._levels,
             "reasons": solver._reasons, "heap": solver._order.heap,
-            "pos": solver._order.pos, "ok": solver._ok}
+            "zeros": solver._order.zeros, "live": solver._order.live,
+            "ok": solver._ok}
+
+
+def solve_snapshot(solver, result):
+    """Every externally observable artefact of one query, order included."""
+    model = None if result.model is None else list(result.model.items())
+    return (result.status, model, result.conflicts, result.decisions,
+            result.propagations, result.restarts, list(solver.trail),
+            solver.last_core, solver.learned_count,
+            solver.clauses_deleted, solver.db_size_peak,
+            solver.db_size_floor, solver.reductions,
+            solver.propagations_total, solver.watcher_visits,
+            solver.total_conflicts)
 
 
 def next_solve(solver):

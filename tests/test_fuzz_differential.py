@@ -83,7 +83,7 @@ from repro.smt.solver import SmtSolver, check_sat
 
 from _fixtures import (
     assert_aig_loading_matches, assert_canonical_lex_min, next_solve,
-    random_full_expr, random_small_formula,
+    random_full_expr, random_small_formula, solve_snapshot,
 )
 
 pytestmark = pytest.mark.fuzz
@@ -437,18 +437,6 @@ class TestArenaLegacyDifferential:
         {"reduce_interval": 10, "max_lbd_keep": 0},
     )
 
-    @staticmethod
-    def _snapshot(solver, result):
-        """Every externally observable artefact of one query, order included."""
-        model = None if result.model is None else list(result.model.items())
-        return (result.status, model, result.conflicts, result.decisions,
-                result.propagations, result.restarts, list(solver.trail),
-                solver.last_core, solver.learned_count,
-                solver.clauses_deleted, solver.db_size_peak,
-                solver.db_size_floor, solver.reductions,
-                solver.propagations_total, solver.watcher_visits,
-                solver.total_conflicts)
-
     def test_incremental_trajectories_are_bit_identical(self):
         for index in range(max(1, CNF_CASES // 2)):
             case_seed = _case_seed("arena", index)
@@ -468,8 +456,8 @@ class TestArenaLegacyDifferential:
                     assumptions = [rng.choice((-1, 1)) * rng.randint(1, num_vars)
                                    for _ in range(rng.randint(0, 3))] \
                         if rng.random() < 0.5 else []
-                    lhs = self._snapshot(arena, arena.solve(assumptions))
-                    rhs = self._snapshot(legacy, legacy.solve(assumptions))
+                    lhs = solve_snapshot(arena, arena.solve(assumptions))
+                    rhs = solve_snapshot(legacy, legacy.solve(assumptions))
                     assert lhs == rhs, \
                         (f"batch {batch} query {query} under {assumptions!r}: "
                          f"arena {lhs!r} != legacy {rhs!r} "

@@ -23,13 +23,13 @@ from repro.bv.cnf import aig_to_cnf
 from repro.engine.budget import Budget
 from repro.hdl.behavioral import verilog_to_behavioral
 from repro.sat.cnf import CNF
-from repro.sat.solver import CDCLSolver
+from repro.sat.solver import VAR_DECAY, CDCLSolver
 from repro.smt.cegis import Obligation, synthesize
 from repro.smt.solver import IncrementalSmtSession, SmtSolver, lex_min_model
 
 from _fixtures import (
     assert_aig_loading_matches, assert_canonical_lex_min, random_full_expr,
-    random_small_formula,
+    random_small_formula, solve_snapshot,
 )
 
 
@@ -210,12 +210,13 @@ class TestIncrementalCdcl:
         # The sample must exercise every rule the loader applies.
         assert all(seen.values()), seen
 
-    def test_ensure_vars_leaves_the_heap_sift_insertion_leaves(self):
-        """New variables are appended to the VSIDS heap without a sift;
-        after solves have bumped activities (and assigned, popped and
-        re-inserted variables), the heap and positions must still be
-        exactly those the legacy heap's sift-up insertion leaves."""
-        from repro.sat.solver import _VarOrder
+    def test_picks_after_searches_and_ensure_vars_follow_the_order(self):
+        """After solves have bumped activities (and assigned, popped and
+        re-pushed variables) and ``ensure_vars`` has appended new ones,
+        successive picks are the unassigned variable of highest activity,
+        ties to the smallest index: a brute-force maximum, and the legacy
+        heap's pops."""
+        from repro.sat.legacy import _VarOrder
 
         rng = random.Random(43)
         bumped = 0
@@ -230,19 +231,71 @@ class TestIncrementalCdcl:
                               for _ in range(rng.randint(0, 2))])
             bumped += any(solver.activity)
             grown = num_vars + rng.randint(1, 40)
-            reference = _VarOrder({var: solver.activity[var]
-                                   for var in range(1, num_vars + 1)})
-            reference.heap = list(solver._order.heap)
-            reference.pos = {var: index
-                             for index, var in enumerate(reference.heap)}
-            for var in range(num_vars + 1, grown + 1):
-                reference.insert(var)
             solver.ensure_vars(grown)
-            assert solver._order.heap == reference.heap, f"case {case}"
-            assert [solver._order.pos[var] for var in range(grown + 1)] == \
-                [reference.pos.get(var, -1) for var in range(grown + 1)], \
-                f"case {case}"
+            solver._cancel_until(0)
+            vals, activity = solver._vals, solver.activity
+            reference = _VarOrder({var: activity[var]
+                                   for var in range(1, grown + 1)})
+            for var in range(1, grown + 1):
+                if vals[var] == 0:
+                    reference.insert(var)
+            while True:
+                want = min((var for var in range(1, grown + 1)
+                            if vals[var] == 0),
+                           key=lambda var: (-activity[var], var), default=None)
+                got = solver._pick_branch_variable()
+                assert got == want == reference.pop(), f"case {case}"
+                if got is None:
+                    break
+                solver.trail_lim.append(len(solver.trail))
+                solver._enqueue(got, -1)
         assert bumped > 20  # most cases search before they grow
+
+    def test_activity_rescale_keeps_the_pick_and_the_legacy_trajectory(self):
+        """A bump past 1e100 rescales every activity by 1e-100.  Started
+        just below that, the arena and legacy engines must rescale and still
+        agree solve by solve, and every pick of both must be the unassigned
+        variable of highest activity, ties to the smallest index."""
+        from repro.sat.legacy import LegacyCDCLSolver
+
+        def check_picks(solver, unassigned, activity):
+            pick = solver._pick_branch_variable
+
+            def checked():
+                want = min(unassigned(), default=None,
+                           key=lambda var: (-activity(var), var))
+                got = pick()
+                assert got == want
+                return got
+            solver._pick_branch_variable = checked
+
+        rng = random.Random(47)
+        rescaled = 0
+        for case in range(30):
+            num_vars = rng.randint(20, 40)
+            clauses = [[v if rng.random() < 0.5 else -v
+                        for v in rng.sample(range(1, num_vars + 1), 3)]
+                       for _ in range(int(4.3 * num_vars))]
+            var_inc = 1e100 * VAR_DECAY ** rng.randint(1, 40)
+            arena = CDCLSolver(CNF(num_vars=num_vars, clauses=clauses))
+            legacy = LegacyCDCLSolver(CNF(num_vars=num_vars, clauses=clauses))
+            arena.var_inc = legacy.var_inc = var_inc
+            check_picks(arena, lambda s=arena: [
+                var for var in range(1, s.num_vars + 1) if s._vals[var] == 0],
+                arena.activity.__getitem__)
+            check_picks(legacy, lambda s=legacy: [
+                var for var in range(1, s.num_vars + 1)
+                if var not in s.assignment],
+                lambda var, s=legacy: s.activity.get(var, 0.0))
+            for _ in range(3):
+                assumptions = [rng.choice((-1, 1)) * rng.randint(1, num_vars)
+                               for _ in range(rng.randint(0, 2))]
+                assert solve_snapshot(arena, arena.solve(assumptions)) == \
+                    solve_snapshot(legacy, legacy.solve(assumptions)), \
+                    f"case {case}"
+            assert arena.var_inc == legacy.var_inc, f"case {case}"
+            rescaled += arena.var_inc < var_inc
+        assert rescaled >= 20, rescaled
 
     def test_learned_clauses_retained_across_calls(self):
         rng = random.Random(3)

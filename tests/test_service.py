@@ -26,7 +26,8 @@ from repro.engine.service import (
     ServiceClient,
     SolverService,
 )
-from repro.harness.bench import DEFAULT_DIFF_THRESHOLDS, diff_snapshots
+from repro.harness.bench import (DEFAULT_DIFF_THRESHOLDS, diff_snapshots,
+                                 git_revision)
 from repro.harness.runner import ExperimentConfig, MappingRecord, map_request
 from repro.workloads import enumerate_workloads
 
@@ -640,3 +641,28 @@ class TestBenchDiff:
     def test_default_thresholds_cover_the_serve_gate(self):
         assert "serve.speedup_vs_cold" in DEFAULT_DIFF_THRESHOLDS
         assert "serve.warm_hit_rate" in DEFAULT_DIFF_THRESHOLDS
+
+
+class TestBenchRevision:
+    def test_uncommitted_tracked_changes_name_the_snapshot_dirty(
+            self, tmp_path):
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=bench", "-c", "user.email=bench@x",
+                 *args], cwd=tmp_path, check=True, capture_output=True,
+                text=True).stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("one\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "first")
+        head = git("rev-parse", "--short", "HEAD")
+        assert git_revision(tmp_path) == head
+        (tmp_path / "untracked.txt").write_text("scratch\n")
+        assert git_revision(tmp_path) == head  # untracked files do not count
+        (tmp_path / "tracked.txt").write_text("two\n")
+        assert git_revision(tmp_path) == f"{head}-dirty"
+        git("add", "tracked.txt")  # staged but uncommitted is still dirty
+        assert git_revision(tmp_path) == f"{head}-dirty"
+        git("commit", "-q", "-m", "second")
+        assert git_revision(tmp_path) == git("rev-parse", "--short", "HEAD")
