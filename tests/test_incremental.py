@@ -210,12 +210,34 @@ class TestIncrementalCdcl:
         # The sample must exercise every rule the loader applies.
         assert all(seen.values()), seen
 
+    @staticmethod
+    def _assert_drain_follows_the_order(solver, reference=None, note=""):
+        """Backtrack to level 0, then pick and assign (as a decision would,
+        without propagating) until every variable is assigned: each pick
+        must be the unassigned variable of highest activity, ties to the
+        smallest index, and ``reference``'s next pop when one is given."""
+        solver._cancel_until(0)
+        vals, activity = solver._vals, solver.activity
+        while True:
+            want = min((var for var in range(1, solver.num_vars + 1)
+                        if vals[var] == 0),
+                       key=lambda var: (-activity[var], var), default=None)
+            got = solver._pick_branch_variable()
+            assert got == want, note
+            if reference is not None:
+                assert got == reference.pop(), note
+            if got is None:
+                return
+            solver.trail_lim.append(len(solver.trail))
+            solver._enqueue(got, -1)
+
     def test_picks_after_searches_and_ensure_vars_follow_the_order(self):
         """After solves have bumped activities (and assigned, popped and
-        re-pushed variables) and ``ensure_vars`` has appended new ones,
-        successive picks are the unassigned variable of highest activity,
-        ties to the smallest index: a brute-force maximum, and the legacy
-        heap's pops."""
+        re-pushed variables), the order has been rebuilt mid-trail (as the
+        rescale and the stale-entry bound rebuild it) and ``ensure_vars``
+        has appended new variables, successive picks are the unassigned
+        variable of highest activity, ties to the smallest index: a
+        brute-force maximum, and the legacy heap's pops."""
         from repro.sat.legacy import _VarOrder
 
         rng = random.Random(43)
@@ -230,32 +252,27 @@ class TestIncrementalCdcl:
                 solver.solve([rng.choice((-1, 1)) * rng.randint(1, num_vars)
                               for _ in range(rng.randint(0, 2))])
             bumped += any(solver.activity)
+            solver._cancel_until(rng.randint(0, len(solver.trail_lim)))
+            solver._order.rebuild()
             grown = num_vars + rng.randint(1, 40)
             solver.ensure_vars(grown)
             solver._cancel_until(0)
-            vals, activity = solver._vals, solver.activity
-            reference = _VarOrder({var: activity[var]
+            reference = _VarOrder({var: solver.activity[var]
                                    for var in range(1, grown + 1)})
             for var in range(1, grown + 1):
-                if vals[var] == 0:
+                if solver._vals[var] == 0:
                     reference.insert(var)
-            while True:
-                want = min((var for var in range(1, grown + 1)
-                            if vals[var] == 0),
-                           key=lambda var: (-activity[var], var), default=None)
-                got = solver._pick_branch_variable()
-                assert got == want == reference.pop(), f"case {case}"
-                if got is None:
-                    break
-                solver.trail_lim.append(len(solver.trail))
-                solver._enqueue(got, -1)
+            self._assert_drain_follows_the_order(solver, reference,
+                                                 f"case {case}")
         assert bumped > 20  # most cases search before they grow
 
     def test_activity_rescale_keeps_the_pick_and_the_legacy_trajectory(self):
         """A bump past 1e100 rescales every activity by 1e-100.  Started
-        just below that, the arena and legacy engines must rescale and still
-        agree solve by solve, and every pick of both must be the unassigned
-        variable of highest activity, ties to the smallest index."""
+        just below that, again before every solve, the arena and legacy
+        engines must rescale and still agree solve by solve; every pick of
+        both must be the unassigned variable of highest activity, ties to
+        the smallest index, and so must every pick of a full drain of the
+        arena's order afterwards."""
         from repro.sat.legacy import LegacyCDCLSolver
 
         def check_picks(solver, unassigned, activity):
@@ -276,10 +293,8 @@ class TestIncrementalCdcl:
             clauses = [[v if rng.random() < 0.5 else -v
                         for v in rng.sample(range(1, num_vars + 1), 3)]
                        for _ in range(int(4.3 * num_vars))]
-            var_inc = 1e100 * VAR_DECAY ** rng.randint(1, 40)
             arena = CDCLSolver(CNF(num_vars=num_vars, clauses=clauses))
             legacy = LegacyCDCLSolver(CNF(num_vars=num_vars, clauses=clauses))
-            arena.var_inc = legacy.var_inc = var_inc
             check_picks(arena, lambda s=arena: [
                 var for var in range(1, s.num_vars + 1) if s._vals[var] == 0],
                 arena.activity.__getitem__)
@@ -287,15 +302,18 @@ class TestIncrementalCdcl:
                 var for var in range(1, s.num_vars + 1)
                 if var not in s.assignment],
                 lambda var, s=legacy: s.activity.get(var, 0.0))
-            for _ in range(3):
+            for _ in range(6):
+                var_inc = 1e100 * VAR_DECAY ** rng.randint(1, 40)
+                arena.var_inc = legacy.var_inc = var_inc
                 assumptions = [rng.choice((-1, 1)) * rng.randint(1, num_vars)
                                for _ in range(rng.randint(0, 2))]
                 assert solve_snapshot(arena, arena.solve(assumptions)) == \
                     solve_snapshot(legacy, legacy.solve(assumptions)), \
                     f"case {case}"
-            assert arena.var_inc == legacy.var_inc, f"case {case}"
-            rescaled += arena.var_inc < var_inc
-        assert rescaled >= 20, rescaled
+                assert arena.var_inc == legacy.var_inc, f"case {case}"
+                rescaled += arena.var_inc < var_inc
+            self._assert_drain_follows_the_order(arena, note=f"case {case}")
+        assert rescaled >= 50, rescaled
 
     def test_learned_clauses_retained_across_calls(self):
         rng = random.Random(3)
