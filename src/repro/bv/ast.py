@@ -180,9 +180,6 @@ class BVExpr:
     def is_const(self) -> bool:
         return self.op == "const"
 
-    def is_var(self) -> bool:
-        return self.op == "var"
-
     def is_true(self) -> bool:
         return self.op == "const" and self.width == 1 and self.value == 1
 

@@ -72,10 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the session's synthesis cache")
     parser.add_argument("--cache-dir", default=None,
                         help="persist the synthesis cache here (shared across runs)")
-    parser.add_argument("--probes", type=int, default=32, dest="probes",
-                        help="random-probe budget for the bit-parallel fast "
-                             "layers (64 assignments per packed batch; "
-                             "0 disables probing; default: 32)")
     parser.add_argument("--stats", action="store_true",
                         help="print cache statistics, the layers that "
                              "decided the candidate and verification "
@@ -119,9 +115,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None,
                         help="persistent synthesis cache directory shared by "
                              "workers and later runs (default: in-memory only)")
-    parser.add_argument("--probes", type=int, default=32, dest="probes",
-                        help="random-probe budget for the bit-parallel fast "
-                             "layers inside each worker (default: 32)")
     parser.add_argument("--template", default="dsp", choices=available_templates(),
                         help="sketch template to use (default: dsp)")
     parser.add_argument("--timeout", type=float, default=None,
@@ -193,9 +186,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
                         help="sampling seed (default: 0)")
     parser.add_argument("--template", default="dsp", choices=available_templates(),
                         help="sketch template to use (default: dsp)")
-    parser.add_argument("--probes", type=int, default=32,
-                        help="random-probe budget for the packed fast layers "
-                             "(default: 32)")
     parser.add_argument("--throughput-assignments", type=int, default=4096,
                         help="assignments for the scalar-vs-packed throughput "
                              "measurement (default: 4096)")
@@ -267,8 +257,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "cache)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable synthesis caching (dedup still applies)")
-    parser.add_argument("--probes", type=int, default=32, dest="probes",
-                        help="random-probe budget inside each worker (default: 32)")
     return parser
 
 
@@ -443,7 +431,7 @@ def _main_map(argv) -> int:
     if args.no_cache and args.cache_dir:
         parser.error("--no-cache and --cache-dir are contradictory: a "
                      "disabled cache never persists anything")
-    _reject_negative(parser, args, "--probes", "--timeout", "--extra-cycles")
+    _reject_negative(parser, args, "--timeout", "--extra-cycles")
     source = _read_verilog(parser, "map", args.verilog)
 
     problem = _path_problem(args.cache_dir, [args.output])
@@ -458,8 +446,7 @@ def _main_map(argv) -> int:
     except (KeyError, ValueError) as exc:
         return _input_error("map", exc)
     session = MappingSession(enable_cache=not args.no_cache,
-                             cache_dir=args.cache_dir,
-                             random_probes=args.probes)
+                             cache_dir=args.cache_dir)
     result = session.map_design(
         design,
         template=args.template,
@@ -545,7 +532,7 @@ def _main_sweep(argv) -> int:
 
     parser = build_sweep_parser()
     args = parser.parse_args(argv)
-    _reject_negative(parser, args, "--probes", "--timeout")
+    _reject_negative(parser, args, "--timeout")
     if args.workers < 1:
         parser.error("--workers must be at least 1")
     if args.coordinator and args.worker:
@@ -575,13 +562,11 @@ def _main_sweep(argv) -> int:
                      "the narrowest enumerated benchmarks are 8 bits wide)")
 
     config = ExperimentConfig(validate=args.validate, template=args.template,
-                              workers=args.workers, cache_dir=args.cache_dir,
-                              random_probes=args.probes)
+                              workers=args.workers, cache_dir=args.cache_dir)
     if args.timeout is not None:
         config.timeout_seconds = {arch: args.timeout for arch in architectures}
     spec = SessionSpec(cache_dir=args.cache_dir,
-                       enable_cache=not args.no_cache,
-                       random_probes=args.probes)
+                       enable_cache=not args.no_cache)
 
     interrupted = False
     if args.coordinator:
@@ -683,7 +668,6 @@ def _main_sweep(argv) -> int:
             "record_cache_hits": result.record_cache_hits,
             "hit_rate": result.hit_rate,
             "cache": result.cache_stats,
-            "random_probes": args.probes,
             **counters,
         }
         if distributed_telemetry:
@@ -797,12 +781,10 @@ def _main_bench(argv) -> int:
     args = parser.parse_args(argv)
     if args.diff is not None:
         return _main_bench_diff(args, parser)
-    _reject_negative(parser, args, "--probes")
 
     snapshot = run_bench(architectures=args.architectures,
                          count=args.count, seed=args.seed,
                          max_width=args.max_width, template=args.template,
-                         random_probes=args.probes,
                          throughput_assignments=args.throughput_assignments,
                          serve=not args.no_serve,
                          serve_requests=args.serve_requests,
@@ -868,7 +850,6 @@ def _main_serve(argv) -> int:
     if args.no_cache and args.cache_dir:
         parser.error("--no-cache and --cache-dir are contradictory: a "
                      "disabled cache never persists anything")
-    _reject_negative(parser, args, "--probes")
     if args.workers < 1:
         parser.error("--workers must be at least 1")
     if args.max_pending is not None and args.max_pending < 1:
@@ -880,8 +861,7 @@ def _main_serve(argv) -> int:
         return _input_error("serve", problem)
 
     spec = SessionSpec(cache_dir=args.cache_dir,
-                       enable_cache=not args.no_cache,
-                       random_probes=args.probes)
+                       enable_cache=not args.no_cache)
     qos = {}
     if args.max_pending is not None:
         qos["max_pending"] = args.max_pending

@@ -222,9 +222,6 @@ class Program:
         return [node.semantics for node in self.nodes.values()
                 if isinstance(node, PrimNode)]
 
-    def prim_nodes(self) -> List[PrimNode]:
-        return [node for node in self.nodes.values() if isinstance(node, PrimNode)]
-
     def node_count(self) -> int:
         """Total node count including subprograms (a proxy for program size)."""
         total = len(self.nodes)

@@ -41,9 +41,6 @@ class ResourceCount:
         """LEs as defined in §5.1: LUTs, muxes, or carry chains."""
         return self.luts + self.muxes + self.carries
 
-    def total_primitives(self) -> int:
-        return self.dsps + self.luts + self.carries + self.muxes + self.other
-
     def __add__(self, other: "ResourceCount") -> "ResourceCount":
         return ResourceCount(
             dsps=self.dsps + other.dsps,

@@ -29,7 +29,6 @@ from repro.core.wellformed import check_well_formed
 from repro.engine.budget import Budget
 from repro.engine.stats import new as new_stats
 from repro.smt.cegis import CegisResult, Obligation, synthesize
-from repro.smt.solver import SmtSolver
 
 __all__ = ["SynthesisOutcome", "f_lr", "f_lr_star"]
 
@@ -53,10 +52,6 @@ class SynthesisOutcome:
     def succeeded(self) -> bool:
         return self.status == "sat"
 
-    @property
-    def timed_out(self) -> bool:
-        return self.status == "unknown"
-
 
 def _build_obligations(sketch: Sketch, design: Program, at_time: int,
                        cycles: int) -> List[Obligation]:
@@ -67,10 +62,7 @@ def _build_obligations(sketch: Sketch, design: Program, at_time: int,
 
 def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
               timeout_seconds: Optional[float] = None,
-              solver: Optional[SmtSolver] = None,
-              check_inputs: bool = True,
-              budget: Optional[Budget] = None,
-              random_probes: int = 32) -> SynthesisOutcome:
+              budget: Optional[Budget] = None) -> SynthesisOutcome:
     """Synthesize a ``t``-cycle implementation of ``design`` guided by ``sketch``,
     equivalent over the window ``at_time .. at_time + cycles``.
 
@@ -82,13 +74,12 @@ def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
         budget = Budget(timeout_seconds=timeout_seconds)
     budget.start()
 
-    if check_inputs:
-        if not is_behavioral(design):
-            raise ValueError("the design must be a behavioral (ℒbeh) program")
-        if not is_sketch(sketch.program):
-            raise ValueError("the sketch program must be in ℒsketch")
-        check_well_formed(design)
-        check_well_formed(sketch.program)
+    if not is_behavioral(design):
+        raise ValueError("the design must be a behavioral (ℒbeh) program")
+    if not is_sketch(sketch.program):
+        raise ValueError("the sketch program must be in ℒsketch")
+    check_well_formed(design)
+    check_well_formed(sketch.program)
     if cycles < 0:
         raise ValueError("cycles must be non-negative")
 
@@ -101,8 +92,6 @@ def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
         hole_widths=hole_widths,
         hole_constraints=list(sketch.hole_constraints),
         budget=budget,
-        solver=solver,
-        random_probes=random_probes,
     )
 
     outcome = SynthesisOutcome(
@@ -131,8 +120,7 @@ def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
 
 def f_lr(sketch: Sketch, design: Program, at_time: int,
          timeout_seconds: Optional[float] = None,
-         solver: Optional[SmtSolver] = None,
          budget: Optional[Budget] = None) -> SynthesisOutcome:
     """``f_lr(Ψ, d, t)``: single-timestep synthesis (Section 3.1)."""
     return f_lr_star(sketch, design, at_time, cycles=0,
-                     timeout_seconds=timeout_seconds, solver=solver, budget=budget)
+                     timeout_seconds=timeout_seconds, budget=budget)

@@ -33,7 +33,6 @@ from typing import Dict, Mapping, Optional
 __all__ = [
     "SAT", "UNSAT", "UNKNOWN",
     "SUCCESS", "TIMEOUT",
-    "SYNTHESIS_STATUSES", "MAPPING_STATUSES",
     "DEFAULT_TIMEOUTS", "LAPTOP_SCALE", "FALLBACK_TIMEOUT",
     "laptop_timeouts", "timeout_for", "mapping_status",
     "Budget",
@@ -48,9 +47,6 @@ UNKNOWN = "unknown"
 
 SUCCESS = "success"
 TIMEOUT = "timeout"
-
-SYNTHESIS_STATUSES = frozenset({SAT, UNSAT, UNKNOWN})
-MAPPING_STATUSES = frozenset({SUCCESS, UNSAT, TIMEOUT})
 
 
 def mapping_status(synthesis_status: str) -> str:
@@ -163,11 +159,6 @@ class Budget:
     def expired(self) -> bool:
         remaining = self.remaining()
         return remaining is not None and remaining <= 0
-
-    def elapsed(self) -> float:
-        if self.started_at is None:
-            return 0.0
-        return time.monotonic() - self.started_at
 
     def key(self) -> Optional[float]:
         """The cache-key component of this budget (the configured timeout)."""

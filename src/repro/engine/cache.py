@@ -28,6 +28,7 @@ from repro.core.lang import (
     RegNode,
     VarNode,
 )
+from repro.smt.solver import RANDOM_PROBES
 
 __all__ = ["SynthesisCache", "program_fingerprint"]
 
@@ -107,12 +108,12 @@ class SynthesisCache:
     @staticmethod
     def key(design_fingerprint: str, architecture: str, template: str,
             budget_key: Optional[float], extra_cycles: int,
-            validate: bool, random_probes: int = 32) -> Tuple:
-        # ``random_probes`` changes which CEGIS trajectory runs (probe-found
-        # models are not canonicalized), so results solved under different
-        # probe budgets must not alias.
+            validate: bool) -> Tuple:
+        # The probe budget changes which CEGIS trajectory runs (probe-found
+        # models are not canonicalized), so a change to it must change
+        # every key.
         return (design_fingerprint, architecture, template, budget_key,
-                extra_cycles, validate, random_probes)
+                extra_cycles, validate, RANDOM_PROBES)
 
     def get(self, key: Hashable) -> Optional[Any]:
         with self._lock:

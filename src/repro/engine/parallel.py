@@ -79,12 +79,10 @@ class SessionSpec:
 
     cache_dir: Optional[str] = None
     enable_cache: bool = True
-    random_probes: int = 32
 
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "SessionSpec":
-        return cls(cache_dir=config.cache_dir,
-                   random_probes=config.random_probes)
+        return cls(cache_dir=config.cache_dir)
 
     def to_dict(self) -> Dict[str, object]:
         """The JSON wire form: the distributed handshake ships this
@@ -104,8 +102,7 @@ class SessionSpec:
         from repro.engine.session import MappingSession
 
         return MappingSession(cache_dir=self.cache_dir,
-                              enable_cache=self.enable_cache,
-                              random_probes=self.random_probes)
+                              enable_cache=self.enable_cache)
 
 
 @dataclass

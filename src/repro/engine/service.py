@@ -398,7 +398,7 @@ class SolverService:
                                          override=request.timeout_seconds)
         key = synthesis_cache_key(design, arch_name, request.template,
                                   budget, request.extra_cycles,
-                                  request.validate, self.spec.random_probes)
+                                  request.validate)
         return key, record_labels(request, design)
 
     def _arch_name(self, arch: str) -> str:

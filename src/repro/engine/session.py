@@ -1,8 +1,8 @@
 """The mapping engine: one session object owns the map-one-design lifecycle.
 
 A :class:`MappingSession` ties together everything a ``lakeroad``
-invocation needs — the vendor primitive library, the word-level solver,
-the synthesis cache and the budget policy — and exposes ``map_design`` /
+invocation needs — the vendor primitive library, the synthesis cache and
+the budget policy — and exposes ``map_design`` /
 ``map_verilog``.  The three-step flow of §2.2 (sketch generation → program
 synthesis → compilation) lives in :meth:`MappingSession.map_design`;
 ``repro.lakeroad`` keeps the historical functional API as thin wrappers
@@ -31,7 +31,6 @@ from repro.engine.budget import Budget
 from repro.engine.cache import SynthesisCache, program_fingerprint
 from repro.engine.stats import new as new_stats
 from repro.hdl.behavioral import BehavioralDesign, verilog_to_behavioral
-from repro.smt.solver import SmtSolver
 from repro.vendor.library import PrimitiveLibrary
 
 __all__ = ["LakeroadResult", "MappingSession", "synthesis_cache_key",
@@ -40,14 +39,15 @@ __all__ = ["LakeroadResult", "MappingSession", "synthesis_cache_key",
 
 def synthesis_cache_key(design: BehavioralDesign, architecture_name: str,
                         template: str, budget: Budget, extra_cycles: int,
-                        validate: bool, random_probes: int):
+                        validate: bool):
     """The canonical synthesis-cache key for one mapping request.
 
     This is the single definition of what makes two mapping requests "the
     same result": the design's canonical program fingerprint, the target
-    architecture/template, the configured budget, the BMC window, the
-    validation flag and the probe budget (which changes the CEGIS
-    trajectory).  :meth:`MappingSession.map_design` keys its cache with it,
+    architecture/template, the configured budget, the BMC window and the
+    validation flag (:meth:`SynthesisCache.key` adds the probe budget,
+    which changes the CEGIS trajectory).
+    :meth:`MappingSession.map_design` keys its cache with it,
     and the service front door (:mod:`repro.engine.service`) derives the
     identical key for its duplicate-coalescing and pre-dispatch cache
     check — the two must never diverge, or the front door would serve a
@@ -55,7 +55,7 @@ def synthesis_cache_key(design: BehavioralDesign, architecture_name: str,
     """
     return SynthesisCache.key(program_fingerprint(design.program),
                               architecture_name, template, budget.key(),
-                              extra_cycles, validate, random_probes)
+                              extra_cycles, validate)
 
 
 @dataclass
@@ -145,16 +145,18 @@ class MappingSession:
     """Owns the full map-one-design lifecycle and its shared state.
 
     A session owns its primitive library (injectable, so tests can share
-    one), a word-level solver and exactly one result store: a bounded
+    one) and exactly one result store: a bounded
     in-memory :class:`SynthesisCache`, or, given a ``cache_dir``, a
     persistent :class:`~repro.engine.diskcache.DiskSynthesisCache` on its
     own (imported only then, with its ``sqlite3``), so synthesis
     results survive the process and are shared with concurrent sweep
     workers.  ``enable_cache=False`` leaves the store unused.
 
-    The CEGIS candidate solvers keep their learned databases bounded with
-    LBD-based clause reduction (the :class:`~repro.sat.solver.CDCLSolver`
-    ``reduce_interval`` / ``max_lbd_keep`` defaults); each mapping's
+    How the solvers search is not configurable here: the probe budget is
+    :data:`repro.smt.solver.RANDOM_PROBES`, and the CEGIS candidate
+    solvers keep their learned databases bounded with LBD-based clause
+    reduction at the :class:`~repro.sat.solver.CDCLSolver`
+    ``reduce_interval`` / ``max_lbd_keep`` defaults; each mapping's
     reduction telemetry — ``clauses_deleted`` and the ``db_size_peak``
     memory high-water mark — rides in its counters map
     (:mod:`repro.engine.stats`), and ``lakeroad map --stats``/``sweep``
@@ -164,18 +166,8 @@ class MappingSession:
     def __init__(self,
                  library: Optional[PrimitiveLibrary] = None,
                  enable_cache: bool = True,
-                 cache_dir=None,
-                 random_probes: int = 32) -> None:
+                 cache_dir=None) -> None:
         self.library = library if library is not None else PrimitiveLibrary()
-        #: Random-probe budget for the packed fast layers (the CEGIS
-        #: candidate step and the solver's layer 2 — see
-        #: :mod:`repro.bv.bitsim`).  Probes are evaluated 64 lanes per
-        #: word-parallel batch; the count changes which CEGIS trajectory
-        #: runs, so it participates in the synthesis cache key.
-        if random_probes < 0:
-            raise ValueError("random_probes must be non-negative")
-        self.random_probes = random_probes
-        self.solver = SmtSolver(random_probes=random_probes)
         if cache_dir is not None:
             from repro.engine.diskcache import DiskSynthesisCache
 
@@ -220,44 +212,37 @@ class MappingSession:
                     arch="xilinx-ultrascale-plus",
                     module_name: Optional[str] = None,
                     timeout_seconds: Optional[float] = None,
-                    budget: Optional[Budget] = None,
                     extra_cycles: int = 1,
                     validate: bool = True) -> LakeroadResult:
         """Map a behavioral Verilog module (the §2.2 entry point)."""
         design = verilog_to_behavioral(source, module_name)
         return self.map_design(design, template=template, arch=arch,
-                               timeout_seconds=timeout_seconds, budget=budget,
+                               timeout_seconds=timeout_seconds,
                                extra_cycles=extra_cycles, validate=validate)
 
     def map_design(self, design: BehavioralDesign, template: str = "dsp",
                    arch="xilinx-ultrascale-plus",
                    timeout_seconds: Optional[float] = None,
-                   budget: Optional[Budget] = None,
                    extra_cycles: int = 1,
                    validate: bool = True,
                    use_cache: Optional[bool] = None) -> LakeroadResult:
         """Map an imported behavioral design onto the target architecture.
 
+        ``timeout_seconds`` overrides the architecture's budget, which
+        starts now, so sketch generation counts against it.
         ``use_cache=False`` skips the session's cache for this one request;
         ``None`` and ``True`` both use it when the session enables caching.
         """
         start = time.monotonic()
         architecture = _resolve_arch(arch)
-        # A caller-supplied budget that is already running has an unknown
-        # amount of its window left, so its results are not comparable to a
-        # fresh run with the same configured timeout — never cache those.
-        externally_started = budget is not None and budget.started
-        if budget is None:
-            budget = self.budget_for(architecture.name, timeout_seconds)
-        budget.start()
+        budget = self.budget_for(architecture.name, timeout_seconds).start()
 
-        caching = self.enable_cache and use_cache is not False \
-            and not externally_started
+        caching = self.enable_cache and use_cache is not False
         cached = None
         if caching:
             cache_key = synthesis_cache_key(design, architecture.name,
                                             template, budget, extra_cycles,
-                                            validate, self.random_probes)
+                                            validate)
             cached = self.cache.get(cache_key)
         if cached is not None:
             # Sign twins share one cache entry: the hit is renamed, and
@@ -302,9 +287,7 @@ class MappingSession:
 
         at_time = design.pipeline_depth
         outcome = f_lr_star(sketch, design.program, at_time=at_time,
-                            cycles=extra_cycles, budget=budget,
-                            solver=self.solver,
-                            random_probes=self.random_probes)
+                            cycles=extra_cycles, budget=budget)
 
         result = LakeroadResult(
             status=budget_mod.mapping_status(outcome.status),

@@ -228,7 +228,7 @@ def _cold_process_baseline(benchmarks, template: str,
 
 def bench_serve(architectures: Optional[Sequence[str]] = None,
                 count: int = 4, seed: int = 0, max_width: int = 8,
-                template: str = "dsp", random_probes: int = 32,
+                template: str = "dsp",
                 requests: int = 32, workers: int = 2,
                 cold_requests: int = 4) -> dict:
     """Measure ``lakeroad serve`` against per-request cold-start.
@@ -257,7 +257,7 @@ def bench_serve(architectures: Optional[Sequence[str]] = None,
 
     cold_process = _cold_process_baseline(benchmarks, template, cold_requests)
 
-    spec = SessionSpec(random_probes=random_probes)
+    spec = SessionSpec()
     latencies: List[float] = []
     with tempfile.TemporaryDirectory(prefix="lakeroad-serve-") as tmp:
         socket_path = Path(tmp) / "bench.sock"
@@ -359,7 +359,7 @@ def bench_qos(seed: int = 0, flood_requests: int = 32,
     from repro.engine.service import ServerThread, ServiceClient, SolverService
 
     rng = random.Random(seed)
-    spec = SessionSpec(enable_cache=False, random_probes=8)
+    spec = SessionSpec(enable_cache=False)
     service = SolverService(spec, workers=workers, max_pending=max_pending,
                             client_queue=client_queue)
     steady_latencies: List[float] = []
@@ -476,7 +476,7 @@ def bench_qos(seed: int = 0, flood_requests: int = 32,
 
 def bench_distributed(architectures: Optional[Sequence[str]] = None,
                       count: int = 4, seed: int = 0, max_width: int = 8,
-                      template: str = "dsp", random_probes: int = 32,
+                      template: str = "dsp",
                       workers: int = 2, shard_size: int = 2) -> dict:
     """Measure the distributed sweep against the serial baseline.
 
@@ -502,8 +502,8 @@ def bench_distributed(architectures: Optional[Sequence[str]] = None,
     if not benchmarks:
         raise ValueError("the distributed bench needs at least one benchmark")
 
-    config = ExperimentConfig(template=template, random_probes=random_probes)
-    spec = SessionSpec(enable_cache=False, random_probes=random_probes)
+    config = ExperimentConfig(template=template)
+    spec = SessionSpec(enable_cache=False)
 
     serial_start = time.perf_counter()
     serial = run_sweep(benchmarks, config, workers=1, session_spec=spec)
@@ -535,7 +535,7 @@ def bench_distributed(architectures: Optional[Sequence[str]] = None,
 
 def run_bench(architectures: Optional[Sequence[str]] = None,
               count: int = 4, seed: int = 0, max_width: int = 8,
-              template: str = "dsp", random_probes: int = 32,
+              template: str = "dsp",
               throughput_assignments: int = 4096,
               serve: bool = True, serve_requests: int = 32,
               serve_workers: int = 2,
@@ -556,10 +556,10 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
         benchmarks.extend(sample_workloads(architecture, count, seed=seed,
                                            max_width=max_width))
 
-    config = ExperimentConfig(template=template, random_probes=random_probes)
+    config = ExperimentConfig(template=template)
     cold_results = []
     designs: List[dict] = []
-    with MappingSession(random_probes=random_probes) as session:
+    with MappingSession() as session:
         cold_start = time.perf_counter()
         for benchmark in benchmarks:
             design = verilog_to_behavioral(benchmark.verilog)
@@ -593,7 +593,6 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
     serve_section = bench_serve(architectures=architectures, count=count,
                                 seed=seed, max_width=max_width,
                                 template=template,
-                                random_probes=random_probes,
                                 requests=serve_requests,
                                 workers=serve_workers,
                                 cold_requests=serve_cold_requests) \
@@ -602,7 +601,6 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
     distributed_section = bench_distributed(
         architectures=architectures, count=count, seed=seed,
         max_width=max_width, template=template,
-        random_probes=random_probes,
         workers=distributed_workers) if distributed else None
     return {
         "revision": git_revision(),
@@ -613,7 +611,6 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
             "seed": seed,
             "max_width": max_width,
             "template": template,
-            "random_probes": random_probes,
         },
         "totals": {
             "benchmarks": len(designs),

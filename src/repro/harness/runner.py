@@ -58,10 +58,6 @@ class ExperimentConfig:
     #: Directory for the persistent synthesis cache shared by every worker
     #: (and by later runs); None keeps the cache in-memory and per-process.
     cache_dir: Optional[str] = None
-    #: Random-probe budget for the packed (64-lane word-parallel) fast
-    #: layers in the solver and the CEGIS candidate step; see
-    #: :mod:`repro.bv.bitsim`.  0 disables random probing entirely.
-    random_probes: int = 32
 
     def timeout_for(self, architecture: str) -> float:
         return budget_mod.timeout_for(architecture, self.timeout_seconds)

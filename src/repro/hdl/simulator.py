@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.bv.eval import evaluate
-from repro.hdl.ast import ModuleDecl
 from repro.hdl.btor import TransitionSystem
 from repro.hdl.elaborate import elaborate
 from repro.hdl.parser import parse_module
@@ -32,10 +31,6 @@ class Simulator:
     @classmethod
     def from_verilog(cls, source: str, module_name: Optional[str] = None) -> "Simulator":
         module = parse_module(source, module_name)
-        return cls(elaborate(module))
-
-    @classmethod
-    def from_module(cls, module: ModuleDecl) -> "Simulator":
         return cls(elaborate(module))
 
     # ------------------------------------------------------------------ #

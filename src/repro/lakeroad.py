@@ -11,10 +11,10 @@ which here is::
 
 Since the engine refactor the whole map-one-design lifecycle lives in
 :class:`repro.engine.MappingSession` (sketch generation → CEGIS-backed
-synthesis → compilation, with one budget model, one word-level solver and
-a memoizing synthesis cache).  This module keeps the historical functional
-API as thin wrappers over the process-wide default session; for explicit
-control over the library, solver or cache, construct a
+synthesis → compilation, with one budget model and a memoizing synthesis
+cache).  This module keeps the historical functional API as thin wrappers
+over the process-wide default session; for explicit control over the
+library or cache, construct a
 :class:`~repro.engine.session.MappingSession` directly.
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.engine.budget import Budget
 from repro.engine.session import (
     LakeroadResult,
     MappingSession,
@@ -50,12 +49,11 @@ def map_design(design: BehavioralDesign, template: str = "dsp",
                extra_cycles: int = 1,
                validate: bool = True,
                library: Optional[PrimitiveLibrary] = None,
-               session: Optional[MappingSession] = None,
-               budget: Optional[Budget] = None) -> LakeroadResult:
+               session: Optional[MappingSession] = None) -> LakeroadResult:
     """Map an imported behavioral design onto the target architecture."""
     return _session_for(library, session).map_design(
         design, template=template, arch=arch, timeout_seconds=timeout_seconds,
-        budget=budget, extra_cycles=extra_cycles, validate=validate)
+        extra_cycles=extra_cycles, validate=validate)
 
 
 def map_verilog(source: str, template: str = "dsp",
@@ -64,10 +62,9 @@ def map_verilog(source: str, template: str = "dsp",
                 timeout_seconds: Optional[float] = None,
                 extra_cycles: int = 1,
                 validate: bool = True,
-                session: Optional[MappingSession] = None,
-                budget: Optional[Budget] = None) -> LakeroadResult:
+                session: Optional[MappingSession] = None) -> LakeroadResult:
     """Map a behavioral Verilog module (the §2.2 entry point)."""
     design = verilog_to_behavioral(source, module_name)
     return map_design(design, template=template, arch=arch,
                       timeout_seconds=timeout_seconds, extra_cycles=extra_cycles,
-                      validate=validate, session=session, budget=budget)
+                      validate=validate, session=session)

@@ -49,11 +49,6 @@ class CNF:
         for clause in clauses:
             self.add_clause(clause)
 
-    def new_var(self) -> int:
-        """Allocate a fresh variable and return its number."""
-        self.num_vars += 1
-        return self.num_vars
-
     def add_clause(self, literals: Sequence[int]) -> None:
         """Add a clause; grows ``num_vars`` if the clause mentions new ones."""
         clause = list(literals)
@@ -70,11 +65,6 @@ class CNF:
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
-
-    @property
-    def total_literals(self) -> int:
-        """Literal occurrences over all clauses (the arena footprint)."""
-        return sum(len(clause) for clause in self.clauses)
 
     def copy(self) -> "CNF":
         duplicate = CNF(num_vars=self.num_vars)

@@ -14,14 +14,15 @@ ever issues quantifier-free queries to the underlying solver:
   all inputs (an equivalence query over input variables only) and, on
   failure, adds the counterexample to the example set.
 
-Each candidate step builds a fresh
-:class:`~repro.smt.solver.IncrementalSmtSession`: it re-substitutes the
-sketch for every accumulated example, blasts the whole conjunction in one
-batch and cold-starts one CDCL solver.  The session *canonicalizes* every
-satisfying model after the (heuristic, VSIDS) search finds one: a greedy
-assumption-solve pass refines it to the lexicographically smallest input
-assignment, which is a property of the constraint set rather than of the
-search.  Verification counterexamples are canonical too (``canonical=True``
+The sketch is substituted once per example, and the candidate
+constraints grow by one counterexample's worth per iteration.  Each
+candidate step builds a fresh
+:class:`~repro.smt.solver.IncrementalSmtSession`: it blasts the whole
+conjunction in one batch and cold-starts one CDCL solver.  The session
+*canonicalizes* every satisfying model after the (heuristic, VSIDS)
+search finds one: a greedy assumption-solve pass refines it to the
+lexicographically smallest input assignment, which is a property of the
+constraint set rather than of the search.  Verification counterexamples are canonical too (``canonical=True``
 on :func:`~repro.smt.equivalence.check_equivalence`), so however the
 verification solver searched, the counterexample — and with it the whole
 candidate/counterexample trajectory, the hole values and the iteration
@@ -46,7 +47,12 @@ from repro.bv.simplify import substitute
 from repro.engine.budget import Budget
 from repro.engine.stats import merge, new as new_stats
 from repro.smt.equivalence import check_equivalence
-from repro.smt.solver import _DEFAULT_SOLVER, IncrementalSmtSession, SmtSolver
+from repro.smt.solver import (
+    _DEFAULT_SOLVER,
+    RANDOM_PROBES,
+    IncrementalSmtSession,
+    SmtSolver,
+)
 
 __all__ = ["CegisResult", "Obligation", "synthesize"]
 
@@ -135,9 +141,8 @@ def _example_constraints(obligations: Sequence[Obligation],
 def _solve_candidate(constraints: Sequence[BVExpr], iteration: int,
                      seed: int, random_probes: int,
                      deadline: Optional[float],
-                     counters: Dict[str, float],
-                     reduce_interval: Optional[int] = None,
-                     max_lbd_keep: Optional[int] = None) -> Tuple[Optional[Mapping[str, int]], str, str]:
+                     counters: Dict[str, float]
+                     ) -> Tuple[Optional[Mapping[str, int]], str, str]:
     """Decide the candidate query; returns ``(model, status, strategy)``.
 
     The layering mirrors :class:`~repro.smt.solver.SmtSolver` — normalise,
@@ -186,8 +191,7 @@ def _solve_candidate(constraints: Sequence[BVExpr], iteration: int,
                 counters["probe_hits"] += 1
                 return batch[first_sat_lane(hits)], "sat", "simulate"
 
-    session = IncrementalSmtSession(reduce_interval=reduce_interval,
-                                    max_lbd_keep=max_lbd_keep)
+    session = IncrementalSmtSession()
     session.assert_constraints(constraints)
     smt_result = session.check(deadline=deadline)
     counters["candidate_conflicts"] += smt_result.sat_conflicts
@@ -212,9 +216,7 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
                solver: Optional[SmtSolver] = None,
                initial_random_examples: int = 2,
                budget: Optional[Budget] = None,
-               random_probes: int = 32,
-               reduce_interval: Optional[int] = None,
-               max_lbd_keep: Optional[int] = None) -> CegisResult:
+               random_probes: int = RANDOM_PROBES) -> CegisResult:
     """Solve ``∃ holes . ∀ inputs . ⋀ spec_i = sketch_i`` by CEGIS.
 
     Args:
@@ -231,17 +233,8 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
         solver: optional shared :class:`SmtSolver` (the verification side);
             the run uses its probe count, not its probe stream.
         budget: the engine-level :class:`Budget`; wins over ``deadline``.
-        random_probes: candidate-step random probe attempts per iteration.
-        reduce_interval: learned clauses between clause-DB reductions in
-            the candidate solver sessions (None defers to the
-            :class:`~repro.sat.solver.CDCLSolver` default; 0 disables
-            reduction).  Reduction bounds solver memory and never changes
-            statuses, hole values or iteration counts — the
-            differential-fuzz suite runs aggressive settings to hold it to
-            that.
-        max_lbd_keep: glue threshold — learned clauses with LBD at or
-            below this survive every reduction (None defers to the solver
-            default).
+        random_probes: candidate-step random probe attempts per iteration
+            (0 sends every non-zero candidate to the SAT layer).
     """
     if budget is not None:
         deadline = budget.start().deadline
@@ -262,6 +255,10 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
 
     result = CegisResult(status="unknown")
     counters = result.stats
+    # The candidate query: the hole constraints, then each example's
+    # obligations in the order the examples arrived.
+    constraints = list(hole_constraints)
+    substituted = 0
 
     for iteration in range(1, max_iterations + 1):
         result.iterations = iteration
@@ -271,15 +268,14 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
             break
 
         # ---------------- candidate step ---------------- #
-        # Re-substitute the sketch for *all* accumulated examples.
+        # Substitute the sketch for the examples no earlier iteration saw.
         candidate_start = time.monotonic()
-        constraints = list(hole_constraints)
-        for example in examples:
+        for example in examples[substituted:]:
             constraints.extend(_example_constraints(obligations, input_widths,
                                                     example))
+        substituted = len(examples)
         model, status, strategy = _solve_candidate(
-            constraints, iteration, seed, random_probes, deadline, counters,
-            reduce_interval, max_lbd_keep)
+            constraints, iteration, seed, random_probes, deadline, counters)
         result.candidate_strategy = strategy
         counters["candidate_time_seconds"] += \
             time.monotonic() - candidate_start

@@ -38,8 +38,14 @@ from repro.sat.portfolio import SatPortfolio
 from repro.sat.solver import CDCLSolver
 from repro.smt.model import Model
 
-__all__ = ["SmtResult", "check_sat", "SmtSolver", "IncrementalSmtSession",
-           "lex_min_model"]
+__all__ = ["RANDOM_PROBES", "SmtResult", "check_sat", "SmtSolver",
+           "IncrementalSmtSession", "lex_min_model"]
+
+#: Random assignments layer 2 (and the CEGIS candidate step) evaluates per
+#: query before bit-blasting: half a 64-lane packed batch.  The budget
+#: changes which CEGIS trajectory runs (probe-found models are not
+#: canonicalized), so the synthesis cache key carries it.
+RANDOM_PROBES = 32
 
 
 def _canonical_bit_order(bit_vars: Dict[str, int]) -> List[int]:
@@ -202,7 +208,8 @@ def _decode(input_vars: Dict[str, int], model: Dict[int, bool],
 class SmtSolver:
     """A configurable word-level solver instance."""
 
-    def __init__(self, random_probes: int = 32, seed: int = 0) -> None:
+    def __init__(self, random_probes: int = RANDOM_PROBES,
+                 seed: int = 0) -> None:
         self.random_probes = random_probes
         self.rng = random.Random(seed)
 
@@ -323,25 +330,16 @@ class IncrementalSmtSession:
     not of the search — so two sessions over the same asserted constraints
     return identical models, and cached answers keep matching fresh ones.
 
-    ``reduce_interval`` / ``max_lbd_keep`` configure the solver's
-    LBD-based clause-database reduction (None defers to the
-    :class:`~repro.sat.solver.CDCLSolver` defaults); reduction bounds the
-    learned database and can only change time-to-answer.  The reduction
-    telemetry is in :meth:`stats` (``clauses_deleted`` / ``db_size_peak``).
+    The solver reduces its learned database at the
+    :class:`~repro.sat.solver.CDCLSolver` defaults; reduction can only
+    change time-to-answer, and its telemetry is in :meth:`stats`
+    (``clauses_deleted`` / ``db_size_peak``).
     """
 
-    def __init__(self, reduce_interval: Optional[int] = None,
-                 max_lbd_keep: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._blaster = BitBlaster()
         #: AIG literals of the asserted non-constant constraints, in order.
         self._outputs: List[int] = []
-        #: Clause-DB reduction knobs for the solver; None defers to the
-        #: CDCLSolver defaults.
-        self._solver_options: Dict[str, int] = {}
-        if reduce_interval is not None:
-            self._solver_options["reduce_interval"] = reduce_interval
-        if max_lbd_keep is not None:
-            self._solver_options["max_lbd_keep"] = max_lbd_keep
         self._widths: Dict[str, int] = {}
         self._root_unsat = False
         #: The solver the last :meth:`check` built.
@@ -400,8 +398,7 @@ class IncrementalSmtSession:
 
         aig, outputs = self._blaster.aig, self._outputs
         input_vars = self.input_vars
-        self._solver = solver = CDCLSolver(deadline=deadline,
-                                           **self._solver_options)
+        self._solver = solver = CDCLSolver(deadline=deadline)
         solver.load_gates(aig.num_nodes, tseitin_gates(aig, outputs),
                           [lit_to_cnf(lit) for lit in outputs])
         sat_result = solver.solve()

@@ -8,6 +8,7 @@ constants directly — ``import conftest`` is ambiguous from the repo root,
 where ``benchmarks/conftest.py`` shadows this directory's.
 """
 
+import functools
 import random
 
 from repro.bv import (
@@ -34,6 +35,40 @@ ADD4 = ("module g(input [3:0] a, b, output [3:0] out);"
 #: 8-bit combinational multiply — the cheapest DSP-template design.
 MUL8 = ("module mul(input clk, input [7:0] a, b, output [7:0] out);"
         " assign out = a * b; endmodule")
+
+
+#: The most aggressive clause-database reduction: reduce after every other
+#: learned clause and protect nothing but locked clauses.
+AGGRESSIVE_REDUCTION = {"reduce_interval": 2, "max_lbd_keep": 0}
+
+
+def reduce_aggressively(patch, engine=CDCLSolver) -> None:
+    """Build every solver :mod:`repro.smt.solver` makes (candidate
+    sessions, verification lex-min refiners) as ``engine`` with
+    :data:`AGGRESSIVE_REDUCTION`.  ``patch`` is pytest's ``monkeypatch`` or
+    one of its contexts; the module looks its ``CDCLSolver`` up at call
+    time, so no reduction setting needs plumbing above the solver."""
+    import repro.smt.solver as smt_solver
+
+    patch.setattr(smt_solver, "CDCLSolver",
+                  functools.partial(engine, **AGGRESSIVE_REDUCTION))
+
+
+def factoring_constraints(product: int, width: int = 12,
+                          names=("f0", "f1")):
+    """Hole constraints ``f0 * f1 == product`` with both factors in
+    ``(1, 2**(width // 2))``, and the holes they add (name → width).
+
+    Unit propagation cannot factor, so every candidate query that carries
+    them searches and learns clauses: conjoined to a CEGIS run, they give
+    clause-database reduction something to delete."""
+    f0, f1 = (bvvar(name, width) for name in names)
+    bound = bv(1 << (width // 2), width)
+    one = bv(1, width)
+    return ({name: width for name in names},
+            [bveq(bvmul(f0, f1), bv(product, width)),
+             bvult(one, f0), bvult(f0, bound),
+             bvult(one, f1), bvult(f1, bound)])
 
 
 def small_workloads(count: int = 4, architecture: str = "intel-cyclone10lp",

@@ -408,11 +408,9 @@ class TestCli:
         ("sweep", "--timeout"),
         ("request", "--extra-cycles"),
         ("request", "--timeout"),
-        ("sweep", "--probes"),
         ("request", "--retries"),
     ], ids=["map-extra-cycles", "map-timeout", "sweep-timeout",
-            "request-extra-cycles", "request-timeout", "sweep-probes",
-            "request-retries"])
+            "request-extra-cycles", "request-timeout", "request-retries"])
     def test_negative_option_is_a_usage_error(self, capsys, cli_argv,
                                               command, flag):
         with pytest.raises(SystemExit) as exit_info:

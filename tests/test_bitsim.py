@@ -421,29 +421,11 @@ class TestProbeTelemetry:
         # And the wire format round-trips the counters map.
         assert type(record).from_dict(record.to_dict()) == record
 
-    def test_cache_key_separates_probe_budgets(self):
-        from repro.engine.cache import SynthesisCache
-
-        base = SynthesisCache.key("fp", "arch", "dsp", 1.0, 1, True,
-                                  random_probes=32)
-        other = SynthesisCache.key("fp", "arch", "dsp", 1.0, 1, True,
-                                   random_probes=0)
-        assert base != other
-
 
 # --------------------------------------------------------------------------- #
-# CLI threading: --probes and lakeroad bench
+# CLI threading: lakeroad bench
 # --------------------------------------------------------------------------- #
 class TestCliThreading:
-    def test_map_and_sweep_parsers_accept_probes(self):
-        from repro.cli import build_parser, build_sweep_parser
-
-        args = build_parser().parse_args(["design.v", "--probes", "128"])
-        assert args.probes == 128
-        assert build_parser().parse_args(["design.v"]).probes == 32
-        sweep = build_sweep_parser().parse_args(["--probes", "0"])
-        assert sweep.probes == 0
-
     def test_bench_writes_snapshot(self, tmp_path, capsys):
         from repro.cli import main
 

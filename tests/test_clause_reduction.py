@@ -3,9 +3,12 @@
 Learned clauses are entailed by the problem clauses, so deleting them can
 change only the search trajectory — never a status, a canonical model, an
 unsat core's validity, or a CEGIS outcome.  These tests force reductions
-with aggressive knobs and hold the solver to that.
+with aggressive knobs and hold the solver to that.  The knobs live on the
+solvers alone: the session and CEGIS tests swap the ``CDCLSolver`` that
+:mod:`repro.smt.solver` builds for an aggressively reducing one.
 """
 
+import functools
 import random
 
 import pytest
@@ -17,6 +20,8 @@ from repro.sat.dpll import DPLLSolver
 from repro.sat.solver import CDCLSolver
 from repro.smt.cegis import Obligation, synthesize
 from repro.smt.solver import IncrementalSmtSession, SmtSolver
+
+from _fixtures import factoring_constraints, reduce_aggressively
 
 
 def _pigeonhole(holes):
@@ -214,40 +219,60 @@ class TestReductionSoundness:
 
 
 class TestSessionReduction:
-    def test_smt_session_reduction_preserves_canonical_models(self):
+    def test_smt_session_reduction_preserves_canonical_models(
+            self, monkeypatch):
+        import repro.smt.solver as smt_solver
+
+        _, factoring = factoring_constraints(41 * 43)
         batches = [
             [bvult(bvvar("h", 6), bv(40, 6))],
             [bvult(bv(17, 6), bvvar("h", 6))],
             [bvne(bvvar("h", 6), bv(20, 6)), bvne(bvvar("h", 6), bv(18, 6))],
+            factoring,
         ]
-        aggressive = IncrementalSmtSession(reduce_interval=1, max_lbd_keep=0)
+        aggressive = IncrementalSmtSession()
         plain = IncrementalSmtSession()
         for batch in batches:
             aggressive.assert_constraints(batch)
             plain.assert_constraints(batch)
-            lhs, rhs = aggressive.check(), plain.check()
+            with monkeypatch.context() as patch:
+                patch.setattr(smt_solver, "CDCLSolver", functools.partial(
+                    CDCLSolver, reduce_interval=1, max_lbd_keep=0))
+                lhs = aggressive.check()
+            rhs = plain.check()
             assert lhs.status == rhs.status
             assert lhs.model.as_dict() == rhs.model.as_dict()
-        stats = aggressive.stats()
-        assert "clauses_deleted" in stats and "db_size_peak" in stats
+        # The factoring batch makes the last check learn, and reduce.
+        assert aggressive.stats()["clauses_deleted"] > 0
+        assert plain.stats()["clauses_deleted"] == 0
 
 
 class TestCegisModeEqualityUnderReduction:
+    """CEGIS with every solver :mod:`repro.smt.solver` builds reducing
+    aggressively (``reduce_aggressively``) against default runs."""
+
     def _interval_instance(self, width=10):
+        """A 13-iteration run whose every candidate query also factors
+        41 * 43, so each iteration's candidate solver learns clauses."""
         x, k, m = bvvar("x", width), bvvar("k", width), bvvar("m", width)
         obligation = Obligation(
             bvand(bvult(x, bv(700, width)), bvult(bv(300, width), x)),
             bvand(bvult(x, k), bvult(m, x)))
-        return [obligation], {"k": width, "m": width}
+        factors, factoring = factoring_constraints(41 * 43)
+        return [obligation], {"k": width, "m": width, **factors}, factoring
 
-    def test_mid_run_reduction_leaves_the_run_identical(self):
-        obligations, holes = self._interval_instance()
-        baseline = synthesize(obligations, holes, solver=SmtSolver(seed=0),
+    def test_mid_run_reduction_leaves_the_run_identical(self, monkeypatch):
+        obligations, holes, constraints = self._interval_instance()
+        baseline = synthesize(obligations, holes,
+                              hole_constraints=constraints,
+                              solver=SmtSolver(seed=0),
                               random_probes=0, initial_random_examples=0)
         assert baseline.succeeded and baseline.iterations >= 4
-        result = synthesize(obligations, holes, solver=SmtSolver(seed=0),
-                            random_probes=0, initial_random_examples=0,
-                            reduce_interval=2, max_lbd_keep=0)
+        reduce_aggressively(monkeypatch)
+        result = synthesize(obligations, holes, hole_constraints=constraints,
+                            solver=SmtSolver(seed=0),
+                            random_probes=0, initial_random_examples=0)
+        assert result.stats["clauses_deleted"] >= 1
         assert result.status == baseline.status
         assert result.hole_values == baseline.hole_values
         assert result.iterations == baseline.iterations
@@ -262,12 +287,14 @@ class TestCegisModeEqualityUnderReduction:
                 [bvult(h1, bv(64, width)), bvult(h2, bv(64, width)),
                  bvult(bv(1, width), h1), bvult(bv(1, width), h2)])
 
-    def test_reduction_telemetry_flows_into_the_result(self):
+    def test_reduction_telemetry_flows_into_the_result(self, monkeypatch):
         obligations, holes, constraints = self._semiprime_instance()
-        result = synthesize(obligations, holes, hole_constraints=constraints,
-                            solver=SmtSolver(seed=0), random_probes=0,
-                            initial_random_examples=0,
-                            reduce_interval=2, max_lbd_keep=0)
+        with monkeypatch.context() as patch:
+            reduce_aggressively(patch)
+            result = synthesize(obligations, holes,
+                                hole_constraints=constraints,
+                                solver=SmtSolver(seed=0), random_probes=0,
+                                initial_random_examples=0)
         assert result.succeeded
         assert result.stats["db_size_peak"] > 0
         assert result.stats["clauses_deleted"] > 0
@@ -279,24 +306,26 @@ class TestCegisModeEqualityUnderReduction:
         assert patient.stats["db_size_peak"] > 0
         assert patient.stats["clauses_deleted"] == 0
 
-    def test_throwaway_session_telemetry_is_counted(self):
+    def test_throwaway_session_telemetry_is_counted(self, monkeypatch):
         # CEGIS builds a throwaway candidate session per iteration; its
         # reduction work must be folded into the result.
         obligations, holes, constraints = self._semiprime_instance()
+        reduce_aggressively(monkeypatch)
         result = synthesize(
             obligations, holes, hole_constraints=constraints,
             solver=SmtSolver(seed=0), random_probes=0,
-            initial_random_examples=0, reduce_interval=2, max_lbd_keep=0)
+            initial_random_examples=0)
         assert result.succeeded
         assert result.hole_values in ({"h1": 59, "h2": 61},
                                       {"h1": 61, "h2": 59})
         assert result.stats["db_size_peak"] > 0
         assert result.stats["clauses_deleted"] > 0
 
-    def test_budget_still_degrades_cleanly_with_reduction(self):
-        obligations, holes = self._interval_instance()
+    def test_budget_still_degrades_cleanly_with_reduction(self, monkeypatch):
+        obligations, holes, constraints = self._interval_instance()
         budget = Budget(timeout_seconds=0.0).start()
-        result = synthesize(obligations, holes, budget=budget,
-                            reduce_interval=2, max_lbd_keep=0,
-                            random_probes=0, initial_random_examples=0)
+        reduce_aggressively(monkeypatch)
+        result = synthesize(obligations, holes, hole_constraints=constraints,
+                            budget=budget, random_probes=0,
+                            initial_random_examples=0)
         assert result.status == "unknown"

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import diskcache
+from repro.engine.budget import Budget
 from repro.engine.cache import SynthesisCache
 from repro.engine.diskcache import (
     DB_NAME,
@@ -21,7 +22,8 @@ from repro.engine.diskcache import (
     DiskSynthesisCache,
     canonical_key,
 )
-from repro.engine.session import MappingSession
+from repro.engine.session import MappingSession, synthesis_cache_key
+from repro.hdl.behavioral import verilog_to_behavioral
 
 from _fixtures import AND4, MUL8
 
@@ -89,6 +91,22 @@ class TestDiskCacheUnit:
 
 
 class TestSchemaAndCorruption:
+    def test_keys_and_schema_match_existing_cache_dirs(self):
+        """A cache dir written since schema 3 keeps answering: the key of a
+        fixed request is the tuple such dirs hold, with the probe budget
+        (32) in its last slot."""
+        key = synthesis_cache_key(verilog_to_behavioral(AND4), "sofa",
+                                  "bitwise",
+                                  Budget.for_architecture("sofa", override=60),
+                                  1, True)
+        assert key == ("9aae17951f37cbcc1b9089c99a22980f"
+                       "106298070de45de76f47221ac7a522cb",
+                       "sofa", "bitwise", 60.0, 1, True, 32)
+        assert canonical_key(key) == (
+            '["9aae17951f37cbcc1b9089c99a22980f106298070de45de76f47221ac7a5'
+            '22cb", "sofa", "bitwise", 60.0, 1, true, 32]')
+        assert SCHEMA_VERSION == 3
+
     def test_schema_version_mismatch_falls_back_to_empty(self, tmp_path):
         cache = DiskSynthesisCache(tmp_path)
         cache.put(KEY, "old-schema-value")

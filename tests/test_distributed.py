@@ -101,26 +101,26 @@ class TestWireForms:
             json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_session_spec_round_trips(self):
-        spec = SessionSpec(enable_cache=False, random_probes=7)
+        spec = SessionSpec(enable_cache=False)
         rebuilt = SessionSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert rebuilt == spec
-        # Older coordinators still send the retired racing-style and
-        # CEGIS-mode fields.
+        # Older coordinators still send the retired racing-style,
+        # CEGIS-mode and probe-budget fields.
         legacy = dict(spec.to_dict(), portfolio="thread", incremental=True,
-                      incremental_verify=True)
+                      incremental_verify=True, random_probes=7)
         assert SessionSpec.from_dict(legacy) == spec
 
     def test_experiment_config_round_trips(self):
-        config = ExperimentConfig(template="dsp", random_probes=5,
+        config = ExperimentConfig(template="dsp",
                                   timeout_seconds={"intel-cyclone10lp": 9.0})
         rebuilt = ExperimentConfig.from_dict(
             json.loads(json.dumps(config.to_dict())))
         assert rebuilt == config
         assert rebuilt.timeout_seconds["intel-cyclone10lp"] == 9.0
-        # Older coordinators still send the retired racing-style and
-        # CEGIS-mode fields.
+        # Older coordinators still send the retired racing-style,
+        # CEGIS-mode and probe-budget fields.
         legacy = dict(config.to_dict(), portfolio="thread", incremental=True,
-                      incremental_verify=True)
+                      incremental_verify=True, random_probes=5)
         assert ExperimentConfig.from_dict(legacy) == config
 
 

@@ -12,9 +12,13 @@ random instances from a seed and cross-checks:
   both canonical-model paths (candidate session, ``canonical=True``)
   against the brute-force lex-min model;
 * CEGIS with and without the most aggressive clause-database reduction
-  against each other — statuses, hole values, iteration and example
-  counts — and the winning hole assignments against brute-force
-  enumeration of the full hole space;
+  (every solver :mod:`repro.smt.solver` builds, swapped by
+  monkeypatching) against each other — statuses, hole values, iteration
+  and example counts — and the winning hole assignments against
+  brute-force enumeration of the full hole space; every third case is a
+  realizable one that needs a SAT query and also factors a semiprime over
+  two extra holes, so the reduced runs have learned clauses to delete,
+  and each stream checks that some did;
 * clause-database reduction at its most aggressive settings
   (``reduce_interval=2, max_lbd_keep=0`` — reduce after every other
   learned clause, protect nothing but locked clauses) against brute force
@@ -82,8 +86,9 @@ from repro.smt.cegis import Obligation, synthesize
 from repro.smt.solver import SmtSolver, check_sat
 
 from _fixtures import (
-    assert_aig_loading_matches, assert_canonical_lex_min, next_solve,
-    random_full_expr, random_small_formula, solve_snapshot,
+    assert_aig_loading_matches, assert_canonical_lex_min,
+    factoring_constraints, next_solve, random_full_expr,
+    random_small_formula, reduce_aggressively, solve_snapshot,
 )
 
 pytestmark = pytest.mark.fuzz
@@ -192,6 +197,25 @@ def _assignments(variables):
             assignment[name] = shift & ((1 << width) - 1)
             shift >>= width
         yield assignment
+
+
+#: Products of two primes in (1, 64) whose factoring makes the candidate
+#: solver learn clauses (under the aggressive settings, some of them are
+#: deleted in every iteration that carries the factoring).
+_SEMIPRIMES = (41 * 43, 41 * 47, 43 * 47, 37 * 59, 47 * 53)
+
+
+def _factoring_side_condition(rng: random.Random):
+    """``(holes, constraints, product)`` of a random :data:`_SEMIPRIMES`
+    factoring.
+
+    The factoring shares no variable with a case's spec and sketch, so it
+    changes neither which of their hole assignments are correct nor
+    whether one exists.  Zeros and random probes cannot satisfy it, so
+    every candidate of a run that carries it comes from a SAT search."""
+    product = rng.choice(_SEMIPRIMES)
+    holes, constraints = factoring_constraints(product)
+    return holes, constraints, product
 
 
 def _two_candidate_case(rng: random.Random):
@@ -530,34 +554,43 @@ class TestArenaLegacyDifferential:
             loads[0] += isinstance(session._solver, LegacyCDCLSolver)
             return result
 
-        def run_modes(obligation, holes, case_seed, options):
+        def run_modes(obligation, holes, case_seed, options, engine):
             results = {}
             for reduced in (False, True):
-                knobs = {"reduce_interval": 2, "max_lbd_keep": 0} \
-                    if reduced else {}
-                outcome = synthesize(
-                    [obligation], holes, solver=SmtSolver(seed=0),
-                    seed=case_seed & 0xFFFF, max_iterations=256,
-                    **options, **knobs)
+                with monkeypatch.context() as patch:
+                    if reduced:
+                        reduce_aggressively(patch, engine)
+                    else:
+                        patch.setattr(smt_solver, "CDCLSolver", engine)
+                    outcome = synthesize(
+                        [obligation], holes, solver=SmtSolver(seed=0),
+                        seed=case_seed & 0xFFFF, max_iterations=256,
+                        **options)
                 results[reduced] = (
                     outcome.status, outcome.hole_values,
                     outcome.iterations, outcome.examples_used,
                     outcome.stats["propagations"],
-                    outcome.stats["watcher_visits"])
+                    outcome.stats["watcher_visits"],
+                    outcome.stats["clauses_deleted"])
             return results
 
         def compare(stream, case_seed, holes, spec, sketch, **options):
+            """Both engines agree; returns whether the reduced arena run
+            deleted a learned clause."""
+            side = options.get("hole_constraints", [])
             obligation = Obligation(spec=spec, sketch=sketch)
-            arena_runs = run_modes(obligation, holes, case_seed, options)
+            arena_runs = run_modes(obligation, holes, case_seed, options,
+                                   CDCLSolver)
             with monkeypatch.context() as patch:
-                patch.setattr(smt_solver, "CDCLSolver", LegacyCDCLSolver)
                 patch.setattr(smt_solver.IncrementalSmtSession, "check",
                               counting_check)
-                legacy_runs = run_modes(obligation, holes, case_seed, options)
+                legacy_runs = run_modes(obligation, holes, case_seed,
+                                        options, LegacyCDCLSolver)
             assert arena_runs == legacy_runs, \
                 (f"CEGIS diverged between engines on spec={spec!r} "
-                 f"sketch={sketch!r}: {arena_runs!r} != {legacy_runs!r} "
-                 f"{_replay(stream, case_seed)}")
+                 f"sketch={sketch!r} side={side!r}: {arena_runs!r} != "
+                 f"{legacy_runs!r} {_replay(stream, case_seed)}")
+            return arena_runs[True][-1] > 0
 
         cases = max(1, CEGIS_CASES // 3)
         # Independent spec/sketch pairs, default options: often
@@ -574,13 +607,25 @@ class TestArenaLegacyDifferential:
                                   rng.randint(1, 4))
             compare("cegis-legacy", case_seed, holes, spec, sketch)
         # Cases that load the candidate solver at any scale
-        # (_two_candidate_case).
+        # (_two_candidate_case); every third also carries a factoring, so
+        # its reduced runs delete learned clauses.
         before = loads[0]
+        reduced_cases = 0
         for index in range(cases):
             case_seed = _case_seed("cegis-legacy-warm", index)
-            holes, spec, sketch = _two_candidate_case(random.Random(case_seed))
-            compare("cegis-legacy-warm", case_seed, holes, spec, sketch,
-                    random_probes=0, initial_random_examples=0)
+            rng = random.Random(case_seed)
+            holes, spec, sketch = _two_candidate_case(rng)
+            side = []
+            if index % 3 == 0:
+                side_holes, side, _ = _factoring_side_condition(rng)
+                holes = {**holes, **side_holes}
+            reduced_cases += compare(
+                "cegis-legacy-warm", case_seed, holes, spec, sketch,
+                hole_constraints=side, random_probes=0,
+                initial_random_examples=0)
+        assert reduced_cases > 0, \
+            (f"no reduced cegis-legacy-warm run deleted a clause over "
+             f"{cases} cases")
         # Per case: both reduction settings load a candidate solver for
         # the candidate after the all-zeros one.
         assert loads[0] - before >= 2 * cases, \
@@ -592,36 +637,50 @@ class TestArenaLegacyDifferential:
 # (f) CEGIS differential: with and without reduction vs brute force
 # --------------------------------------------------------------------------- #
 class TestCegisDifferential:
-    def test_mode_combinations_agree_and_match_brute_force(self):
+    def test_mode_combinations_agree_and_match_brute_force(self, monkeypatch):
         checked_sat = 0
         checked_unsat = 0
+        reduced_cases = 0
         for index in range(CEGIS_CASES):
             case_seed = _case_seed("cegis", index)
             rng = random.Random(case_seed)
-            width = rng.randint(1, 3)
-            inputs = {"a": rng.randint(1, 3), "b": rng.randint(1, 3)}
-            holes = {"h0": rng.randint(1, 3)}
-            if rng.random() < 0.5:
-                holes["h1"] = rng.randint(1, 2)
-            spec = _random_expr(rng, inputs, width, rng.randint(1, 3))
-            sketch = _random_expr(rng, {**inputs, **holes}, width,
-                                  rng.randint(1, 4))
+            side_holes, side, product = {}, [], None
+            if index % 3 == 0:
+                # Realizable, needs a SAT query, and factors a semiprime:
+                # its candidate solvers learn clauses to delete.
+                holes, spec, sketch = _two_candidate_case(rng)
+                inputs = {name: width for expr in (spec, sketch)
+                          for name, width in var_widths(expr).items()
+                          if name not in holes}
+                side_holes, side, product = _factoring_side_condition(rng)
+            else:
+                width = rng.randint(1, 3)
+                inputs = {"a": rng.randint(1, 3), "b": rng.randint(1, 3)}
+                holes = {"h0": rng.randint(1, 3)}
+                if rng.random() < 0.5:
+                    holes["h1"] = rng.randint(1, 2)
+                spec = _random_expr(rng, inputs, width, rng.randint(1, 3))
+                sketch = _random_expr(rng, {**inputs, **holes}, width,
+                                      rng.randint(1, 4))
             obligation = Obligation(spec=spec, sketch=sketch)
 
             outcomes = {}
             for reduced in (False, True):
                 # reduced=True re-runs with the most aggressive clause-DB
                 # reduction settings; the outcome must stay identical.
-                knobs = {"reduce_interval": 2, "max_lbd_keep": 0} \
-                    if reduced else {}
-                outcomes[reduced] = synthesize(
-                    [obligation], holes, solver=SmtSolver(seed=0),
-                    seed=case_seed & 0xFFFF, max_iterations=256, **knobs)
+                with monkeypatch.context() as patch:
+                    if reduced:
+                        reduce_aggressively(patch)
+                    outcomes[reduced] = synthesize(
+                        [obligation], {**holes, **side_holes},
+                        hole_constraints=side, solver=SmtSolver(seed=0),
+                        seed=case_seed & 0xFFFF, max_iterations=256)
             base = outcomes[False]
+            reduced_cases += outcomes[True].stats["clauses_deleted"] > 0
             for key, outcome in outcomes.items():
                 context = (f"reduced={key} vs unreduced on "
                            f"spec={spec!r} sketch={sketch!r} "
-                           f"{_replay('cegis', case_seed)}")
+                           f"side={side!r} {_replay('cegis', case_seed)}")
                 assert outcome.status == base.status, context
                 assert outcome.hole_values == base.hole_values, context
                 assert outcome.iterations == base.iterations, context
@@ -642,6 +701,10 @@ class TestCegisDifferential:
                     (f"returned holes {base.hole_values!r} do not implement "
                      f"spec={spec!r} sketch={sketch!r} "
                      f"{_replay('cegis', case_seed)}")
+                if product is not None:
+                    assert base.hole_values["f0"] * base.hole_values["f1"] \
+                        == product, (base.hole_values,
+                                     _replay('cegis', case_seed))
                 checked_sat += 1
             else:
                 assert not any(implements(assignment)
@@ -650,9 +713,12 @@ class TestCegisDifferential:
                      f"spec={spec!r} sketch={sketch!r} "
                      f"{_replay('cegis', case_seed)}")
                 checked_unsat += 1
-        # The generator must exercise both outcomes, or the oracle is idle.
+        # The generator must exercise both outcomes, or the oracle is idle,
+        # and reduction must delete something, or the equality is vacuous.
         assert checked_sat > 0 and checked_unsat > 0, \
             (checked_sat, checked_unsat)
+        assert reduced_cases > 0, \
+            f"no reduced cegis run deleted a clause over {CEGIS_CASES} cases"
 
 
 # --------------------------------------------------------------------------- #

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.bv import (
-    bv, bvvar, bvadd, bvmul, bvand, bvor, bvxor, bvite, bveq, bvne, bvult,
+    bv, bvvar, bvadd, bvmul, bvand, bvxor, bveq, bvne, bvult,
     bvconcat, bvextract, bvlshr, zero_extend,
 )
 from repro.bv.bitblast import BitBlaster
@@ -28,8 +28,9 @@ from repro.smt.cegis import Obligation, synthesize
 from repro.smt.solver import IncrementalSmtSession, SmtSolver, lex_min_model
 
 from _fixtures import (
-    assert_aig_loading_matches, assert_canonical_lex_min, random_full_expr,
-    random_small_formula, solve_snapshot,
+    assert_aig_loading_matches, assert_canonical_lex_min,
+    factoring_constraints, random_full_expr, random_small_formula,
+    reduce_aggressively, solve_snapshot,
 )
 
 
@@ -483,14 +484,18 @@ class TestCnfLayout:
         assert seen == {(True, "sat"), (True, "unsat"), (False, "unsat")}
 
 
-def _assert_modes_equal(obligations, hole_widths, **kwargs):
+def _assert_modes_equal(monkeypatch, obligations, hole_widths, **kwargs):
     """A default run and one under the most aggressive clause-DB reduction
     must agree on status, hole values, iteration and example counts:
-    reduction may only change how the candidate solver searches."""
+    reduction may only change how the candidate solver searches.  The
+    reduced run must delete a learned clause, or the check is vacuous."""
     plain = synthesize(obligations, hole_widths, solver=SmtSolver(seed=0),
                        **kwargs)
-    reduced = synthesize(obligations, hole_widths, solver=SmtSolver(seed=0),
-                         reduce_interval=2, max_lbd_keep=0, **kwargs)
+    with monkeypatch.context() as patch:
+        reduce_aggressively(patch)
+        reduced = synthesize(obligations, hole_widths,
+                             solver=SmtSolver(seed=0), **kwargs)
+    assert reduced.stats["clauses_deleted"] >= 1
     assert reduced.status == plain.status
     assert reduced.hole_values == plain.hole_values
     assert reduced.iterations == plain.iterations
@@ -499,33 +504,42 @@ def _assert_modes_equal(obligations, hole_widths, **kwargs):
 
 
 class TestIncrementalCegis:
-    def test_lut_synthesis_equal_across_modes(self):
+    # The SAT cases also factor 41 * 43 over two extra holes: no candidate
+    # query of theirs is settled by propagation alone, so every one learns
+    # clauses for the reduced run to delete.
+    def test_lut_synthesis_equal_across_modes(self, monkeypatch):
         a, b = bvvar("a", 1), bvvar("b", 1)
         memory = bvvar("mem", 4)
         lut = bvextract(0, 0, bvlshr(memory, zero_extend(bvconcat(b, a), 2)))
+        factors, factoring = factoring_constraints(41 * 43)
         plain, _ = _assert_modes_equal(
-            [Obligation(bvxor(a, b), lut)], {"mem": 4})
+            monkeypatch, [Obligation(bvxor(a, b), lut)],
+            {"mem": 4, **factors}, hole_constraints=factoring)
         assert plain.status == "sat"
         assert plain.hole_values["mem"] == 0b0110
 
-    def test_multi_iteration_threshold_equal_across_modes(self):
+    def test_multi_iteration_threshold_equal_across_modes(self, monkeypatch):
         width = 10
         x, k = bvvar("x", width), bvvar("k", width)
+        factors, factoring = factoring_constraints(41 * 43)
         plain, _ = _assert_modes_equal(
-            [Obligation(bvult(x, bv(700, width)), bvult(x, k))], {"k": width},
+            monkeypatch, [Obligation(bvult(x, bv(700, width)), bvult(x, k))],
+            {"k": width, **factors}, hole_constraints=factoring,
             random_probes=0, initial_random_examples=0)
         assert plain.status == "sat"
-        assert plain.hole_values == {"k": 700}
+        assert plain.hole_values["k"] == 700
         assert plain.iterations >= 4  # genuinely multi-iteration
 
-    def test_unsat_equal_across_modes(self):
-        width = 8
-        a, b, c = bvvar("a", width), bvvar("b", width), bvvar("c", width)
-        selector = bvvar("sel", 1)
-        product = bvmul(a, b)
-        sketch = bvite(selector, bvand(product, c), bvor(product, c))
+    def test_unsat_equal_across_modes(self, monkeypatch):
+        # No two factors in (1, 64) multiply to the prime 4057, and only a
+        # search that learns clauses refutes every split.
+        width = 12
+        f0, f1 = bvvar("f0", width), bvvar("f1", width)
+        bounds = [bvult(bv(1, width), f0), bvult(f0, bv(64, width)),
+                  bvult(bv(1, width), f1), bvult(f1, bv(64, width))]
         plain, _ = _assert_modes_equal(
-            [Obligation(bvxor(bvmul(a, b), c), sketch)], {"sel": 1})
+            monkeypatch, [Obligation(bv(4057, width), bvmul(f0, f1))],
+            {"f0": width, "f1": width}, hole_constraints=bounds)
         assert plain.status == "unsat"
 
     def test_workload_generator_designs_equal_across_modes(
@@ -541,7 +555,7 @@ class TestIncrementalCegis:
         def outcome(sketch, design):
             result = f_lr_star(sketch, design.program,
                                at_time=design.pipeline_depth, cycles=1,
-                               timeout_seconds=60, solver=SmtSolver(seed=0))
+                               timeout_seconds=60)
             return (result.status, result.hole_values,
                     result.cegis_iterations, result.stats["propagations"],
                     result.stats["candidate_conflicts"])

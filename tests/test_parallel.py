@@ -132,11 +132,10 @@ class TestShardedSweep:
         assert separate == {"hits": 5, "misses": 3, "entries": 8, "errors": 1}
 
     def test_session_spec_builds_configured_sessions(self, tmp_path):
-        spec = SessionSpec(cache_dir=str(tmp_path), enable_cache=False,
-                           random_probes=7)
+        spec = SessionSpec(cache_dir=str(tmp_path), enable_cache=False)
         with spec.build() as session:
             assert not session.enable_cache
-            assert session.random_probes == 7
+            assert session.cache.directory == tmp_path
 
 
 # --------------------------------------------------------------------------- #
@@ -269,7 +268,7 @@ class TestSweepSummary:
         "architectures", "cache", "clauses_deleted", "db_size_peak",
         "hit_rate", "interrupted", "outcomes", "prefilter_cex_found",
         "probe_hits", "probe_lanes_evaluated", "propagations",
-        "propagations_per_second", "random_probes", "record_cache_hits",
+        "propagations_per_second", "record_cache_hits",
         "solver_solve_seconds", "total", "watcher_visits",
         "watcher_visits_per_propagation", "workers",
     }

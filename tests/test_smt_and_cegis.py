@@ -204,6 +204,30 @@ class TestCegis:
         assert result.succeeded
         assert result.hole_values["k"] == 3
 
+    def test_each_example_is_substituted_once(self, monkeypatch):
+        """The candidate query keeps its constraints across iterations and
+        gains only the new counterexample's, so a run substitutes the
+        sketch once per example, however many iterations it takes."""
+        import repro.smt.cegis as cegis_mod
+
+        substituted = []
+        original = cegis_mod._example_constraints
+
+        def spy(obligations, input_widths, example):
+            substituted.append(tuple(sorted(example.items())))
+            return original(obligations, input_widths, example)
+
+        monkeypatch.setattr(cegis_mod, "_example_constraints", spy)
+        width = 10
+        x, k = bvvar("x", width), bvvar("k", width)
+        result = synthesize(Obligation(bvult(x, bv(700, width)), bvult(x, k)),
+                            {"k": width}, random_probes=0,
+                            initial_random_examples=0)
+        assert result.succeeded and result.hole_values == {"k": 700}
+        assert result.iterations >= 4
+        assert len(substituted) == len(set(substituted)) \
+            == result.examples_used
+
     def test_no_obligations_rejected(self):
         with pytest.raises(ValueError):
             synthesize([], {"k": 4})
