@@ -54,19 +54,17 @@ def reduce_aggressively(patch, engine=CDCLSolver) -> None:
                   functools.partial(engine, **AGGRESSIVE_REDUCTION))
 
 
-def factoring_constraints(product: int, width: int = 12,
-                          names=("f0", "f1")):
-    """Hole constraints ``f0 * f1 == product`` with both factors in
-    ``(1, 2**(width // 2))``, and the holes they add (name → width).
+def factoring_constraints(product: int):
+    """The 12-bit holes ``f0``/``f1`` (name → width) and the hole
+    constraints ``f0 * f1 == product`` with both factors in (1, 64).
 
     Unit propagation cannot factor, so every candidate query that carries
     them searches and learns clauses: conjoined to a CEGIS run, they give
     clause-database reduction something to delete."""
-    f0, f1 = (bvvar(name, width) for name in names)
-    bound = bv(1 << (width // 2), width)
-    one = bv(1, width)
-    return ({name: width for name in names},
-            [bveq(bvmul(f0, f1), bv(product, width)),
+    f0, f1 = bvvar("f0", 12), bvvar("f1", 12)
+    one, bound = bv(1, 12), bv(64, 12)
+    return ({"f0": 12, "f1": 12},
+            [bveq(bvmul(f0, f1), bv(product, 12)),
              bvult(one, f0), bvult(f0, bound),
              bvult(one, f1), bvult(f1, bound)])
 

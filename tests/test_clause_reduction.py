@@ -8,7 +8,6 @@ solvers alone: the session and CEGIS tests swap the ``CDCLSolver`` that
 :mod:`repro.smt.solver` builds for an aggressively reducing one.
 """
 
-import functools
 import random
 
 import pytest
@@ -221,8 +220,6 @@ class TestReductionSoundness:
 class TestSessionReduction:
     def test_smt_session_reduction_preserves_canonical_models(
             self, monkeypatch):
-        import repro.smt.solver as smt_solver
-
         _, factoring = factoring_constraints(41 * 43)
         batches = [
             [bvult(bvvar("h", 6), bv(40, 6))],
@@ -236,8 +233,7 @@ class TestSessionReduction:
             aggressive.assert_constraints(batch)
             plain.assert_constraints(batch)
             with monkeypatch.context() as patch:
-                patch.setattr(smt_solver, "CDCLSolver", functools.partial(
-                    CDCLSolver, reduce_interval=1, max_lbd_keep=0))
+                reduce_aggressively(patch)
                 lhs = aggressive.check()
             rhs = plain.check()
             assert lhs.status == rhs.status
