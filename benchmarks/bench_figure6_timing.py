@@ -10,8 +10,9 @@ import dataclasses
 
 import pytest
 
+from repro.engine.parallel import run_sweep
 from repro.harness.experiments import figure6_timing, render_timing_table
-from repro.harness.runner import run_baselines, run_lakeroad
+from repro.harness.runner import run_baselines
 
 
 @pytest.mark.benchmark(group="figure6-timing")
@@ -20,7 +21,7 @@ def test_figure6_timing_lattice(benchmark, experiment_config, lattice_benchmarks
     config = dataclasses.replace(experiment_config, use_cache=False)
 
     def run():
-        records = run_lakeroad(lattice_benchmarks, config)
+        records = run_sweep(lattice_benchmarks, config).records
         records += run_baselines(lattice_benchmarks)
         return figure6_timing({"lattice-ecp5": records})
 
@@ -36,7 +37,7 @@ def test_figure6_timing_intel(benchmark, experiment_config, intel_benchmarks):
     config = dataclasses.replace(experiment_config, use_cache=False)
 
     def run():
-        records = run_lakeroad(intel_benchmarks, config)
+        records = run_sweep(intel_benchmarks, config).records
         records += run_baselines(intel_benchmarks)
         return figure6_timing({"intel-cyclone10lp": records})
 

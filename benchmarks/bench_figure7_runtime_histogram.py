@@ -10,8 +10,8 @@ import os
 
 import pytest
 
+from repro.engine.parallel import run_sweep
 from repro.harness.experiments import figure7_histogram
-from repro.harness.runner import run_lakeroad
 
 FULL_SCALE = os.environ.get("LAKEROAD_BENCH_FULL", "0") == "1"
 
@@ -23,8 +23,8 @@ def test_figure7_runtime_histogram(benchmark, experiment_config,
     config = dataclasses.replace(experiment_config, use_cache=False)
 
     def run():
-        records = run_lakeroad(list(lattice_benchmarks) + list(intel_benchmarks),
-                               config)
+        records = run_sweep(list(lattice_benchmarks) + list(intel_benchmarks),
+                            config).records
         return figure7_histogram(records, bins=10), records
 
     histogram, records = benchmark.pedantic(run, iterations=1, rounds=1)

@@ -9,7 +9,7 @@ of worker count.  Laptop scale uses the sampled workloads; set
 
 import pytest
 
-from repro.engine.parallel import run_sweep
+from repro.engine.parallel import SessionSpec, run_sweep
 from repro.harness.runner import ExperimentConfig
 
 
@@ -18,9 +18,9 @@ def sweep_benchmarks(intel_benchmarks, lattice_benchmarks):
     return list(intel_benchmarks) + list(lattice_benchmarks)
 
 
-def _config(experiment_config, cache_dir=None):
+def _config(experiment_config):
     return ExperimentConfig(timeout_seconds=dict(experiment_config.timeout_seconds),
-                            validate=False, cache_dir=cache_dir)
+                            validate=False)
 
 
 @pytest.mark.benchmark(group="parallel-sweep")
@@ -30,7 +30,7 @@ def test_cold_sweep_scaling(benchmark, experiment_config, sweep_benchmarks, work
     benchmarks = sweep_benchmarks
 
     def run():
-        # No cache_dir and a fresh per-round session spec: every round pays
+        # No cache_dir and a fresh per-round session: every round pays
         # full synthesis cost, so rounds measure compute scaling.
         return run_sweep(benchmarks, _config(experiment_config), workers=workers)
 
@@ -46,12 +46,12 @@ def test_warm_disk_cache_sweep(benchmark, experiment_config, sweep_benchmarks,
                                tmp_path, workers):
     """Second sweep over a persistent cache: should be nearly free."""
     benchmarks = sweep_benchmarks
-    cache_dir = str(tmp_path / f"cache-w{workers}")
-    config = _config(experiment_config, cache_dir=cache_dir)
-    cold = run_sweep(benchmarks, config, workers=workers)
+    spec = SessionSpec(cache_dir=str(tmp_path / f"cache-w{workers}"))
+    config = _config(experiment_config)
+    cold = run_sweep(benchmarks, config, workers=workers, session_spec=spec)
 
     def run():
-        return run_sweep(benchmarks, config, workers=workers)
+        return run_sweep(benchmarks, config, workers=workers, session_spec=spec)
 
     warm = benchmark.pedantic(run, iterations=1, rounds=1)
     assert [r.outcome for r in warm.records] == [r.outcome for r in cold.records]

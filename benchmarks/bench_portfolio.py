@@ -14,7 +14,6 @@ from collections import Counter
 import pytest
 
 from repro.engine.session import MappingSession
-from repro.harness.runner import run_lakeroad
 from repro.hdl.behavioral import verilog_to_behavioral
 from repro.lakeroad import map_design
 

@@ -7,14 +7,15 @@ benchmark regenerates the per-baseline averages on the sampled workloads.
 
 import pytest
 
+from repro.engine.parallel import run_sweep
 from repro.harness.experiments import resource_reduction
-from repro.harness.runner import run_baselines, run_lakeroad
+from repro.harness.runner import run_baselines
 
 
 @pytest.mark.benchmark(group="resource-reduction")
 def test_resource_reduction_lattice(benchmark, experiment_config, lattice_benchmarks):
     def run():
-        records = run_lakeroad(lattice_benchmarks, experiment_config)
+        records = run_sweep(lattice_benchmarks, experiment_config).records
         records += run_baselines(lattice_benchmarks)
         return resource_reduction(records)
 

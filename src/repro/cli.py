@@ -193,22 +193,10 @@ def build_bench_parser() -> argparse.ArgumentParser:
                         help="directory for BENCH_<rev>.json (default: .)")
     parser.add_argument("--no-serve", action="store_true",
                         help="skip the serve-throughput section")
-    parser.add_argument("--serve-requests", type=int, default=32,
-                        help="warm-burst request count for the serve section "
-                             "(default: 32)")
-    parser.add_argument("--serve-workers", type=int, default=2,
-                        help="service worker processes for the serve section "
-                             "(default: 2)")
-    parser.add_argument("--serve-cold-requests", type=int, default=4,
-                        help="subprocess cold-start runs for the serve "
-                             "baseline (default: 4)")
     parser.add_argument("--no-qos", action="store_true",
                         help="skip the service-QoS mixed-load section")
     parser.add_argument("--no-distributed", action="store_true",
                         help="skip the distributed-sweep section")
-    parser.add_argument("--distributed-workers", type=int, default=2,
-                        help="loopback worker processes for the distributed "
-                             "section (default: 2)")
     parser.add_argument("--diff", nargs=2, metavar=("OLD.json", "NEW.json"),
                         default=None,
                         help="compare two BENCH_<rev>.json snapshots instead "
@@ -383,10 +371,10 @@ def _read_verilog(parser, command: str, path: str) -> str:
 
 def _reject_negative(parser, args, *options: str) -> None:
     """``parser.error`` (exit 2) on the first of ``options`` given a negative
-    value; an option left unset (``None``) passes."""
+    or NaN value; an option left unset (``None``) passes."""
     for option in options:
         value = getattr(args, option[2:].replace("-", "_"))
-        if value is not None and value < 0:
+        if value is not None and not value >= 0:
             parser.error(f"{option} must be non-negative")
 
 
@@ -561,8 +549,7 @@ def _main_sweep(argv) -> int:
         parser.error("the requested sample is empty (raise --count/--max-width; "
                      "the narrowest enumerated benchmarks are 8 bits wide)")
 
-    config = ExperimentConfig(validate=args.validate, template=args.template,
-                              workers=args.workers, cache_dir=args.cache_dir)
+    config = ExperimentConfig(validate=args.validate, template=args.template)
     if args.timeout is not None:
         config.timeout_seconds = {arch: args.timeout for arch in architectures}
     spec = SessionSpec(cache_dir=args.cache_dir,
@@ -787,12 +774,8 @@ def _main_bench(argv) -> int:
                          max_width=args.max_width, template=args.template,
                          throughput_assignments=args.throughput_assignments,
                          serve=not args.no_serve,
-                         serve_requests=args.serve_requests,
-                         serve_workers=args.serve_workers,
-                         serve_cold_requests=args.serve_cold_requests,
                          qos=not args.no_qos,
-                         distributed=not args.no_distributed,
-                         distributed_workers=args.distributed_workers)
+                         distributed=not args.no_distributed)
     path = write_snapshot(snapshot, args.output_dir)
 
     totals = snapshot["totals"]

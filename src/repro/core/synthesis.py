@@ -12,6 +12,10 @@ Both are partial functions: the result distinguishes
 * ``unsat``   -- the sketch cannot implement the design (no completion
   exists), which the evaluation reports as the UNSAT outcome,
 * ``unknown`` -- the per-query time budget expired (the paper's timeout).
+
+The time limit is a :class:`~repro.engine.budget.Budget` down to here and
+an absolute ``time.monotonic`` deadline from :func:`~repro.smt.cegis.
+synthesize` down: ``f_lr_star`` is the one place that converts.
 """
 
 from __future__ import annotations
@@ -61,18 +65,15 @@ def _build_obligations(sketch: Sketch, design: Program, at_time: int,
 
 
 def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
-              timeout_seconds: Optional[float] = None,
               budget: Optional[Budget] = None) -> SynthesisOutcome:
     """Synthesize a ``t``-cycle implementation of ``design`` guided by ``sketch``,
     equivalent over the window ``at_time .. at_time + cycles``.
 
-    The time budget can be given either as a started :class:`Budget` (the
-    mapping session's, so sketch-generation time already counts against it)
-    or as a plain ``timeout_seconds`` convenience.
+    ``budget`` is the time limit (None: unlimited).  The mapping session
+    passes its started budget, so sketch generation already counts
+    against it; an unstarted one starts here.
     """
-    if budget is None:
-        budget = Budget(timeout_seconds=timeout_seconds)
-    budget.start()
+    deadline = budget.start().deadline if budget is not None else None
 
     if not is_behavioral(design):
         raise ValueError("the design must be a behavioral (ℒbeh) program")
@@ -91,7 +92,7 @@ def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
         obligations,
         hole_widths=hole_widths,
         hole_constraints=list(sketch.hole_constraints),
-        budget=budget,
+        deadline=deadline,
     )
 
     outcome = SynthesisOutcome(
@@ -119,8 +120,6 @@ def f_lr_star(sketch: Sketch, design: Program, at_time: int, cycles: int = 0,
 
 
 def f_lr(sketch: Sketch, design: Program, at_time: int,
-         timeout_seconds: Optional[float] = None,
          budget: Optional[Budget] = None) -> SynthesisOutcome:
     """``f_lr(Ψ, d, t)``: single-timestep synthesis (Section 3.1)."""
-    return f_lr_star(sketch, design, at_time, cycles=0,
-                     timeout_seconds=timeout_seconds, budget=budget)
+    return f_lr_star(sketch, design, at_time, cycles=0, budget=budget)

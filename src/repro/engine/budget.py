@@ -106,27 +106,35 @@ class Budget:
     """A wall-clock budget for one mapping attempt.
 
     A budget is created from a per-architecture timeout (or an explicit
-    override), *started* when work begins, and handed down through the
-    session → synthesis → CEGIS → solver layers, each of which only ever
-    reads :attr:`deadline` / :meth:`expired`.  ``timeout_seconds=None``
-    means unlimited.
+    override) and *started* when work begins.  The session hands the
+    started budget to ``f_lr_star``, which passes its absolute
+    :attr:`deadline` to :func:`~repro.smt.cegis.synthesize`; from there
+    down every layer takes only that deadline.  ``timeout_seconds=None``
+    means unlimited; a negative or NaN one is a ``ValueError``.
     """
 
     timeout_seconds: Optional[float] = None
     started_at: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        # ``not >= 0`` also refuses NaN, which compares false with
+        # everything and would otherwise mean "no limit".
+        if self.timeout_seconds is not None and not self.timeout_seconds >= 0:
+            raise ValueError(f"a time limit must be a non-negative number, "
+                             f"not {self.timeout_seconds!r}")
+
     @classmethod
     def for_architecture(cls, architecture: str,
-                         override: Optional[float] = None,
-                         overrides: Optional[Mapping[str, float]] = None) -> "Budget":
+                         override: Optional[float] = None) -> "Budget":
         """The canonical budget for an architecture.
 
-        ``override`` is a single explicit timeout (the CLI's ``--timeout``);
-        ``overrides`` a per-architecture table (an experiment config).
+        ``override`` is a single explicit timeout (``--timeout``, a
+        request's ``timeout_seconds``); without one the paper table
+        decides.
         """
         if override is not None:
             return cls(timeout_seconds=float(override))
-        return cls(timeout_seconds=timeout_for(architecture, overrides))
+        return cls(timeout_seconds=timeout_for(architecture))
 
     @classmethod
     def unlimited(cls) -> "Budget":

@@ -154,7 +154,7 @@ class SweepCoordinator:
             raise ValueError("a distributed sweep needs at least one benchmark")
         self.config = config if config is not None else ExperimentConfig()
         self.spec = session_spec if session_spec is not None \
-            else SessionSpec.from_config(self.config)
+            else SessionSpec()
         self.host = host
         self.port = int(port)
         self.token = token if token is not None else secrets.token_hex(16)

@@ -22,7 +22,13 @@ runs them on forked local workers that all speak one pipe protocol:
 ``workers=1`` runs the very same unit of work in-process
 (:func:`repro.harness.runner.map_benchmark`), so the serial sweep is the
 degenerate case of the sharded one rather than a separate
-implementation.  A shared ``cache_dir`` (see
+implementation.
+
+Each sweep setting has one home: the per-request settings are the
+:class:`~repro.harness.runner.ExperimentConfig`, the session recipe is
+the :class:`SessionSpec` (the same on every plane: serial, sharded,
+served and distributed), and the worker count is the plane's
+``workers=`` argument.  A spec's shared ``cache_dir`` (see
 :mod:`repro.engine.diskcache`) lets workers — and later runs — reuse each
 other's synthesis results.
 """
@@ -74,15 +80,12 @@ class SessionSpec:
     Worker processes cannot receive a live :class:`MappingSession`; they
     receive this spec and build their own.  The spec is also what makes a
     parallel sweep reproducible: every worker's session is configured
-    identically.
+    identically.  It is the one session recipe of every plane, the
+    serial sweep's included.
     """
 
     cache_dir: Optional[str] = None
     enable_cache: bool = True
-
-    @classmethod
-    def from_config(cls, config: ExperimentConfig) -> "SessionSpec":
-        return cls(cache_dir=config.cache_dir)
 
     def to_dict(self) -> Dict[str, object]:
         """The JSON wire form: the distributed handshake ships this
@@ -254,13 +257,13 @@ def _stop_workers(workers, cache_totals: Counter,
 
 def run_sweep(benchmarks: Sequence[Microbenchmark],
               config: Optional[ExperimentConfig] = None,
-              workers: Optional[int] = None,
-              session=None,
+              workers: int = 1,
               session_spec: Optional[SessionSpec] = None) -> SweepResult:
     """Run a (possibly sharded) Lakeroad sweep and aggregate statistics.
 
-    ``workers`` defaults to ``config.workers``; 1 runs in-process on
-    ``session`` (built from ``session_spec``/``config`` when omitted).
+    Every session the sweep uses is built from ``session_spec``
+    (``SessionSpec()`` when omitted).  ``workers=1`` runs in-process on
+    one such session.
     With more workers the benchmarks are dealt round-robin — worker ``k``
     maps ``k``, ``k + workers``, … in that order, one request in flight at
     a time; widths (and therefore synthesis costs) trend upward through
@@ -281,24 +284,19 @@ def run_sweep(benchmarks: Sequence[Microbenchmark],
     """
     config = config or ExperimentConfig()
     benchmarks = list(benchmarks)
-    if workers is None:
-        workers = config.workers
     workers = max(1, int(workers))
     workers = min(workers, len(benchmarks)) if benchmarks else 1
-    spec = session_spec if session_spec is not None else SessionSpec.from_config(config)
+    spec = session_spec if session_spec is not None else SessionSpec()
 
     if workers == 1:
-        own_session = session is None
-        if own_session:
-            session = spec.build()
-        try:
+        with spec.build() as session:
             records = []
             try:
                 for benchmark in benchmarks:
                     records.append(map_benchmark(session, benchmark, config))
             except KeyboardInterrupt:
                 # Drain semantics for the serial case: keep what completed;
-                # the finally below closes the session, flushing the disk
+                # leaving the block closes the session, flushing the disk
                 # cache's lifetime counters.
                 raise SweepInterrupted(SweepResult(
                     records=records,
@@ -307,14 +305,6 @@ def run_sweep(benchmarks: Sequence[Microbenchmark],
             return SweepResult(records=records,
                                cache_stats=dict(session.cache_stats()),
                                workers=1)
-        finally:
-            if own_session:
-                session.close()
-
-    if session is not None:
-        raise ValueError("an in-memory session cannot be shared across worker "
-                         "processes; pass a SessionSpec (or config.cache_dir) "
-                         "instead")
 
     interrupted: List[int] = []
     previous = {}

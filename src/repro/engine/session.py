@@ -203,11 +203,6 @@ class MappingSession:
     # ------------------------------------------------------------------ #
     # Mapping
     # ------------------------------------------------------------------ #
-    def budget_for(self, architecture: str,
-                   timeout_seconds: Optional[float] = None) -> Budget:
-        """The budget one mapping attempt gets on this session."""
-        return Budget.for_architecture(architecture, override=timeout_seconds)
-
     def map_verilog(self, source: str, template: str = "dsp",
                     arch="xilinx-ultrascale-plus",
                     module_name: Optional[str] = None,
@@ -235,7 +230,10 @@ class MappingSession:
         """
         start = time.monotonic()
         architecture = _resolve_arch(arch)
-        budget = self.budget_for(architecture.name, timeout_seconds).start()
+        # The service front door derives the key's budget from this same
+        # call (service._key_and_labels).
+        budget = Budget.for_architecture(architecture.name,
+                                         override=timeout_seconds).start()
 
         caching = self.enable_cache and use_cache is not False
         cached = None

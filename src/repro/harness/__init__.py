@@ -7,7 +7,6 @@ from repro.harness.runner import (
     records_from_jsonl,
     records_to_jsonl,
     run_baselines,
-    run_lakeroad,
 )
 from repro.harness import experiments
 
@@ -17,7 +16,6 @@ __all__ = [
     "map_benchmark",
     "records_to_jsonl",
     "records_from_jsonl",
-    "run_lakeroad",
     "run_baselines",
     "experiments",
 ]

@@ -337,20 +337,28 @@ def _qos_design(index: int, flavor: str = "a") -> str:
             f"assign out = (a {op1} b) {op2} {tail}; endmodule")
 
 
-def bench_qos(seed: int = 0, flood_requests: int = 32,
-              steady_requests: int = 8, steady_clients: int = 2,
-              workers: int = 1, max_pending: int = 8,
-              client_queue: int = 6, arch: str = "intel-cyclone10lp",
-              template: str = "dsp") -> dict:
+#: The QoS section's load: one flooder pipelining 32 distinct Intel
+#: queries against 2 steady clients sending 8 each, on one worker with
+#: tight admission caps.
+_QOS_FLOOD_REQUESTS = 32
+_QOS_STEADY_REQUESTS = 8
+_QOS_STEADY_CLIENTS = 2
+_QOS_WORKERS = 1
+_QOS_MAX_PENDING = 8
+_QOS_CLIENT_QUEUE = 6
+_QOS_ARCH = "intel-cyclone10lp"
+
+
+def bench_qos(seed: int = 0, template: str = "dsp") -> dict:
     """Measure the service QoS layer under a mixed flooder/steady load.
 
-    One flooding client pipelines ``flood_requests`` distinct queries
-    while ``steady_clients`` polite clients send theirs one at a time to
-    a pool of ``workers`` processes with tight admission caps, so the run
-    exercises fair scheduling and structured ``overloaded`` rejections.
-    Reported: per-class p50/p95 latency (plus an uncontended steady
-    baseline and the contended/uncontended ``fairness_ratio``) and the
-    flooder's rejection rate.
+    One flooding client pipelines its distinct queries while the steady
+    clients send theirs one at a time to a one-worker pool with tight
+    admission caps (the ``_QOS_*`` constants), so the run exercises fair
+    scheduling and structured ``overloaded`` rejections.  Reported:
+    per-class p50/p95 latency (plus an uncontended steady baseline and
+    the contended/uncontended ``fairness_ratio``) and the flooder's
+    rejection rate.
     """
     import tempfile
     import threading
@@ -360,8 +368,9 @@ def bench_qos(seed: int = 0, flood_requests: int = 32,
 
     rng = random.Random(seed)
     spec = SessionSpec(enable_cache=False)
-    service = SolverService(spec, workers=workers, max_pending=max_pending,
-                            client_queue=client_queue)
+    service = SolverService(spec, workers=_QOS_WORKERS,
+                            max_pending=_QOS_MAX_PENDING,
+                            client_queue=_QOS_CLIENT_QUEUE)
     steady_latencies: List[float] = []
     baseline_latencies: List[float] = []
     flood_latencies: List[float] = []
@@ -384,11 +393,11 @@ def bench_qos(seed: int = 0, flood_requests: int = 32,
 
     def steady_pass(client: ServiceClient, tag: str, base: int,
                     sink: List[float]) -> None:
-        for i in range(steady_requests):
+        for i in range(_QOS_STEADY_REQUESTS):
             start = time.perf_counter()
             response = client.map_verilog(
                 _qos_design(base + i, "b"), timeout=120,
-                retry_overloaded=8, arch=arch, template=template,
+                retry_overloaded=8, arch=_QOS_ARCH, template=template,
                 client=tag, use_cache=False)
             elapsed = time.perf_counter() - start
             with lock:
@@ -411,9 +420,9 @@ def bench_qos(seed: int = 0, flood_requests: int = 32,
                     sent = time.perf_counter()
                     futures = [client.submit({
                         "op": "map", "verilog": _qos_design(i, "a"),
-                        "arch": arch, "template": template,
+                        "arch": _QOS_ARCH, "template": template,
                         "client": "flooder", "use_cache": False})
-                        for i in range(flood_requests)]
+                        for i in range(_QOS_FLOOD_REQUESTS)]
                     for future in futures:
                         response = future.result(timeout=120)
                         with lock:
@@ -426,7 +435,7 @@ def bench_qos(seed: int = 0, flood_requests: int = 32,
 
             threads = [threading.Thread(target=guarded(flood))]
             steady_sockets = [ServiceClient(socket_path)
-                              for _ in range(steady_clients)]
+                              for _ in range(_QOS_STEADY_CLIENTS)]
             for index, client in enumerate(steady_sockets):
                 threads.append(threading.Thread(
                     target=guarded(steady_pass, client, f"steady-{index}",
@@ -447,9 +456,9 @@ def bench_qos(seed: int = 0, flood_requests: int = 32,
     baseline_p95 = _percentile(baseline_latencies, 0.95)
     contended_p95 = _percentile(steady_latencies, 0.95)
     return {
-        "workers": workers,
-        "max_pending": max_pending,
-        "client_queue": client_queue,
+        "workers": _QOS_WORKERS,
+        "max_pending": _QOS_MAX_PENDING,
+        "client_queue": _QOS_CLIENT_QUEUE,
         "steady_uncontended": {
             "requests": float(len(baseline_latencies)),
             "p50_latency_seconds": _percentile(baseline_latencies, 0.50),
@@ -463,10 +472,9 @@ def bench_qos(seed: int = 0, flood_requests: int = 32,
         "fairness_ratio": contended_p95 / baseline_p95
         if baseline_p95 else 0.0,
         "flooder": {
-            "requests": float(flood_requests),
+            "requests": float(_QOS_FLOOD_REQUESTS),
             "rejected": float(rejected),
-            "rejection_rate": rejected / flood_requests
-            if flood_requests else 0.0,
+            "rejection_rate": rejected / _QOS_FLOOD_REQUESTS,
             "errors": float(flood_errors),
             "p95_latency_seconds": _percentile(flood_latencies, 0.95),
         },
@@ -474,16 +482,21 @@ def bench_qos(seed: int = 0, flood_requests: int = 32,
     }
 
 
+#: The distributed section's loopback fleet: 2 workers leasing 2-design
+#: shards.
+_DISTRIBUTED_WORKERS = 2
+_DISTRIBUTED_SHARD_SIZE = 2
+
+
 def bench_distributed(architectures: Optional[Sequence[str]] = None,
                       count: int = 4, seed: int = 0, max_width: int = 8,
-                      template: str = "dsp",
-                      workers: int = 2, shard_size: int = 2) -> dict:
+                      template: str = "dsp") -> dict:
     """Measure the distributed sweep against the serial baseline.
 
     Runs the same benchmark grid twice: once through the in-process
     :func:`~repro.engine.parallel.run_sweep` (workers=1, the ground
     truth) and once through :func:`~repro.engine.distributed.
-    run_distributed_sweep` with ``workers`` loopback worker processes.
+    run_distributed_sweep` with two loopback worker processes.
     ``records_equal`` is 1.0 when the distributed merge reproduced the
     serial records exactly (modulo wall-clock fields) — the determinism
     property the CI gate holds at 1.0.
@@ -510,9 +523,10 @@ def bench_distributed(architectures: Optional[Sequence[str]] = None,
     serial_seconds = time.perf_counter() - serial_start
 
     distributed_start = time.perf_counter()
-    distributed = run_distributed_sweep(benchmarks, config, workers=workers,
+    distributed = run_distributed_sweep(benchmarks, config,
+                                        workers=_DISTRIBUTED_WORKERS,
                                         session_spec=spec,
-                                        shard_size=shard_size)
+                                        shard_size=_DISTRIBUTED_SHARD_SIZE)
     distributed_seconds = time.perf_counter() - distributed_start
 
     records_equal = ([r.comparable() for r in serial.records]
@@ -520,8 +534,8 @@ def bench_distributed(architectures: Optional[Sequence[str]] = None,
     rate = len(distributed.records) / distributed_seconds \
         if distributed_seconds else 0.0
     return {
-        "workers": workers,
-        "shard_size": shard_size,
+        "workers": _DISTRIBUTED_WORKERS,
+        "shard_size": _DISTRIBUTED_SHARD_SIZE,
         "benchmarks": len(benchmarks),
         "serial_seconds": serial_seconds,
         "distributed_seconds": distributed_seconds,
@@ -537,12 +551,9 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
               count: int = 4, seed: int = 0, max_width: int = 8,
               template: str = "dsp",
               throughput_assignments: int = 4096,
-              serve: bool = True, serve_requests: int = 32,
-              serve_workers: int = 2,
-              serve_cold_requests: int = 4,
+              serve: bool = True,
               qos: bool = True,
-              distributed: bool = True,
-              distributed_workers: int = 2) -> dict:
+              distributed: bool = True) -> dict:
     """Run the bench suite and return the snapshot payload."""
     from repro.engine.session import MappingSession
     from repro.harness.runner import ExperimentConfig
@@ -592,16 +603,11 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
     throughput = probe_throughput(throughput_assignments)
     serve_section = bench_serve(architectures=architectures, count=count,
                                 seed=seed, max_width=max_width,
-                                template=template,
-                                requests=serve_requests,
-                                workers=serve_workers,
-                                cold_requests=serve_cold_requests) \
-        if serve else None
+                                template=template) if serve else None
     qos_section = bench_qos(seed=seed, template=template) if qos else None
     distributed_section = bench_distributed(
         architectures=architectures, count=count, seed=seed,
-        max_width=max_width, template=template,
-        workers=distributed_workers) if distributed else None
+        max_width=max_width, template=template) if distributed else None
     return {
         "revision": git_revision(),
         "tool": "lakeroad bench",

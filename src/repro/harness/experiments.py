@@ -5,6 +5,9 @@ experiment index) and returns plain data structures; the ``render_*``
 helpers turn them into the text tables / bar rows the paper prints.  The
 functions accept the benchmark list to run so callers choose between the
 full enumeration (paper scale) and the stratified subsample (default).
+Lakeroad records come from :func:`repro.engine.parallel.run_sweep`, the
+one sweep entry point; an :class:`ExperimentConfig` carries only the
+per-request settings.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.arch import available_architectures, load_architecture
 from repro.baselines.common import analyze_design
-from repro.harness.runner import ExperimentConfig, MappingRecord, run_baselines, run_lakeroad
+from repro.harness.runner import ExperimentConfig, MappingRecord, run_baselines
 from repro.vendor.library import PrimitiveLibrary
 from repro.workloads.generator import (
     Microbenchmark,
@@ -80,24 +83,21 @@ def default_benchmarks(architecture: str, count: int = 8,
 # --------------------------------------------------------------------------- #
 def figure6_completeness(benchmarks_by_arch: Dict[str, Sequence[Microbenchmark]],
                          config: Optional[ExperimentConfig] = None,
-                         include_lakeroad: bool = True,
-                         session=None,
-                         workers: Optional[int] = None) -> Dict[str, dict]:
+                         include_lakeroad: bool = True) -> Dict[str, dict]:
     """Fraction of microbenchmarks each tool maps to a single DSP.
 
-    ``session`` (a :class:`repro.engine.MappingSession`) is shared across
-    every Lakeroad run so repeated sweeps hit the synthesis cache.
-    ``workers`` > 1 shards each architecture's sweep across worker
-    processes instead (set ``config.cache_dir`` so the workers share the
-    persistent synthesis cache); it defaults to ``config.workers``.
+    Each architecture's Lakeroad runs are one serial
+    :func:`~repro.engine.parallel.run_sweep`; shard or cache a larger run
+    by calling ``run_sweep`` with ``workers=`` and a ``session_spec``.
     """
+    from repro.engine.parallel import run_sweep
+
     config = config or ExperimentConfig()
     results: Dict[str, dict] = {}
     for architecture, benchmarks in benchmarks_by_arch.items():
         records: List[MappingRecord] = []
         if include_lakeroad:
-            records.extend(run_lakeroad(benchmarks, config, session=session,
-                                        workers=workers))
+            records.extend(run_sweep(benchmarks, config).records)
         records.extend(run_baselines(benchmarks))
         per_tool: Dict[str, Counter] = defaultdict(Counter)
         for record in records:

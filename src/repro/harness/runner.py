@@ -1,4 +1,13 @@
-"""Running tools over microbenchmarks and collecting per-run records."""
+"""Running tools over microbenchmarks and collecting per-run records.
+
+:class:`ExperimentConfig` holds only what turns a benchmark into a
+:class:`MapRequest` (time limits, BMC window, validation, template,
+cache opt-out).  How sessions are built is the
+:class:`~repro.engine.parallel.SessionSpec`'s business and the worker
+count an argument of each execution plane; a Lakeroad sweep runs through
+:func:`repro.engine.parallel.run_sweep`.  :func:`map_request` is the
+unit of work every plane runs.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.baselines import YosysLikeMapper, sota_for
 from repro.engine import budget as budget_mod
 from repro.engine import stats as stats_mod
-from repro.engine.session import MappingSession, default_session
+from repro.engine.session import MappingSession
 from repro.hdl.behavioral import verilog_to_behavioral
 from repro.workloads.generator import Microbenchmark
 
@@ -22,7 +31,6 @@ __all__ = [
     "record_labels",
     "map_request",
     "map_benchmark",
-    "run_lakeroad",
     "run_baselines",
     "records_to_jsonl",
     "records_from_jsonl",
@@ -31,7 +39,7 @@ __all__ = [
 
 @dataclass
 class ExperimentConfig:
-    """Knobs for an experiment run.
+    """What turns a benchmark into a :class:`MapRequest`.
 
     The paper's full-scale settings are ``timeout_seconds`` of 120/40/20 for
     Xilinx/Lattice/Intel and the complete enumeration; the defaults are the
@@ -51,13 +59,6 @@ class ExperimentConfig:
     #: False changes anything: None and True both cache when the session
     #: enables caching (so JSON ``null`` and archived configs still cache).
     use_cache: Optional[bool] = None
-    #: Worker processes for the sweep.  1 runs in-process (the historical
-    #: serial behavior); >1 shards the benchmark list across worker
-    #: processes (see :mod:`repro.engine.parallel`).
-    workers: int = 1
-    #: Directory for the persistent synthesis cache shared by every worker
-    #: (and by later runs); None keeps the cache in-memory and per-process.
-    cache_dir: Optional[str] = None
 
     def timeout_for(self, architecture: str) -> float:
         return budget_mod.timeout_for(architecture, self.timeout_seconds)
@@ -286,44 +287,6 @@ def map_benchmark(session: MappingSession, benchmark: Microbenchmark,
                   config: Optional[ExperimentConfig] = None) -> MappingRecord:
     """Map one microbenchmark on a session and record the data point."""
     return map_request(session, MapRequest.from_benchmark(benchmark, config))
-
-
-def run_lakeroad(benchmarks: Sequence[Microbenchmark],
-                 config: Optional[ExperimentConfig] = None,
-                 session: Optional[MappingSession] = None,
-                 workers: Optional[int] = None) -> List[MappingRecord]:
-    """Run the Lakeroad mapper over microbenchmarks.
-
-    With ``workers`` of 1 (the default) all runs share one
-    :class:`MappingSession` (the process default unless one is supplied),
-    so repeated sweeps over the same workloads hit the session's synthesis
-    cache instead of re-synthesizing.  With ``workers`` > 1 the benchmark
-    list is sharded across worker processes (each with its own session —
-    pass ``config.cache_dir`` to share results through the persistent
-    cache); the serial run is literally the ``workers=1`` case of that
-    sharded code path.
-    """
-    config = config or ExperimentConfig()
-    if workers is None:
-        workers = config.workers
-    if workers is not None and workers > 1:
-        from repro.engine.parallel import run_sweep
-
-        return run_sweep(benchmarks, config, workers=workers,
-                         session=session).records
-    if session is None:
-        from repro.engine.parallel import SessionSpec
-
-        spec = SessionSpec.from_config(config)
-        if spec != SessionSpec():
-            # The config asks for a non-default session; honour it instead
-            # of silently dropping the knobs on the serial path.  The
-            # session is ours, so release its disk-cache handle when done.
-            with spec.build() as session:
-                return [map_benchmark(session, benchmark, config)
-                        for benchmark in benchmarks]
-        session = default_session()
-    return [map_benchmark(session, benchmark, config) for benchmark in benchmarks]
 
 
 def run_baselines(benchmarks: Sequence[Microbenchmark],

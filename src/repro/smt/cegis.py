@@ -15,21 +15,26 @@ ever issues quantifier-free queries to the underlying solver:
   failure, adds the counterexample to the example set.
 
 The sketch is substituted once per example, and the candidate
-constraints grow by one counterexample's worth per iteration.  Each
-candidate step builds a fresh
-:class:`~repro.smt.solver.IncrementalSmtSession`: it blasts the whole
-conjunction in one batch and cold-starts one CDCL solver.  The session
-*canonicalizes* every satisfying model after the (heuristic, VSIDS)
-search finds one: a greedy assumption-solve pass refines it to the
-lexicographically smallest input assignment, which is a property of the
-constraint set rather than of the search.  Verification counterexamples are canonical too (``canonical=True``
-on :func:`~repro.smt.equivalence.check_equivalence`), so however the
-verification solver searched, the counterexample — and with it the whole
-candidate/counterexample trajectory, the hole values and the iteration
-count — is the same, and a cached answer matches a fresh one.
+constraints grow by one counterexample's worth per iteration.  A run
+keeps one :class:`~repro.smt.solver.IncrementalSmtSession` for its
+candidate queries: when a candidate step reaches the SAT layer it blasts
+only the constraints added since the session last blasted, then
+cold-starts one CDCL solver on everything asserted.  The session's AIG
+only grows and shares identical nodes, so it holds exactly what a fresh
+session given every constraint would hold, and each constraint is
+blasted once per run.  The session *canonicalizes* every satisfying
+model after the (heuristic, VSIDS) search finds one: a greedy
+assumption-solve pass refines it to the lexicographically smallest input
+assignment, which is a property of the constraint set rather than of the
+search.  Verification counterexamples are canonical too
+(``canonical=True`` on :func:`~repro.smt.equivalence.check_equivalence`),
+so however the verification solver searched, the counterexample — and
+with it the whole candidate/counterexample trajectory, the hole values
+and the iteration count — is the same, and a cached answer matches a
+fresh one.
 
-Both steps honour a deadline so the caller can reproduce the paper's
-per-query synthesis timeouts.
+Both steps honour one absolute deadline so the caller can reproduce the
+paper's per-query synthesis timeouts.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from repro.bv.ast import BVExpr
 from repro.bv.bitsim import PROBE_LANES, PackedEvaluator, first_sat_lane
 from repro.bv.eval import evaluate, var_widths
 from repro.bv.simplify import substitute
-from repro.engine.budget import Budget
 from repro.engine.stats import merge, new as new_stats
 from repro.smt.equivalence import check_equivalence
 from repro.smt.solver import (
@@ -138,7 +142,8 @@ def _example_constraints(obligations: Sequence[Obligation],
     return constraints
 
 
-def _solve_candidate(constraints: Sequence[BVExpr], iteration: int,
+def _solve_candidate(constraints: Sequence[BVExpr],
+                     session: IncrementalSmtSession, iteration: int,
                      seed: int, random_probes: int,
                      deadline: Optional[float],
                      counters: Dict[str, float]
@@ -146,10 +151,10 @@ def _solve_candidate(constraints: Sequence[BVExpr], iteration: int,
     """Decide the candidate query; returns ``(model, status, strategy)``.
 
     The layering mirrors :class:`~repro.smt.solver.SmtSolver` — normalise,
-    random probing, then SAT — but the SAT layer runs on a fresh
-    :class:`~repro.smt.solver.IncrementalSmtSession` (its lex-min model is
-    the canonical candidate), and the probing RNG is re-seeded per
-    iteration.
+    random probing, then SAT — but the SAT layer runs on the run's
+    :class:`~repro.smt.solver.IncrementalSmtSession` ``session`` (its
+    lex-min model is the canonical candidate), and the probing RNG is
+    re-seeded per iteration.
     """
     formula = bvand(*constraints) if len(constraints) > 1 else constraints[0]
 
@@ -191,13 +196,13 @@ def _solve_candidate(constraints: Sequence[BVExpr], iteration: int,
                 counters["probe_hits"] += 1
                 return batch[first_sat_lane(hits)], "sat", "simulate"
 
-    session = IncrementalSmtSession()
-    session.assert_constraints(constraints)
+    # Blast only what no earlier SAT step saw.
+    session.assert_constraints(constraints[session.asserted:])
     smt_result = session.check(deadline=deadline)
     counters["candidate_conflicts"] += smt_result.sat_conflicts
-    # The session dies here; fold its solver's clause-DB and propagation
-    # telemetry into the run's counters (its conflicts are already in
-    # candidate_conflicts).
+    # Fold this check's solver telemetry into the run's counters (its
+    # conflicts are already in candidate_conflicts).  stats() reports the
+    # last check, so it is read here and nowhere else.
     merge(counters, {key: value for key, value in session.stats().items()
                      if key in counters})
     if smt_result.is_unknown:
@@ -215,7 +220,6 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
                seed: int = 0,
                solver: Optional[SmtSolver] = None,
                initial_random_examples: int = 2,
-               budget: Optional[Budget] = None,
                random_probes: int = RANDOM_PROBES) -> CegisResult:
     """Solve ``∃ holes . ∀ inputs . ⋀ spec_i = sketch_i`` by CEGIS.
 
@@ -224,20 +228,17 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
         hole_widths: the hole variables (name -> width) to solve for.
         hole_constraints: extra 1-bit constraints over hole variables (the
             architecture description's "additional constraints").
-        deadline: absolute ``time.monotonic`` cutoff, or None (a plain
-            convenience form of ``budget``).
+        deadline: absolute ``time.monotonic`` cutoff, or None (unlimited);
+            ``f_lr_star`` passes its started budget's.
         max_iterations: CEGIS round limit (a safety net; the hole space is
             finite so the loop terminates regardless).
         seed: RNG seed for the initial examples, candidate probing and
             verification's random pre-filter.
         solver: optional shared :class:`SmtSolver` (the verification side);
             the run uses its probe count, not its probe stream.
-        budget: the engine-level :class:`Budget`; wins over ``deadline``.
         random_probes: candidate-step random probe attempts per iteration
             (0 sends every non-zero candidate to the SAT layer).
     """
-    if budget is not None:
-        deadline = budget.start().deadline
     if isinstance(obligations, Obligation):
         obligations = [obligations]
     obligations = list(obligations)
@@ -259,6 +260,7 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
     # obligations in the order the examples arrived.
     constraints = list(hole_constraints)
     substituted = 0
+    session = IncrementalSmtSession()
 
     for iteration in range(1, max_iterations + 1):
         result.iterations = iteration
@@ -275,7 +277,8 @@ def synthesize(obligations: Sequence[Obligation] | Obligation,
                                                     example))
         substituted = len(examples)
         model, status, strategy = _solve_candidate(
-            constraints, iteration, seed, random_probes, deadline, counters)
+            constraints, session, iteration, seed, random_probes, deadline,
+            counters)
         result.candidate_strategy = strategy
         counters["candidate_time_seconds"] += \
             time.monotonic() - candidate_start

@@ -311,17 +311,20 @@ class SmtSolver:
 
 
 class IncrementalSmtSession:
-    """One candidate query: assert constraints, then check them.
+    """A growing candidate query: assert constraints, check, repeat.
 
     :meth:`assert_constraints` blasts the constraints into the session's
-    AIG.  :meth:`check` loads the cones of every output asserted so far
+    AIG, which only grows and shares identical nodes, so asserting a
+    conjunction in several batches builds the same AIG as asserting it in
+    one.  :meth:`check` loads the cones of every output asserted so far
     straight from that AIG into a fresh :class:`CDCLSolver` — one
     :func:`~repro.bv.cnf.tseitin_gates` walk, one
     :meth:`~repro.sat.solver.CDCLSolver.load_gates` — and solves it; no
     clause list is built.  :attr:`cnf` is the same encoding as clause
     lists (:func:`~repro.bv.cnf.aig_to_cnf`), built on demand for tests
-    and tools.  The CEGIS candidate step builds one session per
-    iteration, asserts every constraint in one batch and checks once.
+    and tools.  A CEGIS run keeps one session: each candidate step that
+    reaches the SAT layer asserts the constraints added since the last
+    one (:attr:`asserted` counts those given so far) and checks.
 
     Satisfying models are *canonical*: after the heuristic search finds
     any model, the session refines it to the lexicographically smallest
@@ -342,13 +345,15 @@ class IncrementalSmtSession:
         self._outputs: List[int] = []
         self._widths: Dict[str, int] = {}
         self._root_unsat = False
-        #: The solver the last :meth:`check` built.
+        #: How many constraints :meth:`assert_constraints` has been given.
+        self.asserted = 0
+        #: The solver the last :meth:`check` built (None when it built none).
         self._solver: Optional[CDCLSolver] = None
 
     def stats(self) -> Dict[str, float]:
         """The last check's solver counters, named as on the stats spine
         (:mod:`repro.engine.stats`), plus its SAT ``conflicts``; empty
-        until a check reaches the solver."""
+        when the last check did not reach the solver."""
         solver = self._solver
         if solver is None:
             return {}
@@ -374,6 +379,7 @@ class IncrementalSmtSession:
     def assert_constraints(self, constraints: Sequence[BVExpr]) -> None:
         """Add 1-bit constraints (a conjunction) to the session: blast
         each one into the session's AIG."""
+        self.asserted += len(constraints)
         for constraint in constraints:
             if constraint.width != 1:
                 raise ValueError("constraints must be 1-bit expressions")
@@ -391,6 +397,7 @@ class IncrementalSmtSession:
 
     def check(self, deadline: Optional[float] = None) -> SmtResult:
         """Decide satisfiability of everything asserted so far."""
+        self._solver = None
         if self._root_unsat:
             return SmtResult("unsat", None, "normalise")
         if deadline is not None and time.monotonic() > deadline:

@@ -402,19 +402,23 @@ class TestCli:
         assert line.startswith(
             f"lakeroad {command}: error: cannot read {path}: ")
 
-    @pytest.mark.parametrize("command,flag", [
-        ("map", "--extra-cycles"),
-        ("map", "--timeout"),
-        ("sweep", "--timeout"),
-        ("request", "--extra-cycles"),
-        ("request", "--timeout"),
-        ("request", "--retries"),
+    @pytest.mark.parametrize("command,flag,value", [
+        ("map", "--extra-cycles", "-1"),
+        ("map", "--timeout", "-1"),
+        ("sweep", "--timeout", "-1"),
+        ("request", "--extra-cycles", "-1"),
+        ("request", "--timeout", "-1"),
+        ("request", "--retries", "-1"),
+        ("map", "--timeout", "nan"),
+        ("sweep", "--timeout", "nan"),
+        ("request", "--timeout", "nan"),
     ], ids=["map-extra-cycles", "map-timeout", "sweep-timeout",
-            "request-extra-cycles", "request-timeout", "request-retries"])
+            "request-extra-cycles", "request-timeout", "request-retries",
+            "map-timeout-nan", "sweep-timeout-nan", "request-timeout-nan"])
     def test_negative_option_is_a_usage_error(self, capsys, cli_argv,
-                                              command, flag):
+                                              command, flag, value):
         with pytest.raises(SystemExit) as exit_info:
-            main([*cli_argv[command], flag, "-1"])
+            main([*cli_argv[command], flag, value])
         assert exit_info.value.code == 2
         assert f"{flag} must be non-negative" in capsys.readouterr().err
 

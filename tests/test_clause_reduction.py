@@ -322,6 +322,6 @@ class TestCegisModeEqualityUnderReduction:
         budget = Budget(timeout_seconds=0.0).start()
         reduce_aggressively(monkeypatch)
         result = synthesize(obligations, holes, hole_constraints=constraints,
-                            budget=budget, random_probes=0,
+                            deadline=budget.deadline, random_probes=0,
                             initial_random_examples=0)
         assert result.status == "unknown"

@@ -118,9 +118,10 @@ class TestWireForms:
         assert rebuilt == config
         assert rebuilt.timeout_seconds["intel-cyclone10lp"] == 9.0
         # Older coordinators still send the retired racing-style,
-        # CEGIS-mode and probe-budget fields.
+        # CEGIS-mode, probe-budget and session (workers, cache_dir) fields.
         legacy = dict(config.to_dict(), portfolio="thread", incremental=True,
-                      incremental_verify=True, random_probes=5)
+                      incremental_verify=True, random_probes=5, workers=2,
+                      cache_dir="shared-cache")
         assert ExperimentConfig.from_dict(legacy) == config
 
 
@@ -131,7 +132,7 @@ class TestCoordinatorProtocol:
     def _coordinator(self, benchmarks, config, **kwargs):
         kwargs.setdefault("shard_size", 2)
         return SweepCoordinator(benchmarks, config,
-                                SessionSpec.from_config(config), **kwargs)
+                                SessionSpec(), **kwargs)
 
     def test_bad_token_is_rejected_and_connection_closed(self):
         benchmarks = _fast_benchmarks(2)
@@ -359,7 +360,7 @@ class TestArtifactResume:
         benchmarks = _fast_benchmarks(4)
         config = ExperimentConfig()
         serial = _serial_records(benchmarks, config)
-        spec = SessionSpec.from_config(config)
+        spec = SessionSpec()
 
         first = SweepCoordinator(benchmarks, config, spec, shard_size=2,
                                  artifact_dir=tmp_path)
@@ -392,7 +393,7 @@ class TestArtifactResume:
         benchmarks = _fast_benchmarks(4)
         config = ExperimentConfig()
         serial = _serial_records(benchmarks, config)
-        spec = SessionSpec.from_config(config)
+        spec = SessionSpec()
 
         first = SweepCoordinator(benchmarks, config, spec, shard_size=2,
                                  artifact_dir=tmp_path)
@@ -413,7 +414,7 @@ class TestArtifactResume:
         config = ExperimentConfig()
         benchmarks = _fast_benchmarks(4)
         serial = _serial_records(benchmarks, config)
-        spec = SessionSpec.from_config(config)
+        spec = SessionSpec()
 
         first = SweepCoordinator(benchmarks, config, spec, shard_size=2,
                                  artifact_dir=tmp_path)
@@ -440,7 +441,7 @@ class TestArtifactResume:
         benchmarks = _fast_benchmarks(4)
         config = ExperimentConfig()
         serial = _serial_records(benchmarks, config)
-        spec = SessionSpec.from_config(config)
+        spec = SessionSpec()
 
         with caplog.at_level(logging.ERROR, logger="asyncio"):
             first = SweepCoordinator(benchmarks, config, spec, shard_size=2,
@@ -481,9 +482,10 @@ class TestEndToEnd:
 
     def test_shared_cache_dir_rows_are_counted_once(self, tmp_path):
         benchmarks = _fast_benchmarks(4)
-        config = ExperimentConfig(cache_dir=str(tmp_path))
-        result = run_distributed_sweep(benchmarks, config, workers=2,
-                                       shard_size=1, timeout=120)
+        result = run_distributed_sweep(
+            benchmarks, ExperimentConfig(), workers=2,
+            session_spec=SessionSpec(cache_dir=str(tmp_path)),
+            shard_size=1, timeout=120)
         assert result.cache_stats["entries"] == peek_entry_count(tmp_path) > 0
 
     def test_sigkilled_worker_is_reassigned(self):
@@ -493,7 +495,7 @@ class TestEndToEnd:
         config = ExperimentConfig()
         serial = _serial_records(benchmarks, config)
         coordinator = SweepCoordinator(benchmarks, config,
-                                       SessionSpec.from_config(config),
+                                       SessionSpec(),
                                        shard_size=1, lease_timeout=10.0)
         coordinator.start()
         context = multiprocessing.get_context("fork")
@@ -539,7 +541,7 @@ class TestEndToEnd:
         benchmarks = _fast_benchmarks(2)
         config = ExperimentConfig()
         with SweepCoordinator(benchmarks, config,
-                              SessionSpec.from_config(config)) as coordinator:
+                              SessionSpec()) as coordinator:
             with pytest.raises(WorkerRejected, match="token"):
                 run_worker((coordinator.host, coordinator.port), "wrong")
 

@@ -14,9 +14,8 @@ from repro.engine import (
 )
 from repro.engine import stats
 from repro.engine.session import MappingSession
-from repro.harness.runner import ExperimentConfig, run_lakeroad
+from repro.harness.runner import ExperimentConfig
 from repro.hdl.behavioral import verilog_to_behavioral
-from repro.workloads import sample_workloads
 from repro.workloads.generator import INTEL_FORMS, Microbenchmark
 
 from _fixtures import ADD4, AND4, MUL8
@@ -235,21 +234,22 @@ class TestMappingSession:
         assert not run(False).cache_hit
         assert run(True).cache_hit
 
-    def test_default_budget_comes_from_engine_table(self):
-        session = MappingSession()
-        budget = session.budget_for("lattice-ecp5")
-        assert budget.timeout_seconds == DEFAULT_TIMEOUTS["lattice-ecp5"]
+    def test_default_budget_comes_from_engine_table(self, monkeypatch):
+        """A map without a timeout hands synthesis the architecture's
+        paper budget, started."""
+        import repro.engine.session as session_mod
 
-    def test_harness_sweep_hits_cache_on_second_run(self):
-        session = MappingSession()
-        benchmarks = sample_workloads("intel-cyclone10lp", 2, seed=0, max_width=4)
-        config = ExperimentConfig(validate=False)
-        first = run_lakeroad(benchmarks, config, session=session)
-        second = run_lakeroad(benchmarks, config, session=session)
-        assert [r.outcome for r in first] == [r.outcome for r in second]
-        assert not any(r.cache_hit for r in first)
-        assert all(r.cache_hit for r in second)
-        assert session.cache_stats()["hits"] == len(benchmarks)
+        seen = []
+        real = session_mod.f_lr_star
+
+        def spy(*args, budget, **kwargs):
+            seen.append((budget.timeout_seconds, budget.started))
+            return real(*args, budget=budget, **kwargs)
+
+        monkeypatch.setattr(session_mod, "f_lr_star", spy)
+        MappingSession().map_verilog(MUL8, arch="intel-cyclone10lp",
+                                     validate=False)
+        assert seen == [(DEFAULT_TIMEOUTS["intel-cyclone10lp"], True)]
 
     @pytest.mark.parametrize("inputs", ["a, b", "b, a"])
     def test_mapped_module_keeps_the_designs_ports(self, inputs):

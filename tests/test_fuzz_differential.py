@@ -752,7 +752,7 @@ class TestServiceQosChurnDifferential:
             # A deliberately tight service: random caps small enough that
             # the flood can draw rejections.  A worker holds one request,
             # so most of the load waits in the fair scheduler's queues.
-            spec = SessionSpec.from_config(config)
+            spec = SessionSpec()
             flood_indices = iter(rng.sample(range(64), 48))
             primary, flood, rejections = [], [], 0
             workers = rng.randint(1, 2)

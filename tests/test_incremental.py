@@ -555,7 +555,7 @@ class TestIncrementalCegis:
         def outcome(sketch, design):
             result = f_lr_star(sketch, design.program,
                                at_time=design.pipeline_depth, cycles=1,
-                               timeout_seconds=60)
+                               budget=Budget(60))
             return (result.status, result.hole_values,
                     result.cegis_iterations, result.stats["propagations"],
                     result.stats["candidate_conflicts"])
@@ -617,12 +617,42 @@ class TestIncrementalCegis:
         # sessions used to report.
         assert tuple(result.stats) == COUNTERS
 
+    def test_each_candidate_constraint_is_blasted_once(self, monkeypatch):
+        """The run's one candidate session blasts each constraint once:
+        every iteration here reaches the SAT layer, so the constraints
+        asserted over the run add up to exactly the final query (hole
+        constraints plus one obligation per example), none of them
+        twice."""
+        width = 10
+        x, k = bvvar("x", width), bvvar("k", width)
+        m = bvvar("m", width)
+        obligation = Obligation(
+            bvand(bvult(x, bv(700, width)), bvult(bv(300, width), x)),
+            bvand(bvult(x, k), bvult(m, x)))
+        holes = [bvult(m, k)]
+        asserted = []
+        real = IncrementalSmtSession.assert_constraints
+
+        def spy(session, constraints):
+            asserted.extend(constraints)
+            return real(session, constraints)
+
+        monkeypatch.setattr(IncrementalSmtSession, "assert_constraints", spy)
+        result = synthesize([obligation], {"k": width, "m": width},
+                            hole_constraints=holes, random_probes=0,
+                            initial_random_examples=0)
+        assert result.succeeded and result.iterations >= 4
+        assert result.candidate_strategy == "sat:fresh"
+        assert len(asserted) == len(holes) + result.examples_used
+        assert len({id(constraint) for constraint in asserted}) == \
+            len(asserted)
+
     def test_budget_flows_into_incremental_mode(self):
         width = 10
         x, k = bvvar("x", width), bvvar("k", width)
         budget = Budget(timeout_seconds=0.0).start()
         result = synthesize([Obligation(bvult(x, bv(700, width)), bvult(x, k))],
-                            {"k": width}, budget=budget,
+                            {"k": width}, deadline=budget.deadline,
                             random_probes=0, initial_random_examples=0)
         assert result.status == "unknown"
 

@@ -22,14 +22,12 @@ from repro.engine.parallel import (
     merge_cache_stats,
     run_sweep,
 )
-from repro.engine.session import MappingSession
 from repro.harness.runner import (
     ExperimentConfig,
     MappingRecord,
     records_from_jsonl,
     records_to_jsonl,
     run_baselines,
-    run_lakeroad,
 )
 from repro.workloads import sample_workloads
 
@@ -67,50 +65,33 @@ class TestShardedSweep:
         assert result.workers == 2
         assert len(result.records) == 2
 
-    def test_run_lakeroad_workers_knob_delegates_to_sharding(self):
-        benchmarks = _fast_benchmarks(3)
-        config = ExperimentConfig(validate=False)
-        serial = run_lakeroad(benchmarks, config)
-        sharded = run_lakeroad(benchmarks, config, workers=2)
-        assert [r.comparable() for r in serial] == [r.comparable() for r in sharded]
-
-    def test_run_lakeroad_workers_from_config(self):
-        benchmarks = _fast_benchmarks(2)
-        config = ExperimentConfig(validate=False, workers=2)
-        records = run_lakeroad(benchmarks, config)
-        assert [r.benchmark for r in records] == [b.name for b in benchmarks]
-
-    def test_injected_session_rejected_for_multiprocess_runs(self):
-        benchmarks = _fast_benchmarks(2)
-        with pytest.raises(ValueError):
-            run_lakeroad(benchmarks, ExperimentConfig(validate=False),
-                         session=MappingSession(), workers=2)
-        with pytest.raises(ValueError):
-            run_sweep(benchmarks, ExperimentConfig(validate=False),
-                      session=MappingSession(), workers=2)
-
     def test_empty_benchmark_list(self):
         result = run_sweep([], ExperimentConfig(validate=False), workers=4)
         assert result.records == [] and result.workers == 1
 
     def test_serial_run_lakeroad_honours_config_cache_dir(self, tmp_path):
-        """Regression: the serial (workers=1) path must build its session
-        from the config's session knobs, not silently fall back
-        to the default in-memory session."""
+        """Regression: the serial (workers=1) sweep must build its session
+        from the spec's ``cache_dir``, not silently fall back to an
+        in-memory session."""
         benchmarks = _fast_benchmarks(2)
-        config = ExperimentConfig(validate=False, cache_dir=str(tmp_path))
-        cold = run_lakeroad(benchmarks, config)
+        config = ExperimentConfig(validate=False)
+        spec = SessionSpec(cache_dir=str(tmp_path))
+        cold = run_sweep(benchmarks, config, workers=1,
+                         session_spec=spec).records
         # (Later cold records may legitimately hit in-session: sign twins
         # share a canonical fingerprint.  The first one cannot.)
         assert not cold[0].cache_hit
-        warm = run_lakeroad(benchmarks, config)  # fresh session, same disk
+        # A fresh session, the same disk.
+        warm = run_sweep(benchmarks, config, workers=1,
+                         session_spec=spec).records
         assert all(r.cache_hit for r in warm)
 
     def test_workers_share_the_disk_cache(self, tmp_path):
         benchmarks = _fast_benchmarks(4)
-        config = ExperimentConfig(validate=False, cache_dir=str(tmp_path))
-        cold = run_sweep(benchmarks, config, workers=2)
-        warm = run_sweep(benchmarks, config, workers=2)
+        config = ExperimentConfig(validate=False)
+        spec = SessionSpec(cache_dir=str(tmp_path))
+        cold = run_sweep(benchmarks, config, workers=2, session_spec=spec)
+        warm = run_sweep(benchmarks, config, workers=2, session_spec=spec)
         assert warm.record_cache_hits == len(benchmarks)
         assert warm.hit_rate == 1.0
         assert [r.comparable() for r in cold.records] == \

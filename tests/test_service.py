@@ -228,7 +228,7 @@ class TestServedEqualsSerial:
         benchmarks = _fast_benchmarks(4)
         config = ExperimentConfig()
         serial = run_sweep(benchmarks, config, workers=1).records
-        spec = SessionSpec.from_config(config)
+        spec = SessionSpec()
         with SolverService(spec, workers=2) as service:
             futures = [service.map_benchmark(b, config) for b in benchmarks]
             served = [future.result() for future in futures]
@@ -253,7 +253,7 @@ class TestServedEqualsSerial:
         requests = [request if label_first and index == 0
                     else replace(request, **unlabelled)
                     for index, request in enumerate(requests)]
-        spec = SessionSpec.from_config(config)
+        spec = SessionSpec()
         with spec.build() as session:
             serial = [map_request(session, request) for request in requests]
         with SolverService(spec, workers=1) as service:
@@ -309,6 +309,24 @@ class TestSocketLayer:
         assert [r["record"]["cache_hit"] for r in opted_out] == [False, False]
         assert [r["record"]["cache_hit"] for r in cached] == [False, True]
         assert stats["dispatched"] == 3
+
+    def test_a_negative_or_nan_timeout_is_an_error(self, tmp_path):
+        """A served time limit is a non-negative number, as on the CLI:
+        -1 and NaN (which Python's json parses) are refused instead of
+        answering ``timeout`` or running without a limit."""
+        socket_path = tmp_path / "serve.sock"
+        with SolverService(SessionSpec(), workers=1) as service:
+            with ServerThread(service, socket_path):
+                with ServiceClient(socket_path) as client:
+                    responses = [client.request(
+                        {"op": "map", "verilog": MUL8,
+                         "arch": "intel-cyclone10lp", "timeout": timeout},
+                        timeout=120) for timeout in (-1, float("nan"))]
+                    stats = client.stats()
+        for response in responses:
+            assert response["ok"] is False
+            assert response["error"].startswith("ValueError: ")
+        assert stats["errors"] == 2 and stats["dispatched"] == 0
 
     def test_socket_records_equal_direct_submission(self, tmp_path):
         benchmarks = _fast_benchmarks(3)

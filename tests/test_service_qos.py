@@ -446,7 +446,7 @@ class TestServedEqualsSerialUnderChurn:
         benchmarks = _fast_benchmarks(4)
         config = ExperimentConfig()
         serial = run_sweep(benchmarks, config, workers=1).records
-        spec = SessionSpec.from_config(config)
+        spec = SessionSpec()
         # A worker holds one request, so most of the sweep waits in the
         # client queue and every completion re-runs dispatch across both
         # workers.

@@ -11,6 +11,7 @@ from repro.core.sublang import is_sketch
 from repro.core.synthesis import f_lr, f_lr_star
 from repro.core.templates import available_templates, template_by_name
 from repro.core.wellformed import check_well_formed
+from repro.engine.budget import Budget
 from repro.hdl.behavioral import verilog_to_behavioral
 from repro.lakeroad import map_verilog
 from repro.vendor.library import PrimitiveLibrary
@@ -100,7 +101,7 @@ class TestSynthesisWithSketches:
         sketch = generate_sketch(template, arch, interface, LIBRARY)
         return design, f_lr_star(sketch, design.program, at_time=design.pipeline_depth,
                                  cycles=kwargs.get("cycles", 1),
-                                 timeout_seconds=kwargs.get("timeout", 60))
+                                 budget=Budget(kwargs.get("timeout", 60)))
 
     def test_bitwise_and_on_sofa(self):
         source = "module f(input [3:0] a, b, output [3:0] out); assign out = a & b; endmodule"
