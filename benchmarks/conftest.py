@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one of the paper's evaluation artifacts (see
-DESIGN.md's experiment index).  The default configuration is laptop-scale:
+the "Experiment index" in EXPERIMENTS.md).  The default configuration is laptop-scale:
 stratified workload subsamples, small bitwidths and short per-query
 timeouts.  Set the environment variable ``LAKEROAD_BENCH_FULL=1`` to run the
 complete 1320/396/66 enumeration with the paper's timeouts (hours of

@@ -96,7 +96,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                     "command-line usage error, 130 interrupted and drained; "
                     "a --worker node exits 4 when the coordinator is "
                     "unreachable and 5 when it rejects the handshake.")
-    parser.add_argument("--arch", action="append", dest="architectures",
+    parser.add_argument("--arch", action="append",
                         choices=architectures, default=None,
                         help="architecture to sweep (repeatable; default: all "
                              f"of {', '.join(architectures)})")
@@ -131,7 +131,8 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     distributed = parser.add_argument_group(
         "distributed mode",
         "serve the sweep to TCP worker nodes (--coordinator) or be one "
-        "(--worker); see EXPERIMENTS.md for topology and tuning")
+        "(--worker); see EXPERIMENTS.md for topology and tuning.  An "
+        "option the chosen role does not read is a usage error")
     distributed.add_argument("--coordinator", metavar="HOST:PORT", default=None,
                              help="serve shards to remote workers on this "
                                   "address (port 0 picks a free port)")
@@ -171,9 +172,10 @@ def build_bench_parser() -> argparse.ArgumentParser:
     architectures = sorted(ARCHITECTURE_WORKLOADS)
     parser = argparse.ArgumentParser(
         prog="lakeroad bench",
-        description="Measure probe throughput (scalar vs packed) and an "
-                    "end-to-end cold+warm mapping sweep, and write the "
-                    "snapshot to BENCH_<rev>.json.")
+        description="Measure probe throughput (scalar vs packed), an "
+                    "end-to-end cold+warm mapping sweep and warm serve "
+                    "throughput against per-request cold starts, and write "
+                    "the snapshot to BENCH_<rev>.json.")
     parser.add_argument("--arch", action="append", dest="architectures",
                         choices=architectures, default=None,
                         help="architecture to bench (repeatable; default: all "
@@ -193,10 +195,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
                         help="directory for BENCH_<rev>.json (default: .)")
     parser.add_argument("--no-serve", action="store_true",
                         help="skip the serve-throughput section")
-    parser.add_argument("--no-qos", action="store_true",
-                        help="skip the service-QoS mixed-load section")
-    parser.add_argument("--no-distributed", action="store_true",
-                        help="skip the distributed-sweep section")
     parser.add_argument("--diff", nargs=2, metavar=("OLD.json", "NEW.json"),
                         default=None,
                         help="compare two BENCH_<rev>.json snapshots instead "
@@ -509,6 +507,31 @@ def _restore_sigterm(previous) -> None:
         pass
 
 
+#: The sweep options each role does not read; giving one is a usage error.
+#: A worker takes its grid, config and session spec from the coordinator.
+_UNREAD_SWEEP_OPTIONS = {
+    "a --worker node": ("--workers", "--timeout", "--template", "--validate",
+                        "--no-cache", "--arch", "--count", "--seed", "--full",
+                        "--max-width", "--jsonl", "--stats-json",
+                        "--shard-size", "--lease-timeout", "--retry-budget"),
+    "a --coordinator": ("--workers", "--worker-name", "--reconnect-attempts"),
+    "a local sweep": ("--token", "--worker-name", "--shard-size",
+                      "--lease-timeout", "--retry-budget", "--artifact-dir",
+                      "--reconnect-attempts"),
+}
+
+
+def _refuse_unread(parser, argv, args, role: str) -> None:
+    """``parser.error`` (exit 2) on the first option on the command line
+    (abbreviated or not, whatever its value) that ``role`` does not read."""
+    parser.set_defaults(**dict.fromkeys(vars(args), None))
+    given = {dest for dest, value in vars(parser.parse_args(argv)).items()
+             if value is not None}
+    for option in _UNREAD_SWEEP_OPTIONS[role]:
+        if option[2:].replace("-", "_") in given:
+            parser.error(f"{option} is not read by {role}")
+
+
 def _main_sweep(argv) -> int:
     from repro.engine.parallel import SessionSpec, SweepInterrupted, run_sweep
     from repro.harness.runner import ExperimentConfig, records_to_jsonl
@@ -526,6 +549,10 @@ def _main_sweep(argv) -> int:
     if args.coordinator and args.worker:
         parser.error("--coordinator and --worker are mutually exclusive: a "
                      "node is one or the other")
+    _refuse_unread(parser, argv, args,
+                   "a --worker node" if args.worker
+                   else "a --coordinator" if args.coordinator
+                   else "a local sweep")
     if args.worker:
         return _sweep_worker(args, parser)
     if args.no_cache and args.cache_dir:
@@ -534,7 +561,7 @@ def _main_sweep(argv) -> int:
     problem = _path_problem(args.cache_dir, [args.jsonl, args.stats_json])
     if problem:
         return _input_error("sweep", problem)
-    architectures = args.architectures or sorted(ARCHITECTURE_WORKLOADS)
+    architectures = args.arch or sorted(ARCHITECTURE_WORKLOADS)
 
     benchmarks = []
     for architecture in architectures:
@@ -773,9 +800,7 @@ def _main_bench(argv) -> int:
                          count=args.count, seed=args.seed,
                          max_width=args.max_width, template=args.template,
                          throughput_assignments=args.throughput_assignments,
-                         serve=not args.no_serve,
-                         qos=not args.no_qos,
-                         distributed=not args.no_distributed)
+                         serve=not args.no_serve)
     path = write_snapshot(snapshot, args.output_dir)
 
     totals = snapshot["totals"]
@@ -799,24 +824,6 @@ def _main_bench(argv) -> int:
               f"p50 {warm['p50_latency_seconds'] * 1e3:.1f}ms / "
               f"p95 {warm['p95_latency_seconds'] * 1e3:.1f}ms, "
               f"{serve['warm_hit_rate']:.0%} warm hits", file=sys.stderr)
-    qos = snapshot.get("qos")
-    if qos is not None:
-        steady = qos["steady_contended"]
-        flooder = qos["flooder"]
-        print(f"qos: steady p50 {steady['p50_latency_seconds'] * 1e3:.1f}ms / "
-              f"p95 {steady['p95_latency_seconds'] * 1e3:.1f}ms under flood "
-              f"({qos['fairness_ratio']:.1f}x uncontended), flooder "
-              f"{flooder['rejection_rate']:.0%} rejected", file=sys.stderr)
-    distributed = snapshot.get("distributed")
-    if distributed is not None:
-        equal = "records equal" if distributed["records_equal"] >= 1.0 \
-            else "RECORDS DIFFER"
-        print(f"distributed: {distributed['benchmarks']} benchmark(s) over "
-              f"{distributed['workers']} worker(s) in "
-              f"{distributed['distributed_seconds']:.2f}s vs "
-              f"{distributed['serial_seconds']:.2f}s serial "
-              f"({distributed['speedup_vs_serial']:.1f}x), {equal}",
-              file=sys.stderr)
     print(str(path))
     return 0
 

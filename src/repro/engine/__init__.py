@@ -17,10 +17,11 @@
 * :mod:`repro.engine.service`  -- the long-lived warm worker pool behind
   ``lakeroad serve``: request dedup, front-door caching, fair dispatch
   to idle workers (one request each) and crash recovery over persistent
-  sessions.
+  sessions; and the one socket layer both network planes serve on.
 * :mod:`repro.engine.distributed` -- cross-machine sweeps: a TCP
-  coordinator serving shards under work-stealing leases, workers built
-  from the wire-form session spec, exactly-once deterministic merge.
+  coordinator serving shards under work-stealing leases on that socket
+  layer, workers built from the wire-form session spec, exactly-once
+  deterministic merge.
 
 Everything except ``budget`` is imported lazily: the cache, session and
 parallel layers depend on the core/synthesis/harness stack, which in turn

@@ -6,10 +6,13 @@ parallel layer in this repo is pinned to: **distributed ≡ serial record
 equality**.  The shape follows the classic cluster-computing playbook —
 a coordinator owning the work queue, workers pulling shards when idle:
 
-* **Wire format** — the PR 7 newline-delimited JSON protocol
+* **Wire format** — the service's newline-delimited JSON protocol
   (requests carry ``id``/``op``, responses echo ``id`` and ``ok``) over
-  plain TCP, with the service layer's large per-connection stream limit
-  and overrun recovery.  Nothing pickled crosses the network: benchmarks,
+  plain TCP, served by the service's one socket layer
+  (:class:`~repro.engine.service.ServerThread`): the coordinator is only
+  an ``answer`` coroutine for its ops, so it shares the per-connection
+  stream limit, overrun recovery, pipelining and graceful drain of
+  ``lakeroad serve``.  Nothing pickled crosses the network: benchmarks,
   configs and session specs travel as their ``to_dict`` wire forms and
   results as :meth:`MappingRecord.to_dict` payloads.
 * **Handshake** — workers open with ``hello`` carrying a shared token
@@ -19,12 +22,13 @@ a coordinator owning the work queue, workers pulling shards when idle:
   share its disk cache; no cache entry crosses the wire.
 * **Work stealing** — workers pull the next shard when idle (``next``),
   renew a per-shard lease while solving (``heartbeat``), and stream the
-  shard's records back (``result``).  The coordinator reaps expired
-  leases and requeues their shards, so a dead or wedged worker's work is
-  reassigned; a per-shard retry budget fails the sweep loudly instead of
-  spinning forever.  A ``next`` with nothing to lease is held until a
-  shard is requeued or the sweep ends, for at most one poll interval, so
-  an idle worker hears ``done`` as soon as the last shard merges.
+  shard's records back (``result``).  A reaper on the server's loop
+  expires leases and requeues their shards, so a dead or wedged worker's
+  work is reassigned; a per-shard retry budget fails the sweep loudly
+  instead of spinning forever.  A ``next`` with nothing to lease is held
+  until a shard is requeued or the sweep ends, for at most one poll
+  interval, so an idle worker hears ``done`` as soon as the last shard
+  merges.
 * **Exactly-once merge** — shards are merged by shard id: the first
   complete result for a shard wins, later duplicates (a slow-but-alive
   worker racing its own reassignment) are acknowledged with
@@ -52,19 +56,16 @@ import sys
 import threading
 import time
 from collections import Counter, deque
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.parallel import (SessionSpec, SweepResult, _fork_context,
                                    merge_cache_stats)
-from repro.engine.service import (
-    DEFAULT_STREAM_LIMIT,
-    ServiceClient,
-    _error_response,
-    _readline_limited,
-)
+from repro.engine.service import Connection, ServerThread, ServiceClient
 from repro.harness.runner import ExperimentConfig, MappingRecord, map_benchmark
 from repro.workloads.generator import Microbenchmark
 
@@ -116,7 +117,7 @@ class DistributedSweepResult(SweepResult):
 
 
 class _Lease:
-    """One outstanding shard assignment (all mutation on the loop thread)."""
+    """One outstanding shard assignment (all mutation on the server's loop)."""
 
     __slots__ = ("shard_id", "conn_id", "worker", "deadline", "dispatched_at")
 
@@ -132,11 +133,12 @@ class _Lease:
 class SweepCoordinator:
     """Serves sweep shards to TCP workers and merges their records.
 
-    The asyncio server runs on a background thread; every piece of
-    scheduling state (queue, leases, merge slots, telemetry) is touched
-    only from the event-loop thread, so handlers need no locks.  The
-    public surface — :meth:`start`, :meth:`wait`, :meth:`telemetry`,
-    :meth:`close` — is safe to call from any thread.
+    The coordinator answers its ops on a
+    :class:`~repro.engine.service.ServerThread`, whose loop also runs the
+    lease reaper; every piece of scheduling state (queue, leases, merge
+    slots, telemetry) is touched only from that loop, so the ops need no
+    locks.  The public surface — :meth:`start`, :meth:`wait`,
+    :meth:`telemetry`, :meth:`close` — is safe to call from any thread.
     """
 
     def __init__(self, benchmarks: Sequence[Microbenchmark],
@@ -147,8 +149,7 @@ class SweepCoordinator:
                  shard_size: int = DEFAULT_SHARD_SIZE,
                  lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
                  retry_budget: int = DEFAULT_RETRY_BUDGET,
-                 artifact_dir=None,
-                 stream_limit: int = DEFAULT_STREAM_LIMIT) -> None:
+                 artifact_dir=None) -> None:
         self.benchmarks = list(benchmarks)
         if not self.benchmarks:
             raise ValueError("a distributed sweep needs at least one benchmark")
@@ -165,7 +166,6 @@ class SweepCoordinator:
         #: to lease is held.
         self._poll_interval = max(0.05, min(1.0, self.lease_timeout / 4.0))
         self.artifact_dir = Path(artifact_dir) if artifact_dir else None
-        self.stream_limit = int(stream_limit)
 
         self._shards: List[List[Tuple[int, Microbenchmark]]] = [
             list(enumerate(self.benchmarks))[start:start + self.shard_size]
@@ -179,43 +179,37 @@ class SweepCoordinator:
         self._worker_stats: Dict[str, Dict[str, float]] = {}
         self._shard_seconds: List[float] = []
         self._counters: Counter = Counter()
-        self._conns: set = set()
-        self._next_conn = 0
-        #: Each open connection's handler task -> its writer, so stopping
-        #: can close the connection and await the handler.
-        self._handlers: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: The worker name of each connection that passed ``hello``.
+        self._workers: Dict[int, str] = {}
         self._failure: Optional[str] = None
         self._result: Optional[DistributedSweepResult] = None
         self._done = threading.Event()
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_async: Optional[asyncio.Event] = None
-        #: Set (on the loop thread) when a shard is requeued or the sweep
-        #: ends: the news a held ``next`` waits for.
-        self._news: Optional[asyncio.Event] = None
-        self._thread: Optional[threading.Thread] = None
+        #: Set when a shard is requeued or the sweep ends: the news a held
+        #: ``next`` waits for.
+        self._news = asyncio.Event()
+        self._server: Optional[ServerThread] = None
+        self._reaping: Optional[Future] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> Tuple[str, int]:
         """Bind and serve on a background thread; returns (host, port)."""
-        if self._thread is not None:
+        if self._server is not None:
             raise RuntimeError("coordinator already started")
         if self.artifact_dir is not None:
             self._load_artifacts()
-        self._thread = threading.Thread(target=self._run,
-                                        name="lakeroad-coordinator",
-                                        daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=30.0):
-            raise RuntimeError("coordinator thread failed to start")
-        if self._startup_error is not None:
-            self._thread.join(timeout=5.0)
+        # Everything may already be merged (a full resume from artifacts).
+        self._maybe_finish()
+        try:
+            self._server = ServerThread(self._answer, (self.host, self.port))
+        except OSError as exc:
             raise RuntimeError(
                 f"coordinator could not bind {self.host}:{self.port}: "
-                f"{self._startup_error}") from self._startup_error
+                f"{exc}") from exc
+        self.port = self._server.address[1]
+        self._reaping = asyncio.run_coroutine_threadsafe(self._reaper(),
+                                                         self._server.loop)
         return (self.host, self.port)
 
     def wait(self, timeout: Optional[float] = None) -> DistributedSweepResult:
@@ -232,18 +226,19 @@ class SweepCoordinator:
     def close(self, linger: float = 2.0) -> None:
         """Stop serving.  ``linger`` gives connected workers a moment to
         poll once more and see ``done`` instead of a reset connection."""
-        if self._thread is None:
+        if self._server is None or self._server.loop.is_closed():
             return
         deadline = time.monotonic() + max(0.0, linger)
-        while self._conns and time.monotonic() < deadline:
+        while self._workers and time.monotonic() < deadline:
             time.sleep(0.05)
-        if self._loop is not None and self._stop_async is not None \
-                and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._stop_async.set)
-        self._thread.join(timeout=30.0)
+        self._reaping.cancel()
+        # Answer held ``next`` requests now rather than at their poll
+        # interval, so the drain does not wait for them.
+        self._server.loop.call_soon_threadsafe(self._news.set)
+        self._server.close()
 
     def __enter__(self) -> "SweepCoordinator":
-        if self._thread is None:
+        if self._server is None:
             self.start()
         return self
 
@@ -251,94 +246,37 @@ class SweepCoordinator:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Event loop
+    # Protocol (on the server's loop)
     # ------------------------------------------------------------------ #
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_async = asyncio.Event()
-        self._news = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._handler, self.host, self.port, limit=self.stream_limit)
-        except OSError as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self.port = server.sockets[0].getsockname()[1]
-        # Everything may already be merged (a full resume from artifacts).
-        self._maybe_finish()
-        reaper = asyncio.ensure_future(self._reaper())
-        self._ready.set()
-        try:
-            await self._stop_async.wait()
-        finally:
-            reaper.cancel()
-            server.close()
-            # Close the open connections and let each handler finish its
-            # own teardown: one the loop shutdown cancels inside
-            # ``wait_closed`` makes asyncio log the CancelledError.
-            for writer in self._handlers.values():
-                writer.close()
-            self._news.set()
-            if self._handlers:
-                await asyncio.gather(*self._handlers, return_exceptions=True)
-            await server.wait_closed()
-
     async def _reaper(self) -> None:
         while True:
             await asyncio.sleep(self._poll_interval)
             self._expire_leases()
 
-    async def _handler(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._handlers[task] = writer
-        self._next_conn += 1
-        conn_id = self._next_conn
-        state = {"auth": False, "name": f"worker-{conn_id}"}
-        try:
-            while True:
-                line, overrun = await _readline_limited(reader)
-                if overrun:
-                    writer.write(_error_response(
-                        None, f"request line exceeded the "
-                              f"{self.stream_limit}-byte stream limit"))
-                    await writer.drain()
-                    continue
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    message = json.loads(line)
-                    if not isinstance(message, dict):
-                        raise ValueError("request must be a JSON object")
-                except ValueError as exc:
-                    writer.write(_error_response(None, f"bad request: {exc}"))
-                    await writer.drain()
-                    continue
-                response, close_after = self._dispatch(conn_id, state, message)
-                if "wait" in response:
-                    response = await self._held_next(conn_id, state,
-                                                     message.get("id"))
-                writer.write((json.dumps(response) + "\n").encode())
-                await writer.drain()
-                if close_after:
-                    break
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._release_conn(conn_id)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._handlers.pop(task, None)
+    async def _answer(self, message: dict, conn: Connection) -> dict:
+        request_id = message.get("id")
+        op = message.get("op")
+        if op == "hello":
+            return self._op_hello(conn, message, request_id)
+        if conn.number not in self._workers:
+            conn.hang_up = True
+            return {"id": request_id, "ok": False,
+                    "error": "handshake required (send hello first)"}
+        if op == "next":
+            response = self._op_next(conn.number, request_id)
+            if "wait" in response:
+                response = await self._held_next(conn.number, request_id)
+            return response
+        if op == "heartbeat":
+            return self._op_heartbeat(conn.number, message, request_id)
+        if op == "result":
+            return self._op_result(conn.number, message, request_id)
+        if op == "ping":
+            return {"id": request_id, "ok": True, "pong": True}
+        return {"id": request_id, "ok": False,
+                "error": f"unknown op {op!r}"}
 
-    async def _held_next(self, conn_id: int, state: dict, request_id) -> dict:
+    async def _held_next(self, conn_id: int, request_id) -> dict:
         """Answer a ``next`` that found nothing to lease once there is
         news (a requeued shard, the end of the sweep) or a poll interval
         has passed."""
@@ -348,58 +286,34 @@ class SweepCoordinator:
             await asyncio.wait_for(self._news.wait(), self._poll_interval)
         except asyncio.TimeoutError:
             pass
-        return self._op_next(conn_id, state, request_id)
+        return self._op_next(conn_id, request_id)
 
-    # ------------------------------------------------------------------ #
-    # Protocol (loop thread only)
-    # ------------------------------------------------------------------ #
-    def _dispatch(self, conn_id: int, state: dict,
-                  message: dict) -> Tuple[dict, bool]:
-        request_id = message.get("id")
-        op = message.get("op")
-        if op == "hello":
-            return self._op_hello(conn_id, state, message, request_id)
-        if not state["auth"]:
-            return ({"id": request_id, "ok": False,
-                     "error": "handshake required (send hello first)"}, True)
-        if op == "next":
-            return (self._op_next(conn_id, state, request_id), False)
-        if op == "heartbeat":
-            return (self._op_heartbeat(conn_id, message, request_id), False)
-        if op == "result":
-            return (self._op_result(state, message, request_id), False)
-        if op == "ping":
-            return ({"id": request_id, "ok": True, "pong": True}, False)
-        return ({"id": request_id, "ok": False,
-                 "error": f"unknown op {op!r}"}, False)
-
-    def _op_hello(self, conn_id: int, state: dict, message: dict,
-                  request_id) -> Tuple[dict, bool]:
+    def _op_hello(self, conn: Connection, message: dict,
+                  request_id) -> dict:
         token = str(message.get("token", ""))
         if not hmac.compare_digest(token, self.token):
-            return ({"id": request_id, "ok": False,
-                     "error": "bad token"}, True)
+            conn.hang_up = True
+            return {"id": request_id, "ok": False, "error": "bad token"}
         protocol = int(message.get("protocol", PROTOCOL_VERSION))
         if protocol != PROTOCOL_VERSION:
-            return ({"id": request_id, "ok": False,
-                     "error": f"protocol mismatch: coordinator speaks "
-                              f"{PROTOCOL_VERSION}, worker {protocol}"}, True)
-        state["auth"] = True
-        worker = message.get("worker")
-        if worker:
-            state["name"] = str(worker)
-        self._conns.add(conn_id)
-        return ({"id": request_id, "ok": True,
-                 "protocol": PROTOCOL_VERSION,
-                 "spec": self.spec.to_dict(),
-                 "config": self.config.to_dict(),
-                 "shards": len(self._shards),
-                 "total": len(self.benchmarks),
-                 "shard_size": self.shard_size,
-                 "lease_timeout": self.lease_timeout,
-                 "resumed": int(self._counters["shards_resumed"])}, False)
+            conn.hang_up = True
+            return {"id": request_id, "ok": False,
+                    "error": f"protocol mismatch: coordinator speaks "
+                             f"{PROTOCOL_VERSION}, worker {protocol}"}
+        self._workers[conn.number] = str(message.get("worker")
+                                         or f"worker-{conn.number}")
+        conn.on_close = partial(self._release_conn, conn.number)
+        return {"id": request_id, "ok": True,
+                "protocol": PROTOCOL_VERSION,
+                "spec": self.spec.to_dict(),
+                "config": self.config.to_dict(),
+                "shards": len(self._shards),
+                "total": len(self.benchmarks),
+                "shard_size": self.shard_size,
+                "lease_timeout": self.lease_timeout,
+                "resumed": int(self._counters["shards_resumed"])}
 
-    def _op_next(self, conn_id: int, state: dict, request_id) -> dict:
+    def _op_next(self, conn_id: int, request_id) -> dict:
         self._expire_leases()
         if self._failure is not None:
             return {"id": request_id, "ok": False, "error": self._failure}
@@ -412,11 +326,12 @@ class SweepCoordinator:
                 shard_id = candidate
                 break
         if shard_id is None:
-            # _handler holds this reply (_held_next), so the worker has
+            # _answer holds this reply (_held_next), so the worker has
             # waited already when it gets it: ``wait: 0``, ask again.
             return {"id": request_id, "ok": True, "shard": None, "wait": 0}
         now = time.monotonic()
-        self._leases[shard_id] = _Lease(shard_id, conn_id, state["name"],
+        self._leases[shard_id] = _Lease(shard_id, conn_id,
+                                        self._workers[conn_id],
                                         now + self.lease_timeout, now)
         items = [[index, benchmark.to_dict()]
                  for index, benchmark in self._shards[shard_id]]
@@ -436,7 +351,7 @@ class SweepCoordinator:
         # worker to drop the shard (its result would be a duplicate).
         return {"id": request_id, "ok": True, "abandon": True}
 
-    def _op_result(self, state: dict, message: dict, request_id) -> dict:
+    def _op_result(self, conn_id: int, message: dict, request_id) -> dict:
         if self._failure is not None:
             return {"id": request_id, "ok": False, "error": self._failure}
         try:
@@ -463,7 +378,7 @@ class SweepCoordinator:
         lease = self._leases.pop(shard_id, None)
         if set(received) != expected:
             self._requeue(shard_id,
-                          f"incomplete result from {state['name']} "
+                          f"incomplete result from {self._workers[conn_id]} "
                           f"({len(received)}/{len(expected)} records)")
             return {"id": request_id, "ok": True, "accepted": False,
                     "error": "incomplete shard"}
@@ -480,7 +395,7 @@ class SweepCoordinator:
         started = lease.dispatched_at if lease is not None else now
         duration = max(0.0, now - started)
         self._shard_seconds.append(duration)
-        worker = state["name"]
+        worker = self._workers[conn_id]
         stats = self._worker_stats.setdefault(
             worker, {"shards": 0, "records": 0, "seconds": 0.0})
         stats["shards"] += 1
@@ -494,7 +409,7 @@ class SweepCoordinator:
         return {"id": request_id, "ok": True, "accepted": True}
 
     # ------------------------------------------------------------------ #
-    # Scheduling (loop thread only)
+    # Scheduling (on the server's loop)
     # ------------------------------------------------------------------ #
     def _expire_leases(self) -> None:
         now = time.monotonic()
@@ -507,7 +422,7 @@ class SweepCoordinator:
                               f"(no heartbeat for {self.lease_timeout}s)")
 
     def _release_conn(self, conn_id: int) -> None:
-        self._conns.discard(conn_id)
+        self._workers.pop(conn_id, None)
         for shard_id, lease in list(self._leases.items()):
             if lease.conn_id == conn_id:
                 del self._leases[shard_id]
@@ -655,7 +570,6 @@ class SweepCoordinator:
 # --------------------------------------------------------------------------- #
 def run_worker(address, token: str, *, worker_name: Optional[str] = None,
                cache_dir=_UNSET, artifact_dir=None,
-               heartbeat_interval: Optional[float] = None,
                reconnect_attempts: int = 5,
                reconnect_backoff: float = 0.25) -> Dict[str, int]:
     """Serve one worker node: pull shards, solve, stream records back.
@@ -774,11 +688,8 @@ def run_worker(address, token: str, *, worker_name: Optional[str] = None,
                         spec = replace(spec, cache_dir=cache_dir)
                     config = ExperimentConfig.from_dict(hello["config"])
                     session = spec.build()
-                beat_every = heartbeat_interval if heartbeat_interval \
-                    else max(0.05, min(10.0,
-                                       float(hello.get("lease_timeout",
-                                                       DEFAULT_LEASE_TIMEOUT))
-                                       / 3.0))
+                beat_every = max(0.05, min(10.0, float(hello.get(
+                    "lease_timeout", DEFAULT_LEASE_TIMEOUT)) / 3.0))
                 if _work_loop(client, beat_every):
                     return stats
                 stats["reconnects"] += 1

@@ -47,9 +47,17 @@ over many *small* queries.  This module keeps the expensive state alive:
     structured ``{"error": "overloaded", "retry_after_ms": ...}`` reply
     on a still-live connection.
 
-* **Socket layer** — an asyncio unix-domain-socket server speaking
-  newline-delimited JSON (:func:`run_server`, the ``lakeroad serve``
-  subcommand) plus a small pipelining client (:class:`ServiceClient`, the
+* **Socket layer** — the one asyncio server both network planes run
+  (:func:`_serve_main`): newline-delimited JSON on a unix socket or TCP,
+  requests pipelined per connection, a line over
+  :data:`DEFAULT_STREAM_LIMIT` answered with an error on a live
+  connection, and a graceful drain on stop.  What a request means is an
+  ``answer(message, conn)`` coroutine: ``lakeroad serve``
+  (:func:`run_server`) answers ``ping``/``stats``/``map`` through the
+  service, and the distributed sweep's
+  :class:`~repro.engine.distributed.SweepCoordinator` answers its shard
+  ops on a :class:`ServerThread`, whose loop also runs its lease reaper.
+  :class:`ServiceClient` is the pipelining client of both (and the
   ``lakeroad request`` subcommand).  Control-plane ops (``ping``,
   ``stats``) never pass through admission — they are answered inline even
   when the map queue is saturated.
@@ -81,7 +89,7 @@ from concurrent.futures import Future
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.engine.budget import TIMEOUT as TIMEOUT_STATUS
 from repro.engine.budget import Budget
@@ -96,13 +104,13 @@ from repro.harness.runner import (
 )
 
 __all__ = ["MapRequest", "SolverService", "ServiceClient", "ServerThread",
-           "ServiceOverloaded", "run_server", "DEFAULT_SOCKET",
+           "Connection", "ServiceOverloaded", "run_server", "DEFAULT_SOCKET",
            "DEFAULT_STREAM_LIMIT"]
 
 #: Default unix-socket path for ``lakeroad serve`` / ``lakeroad request``.
 DEFAULT_SOCKET = "/tmp/lakeroad.sock"
 
-#: Per-connection line limit for the asyncio servers.  asyncio's default
+#: Per-connection line limit of the socket layer.  asyncio's default
 #: StreamReader limit is 64 KiB — smaller than a map request carrying a
 #: large inlined Verilog source, and hitting it used to kill the
 #: connection (``LimitOverrunError`` propagating out of ``readline``).
@@ -711,20 +719,21 @@ class SolverService:
 
 
 # --------------------------------------------------------------------------- #
-# Socket layer: newline-delimited JSON over a unix domain socket
+# Socket layer: newline-delimited JSON over a unix or TCP socket
 # --------------------------------------------------------------------------- #
-def _error_response(request_id, message: str) -> bytes:
-    return (json.dumps({"id": request_id, "ok": False,
-                        "error": message}) + "\n").encode()
+class Connection:
+    """One client connection, as an ``answer`` coroutine sees it."""
 
+    __slots__ = ("number", "hang_up", "on_close")
 
-def _overloaded_response(request_id, retry_after_ms: int) -> bytes:
-    """The structured backpressure reply: the connection stays live, the
-    client learns when a retry is likely to be admitted."""
-    return (json.dumps({"id": request_id, "ok": False,
-                        "error": "overloaded",
-                        "retry_after_ms": int(retry_after_ms)})
-            + "\n").encode()
+    def __init__(self, number: int) -> None:
+        #: 1, 2, ... in accept order on one server.
+        self.number = number
+        #: Set by ``answer`` to close the connection once its reply is
+        #: written.
+        self.hang_up = False
+        #: Called once when the connection ends.
+        self.on_close: Optional[Callable[[], None]] = None
 
 
 async def _readline_limited(reader) -> Tuple[bytes, bool]:
@@ -759,56 +768,12 @@ async def _readline_limited(reader) -> Tuple[bytes, bool]:
         return line, False
 
 
-async def _serve_line(service: SolverService, line: bytes, writer,
-                      write_lock: asyncio.Lock,
-                      client_id: str = "") -> None:
-    loop = asyncio.get_running_loop()
-    request_id = None
-    try:
-        payload = json.loads(line)
-        if not isinstance(payload, dict):
-            raise ValueError("request must be a JSON object")
-        request_id = payload.get("id")
-        op = payload.get("op", "map")
-        # ping/stats are the control plane: answered inline, never queued
-        # behind map traffic and never subject to admission caps.
-        if op == "ping":
-            response = {"id": request_id, "ok": True, "pong": True}
-        elif op == "stats":
-            response = {"id": request_id, "ok": True,
-                        "stats": service.stats()}
-        elif op == "map":
-            use_cache = payload.get("use_cache")
-            request = MapRequest(
-                verilog=payload["verilog"],
-                template=payload.get("template", "dsp"),
-                arch=payload.get("arch", "xilinx-ultrascale-plus"),
-                module_name=payload.get("module"),
-                timeout_seconds=payload.get("timeout"),
-                extra_cycles=int(payload.get("extra_cycles", 1)),
-                validate=bool(payload.get("validate", False)),
-                use_cache=None if use_cache is None else bool(use_cache),
-                benchmark=payload.get("benchmark", ""),
-                form=payload.get("form", ""),
-                width=int(payload.get("width", 0)),
-                stages=int(payload.get("stages", 0)),
-                signed=bool(payload.get("signed", False)),
-            )
-            client = str(payload.get("client") or client_id)
-            # submit() parses and fingerprints the design — CPU work that
-            # belongs on an executor thread, not the event loop.
-            future = await loop.run_in_executor(
-                None, partial(service.submit, request, client=client))
-            record = await asyncio.wrap_future(future)
-            response = {"id": request_id, "ok": True,
-                        "record": record.to_dict()}
-        else:
-            raise ValueError(f"unknown op {op!r}")
-        data = (json.dumps(response) + "\n").encode()
-    except ServiceOverloaded as exc:
-        data = _overloaded_response(request_id, exc.retry_after_ms)
-    except Exception as exc:  # noqa: BLE001 - reported to the client
-        data = _error_response(request_id, f"{type(exc).__name__}: {exc}")
+def _error_response(request_id, message: str) -> bytes:
+    return (json.dumps({"id": request_id, "ok": False,
+                        "error": message}) + "\n").encode()
+
+
+async def _send(writer, write_lock: asyncio.Lock, data: bytes) -> None:
     async with write_lock:
         try:
             writer.write(data)
@@ -817,20 +782,31 @@ async def _serve_line(service: SolverService, line: bytes, writer,
             pass
 
 
-async def _handle_client(service: SolverService, reader, writer,
-                         draining: asyncio.Event,
-                         limit: int = DEFAULT_STREAM_LIMIT,
-                         client_id: str = "") -> None:
+async def _serve_line(answer, line: bytes, writer, write_lock: asyncio.Lock,
+                      conn: Connection) -> None:
+    request_id = None
+    try:
+        message = json.loads(line)
+        if not isinstance(message, dict):
+            raise ValueError("request must be a JSON object")
+        request_id = message.get("id")
+        response = await answer(message, conn)
+        data = (json.dumps(response) + "\n").encode()
+    except Exception as exc:  # noqa: BLE001 - reported to the client
+        data = _error_response(request_id, f"{type(exc).__name__}: {exc}")
+    await _send(writer, write_lock, data)
+    if conn.hang_up:
+        writer.close()
+
+
+async def _handle_client(answer, reader, writer, draining: asyncio.Event,
+                         conn: Connection) -> None:
     """One client connection: pipelined requests, responses as they finish.
 
     On shutdown (``draining`` set) the handler stops reading new requests
     but every request already accepted still gets its response.  A request
     line over the stream limit gets a structured error response (id
     ``None`` — the line never parsed) instead of a dead socket.
-
-    ``client_id`` is the connection's default fair-scheduling tag; a
-    request may override it with an explicit ``"client"`` field (sweep
-    workers funnelling many logical clients through one connection).
     """
     write_lock = asyncio.Lock()
     pending: set = set()
@@ -846,26 +822,23 @@ async def _handle_client(service: SolverService, reader, writer,
                 break
             line, overrun = read_task.result()
             if overrun:
-                async with write_lock:
-                    try:
-                        writer.write(_error_response(
-                            None, f"request line exceeded the {limit}-byte "
-                                  f"stream limit and was discarded"))
-                        await writer.drain()
-                    except (ConnectionError, OSError):
-                        break
+                await _send(writer, write_lock, _error_response(
+                    None, f"request line exceeded the {DEFAULT_STREAM_LIMIT}"
+                          f"-byte stream limit and was discarded"))
                 continue
             if not line:
                 break
             if line.strip():
                 task = asyncio.ensure_future(
-                    _serve_line(service, line, writer, write_lock, client_id))
+                    _serve_line(answer, line, writer, write_lock, conn))
                 pending.add(task)
                 task.add_done_callback(pending.discard)
     finally:
         drain_wait.cancel()
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
+        if conn.on_close is not None:
+            conn.on_close()
         try:
             writer.close()
             await writer.wait_closed()
@@ -873,102 +846,168 @@ async def _handle_client(service: SolverService, reader, writer,
             pass
 
 
-async def _serve_main(service: SolverService, socket_path,
-                      ready: Optional[threading.Event],
-                      handle_signals: bool,
-                      stop_event: Optional[asyncio.Event] = None,
-                      limit: int = DEFAULT_STREAM_LIMIT) -> None:
-    socket_path = Path(socket_path)
-    if socket_path.exists():
-        socket_path.unlink()
+async def _serve_main(answer, address,
+                      stop: Optional[asyncio.Event] = None,
+                      ready: Optional[Callable[[Any], None]] = None) -> None:
+    """Serve ``answer(message, conn)`` on ``address`` — a unix-socket path
+    or a ``(host, port)`` pair — until ``stop`` is set (until SIGINT or
+    SIGTERM when it is None), then drain: no new connections, no new
+    requests on open ones, every request already read answered.  ``ready``
+    gets the bound address (a TCP port of 0 picks a free one) once the
+    server listens."""
     draining = asyncio.Event()
-    stop = stop_event if stop_event is not None else asyncio.Event()
     clients: set = set()
-    connection_ids = itertools.count(1)
+    connection_numbers = itertools.count(1)
 
     async def handler(reader, writer):
         task = asyncio.current_task()
         clients.add(task)
-        client_id = f"conn-{next(connection_ids)}"
         try:
-            await _handle_client(service, reader, writer, draining, limit,
-                                 client_id)
+            await _handle_client(answer, reader, writer, draining,
+                                 Connection(next(connection_numbers)))
         finally:
             clients.discard(task)
 
-    server = await asyncio.start_unix_server(handler, path=str(socket_path),
-                                             limit=limit)
+    if isinstance(address, tuple):
+        server = await asyncio.start_server(
+            handler, address[0], address[1], limit=DEFAULT_STREAM_LIMIT)
+        bound: Any = (address[0], server.sockets[0].getsockname()[1])
+    else:
+        bound = Path(address)
+        if bound.exists():
+            bound.unlink()
+        server = await asyncio.start_unix_server(
+            handler, path=str(bound), limit=DEFAULT_STREAM_LIMIT)
     loop = asyncio.get_running_loop()
-    if handle_signals:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(signum, stop.set)
+    signals = (signal.SIGINT, signal.SIGTERM) if stop is None else ()
+    if stop is None:
+        stop = asyncio.Event()
+    for signum in signals:
+        loop.add_signal_handler(signum, stop.set)
     if ready is not None:
-        ready.set()
+        ready(bound)
     try:
         await stop.wait()
-        # Graceful drain: no new connections, no new requests on existing
-        # ones, every accepted request answered before the socket dies.
         server.close()
-        await server.wait_closed()
         draining.set()
         if clients:
             await asyncio.gather(*list(clients), return_exceptions=True)
+        await server.wait_closed()
     finally:
-        if handle_signals:
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                loop.remove_signal_handler(signum)
-        try:
-            socket_path.unlink()
-        except OSError:
-            pass
+        for signum in signals:
+            loop.remove_signal_handler(signum)
+        if isinstance(bound, Path):
+            try:
+                bound.unlink()
+            except OSError:
+                pass
 
 
-def run_server(service: SolverService, socket_path=DEFAULT_SOCKET, *,
-               ready: Optional[threading.Event] = None,
-               handle_signals: bool = True,
-               limit: int = DEFAULT_STREAM_LIMIT) -> None:
+async def _answer_service(service: SolverService, message: dict,
+                          conn: Connection) -> dict:
+    """One ``lakeroad serve`` request: ``ping`` and ``stats`` are the
+    control plane, answered inline — never queued behind map traffic and
+    never subject to admission caps; ``map`` goes through the service."""
+    request_id = message.get("id")
+    op = message.get("op", "map")
+    if op == "ping":
+        return {"id": request_id, "ok": True, "pong": True}
+    if op == "stats":
+        return {"id": request_id, "ok": True, "stats": service.stats()}
+    if op != "map":
+        raise ValueError(f"unknown op {op!r}")
+    use_cache = message.get("use_cache")
+    request = MapRequest(
+        verilog=message["verilog"],
+        template=message.get("template", "dsp"),
+        arch=message.get("arch", "xilinx-ultrascale-plus"),
+        module_name=message.get("module"),
+        timeout_seconds=message.get("timeout"),
+        extra_cycles=int(message.get("extra_cycles", 1)),
+        validate=bool(message.get("validate", False)),
+        use_cache=None if use_cache is None else bool(use_cache),
+        benchmark=message.get("benchmark", ""),
+        form=message.get("form", ""),
+        width=int(message.get("width", 0)),
+        stages=int(message.get("stages", 0)),
+        signed=bool(message.get("signed", False)),
+    )
+    # A request's "client" field overrides the connection's fair-scheduling
+    # tag (sweep workers funnelling many logical clients through one
+    # connection).
+    client = str(message.get("client") or f"conn-{conn.number}")
+    try:
+        # submit() parses and fingerprints the design — CPU work that
+        # belongs on an executor thread, not the event loop.
+        future = await asyncio.get_running_loop().run_in_executor(
+            None, partial(service.submit, request, client=client))
+    except ServiceOverloaded as exc:
+        # The structured backpressure reply: the connection stays live,
+        # the client learns when a retry is likely to be admitted.
+        return {"id": request_id, "ok": False, "error": "overloaded",
+                "retry_after_ms": int(exc.retry_after_ms)}
+    record = await asyncio.wrap_future(future)
+    return {"id": request_id, "ok": True, "record": record.to_dict()}
+
+
+def run_server(service: SolverService, socket_path=DEFAULT_SOCKET) -> None:
     """Serve until SIGINT/SIGTERM, then drain and return (blocking)."""
-    asyncio.run(_serve_main(service, socket_path, ready, handle_signals,
-                            limit=limit))
+    asyncio.run(_serve_main(partial(_answer_service, service), socket_path))
 
 
 class ServerThread:
-    """An in-process server for tests and benchmarks.
+    """The socket layer on a background thread, for tests, benchmarks and
+    the sweep coordinator.
 
-    Runs the asyncio socket layer on a background thread; ``close()``
-    triggers the same graceful drain as a signal would.
+    ``answer`` is a :class:`SolverService` (served as ``lakeroad serve``
+    serves it) or an ``answer(message, conn)`` coroutine function;
+    ``address`` a unix-socket path or a ``(host, port)`` pair, and
+    :attr:`address` the bound one.  :attr:`loop` runs the server, and
+    coroutines beside it.  ``close()`` triggers the same graceful drain as
+    a signal would.  An error that keeps the server from listening (an
+    address in use) is raised here.
     """
 
-    def __init__(self, service: SolverService,
-                 socket_path=DEFAULT_SOCKET,
-                 limit: int = DEFAULT_STREAM_LIMIT) -> None:
-        self.service = service
-        self.socket_path = Path(socket_path)
-        self.limit = limit
-        self._ready = threading.Event()
+    def __init__(self, answer, address=DEFAULT_SOCKET) -> None:
+        if isinstance(answer, SolverService):
+            answer = partial(_answer_service, answer)
+        self.address = address
+        self.loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread = threading.Thread(target=self._run,
-                                        name="lakeroad-serve",
-                                        daemon=True)
+        self._ready = threading.Event()
+        self._error: Optional[Exception] = None
+        self._thread = threading.Thread(target=self._run, args=(answer,),
+                                        name="lakeroad-serve", daemon=True)
         self._thread.start()
-        if not self._ready.wait(timeout=30.0):
-            raise RuntimeError("server thread failed to start")
+        self._ready.wait()
+        if self._error is not None:
+            self._thread.join()
+            raise self._error
 
-    def _run(self) -> None:
+    def _run(self, answer) -> None:
         async def main():
-            self._loop = asyncio.get_running_loop()
+            self.loop = asyncio.get_running_loop()
             self._stop = asyncio.Event()
-            await _serve_main(self.service, self.socket_path, self._ready,
-                              handle_signals=False, stop_event=self._stop,
-                              limit=self.limit)
+            await _serve_main(answer, self.address, self._stop,
+                              ready=self._listening)
 
-        asyncio.run(main())
+        try:
+            asyncio.run(main())
+        except Exception as exc:  # noqa: BLE001 - raised by __init__
+            if self._ready.is_set():
+                raise
+            self._error = exc
+        finally:
+            self._ready.set()
+
+    def _listening(self, address) -> None:
+        self.address = address
+        self._ready.set()
 
     def close(self) -> None:
-        if self._loop is not None and self._stop is not None \
+        if self.loop is not None and self._stop is not None \
                 and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._stop.set)
+            self.loop.call_soon_threadsafe(self._stop.set)
         self._thread.join(timeout=30.0)
 
     def __enter__(self) -> "ServerThread":
@@ -985,8 +1024,8 @@ class ServiceClient:
     can fire a burst of ``submit`` calls and collect futures — the pattern
     the serve benchmarks and the CI smoke job use to saturate the pool.
 
-    ``address`` is a unix-socket path (string — the historical form) or a
-    ``(host, port)`` tuple for the TCP servers the distributed sweep runs.
+    ``address`` is a unix-socket path or a ``(host, port)`` tuple for the
+    distributed sweep's TCP coordinator.
     """
 
     def __init__(self, address=DEFAULT_SOCKET,
@@ -997,7 +1036,6 @@ class ServiceClient:
         else:
             self.address = str(address)
             family = socket.AF_UNIX
-        self.socket_path = str(address)  # historical attribute name
         deadline = time.monotonic() + connect_timeout
         while True:
             sock = socket.socket(family, socket.SOCK_STREAM)

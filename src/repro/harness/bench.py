@@ -22,12 +22,11 @@ short git revision, ``<rev>-dirty`` when tracked files differ from it, or
   versus a pipelined burst through ``lakeroad serve``, in requests/second
   with p50/p95 latency.  Saturated-throughput numbers, not single-query
   latency, are the figure of merit for the service (the Rucci et al.
-  reporting style — see PAPERS.md);
-* **distributed sweep** — the TCP coordinator/worker path
-  (:mod:`repro.engine.distributed`) over loopback with two worker
-  processes, against the serial in-process sweep on the same grid:
-  wall times, records/second, and ``records_equal`` asserting the
-  distributed merge reproduced the serial records exactly.
+  reporting style — see PAPERS.md).
+
+The service's QoS layer and the distributed sweep are checked where they
+live: ``tests/loadgen.py --check`` (CI's qos-smoke) and
+``tests/test_distributed.py`` (CI's distributed-smoke).
 
 Snapshots are additive — each revision writes its own file — and
 :func:`diff_snapshots` (``lakeroad bench --diff OLD.json NEW.json``)
@@ -67,9 +66,8 @@ from repro.bv import (
 from repro.bv.bitsim import PROBE_LANES, PackedEvaluator
 from repro.engine.stats import this_run
 
-__all__ = ["git_revision", "probe_throughput", "bench_serve",
-           "bench_qos", "bench_distributed", "run_bench", "write_snapshot",
-           "diff_snapshots", "DEFAULT_DIFF_THRESHOLDS"]
+__all__ = ["git_revision", "probe_throughput", "bench_serve", "run_bench",
+           "write_snapshot", "diff_snapshots", "DEFAULT_DIFF_THRESHOLDS"]
 
 
 #: The bit-parallel probe counters the snapshot's ``probes`` section and
@@ -319,241 +317,11 @@ def bench_serve(architectures: Optional[Sequence[str]] = None,
     }
 
 
-def _qos_design(index: int, flavor: str = "a") -> str:
-    """A tiny distinct-by-construction Verilog module for load generation.
-
-    Width and the two operators cycle independently, so the first 64
-    indices of each flavor produce 64 distinct program fingerprints —
-    distinct synthesis keys, which is what a load generator needs (repeats
-    of one design would coalesce into a single solve and carry no load).
-    """
-    width = 2 + (index % 4)
-    ops = ("&", "|", "^", "+")
-    op1 = ops[(index // 4) % 4]
-    op2 = ops[(index // 16) % 4]
-    tail = "a" if flavor == "a" else "b"
-    return (f"module q{flavor}{index}(input [{width - 1}:0] a, b, "
-            f"output [{width - 1}:0] out); "
-            f"assign out = (a {op1} b) {op2} {tail}; endmodule")
-
-
-#: The QoS section's load: one flooder pipelining 32 distinct Intel
-#: queries against 2 steady clients sending 8 each, on one worker with
-#: tight admission caps.
-_QOS_FLOOD_REQUESTS = 32
-_QOS_STEADY_REQUESTS = 8
-_QOS_STEADY_CLIENTS = 2
-_QOS_WORKERS = 1
-_QOS_MAX_PENDING = 8
-_QOS_CLIENT_QUEUE = 6
-_QOS_ARCH = "intel-cyclone10lp"
-
-
-def bench_qos(seed: int = 0, template: str = "dsp") -> dict:
-    """Measure the service QoS layer under a mixed flooder/steady load.
-
-    One flooding client pipelines its distinct queries while the steady
-    clients send theirs one at a time to a one-worker pool with tight
-    admission caps (the ``_QOS_*`` constants), so the run exercises fair
-    scheduling and structured ``overloaded`` rejections.  Reported:
-    per-class p50/p95 latency (plus an uncontended steady baseline and
-    the contended/uncontended ``fairness_ratio``) and the flooder's
-    rejection rate.
-    """
-    import tempfile
-    import threading
-
-    from repro.engine.parallel import SessionSpec
-    from repro.engine.service import ServerThread, ServiceClient, SolverService
-
-    rng = random.Random(seed)
-    spec = SessionSpec(enable_cache=False)
-    service = SolverService(spec, workers=_QOS_WORKERS,
-                            max_pending=_QOS_MAX_PENDING,
-                            client_queue=_QOS_CLIENT_QUEUE)
-    steady_latencies: List[float] = []
-    baseline_latencies: List[float] = []
-    flood_latencies: List[float] = []
-    rejected = 0
-    flood_errors = 0
-    lock = threading.Lock()
-    thread_errors: List[BaseException] = []
-
-    def guarded(target, *args):
-        """Capture a worker thread's exception; a bare Thread would
-        swallow it and the benchmark would silently report partial
-        latencies."""
-        def run() -> None:
-            try:
-                target(*args)
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                with lock:
-                    thread_errors.append(exc)
-        return run
-
-    def steady_pass(client: ServiceClient, tag: str, base: int,
-                    sink: List[float]) -> None:
-        for i in range(_QOS_STEADY_REQUESTS):
-            start = time.perf_counter()
-            response = client.map_verilog(
-                _qos_design(base + i, "b"), timeout=120,
-                retry_overloaded=8, arch=_QOS_ARCH, template=template,
-                client=tag, use_cache=False)
-            elapsed = time.perf_counter() - start
-            with lock:
-                sink.append(elapsed)
-            if not response.get("ok"):
-                raise RuntimeError(f"steady request failed: {response}")
-            time.sleep(0.005 + rng.random() * 0.01)
-
-    with tempfile.TemporaryDirectory(prefix="lakeroad-qos-") as tmp:
-        socket_path = Path(tmp) / "qos.sock"
-        with service, ServerThread(service, socket_path):
-            # Uncontended baseline: one steady client, empty service.
-            with ServiceClient(socket_path) as client:
-                steady_pass(client, "baseline", 200, baseline_latencies)
-
-            # Mixed load: the flooder pipelines everything at once.
-            def flood() -> None:
-                nonlocal rejected, flood_errors
-                with ServiceClient(socket_path) as client:
-                    sent = time.perf_counter()
-                    futures = [client.submit({
-                        "op": "map", "verilog": _qos_design(i, "a"),
-                        "arch": _QOS_ARCH, "template": template,
-                        "client": "flooder", "use_cache": False})
-                        for i in range(_QOS_FLOOD_REQUESTS)]
-                    for future in futures:
-                        response = future.result(timeout=120)
-                        with lock:
-                            flood_latencies.append(
-                                time.perf_counter() - sent)
-                        if response.get("error") == "overloaded":
-                            rejected += 1
-                        elif not response.get("ok"):
-                            flood_errors += 1
-
-            threads = [threading.Thread(target=guarded(flood))]
-            steady_sockets = [ServiceClient(socket_path)
-                              for _ in range(_QOS_STEADY_CLIENTS)]
-            for index, client in enumerate(steady_sockets):
-                threads.append(threading.Thread(
-                    target=guarded(steady_pass, client, f"steady-{index}",
-                                   300 + 50 * index, steady_latencies)))
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            for client in steady_sockets:
-                client.close()
-            if thread_errors:
-                raise thread_errors[0]
-            stats = service.stats()
-
-    steady_latencies.sort()
-    baseline_latencies.sort()
-    flood_latencies.sort()
-    baseline_p95 = _percentile(baseline_latencies, 0.95)
-    contended_p95 = _percentile(steady_latencies, 0.95)
-    return {
-        "workers": _QOS_WORKERS,
-        "max_pending": _QOS_MAX_PENDING,
-        "client_queue": _QOS_CLIENT_QUEUE,
-        "steady_uncontended": {
-            "requests": float(len(baseline_latencies)),
-            "p50_latency_seconds": _percentile(baseline_latencies, 0.50),
-            "p95_latency_seconds": baseline_p95,
-        },
-        "steady_contended": {
-            "requests": float(len(steady_latencies)),
-            "p50_latency_seconds": _percentile(steady_latencies, 0.50),
-            "p95_latency_seconds": contended_p95,
-        },
-        "fairness_ratio": contended_p95 / baseline_p95
-        if baseline_p95 else 0.0,
-        "flooder": {
-            "requests": float(_QOS_FLOOD_REQUESTS),
-            "rejected": float(rejected),
-            "rejection_rate": rejected / _QOS_FLOOD_REQUESTS,
-            "errors": float(flood_errors),
-            "p95_latency_seconds": _percentile(flood_latencies, 0.95),
-        },
-        "service_stats": stats,
-    }
-
-
-#: The distributed section's loopback fleet: 2 workers leasing 2-design
-#: shards.
-_DISTRIBUTED_WORKERS = 2
-_DISTRIBUTED_SHARD_SIZE = 2
-
-
-def bench_distributed(architectures: Optional[Sequence[str]] = None,
-                      count: int = 4, seed: int = 0, max_width: int = 8,
-                      template: str = "dsp") -> dict:
-    """Measure the distributed sweep against the serial baseline.
-
-    Runs the same benchmark grid twice: once through the in-process
-    :func:`~repro.engine.parallel.run_sweep` (workers=1, the ground
-    truth) and once through :func:`~repro.engine.distributed.
-    run_distributed_sweep` with two loopback worker processes.
-    ``records_equal`` is 1.0 when the distributed merge reproduced the
-    serial records exactly (modulo wall-clock fields) — the determinism
-    property the CI gate holds at 1.0.
-    """
-    from repro.engine.distributed import run_distributed_sweep
-    from repro.engine.parallel import SessionSpec, run_sweep
-    from repro.harness.runner import ExperimentConfig
-    from repro.workloads.generator import ARCHITECTURE_WORKLOADS, sample_workloads
-
-    if architectures is None:
-        architectures = sorted(ARCHITECTURE_WORKLOADS)
-    benchmarks = []
-    for architecture in architectures:
-        benchmarks.extend(sample_workloads(architecture, count, seed=seed,
-                                           max_width=max_width))
-    if not benchmarks:
-        raise ValueError("the distributed bench needs at least one benchmark")
-
-    config = ExperimentConfig(template=template)
-    spec = SessionSpec(enable_cache=False)
-
-    serial_start = time.perf_counter()
-    serial = run_sweep(benchmarks, config, workers=1, session_spec=spec)
-    serial_seconds = time.perf_counter() - serial_start
-
-    distributed_start = time.perf_counter()
-    distributed = run_distributed_sweep(benchmarks, config,
-                                        workers=_DISTRIBUTED_WORKERS,
-                                        session_spec=spec,
-                                        shard_size=_DISTRIBUTED_SHARD_SIZE)
-    distributed_seconds = time.perf_counter() - distributed_start
-
-    records_equal = ([r.comparable() for r in serial.records]
-                     == [r.comparable() for r in distributed.records])
-    rate = len(distributed.records) / distributed_seconds \
-        if distributed_seconds else 0.0
-    return {
-        "workers": _DISTRIBUTED_WORKERS,
-        "shard_size": _DISTRIBUTED_SHARD_SIZE,
-        "benchmarks": len(benchmarks),
-        "serial_seconds": serial_seconds,
-        "distributed_seconds": distributed_seconds,
-        "records_per_second": rate,
-        "speedup_vs_serial": serial_seconds / distributed_seconds
-        if distributed_seconds else 0.0,
-        "records_equal": 1.0 if records_equal else 0.0,
-        "telemetry": distributed.telemetry,
-    }
-
-
 def run_bench(architectures: Optional[Sequence[str]] = None,
               count: int = 4, seed: int = 0, max_width: int = 8,
               template: str = "dsp",
               throughput_assignments: int = 4096,
-              serve: bool = True,
-              qos: bool = True,
-              distributed: bool = True) -> dict:
+              serve: bool = True) -> dict:
     """Run the bench suite and return the snapshot payload."""
     from repro.engine.session import MappingSession
     from repro.harness.runner import ExperimentConfig
@@ -604,10 +372,6 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
     serve_section = bench_serve(architectures=architectures, count=count,
                                 seed=seed, max_width=max_width,
                                 template=template) if serve else None
-    qos_section = bench_qos(seed=seed, template=template) if qos else None
-    distributed_section = bench_distributed(
-        architectures=architectures, count=count, seed=seed,
-        max_width=max_width, template=template) if distributed else None
     return {
         "revision": git_revision(),
         "tool": "lakeroad bench",
@@ -640,8 +404,6 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
         "solver": counters,
         "probe_throughput": throughput,
         "serve": serve_section,
-        "qos": qos_section,
-        "distributed": distributed_section,
         "designs": designs,
     }
 
@@ -677,10 +439,6 @@ DEFAULT_DIFF_THRESHOLDS: Dict[str, tuple] = {
     "serve.speedup_vs_cold": ("higher", 0.5),
     "serve.serve_warm.requests_per_second": ("higher", 0.5),
     "serve.serve_warm.p95_latency_seconds": ("lower", 2.0),
-    "qos.steady_contended.p50_latency_seconds": ("lower", 2.0),
-    "qos.steady_contended.p95_latency_seconds": ("lower", 2.0),
-    "distributed.records_equal": ("higher", 0.0),
-    "distributed.records_per_second": ("higher", 0.5),
 }
 
 

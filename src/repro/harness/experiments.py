@@ -1,7 +1,7 @@
 """Reproduction entry points for every table and figure in the evaluation.
 
-Each function regenerates one artifact of Section 5 (see DESIGN.md's
-experiment index) and returns plain data structures; the ``render_*``
+Each function regenerates one artifact of Section 5 (see the "Experiment
+index" in EXPERIMENTS.md) and returns plain data structures; the ``render_*``
 helpers turn them into the text tables / bar rows the paper prints.  The
 functions accept the benchmark list to run so callers choose between the
 full enumeration (paper scale) and the stratified subsample (default).

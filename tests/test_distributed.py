@@ -26,6 +26,7 @@ from repro.engine.distributed import (
 )
 from repro.engine.diskcache import peek_entry_count
 from repro.engine.parallel import SessionSpec, run_sweep
+from repro.engine.service import ServerThread, SolverService
 from repro.harness.runner import ExperimentConfig
 from repro.workloads.generator import Microbenchmark, WorkloadSpec
 
@@ -437,7 +438,8 @@ class TestArtifactResume:
             self, tmp_path, caplog):
         """Stopping closes every open connection and awaits its handler;
         a handler left for the loop shutdown to cancel made asyncio log a
-        CancelledError traceback."""
+        CancelledError traceback.  Both planes stop through the one socket
+        layer, so the service is checked the same way."""
         benchmarks = _fast_benchmarks(4)
         config = ExperimentConfig()
         serial = _serial_records(benchmarks, config)
@@ -456,13 +458,27 @@ class TestArtifactResume:
                                       artifact_dir=tmp_path)
             with second:
                 assert second.telemetry()["shards_resumed"] == 1
+
+            socket_path = tmp_path / "serve.sock"
+            with SolverService(spec, workers=1) as service:
+                server = ServerThread(service, socket_path)
+                serve_idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                serve_idle.settimeout(30)
+                serve_idle.connect(str(socket_path))
+                serve_reader = serve_idle.makefile("rb")
+                serve_idle.sendall(b'{"id": 1, "op": "ping"}\n')
+                assert json.loads(serve_reader.readline())["pong"] is True
+                server.close()   # with ``serve_idle`` still connected
         errors = [record.getMessage() for record in caplog.records
                   if record.name == "asyncio"
                   and record.levelno >= logging.ERROR]
         assert not errors
-        # The coordinator closed the idle connection itself.
+        # Each server closed its idle connection itself.
         assert idle.reader.readline() == b""
         idle.close()
+        assert serve_reader.readline() == b""
+        serve_reader.close()
+        serve_idle.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -577,6 +593,21 @@ class TestCli:
             env=self._env(), capture_output=True, text=True, timeout=120)
         assert completed.returncode == 2
         assert "--token" in completed.stderr
+
+    @pytest.mark.parametrize("argv, option", [
+        (["--worker", "127.0.0.1:1", "--token", "x",
+          "--reconnect-attempts", "0", "--workers", "4"], "--workers"),
+        (["--arch", "intel-cyclone10lp", "--count", "1",
+          "--shard-size", "2"], "--shard-size"),
+    ], ids=["worker-workers", "local-shard-size"])
+    def test_a_role_refuses_the_options_it_does_not_read(self, argv, option,
+                                                         capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", *argv])
+        assert exited.value.code == 2
+        assert option in capsys.readouterr().err
 
     def test_coordinator_and_worker_flags_conflict(self):
         completed = subprocess.run(

@@ -5,9 +5,11 @@ import json
 import multiprocessing
 import os
 import signal
+import socket as socket_mod
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from repro.engine.diskcache import (
     peek_entry_count,
     peek_schema_version,
 )
+from repro.engine.distributed import PROTOCOL_VERSION, SweepCoordinator
 from repro.engine.parallel import SessionSpec, SweepInterrupted, run_sweep
 from repro.engine.service import (
     MapRequest,
@@ -270,6 +273,23 @@ class TestServedEqualsSerial:
 # --------------------------------------------------------------------------- #
 # The socket layer
 # --------------------------------------------------------------------------- #
+@contextmanager
+def _serving(plane, tmp_path):
+    """A server of one network plane: ``lakeroad serve``'s service on a
+    unix socket, or the sweep coordinator on TCP.  Yields its address and
+    the ``hello`` a client must send first (None for the service)."""
+    if plane == "service":
+        socket_path = tmp_path / "serve.sock"
+        with SolverService(SessionSpec(), workers=1) as service, \
+                ServerThread(service, socket_path):
+            yield socket_path, None
+    else:
+        with SweepCoordinator(_fast_benchmarks(2)) as coordinator:
+            yield (coordinator.host, coordinator.port), {
+                "op": "hello", "token": coordinator.token,
+                "protocol": PROTOCOL_VERSION}
+
+
 class TestSocketLayer:
     def test_pipelined_requests_and_stats(self, tmp_path):
         socket_path = tmp_path / "serve.sock"
@@ -360,41 +380,45 @@ class TestSocketLayer:
         assert response["ok"] is True
         assert len(json.dumps({"verilog": padding + MUL8})) > 64 * 1024
 
+    @pytest.mark.parametrize("plane", ["service", "coordinator"])
     def test_oversized_line_answered_with_error_not_dead_socket(
-            self, tmp_path):
-        import socket as socket_mod
+            self, plane, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.engine.service.DEFAULT_STREAM_LIMIT", 1024)
+        with _serving(plane, tmp_path) as (address, hello):
+            tcp = isinstance(address, tuple)
+            with socket_mod.socket(
+                    socket_mod.AF_INET if tcp else socket_mod.AF_UNIX,
+                    socket_mod.SOCK_STREAM) as sock:
+                sock.connect(address if tcp else str(address))
+                sock.settimeout(30)
+                reader = sock.makefile("rb")
+                if hello is not None:
+                    sock.sendall(json.dumps(hello).encode() + b"\n")
+                    assert json.loads(reader.readline())["ok"] is True
+                oversized = json.dumps(
+                    {"id": 1, "op": "map", "verilog": "y" * 4096})
+                sock.sendall(oversized.encode() + b"\n")
+                error = json.loads(reader.readline())
+                assert error["ok"] is False
+                assert "limit" in error["error"]
+                # The connection survives: the next request is served.
+                sock.sendall(b'{"id": 2, "op": "ping"}\n')
+                pong = json.loads(reader.readline())
+                assert pong["ok"] is True
+                assert pong["id"] == 2
 
-        socket_path = tmp_path / "serve.sock"
-        with SolverService(SessionSpec(), workers=1) as service:
-            with ServerThread(service, socket_path, limit=1024):
-                with socket_mod.socket(socket_mod.AF_UNIX,
-                                       socket_mod.SOCK_STREAM) as sock:
-                    sock.connect(str(socket_path))
-                    sock.settimeout(30)
-                    reader = sock.makefile("rb")
-                    oversized = json.dumps(
-                        {"id": 1, "op": "map", "verilog": "y" * 4096})
-                    sock.sendall(oversized.encode() + b"\n")
-                    error = json.loads(reader.readline())
-                    assert error["ok"] is False
-                    assert "limit" in error["error"]
-                    # The connection survives: the next request is served.
-                    sock.sendall(b'{"id": 2, "op": "ping"}\n')
-                    pong = json.loads(reader.readline())
-                    assert pong["ok"] is True
-                    assert pong["id"] == 2
-
-    def test_malformed_requests_are_answered_not_fatal(self, tmp_path):
-        socket_path = tmp_path / "serve.sock"
-        with SolverService(SessionSpec(), workers=1) as service:
-            with ServerThread(service, socket_path):
-                with ServiceClient(socket_path) as client:
-                    unknown = client.request({"op": "selfdestruct"})
-                    assert unknown["ok"] is False
-                    missing = client.request({"op": "map"})
-                    assert missing["ok"] is False
-                    # The connection is still serviceable afterwards.
-                    assert client.request({"op": "ping"})["ok"] is True
+    @pytest.mark.parametrize("plane", ["service", "coordinator"])
+    def test_malformed_requests_are_answered_not_fatal(self, plane, tmp_path):
+        with _serving(plane, tmp_path) as (address, hello), \
+                ServiceClient(address) as client:
+            if hello is not None:
+                assert client.request(hello)["ok"] is True
+            unknown = client.request({"op": "selfdestruct"})
+            assert unknown["ok"] is False
+            missing = client.request({"op": "map"})
+            assert missing["ok"] is False
+            # The connection is still serviceable afterwards.
+            assert client.request({"op": "ping"})["ok"] is True
 
     def test_request_cli_reports_a_rejected_design_in_one_line(
             self, tmp_path, capsys):
