@@ -1062,6 +1062,8 @@ class ServiceClient:
         self._pending: Dict[int, Future] = {}
         self._next_id = 0
         self._closed = False
+        #: Set once the reader thread has stopped (EOF or a socket error).
+        self._disconnected = False
         self._reader = threading.Thread(target=self._read_loop,
                                         name="lakeroad-client-reader",
                                         daemon=True)
@@ -1083,7 +1085,10 @@ class ServiceClient:
         except (OSError, ValueError):
             pass
         finally:
+            # Nothing reads responses from here on: later submits fail at
+            # once instead of waiting for one.
             with self._lock:
+                self._disconnected = True
                 leftovers = list(self._pending.values())
                 self._pending.clear()
             error = ConnectionError("server closed the connection")
@@ -1092,11 +1097,19 @@ class ServiceClient:
                     future.set_exception(error)
 
     def submit(self, payload: Dict[str, Any]) -> "Future[dict]":
-        """Send one request; the future resolves to the response dict."""
+        """Send one request; the future resolves to the response dict.
+
+        Once the server has closed the connection, the future fails with
+        ``ConnectionError``.
+        """
         future: "Future[dict]" = Future()
         with self._lock:
             if self._closed:
                 raise RuntimeError("client is closed")
+            if self._disconnected:
+                future.set_exception(
+                    ConnectionError("server closed the connection"))
+                return future
             self._next_id += 1
             request_id = self._next_id
             self._pending[request_id] = future

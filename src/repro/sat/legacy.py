@@ -12,10 +12,12 @@ bench_propagation.py`` compare the arena against.
 
 The only additions over the historical code are the cumulative telemetry
 counters (``propagations_total``, ``watcher_visits``, ``solve_seconds``)
-that the warm solver host reads from whichever engine it drives, and two
+that the warm solver host reads from whichever engine it drives, two
 loading entries: ``add_clauses``, the batch entry point (here a loop over
 ``add_clause``), and ``load_gates``, the candidate session's (here its
-clause list through ``add_clauses``).
+clause list through ``add_clauses``), and the search changes both engines
+make together: ``prefer``, the backtrack below the conflict's level on an
+unsat answer under assumptions, and cores of assumption decisions only.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sat.cnf import CNF, tseitin_clauses
-from repro.sat.solver import RESTART_BASE, VAR_DECAY, SatResult, _luby
+from repro.sat.solver import (PREFERRED_ACTIVITY, RESTART_BASE, VAR_DECAY,
+                              SatResult, _luby)
 
 __all__ = ["LegacyCDCLSolver"]
 
@@ -198,6 +201,15 @@ class LegacyCDCLSolver:
             self.activity[var] = 0.0
             self._order.insert(var)
         self.num_vars = max(self.num_vars, num_vars)
+
+    def prefer(self, variables: Iterable[int]) -> None:
+        """Give each of ``variables`` that was never bumped the activity
+        :data:`~repro.sat.solver.PREFERRED_ACTIVITY`, as the arena engine's
+        :meth:`~repro.sat.solver.CDCLSolver.prefer` does."""
+        for var in variables:
+            if not self.activity.get(var, 0.0):
+                self.activity[var] = PREFERRED_ACTIVITY
+                self._order.bumped(var)
 
     def add_clause(self, literals: Sequence[int]) -> bool:
         """Add a clause to a (possibly already solved-on) solver.
@@ -491,13 +503,18 @@ class LegacyCDCLSolver:
         stack = [abs(lit) for lit in seed_lits]
         while stack:
             var = stack.pop()
-            if var in seen or self.level.get(var, 0) == 0:
+            level = self.level.get(var, 0)
+            if var in seen or level == 0:
                 continue
             seen.add(var)
             reason_index = self.reason.get(var)
             if reason_index is None:
-                # A decision below/at the assumption level is an assumption.
-                core.append(var if self.assignment[var] else -var)
+                # The decision that opens an assumption level is an
+                # assumption; a reason-less literal after it is a learned
+                # unit, entailed by the clauses alone.
+                lit = var if self.assignment[var] else -var
+                if self.trail[self.trail_lim[level - 1]] == lit:
+                    core.append(lit)
             else:
                 stack.extend(abs(lit) for lit in self.clauses[reason_index]
                              if abs(lit) != var)
@@ -578,9 +595,8 @@ class LegacyCDCLSolver:
             return self.stats
         if self.propagation_head < len(self.trail):
             # The trail is partly propagated: clauses were added since the
-            # last call, or the last call returned unsat at a conflict
-            # under assumptions without backtracking.  Restart cleanly from
-            # the root so the pending literals propagate from level 0.
+            # last call, or the last call ran out of time.  Restart cleanly
+            # from the root so the pending literals propagate from level 0.
             self._cancel_until(0)
         else:
             # Trail reuse: keep the longest prefix of existing decision
@@ -588,8 +604,8 @@ class LegacyCDCLSolver:
             # literals already implied by a kept level are skipped).  A
             # sequence of related assumption queries — e.g. the
             # lex-minimization pass growing its prefix one literal at a
-            # time — then re-propagates almost nothing, as long as the
-            # calls before it did not stop at such a conflict.
+            # time — then re-propagates almost nothing: an unsat answer
+            # under assumptions leaves the levels below its conflict.
             keep_level = 0
             index = 0
             while index < len(assumptions):
@@ -637,6 +653,7 @@ class LegacyCDCLSolver:
                 if conflict is not None:
                     self.stats.status = "unsat"
                     self.last_core = self._analyze_final(self.clauses[conflict])
+                    self._cancel_until(self._decision_level() - 1)
                     return self.stats
         assumption_level = self._decision_level()
 
@@ -664,6 +681,7 @@ class LegacyCDCLSolver:
                         self.last_core = []
                     else:
                         self.last_core = self._analyze_final(self.clauses[conflict])
+                        self._cancel_until(self._decision_level() - 1)
                     self.total_conflicts += self.stats.conflicts
                     return self.stats
                 learnt, backjump_level = self._analyze(conflict)

@@ -89,13 +89,18 @@ phases of earlier calls.  When a query is unsatisfiable under assumptions,
 responsible (the final-conflict analysis of MiniSat's ``analyzeFinal``).
 Lex-min refinement (:func:`repro.smt.solver.lex_min_model`) runs on this:
 its assumption solves share one solver.  A trial reuses the decision levels
-of the previous one that match its assumption prefix, unless the previous
-one stopped at a conflict that left the trail partly propagated — as an
-unsatisfiable trial often does — in which case it restarts from the root.
+of the previous one that match its assumption prefix.  An unsatisfiable
+trial whose conflict arose at assumption level ``L`` returns at level
+``L - 1``, fully propagated (a backjump to a consistent state), so the next
+trial re-propagates nothing below ``L``.  Only a call that ran out of time,
+or clauses added since, leave the trail partly propagated; the next solve
+then restarts from the root.
 
 Branching, phase and restart behavior is fixed: activities decay by
 :data:`VAR_DECAY`, an unsaved phase is negative, and the restart intervals
-are :data:`RESTART_BASE` times the Luby sequence.  Models are therefore
+are :data:`RESTART_BASE` times the Luby sequence.  :meth:`CDCLSolver.prefer`
+gives chosen variables the activity :data:`PREFERRED_ACTIVITY`, so they are
+decided first until conflicts bump others.  Models are therefore
 search-dependent; callers that need a canonical model refine it with
 :func:`repro.smt.solver.lex_min_model`.
 """
@@ -116,6 +121,10 @@ __all__ = ["CDCLSolver", "SatResult"]
 VAR_DECAY = 0.95
 #: Conflicts before the first restart; later intervals follow Luby.
 RESTART_BASE = 32
+#: The activity :meth:`CDCLSolver.prefer` gives a variable never bumped:
+#: above 0, so it is decided before every other unbumped variable, and
+#: far below the first bump (1.0), so VSIDS ranks it by its conflicts.
+PREFERRED_ACTIVITY = 1e-6
 
 
 @dataclass
@@ -318,6 +327,21 @@ class CDCLSolver:
         order.live[old + 1:num_vars + 1] = b"\x01" * (num_vars - old)
         order.zeros.extend(range(old + 1, num_vars + 1))
         self.num_vars = num_vars
+
+    def prefer(self, variables: Iterable[int]) -> None:
+        """Give each of ``variables`` that was never bumped the activity
+        :data:`PREFERRED_ACTIVITY`.
+
+        Until a conflict bumps other variables, the preferred ones are
+        decided first, in index order.  The candidate session prefers the
+        hole bits, the only free variables of its CNF: their index order
+        is the lex-min order, and an unsaved phase is negative.
+        """
+        activity = self.activity
+        for var in variables:
+            if not activity[var]:
+                activity[var] = PREFERRED_ACTIVITY
+        self._order.rebuild()
 
     # ------------------------------------------------------------------ #
     # Clause database
@@ -832,18 +856,25 @@ class CDCLSolver:
         levels = self._levels
         reasons = self._reasons
         vals = self._vals
+        trail = self.trail
+        trail_lim = self.trail_lim
         core: List[int] = [] if extra is None else [extra]
         seen = set()
         stack = [abs(lit) for lit in seed_lits]
         while stack:
             var = stack.pop()
-            if var in seen or levels[var] == 0:
+            level = levels[var]
+            if var in seen or level == 0:
                 continue
             seen.add(var)
             reason_off = reasons[var]
             if reason_off < 0:
-                # A decision below/at the assumption level is an assumption.
-                core.append(var if vals[var] > 0 else -var)
+                # The decision that opens an assumption level is an
+                # assumption; a reason-less literal after it is a learned
+                # unit, entailed by the clauses alone.
+                lit = var if vals[var] > 0 else -var
+                if trail[trail_lim[level - 1]] == lit:
+                    core.append(lit)
             else:
                 stack.extend(abs(lit) for lit
                              in arena[reason_off:reason_off
@@ -931,7 +962,8 @@ class CDCLSolver:
         matching assumption prefix reuses the existing trail instead of
         re-propagating it — unless that trail is only partly propagated
         (see :meth:`_solve`).  ``unsat`` under assumptions leaves the guilty
-        assumption subset in :attr:`last_core`; ``unknown`` means the
+        assumption subset in :attr:`last_core` and the solver at the level
+        below the conflict's, fully propagated; ``unknown`` means the
         ``deadline`` expired.
 
         The learned database is kept bounded by LBD-based reduction: every
@@ -964,9 +996,8 @@ class CDCLSolver:
             return self.stats
         if self.propagation_head < len(self.trail):
             # The trail is partly propagated: clauses were added since the
-            # last call, or the last call returned unsat at a conflict
-            # under assumptions without backtracking.  Restart cleanly from
-            # the root so the pending literals propagate from level 0.
+            # last call, or the last call ran out of time.  Restart cleanly
+            # from the root so the pending literals propagate from level 0.
             self._cancel_until(0)
         else:
             # Trail reuse: keep the longest prefix of existing decision
@@ -974,8 +1005,8 @@ class CDCLSolver:
             # literals already implied by a kept level are skipped).  A
             # sequence of related assumption queries — e.g. the
             # lex-minimization pass growing its prefix one literal at a
-            # time — then re-propagates almost nothing, as long as the
-            # calls before it did not stop at such a conflict.
+            # time — then re-propagates almost nothing: an unsat answer
+            # under assumptions leaves the levels below its conflict.
             vals = self._vals
             levels = self._levels
             keep_level = 0
@@ -1026,6 +1057,7 @@ class CDCLSolver:
                     self.stats.status = "unsat"
                     self.last_core = self._analyze_final(
                         self.clause_literals(conflict))
+                    self._cancel_until(len(self.trail_lim) - 1)
                     return self.stats
         assumption_level = len(self.trail_lim)
 
@@ -1054,6 +1086,9 @@ class CDCLSolver:
                     else:
                         self.last_core = self._analyze_final(
                             self.clause_literals(conflict))
+                        # Keep the propagated levels below the conflict's:
+                        # the next assumption solve reuses them.
+                        self._cancel_until(len(self.trail_lim) - 1)
                     self.total_conflicts += self.stats.conflicts
                     return self.stats
                 learnt, backjump_level = self._analyze(conflict)

@@ -319,7 +319,8 @@ class IncrementalSmtSession:
     one.  :meth:`check` loads the cones of every output asserted so far
     straight from that AIG into a fresh :class:`CDCLSolver` — one
     :func:`~repro.bv.cnf.tseitin_gates` walk, one
-    :meth:`~repro.sat.solver.CDCLSolver.load_gates` — and solves it; no
+    :meth:`~repro.sat.solver.CDCLSolver.load_gates` — prefers the input
+    bits (:meth:`~repro.sat.solver.CDCLSolver.prefer`) and solves it; no
     clause list is built.  :attr:`cnf` is the same encoding as clause
     lists (:func:`~repro.bv.cnf.aig_to_cnf`), built on demand for tests
     and tools.  A CEGIS run keeps one session: each candidate step that
@@ -408,6 +409,9 @@ class IncrementalSmtSession:
         self._solver = solver = CDCLSolver(deadline=deadline)
         solver.load_gates(aig.num_nodes, tseitin_gates(aig, outputs),
                           [lit_to_cnf(lit) for lit in outputs])
+        # The hole bits are decided first, in lex-min order, until
+        # conflicts bump other variables.
+        solver.prefer(input_vars.values())
         sat_result = solver.solve()
         model = None
         if sat_result.is_sat:

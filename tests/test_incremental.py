@@ -23,7 +23,7 @@ from repro.bv.cnf import aig_to_cnf
 from repro.engine.budget import Budget
 from repro.hdl.behavioral import verilog_to_behavioral
 from repro.sat.cnf import CNF
-from repro.sat.solver import VAR_DECAY, CDCLSolver
+from repro.sat.solver import PREFERRED_ACTIVITY, VAR_DECAY, CDCLSolver
 from repro.smt.cegis import Obligation, synthesize
 from repro.smt.solver import IncrementalSmtSession, SmtSolver, lex_min_model
 
@@ -234,38 +234,65 @@ class TestIncrementalCdcl:
 
     def test_picks_after_searches_and_ensure_vars_follow_the_order(self):
         """After solves have bumped activities (and assigned, popped and
-        re-pushed variables), the order has been rebuilt mid-trail (as the
-        rescale and the stale-entry bound rebuild it) and ``ensure_vars``
-        has appended new variables, successive picks are the unassigned
-        variable of highest activity, ties to the smallest index: a
-        brute-force maximum, and the legacy heap's pops."""
-        from repro.sat.legacy import _VarOrder
+        re-pushed variables), ``prefer`` has raised never-bumped variables
+        (before the solves, between them or after ``ensure_vars``), the
+        order has been rebuilt mid-trail (as the rescale and the
+        stale-entry bound rebuild it) and ``ensure_vars`` has appended new
+        variables, successive picks are the unassigned variable of highest
+        activity, ties to the smallest index: a brute-force maximum, and
+        the legacy heap's pops.  The legacy engine, given the same solves
+        and preferences, walks the same search to the same activities."""
+        from repro.sat.legacy import LegacyCDCLSolver, _VarOrder
 
         rng = random.Random(43)
-        bumped = 0
+        bumped = mixed = 0
         for case in range(40):
             num_vars = rng.randint(4, 12)
-            solver = CDCLSolver(CNF(num_vars=num_vars, clauses=[
+            cnf = CNF(num_vars=num_vars, clauses=[
                 [rng.choice((-1, 1)) * v
                  for v in rng.sample(range(1, num_vars + 1), 3)]
-                for _ in range(int(4.3 * num_vars))]))
+                for _ in range(int(4.3 * num_vars))])
+            solver, legacy = CDCLSolver(cnf), LegacyCDCLSolver(cnf)
+
+            def prefer(limit):
+                chosen = rng.sample(range(1, limit + 1),
+                                    rng.randint(1, limit))
+                solver.prefer(chosen)
+                legacy.prefer(chosen)
+
+            if case % 2:
+                prefer(num_vars)
             for _ in range(rng.randint(1, 3)):
-                solver.solve([rng.choice((-1, 1)) * rng.randint(1, num_vars)
-                              for _ in range(rng.randint(0, 2))])
+                assumptions = [rng.choice((-1, 1)) * rng.randint(1, num_vars)
+                               for _ in range(rng.randint(0, 2))]
+                assert solve_snapshot(solver, solver.solve(assumptions)) == \
+                    solve_snapshot(legacy, legacy.solve(assumptions)), \
+                    f"case {case}"
             bumped += any(solver.activity)
+            if case % 3 == 1:
+                prefer(num_vars)  # only the never-bumped ones change
             solver._cancel_until(rng.randint(0, len(solver.trail_lim)))
             solver._order.rebuild()
             grown = num_vars + rng.randint(1, 40)
             solver.ensure_vars(grown)
+            legacy.ensure_vars(grown)
+            if case % 3 == 2:
+                prefer(grown)  # new variables among them
             solver._cancel_until(0)
-            reference = _VarOrder({var: solver.activity[var]
-                                   for var in range(1, grown + 1)})
+            activities = [solver.activity[var] for var in range(1, grown + 1)]
+            assert activities == [legacy.activity[var]
+                                  for var in range(1, grown + 1)], \
+                f"case {case}"
+            mixed += {0.0, PREFERRED_ACTIVITY} < set(activities)
+            reference = _VarOrder(dict(enumerate(activities, start=1)))
             for var in range(1, grown + 1):
                 if solver._vals[var] == 0:
                     reference.insert(var)
             self._assert_drain_follows_the_order(solver, reference,
                                                  f"case {case}")
         assert bumped > 20  # most cases search before they grow
+        # Bumped, preferred and untouched variables in one order.
+        assert mixed > 10, mixed
 
     def test_activity_rescale_keeps_the_pick_and_the_legacy_trajectory(self):
         """A bump past 1e100 rescales every activity by 1e-100.  Started
@@ -315,6 +342,121 @@ class TestIncrementalCdcl:
                 rescaled += arena.var_inc < var_inc
             self._assert_drain_follows_the_order(arena, note=f"case {case}")
         assert rescaled >= 50, rescaled
+
+    @pytest.mark.parametrize("engine", ["arena", "legacy"])
+    def test_unsat_trial_returns_with_kept_levels(self, engine):
+        """An assumption solve that is unsat at a conflict on level L
+        returns at level L - 1 with a fully propagated trail: every kept
+        level is opened by one of its assumptions, and no problem clause
+        is false or unit under it.  The next trial (the lex-min pattern:
+        the kept prefix, then new literals) re-propagates nothing below
+        L."""
+        from repro.sat.legacy import LegacyCDCLSolver
+
+        build = CDCLSolver if engine == "arena" else LegacyCDCLSolver
+        rng = random.Random(53)
+        kept = 0
+        for case in range(150):
+            num_vars = rng.randint(10, 24)
+            clauses = [[v if rng.random() < 0.5 else -v
+                        for v in rng.sample(range(1, num_vars + 1), 3)]
+                       for _ in range(int(rng.uniform(3.5, 4.4) * num_vars))]
+            solver = build(CNF(num_vars=num_vars, clauses=clauses))
+            conflicts = []
+            analyze_final = solver._analyze_final
+
+            def spy(seed_lits, extra=None):
+                # ``extra`` is an assumption found false: no level opened.
+                conflicts.append((len(solver.trail_lim), extra))
+                return analyze_final(seed_lits, extra)
+
+            solver._analyze_final = spy
+            assumptions = [v if rng.random() < 0.5 else -v
+                           for v in rng.sample(range(1, num_vars + 1), 6)]
+            if not solver.solve(assumptions).is_unsat or not conflicts \
+                    or conflicts[-1][1] is not None:
+                continue
+            level = conflicts[-1][0]
+            note = f"case {case}"
+            assert len(solver.trail_lim) == level - 1, note
+            assert solver.propagation_head == len(solver.trail), note
+            openers = [solver.trail[index] for index in solver.trail_lim]
+            assert openers == [lit for lit in assumptions
+                               if lit in openers], note
+            assigned = set(solver.trail)
+            for clause in clauses:
+                if any(lit in assigned for lit in clause):
+                    continue
+                unassigned = [lit for lit in clause if -lit not in assigned]
+                assert len(unassigned) >= 2, (note, clause)
+            prefix = list(solver.trail)
+            heads = []
+            propagate = solver._propagate
+
+            def watched():
+                heads.append(solver.propagation_head)
+                return propagate()
+
+            solver._propagate = watched
+            result = solver.solve(openers + [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, num_vars + 1), 2)])
+            assert min(heads) >= len(prefix), note
+            if result.is_sat:
+                assert solver.trail[:len(prefix)] == prefix, note
+            kept += bool(openers)
+        assert kept > 20, kept
+
+    def test_cores_are_assumption_subsets_and_engines_agree(self):
+        """Random 3-SAT near the threshold, four solves under one or two
+        assumptions per instance: every core is a subset of the assumptions, the clauses
+        plus the core are unsat under DPLL (an independent engine), and
+        the arena and legacy engines return the same core.  A learned
+        unit enqueued at an assumption level (reason-less, yet no
+        assumption) must stay out of the core; the sample must meet one."""
+        from repro.sat.dpll import DPLLSolver
+        from repro.sat.legacy import LegacyCDCLSolver
+
+        rng = random.Random(59)
+        cores = learned_units = 0
+
+        def count_learned_units(solver):
+            analyze_final = solver._analyze_final
+
+            def spy(*args, **kwargs):
+                nonlocal learned_units
+                openers = {solver.trail[index] for index in solver.trail_lim}
+                learned_units += any(
+                    solver._reasons[abs(lit)] < 0 and lit not in openers
+                    and solver._levels[abs(lit)] > 0 for lit in solver.trail)
+                return analyze_final(*args, **kwargs)
+            solver._analyze_final = spy
+
+        for case in range(250):
+            num_vars = rng.randint(8, 30)
+            clauses = [[v if rng.random() < 0.5 else -v
+                        for v in rng.sample(range(1, num_vars + 1), 3)]
+                       for _ in range(int(rng.uniform(3.5, 4.6) * num_vars))]
+            arena = CDCLSolver(CNF(num_vars=num_vars, clauses=clauses))
+            legacy = LegacyCDCLSolver(CNF(num_vars=num_vars, clauses=clauses))
+            count_learned_units(arena)
+            for _ in range(4):
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, num_vars + 1),
+                                                   rng.randint(1, 2))]
+                result = arena.solve(assumptions)
+                assert legacy.solve(assumptions).status == result.status
+                assert arena.last_core == legacy.last_core, f"case {case}"
+                if not result.is_unsat or not arena._ok:
+                    continue
+                core = arena.last_core
+                assert set(core) <= set(assumptions), (case, core, assumptions)
+                check = CNF(num_vars=num_vars,
+                            clauses=clauses + [[lit] for lit in core])
+                assert DPLLSolver(check).solve().is_unsat, f"case {case}"
+                cores += 1
+        assert cores > 200, cores
+        assert learned_units >= 5, learned_units
 
     def test_learned_clauses_retained_across_calls(self):
         rng = random.Random(3)
@@ -577,6 +719,36 @@ class TestIncrementalCegis:
                 assert arena == legacy, bench.name
                 checked += 1
         assert checked == 6
+
+    def test_hole_preference_is_answer_invisible(self, monkeypatch):
+        """Deciding the hole bits first only changes how the candidate
+        solver searches: with ``prefer`` a no-op, two Xilinx maps keep
+        their status, hole values and Verilog, and their counters move."""
+        from repro.engine.session import MappingSession
+        from repro.workloads.generator import XILINX_FORMS, Microbenchmark
+
+        def outcomes():
+            results = []
+            for name, stages in (("preadd_mul_and", 0), ("mul", 1)):
+                form = next(f for f in XILINX_FORMS if f.name == name)
+                design = Microbenchmark("xilinx-ultrascale-plus", form, 8,
+                                        stages, False)
+                result = MappingSession(enable_cache=False).map_verilog(
+                    design.verilog, arch="xilinx-ultrascale-plus")
+                results.append((result.status, result.hole_values,
+                                hashlib.sha256(result.verilog.encode())
+                                .hexdigest(), result.stats["propagations"]))
+            return results
+
+        preferred = outcomes()
+        with monkeypatch.context() as patch:
+            patch.setattr(CDCLSolver, "prefer", lambda self, variables: None)
+            unpreferred = outcomes()
+        assert [answer[:3] for answer in preferred] == \
+            [answer[:3] for answer in unpreferred]
+        assert [answer[0] for answer in preferred] == ["success"] * 2
+        assert [answer[3] for answer in preferred] != \
+            [answer[3] for answer in unpreferred]
 
     def test_repeated_counterexample_degrades_to_unknown(self, monkeypatch):
         from repro.smt.equivalence import EquivalenceResult

@@ -420,6 +420,23 @@ class TestSocketLayer:
             # The connection is still serviceable afterwards.
             assert client.request({"op": "ping"})["ok"] is True
 
+    def test_submit_after_the_server_hung_up_fails_at_once(self):
+        """Once the client's reader has read EOF, nothing would resolve a
+        new request's future; on TCP the first send to the closed peer
+        succeeds, so ``request`` without a timeout would block forever.
+        The submit fails with ``ConnectionError`` instead."""
+        async def answer(message, conn):
+            return {"id": message.get("id"), "ok": True, "pong": True}
+
+        server = ServerThread(answer, ("127.0.0.1", 0))
+        with ServiceClient(server.address) as client:
+            assert client.request({"op": "ping"}, timeout=30)["ok"] is True
+            server.close()
+            client._reader.join(timeout=30)
+            assert not client._reader.is_alive()
+            with pytest.raises(ConnectionError):
+                client.submit({"op": "ping"}).result(timeout=3)
+
     def test_request_cli_reports_a_rejected_design_in_one_line(
             self, tmp_path, capsys):
         from repro.cli import main
