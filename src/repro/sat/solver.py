@@ -962,9 +962,9 @@ class CDCLSolver:
         matching assumption prefix reuses the existing trail instead of
         re-propagating it — unless that trail is only partly propagated
         (see :meth:`_solve`).  ``unsat`` under assumptions leaves the guilty
-        assumption subset in :attr:`last_core` and the solver at the level
-        below the conflict's, fully propagated; ``unknown`` means the
-        ``deadline`` expired.
+        assumption subset in :attr:`last_core` and a fully propagated trail
+        (a conflict on assumption level L returns at level L - 1);
+        ``unknown`` means the ``deadline`` expired.
 
         The learned database is kept bounded by LBD-based reduction: every
         ``reduce_interval`` learned clauses, the worst half of the

@@ -409,11 +409,12 @@ class TestIncrementalCdcl:
 
     def test_cores_are_assumption_subsets_and_engines_agree(self):
         """Random 3-SAT near the threshold, four solves under one or two
-        assumptions per instance: every core is a subset of the assumptions, the clauses
-        plus the core are unsat under DPLL (an independent engine), and
-        the arena and legacy engines return the same core.  A learned
-        unit enqueued at an assumption level (reason-less, yet no
-        assumption) must stay out of the core; the sample must meet one."""
+        assumptions per instance: every core is a subset of the
+        assumptions, the clauses plus the core are unsat under DPLL (an
+        independent engine), and the arena and legacy engines return the
+        same core.  A learned unit enqueued at an assumption level
+        (reason-less, yet no assumption) must stay out of the core; the
+        sample must meet such units on the trail at core time."""
         from repro.sat.dpll import DPLLSolver
         from repro.sat.legacy import LegacyCDCLSolver
 
