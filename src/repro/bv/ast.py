@@ -241,9 +241,15 @@ class BVExpr:
 
 
 def reset_intern_table() -> None:
-    """Clear the global intern table (used by tests to bound memory), and
-    the builder's extract memo, whose entries are keyed on interned nodes."""
+    """Clear the global intern table and the two memos keyed on its nodes
+    (the builder's extract memo and the substitution memo).
+
+    Nothing in the mapper calls it: the three tables live as long as the
+    process.  Tests call it to map a design as a fresh process would.
+    """
     from repro.bv.builder import _EXTRACT_MEMO
+    from repro.bv.simplify import _SUBSTITUTE_MEMO
 
     BVExpr._intern.clear()
     _EXTRACT_MEMO.clear()
+    _SUBSTITUTE_MEMO.clear()

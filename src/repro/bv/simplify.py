@@ -84,8 +84,27 @@ def rebuild(expr: BVExpr, leaf_map: Mapping[BVExpr, BVExpr]) -> BVExpr:
     return cache[expr]
 
 
+#: ``substitute`` results keyed on ``(expr, sorted binding items)``.  Nodes
+#: are interned and ``rebuild`` is a pure function of interned arguments,
+#: so a hit is the very node a fresh rebuild would intern.  CEGIS
+#: substitutes one sketch for the same examples on every map of a repeated
+#: (architecture, interface, depth); with the memo that happens once per
+#: process.  It lives as long as the intern table; ``reset_intern_table``
+#: clears both.
+_SUBSTITUTE_MEMO: dict = {}
+
+
 def substitute(expr: BVExpr, bindings: Mapping[str, BVExpr]) -> BVExpr:
     """Replace free variables by expressions and re-simplify the DAG."""
+    key = (expr, tuple(sorted(bindings.items())))
+    result = _SUBSTITUTE_MEMO.get(key)
+    if result is None:
+        result = _SUBSTITUTE_MEMO[key] = _substitute(expr, bindings)
+    return result
+
+
+def _substitute(expr: BVExpr, bindings: Mapping[str, BVExpr]) -> BVExpr:
+    """The rebuild behind :func:`substitute` (which memoizes it)."""
     leaf_map: Dict[BVExpr, BVExpr] = {}
     for node in expr.iter_dag():
         if node.op == "var" and node.name in bindings:

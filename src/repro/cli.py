@@ -175,7 +175,12 @@ def build_bench_parser() -> argparse.ArgumentParser:
         description="Measure probe throughput (scalar vs packed), an "
                     "end-to-end cold+warm mapping sweep and warm serve "
                     "throughput against per-request cold starts, and write "
-                    "the snapshot to BENCH_<rev>.json.")
+                    "the snapshot to BENCH_<rev>.json. "
+                    "Exit codes: 0 written (or --diff found no "
+                    "regression), 1 an --output-dir it cannot create "
+                    "(checked before any design is mapped) or a --diff "
+                    "regression, 2 command-line usage error (an empty "
+                    "sample included).")
     parser.add_argument("--arch", action="append", dest="architectures",
                         choices=architectures, default=None,
                         help="architecture to bench (repeatable; default: all "
@@ -377,19 +382,23 @@ def _reject_negative(parser, args, *options: str) -> None:
 
 
 def _path_problem(cache_dir: Optional[str] = None,
-                  outputs: Sequence[Optional[str]] = ()) -> Optional[str]:
-    """Why a command could not use its cache directory or an output path.
+                  outputs: Sequence[Optional[str]] = (),
+                  output_dir: Optional[str] = None) -> Optional[str]:
+    """Why a command could not use its cache directory, an output path or
+    its output directory.
 
     Returns None when every path is usable.  Commands call this before any
     work starts, so a mistyped path fails at once instead of after a whole
-    sweep whose records it would lose.  The cache directory is created here,
-    as the cache itself would create it.
+    sweep whose records it would lose.  The directories are created here,
+    as the cache or the writer would create them.
     """
-    if cache_dir is not None:
+    for role, directory in (("cache", cache_dir), ("output", output_dir)):
+        if directory is None:
+            continue
         try:
-            Path(cache_dir).mkdir(parents=True, exist_ok=True)
+            Path(directory).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            return f"cannot create cache directory {cache_dir}: {exc.strerror}"
+            return f"cannot create {role} directory {directory}: {exc.strerror}"
     for output in outputs:
         if output is None:
             continue
@@ -532,6 +541,11 @@ def _refuse_unread(parser, argv, args, role: str) -> None:
             parser.error(f"{option} is not read by {role}")
 
 
+#: The usage error of a ``sweep`` or ``bench`` whose sample has no design.
+_EMPTY_SAMPLE = ("the requested sample is empty (raise --count/--max-width; "
+                 "the narrowest enumerated benchmarks are 8 bits wide)")
+
+
 def _main_sweep(argv) -> int:
     from repro.engine.parallel import SessionSpec, SweepInterrupted, run_sweep
     from repro.harness.runner import ExperimentConfig, records_to_jsonl
@@ -573,8 +587,7 @@ def _main_sweep(argv) -> int:
                 architecture, args.count, seed=args.seed,
                 max_width=8 if args.max_width is None else args.max_width))
     if not benchmarks:
-        parser.error("the requested sample is empty (raise --count/--max-width; "
-                     "the narrowest enumerated benchmarks are 8 bits wide)")
+        parser.error(_EMPTY_SAMPLE)
 
     config = ExperimentConfig(validate=args.validate, template=args.template)
     if args.timeout is not None:
@@ -789,12 +802,20 @@ def _main_bench_diff(args, parser) -> int:
 
 
 def _main_bench(argv) -> int:
-    from repro.harness.bench import run_bench, write_snapshot
+    from repro.harness.bench import bench_sample, run_bench, write_snapshot
 
     parser = build_bench_parser()
     args = parser.parse_args(argv)
     if args.diff is not None:
         return _main_bench_diff(args, parser)
+    if args.throughput_assignments < 1:
+        parser.error("--throughput-assignments must be at least 1")
+    if not bench_sample(args.architectures, args.count, args.seed,
+                        args.max_width):
+        parser.error(_EMPTY_SAMPLE)
+    problem = _path_problem(output_dir=args.output_dir)
+    if problem:
+        return _input_error("bench", problem)
 
     snapshot = run_bench(architectures=args.architectures,
                          count=args.count, seed=args.seed,

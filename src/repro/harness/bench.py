@@ -15,8 +15,10 @@ short git revision, ``<rev>-dirty`` when tracked files differ from it, or
   :mod:`repro.engine.stats`) and, drawn from them, the per-phase
   candidate/verify breakdown, the bit-parallel probing telemetry, SAT
   propagation throughput (``totals.propagations_per_second``) and a
-  ``memory`` section with the process peak RSS and the clause-database
-  high-water mark;
+  ``memory`` section with the process peak RSS, the clause-database
+  high-water mark and, after the cold pass, the entry counts of the
+  process-lifetime node tables: the intern table, the extract memo and
+  the substitution memo;
 * **serve throughput** — the warm service (:mod:`repro.engine.service`)
   against per-request cold-start: one ``lakeroad map`` subprocess per query
   versus a pipelined burst through ``lakeroad serve``, in requests/second
@@ -66,8 +68,9 @@ from repro.bv import (
 from repro.bv.bitsim import PROBE_LANES, PackedEvaluator
 from repro.engine.stats import this_run
 
-__all__ = ["git_revision", "probe_throughput", "bench_serve", "run_bench",
-           "write_snapshot", "diff_snapshots", "DEFAULT_DIFF_THRESHOLDS"]
+__all__ = ["git_revision", "probe_throughput", "bench_sample", "bench_serve",
+           "run_bench", "write_snapshot", "diff_snapshots",
+           "DEFAULT_DIFF_THRESHOLDS"]
 
 
 #: The bit-parallel probe counters the snapshot's ``probes`` section and
@@ -224,6 +227,21 @@ def _cold_process_baseline(benchmarks, template: str,
             "requests_per_second": rate}
 
 
+def bench_sample(architectures: Optional[Sequence[str]] = None,
+                 count: int = 4, seed: int = 0, max_width: int = 8) -> list:
+    """The designs a bench run maps: ``count`` sampled per architecture
+    (every architecture when ``architectures`` is None), at most
+    ``max_width`` bits wide.  Empty when ``count < 1`` or ``max_width`` is
+    below the narrowest enumerated width."""
+    from repro.workloads.generator import ARCHITECTURE_WORKLOADS, sample_workloads
+
+    benchmarks = []
+    for architecture in architectures or sorted(ARCHITECTURE_WORKLOADS):
+        benchmarks.extend(sample_workloads(architecture, count, seed=seed,
+                                           max_width=max_width))
+    return benchmarks
+
+
 def bench_serve(architectures: Optional[Sequence[str]] = None,
                 count: int = 4, seed: int = 0, max_width: int = 8,
                 template: str = "dsp",
@@ -242,14 +260,8 @@ def bench_serve(architectures: Optional[Sequence[str]] = None,
 
     from repro.engine.parallel import SessionSpec
     from repro.engine.service import ServerThread, ServiceClient, SolverService
-    from repro.workloads.generator import ARCHITECTURE_WORKLOADS, sample_workloads
 
-    if architectures is None:
-        architectures = sorted(ARCHITECTURE_WORKLOADS)
-    benchmarks = []
-    for architecture in architectures:
-        benchmarks.extend(sample_workloads(architecture, count, seed=seed,
-                                           max_width=max_width))
+    benchmarks = bench_sample(architectures, count, seed, max_width)
     if not benchmarks:
         raise ValueError("the serve bench needs at least one benchmark")
 
@@ -323,17 +335,17 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
               throughput_assignments: int = 4096,
               serve: bool = True) -> dict:
     """Run the bench suite and return the snapshot payload."""
+    from repro.bv.ast import BVExpr
+    from repro.bv.builder import _EXTRACT_MEMO
+    from repro.bv.simplify import _SUBSTITUTE_MEMO
     from repro.engine.session import MappingSession
     from repro.harness.runner import ExperimentConfig
     from repro.hdl.behavioral import verilog_to_behavioral
-    from repro.workloads.generator import ARCHITECTURE_WORKLOADS, sample_workloads
+    from repro.workloads.generator import ARCHITECTURE_WORKLOADS
 
     if architectures is None:
         architectures = sorted(ARCHITECTURE_WORKLOADS)
-    benchmarks = []
-    for architecture in architectures:
-        benchmarks.extend(sample_workloads(architecture, count, seed=seed,
-                                           max_width=max_width))
+    benchmarks = bench_sample(architectures, count, seed, max_width)
 
     config = ExperimentConfig(template=template)
     cold_results = []
@@ -354,6 +366,11 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
                 **{key: result.stats[key] for key in _PROBE_COUNTERS},
             })
         cold_seconds = time.perf_counter() - cold_start
+        # The process-lifetime node tables (never bounded), as the cold
+        # pass left them.
+        tables = {"intern_nodes": len(BVExpr._intern),
+                  "extract_memo_entries": len(_EXTRACT_MEMO),
+                  "substitution_memo_entries": len(_SUBSTITUTE_MEMO)}
 
         warm_start = time.perf_counter()
         warm_hits = 0
@@ -397,6 +414,7 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
         "memory": {
             "peak_rss_kb": _peak_rss_kb(),
             "clause_db_peak": counters["db_size_peak"],
+            **tables,
         },
         "phases": {"candidate_seconds": counters["candidate_time_seconds"],
                    "verify_seconds": counters["verify_time_seconds"]},

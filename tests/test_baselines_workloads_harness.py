@@ -224,11 +224,13 @@ def cli_argv(tmp_path, monkeypatch):
     import repro.cli
     import repro.engine.parallel
     import repro.engine.service
+    import repro.harness.bench
 
     def work(*args, **kwargs):
         raise AssertionError("work started before the argument checks")
 
     monkeypatch.setattr(repro.engine.parallel, "run_sweep", work)
+    monkeypatch.setattr(repro.harness.bench, "run_bench", work)
     monkeypatch.setattr(repro.engine.service, "SolverService", work)
     monkeypatch.setattr(repro.engine.service, "ServiceClient", work)
     monkeypatch.setattr(repro.cli, "MappingSession", work)
@@ -239,7 +241,9 @@ def cli_argv(tmp_path, monkeypatch):
             "sweep": ["sweep", "--arch", "intel-cyclone10lp", "--count", "1"],
             "serve": ["serve"],
             "request": ["request", str(design), "--socket",
-                        str(tmp_path / "no.sock")]}
+                        str(tmp_path / "no.sock")],
+            "bench": ["bench", "--arch", "intel-cyclone10lp", "--count", "1",
+                      "--no-serve", "--output-dir", str(tmp_path / "bench")]}
 
 
 class TestCli:
@@ -368,15 +372,19 @@ class TestCli:
         ("serve", "--socket", "missing-directory"),
         ("map", "--output", "missing-directory"),
         ("map", "--cache-dir", "under-a-file"),
+        ("bench", "--output-dir", "a-file"),
+        ("bench", "--output-dir", "under-a-file"),
     ], ids=["sweep-jsonl", "sweep-stats-json", "sweep-cache-dir",
-            "serve-socket", "map-output", "map-cache-dir"])
+            "serve-socket", "map-output", "map-cache-dir", "bench-output-dir",
+            "bench-output-dir-under-a-file"])
     def test_unusable_path_is_one_line_and_exit_1(self, tmp_path, capsys,
                                                   cli_argv, command, flag,
                                                   unusable):
         blocker = tmp_path / "a-file"
         blocker.write_text("")
-        path = str(tmp_path / "missing" / "out") \
-            if unusable == "missing-directory" else str(blocker / "cache")
+        path = {"missing-directory": str(tmp_path / "missing" / "out"),
+                "under-a-file": str(blocker / "cache"),
+                "a-file": str(blocker)}[unusable]
         exit_code = main([*cli_argv[command], flag, path])
         stderr = capsys.readouterr().err
         assert exit_code == 1
@@ -421,6 +429,29 @@ class TestCli:
             main([*cli_argv[command], flag, value])
         assert exit_info.value.code == 2
         assert f"{flag} must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("sweep", "--count", "0"),
+        ("bench", "--count", "0"),
+        ("bench", "--count", "-1"),
+        ("bench", "--max-width", "3"),
+    ], ids=["sweep-count-zero", "bench-count-zero", "bench-count-negative",
+            "bench-max-width-below-8"])
+    def test_empty_sample_is_a_usage_error(self, capsys, cli_argv, command,
+                                           flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*cli_argv[command], flag, value])
+        assert exit_info.value.code == 2
+        assert "the requested sample is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_throughput_assignments_below_one_is_a_usage_error(
+            self, capsys, cli_argv, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*cli_argv["bench"], "--throughput-assignments", value])
+        assert exit_info.value.code == 2
+        assert "--throughput-assignments must be at least 1" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,workers", [
         ("sweep", "0"), ("sweep", "-2"), ("serve", "0"),

@@ -442,4 +442,8 @@ class TestCliThreading:
         assert snapshot["probe_throughput"]["speedup"] > 0
         assert {"probe_lanes_evaluated", "probe_hits",
                 "prefilter_cex_found"} <= set(snapshot["probes"])
+        memory = snapshot["memory"]
+        assert memory["intern_nodes"] > 0
+        assert memory["extract_memo_entries"] > 0
+        assert memory["substitution_memo_entries"] > 0
         assert capsys.readouterr().out.strip() == str(snapshots[0])

@@ -226,6 +226,38 @@ class TestEvaluation:
         assert simplify(expr) is simplify(simplify(expr))
 
 
+class TestSubstitutionMemo:
+    def test_hit_is_the_node_the_uncached_rebuild_interns(self):
+        """A hit needs the same node and the same bindings, in any order,
+        and returns the very node ``rebuild`` builds without the memo."""
+        from repro.bv.simplify import _SUBSTITUTE_MEMO, rebuild
+
+        a, b, h = bvvar("memo_a", 8), bvvar("memo_b", 8), bvvar("memo_h", 8)
+        sketch = bvite(bvult(a, h), bvmul(a, b), bvxor(bvadd(a, h), b))
+        bindings = {"memo_a": bv(3, 8), "memo_b": bv(5, 8)}
+        cold = substitute(sketch, bindings)
+        entries = len(_SUBSTITUTE_MEMO)
+        assert substitute(sketch, dict(reversed(bindings.items()))) is cold
+        assert entries and len(_SUBSTITUTE_MEMO) == entries
+        assert cold is rebuild(sketch, {a: bv(3, 8), b: bv(5, 8)})
+        other = substitute(sketch, {"memo_a": bv(3, 8), "memo_b": bv(9, 8)})
+        assert other is rebuild(sketch, {a: bv(3, 8), b: bv(9, 8)})
+        assert other is not cold
+
+    def test_reset_intern_table_empties_the_table_and_both_memos(self):
+        from repro.bv.ast import reset_intern_table
+        from repro.bv.simplify import _SUBSTITUTE_MEMO
+
+        x, y = bvvar("reset_x", 8), bvvar("reset_y", 8)
+        substitute(bvextract(3, 0, bvadd(x, y)), {"reset_y": bv(1, 8)})
+        assert BVExpr._intern and builder._EXTRACT_MEMO and _SUBSTITUTE_MEMO
+        reset_intern_table()
+        assert not BVExpr._intern
+        assert not builder._EXTRACT_MEMO and not _SUBSTITUTE_MEMO
+        # A structurally equal node built after the reset is a new object.
+        assert bvvar("reset_x", 8) is not x
+
+
 _WIDTHS = st.integers(min_value=1, max_value=12)
 
 

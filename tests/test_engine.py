@@ -1,6 +1,12 @@
 """Tests for the unified mapping-engine layer: the Budget/Outcome model,
 the synthesis cache and the MappingSession lifecycle."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.engine import (
@@ -14,9 +20,13 @@ from repro.engine import (
 )
 from repro.engine import stats
 from repro.engine.session import MappingSession
-from repro.harness.runner import ExperimentConfig
+from repro.harness.runner import ExperimentConfig, map_benchmark
 from repro.hdl.behavioral import verilog_to_behavioral
-from repro.workloads.generator import INTEL_FORMS, Microbenchmark
+from repro.workloads.generator import (
+    INTEL_FORMS,
+    LATTICE_FORMS,
+    Microbenchmark,
+)
 
 from _fixtures import ADD4, AND4, MUL8
 
@@ -324,3 +334,63 @@ class TestMappingSession:
         assert alone[0] == 30
         assert mix_after(maj) == alone
         assert mix_after(mix) == alone
+
+    @pytest.mark.parametrize("cold", ["reset", "subprocess"])
+    def test_substitution_memo_hits_map_like_a_fresh_process(self,
+                                                             monkeypatch,
+                                                             cold):
+        """A Lattice design mapped after another form with the same
+        interface and depth hits the substitution memo on that earlier
+        map's sketch, and its record, counters included, equals the one it
+        gets as the first map after ``reset_intern_table()`` or in a new
+        interpreter."""
+        import repro.smt.cegis as cegis
+        from repro.bv.ast import reset_intern_table
+        from repro.bv.simplify import _SUBSTITUTE_MEMO
+
+        forms = {form.name: form for form in LATTICE_FORMS}
+        first, second = (Microbenchmark("lattice-ecp5", forms[name], 8, 1,
+                                        False)
+                         for name in ("mul_and", "mul_or"))
+        substitute = cegis.substitute
+        calls = 0
+
+        def counting(expr, bindings):
+            nonlocal calls
+            calls += 1
+            return substitute(expr, bindings)
+
+        reset_intern_table()
+        with MappingSession(enable_cache=False) as session:
+            map_benchmark(session, first)
+            entries = len(_SUBSTITUTE_MEMO)
+            monkeypatch.setattr(cegis, "substitute", counting)
+            warm = map_benchmark(session, second).comparable()
+        # Some of the second map's substitutions were hits (added nothing).
+        assert 0 < len(_SUBSTITUTE_MEMO) - entries < calls
+
+        if cold == "reset":
+            reset_intern_table()
+            with MappingSession(enable_cache=False) as session:
+                fresh = map_benchmark(session, second).comparable()
+        else:
+            script = (
+                "import json, sys\n"
+                "from repro.engine.session import MappingSession\n"
+                "from repro.harness.runner import map_benchmark\n"
+                "from repro.workloads.generator import Microbenchmark\n"
+                "with MappingSession(enable_cache=False) as session:\n"
+                "    record = map_benchmark(session, Microbenchmark."
+                "from_dict(json.loads(sys.argv[1])))\n"
+                "print(json.dumps(record.comparable()))\n")
+            env = dict(os.environ)
+            src = str(Path(__file__).resolve().parents[1] / "src")
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            completed = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(second.to_dict())],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert completed.returncode == 0, completed.stderr
+            fresh = json.loads(completed.stdout)
+            warm = json.loads(json.dumps(warm))
+        assert warm["outcome"] == "success"
+        assert warm == fresh
