@@ -5,10 +5,11 @@ The CNF produced here is consumed by :mod:`repro.sat`.  CNF variables are
 so that the constant node 0 gets a dedicated variable forced to FALSE.
 
 :func:`tseitin_gates` is the one cone walk: it lists the AND gates to
-encode, in the contract order.  :func:`aig_to_cnf` expands them into clause
-lists (the verification miter's solver loads those), and
-:meth:`~repro.sat.solver.CDCLSolver.load_gates` writes the same clauses
-straight into a solver's arena.
+encode, in the contract order.
+:meth:`~repro.sat.solver.CDCLSolver.load_gates` writes their clauses
+straight into a solver's arena (both the candidate and the verification
+solver load this way), and :func:`aig_to_cnf` expands the same clauses
+into lists for tests and tools.
 """
 
 from __future__ import annotations

@@ -172,9 +172,8 @@ def build_bench_parser() -> argparse.ArgumentParser:
     architectures = sorted(ARCHITECTURE_WORKLOADS)
     parser = argparse.ArgumentParser(
         prog="lakeroad bench",
-        description="Measure probe throughput (scalar vs packed), an "
-                    "end-to-end cold+warm mapping sweep and warm serve "
-                    "throughput against per-request cold starts, and write "
+        description="Measure probe throughput (scalar vs packed) and an "
+                    "end-to-end cold+warm mapping sweep, and write "
                     "the snapshot to BENCH_<rev>.json. "
                     "Exit codes: 0 written (or --diff found no "
                     "regression), 1 an --output-dir it cannot create "
@@ -198,8 +197,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
                              "measurement (default: 4096)")
     parser.add_argument("--output-dir", default=".",
                         help="directory for BENCH_<rev>.json (default: .)")
-    parser.add_argument("--no-serve", action="store_true",
-                        help="skip the serve-throughput section")
     parser.add_argument("--diff", nargs=2, metavar=("OLD.json", "NEW.json"),
                         default=None,
                         help="compare two BENCH_<rev>.json snapshots instead "
@@ -208,7 +205,7 @@ def build_bench_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threshold", action="append", default=None,
                         metavar="METRIC=FRACTION",
                         help="override a diff threshold, e.g. "
-                             "serve.speedup_vs_cold=0.2 (repeatable; run "
+                             "totals.cold_seconds=2.0 (repeatable; run "
                              "--diff with an unknown metric to list them)")
     return parser
 
@@ -820,8 +817,7 @@ def _main_bench(argv) -> int:
     snapshot = run_bench(architectures=args.architectures,
                          count=args.count, seed=args.seed,
                          max_width=args.max_width, template=args.template,
-                         throughput_assignments=args.throughput_assignments,
-                         serve=not args.no_serve)
+                         throughput_assignments=args.throughput_assignments)
     path = write_snapshot(snapshot, args.output_dir)
 
     totals = snapshot["totals"]
@@ -836,15 +832,6 @@ def _main_bench(argv) -> int:
           f"{throughput['packed_assignments_per_second']:,.0f}/s packed vs "
           f"{throughput['scalar_assignments_per_second']:,.0f}/s scalar "
           f"({throughput['speedup']:.1f}x)", file=sys.stderr)
-    serve = snapshot.get("serve")
-    if serve is not None:
-        warm = serve["serve_warm"]
-        print(f"serve: {warm['requests_per_second']:,.0f} req/s warm vs "
-              f"{serve['cold_process']['requests_per_second']:.2f} req/s "
-              f"cold-start ({serve['speedup_vs_cold']:.1f}x), "
-              f"p50 {warm['p50_latency_seconds'] * 1e3:.1f}ms / "
-              f"p95 {warm['p95_latency_seconds'] * 1e3:.1f}ms, "
-              f"{serve['warm_hit_rate']:.0%} warm hits", file=sys.stderr)
     print(str(path))
     return 0
 

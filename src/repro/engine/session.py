@@ -208,12 +208,15 @@ class MappingSession:
                     module_name: Optional[str] = None,
                     timeout_seconds: Optional[float] = None,
                     extra_cycles: int = 1,
-                    validate: bool = True) -> LakeroadResult:
-        """Map a behavioral Verilog module (the §2.2 entry point)."""
+                    validate: bool = True,
+                    use_cache: Optional[bool] = None) -> LakeroadResult:
+        """Map a behavioral Verilog module (the §2.2 entry point); the
+        options are :meth:`map_design`'s."""
         design = verilog_to_behavioral(source, module_name)
         return self.map_design(design, template=template, arch=arch,
                                timeout_seconds=timeout_seconds,
-                               extra_cycles=extra_cycles, validate=validate)
+                               extra_cycles=extra_cycles, validate=validate,
+                               use_cache=use_cache)
 
     def map_design(self, design: BehavioralDesign, template: str = "dsp",
                    arch="xilinx-ultrascale-plus",

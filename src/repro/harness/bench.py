@@ -18,17 +18,12 @@ short git revision, ``<rev>-dirty`` when tracked files differ from it, or
   ``memory`` section with the process peak RSS, the clause-database
   high-water mark and, after the cold pass, the entry counts of the
   process-lifetime node tables: the intern table, the extract memo and
-  the substitution memo;
-* **serve throughput** — the warm service (:mod:`repro.engine.service`)
-  against per-request cold-start: one ``lakeroad map`` subprocess per query
-  versus a pipelined burst through ``lakeroad serve``, in requests/second
-  with p50/p95 latency.  Saturated-throughput numbers, not single-query
-  latency, are the figure of merit for the service (the Rucci et al.
-  reporting style — see PAPERS.md).
+  the substitution memo.
 
-The service's QoS layer and the distributed sweep are checked where they
-live: ``tests/loadgen.py --check`` (CI's qos-smoke) and
-``tests/test_distributed.py`` (CI's distributed-smoke).
+The service and the distributed sweep are measured and checked where they
+live: :func:`bench_serve` (CI's serve-smoke and
+``benchmarks/bench_serve.py``), ``tests/loadgen.py --check`` (CI's
+qos-smoke) and ``tests/test_distributed.py`` (CI's distributed-smoke).
 
 Snapshots are additive — each revision writes its own file — and
 :func:`diff_snapshots` (``lakeroad bench --diff OLD.json NEW.json``)
@@ -243,25 +238,27 @@ def bench_sample(architectures: Optional[Sequence[str]] = None,
 
 
 def bench_serve(architectures: Optional[Sequence[str]] = None,
-                count: int = 4, seed: int = 0, max_width: int = 8,
-                template: str = "dsp",
-                requests: int = 32, workers: int = 2,
+                count: int = 4, requests: int = 32, workers: int = 2,
                 cold_requests: int = 4) -> dict:
     """Measure ``lakeroad serve`` against per-request cold-start.
 
-    Three phases: the subprocess-per-request baseline (``cold_requests``
-    runs), a cold pass through the service (every unique query solved
-    once), then a pipelined burst of ``requests`` queries against the warm
-    pool with client-side p50/p95 latencies.  ``speedup_vs_cold`` — warm
-    serve requests/second over the subprocess baseline — is the number the
-    CI gate holds at ≥5×.
+    Three phases over :func:`bench_sample`'s default designs, mapped with
+    the dsp template: the subprocess-per-request baseline
+    (``cold_requests`` runs), a cold pass through the service (every
+    unique query solved once), then a pipelined burst of ``requests``
+    queries against the warm pool with client-side p50/p95 latencies.
+    Saturated throughput, not single-query latency, is the service's
+    figure of merit (the Rucci et al. reporting style — see PAPERS.md).
+    ``speedup_vs_cold`` — warm serve requests/second over the subprocess
+    baseline — is the number the CI gate holds at ≥5×.
     """
     import tempfile
 
     from repro.engine.parallel import SessionSpec
     from repro.engine.service import ServerThread, ServiceClient, SolverService
 
-    benchmarks = bench_sample(architectures, count, seed, max_width)
+    template = "dsp"
+    benchmarks = bench_sample(architectures, count)
     if not benchmarks:
         raise ValueError("the serve bench needs at least one benchmark")
 
@@ -332,8 +329,7 @@ def bench_serve(architectures: Optional[Sequence[str]] = None,
 def run_bench(architectures: Optional[Sequence[str]] = None,
               count: int = 4, seed: int = 0, max_width: int = 8,
               template: str = "dsp",
-              throughput_assignments: int = 4096,
-              serve: bool = True) -> dict:
+              throughput_assignments: int = 4096) -> dict:
     """Run the bench suite and return the snapshot payload."""
     from repro.bv.ast import BVExpr
     from repro.bv.builder import _EXTRACT_MEMO
@@ -386,9 +382,6 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
     solved = sum(1 for design in designs if design["outcome"] == "success")
     counters = this_run(cold_results)
     throughput = probe_throughput(throughput_assignments)
-    serve_section = bench_serve(architectures=architectures, count=count,
-                                seed=seed, max_width=max_width,
-                                template=template) if serve else None
     return {
         "revision": git_revision(),
         "tool": "lakeroad bench",
@@ -421,7 +414,6 @@ def run_bench(architectures: Optional[Sequence[str]] = None,
         "probes": {key: counters[key] for key in _PROBE_COUNTERS},
         "solver": counters,
         "probe_throughput": throughput,
-        "serve": serve_section,
         "designs": designs,
     }
 
@@ -453,10 +445,6 @@ DEFAULT_DIFF_THRESHOLDS: Dict[str, tuple] = {
     "memory.clause_db_peak": ("lower", 1.0),
     "probe_throughput.speedup": ("higher", 0.5),
     "probe_throughput.packed_assignments_per_second": ("higher", 0.5),
-    "serve.warm_hit_rate": ("higher", 0.05),
-    "serve.speedup_vs_cold": ("higher", 0.5),
-    "serve.serve_warm.requests_per_second": ("higher", 0.5),
-    "serve.serve_warm.p95_latency_seconds": ("lower", 2.0),
 }
 
 
@@ -476,8 +464,9 @@ def diff_snapshots(old: dict, new: dict,
 
     Each entry carries ``metric``, ``old``, ``new``, ``change`` (signed
     fraction, positive = increased) and ``regressed``.  Metrics missing
-    from either snapshot (e.g. a pre-service snapshot with no ``serve``
-    section) are skipped, so old archives stay comparable.
+    from either snapshot (e.g. the ``serve`` section older snapshots
+    carry, or a pre-bitsim one without ``probe_throughput``) are skipped,
+    so old archives stay comparable.
     """
     thresholds = thresholds if thresholds is not None \
         else DEFAULT_DIFF_THRESHOLDS

@@ -13,7 +13,7 @@ keeps two references for the tests:
 * :class:`repro.sat.dpll.DPLLSolver`   -- a simple DPLL with unit
   propagation, a cross-check oracle in the test suite.
 * :mod:`repro.sat.portfolio`           -- the verification step's SAT call:
-  one default ``CDCLSolver`` solve under a deadline.
+  one solve of the ``CDCLSolver`` its caller loaded, under a deadline.
 
 The two references are resolved lazily, so the map path, which never runs
 them, does not import them.

@@ -6,7 +6,7 @@ verbatim: clauses as python lists indexed by position in a growing
 literal -> clause-index lists, and assignment/level/reason as dicts.  The
 flat-arena solver that replaced it is required to be bit-for-bit
 trajectory-identical — same conflicts, same decisions, same propagation
-counts, same models, same unsat cores — so this module is the reference
+counts, same models, same trail — so this module is the reference
 implementation the differential fuzz suite and ``benchmarks/
 bench_propagation.py`` compare the arena against.
 
@@ -16,8 +16,9 @@ that the warm solver host reads from whichever engine it drives, two
 loading entries: ``add_clauses``, the batch entry point (here a loop over
 ``add_clause``), and ``load_gates``, the candidate session's (here its
 clause list through ``add_clauses``), and the search changes both engines
-make together: ``prefer``, the backtrack below the conflict's level on an
-unsat answer under assumptions, and cores of assumption decisions only.
+make together: ``prefer`` and the backtrack below the conflict's level on
+an unsat answer under assumptions.  Both engines dropped the historical
+UNSAT-core extraction, which nothing read.
 """
 
 from __future__ import annotations
@@ -181,9 +182,6 @@ class LegacyCDCLSolver:
         self.db_size_floor = 0
         #: Database reductions performed (cumulative).
         self.reductions = 0
-        #: After an unsat answer under assumptions: the subset of assumption
-        #: literals whose conjunction is inconsistent with the clauses.
-        self.last_core: Optional[List[int]] = None
         self._ok = True
 
         if cnf is not None:
@@ -298,9 +296,9 @@ class LegacyCDCLSolver:
         oldest first among equal size — a deterministic order.  Protected
         (and therefore never deletable): glue clauses (LBD <=
         ``max_lbd_keep``) and locked clauses (the current reason of an
-        assigned literal; deleting one would orphan conflict analysis and
-        ``last_core`` extraction).  Level-0 units never enter the learned
-        database in the first place — they are enqueued directly.
+        assigned literal; deleting one would orphan conflict analysis).
+        Level-0 units never enter the learned database in the first place
+        — they are enqueued directly.
         """
         self._learned_since_reduce = 0
         locked = {index for index in self.reason.values() if index is not None}
@@ -492,34 +490,6 @@ class LegacyCDCLSolver:
             backjump_level = levels[0]
         return learnt, backjump_level
 
-    def _analyze_final(self, seed_lits: Sequence[int],
-                       extra: Optional[int] = None) -> List[int]:
-        """Assumption literals responsible for a root-level-with-assumptions
-        conflict (MiniSat's ``analyzeFinal``): walk the implication graph
-        from the conflicting literals down to the assumption decisions.
-        """
-        core: List[int] = [] if extra is None else [extra]
-        seen = set()
-        stack = [abs(lit) for lit in seed_lits]
-        while stack:
-            var = stack.pop()
-            level = self.level.get(var, 0)
-            if var in seen or level == 0:
-                continue
-            seen.add(var)
-            reason_index = self.reason.get(var)
-            if reason_index is None:
-                # The decision that opens an assumption level is an
-                # assumption; a reason-less literal after it is a learned
-                # unit, entailed by the clauses alone.
-                lit = var if self.assignment[var] else -var
-                if self.trail[self.trail_lim[level - 1]] == lit:
-                    core.append(lit)
-            else:
-                stack.extend(abs(lit) for lit in self.clauses[reason_index]
-                             if abs(lit) != var)
-        return core
-
     def _bump_activity(self, var: int) -> None:
         self.activity[var] = self.activity.get(var, 0.0) + self.var_inc
         if self.activity[var] > 1e100:
@@ -586,12 +556,10 @@ class LegacyCDCLSolver:
 
     def _solve(self, assumptions: Sequence[int]) -> SatResult:
         self.solve_calls += 1
-        self.last_core = None
         self.stats = SatResult(status="unknown")
         if not self._ok:
             self._cancel_until(0)
             self.stats.status = "unsat"
-            self.last_core = []
             return self.stats
         if self.propagation_head < len(self.trail):
             # The trail is partly propagated: clauses were added since the
@@ -635,7 +603,6 @@ class LegacyCDCLSolver:
                 # for this and every future call.
                 self._ok = False
                 self.stats.status = "unsat"
-                self.last_core = []
                 return self.stats
 
         for lit in assumptions:
@@ -644,15 +611,12 @@ class LegacyCDCLSolver:
             value = self._value(lit)
             if value is False:
                 self.stats.status = "unsat"
-                self.last_core = self._analyze_final([-lit], extra=lit)
                 return self.stats
             if value is None:
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, None)
-                conflict = self._propagate()
-                if conflict is not None:
+                if self._propagate() is not None:
                     self.stats.status = "unsat"
-                    self.last_core = self._analyze_final(self.clauses[conflict])
                     self._cancel_until(self._decision_level() - 1)
                     return self.stats
         assumption_level = self._decision_level()
@@ -678,9 +642,7 @@ class LegacyCDCLSolver:
                     self.stats.status = "unsat"
                     if assumption_level == 0:
                         self._ok = False
-                        self.last_core = []
                     else:
-                        self.last_core = self._analyze_final(self.clauses[conflict])
                         self._cancel_until(self._decision_level() - 1)
                     self.total_conflicts += self.stats.conflicts
                     return self.stats

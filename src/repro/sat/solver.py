@@ -16,8 +16,7 @@ standard modern architecture:
   deletable learned database is dropped (highest LBD first).  Glue clauses
   (LBD ≤ ``max_lbd_keep``), clauses currently acting as the reason for an
   assigned literal, and level-0 units are never deleted, so propagation
-  stays sound and ``last_core`` extraction keeps working mid-search.
-  Learned clauses are redundant (entailed by the problem clauses), so
+  and conflict analysis stay sound mid-search.  Learned clauses are redundant (entailed by the problem clauses), so
   deletion can only change the search trajectory, never an answer,
 * deadline support so callers can impose per-query timeouts (the paper's
   120 s / 40 s / 20 s per-architecture synthesis budgets).
@@ -66,9 +65,9 @@ The propagation loop replays the legacy algorithm *visit for visit*: the
 blocker fast path only fires when it is provably equivalent to the legacy
 outcome (blocker satisfied **and** still watched), and the slot-0/1
 normalization swap is performed even on satisfied visits because clause
-literal order feeds conflict analysis and core extraction.  The search
-trajectory — conflicts, decisions, propagations, restarts, learned
-clauses, models, unsat cores — is therefore bit-for-bit identical to
+literal order feeds conflict analysis.  The search trajectory —
+conflicts, decisions, propagations, restarts, learned clauses, models,
+the trail — is therefore bit-for-bit identical to
 :class:`~repro.sat.legacy.LegacyCDCLSolver`, which the differential fuzz
 suite asserts directly.
 
@@ -84,11 +83,11 @@ The solver is *incremental*: :meth:`CDCLSolver.add_clauses` (and its
 one-clause form :meth:`CDCLSolver.add_clause`) may be called after a
 :meth:`CDCLSolver.solve`, and repeated ``solve(assumptions=...)``
 calls reuse the learned-clause database, variable activities and saved
-phases of earlier calls.  When a query is unsatisfiable under assumptions,
-:attr:`CDCLSolver.last_core` holds the subset of assumption literals
-responsible (the final-conflict analysis of MiniSat's ``analyzeFinal``).
-Lex-min refinement (:func:`repro.smt.solver.lex_min_model`) runs on this:
-its assumption solves share one solver.  A trial reuses the decision levels
+phases of earlier calls: every learned clause and level-0 literal is
+entailed by the clauses alone, whatever the assumptions were.  An unsat
+answer under assumptions names no core.  Lex-min refinement
+(:func:`repro.smt.solver.lex_min_model`) runs on this: its assumption
+solves share one solver.  A trial reuses the decision levels
 of the previous one that match its assumption prefix.  An unsatisfiable
 trial whose conflict arose at assumption level ``L`` returns at level
 ``L - 1``, fully propagated (a backjump to a consistent state), so the next
@@ -275,9 +274,6 @@ class CDCLSolver:
         self.db_size_floor = 0
         #: Database reductions performed (cumulative).
         self.reductions = 0
-        #: After an unsat answer under assumptions: the subset of assumption
-        #: literals whose conjunction is inconsistent with the clauses.
-        self.last_core: Optional[List[int]] = None
         self._ok = True
 
         if cnf is not None:
@@ -536,8 +532,7 @@ class CDCLSolver:
         tie-break matches the legacy index-based one).  Protected (and
         therefore never deletable): glue clauses (LBD <= ``max_lbd_keep``)
         and locked clauses (the current reason of an assigned literal;
-        deleting one would orphan conflict analysis and ``last_core``
-        extraction).  Level-0 units never enter the learned database in the
+        deleting one would orphan conflict analysis).  Level-0 units never enter the learned database in the
         first place — they are enqueued directly.
 
         Deletion is tombstone-free: victims are flagged in their headers,
@@ -846,42 +841,6 @@ class CDCLSolver:
         learnt[0] = -lit
         return learnt, backjump_level
 
-    def _analyze_final(self, seed_lits: Sequence[int],
-                       extra: Optional[int] = None) -> List[int]:
-        """Assumption literals responsible for a root-level-with-assumptions
-        conflict (MiniSat's ``analyzeFinal``): walk the implication graph
-        from the conflicting literals down to the assumption decisions.
-        """
-        arena = self._arena
-        levels = self._levels
-        reasons = self._reasons
-        vals = self._vals
-        trail = self.trail
-        trail_lim = self.trail_lim
-        core: List[int] = [] if extra is None else [extra]
-        seen = set()
-        stack = [abs(lit) for lit in seed_lits]
-        while stack:
-            var = stack.pop()
-            level = levels[var]
-            if var in seen or level == 0:
-                continue
-            seen.add(var)
-            reason_off = reasons[var]
-            if reason_off < 0:
-                # The decision that opens an assumption level is an
-                # assumption; a reason-less literal after it is a learned
-                # unit, entailed by the clauses alone.
-                lit = var if vals[var] > 0 else -var
-                if trail[trail_lim[level - 1]] == lit:
-                    core.append(lit)
-            else:
-                stack.extend(abs(lit) for lit
-                             in arena[reason_off:reason_off
-                                      + arena[reason_off - 3]]
-                             if abs(lit) != var)
-        return core
-
     def _decay_activity(self) -> None:
         self.var_inc /= VAR_DECAY
 
@@ -961,10 +920,9 @@ class CDCLSolver:
         activities and saved phases survive from call to call, and a
         matching assumption prefix reuses the existing trail instead of
         re-propagating it — unless that trail is only partly propagated
-        (see :meth:`_solve`).  ``unsat`` under assumptions leaves the guilty
-        assumption subset in :attr:`last_core` and a fully propagated trail
-        (a conflict on assumption level L returns at level L - 1);
-        ``unknown`` means the ``deadline`` expired.
+        (see :meth:`_solve`).  ``unsat`` under assumptions leaves a fully
+        propagated trail (a conflict on assumption level L returns at
+        level L - 1); ``unknown`` means the ``deadline`` expired.
 
         The learned database is kept bounded by LBD-based reduction: every
         ``reduce_interval`` learned clauses, the worst half of the
@@ -974,8 +932,8 @@ class CDCLSolver:
         disables reduction (the pre-reduction unbounded behavior).
         Reduction never changes an answer — learned clauses are entailed —
         and composes with every incremental feature: post-reduce
-        :meth:`add_clause`, assumption solves and :attr:`last_core` behave
-        exactly as they would on an unreduced database.  Cumulative
+        :meth:`add_clause` and assumption solves behave exactly as they
+        would on an unreduced database.  Cumulative
         telemetry lives in :attr:`clauses_deleted`, :attr:`db_size_peak`,
         :attr:`db_size_floor` and :attr:`reductions`.
         """
@@ -987,12 +945,10 @@ class CDCLSolver:
 
     def _solve(self, assumptions: Sequence[int]) -> SatResult:
         self.solve_calls += 1
-        self.last_core = None
         self.stats = SatResult(status="unknown")
         if not self._ok:
             self._cancel_until(0)
             self.stats.status = "unsat"
-            self.last_core = []
             return self.stats
         if self.propagation_head < len(self.trail):
             # The trail is partly propagated: clauses were added since the
@@ -1038,7 +994,6 @@ class CDCLSolver:
                 # for this and every future call.
                 self._ok = False
                 self.stats.status = "unsat"
-                self.last_core = []
                 return self.stats
 
         for lit in assumptions:
@@ -1047,16 +1002,12 @@ class CDCLSolver:
             value = self._value(lit)
             if value is False:
                 self.stats.status = "unsat"
-                self.last_core = self._analyze_final([-lit], extra=lit)
                 return self.stats
             if value is None:
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, -1)
-                conflict = self._propagate()
-                if conflict is not None:
+                if self._propagate() is not None:
                     self.stats.status = "unsat"
-                    self.last_core = self._analyze_final(
-                        self.clause_literals(conflict))
                     self._cancel_until(len(self.trail_lim) - 1)
                     return self.stats
         assumption_level = len(self.trail_lim)
@@ -1082,10 +1033,7 @@ class CDCLSolver:
                     self.stats.status = "unsat"
                     if assumption_level == 0:
                         self._ok = False
-                        self.last_core = []
                     else:
-                        self.last_core = self._analyze_final(
-                            self.clause_literals(conflict))
                         # Keep the propagated levels below the conflict's:
                         # the next assumption solve reuses them.
                         self._cancel_until(len(self.trail_lim) - 1)

@@ -11,8 +11,9 @@ strategy that stands in for the paper's solver portfolio:
    (:mod:`repro.bv.bitsim`), looks for an easy satisfying assignment (the
    cheap way to answer SAT queries);
 3. *bit-blast + SAT* -- the complete decision procedure: one
-   :class:`~repro.sat.solver.CDCLSolver` solve on the calling thread
-   (:class:`~repro.sat.portfolio.SatPortfolio`).
+   :class:`~repro.sat.solver.CDCLSolver`, loaded from the AIG, solved on
+   the calling thread (:class:`~repro.sat.portfolio.SatPortfolio`) and,
+   for a canonical model, refined in place.
 
 Every entry point accepts a ``deadline`` (an absolute ``time.monotonic``
 value); queries that exceed it report ``unknown``, which the synthesis
@@ -275,12 +276,17 @@ class SmtSolver:
             # decides them all.
             return SmtResult("sat", Model({}, widths), "simulate")
 
-        # Layer 3: bit-blast and solve.  Looked up on the class at call
-        # time, so a wrapper installed on SatPortfolio.solve sees the call.
+        # Layer 3: bit-blast, load one solver straight from the AIG (as
+        # IncrementalSmtSession.check does) and solve.  Looked up on the
+        # class at call time, so a wrapper installed on SatPortfolio.solve
+        # sees the call.
         blaster = BitBlaster()
         bits = blaster.blast(formula)
-        cnf, input_vars = aig_to_cnf(blaster.aig, bits)
-        sat_result = SatPortfolio().solve(cnf, deadline=deadline)
+        aig = blaster.aig
+        solver = CDCLSolver(deadline=deadline)
+        solver.load_gates(aig.num_nodes, tseitin_gates(aig, bits),
+                          [lit_to_cnf(lit) for lit in bits])
+        sat_result = SatPortfolio().solve(solver, deadline=deadline)
         if sat_result.is_unknown:
             return SmtResult("unknown", None, "timeout", sat_result.conflicts,
                              probe_lanes=lanes_spent)
@@ -288,11 +294,11 @@ class SmtSolver:
             return SmtResult("unsat", None, "sat:cdcl",
                              sat_result.conflicts, probe_lanes=lanes_spent)
 
+        input_vars = aig_input_vars(aig)
         model = sat_result.model
         if canonical:
-            refiner = CDCLSolver(cnf, deadline=deadline)
-            model = lex_min_model(refiner, input_vars, model, blaster.aig,
-                                  bits, deadline=deadline)
+            model = lex_min_model(solver, input_vars, model, aig, bits,
+                                  deadline=deadline)
             if model is None:
                 # Deadline expired mid-refinement: report unknown rather
                 # than the unrefined (search-dependent) model — the same

@@ -248,7 +248,7 @@ def solve_snapshot(solver, result):
     model = None if result.model is None else list(result.model.items())
     return (result.status, model, result.conflicts, result.decisions,
             result.propagations, result.restarts, list(solver.trail),
-            solver.last_core, solver.learned_count,
+            solver.learned_count,
             solver.clauses_deleted, solver.db_size_peak,
             solver.db_size_floor, solver.reductions,
             solver.propagations_total, solver.watcher_visits,

@@ -243,7 +243,7 @@ def cli_argv(tmp_path, monkeypatch):
             "request": ["request", str(design), "--socket",
                         str(tmp_path / "no.sock")],
             "bench": ["bench", "--arch", "intel-cyclone10lp", "--count", "1",
-                      "--no-serve", "--output-dir", str(tmp_path / "bench")]}
+                      "--output-dir", str(tmp_path / "bench")]}
 
 
 class TestCli:
@@ -482,6 +482,13 @@ class TestCli:
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" \
             in capsys.readouterr().err
+
+    def test_retired_bench_serve_flag_is_unknown(self, capsys, cli_argv):
+        """The snapshot has no serve section to skip any more."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*cli_argv["bench"], "--no-serve"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-serve" in capsys.readouterr().err
 
     def test_stats_on_a_cache_hit_reports_no_solve(self, tmp_path, capsys):
         path = tmp_path / "and4.v"

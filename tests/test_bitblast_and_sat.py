@@ -202,7 +202,7 @@ class TestSatSolvers:
 
     def test_portfolio_returns_winner(self):
         cnf = CNF(clauses=[[1, 2], [-1], [-2, 3]])
-        result = SatPortfolio().solve(cnf)
+        result = SatPortfolio().solve(CDCLSolver(cnf))
         assert result.is_sat
         assert result.model[2] and result.model[3] and not result.model[1]
 

@@ -244,6 +244,29 @@ class TestMappingSession:
         assert not run(False).cache_hit
         assert run(True).cache_hit
 
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_map_verilog_use_cache_false_touches_no_store(self, on_disk,
+                                                         cache_dir):
+        """``map_verilog(use_cache=False)`` on a caching session neither
+        reads nor writes its store, before or after the design is cached."""
+        with MappingSession(cache_dir=cache_dir if on_disk else None) \
+                as session:
+            def run(use_cache):
+                return session.map_verilog(MUL8, arch="lattice-ecp5",
+                                           use_cache=use_cache)
+
+            def counters():
+                stats = session.cache_stats()
+                return stats["hits"], stats["misses"], stats["entries"]
+
+            assert run(False).status == "success"
+            assert counters() == (0, 0, 0)
+            assert not run(None).cache_hit
+            assert counters() == (0, 1, 1)
+            assert not run(False).cache_hit
+            assert counters() == (0, 1, 1)
+            assert run(None).cache_hit
+
     def test_default_budget_comes_from_engine_table(self, monkeypatch):
         """A map without a timeout hands synthesis the architecture's
         paper budget, started."""

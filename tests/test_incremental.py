@@ -81,6 +81,12 @@ class TestIncrementalCdcl:
             assert result.status == fresh.solve().status
 
     def test_unsat_core_is_a_real_core(self):
+        """An unsat answer under assumptions names no core; its implicit
+        one, every assumption, must be real: the clauses plus the
+        assumptions as units are unsat under DPLL and the legacy engine."""
+        from repro.sat.dpll import DPLLSolver
+        from repro.sat.legacy import LegacyCDCLSolver
+
         rng = random.Random(29)
         cores_seen = 0
         for _ in range(80):
@@ -93,12 +99,10 @@ class TestIncrementalCdcl:
             result = solver.solve(assumptions=assumptions)
             if not result.is_unsat:
                 continue
-            core = solver.last_core
-            assert core is not None
-            assert set(core) <= set(assumptions)
-            check = CDCLSolver(CNF(num_vars=num_vars,
-                                   clauses=clauses + [[lit] for lit in core]))
-            assert check.solve().is_unsat
+            check = CNF(num_vars=num_vars,
+                        clauses=clauses + [[lit] for lit in assumptions])
+            assert DPLLSolver(check).solve().is_unsat
+            assert LegacyCDCLSolver(check).solve().is_unsat
             cores_seen += 1
         assert cores_seen > 0  # the sample must actually exercise the path
 
@@ -106,7 +110,6 @@ class TestIncrementalCdcl:
         cnf = CNF(clauses=[[1, 2], [-1, 2]])
         solver = CDCLSolver(cnf)
         assert solver.solve(assumptions=[-2]).is_unsat
-        assert solver.last_core == [-2]
         result = solver.solve()
         assert result.is_sat
         assert result.model[2] is True
@@ -154,7 +157,7 @@ class TestIncrementalCdcl:
         def outcome(solver, result):
             model = None if result.model is None else list(result.model.items())
             return (result.status, model, result.conflicts, result.decisions,
-                    result.propagations, result.restarts, solver.last_core)
+                    result.propagations, result.restarts, list(solver.trail))
 
         rng = random.Random(41)
         seen = dict.fromkeys(("above_root", "root_true", "root_false",
@@ -362,21 +365,26 @@ class TestIncrementalCdcl:
                         for v in rng.sample(range(1, num_vars + 1), 3)]
                        for _ in range(int(rng.uniform(3.5, 4.4) * num_vars))]
             solver = build(CNF(num_vars=num_vars, clauses=clauses))
+            # The decision level of every propagation that ends in a
+            # conflict; an unsat answer stops at its last one.
             conflicts = []
-            analyze_final = solver._analyze_final
 
-            def spy(seed_lits, extra=None):
-                # ``extra`` is an assumption found false: no level opened.
-                conflicts.append((len(solver.trail_lim), extra))
-                return analyze_final(seed_lits, extra)
+            def spy(propagate=solver._propagate):
+                conflict = propagate()
+                conflicts.append(None if conflict is None
+                                 else len(solver.trail_lim))
+                return conflict
 
-            solver._analyze_final = spy
+            solver._propagate = spy
             assumptions = [v if rng.random() < 0.5 else -v
                            for v in rng.sample(range(1, num_vars + 1), 6)]
-            if not solver.solve(assumptions).is_unsat or not conflicts \
-                    or conflicts[-1][1] is not None:
+            # Skipped: an assumption found false (no level opened, so the
+            # last propagation found no conflict) and a conflict at level
+            # 0 (the clauses alone are unsat).
+            if not solver.solve(assumptions).is_unsat \
+                    or not conflicts[-1]:
                 continue
-            level = conflicts[-1][0]
+            level = conflicts[-1]
             note = f"case {case}"
             assert len(solver.trail_lim) == level - 1, note
             assert solver.propagation_head == len(solver.trail), note
@@ -409,30 +417,16 @@ class TestIncrementalCdcl:
 
     def test_cores_are_assumption_subsets_and_engines_agree(self):
         """Random 3-SAT near the threshold, four solves under one or two
-        assumptions per instance: every core is a subset of the
-        assumptions, the clauses plus the core are unsat under DPLL (an
-        independent engine), and the arena and legacy engines return the
-        same core.  A learned unit enqueued at an assumption level
-        (reason-less, yet no assumption) must stay out of the core; the
-        sample must meet such units on the trail at core time."""
+        assumptions per instance: the arena and legacy engines walk the
+        same search (:func:`solve_snapshot`), and an unsat answer's
+        implicit core, the assumptions, is real: the clauses plus the
+        assumptions as units are unsat under DPLL (an independent engine)
+        and under a fresh legacy solver."""
         from repro.sat.dpll import DPLLSolver
         from repro.sat.legacy import LegacyCDCLSolver
 
         rng = random.Random(59)
-        cores = learned_units = 0
-
-        def count_learned_units(solver):
-            analyze_final = solver._analyze_final
-
-            def spy(*args, **kwargs):
-                nonlocal learned_units
-                openers = {solver.trail[index] for index in solver.trail_lim}
-                learned_units += any(
-                    solver._reasons[abs(lit)] < 0 and lit not in openers
-                    and solver._levels[abs(lit)] > 0 for lit in solver.trail)
-                return analyze_final(*args, **kwargs)
-            solver._analyze_final = spy
-
+        cores = 0
         for case in range(250):
             num_vars = rng.randint(8, 30)
             clauses = [[v if rng.random() < 0.5 else -v
@@ -440,24 +434,21 @@ class TestIncrementalCdcl:
                        for _ in range(int(rng.uniform(3.5, 4.6) * num_vars))]
             arena = CDCLSolver(CNF(num_vars=num_vars, clauses=clauses))
             legacy = LegacyCDCLSolver(CNF(num_vars=num_vars, clauses=clauses))
-            count_learned_units(arena)
             for _ in range(4):
                 assumptions = [v if rng.random() < 0.5 else -v
                                for v in rng.sample(range(1, num_vars + 1),
                                                    rng.randint(1, 2))]
                 result = arena.solve(assumptions)
-                assert legacy.solve(assumptions).status == result.status
-                assert arena.last_core == legacy.last_core, f"case {case}"
+                assert solve_snapshot(arena, result) == solve_snapshot(
+                    legacy, legacy.solve(assumptions)), f"case {case}"
                 if not result.is_unsat or not arena._ok:
                     continue
-                core = arena.last_core
-                assert set(core) <= set(assumptions), (case, core, assumptions)
                 check = CNF(num_vars=num_vars,
-                            clauses=clauses + [[lit] for lit in core])
+                            clauses=clauses + [[lit] for lit in assumptions])
                 assert DPLLSolver(check).solve().is_unsat, f"case {case}"
+                assert LegacyCDCLSolver(check).solve().is_unsat, f"case {case}"
                 cores += 1
         assert cores > 200, cores
-        assert learned_units >= 5, learned_units
 
     def test_learned_clauses_retained_across_calls(self):
         rng = random.Random(3)
@@ -830,47 +821,42 @@ class TestIncrementalCegis:
         assert result.status == "unknown"
 
 
-class TestCoreSoundness:
-    """Every core the candidate session's solver emits must be genuinely
-    unsat when re-solved from scratch."""
+class TestSolverStateEntailment:
+    """Invariant 4: whatever a candidate session's solver keeps after its
+    check and lex-min trials, every level-0 literal and every live learned
+    clause, is entailed by the session's CNF alone, never by the
+    assumptions the trials made."""
 
-    @staticmethod
-    def _assert_core_unsat_from_scratch(cnf, core, context_label):
+    def test_candidate_session_state_is_entailed_by_cnf(self):
         from repro.sat.dpll import DPLLSolver
 
-        fresh = CNF(num_vars=cnf.num_vars,
-                    clauses=[list(c) for c in cnf.clauses]
-                            + [[lit] for lit in core])
-        assert CDCLSolver(fresh).solve().is_unsat, context_label
-        # DPLL is an independent engine: a CDCL bug cannot vouch for itself.
-        assert DPLLSolver(fresh).solve().is_unsat, context_label
-
-    def test_candidate_session_cores_are_genuinely_unsat(self):
-        rng = random.Random(41)
-        audited = 0
-        for _ in range(12):
-            width = rng.randint(3, 6)
-            hole = bvvar("h", width)
+        units = learned = 0
+        # Factoring a semiprime: the search and the trials learn clauses.
+        for width, product in ((8, 11 * 13), (9, 19 * 23), (9, 13 * 29),
+                               (10, 29 * 31)):
+            f0, f1 = bvvar("f0", width), bvvar("f1", width)
+            one, bound = bv(1, width), bv(1 << (width // 2 + 1), width)
             session = IncrementalSmtSession()
             session.assert_constraints([
-                bvult(hole, bv(rng.randint(2, (1 << width) - 1), width)),
-                bvne(hole, bv(rng.randrange(1 << width), width)),
-            ])
-            session.check()
+                bveq(bvmul(f0, f1), bv(product, width)),
+                bvult(one, f0), bvult(f0, bound),
+                bvult(one, f1), bvult(f1, bound)])
+            assert session.check().is_sat
             solver = session._solver
-            assert solver is not None
-            bit_vars = list(session.input_vars.values())
-            for _ in range(8):
-                assumptions = [var if rng.random() < 0.5 else -var
-                               for var in rng.sample(bit_vars,
-                                                     rng.randint(1, len(bit_vars)))]
-                outcome = solver.solve(assumptions)
-                if not outcome.is_unsat:
-                    continue
-                core = solver.last_core
-                assert core is not None
-                assert set(core) <= set(assumptions)
-                self._assert_core_unsat_from_scratch(
-                    session.cnf, core, "candidate-session core")
-                audited += 1
-        assert audited > 0  # the sample must actually exercise the path
+            assert solver.solve_calls > 1  # the lex-min trials ran
+            cnf = session.cnf
+            note = f"width {width}, product {product}"
+            # CNF entails every level-0 literal iff CNF and the negation
+            # of their conjunction (one clause) are unsat.
+            root = solver.trail[:solver.trail_lim[0]] if solver.trail_lim \
+                else list(solver.trail)
+            refute = CNF(num_vars=cnf.num_vars,
+                         clauses=cnf.clauses + [[-lit for lit in root]])
+            assert DPLLSolver(refute).solve().is_unsat, note
+            for ref in solver._learned:
+                clause = solver.clause_literals(ref)
+                assert DPLLSolver(cnf).solve(
+                    [-lit for lit in clause]).is_unsat, (note, clause)
+            units += len(root)
+            learned += len(solver._learned)
+        assert units and learned, (units, learned)

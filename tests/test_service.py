@@ -29,8 +29,7 @@ from repro.engine.service import (
     ServiceClient,
     SolverService,
 )
-from repro.harness.bench import (DEFAULT_DIFF_THRESHOLDS, diff_snapshots,
-                                 git_revision)
+from repro.harness.bench import diff_snapshots, git_revision
 from repro.harness.runner import ExperimentConfig, MappingRecord, map_request
 from repro.workloads import enumerate_workloads
 
@@ -628,9 +627,7 @@ class TestBenchDiff:
                        "cold_seconds": 10.0, "warm_seconds": 1.0},
             "probe_throughput": {"speedup": 8.0,
                                  "packed_assignments_per_second": 1e6},
-            "serve": {"warm_hit_rate": 0.95, "speedup_vs_cold": 20.0,
-                      "serve_warm": {"requests_per_second": 100.0,
-                                     "p95_latency_seconds": 0.05}},
+            "memory": {"peak_rss_kb": 40000.0, "clause_db_peak": 100},
         }
         for path, value in overrides.items():
             node = base
@@ -646,17 +643,18 @@ class TestBenchDiff:
         assert results and not any(entry["regressed"] for entry in results)
 
     def test_higher_is_better_regression_detected(self):
-        results = diff_snapshots(self._snapshot(),
-                                 self._snapshot(**{"serve.speedup_vs_cold": 2.0}))
+        results = diff_snapshots(
+            self._snapshot(),
+            self._snapshot(**{"probe_throughput.speedup": 2.0}))
         regressed = {entry["metric"] for entry in results if entry["regressed"]}
-        assert "serve.speedup_vs_cold" in regressed
+        assert "probe_throughput.speedup" in regressed
 
     def test_lower_is_better_regression_detected(self):
         results = diff_snapshots(
             self._snapshot(),
-            self._snapshot(**{"serve.serve_warm.p95_latency_seconds": 1.0}))
+            self._snapshot(**{"memory.peak_rss_kb": 80000.0}))  # +100%
         regressed = {entry["metric"] for entry in results if entry["regressed"]}
-        assert "serve.serve_warm.p95_latency_seconds" in regressed
+        assert "memory.peak_rss_kb" in regressed
 
     def test_within_threshold_changes_pass(self):
         results = diff_snapshots(
@@ -666,10 +664,13 @@ class TestBenchDiff:
 
     def test_missing_sections_are_skipped(self):
         old = self._snapshot()
-        del old["serve"]  # a pre-service archive
+        del old["probe_throughput"]  # a pre-bitsim archive
+        old["serve"] = None  # what older snapshots carry
         results = diff_snapshots(old, self._snapshot())
         metrics = {entry["metric"] for entry in results}
-        assert not any(metric.startswith("serve.") for metric in metrics)
+        assert metrics and not any(
+            metric.startswith(("probe_throughput.", "serve."))
+            for metric in metrics)
 
     def test_cli_diff_exit_codes(self, tmp_path, capsys):
         from repro.cli import main
@@ -680,7 +681,7 @@ class TestBenchDiff:
         new_path.write_text(json.dumps(self._snapshot()))
         assert main(["bench", "--diff", str(old_path), str(new_path)]) == 0
         new_path.write_text(json.dumps(
-            self._snapshot(**{"serve.speedup_vs_cold": 1.0})))
+            self._snapshot(**{"probe_throughput.speedup": 1.0})))
         assert main(["bench", "--diff", str(old_path), str(new_path)]) == 1
         out = capsys.readouterr().out
         assert "REGRESSED" in out
@@ -692,14 +693,10 @@ class TestBenchDiff:
         new_path = tmp_path / "new.json"
         old_path.write_text(json.dumps(self._snapshot()))
         new_path.write_text(json.dumps(
-            self._snapshot(**{"serve.speedup_vs_cold": 8.0})))  # -60%
+            self._snapshot(**{"probe_throughput.speedup": 3.2})))  # -60%
         assert main(["bench", "--diff", str(old_path), str(new_path)]) == 1
         assert main(["bench", "--diff", str(old_path), str(new_path),
-                     "--threshold", "serve.speedup_vs_cold=0.7"]) == 0
-
-    def test_default_thresholds_cover_the_serve_gate(self):
-        assert "serve.speedup_vs_cold" in DEFAULT_DIFF_THRESHOLDS
-        assert "serve.warm_hit_rate" in DEFAULT_DIFF_THRESHOLDS
+                     "--threshold", "probe_throughput.speedup=0.7"]) == 0
 
 
 class TestBenchRevision:
